@@ -17,6 +17,7 @@ package lpath
 //	Ablations    BenchmarkAblation*
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -341,7 +342,7 @@ func parallelBenchCorpus(b *testing.B) *Corpus {
 			return
 		}
 		// Warm the shard index outside the timed regions.
-		if _, err := c.SelectParallel(MustCompile(`//NP`)); err != nil {
+		if _, err := c.CountParallel(MustCompile(`//NP`)); err != nil {
 			return
 		}
 		parBenchCorp = c
@@ -352,8 +353,8 @@ func parallelBenchCorpus(b *testing.B) *Corpus {
 	return parBenchCorp
 }
 
-// BenchmarkParallelSelect compares serial Select against sharded
-// SelectParallel at increasing worker counts on representative queries.
+// BenchmarkParallelSelect compares serial Select against a Parallel request
+// at increasing worker counts on representative queries.
 // Speedup is bounded by physical cores: expect ≥2x at 4 workers on 4+ cores
 // and ~1x on a single-core host.
 func BenchmarkParallelSelect(b *testing.B) {
@@ -381,7 +382,7 @@ func BenchmarkParallelSelect(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/Workers%d", name, w), func(b *testing.B) {
 				c.Configure(WithWorkers(w))
 				for i := 0; i < b.N; i++ {
-					if _, err := c.SelectParallel(q); err != nil {
+					if _, err := c.Run(context.Background(), Request{Query: q, Parallel: true}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -401,22 +402,22 @@ func BenchmarkPlanCache(b *testing.B) {
 			}
 		}
 	})
-	b.Run("CachedCompile", func(b *testing.B) {
+	b.Run("CachedResolve", func(b *testing.B) {
 		c := NewCorpus(WithPlanCache(64))
-		if _, err := c.CompileCached(text); err != nil {
+		if _, _, err := c.resolve(Request{Text: text}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.CompileCached(text); err != nil {
+			if _, _, err := c.resolve(Request{Text: text}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkBuildShards measures the sharded index construction that
-// SelectParallel adds over the serial store build.
+// BenchmarkBuildShards measures the sharded index construction that a
+// Parallel request adds over the serial store build.
 func BenchmarkBuildShards(b *testing.B) {
 	trees := bench.GenerateTrees(corpus.WSJ, benchScale(), 42)
 	b.ResetTimer()

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -91,22 +92,22 @@ func main() {
 	st := c.Stats()
 	fmt.Printf("corpus: %d trees, %d nodes, %d words\n\n", st.Sentences, st.TreeNodes, st.Words)
 
+	run := func(req lpath.Request) lpath.Result {
+		res, err := c.Run(context.Background(), req)
+		if err != nil {
+			fatal(err)
+		}
+		return res
+	}
 	for _, q := range queries {
 		switch {
 		case *explain:
-			report, err := c.Explain(q)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(report)
+			fmt.Println(run(lpath.Request{Query: q, Mode: lpath.ModeExplain}).Explain)
 			continue
 		case *oracle:
 			// The oracle cross-check compares complete result sets, so this
 			// path keeps the full evaluation; -limit only caps the display.
-			ms, err := c.Select(q)
-			if err != nil {
-				fatal(err)
-			}
+			ms := run(lpath.Request{Query: q}).Matches
 			fmt.Printf("%s: %d matches\n", q, len(ms))
 			if !*countOnly {
 				for i, m := range ms {
@@ -127,20 +128,13 @@ func main() {
 				fmt.Printf("  oracle agrees (%d matches)\n", len(slow))
 			}
 		case *countOnly:
-			n, err := c.Count(q)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%s: %d matches\n", q, n)
+			fmt.Printf("%s: %d matches\n", q, run(lpath.Request{Query: q, Mode: lpath.ModeCount}).Count)
 		default:
 			// -limit is pushed into the engine: evaluation streams matches
 			// and stops one past the limit, so the total is only known when
 			// the stream runs dry before the cap.
 			k := max(*limit, 0)
-			ms, err := c.SelectLimit(q, k+1)
-			if err != nil {
-				fatal(err)
-			}
+			ms := run(lpath.Request{Query: q, Limit: k + 1}).Matches
 			if len(ms) > k {
 				fmt.Printf("%s: %d+ matches (stopped at -limit %d; -count gives the total)\n", q, k, k)
 				ms = ms[:k]

@@ -18,8 +18,9 @@
 // .lpx cold start vs text parse+build), or all.
 //
 // -scale sets the fraction of the paper's corpus size (1.0 ≈ 49k WSJ
-// sentences / 3.5M nodes; the default 0.05 keeps a full run under a couple
-// of minutes). With -csv DIR each timing figure is also written as CSV.
+// sentences, 1.41M element nodes — the paper's 3.5M most likely counts
+// relation rows; the default 0.05 keeps a full run under a couple of
+// minutes). With -csv DIR each timing figure is also written as CSV.
 // With -json DIR the planner, exec, twig, bitmap, limit, par and batch
 // experiments additionally write the machine-readable BENCH_planner.json,
 // BENCH_executor.json, BENCH_twig.json, BENCH_bitmap.json,
@@ -38,6 +39,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,9 +48,27 @@ import (
 	"lpath/internal/tree"
 )
 
+// figures are the valid -fig values.
+var figures = []string{"6a", "6b", "6c", "7", "8", "9", "10", "ablations", "planner",
+	"exec", "twig", "bitmap", "limit", "par", "batch", "snapshot", "all"}
+
+// parseFigs splits a comma-separated -fig value into the set of experiments
+// to run, rejecting names that would otherwise silently select nothing.
+func parseFigs(arg string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, f := range strings.Split(arg, ",") {
+		f = strings.TrimSpace(f)
+		if !slices.Contains(figures, f) {
+			return nil, fmt.Errorf("unknown -fig value %q; valid: %s", f, strings.Join(figures, " "))
+		}
+		want[f] = true
+	}
+	return want, nil
+}
+
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "experiment: 6a 6b 6c 7 8 9 10 ablations planner exec twig bitmap limit par batch snapshot all")
+		fig        = flag.String("fig", "all", "experiment: "+strings.Join(figures, " "))
 		scale      = flag.Float64("scale", 0.05, "corpus scale (1.0 = paper size)")
 		seed       = flag.Int64("seed", 42, "corpus seed")
 		csvDir     = flag.String("csv", "", "directory for CSV output (optional)")
@@ -58,6 +78,11 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
+	want, err := parseFigs(*fig)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lpathbench:", err)
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -78,10 +103,6 @@ func main() {
 		}()
 	}
 
-	want := map[string]bool{}
-	for _, f := range strings.Split(*fig, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
 	all := want["all"]
 	need := func(name string) bool { return all || want[name] }
 

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -45,16 +46,14 @@ func main() {
 	fmt.Println("Sentence: I saw the old man with a dog today")
 	fmt.Println()
 	for _, qq := range queries {
-		q, err := lpath.Compile(qq.text)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ms, err := c.Select(q)
+		// One request path: a Request names the query (raw text here, or a
+		// compiled *Query), the mode, a limit, and serial or parallel.
+		res, err := c.Run(context.Background(), lpath.Request{Text: qq.text})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s\n  %s\n", qq.desc, qq.text)
-		for _, m := range ms {
+		for _, m := range res.Matches {
 			fmt.Printf("    -> %s[%s]\n", m.Node.Tag, strings.Join(m.Node.Words(), " "))
 		}
 		fmt.Println()

@@ -54,29 +54,34 @@ func FuzzEvalOracle(f *testing.F) {
 			}
 		}
 
+		ctx := context.Background()
 		planned, plannedErr := c.Select(q)
 		plannedCount, plannedCountErr := c.Count(q)
-		par, parErr := c.SelectParallel(q)
+		parRes, parErr := c.Run(ctx, Request{Query: q, Parallel: true})
+		par := parRes.Matches
 		parCount, parCountErr := c.CountParallel(q)
 
 		// Early-termination rotation: a limit derived from the input walks
-		// the streaming path through empty, mid-stream and past-the-end
-		// prefixes across fuzz inputs. A limited evaluation may legitimately
-		// stop before a tree whose data-dependent runtime error the full
-		// evaluation hits, so errors only compare one way (checked below).
+		// the streaming path through unlimited (0), mid-stream and
+		// past-the-end prefixes across fuzz inputs. A limited evaluation may
+		// legitimately stop before a tree whose data-dependent runtime error
+		// the full evaluation hits, so errors only compare one way (checked
+		// below).
 		limit := len(query) % 5
-		limited, limitedErr := c.SelectLimit(q, limit)
-		parLimited, parLimitedErr := c.SelectParallelLimit(q, limit)
+		limitedRes, limitedErr := c.Run(ctx, Request{Query: q, Limit: limit})
+		parLimitedRes, parLimitedErr := c.Run(ctx, Request{Query: q, Limit: limit, Parallel: true})
+		limited, parLimited := limitedRes.Matches, parLimitedRes.Matches
 
 		// Batch rotation: a duplicate pair rides every cross-query memo layer
 		// (rows, frontiers, satisfiers) while the identity property is
-		// checked, and the text path adds the per-slot limit. Batch limits
-		// evaluate fully and truncate, so error agreement with Select is
-		// exact — no early-termination caveat.
-		batch, batchErrs := c.SelectBatch([]*Query{q, q})
-		batchPar, batchParErrs := c.SelectBatchParallel([]*Query{q, q})
-		batchText, batchTextErrs := c.SelectBatchLimitTextContext(
-			context.Background(), []string{query, query}, []int{limit, -1})
+		// checked, serial and sharded, and the text pair adds the per-slot
+		// limit. Batch limits evaluate fully and truncate, so error agreement
+		// with Select is exact — no early-termination caveat.
+		batch := c.RunBatch(ctx, []Request{
+			{Query: q}, {Query: q},
+			{Query: q, Parallel: true}, {Query: q, Parallel: true},
+			{Text: query, Limit: limit}, {Text: query},
+		})
 
 		// Executor rotation: force the holistic twig sweep on every maximal
 		// run, then disable it; then force the set-at-a-time merge executor on
@@ -124,12 +129,9 @@ func FuzzEvalOracle(f *testing.F) {
 			t.Fatalf("%q: planned err %v, bitmap-always err %v, bitmap-off err %v",
 				query, plannedErr, bitmappedErr, unbitmappedErr)
 		}
-		for i := 0; i < 2; i++ {
-			if (plannedErr != nil) != (batchErrs[i] != nil) ||
-				(plannedErr != nil) != (batchParErrs[i] != nil) ||
-				(plannedErr != nil) != (batchTextErrs[i] != nil) {
-				t.Fatalf("%q: planned err %v, batch slot %d errs %v/%v/%v",
-					query, plannedErr, i, batchErrs[i], batchParErrs[i], batchTextErrs[i])
+		for i, slot := range batch {
+			if (plannedErr != nil) != (slot.Err != nil) {
+				t.Fatalf("%q: planned err %v, batch slot %d err %v", query, plannedErr, i, slot.Err)
 			}
 		}
 		if plannedErr != nil {
@@ -173,37 +175,32 @@ func FuzzEvalOracle(f *testing.F) {
 		}
 
 		if limitedErr != nil {
-			t.Fatalf("%q: Select succeeded but SelectLimit(%d) errored: %v", query, limit, limitedErr)
+			t.Fatalf("%q: Select succeeded but Limit %d errored: %v", query, limit, limitedErr)
 		}
 		if parLimitedErr != nil {
-			t.Fatalf("%q: Select succeeded but SelectParallelLimit(%d) errored: %v", query, limit, parLimitedErr)
+			t.Fatalf("%q: Select succeeded but parallel Limit %d errored: %v", query, limit, parLimitedErr)
 		}
 		wantPrefix := planned
-		if limit < len(planned) {
+		if limit > 0 && limit < len(planned) {
 			wantPrefix = planned[:limit]
 		}
 		if !reflect.DeepEqual(limited, wantPrefix) {
-			t.Fatalf("%q: SelectLimit(%d) = %v, want prefix %v",
+			t.Fatalf("%q: Limit %d = %v, want prefix %v",
 				query, limit, matchKeys(limited), matchKeys(wantPrefix))
 		}
 		if !reflect.DeepEqual(parLimited, wantPrefix) {
-			t.Fatalf("%q: SelectParallelLimit(%d) = %v, want prefix %v",
+			t.Fatalf("%q: parallel Limit %d = %v, want prefix %v",
 				query, limit, matchKeys(parLimited), matchKeys(wantPrefix))
 		}
-		for i := 0; i < 2; i++ {
-			if !reflect.DeepEqual(batch[i], planned) || !reflect.DeepEqual(batchPar[i], planned) {
-				t.Fatalf("%q: batch slot %d differs from serial (%d/%d vs %d matches)",
-					query, i, len(batch[i]), len(batchPar[i]), len(planned))
+		for i, slot := range batch {
+			want := planned
+			if i == 4 {
+				want = wantPrefix // the capped text slot
 			}
-		}
-		if len(batchText[0]) != len(wantPrefix) ||
-			(len(wantPrefix) > 0 && !reflect.DeepEqual(batchText[0], wantPrefix)) {
-			t.Fatalf("%q: SelectBatchLimitText slot 0 (limit %d) = %v, want prefix %v",
-				query, limit, matchKeys(batchText[0]), matchKeys(wantPrefix))
-		}
-		if !reflect.DeepEqual(batchText[1], planned) {
-			t.Fatalf("%q: SelectBatchLimitText slot 1 (unlimited) differs from serial (%d vs %d matches)",
-				query, len(batchText[1]), len(planned))
+			if !reflect.DeepEqual(slot.Matches, want) {
+				t.Fatalf("%q: batch slot %d = %v, want %v",
+					query, i, matchKeys(slot.Matches), matchKeys(want))
+			}
 		}
 
 		oracle, oracleErr := c.SelectOracle(q)

@@ -596,7 +596,7 @@ func BitmapImpact(s *Systems) ([]BitmapRow, error) {
 var LimitPoints = []int{1, 10, 100}
 
 // LimitRow is one query's limit-pushdown measurement: the full evaluation
-// against EvalLimit at each of LimitPoints over the same store.
+// against EvalPlanLimitContext at each of LimitPoints over the same store.
 type LimitRow struct {
 	ID      int
 	Query   string
@@ -620,6 +620,7 @@ func (r LimitRow) Speedup(i int) float64 {
 // equal the corresponding prefix of the full result before its timing is
 // trusted.
 func LimitImpact(s *Systems) ([]LimitRow, error) {
+	ctx := context.Background()
 	var out []LimitRow
 	for _, id := range s.QueryIDs() {
 		plan := s.lpathQ[id]
@@ -637,7 +638,7 @@ func LimitImpact(s *Systems) ([]LimitRow, error) {
 			return nil, fmt.Errorf("Q%d full: %w", id, err)
 		}
 		for _, k := range LimitPoints {
-			got, e := s.LPath.EvalLimit(plan, k)
+			got, e := s.LPath.EvalPlanLimitContext(ctx, plan, s.LPath.Plan(plan), k)
 			if e != nil {
 				return nil, fmt.Errorf("Q%d limit %d: %w", id, k, e)
 			}
@@ -650,7 +651,7 @@ func LimitImpact(s *Systems) ([]LimitRow, error) {
 					id, k, len(got), len(want))
 			}
 			row.Limited = append(row.Limited, TimeIt(func() {
-				if _, e := s.LPath.EvalLimit(plan, k); e != nil {
+				if _, e := s.LPath.EvalPlanLimitContext(ctx, plan, s.LPath.Plan(plan), k); e != nil {
 					err = e
 				}
 			}))
@@ -718,7 +719,7 @@ func ParallelScaling(s *Systems, workerCounts []int) ([]ParallelRow, error) {
 		for _, w := range workerCounts {
 			row := ParallelRow{ID: id, Query: s.QueryText(id), Workers: w, Serial: serial}
 			row.Parallel = TimeIt(func() {
-				ms, e := engine.EvalParallel(ctx, shards, plan, engine.WithWorkers(w))
+				ms, e := engine.EvalParallel(ctx, shards, plan, shards[0].Plan(plan), 0, w)
 				if e != nil {
 					err = e
 				}
@@ -858,6 +859,15 @@ func BatchImpact(s *Systems) ([]BatchRow, error) {
 	}
 
 	ctx := context.Background()
+	// batch plans and evaluates one chunk of the workload in a shared-memo
+	// pass, as a serving layer would.
+	batch := func(lo, hi int) ([]engine.BatchResult, engine.BatchStats) {
+		qs := make([]engine.BatchQuery, hi-lo)
+		for i, p := range paths[lo:hi] {
+			qs[i] = engine.BatchQuery{Path: p, Plan: s.LPath.Plan(p)}
+		}
+		return s.LPath.EvalBatch(ctx, qs)
+	}
 	var out []BatchRow
 	for _, size := range BatchSizes {
 		// Verification pass (untimed): every slot must equal its serial
@@ -868,14 +878,14 @@ func BatchImpact(s *Systems) ([]BatchRow, error) {
 			if hi > len(paths) {
 				hi = len(paths)
 			}
-			got, errs, st := s.LPath.EvalBatchStats(ctx, paths[lo:hi], nil)
-			for j, e := range errs {
-				if e != nil {
-					return nil, fmt.Errorf("Q%d batch %d: %w", work[lo+j], size, e)
+			got, st := batch(lo, hi)
+			for j, r := range got {
+				if r.Err != nil {
+					return nil, fmt.Errorf("Q%d batch %d: %w", work[lo+j], size, r.Err)
 				}
-				if !reflect.DeepEqual(got[j], serial[lo+j]) {
+				if !reflect.DeepEqual(r.Matches, serial[lo+j]) {
 					return nil, fmt.Errorf("bench: Q%d at batch width %d diverges from serial evaluation (%d vs %d matches)",
-						work[lo+j], size, len(got[j]), len(serial[lo+j]))
+						work[lo+j], size, len(r.Matches), len(serial[lo+j]))
 				}
 			}
 			stats.Add(st)
@@ -887,10 +897,10 @@ func BatchImpact(s *Systems) ([]BatchRow, error) {
 				if hi > len(paths) {
 					hi = len(paths)
 				}
-				_, errs := s.LPath.EvalBatchContext(ctx, paths[lo:hi])
-				for _, e := range errs {
-					if e != nil {
-						evalErr = e
+				got, _ := batch(lo, hi)
+				for _, r := range got {
+					if r.Err != nil {
+						evalErr = r.Err
 					}
 				}
 			}

@@ -8,8 +8,8 @@
 // later query may reuse is copied to the heap before the arena reclaims it.
 //
 // The contract is the batch identity property, held by the differential
-// tests and FuzzEvalOracle: EvalBatch(paths)[i] is element-wise identical to
-// Eval(paths[i]), errors included.
+// tests and FuzzEvalOracle: slot i of EvalBatch is element-wise identical to
+// evaluating query i alone, errors included.
 
 package engine
 
@@ -31,10 +31,8 @@ type BatchStats struct {
 }
 
 // Add accumulates another batch's counters into s, for callers aggregating
-// sharing across several EvalBatchStats passes.
-func (s *BatchStats) Add(o BatchStats) { s.add(o) }
-
-func (s *BatchStats) add(o BatchStats) {
+// sharing across several EvalBatch passes.
+func (s *BatchStats) Add(o BatchStats) {
 	s.RowsHits += o.RowsHits
 	s.RowsMisses += o.RowsMisses
 	s.FrontierHits += o.FrontierHits
@@ -81,117 +79,68 @@ func (c *evalCtx) frontierKey(p *lpath.Path, start int, binds []bind) string {
 	return c.plan.MainKey(p)
 }
 
+// BatchQuery is one slot of a batch: the query's AST, the plan to execute
+// (nil = the default strategy; it must have been built for Path), and what
+// the slot wants back.
+type BatchQuery struct {
+	Path *lpath.Path
+	Plan *planner.Plan
+	// Limit caps Matches when positive; 0 means no cap. A capped slot is the
+	// exact prefix of the query's full evaluation — the batch evaluates fully
+	// so its memo stays valid for batch mates, then truncates.
+	Limit int
+	// CountOnly skips match materialization: the slot reports Count only.
+	CountOnly bool
+}
+
+// BatchResult is one slot's outcome: exactly what evaluating the query
+// alone would have produced, error included. Count is the number of distinct
+// matches for a CountOnly slot and len(Matches) otherwise.
+type BatchResult struct {
+	Matches []Match
+	Count   int
+	Err     error
+}
+
 // EvalBatch evaluates the queries in one shared-memo pass and returns one
-// result slice and one error slot per query, positionally. A failing query
-// does not disturb its batch mates; every slot mirrors exactly what Eval
-// would have returned for that query alone.
-func (e *Engine) EvalBatch(paths []*lpath.Path) ([][]Match, []error) {
-	return e.EvalBatchContext(context.Background(), paths)
-}
-
-// EvalBatchContext is EvalBatch honoring a context for cooperative
-// cancellation: once the context is done, remaining queries report its error.
-func (e *Engine) EvalBatchContext(cctx context.Context, paths []*lpath.Path) ([][]Match, []error) {
-	out, errs, _ := e.EvalBatchStats(cctx, paths, nil)
-	return out, errs
-}
-
-// EvalBatchLimit is EvalBatchContext with a per-query result cap. limits may
-// be nil (no caps); otherwise it is parallel to paths, where a negative
-// limit means unlimited and zero yields an empty result. Capped slots are
-// the exact prefix of the query's full evaluation — the batch evaluates
-// fully so its memo stays valid for batch mates, then truncates.
-func (e *Engine) EvalBatchLimit(cctx context.Context, paths []*lpath.Path, limits []int) ([][]Match, []error) {
-	out, errs, _ := e.EvalBatchStats(cctx, paths, limits)
-	return out, errs
-}
-
-// EvalBatchStats is EvalBatchLimit additionally reporting the memo hit rates
-// the batch achieved.
-func (e *Engine) EvalBatchStats(cctx context.Context, paths []*lpath.Path, limits []int) ([][]Match, []error, BatchStats) {
-	plans := make([]*planner.Plan, len(paths))
-	for i, p := range paths {
-		plans[i] = e.Plan(p)
-	}
-	return e.EvalBatchPlans(cctx, paths, plans, limits)
-}
-
-// EvalBatchPlans is EvalBatchStats over pre-resolved (path, plan) pairs —
-// the serving path, where compiled plans come from a plan cache. plans and
-// limits may be nil (plan per query here / no caps); a nil path marks a slot
-// to skip (it failed compilation upstream), leaving its result and error
-// slots untouched.
-func (e *Engine) EvalBatchPlans(cctx context.Context, paths []*lpath.Path, plans []*planner.Plan, limits []int) ([][]Match, []error, BatchStats) {
+// result per query, positionally, plus the memo hit rates the batch
+// achieved. A failing query does not disturb its batch mates; once the
+// context is done, the remaining queries report its error.
+func (e *Engine) EvalBatch(cctx context.Context, qs []BatchQuery) ([]BatchResult, BatchStats) {
 	memo := newBatchMemo()
-	out := make([][]Match, len(paths))
-	errs := make([]error, len(paths))
-	for i, p := range paths {
-		if p == nil {
-			continue
-		}
-		limit := -1
-		if limits != nil {
-			limit = limits[i]
-		}
-		plan := e.Plan(p)
-		if plans != nil {
-			plan = plans[i]
-		}
-		out[i], errs[i] = e.evalBatchOne(cctx, p, plan, limit, memo)
+	out := make([]BatchResult, len(qs))
+	for i, q := range qs {
+		out[i] = e.evalBatchOne(cctx, q, memo)
 	}
-	return out, errs, memo.stats
-}
-
-// CountBatch counts each query's distinct matches in one shared-memo pass;
-// slot i mirrors Count(paths[i]).
-func (e *Engine) CountBatch(cctx context.Context, paths []*lpath.Path) ([]int, []error) {
-	memo := newBatchMemo()
-	out := make([]int, len(paths))
-	errs := make([]error, len(paths))
-	for i, p := range paths {
-		rows, err := e.batchRows(cctx, p, e.Plan(p), memo)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		out[i] = len(rows)
-	}
-	return out, errs
+	return out, memo.stats
 }
 
 // evalBatchOne evaluates one query of a batch: resolve the distinct result
-// rows through the memo, then materialize this query's own Match slice
-// (truncated when limit >= 0).
-func (e *Engine) evalBatchOne(cctx context.Context, p *lpath.Path, plan *planner.Plan, limit int, memo *batchMemo) ([]Match, error) {
-	rows, err := e.batchRows(cctx, p, plan, memo)
+// rows through the memo, then count them or materialize this slot's own
+// (possibly capped) Match slice.
+func (e *Engine) evalBatchOne(cctx context.Context, q BatchQuery, memo *batchMemo) BatchResult {
+	rows, err := e.batchRows(cctx, q.Path, q.Plan, memo)
 	if err != nil {
-		return nil, err
+		return BatchResult{Err: err}
 	}
-	if limit == 0 {
-		return []Match{}, nil
+	if q.CountOnly {
+		return BatchResult{Count: len(rows)}
 	}
-	n := len(rows)
-	if limit > 0 && n > limit {
-		n = limit
+	if q.Limit > 0 && len(rows) > q.Limit {
+		rows = rows[:q.Limit]
 	}
-	out := make([]Match, 0, n)
-	for _, ri := range rows[:n] {
-		r := e.s.Row(ri)
-		out = append(out, Match{TreeID: int(r.TID), Node: e.s.NodeFor(r)})
-	}
-	return out, nil
+	return BatchResult{Matches: e.matches(rows), Count: len(rows)}
 }
 
 // batchRows returns the query's distinct result rows in (tid,id) order,
 // served from the batch memo when an identical query already ran. The
 // returned slice is memo-owned; callers must not mutate it.
 func (e *Engine) batchRows(cctx context.Context, p *lpath.Path, plan *planner.Plan, memo *batchMemo) ([]int32, error) {
-	if err := lpath.Validate(p); err != nil {
+	ctx, err := e.begin(cctx, p, plan)
+	if err != nil {
 		return nil, err
 	}
-	if err := cctx.Err(); err != nil {
-		return nil, err
-	}
+	defer e.releaseCtx(ctx)
 	key := p.String()
 	if plan != nil {
 		key = plan.Text
@@ -201,9 +150,7 @@ func (e *Engine) batchRows(cctx context.Context, p *lpath.Path, plan *planner.Pl
 		return rows, nil
 	}
 	memo.stats.RowsMisses++
-	ctx := e.newEvalCtx(plan, cctx)
 	ctx.batch = memo
-	defer e.releaseCtx(ctx)
 	arRows, err := e.evalRows(p, ctx)
 	if err != nil {
 		return nil, err
@@ -217,62 +164,49 @@ func (e *Engine) batchRows(cctx context.Context, p *lpath.Path, plan *planner.Pl
 // EvalBatchParallel runs the batch over the shards with shards as the unit
 // of work: each shard visit evaluates all N queries under one per-shard
 // batch memo, and each query's per-shard results merge back into global
-// (tid, id) order — slot i is identical to EvalParallel(ctx, shards,
-// paths[i]), errors included, with the same deterministic lowest-shard error
-// choice. A failing query never disturbs its batch mates; cancelling ctx
-// surfaces the context error on every query it interrupted.
-func EvalBatchParallel(ctx context.Context, shards []*Engine, paths []*lpath.Path, opts ...ParallelOption) ([][]Match, []error) {
-	cfg := parallelConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	out := make([][]Match, len(paths))
-	errs := make([]error, len(paths))
-	if len(paths) == 0 {
-		return out, errs
+// (tid, id) order — slot i is identical to EvalParallel (or CountParallel)
+// of query i alone, errors included, with the same deterministic
+// lowest-shard error choice. Shard engines share the corpus-global
+// statistics snapshot, so each slot's one plan serves every shard. A failing
+// query never disturbs its batch mates; cancelling ctx surfaces the context
+// error on every query it interrupted.
+func EvalBatchParallel(ctx context.Context, shards []*Engine, qs []BatchQuery, workers int) []BatchResult {
+	out := make([]BatchResult, len(qs))
+	if len(qs) == 0 {
+		return out
 	}
 	if len(shards) == 0 {
-		for i, p := range paths {
-			if errs[i] = lpath.Validate(p); errs[i] != nil {
+		for i, q := range qs {
+			if out[i].Err = lpath.Validate(q.Path); out[i].Err != nil {
 				continue
 			}
-			if errs[i] = ctx.Err(); errs[i] == nil {
-				out[i] = []Match{}
+			if out[i].Err = ctx.Err(); out[i].Err == nil && !q.CountOnly {
+				out[i].Matches = []Match{}
 			}
 		}
-		return out, errs
+		return out
 	}
-	// Plan once per query: shard engines share the corpus-global statistics
-	// snapshot, so one plan serves every shard.
-	plans := make([]*planner.Plan, len(paths))
-	for i, p := range paths {
-		if lpath.Validate(p) == nil {
-			plans[i] = shards[0].Plan(p)
-		}
-	}
-	perShard := make([][][]Match, len(shards))
-	perShardErr := make([][]error, len(shards))
-	_ = runShards(ctx, len(shards), cfg.workers, func(sctx context.Context, si int) error {
+	perShard := make([][]BatchResult, len(shards))
+	_ = runShards(ctx, len(shards), workers, func(sctx context.Context, si int) error {
 		memo := newBatchMemo()
-		ms := make([][]Match, len(paths))
-		es := make([]error, len(paths))
-		for qi, p := range paths {
-			ms[qi], es[qi] = shards[si].evalBatchOne(sctx, p, plans[qi], -1, memo)
+		rs := make([]BatchResult, len(qs))
+		for qi, q := range qs {
+			rs[qi] = shards[si].evalBatchOne(sctx, q, memo)
 		}
-		perShard[si] = ms
-		perShardErr[si] = es
+		perShard[si] = rs
 		return nil // per-query errors propagate positionally, not per shard
 	})
-	for qi := range paths {
+	for qi, q := range qs {
 		parts := make([][]Match, 0, len(shards))
 		var qerr error
 		missing := false
+		count := 0
 		for si := range shards {
 			switch {
-			case perShardErr[si] == nil:
+			case perShard[si] == nil:
 				missing = true // shard drained after cancellation
-			case perShardErr[si][qi] != nil:
-				if err := perShardErr[si][qi]; !isCancel(err) {
+			case perShard[si][qi].Err != nil:
+				if err := perShard[si][qi].Err; !isCancel(err) {
 					if qerr == nil {
 						qerr = err // lowest shard's real failure wins
 					}
@@ -280,19 +214,26 @@ func EvalBatchParallel(ctx context.Context, shards []*Engine, paths []*lpath.Pat
 					missing = true
 				}
 			default:
-				parts = append(parts, perShard[si][qi])
+				parts = append(parts, perShard[si][qi].Matches)
+				count += perShard[si][qi].Count
 			}
 		}
 		switch {
 		case qerr != nil:
-			errs[qi] = qerr
+			out[qi].Err = qerr
 		case missing:
-			if errs[qi] = ctx.Err(); errs[qi] == nil {
-				errs[qi] = context.Canceled
+			if out[qi].Err = ctx.Err(); out[qi].Err == nil {
+				out[qi].Err = context.Canceled
 			}
+		case q.CountOnly:
+			out[qi].Count = count // shards hold disjoint trees: counts add
 		default:
-			out[qi] = mergeByTree(parts)
+			ms := mergeByTree(parts)
+			if q.Limit > 0 && len(ms) > q.Limit {
+				ms = ms[:q.Limit]
+			}
+			out[qi].Matches, out[qi].Count = ms, len(ms)
 		}
 	}
-	return out, errs
+	return out
 }

@@ -24,6 +24,16 @@ var batchOptRotations = []struct {
 	{"bitmap", []Option{WithBitmapAlways()}},
 }
 
+// batchOf builds the batch that evaluates every path with the plan e would
+// run for it alone, uncapped.
+func batchOf(e *Engine, paths []*lpath.Path) []BatchQuery {
+	qs := make([]BatchQuery, len(paths))
+	for i, p := range paths {
+		qs[i] = BatchQuery{Path: p, Plan: e.Plan(p)}
+	}
+	return qs
+}
+
 // TestEvalBatchMatchesSerial is the batch identity property: on random
 // corpora, under every executor rotation, EvalBatch's slot i is element-wise
 // identical to Eval(paths[i]) — including when the batch holds duplicates, so
@@ -47,17 +57,17 @@ func TestEvalBatchMatchesSerial(t *testing.T) {
 				}
 				want[i] = ms
 			}
-			got, errs := e.EvalBatch(paths)
+			got, _ := e.EvalBatch(context.Background(), batchOf(e, paths))
 			for i := range paths {
-				if errs[i] != nil {
-					t.Fatalf("seed %d %s: batch slot %d (%q): %v", seed, rot.name, i, paths[i], errs[i])
+				if got[i].Err != nil {
+					t.Fatalf("seed %d %s: batch slot %d (%q): %v", seed, rot.name, i, paths[i], got[i].Err)
 				}
-				if len(got[i]) == 0 && len(want[i]) == 0 {
+				if len(got[i].Matches) == 0 && len(want[i]) == 0 {
 					continue
 				}
-				if !reflect.DeepEqual(got[i], want[i]) {
+				if !reflect.DeepEqual(got[i].Matches, want[i]) {
 					t.Errorf("seed %d %s: %q: batch %d matches, serial %d",
-						seed, rot.name, paths[i], len(got[i]), len(want[i]))
+						seed, rot.name, paths[i], len(got[i].Matches), len(want[i]))
 				}
 			}
 		}
@@ -75,18 +85,18 @@ func TestEvalBatchErrorSlots(t *testing.T) {
 		t.Fatal("serial Eval accepted a main-path attribute step")
 	}
 	paths := []*lpath.Path{lpath.MustParse(`//NP`), bad, lpath.MustParse(`//VP/V`)}
-	got, errs := e.EvalBatch(paths)
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("healthy slots errored: %v, %v", errs[0], errs[2])
+	got, _ := e.EvalBatch(context.Background(), batchOf(e, paths))
+	if got[0].Err != nil || got[2].Err != nil {
+		t.Fatalf("healthy slots errored: %v, %v", got[0].Err, got[2].Err)
 	}
-	if errs[1] == nil || errs[1].Error() != serialErr.Error() {
-		t.Fatalf("bad slot: got %v, want %v", errs[1], serialErr)
+	if got[1].Err == nil || got[1].Err.Error() != serialErr.Error() {
+		t.Fatalf("bad slot: got %v, want %v", got[1].Err, serialErr)
 	}
-	if got[1] != nil {
-		t.Errorf("bad slot carries %d matches", len(got[1]))
+	if got[1].Matches != nil {
+		t.Errorf("bad slot carries %d matches", len(got[1].Matches))
 	}
-	if len(got[0]) != 4 {
-		t.Errorf("//NP: %d matches, want 4", len(got[0]))
+	if len(got[0].Matches) != 4 {
+		t.Errorf("//NP: %d matches, want 4", len(got[0].Matches))
 	}
 }
 
@@ -97,10 +107,10 @@ func TestEvalBatchDuplicateRowsMemo(t *testing.T) {
 	e, _ := figureEngine(t)
 	p := lpath.MustParse(`//NP`)
 	paths := []*lpath.Path{p, lpath.MustParse(`//NP`), lpath.MustParse(`//NP`)}
-	got, errs, stats := e.EvalBatchStats(context.Background(), paths, nil)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("slot %d: %v", i, err)
+	got, stats := e.EvalBatch(context.Background(), batchOf(e, paths))
+	for i, r := range got {
+		if r.Err != nil {
+			t.Fatalf("slot %d: %v", i, r.Err)
 		}
 	}
 	if stats.RowsMisses != 1 || stats.RowsHits != 2 {
@@ -113,8 +123,8 @@ func TestEvalBatchDuplicateRowsMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got[0], want) {
-		t.Errorf("batch %d matches, serial %d", len(got[0]), len(want))
+	if !reflect.DeepEqual(got[0].Matches, want) {
+		t.Errorf("batch %d matches, serial %d", len(got[0].Matches), len(want))
 	}
 }
 
@@ -125,10 +135,10 @@ func TestEvalBatchSharedFrontier(t *testing.T) {
 	tc := cancelCorpus(t)
 	e := cancelEngine(t, tc)
 	paths := []*lpath.Path{lpath.MustParse(`//VP{/NP$}`), lpath.MustParse(`//VP{//NP$}`)}
-	got, errs, stats := e.EvalBatchStats(context.Background(), paths, nil)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("slot %d: %v", i, err)
+	got, stats := e.EvalBatch(context.Background(), batchOf(e, paths))
+	for i, r := range got {
+		if r.Err != nil {
+			t.Fatalf("slot %d: %v", i, r.Err)
 		}
 	}
 	if stats.FrontierHits < 1 {
@@ -140,8 +150,8 @@ func TestEvalBatchSharedFrontier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("%q: batch %d matches, serial %d", p, len(got[i]), len(want))
+		if !reflect.DeepEqual(got[i].Matches, want) {
+			t.Errorf("%q: batch %d matches, serial %d", p, len(got[i].Matches), len(want))
 		}
 	}
 }
@@ -156,10 +166,10 @@ func TestEvalBatchSharedSatisfiers(t *testing.T) {
 		lpath.MustParse(`//S[//_[@lex=saw]]`),
 		lpath.MustParse(`//NP[//_[@lex=saw]]`),
 	}
-	got, errs, stats := e.EvalBatchStats(context.Background(), paths, nil)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("slot %d: %v", i, err)
+	got, stats := e.EvalBatch(context.Background(), batchOf(e, paths))
+	for i, r := range got {
+		if r.Err != nil {
+			t.Fatalf("slot %d: %v", i, r.Err)
 		}
 	}
 	if stats.SatMisses < 1 || stats.SatHits < 1 {
@@ -171,15 +181,15 @@ func TestEvalBatchSharedSatisfiers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("%q: batch %d matches, serial %d", p, len(got[i]), len(want))
+		if !reflect.DeepEqual(got[i].Matches, want) {
+			t.Errorf("%q: batch %d matches, serial %d", p, len(got[i].Matches), len(want))
 		}
 	}
 }
 
-// TestEvalBatchLimit pins limit semantics: negative = unlimited, zero = empty
-// non-nil, positive = the exact prefix of the full serial result — and a
-// capped duplicate must not shrink what an uncapped batch mate sees.
+// TestEvalBatchLimit pins limit semantics: zero = no cap, positive = the
+// exact prefix of the full serial result — and a capped duplicate must not
+// shrink what an uncapped batch mate sees.
 func TestEvalBatchLimit(t *testing.T) {
 	e, _ := figureEngine(t)
 	p := lpath.MustParse(`//NP`)
@@ -190,37 +200,29 @@ func TestEvalBatchLimit(t *testing.T) {
 	if len(full) != 4 {
 		t.Fatalf("//NP: %d matches, want 4", len(full))
 	}
-	paths := []*lpath.Path{p, p, p, p, p}
-	limits := []int{-1, 0, 1, 2, 10}
-	got, errs := e.EvalBatchLimit(context.Background(), paths, limits)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("slot %d: %v", i, err)
-		}
-	}
+	limits := []int{1, 0, 2, 4, 10}
+	qs := batchOf(e, []*lpath.Path{p, p, p, p, p})
 	for i, limit := range limits {
+		qs[i].Limit = limit
+	}
+	got, _ := e.EvalBatch(context.Background(), qs)
+	for i, limit := range limits {
+		if got[i].Err != nil {
+			t.Fatalf("slot %d: %v", i, got[i].Err)
+		}
 		want := full
-		if limit >= 0 && limit < len(full) {
+		if limit > 0 && limit < len(full) {
 			want = full[:limit]
 		}
-		if len(got[i]) != len(want) {
-			t.Errorf("limit %d: %d matches, want %d", limit, len(got[i]), len(want))
-			continue
-		}
-		if limit == 0 {
-			if got[i] == nil {
-				t.Error("limit 0: nil result, want empty non-nil")
-			}
-			continue
-		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("limit %d: result is not the serial prefix", limit)
+		if !reflect.DeepEqual(got[i].Matches, want) || got[i].Count != len(want) {
+			t.Errorf("limit %d: %d matches (count %d), want the serial prefix of %d",
+				limit, len(got[i].Matches), got[i].Count, len(want))
 		}
 	}
 }
 
-// TestCountBatchMatchesSerial checks CountBatch slot-for-slot against serial
-// Count, including a duplicate that rides the rows memo.
+// TestCountBatchMatchesSerial checks CountOnly slots slot-for-slot against
+// serial Count, including a duplicate that rides the rows memo.
 func TestCountBatchMatchesSerial(t *testing.T) {
 	e, _ := figureEngine(t)
 	queries := []string{`//NP`, `//VP/V`, `//NP`, `//_[@lex=missing]`}
@@ -228,17 +230,21 @@ func TestCountBatchMatchesSerial(t *testing.T) {
 	for i, q := range queries {
 		paths[i] = lpath.MustParse(q)
 	}
-	counts, errs := e.CountBatch(context.Background(), paths)
+	qs := batchOf(e, paths)
+	for i := range qs {
+		qs[i].CountOnly = true
+	}
+	got, _ := e.EvalBatch(context.Background(), qs)
 	for i, p := range paths {
-		if errs[i] != nil {
-			t.Fatalf("slot %d: %v", i, errs[i])
+		if got[i].Err != nil {
+			t.Fatalf("slot %d: %v", i, got[i].Err)
 		}
 		want, err := e.Count(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if counts[i] != want {
-			t.Errorf("%q: batch count %d, serial %d", p, counts[i], want)
+		if got[i].Count != want || got[i].Matches != nil {
+			t.Errorf("%q: batch count %d (%d matches), serial %d", p, got[i].Count, len(got[i].Matches), want)
 		}
 	}
 }
@@ -250,13 +256,13 @@ func TestEvalBatchPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	paths := []*lpath.Path{lpath.MustParse(`//NP`), lpath.MustParse(`//VP`)}
-	got, errs := e.EvalBatchContext(ctx, paths)
+	got, _ := e.EvalBatch(ctx, batchOf(e, paths))
 	for i := range paths {
-		if !errors.Is(errs[i], context.Canceled) {
-			t.Errorf("slot %d: got %v, want context.Canceled", i, errs[i])
+		if !errors.Is(got[i].Err, context.Canceled) {
+			t.Errorf("slot %d: got %v, want context.Canceled", i, got[i].Err)
 		}
-		if got[i] != nil {
-			t.Errorf("slot %d carries %d matches", i, len(got[i]))
+		if got[i].Matches != nil {
+			t.Errorf("slot %d carries %d matches", i, len(got[i].Matches))
 		}
 	}
 }
@@ -272,10 +278,10 @@ func TestEvalBatchMidCancel(t *testing.T) {
 
 	cctx := newCountdownCtx()
 	cctx.setPolls(2) // batch entry check + first in-sweep poll survive
-	_, errs := e.EvalBatchContext(cctx, paths)
+	got, _ := e.EvalBatch(cctx, batchOf(e, paths))
 	for i := range paths {
-		if !errors.Is(errs[i], context.Canceled) {
-			t.Fatalf("slot %d: got %v, want context.Canceled", i, errs[i])
+		if !errors.Is(got[i].Err, context.Canceled) {
+			t.Fatalf("slot %d: got %v, want context.Canceled", i, got[i].Err)
 		}
 	}
 
@@ -316,17 +322,17 @@ func TestEvalBatchParallelMatchesSerial(t *testing.T) {
 		for _, k := range []int{1, 3, 7} {
 			shards := shardEngines(t, c, k)
 			for _, workers := range []int{1, 3} {
-				got, errs := EvalBatchParallel(context.Background(), shards, paths, WithWorkers(workers))
+				got := EvalBatchParallel(context.Background(), shards, batchOf(shards[0], paths), workers)
 				for i := range paths {
-					if errs[i] != nil {
-						t.Fatalf("seed %d k=%d w=%d: %q: %v", seed, k, workers, queryCorpus[i], errs[i])
+					if got[i].Err != nil {
+						t.Fatalf("seed %d k=%d w=%d: %q: %v", seed, k, workers, queryCorpus[i], got[i].Err)
 					}
-					if len(got[i]) == 0 && len(want[i]) == 0 {
+					if len(got[i].Matches) == 0 && len(want[i]) == 0 {
 						continue
 					}
-					if !reflect.DeepEqual(got[i], want[i]) {
+					if !reflect.DeepEqual(got[i].Matches, want[i]) {
 						t.Errorf("seed %d k=%d w=%d: %q: batch %d matches, serial %d",
-							seed, k, workers, queryCorpus[i], len(got[i]), len(want[i]))
+							seed, k, workers, queryCorpus[i], len(got[i].Matches), len(want[i]))
 					}
 				}
 			}
@@ -342,27 +348,27 @@ func TestEvalBatchParallelErrorSlots(t *testing.T) {
 	shards := shardEngines(t, c, 2)
 	bad := lpath.MustParse(`//S@lex`)
 	paths := []*lpath.Path{lpath.MustParse(`//NP`), bad}
-	got, errs := EvalBatchParallel(context.Background(), shards, paths)
-	if errs[0] != nil {
-		t.Fatalf("healthy slot: %v", errs[0])
+	got := EvalBatchParallel(context.Background(), shards, batchOf(shards[0], paths), 0)
+	if got[0].Err != nil {
+		t.Fatalf("healthy slot: %v", got[0].Err)
 	}
-	if errs[1] == nil {
+	if got[1].Err == nil {
 		t.Fatal("bad slot did not error")
 	}
-	if len(got[0]) != 4 {
-		t.Errorf("//NP: %d matches, want 4", len(got[0]))
+	if len(got[0].Matches) != 4 {
+		t.Errorf("//NP: %d matches, want 4", len(got[0].Matches))
 	}
 }
 
 // TestEvalBatchParallelEmptyShards mirrors EvalParallel's empty-shard
 // behavior per slot: empty results, validation errors still surfaced.
 func TestEvalBatchParallelEmptyShards(t *testing.T) {
-	paths := []*lpath.Path{lpath.MustParse(`//NP`), lpath.MustParse(`//S@lex`)}
-	got, errs := EvalBatchParallel(context.Background(), nil, paths)
-	if errs[0] != nil || len(got[0]) != 0 {
-		t.Errorf("healthy slot on empty shards: %d matches, %v", len(got[0]), errs[0])
+	qs := []BatchQuery{{Path: lpath.MustParse(`//NP`)}, {Path: lpath.MustParse(`//S@lex`)}}
+	got := EvalBatchParallel(context.Background(), nil, qs, 0)
+	if got[0].Err != nil || len(got[0].Matches) != 0 {
+		t.Errorf("healthy slot on empty shards: %d matches, %v", len(got[0].Matches), got[0].Err)
 	}
-	if errs[1] == nil {
+	if got[1].Err == nil {
 		t.Error("invalid query accepted on empty shards")
 	}
 }
@@ -374,8 +380,8 @@ func TestEvalBatchParallelPreCancelled(t *testing.T) {
 	shards := shardEngines(t, c, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, errs := EvalBatchParallel(ctx, shards, []*lpath.Path{lpath.MustParse(`//NP`)})
-	if !errors.Is(errs[0], context.Canceled) {
-		t.Errorf("got %v, want context.Canceled", errs[0])
+	got := EvalBatchParallel(ctx, shards, []BatchQuery{{Path: lpath.MustParse(`//NP`)}}, 0)
+	if !errors.Is(got[0].Err, context.Canceled) {
+		t.Errorf("got %v, want context.Canceled", got[0].Err)
 	}
 }

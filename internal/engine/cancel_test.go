@@ -61,7 +61,7 @@ func cancelEngine(t testing.TB, tc *tree.Corpus, opts ...Option) *Engine {
 	return e
 }
 
-// TestCancelMidSweepPerStrategy proves that SelectContext-style evaluation
+// TestCancelMidSweepPerStrategy proves that context-honoring evaluation
 // returns promptly with context.Canceled from inside each executor's sweep:
 // the per-binding probe loop, the merge group sweep with its predicate
 // pipeline, and the holistic twig arrival loop.
@@ -86,15 +86,15 @@ func TestCancelMidSweepPerStrategy(t *testing.T) {
 
 			cctx := newCountdownCtx()
 			cctx.setPolls(1 + tt.sweepPolls)
-			_, err := e.EvalContext(cctx, p)
+			_, err := e.EvalPlanContext(cctx, p, e.Plan(p))
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("EvalContext: got err %v, want context.Canceled", err)
+				t.Fatalf("EvalPlanContext: got err %v, want context.Canceled", err)
 			}
 
 			cctx.setPolls(1 + tt.sweepPolls)
-			_, err = e.CountContext(cctx, p)
+			_, err = e.CountPlanContext(cctx, p, e.Plan(p))
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("CountContext: got err %v, want context.Canceled", err)
+				t.Fatalf("CountPlanContext: got err %v, want context.Canceled", err)
 			}
 
 			// A cancelled evaluation must not poison the engine's pooled
@@ -134,7 +134,7 @@ func TestCancelParallelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := EvalParallel(ctx, shards, p, WithWorkers(2)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := EvalParallel(ctx, shards, p, shards[0].Plan(p), 0, 2); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("EvalParallel: got err %v after %v, want context.DeadlineExceeded", err, time.Since(start))
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -143,7 +143,7 @@ func TestCancelParallelMidSweep(t *testing.T) {
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel2()
-	if _, err := CountParallel(ctx2, shards, p, WithWorkers(2)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := CountParallel(ctx2, shards, p, shards[0].Plan(p), 2); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("CountParallel: got err %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -166,7 +166,7 @@ func TestDeadlineExceededMidSweep(t *testing.T) {
 	for timeout := 10 * time.Millisecond; ; timeout /= 2 {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		start := time.Now()
-		_, err := e.EvalContext(ctx, p)
+		_, err := e.EvalPlanContext(ctx, p, e.Plan(p))
 		elapsed := time.Since(start)
 		cancel()
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -201,19 +201,19 @@ func TestContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := e.EvalContext(ctx, p); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvalContext: got %v", err)
+	if _, err := e.EvalPlanContext(ctx, p, e.Plan(p)); !errors.Is(err, context.Canceled) {
+		t.Errorf("EvalPlanContext: got %v", err)
 	}
-	if _, err := e.CountContext(ctx, p); !errors.Is(err, context.Canceled) {
-		t.Errorf("CountContext: got %v", err)
+	if _, err := e.CountPlanContext(ctx, p, e.Plan(p)); !errors.Is(err, context.Canceled) {
+		t.Errorf("CountPlanContext: got %v", err)
 	}
-	if _, err := e.ExplainContext(ctx, p); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExplainContext: got %v", err)
+	if _, err := e.ExplainPlanContext(ctx, p, e.Plan(p)); !errors.Is(err, context.Canceled) {
+		t.Errorf("ExplainPlanContext: got %v", err)
 	}
-	if _, err := EvalParallel(ctx, shards, p); !errors.Is(err, context.Canceled) {
+	if _, err := EvalParallel(ctx, shards, p, nil, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("EvalParallel: got %v", err)
 	}
-	if _, err := CountParallel(ctx, shards, p); !errors.Is(err, context.Canceled) {
+	if _, err := CountParallel(ctx, shards, p, nil, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("CountParallel: got %v", err)
 	}
 }

@@ -50,7 +50,7 @@ func TestCountParallelAgreesWithSerial(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d %q: %v", seed, q, err)
 					}
-					got, err := CountParallel(context.Background(), shards, p, WithWorkers(workers))
+					got, err := CountParallel(context.Background(), shards, p, shards[0].Plan(p), workers)
 					if err != nil {
 						t.Fatalf("seed %d k=%d w=%d %q: %v", seed, k, workers, q, err)
 					}
@@ -58,7 +58,7 @@ func TestCountParallelAgreesWithSerial(t *testing.T) {
 						t.Errorf("seed %d k=%d w=%d %q: CountParallel = %d, serial Count = %d",
 							seed, k, workers, q, got, want)
 					}
-					ms, err := EvalParallel(context.Background(), shards, p, WithWorkers(workers))
+					ms, err := EvalParallel(context.Background(), shards, p, shards[0].Plan(p), 0, workers)
 					if err != nil {
 						t.Fatalf("seed %d k=%d w=%d %q eval: %v", seed, k, workers, q, err)
 					}
@@ -73,17 +73,17 @@ func TestCountParallelAgreesWithSerial(t *testing.T) {
 }
 
 func TestCountParallelValidationAndEmpty(t *testing.T) {
-	if _, err := CountParallel(context.Background(), nil, lpath.MustParse(`@lex`)); err == nil {
+	if _, err := CountParallel(context.Background(), nil, lpath.MustParse(`@lex`), nil, 0); err == nil {
 		t.Error("expected validation error for a bare attribute path")
 	}
-	n, err := CountParallel(context.Background(), nil, lpath.MustParse(`//NP`))
+	n, err := CountParallel(context.Background(), nil, lpath.MustParse(`//NP`), nil, 0)
 	if err != nil || n != 0 {
 		t.Errorf("no shards: CountParallel = %d, %v", n, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	shards := shardEngines(t, randomCorpus(1, 4), 2)
-	if _, err := CountParallel(ctx, shards, lpath.MustParse(`//NP`)); err == nil {
+	if _, err := CountParallel(ctx, shards, lpath.MustParse(`//NP`), nil, 0); err == nil {
 		t.Error("expected error from cancelled context")
 	}
 }

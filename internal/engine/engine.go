@@ -227,45 +227,37 @@ type bind struct {
 // was built WithoutPlanner, the query is planned first; the plan never
 // changes the result, only the evaluation strategy.
 func (e *Engine) Eval(p *lpath.Path) ([]Match, error) {
-	return e.EvalPlan(p, e.Plan(p))
+	return e.EvalPlanContext(context.Background(), p, e.Plan(p))
 }
 
-// EvalContext is Eval honoring a context: cancellation (or an expired
-// deadline) interrupts the join pipeline cooperatively — the executors poll
-// the context inside their sweeps, not just between steps — and returns the
-// context's error.
-func (e *Engine) EvalContext(cctx context.Context, p *lpath.Path) ([]Match, error) {
-	return e.EvalPlanContext(cctx, p, e.Plan(p))
-}
-
-// EvalPlan evaluates the query executing the given plan (nil = the default
-// strategy). The plan must have been built for this query's AST.
-func (e *Engine) EvalPlan(p *lpath.Path, plan *planner.Plan) ([]Match, error) {
-	return e.EvalPlanContext(context.Background(), p, plan)
-}
-
-// EvalPlanContext is EvalPlan honoring a context for cooperative
-// cancellation.
+// EvalPlanContext evaluates the query executing the given plan (nil = the
+// default strategy), which must have been built for this query's AST.
+// Cancellation (or an expired deadline) interrupts the join pipeline
+// cooperatively — the executors poll the context inside their sweeps, not
+// just between steps — and returns the context's error.
 func (e *Engine) EvalPlanContext(cctx context.Context, p *lpath.Path, plan *planner.Plan) ([]Match, error) {
-	if err := lpath.Validate(p); err != nil {
+	ctx, err := e.begin(cctx, p, plan)
+	if err != nil {
 		return nil, err
 	}
-	if err := cctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx := e.newEvalCtx(plan, cctx)
 	defer e.releaseCtx(ctx)
 	rows, err := e.evalRows(p, ctx)
 	if err != nil {
 		return nil, err
 	}
+	out := e.matches(rows)
+	ctx.ar.putInts(rows)
+	return out, nil
+}
+
+// matches materializes result rows as Match values.
+func (e *Engine) matches(rows []int32) []Match {
 	out := make([]Match, 0, len(rows))
 	for _, ri := range rows {
 		r := e.s.Row(ri)
 		out = append(out, Match{TreeID: int(r.TID), Node: e.s.NodeFor(r)})
 	}
-	ctx.ar.putInts(rows)
-	return out, nil
+	return out
 }
 
 // evalRows runs the join pipeline and returns the distinct result rows in
@@ -301,30 +293,17 @@ func (e *Engine) evalRows(p *lpath.Path, ctx *evalCtx) ([]int32, error) {
 // the same join pipeline as Eval, skipping the document-order sort and the
 // row → node mapping.
 func (e *Engine) Count(p *lpath.Path) (int, error) {
-	return e.CountPlan(p, e.Plan(p))
+	return e.CountPlanContext(context.Background(), p, e.Plan(p))
 }
 
-// CountContext is Count honoring a context for cooperative cancellation,
-// like EvalContext.
-func (e *Engine) CountContext(cctx context.Context, p *lpath.Path) (int, error) {
-	return e.CountPlanContext(cctx, p, e.Plan(p))
-}
-
-// CountPlan is Count executing the given plan (nil = default strategy).
-func (e *Engine) CountPlan(p *lpath.Path, plan *planner.Plan) (int, error) {
-	return e.CountPlanContext(context.Background(), p, plan)
-}
-
-// CountPlanContext is CountPlan honoring a context for cooperative
-// cancellation.
+// CountPlanContext is Count executing the given plan (nil = default
+// strategy) and honoring a context for cooperative cancellation, like
+// EvalPlanContext.
 func (e *Engine) CountPlanContext(cctx context.Context, p *lpath.Path, plan *planner.Plan) (int, error) {
-	if err := lpath.Validate(p); err != nil {
+	ctx, err := e.begin(cctx, p, plan)
+	if err != nil {
 		return 0, err
 	}
-	if err := cctx.Err(); err != nil {
-		return 0, err
-	}
-	ctx := e.newEvalCtx(plan, cctx)
 	defer e.releaseCtx(ctx)
 	start := [1]bind{{row: noRow, scope: noRow}}
 	binds, err := e.evalPath(p, start[:], ctx)
@@ -344,57 +323,20 @@ func (e *Engine) CountPlanContext(cctx context.Context, p *lpath.Path, plan *pla
 	return n, nil
 }
 
-// Explain plans the query, executes the plan with cardinality counters, and
-// returns the rendered EXPLAIN report (estimated vs actual rows per step).
-// It always plans, even on a WithoutPlanner engine — EXPLAIN exists to show
-// what the planner would do.
-func (e *Engine) Explain(p *lpath.Path) (string, error) {
-	return e.ExplainContext(context.Background(), p)
-}
-
-// ExplainContext is Explain honoring a context for cooperative cancellation.
-func (e *Engine) ExplainContext(cctx context.Context, p *lpath.Path) (string, error) {
-	if err := lpath.Validate(p); err != nil {
-		return "", err
+// ExplainPlanContext executes the plan with cardinality counters and returns
+// the rendered EXPLAIN report (estimated vs actual rows per step). The
+// actuals are collected into a fresh counter set on every call, so a cached
+// plan reused across executions never reports a prior run's actuals. A nil
+// plan (a WithoutPlanner engine, or a cache entry of one) is planned here:
+// EXPLAIN exists to show what the planner would do.
+func (e *Engine) ExplainPlanContext(cctx context.Context, p *lpath.Path, plan *planner.Plan) (string, error) {
+	if plan == nil {
+		plan = e.pl.Plan(p)
 	}
-	if err := cctx.Err(); err != nil {
-		return "", err
-	}
-	plan := e.pl.Plan(p)
-	ctx := e.newEvalCtx(plan, cctx)
-	defer e.releaseCtx(ctx)
-	ctx.act = &planner.Actuals{}
-	rows, err := e.evalRows(p, ctx)
+	ctx, err := e.begin(cctx, p, plan)
 	if err != nil {
 		return "", err
 	}
-	ctx.act.Matches = len(rows)
-	ctx.ar.putInts(rows)
-	return plan.Render(ctx.act), nil
-}
-
-// ExplainPlan is Explain executing a supplied cached plan instead of
-// replanning — the serving path for EXPLAIN over a plan cache. The actual
-// cardinalities are collected into a fresh counter set on every call, so a
-// plan reused across executions never reports a prior run's actuals. A nil
-// plan (a WithoutPlanner cache entry) falls back to Explain's own planning.
-func (e *Engine) ExplainPlan(p *lpath.Path, plan *planner.Plan) (string, error) {
-	return e.ExplainPlanContext(context.Background(), p, plan)
-}
-
-// ExplainPlanContext is ExplainPlan honoring a context for cooperative
-// cancellation.
-func (e *Engine) ExplainPlanContext(cctx context.Context, p *lpath.Path, plan *planner.Plan) (string, error) {
-	if plan == nil {
-		return e.ExplainContext(cctx, p)
-	}
-	if err := lpath.Validate(p); err != nil {
-		return "", err
-	}
-	if err := cctx.Err(); err != nil {
-		return "", err
-	}
-	ctx := e.newEvalCtx(plan, cctx)
 	defer e.releaseCtx(ctx)
 	ctx.act = &planner.Actuals{}
 	rows, err := e.evalRows(p, ctx)

@@ -63,7 +63,7 @@ type evalCtx struct {
 	// seeds and the value-driver postings — restricts itself to trees with
 	// tid ∈ [winLo, winHi). Axes never cross trees, so a windowed evaluation
 	// is exactly the full evaluation restricted to that tree range, which is
-	// what lets EvalLimit evaluate batches of trees and stop early.
+	// what lets StreamPlan evaluate batches of trees and stop early.
 	winLo, winHi int32
 	windowed     bool
 }
@@ -102,18 +102,26 @@ func (c *evalCtx) interrupted() bool {
 	return false
 }
 
-// newEvalCtx takes a pooled context for one evaluation; releaseCtx returns
-// it. The arena's buffers are retained across evaluations — that retention
-// is what makes steady-state execution of a compiled plan allocation-free.
-// cctx is recorded for cooperative cancellation only when it can actually be
+// begin is the preamble every evaluation body shares: validate the AST,
+// honor an already-done context, then take a pooled evaluation context bound
+// to the plan; the caller hands it back with releaseCtx. The arena's buffers
+// are retained across evaluations — that retention is what makes
+// steady-state execution of a compiled plan allocation-free. cctx is
+// recorded for cooperative cancellation only when it can actually be
 // cancelled (Done() != nil); context.Background() and friends cost nothing.
-func (e *Engine) newEvalCtx(plan *planner.Plan, cctx context.Context) *evalCtx {
+func (e *Engine) begin(cctx context.Context, p *lpath.Path, plan *planner.Plan) (*evalCtx, error) {
+	if err := lpath.Validate(p); err != nil {
+		return nil, err
+	}
+	if err := cctx.Err(); err != nil {
+		return nil, err
+	}
 	ctx := e.ctxPool.Get().(*evalCtx)
 	ctx.plan = plan
-	if cctx != nil && cctx.Done() != nil {
+	if cctx.Done() != nil {
 		ctx.cctx = cctx
 	}
-	return ctx
+	return ctx, nil
 }
 
 func (e *Engine) releaseCtx(ctx *evalCtx) {

@@ -2,7 +2,7 @@
 // comparison (Table 2), so a query over a corpus decomposes into independent
 // evaluations over disjoint tid shards — the same per-tree decomposability
 // that makes conjunctive tree queries parallelizable. EvalParallel fans a
-// compiled query out over per-shard engines with a bounded worker pool and
+// planned query out over per-shard engines with a bounded worker pool and
 // merges the per-shard results back into global (tid, id) order.
 
 package engine
@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"lpath/internal/lpath"
+	"lpath/internal/planner"
 	"lpath/internal/relstore"
 )
 
@@ -32,24 +33,14 @@ func NewSharded(shards []*relstore.Store, opts ...Option) ([]*Engine, error) {
 	return out, nil
 }
 
-// ParallelOption configures a parallel evaluation.
-type ParallelOption func(*parallelConfig)
-
-type parallelConfig struct {
-	workers int
-}
-
-// WithWorkers bounds the worker pool at n goroutines. Values below 1 restore
-// the default, runtime.GOMAXPROCS(0).
-func WithWorkers(n int) ParallelOption {
-	return func(c *parallelConfig) { c.workers = n }
-}
-
-// EvalParallel evaluates the query over every shard concurrently, using at
-// most the configured number of workers (default runtime.GOMAXPROCS(0)),
-// and returns the merged matches in global (tree, document) order — the
-// identical order Engine.Eval produces on an unsharded store, because
-// shards partition whole trees.
+// EvalParallel evaluates the query over every shard concurrently, executing
+// the given plan (nil = the default strategy) on at most workers goroutines
+// (below 1 = runtime.GOMAXPROCS(0)), and returns the merged matches in
+// global (tree, document) order — the identical order Engine.Eval produces
+// on an unsharded store, because shards partition whole trees. Shard engines
+// share the corpus-global statistics snapshot (relstore.BuildShards), so one
+// plan is every shard's plan and the per-query planning cost does not scale
+// with the shard count.
 //
 // The first shard error cancels the remaining work via the context;
 // cancelling ctx abandons shards that have not started and interrupts
@@ -57,14 +48,10 @@ func WithWorkers(n int) ParallelOption {
 // context). The result slice is deterministic: it does not depend on the
 // worker count or on scheduling — and so is the error: identical failures
 // yield the identical (lowest-shard) error, whatever order workers ran in.
-func EvalParallel(ctx context.Context, shards []*Engine, p *lpath.Path, opts ...ParallelOption) ([]Match, error) {
-	cfg := parallelConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.workers < 1 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
+//
+// A positive limit returns only the first limit entries of that result, with
+// early termination (evalParallelLimit); limit <= 0 means no limit.
+func EvalParallel(ctx context.Context, shards []*Engine, p *lpath.Path, plan *planner.Plan, limit, workers int) ([]Match, error) {
 	if err := lpath.Validate(p); err != nil {
 		return nil, err
 	}
@@ -74,12 +61,11 @@ func EvalParallel(ctx context.Context, shards []*Engine, p *lpath.Path, opts ...
 		}
 		return []Match{}, nil
 	}
-	// Plan once: shard engines share the corpus-global statistics snapshot
-	// (relstore.BuildShards), so one plan is every shard's plan, and the
-	// per-query planning cost does not scale with the shard count.
-	plan := shards[0].Plan(p)
+	if limit > 0 {
+		return evalParallelLimit(ctx, shards, p, plan, limit, workers)
+	}
 	results := make([][]Match, len(shards))
-	err := runShards(ctx, len(shards), cfg.workers, func(ctx context.Context, i int) error {
+	err := runShards(ctx, len(shards), workers, func(ctx context.Context, i int) error {
 		ms, err := shards[i].EvalPlanContext(ctx, p, plan)
 		if err != nil {
 			return err
@@ -93,37 +79,22 @@ func EvalParallel(ctx context.Context, shards []*Engine, p *lpath.Path, opts ...
 	return mergeByTree(results), nil
 }
 
-// EvalParallelLimit evaluates the query over the shards with a per-shard cap
-// of limit matches and returns the first limit entries of EvalParallel's
-// (tree, document)-ordered result. Shards hold tid-contiguous, ascending tree
-// ranges, so the global prefix is the concatenation of per-shard prefixes in
-// shard order, truncated at limit; every shard streams with early
-// termination (EvalPlanLimitContext), and the moment a settled prefix of
-// shards holds limit matches, all higher shards are cancelled — work past
-// the answer is abandoned, not merged and discarded.
+// evalParallelLimit is EvalParallel under a positive limit, with a per-shard
+// cap of limit matches. Shards hold tid-contiguous, ascending tree ranges,
+// so the global prefix is the concatenation of per-shard prefixes in shard
+// order, truncated at limit; every shard streams with early termination
+// (EvalPlanLimitContext), and the moment a settled prefix of shards holds
+// limit matches, all higher shards are cancelled — work past the answer is
+// abandoned, not merged and discarded.
 //
 // The result is deterministic like EvalParallel's, and so is the error: a
 // real failure surfaces only when it lies before the point where the settled
-// prefix reaches limit — the trees a serial EvalLimit would actually have
-// visited — with the lowest-indexed such failure winning.
-func EvalParallelLimit(ctx context.Context, shards []*Engine, p *lpath.Path, limit int, opts ...ParallelOption) ([]Match, error) {
-	cfg := parallelConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.workers < 1 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	if err := lpath.Validate(p); err != nil {
-		return nil, err
-	}
+// prefix reaches limit — the trees a serial limited evaluation would
+// actually have visited — with the lowest-indexed such failure winning.
+func evalParallelLimit(ctx context.Context, shards []*Engine, p *lpath.Path, plan *planner.Plan, limit, workers int) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if limit <= 0 || len(shards) == 0 {
-		return []Match{}, nil
-	}
-	plan := shards[0].Plan(p)
 	n := len(shards)
 	parent := ctx
 	ctx, cancelAll := context.WithCancel(ctx)
@@ -164,13 +135,9 @@ func EvalParallelLimit(ctx context.Context, shards []*Engine, p *lpath.Path, lim
 		}
 	}
 
-	workers := cfg.workers
-	if workers > n {
-		workers = n
-	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := poolSize(workers, n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -229,20 +196,15 @@ func isCancel(err error) bool {
 // shard uses the count-only pipeline (no sort, no node materialization) and
 // only an integer crosses the merge. Shards hold disjoint trees, so the
 // per-shard distinct counts add exactly.
-func CountParallel(ctx context.Context, shards []*Engine, p *lpath.Path, opts ...ParallelOption) (int, error) {
-	cfg := parallelConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func CountParallel(ctx context.Context, shards []*Engine, p *lpath.Path, plan *planner.Plan, workers int) (int, error) {
 	if err := lpath.Validate(p); err != nil {
 		return 0, err
 	}
 	if len(shards) == 0 {
 		return 0, ctx.Err()
 	}
-	plan := shards[0].Plan(p)
 	counts := make([]int, len(shards))
-	err := runShards(ctx, len(shards), cfg.workers, func(ctx context.Context, i int) error {
+	err := runShards(ctx, len(shards), workers, func(ctx context.Context, i int) error {
 		n, err := shards[i].CountPlanContext(ctx, p, plan)
 		if err != nil {
 			return err
@@ -260,6 +222,15 @@ func CountParallel(ctx context.Context, shards []*Engine, p *lpath.Path, opts ..
 	return total, nil
 }
 
+// poolSize resolves a worker bound for n jobs: values below 1 select
+// runtime.GOMAXPROCS(0), and a pool never outnumbers its jobs.
+func poolSize(workers, n int) int {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, n)
+}
+
 // runShards runs fn(ctx, i) for every shard index over a bounded worker
 // pool. The first error cancels the remaining work (abandoning shards that
 // have not started and interrupting in-flight, context-honoring fn calls),
@@ -269,12 +240,6 @@ func CountParallel(ctx context.Context, shards []*Engine, p *lpath.Path, opts ..
 // serial ones for the same failure, independent of worker scheduling.
 // Cancellation of the caller's context surfaces as that context's error.
 func runShards(ctx context.Context, n, workers int, fn func(context.Context, int) error) error {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -282,7 +247,7 @@ func runShards(ctx context.Context, n, workers int, fn func(context.Context, int
 	jobs := make(chan int)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := poolSize(workers, n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -303,7 +268,7 @@ func runShards(ctx context.Context, n, workers int, fn func(context.Context, int
 	close(jobs)
 	wg.Wait()
 	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		if err != nil && !isCancel(err) {
 			return err
 		}
 	}
@@ -324,7 +289,8 @@ func mergeByTree(results [][]Match) []Match {
 	}
 	if total == 0 {
 		// Eval returns a non-nil empty slice when nothing matches; mirror it
-		// so SelectParallel stays byte-identical to Select, matches or not.
+		// so a sharded evaluation stays byte-identical to a serial one,
+		// matches or not.
 		return []Match{}
 	}
 	out := make([]Match, 0, total)

@@ -44,7 +44,7 @@ func TestEvalParallelMatchesSerial(t *testing.T) {
 			shards := shardEngines(t, c, k)
 			for _, workers := range []int{1, 3} {
 				for i, p := range plans {
-					got, err := EvalParallel(context.Background(), shards, p, WithWorkers(workers))
+					got, err := EvalParallel(context.Background(), shards, p, shards[0].Plan(p), 0, workers)
 					if err != nil {
 						t.Fatalf("seed %d k=%d w=%d: parallel %q: %v", seed, k, workers, queryCorpus[i], err)
 					}
@@ -67,7 +67,7 @@ func TestEvalParallelDefaultWorkers(t *testing.T) {
 	shards := shardEngines(t, c, 1)
 	// Workers below 1 fall back to GOMAXPROCS; both must succeed.
 	for _, w := range []int{-1, 0, 99} {
-		ms, err := EvalParallel(context.Background(), shards, lpath.MustParse(`//NP`), WithWorkers(w))
+		ms, err := EvalParallel(context.Background(), shards, lpath.MustParse(`//NP`), nil, 0, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -78,7 +78,7 @@ func TestEvalParallelDefaultWorkers(t *testing.T) {
 }
 
 func TestEvalParallelEmptyShards(t *testing.T) {
-	ms, err := EvalParallel(context.Background(), nil, lpath.MustParse(`//NP`))
+	ms, err := EvalParallel(context.Background(), nil, lpath.MustParse(`//NP`), nil, 0, 0)
 	if err != nil || len(ms) != 0 {
 		t.Errorf("empty shard set: %d matches, %v", len(ms), err)
 	}
@@ -88,7 +88,7 @@ func TestEvalParallelValidationError(t *testing.T) {
 	c := tree.NewCorpus()
 	c.Add(tree.Figure1())
 	shards := shardEngines(t, c, 2)
-	if _, err := EvalParallel(context.Background(), shards, lpath.MustParse(`//S@lex`)); err == nil {
+	if _, err := EvalParallel(context.Background(), shards, lpath.MustParse(`//S@lex`), nil, 0, 0); err == nil {
 		t.Error("expected validation error for attribute step in main path")
 	}
 }
@@ -98,7 +98,7 @@ func TestEvalParallelCancelledContext(t *testing.T) {
 	shards := shardEngines(t, c, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EvalParallel(ctx, shards, lpath.MustParse(`//NP`)); err == nil {
+	if _, err := EvalParallel(ctx, shards, lpath.MustParse(`//NP`), nil, 0, 0); err == nil {
 		t.Error("expected context error after cancellation")
 	}
 }

@@ -34,19 +34,13 @@ const (
 // when yield returns false. The context cancels cooperatively, exactly like
 // EvalPlanContext.
 func (e *Engine) StreamPlan(cctx context.Context, p *lpath.Path, plan *planner.Plan, yield func(Match) bool) error {
-	if err := lpath.Validate(p); err != nil {
+	ctx, err := e.begin(cctx, p, plan)
+	if err != nil {
 		return err
 	}
-	if err := cctx.Err(); err != nil {
-		return err
-	}
-	roots := e.s.Roots()
-	if len(roots) == 0 {
-		return nil
-	}
-	tids := e.s.Cols().TID
-	ctx := e.newEvalCtx(plan, cctx)
 	defer e.releaseCtx(ctx)
+	roots := e.s.Roots()
+	tids := e.s.Cols().TID
 	ctx.windowed = true
 	batch := streamBatchTrees
 	for lo := 0; lo < len(roots); lo, batch = lo+batch, batch*streamBatchGrowth {
@@ -81,36 +75,13 @@ func (e *Engine) StreamPlan(cctx context.Context, p *lpath.Path, plan *planner.P
 	return nil
 }
 
-// Stream is StreamPlan planning the query first, like Eval.
-func (e *Engine) Stream(cctx context.Context, p *lpath.Path, yield func(Match) bool) error {
-	return e.StreamPlan(cctx, p, e.Plan(p), yield)
-}
-
-// EvalLimit evaluates the query and returns at most limit matches — exactly
-// the first limit entries of Eval's (tree, document)-ordered result — while
-// terminating the evaluation early: trees past the one holding the limit-th
-// match are never visited. limit <= 0 returns an empty (non-nil) slice.
-func (e *Engine) EvalLimit(p *lpath.Path, limit int) ([]Match, error) {
-	return e.EvalPlanLimitContext(context.Background(), p, e.Plan(p), limit)
-}
-
-// EvalLimitContext is EvalLimit honoring a context for cooperative
-// cancellation.
-func (e *Engine) EvalLimitContext(cctx context.Context, p *lpath.Path, limit int) ([]Match, error) {
-	return e.EvalPlanLimitContext(cctx, p, e.Plan(p), limit)
-}
-
-// EvalPlanLimitContext is EvalLimitContext executing the given plan (nil =
-// the default strategy).
+// EvalPlanLimitContext is EvalPlanContext returning at most limit matches —
+// exactly the first limit entries of the full (tree, document)-ordered
+// result — while terminating the evaluation early: trees past the one
+// holding the limit-th match are never visited. limit <= 0 means no limit.
 func (e *Engine) EvalPlanLimitContext(cctx context.Context, p *lpath.Path, plan *planner.Plan, limit int) ([]Match, error) {
 	if limit <= 0 {
-		if err := lpath.Validate(p); err != nil {
-			return nil, err
-		}
-		if err := cctx.Err(); err != nil {
-			return nil, err
-		}
-		return []Match{}, nil
+		return e.EvalPlanContext(cctx, p, plan)
 	}
 	out := make([]Match, 0, min(limit, 256))
 	err := e.StreamPlan(cctx, p, plan, func(m Match) bool {

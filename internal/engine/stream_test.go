@@ -38,8 +38,8 @@ var streamQueries = []string{
 	`//NN[count(//_)=0]`,
 }
 
-// TestEvalLimitParity holds EvalLimit(k) ≡ Eval()[:k] at the engine level,
-// across boundary limits and both with and without a plan.
+// TestEvalLimitParity holds EvalPlanLimitContext(k) ≡ Eval()[:k] at the
+// engine level across boundary limits, k = 0 meaning no limit.
 func TestEvalLimitParity(t *testing.T) {
 	e := streamCorpus(t)
 	for _, text := range streamQueries {
@@ -49,16 +49,16 @@ func TestEvalLimitParity(t *testing.T) {
 			t.Fatalf("%s: %v", text, err)
 		}
 		for _, k := range []int{0, 1, 3, len(full), len(full) + 1} {
-			got, err := e.EvalLimit(p, k)
+			got, err := e.EvalPlanLimitContext(context.Background(), p, e.Plan(p), k)
 			if err != nil {
 				t.Fatalf("%s limit %d: %v", text, k, err)
 			}
 			want := full
-			if k < len(full) {
+			if k > 0 && k < len(full) {
 				want = full[:k]
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: EvalLimit(%d) = %d matches, want prefix of len %d",
+				t.Errorf("%s: limit %d = %d matches, want prefix of len %d",
 					text, k, len(got), len(want))
 			}
 		}
@@ -80,7 +80,7 @@ func TestStreamOrderAndAbort(t *testing.T) {
 	}
 
 	var got []Match
-	err = e.Stream(context.Background(), p, func(m Match) bool {
+	err = e.StreamPlan(context.Background(), p, e.Plan(p), func(m Match) bool {
 		got = append(got, m)
 		return len(got) < 6
 	})
@@ -123,8 +123,8 @@ func TestEvalLimitCancel(t *testing.T) {
 
 			cctx := newCountdownCtx()
 			cctx.setPolls(2)
-			if _, err := e.EvalLimitContext(cctx, p, 1_000_000); !errors.Is(err, context.Canceled) {
-				t.Fatalf("EvalLimitContext: got err %v, want context.Canceled", err)
+			if _, err := e.EvalPlanLimitContext(cctx, p, e.Plan(p), 1_000_000); !errors.Is(err, context.Canceled) {
+				t.Fatalf("EvalPlanLimitContext: got err %v, want context.Canceled", err)
 			}
 
 			want, err := e.Eval(p)
@@ -163,16 +163,16 @@ func TestEvalParallelLimitParity(t *testing.T) {
 				t.Fatalf("%s: %v", text, err)
 			}
 			for _, k := range []int{0, 1, 3, len(full), len(full) + 1} {
-				got, err := EvalParallelLimit(context.Background(), shards, p, k, WithWorkers(2))
+				got, err := EvalParallel(context.Background(), shards, p, shards[0].Plan(p), k, 2)
 				if err != nil {
 					t.Fatalf("%s shards=%d limit=%d: %v", text, nshards, k, err)
 				}
 				want := full
-				if k < len(full) {
+				if k > 0 && k < len(full) {
 					want = full[:k]
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s shards=%d: EvalParallelLimit(%d) = %d matches, want %d",
+					t.Errorf("%s shards=%d: EvalParallel(limit %d) = %d matches, want %d",
 						text, nshards, k, len(got), len(want))
 				}
 			}
@@ -194,21 +194,23 @@ func TestLimitEntryPointsPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := e.EvalLimitContext(ctx, p, 10); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvalLimitContext: got %v", err)
+	if _, err := e.EvalPlanLimitContext(ctx, p, e.Plan(p), 10); !errors.Is(err, context.Canceled) {
+		t.Errorf("EvalPlanLimitContext: got %v", err)
 	}
-	if err := e.Stream(ctx, p, func(Match) bool { return true }); !errors.Is(err, context.Canceled) {
-		t.Errorf("Stream: got %v", err)
+	if err := e.StreamPlan(ctx, p, e.Plan(p), func(Match) bool { return true }); !errors.Is(err, context.Canceled) {
+		t.Errorf("StreamPlan: got %v", err)
 	}
-	if _, err := EvalParallelLimit(ctx, shards, p, 10); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvalParallelLimit: got %v", err)
+	if _, err := EvalParallel(ctx, shards, p, shards[0].Plan(p), 10, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("EvalParallel(limit): got %v", err)
 	}
-	// limit <= 0 yields an empty result without evaluating — but never a
-	// nil slice.
-	if ms, err := e.EvalLimit(p, 0); err != nil || ms == nil || len(ms) != 0 {
-		t.Errorf("EvalLimit(0) = %v, %v", ms, err)
+	// limit <= 0 means no limit: the full evaluation.
+	full, err := e.Eval(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ms, err := e.EvalLimit(p, -3); err != nil || ms == nil || len(ms) != 0 {
-		t.Errorf("EvalLimit(-3) = %v, %v", ms, err)
+	for _, k := range []int{0, -3} {
+		if ms, err := e.EvalPlanLimitContext(context.Background(), p, e.Plan(p), k); err != nil || !reflect.DeepEqual(ms, full) {
+			t.Errorf("limit %d = %d matches, %v; want all %d", k, len(ms), err, len(full))
+		}
 	}
 }

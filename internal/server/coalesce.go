@@ -12,8 +12,8 @@ import (
 
 // Request coalescing for /v1/query: while an evaluation is executing,
 // requests that arrive for the same corpus generation gather for a short
-// window and then evaluate together through Corpus.SelectBatchLimitText —
-// one batch pass whose cross-query memo (rows, frontiers, satisfier sets)
+// window and then evaluate together through Corpus.RunBatch — one batch
+// pass whose cross-query memo (rows, frontiers, satisfier sets)
 // amortizes the scans the queries share, with identical concurrent queries
 // deduplicated into a single slot. A request that arrives while the
 // coalescer is idle bypasses the window entirely and evaluates immediately,
@@ -87,45 +87,45 @@ func newCoalescer(window, timeout time.Duration) *coalescer {
 		timeout: timeout,
 		pending: make(map[coalesceKey]*batchGroup),
 	}
-	c.exec = c.runBatch
-	c.one = c.runOne
+	c.exec = selectBatch
+	c.one = selectOne
 	return c
 }
 
-// runOne is the real single-query evaluation: the same streaming limit+1
-// probe the uncoalesced server runs.
-func (c *coalescer) runOne(ctx context.Context, entry *Entry, query string, limit int) (*queryResult, error) {
-	ms, err := entry.Corpus.SelectLimitTextContext(ctx, query, limit+1)
+// selectOne is the single-query evaluation, coalesced or not: the streaming
+// limit+1 probe.
+func selectOne(ctx context.Context, entry *Entry, query string, limit int) (*queryResult, error) {
+	res, err := entry.Corpus.Run(ctx, lpath.Request{Text: query, Limit: limit + 1})
 	if err != nil {
 		return nil, err
 	}
-	return foldMatches(ms, limit), nil
+	return foldResult(res, limit), nil
 }
 
-// runBatch is the real batch evaluation: one SelectBatchLimitText pass with
-// each slot's limit raised by one (the server's truncation probe, exactly as
-// the uncoalesced path evaluates), results folded into limit-agnostic
+// selectBatch is the real batch evaluation: one RunBatch pass with each
+// slot's limit raised by one (the server's truncation probe, exactly as the
+// single-query path evaluates), results folded into limit-agnostic
 // queryResults the cache and every group member can serve from.
-func (c *coalescer) runBatch(ctx context.Context, entry *Entry, texts []string, limits []int) ([]*queryResult, []error) {
-	probe := make([]int, len(limits))
-	for i, l := range limits {
-		probe[i] = l + 1
+func selectBatch(ctx context.Context, entry *Entry, texts []string, limits []int) ([]*queryResult, []error) {
+	reqs := make([]lpath.Request, len(texts))
+	for i, text := range texts {
+		reqs[i] = lpath.Request{Text: text, Limit: limits[i] + 1}
 	}
-	batches, errs := entry.Corpus.SelectBatchLimitTextContext(ctx, texts, probe)
 	out := make([]*queryResult, len(texts))
-	for i := range texts {
-		if errs[i] != nil {
-			continue
+	errs := make([]error, len(texts))
+	for i, res := range entry.Corpus.RunBatch(ctx, reqs) {
+		if errs[i] = res.Err; res.Err == nil {
+			out[i] = foldResult(res, limits[i])
 		}
-		out[i] = foldMatches(batches[i], limits[i])
 	}
 	return out, errs
 }
 
-// foldMatches builds the cacheable queryResult from a limit+1 evaluation,
-// mirroring evaluateQuery's completeness bookkeeping.
-func foldMatches(ms []lpath.Match, limit int) *queryResult {
-	qr := &queryResult{matches: make([]matchJSON, len(ms))}
+// foldResult builds the cacheable queryResult from a limit+1 evaluation: a
+// stream that ran dry within the limit is the complete result, total known.
+func foldResult(res lpath.Result, limit int) *queryResult {
+	ms := res.Matches
+	qr := &queryResult{matches: make([]matchJSON, len(ms)), strategies: res.Strategies}
 	for i, m := range ms {
 		qr.matches[i] = matchJSON{
 			Tree: m.TreeID,

@@ -89,7 +89,7 @@ func TestCoalesceGroupsConcurrentRequests(t *testing.T) {
 		if results[i].code != http.StatusOK {
 			t.Fatalf("request %d (%s): status %d", i, rq.Query, results[i].code)
 		}
-		direct, err := c.SelectLimitText(rq.Query, rq.Limit)
+		direct, err := c.SelectLimitTextContext(context.Background(), rq.Query, rq.Limit)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"lpath"
 )
 
 // statusClientClosed is the conventional (nginx) code for "client closed
@@ -77,6 +79,9 @@ type queryResult struct {
 	complete   bool // matches is the entire result set
 	count      int  // exact total; valid only when countKnown
 	countKnown bool
+	// strategies is the executed plan's step tally, for the
+	// lpathd_plan_steps_total counters of the request that evaluated it.
+	strategies lpath.Strategies
 }
 
 // canServe reports whether the entry answers a request with the given limit
@@ -261,43 +266,34 @@ func (s *Server) handleEval(kind string) http.HandlerFunc {
 // immutable value to cache (Cached=false, ElapsedMS unset; the handler stamps
 // both). For "query" the cacheable value is a *queryResult — a limit-agnostic
 // prefix the cache serves to later requests — not the rendered response.
+// Executor strategies are counted once per successful evaluation, from the
+// plan that evaluation ran.
 func (s *Server) evaluate(ctx context.Context, kind string, entry *Entry, req *queryRequest) (*queryResponse, any, error) {
 	resp := &queryResponse{Corpus: entry.Name, Query: req.Query}
-
-	// Count executor strategies once per uncached evaluation, from the same
-	// plan the engine will run; compile errors surface here first.
-	q, err := entry.Corpus.CompileCached(req.Query)
-	if err != nil {
-		return nil, nil, err
-	}
-	if p, m, tw, bm, err := entry.Corpus.Strategies(q); err == nil {
-		s.metrics.AddStrategies(p, m, tw, bm)
-	}
-
+	run := lpath.Request{Text: req.Query}
 	switch kind {
 	case "query":
 		qr, err := s.evaluateQuery(ctx, entry, req)
 		if err != nil {
 			return nil, nil, err
 		}
+		s.metrics.AddStrategies(qr.strategies)
 		resp = qr.render(req.Limit)
 		resp.Corpus, resp.Query = entry.Name, req.Query
 		return resp, qr, nil
 	case "count":
-		n, err := entry.Corpus.CountTextContext(ctx, req.Query)
-		if err != nil {
-			return nil, nil, err
-		}
-		resp.Count = n
+		run.Mode = lpath.ModeCount
 	case "explain":
-		report, err := entry.Corpus.ExplainContext(ctx, q)
-		if err != nil {
-			return nil, nil, err
-		}
-		resp.Explain = report
+		run.Mode = lpath.ModeExplain
 	default:
 		return nil, nil, fmt.Errorf("unknown evaluation kind %q", kind)
 	}
+	res, err := entry.Corpus.Run(ctx, run)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.metrics.AddStrategies(res.Strategies)
+	resp.Count, resp.Explain = res.Count, res.Explain
 	return resp, resp, nil
 }
 
@@ -316,47 +312,23 @@ func (s *Server) evaluateQuery(ctx context.Context, entry *Entry, req *queryRequ
 	if s.coal != nil {
 		qr, err = s.coal.do(ctx, entry, req.Query, req.Limit)
 	} else {
-		var ms []matchJSON
-		ms, err = s.selectDirect(ctx, entry, req)
-		if err == nil {
-			qr = &queryResult{matches: ms}
-			if len(ms) <= req.Limit {
-				qr.complete, qr.count, qr.countKnown = true, len(ms), true
-			}
-		}
+		qr, err = selectOne(ctx, entry, req.Query, req.Limit)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if req.Count && !qr.countKnown {
-		n, err := entry.Corpus.CountTextContext(ctx, req.Query)
+		res, err := entry.Corpus.Run(ctx, lpath.Request{Text: req.Query, Mode: lpath.ModeCount})
 		if err != nil {
 			return nil, err
 		}
 		// A coalesced queryResult may be shared with batch mates and the
 		// cache: attach the count to a copy rather than mutating it.
 		counted := *qr
-		counted.count, counted.countKnown = n, true
+		counted.count, counted.countKnown = res.Count, true
 		qr = &counted
 	}
 	return qr, nil
-}
-
-// selectDirect is the uncoalesced limit+1 evaluation.
-func (s *Server) selectDirect(ctx context.Context, entry *Entry, req *queryRequest) ([]matchJSON, error) {
-	ms, err := entry.Corpus.SelectLimitTextContext(ctx, req.Query, req.Limit+1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]matchJSON, len(ms))
-	for i, m := range ms {
-		out[i] = matchJSON{
-			Tree: m.TreeID,
-			Tag:  m.Node.Tag,
-			Text: strings.Join(m.Node.Words(), " "),
-		}
-	}
-	return out, nil
 }
 
 // handleHealthz reports readiness: 200 with the corpus inventory once at

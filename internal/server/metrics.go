@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lpath"
 )
 
 // latencyBuckets are the fixed histogram bucket upper bounds, in seconds.
@@ -87,11 +89,11 @@ func (m *Metrics) Endpoint(name string) *endpointMetrics {
 }
 
 // AddStrategies accumulates executor-strategy step counts from a plan.
-func (m *Metrics) AddStrategies(probe, merge, twig, bitmap int) {
-	m.StrategyProbe.Add(uint64(probe))
-	m.StrategyMerge.Add(uint64(merge))
-	m.StrategyTwig.Add(uint64(twig))
-	m.StrategyBitmap.Add(uint64(bitmap))
+func (m *Metrics) AddStrategies(st lpath.Strategies) {
+	m.StrategyProbe.Add(uint64(st.Probe))
+	m.StrategyMerge.Add(uint64(st.Merge))
+	m.StrategyTwig.Add(uint64(st.Twig))
+	m.StrategyBitmap.Add(uint64(st.Bitmap))
 }
 
 // AddQueryResult records whether a served /v1/query response was truncated by

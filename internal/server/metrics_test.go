@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lpath"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -31,7 +33,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	ep.observe(200, 2*time.Millisecond)
 	ep.observe(200, 2*time.Millisecond)
 	ep.observe(429, 10*time.Microsecond)
-	m.AddStrategies(3, 2, 1, 4)
+	m.AddStrategies(lpath.Strategies{Probe: 3, Merge: 2, Twig: 1, Bitmap: 4})
 
 	var b strings.Builder
 	m.WritePrometheus(&b)

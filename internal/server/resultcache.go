@@ -140,15 +140,17 @@ func (c *ResultCache) Put(key resultKey, value any) {
 		c.curBytes += size
 	}
 	for c.ll.Len() > c.capacity || (c.maxBytes > 0 && c.curBytes > c.maxBytes) {
+		// Decide the cause before removing the victim: afterwards the count
+		// bound holds again whichever bound forced the eviction.
+		if c.ll.Len() <= c.capacity {
+			c.bytesEvictions++ // the byte bound alone forced this one out
+		}
 		oldest := c.ll.Back()
 		e := oldest.Value.(*resultEntry)
 		c.ll.Remove(oldest)
 		delete(c.items, e.key)
 		c.curBytes -= e.size
 		c.evictions++
-		if c.maxBytes > 0 && c.ll.Len() <= c.capacity {
-			c.bytesEvictions++ // the byte bound alone forced this one out
-		}
 	}
 }
 

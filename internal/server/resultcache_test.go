@@ -120,6 +120,19 @@ func TestResultCacheBytesBound(t *testing.T) {
 	}
 }
 
+// TestResultCacheCountEvictionIsNotBytesEviction: an eviction forced by the
+// entry-count capacity under a byte bound that was never reached must not be
+// charged to the byte bound.
+func TestResultCacheCountEvictionIsNotBytesEviction(t *testing.T) {
+	c := NewResultCacheBytes(2, 1<<20)
+	for _, q := range []string{"a", "b", "c"} {
+		c.Put(rk("a", 1, q), queryResultOfSize(16))
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.BytesEvictions != 0 {
+		t.Fatalf("evictions %d, bytes evictions %d; want 1, 0", st.Evictions, st.BytesEvictions)
+	}
+}
+
 func TestResultCacheOversizeEntryNotStored(t *testing.T) {
 	c := NewResultCacheBytes(8, 1<<10)
 	c.Put(rk("a", 1, "small"), queryResultOfSize(64))

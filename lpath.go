@@ -10,12 +10,17 @@
 //	matches, _ := c.Select(q)
 //	n, _ := c.Count(q)
 //
+// Select and Count are shorthands for the one request path, Corpus.Run: a
+// Request names the query (compiled, or raw text resolved through the plan
+// cache), the mode (matches, count, EXPLAIN), an optional limit, and whether
+// to run over parallel shards.
+//
 // Queries support the full LPath language: the XPath vertical axes, the
 // horizontal axes -> --> <- <-- => ==> <= <==, subtree scoping with braces,
 // edge alignment ^ and $, and predicates with @attr comparisons, and/or/not.
 //
-// Corpora are ordered trees in the Penn Treebank bracketed format. Select
-// uses the interval-label relational engine (internal/engine); SelectOracle
+// Corpora are ordered trees in the Penn Treebank bracketed format. Run uses
+// the interval-label relational engine (internal/engine); SelectOracle
 // evaluates with the reference tree-walker for cross-checking.
 package lpath
 
@@ -62,6 +67,14 @@ type Query struct {
 
 // Compile parses and validates an LPath query.
 func Compile(text string) (*Query, error) {
+	p, err := compilePath(text)
+	if err != nil {
+		return nil, err
+	}
+	return &Query{text: text, path: p}, nil
+}
+
+func compilePath(text string) (*ast.Path, error) {
 	p, err := ast.Parse(text)
 	if err != nil {
 		return nil, err
@@ -69,7 +82,7 @@ func Compile(text string) (*Query, error) {
 	if err := ast.Validate(p); err != nil {
 		return nil, err
 	}
-	return &Query{text: text, path: p}, nil
+	return p, nil
 }
 
 // MustCompile is Compile panicking on error; for tests and constants.
@@ -111,7 +124,7 @@ type Corpus struct {
 	workers     int
 	shardCount  int
 
-	// planCache memoizes query text → compiled plan for SelectText.
+	// planCache memoizes query text → compiled plan for Request.Text.
 	planCache *engine.PlanCache
 
 	// gen counts store rebuilds; cached executable plans are keyed to it so
@@ -120,29 +133,18 @@ type Corpus struct {
 	// closer releases the backing resources of a snapshot-loaded corpus
 	// (the mmap of OpenStore); see Close.
 	closer func() error
-	// noPlanner disables cost-based planning on every engine this corpus
-	// builds (see WithoutPlanner).
-	noPlanner bool
-	// mergeOff / mergeAlways pin the step execution strategy on every engine
-	// this corpus builds (see WithoutMergeExecutor and withMergeAlways).
-	mergeOff    bool
-	mergeAlways bool
-	// twigOff / twigAlways pin the holistic twig executor the same way (see
-	// WithoutTwigExecutor and withTwigAlways).
-	twigOff    bool
-	twigAlways bool
-	// bitmapOff / bitmapAlways pin the dense-bitset kernels the same way (see
-	// WithoutBitmapExecutor and withBitmapAlways).
-	bitmapOff    bool
-	bitmapAlways bool
+	// engineOpts configure every engine this corpus builds (WithoutPlanner
+	// and the executor-pinning options), in the order they were applied: a
+	// later option overrides an earlier one for the same executor.
+	engineOpts []engine.Option
 }
 
 // Option configures query execution on a Corpus; pass options to a
 // constructor or apply them later with Configure.
 type Option func(*Corpus)
 
-// WithWorkers bounds SelectParallel's worker pool at n goroutines. The
-// default (and any value below 1) is runtime.GOMAXPROCS(0).
+// WithWorkers bounds the worker pool of Parallel requests at n goroutines.
+// The default (and any value below 1) is runtime.GOMAXPROCS(0).
 func WithWorkers(n int) Option {
 	return func(c *Corpus) { c.workers = n }
 }
@@ -158,44 +160,34 @@ func WithShards(k int) Option {
 	}
 }
 
+// engineOption is a corpus option that configures the engines the corpus
+// builds; built indexes are invalidated so the next query applies it.
+func engineOption(o engine.Option) Option {
+	return func(c *Corpus) {
+		c.engineOpts = append(c.engineOpts, o)
+		c.dirty = true
+		c.shardsDirty = true
+	}
+}
+
 // WithoutPlanner disables the statistics-driven cost-based planner, so every
 // query evaluates with the engine's default strategy. The planner never
 // changes results — only evaluation order and access paths — which the
 // differential tests enforce; this option exists for those tests and for
 // measuring the planner's contribution.
-func WithoutPlanner() Option {
-	return func(c *Corpus) {
-		c.noPlanner = true
-		c.dirty = true
-		c.shardsDirty = true
-	}
-}
+func WithoutPlanner() Option { return engineOption(engine.WithoutPlanner()) }
 
 // WithoutMergeExecutor disables the set-at-a-time merge executor, so every
 // location step runs per-binding index probes regardless of the plan's
 // strategy. The two executors are result-identical (the differential tests
 // enforce it); this option exists for those tests and for measuring the merge
 // executor's contribution (docs/EXECUTION.md).
-func WithoutMergeExecutor() Option {
-	return func(c *Corpus) {
-		c.mergeOff = true
-		c.mergeAlways = false
-		c.dirty = true
-		c.shardsDirty = true
-	}
-}
+func WithoutMergeExecutor() Option { return engineOption(engine.WithoutMerge()) }
 
 // withMergeAlways forces the merge executor on every eligible step, bypassing
 // the planner's cost decision; the differential tests and fuzzers use it to
 // keep the merge path under continuous cross-checking.
-func withMergeAlways() Option {
-	return func(c *Corpus) {
-		c.mergeAlways = true
-		c.mergeOff = false
-		c.dirty = true
-		c.shardsDirty = true
-	}
-}
+func withMergeAlways() Option { return engineOption(engine.WithMergeAlways()) }
 
 // WithoutTwigExecutor disables the holistic twig executor, so every location
 // step runs through the per-step probe/merge dispatch regardless of the
@@ -203,56 +195,28 @@ func withMergeAlways() Option {
 // executors (the differential tests enforce it); this option exists for
 // those tests and for measuring the twig executor's contribution
 // (docs/EXECUTION.md).
-func WithoutTwigExecutor() Option {
-	return func(c *Corpus) {
-		c.twigOff = true
-		c.twigAlways = false
-		c.dirty = true
-		c.shardsDirty = true
-	}
-}
+func WithoutTwigExecutor() Option { return engineOption(engine.WithoutTwig()) }
 
 // withTwigAlways runs every maximal twig-able run through the holistic sweep,
 // bypassing the planner's cost decision; the differential tests and fuzzers
 // use it to keep the twig path under continuous cross-checking.
-func withTwigAlways() Option {
-	return func(c *Corpus) {
-		c.twigAlways = true
-		c.twigOff = false
-		c.dirty = true
-		c.shardsDirty = true
-	}
-}
+func withTwigAlways() Option { return engineOption(engine.WithTwigAlways()) }
 
 // WithoutBitmapExecutor disables the dense-bitset kernels, so subtree scopes
 // expand per scope and semijoin satisfier sets materialize as maps — exactly
 // the pre-bitmap engine. The bitmap kernels are result-identical (the
 // differential tests enforce it); this option exists for those tests and for
 // measuring the bitmap executor's contribution (docs/EXECUTION.md).
-func WithoutBitmapExecutor() Option {
-	return func(c *Corpus) {
-		c.bitmapOff = true
-		c.bitmapAlways = false
-		c.dirty = true
-		c.shardsDirty = true
-	}
-}
+func WithoutBitmapExecutor() Option { return engineOption(engine.WithoutBitmap()) }
 
 // withBitmapAlways runs every shape-eligible subtree-scope entry through the
 // bitmap kernel, bypassing the planner's cost decision; the differential
 // tests and fuzzers use it to keep the bitmap path under continuous
 // cross-checking.
-func withBitmapAlways() Option {
-	return func(c *Corpus) {
-		c.bitmapAlways = true
-		c.bitmapOff = false
-		c.dirty = true
-		c.shardsDirty = true
-	}
-}
+func withBitmapAlways() Option { return engineOption(engine.WithBitmapAlways()) }
 
-// WithPlanCache enables the compiled-plan cache used by SelectText and
-// CountText, holding at most capacity plans under LRU eviction (capacity < 1
+// WithPlanCache enables the compiled-plan cache that Request.Text resolves
+// through, holding at most capacity plans under LRU eviction (capacity < 1
 // selects the default, engine.DefaultPlanCacheSize = 128).
 func WithPlanCache(capacity int) Option {
 	return func(c *Corpus) { c.planCache = engine.NewPlanCache(capacity) }
@@ -394,7 +358,7 @@ func OpenStore(path string, opts ...Option) (*Corpus, error) {
 func corpusFromStore(store *relstore.Store, trees *tree.Corpus, closer func() error, opts ...Option) (*Corpus, error) {
 	c := &Corpus{trees: trees, store: store, shardsDirty: true, closer: closer}
 	c.Configure(opts...)
-	eng, err := engine.New(store, c.engineOpts()...)
+	eng, err := engine.New(store, c.engineOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +386,7 @@ func (c *Corpus) Build() error {
 		return nil
 	}
 	store := relstore.Build(c.trees, relstore.SchemeInterval)
-	eng, err := engine.New(store, c.engineOpts()...)
+	eng, err := engine.New(store, c.engineOpts...)
 	if err != nil {
 		return err
 	}
@@ -434,207 +398,107 @@ func (c *Corpus) Build() error {
 	return nil
 }
 
-// engineOpts translates corpus options into engine options.
-func (c *Corpus) engineOpts() []engine.Option {
-	var opts []engine.Option
-	if c.noPlanner {
-		opts = append(opts, engine.WithoutPlanner())
-	}
-	if c.mergeOff {
-		opts = append(opts, engine.WithoutMerge())
-	}
-	if c.mergeAlways {
-		opts = append(opts, engine.WithMergeAlways())
-	}
-	if c.twigOff {
-		opts = append(opts, engine.WithoutTwig())
-	}
-	if c.twigAlways {
-		opts = append(opts, engine.WithTwigAlways())
-	}
-	if c.bitmapOff {
-		opts = append(opts, engine.WithoutBitmap())
-	}
-	if c.bitmapAlways {
-		opts = append(opts, engine.WithBitmapAlways())
-	}
-	return opts
+// Mode selects what a Request computes.
+type Mode int
+
+const (
+	// ModeSelect returns the distinct matches of the query's final step in
+	// (tree, document) order.
+	ModeSelect Mode = iota
+	// ModeCount returns only the number of matches, using the engine's
+	// count-only pipeline: the same joins as ModeSelect, but without the final
+	// sort and node materialization. It always equals len of ModeSelect's
+	// matches.
+	ModeCount
+	// ModeExplain plans the query against the corpus statistics, executes the
+	// plan with cardinality counters, and returns the EXPLAIN report: per
+	// step, the chosen access path and the estimated vs actual rows (see
+	// docs/PLANNER.md for the format). The counters are fresh on every run — a
+	// cached plan never reports a prior execution's actuals.
+	ModeExplain
+)
+
+// Request is one query evaluation. Every way of running a query — full or
+// limited, serial or sharded, compiled or raw text, alone or in a batch — is
+// a Request value handed to Run, RunBatch or Stream; the zero value of each
+// field is the plain case.
+type Request struct {
+	// Query is the compiled query. When nil, Text is compiled instead.
+	Query *Query
+	// Text is raw query text, resolved through the corpus's plan cache (see
+	// WithPlanCache) — the repeated-traffic spelling: a hot text pays parse +
+	// validate + cost-based planning once per store build, and each repeat
+	// executes the cached plan directly. (The cache holds the serial engine's
+	// plans; a Parallel request reuses the cached parse and plans per call.)
+	// Without a configured cache the text is compiled on every call.
+	Text string
+	// Mode selects matches, a count, or an EXPLAIN report.
+	Mode Mode
+	// Limit caps ModeSelect at the first Limit entries of the full (tree,
+	// document)-ordered result, with early termination: trees past the one
+	// holding the Limit-th match are never evaluated, so the cost of a
+	// limited query over a high-match corpus is proportional to the trees
+	// actually needed, not the corpus. 0 means no limit; the other modes
+	// ignore the field.
+	Limit int
+	// Parallel evaluates ModeSelect and ModeCount over tree-ID shards with a
+	// bounded worker pool (see WithWorkers and WithShards). The result is
+	// exactly the serial one, in the same order — deterministic and
+	// independent of the worker count; under a Limit, shards past the settled
+	// prefix are cancelled. The shard index is built lazily on first use.
+	// ModeExplain ignores the field: the report describes one engine's run.
+	Parallel bool
 }
 
-// Select evaluates the query with the label-based engine and returns the
-// distinct matches of its final step in document order.
-func (c *Corpus) Select(q *Query) ([]Match, error) {
-	if err := c.Build(); err != nil {
-		return nil, err
-	}
-	return c.eng.Eval(q.path)
+// Strategies counts how many main-path steps of an executed plan ran as
+// per-binding probes, as set-at-a-time merges, as members of holistic twig
+// runs, and as bitmap scope entries (the exec= column of EXPLAIN; see
+// docs/EXECUTION.md). With planning disabled every step counts as a probe.
+type Strategies struct {
+	Probe, Merge, Twig, Bitmap int
 }
 
-// SelectContext is Select honoring a context: cancellation or an expired
-// deadline interrupts the evaluation cooperatively — the executors poll the
-// context inside their sweeps, so even a long-running serial query returns
-// promptly with the context's error (context.Canceled or
-// context.DeadlineExceeded).
-func (c *Corpus) SelectContext(ctx context.Context, q *Query) ([]Match, error) {
-	if err := c.Build(); err != nil {
-		return nil, err
-	}
-	return c.eng.EvalContext(ctx, q.path)
-}
-
-// SelectLimit evaluates the query with early termination and returns at most
-// limit matches — exactly the first limit entries of Select's (tree,
-// document)-ordered result. Trees past the one holding the limit-th match
-// are never evaluated, so the cost of a limited query over a high-match
-// corpus is proportional to the trees actually needed, not the corpus.
-// limit <= 0 returns an empty slice.
-func (c *Corpus) SelectLimit(q *Query, limit int) ([]Match, error) {
-	return c.SelectLimitContext(context.Background(), q, limit)
-}
-
-// SelectLimitContext is SelectLimit honoring a context, with the same
-// cooperative cancellation guarantees as SelectContext.
-func (c *Corpus) SelectLimitContext(ctx context.Context, q *Query, limit int) ([]Match, error) {
-	if err := c.Build(); err != nil {
-		return nil, err
-	}
-	return c.eng.EvalLimitContext(ctx, q.path, limit)
-}
-
-// Matches returns a range-over-func iterator over the query's matches in
-// Select's (tree, document) order, evaluating incrementally: breaking out of
-// the range loop terminates the evaluation, so consuming k matches costs
-// what SelectLimit(k) costs.
-//
-//	for m, err := range c.Matches(q) {
-//		if err != nil { ... }
-//		use(m)
-//	}
-//
-// On an evaluation error the iterator yields one (zero Match, error) pair
-// and stops.
-func (c *Corpus) Matches(q *Query) iter.Seq2[Match, error] {
-	return c.MatchesContext(context.Background(), q)
-}
-
-// MatchesContext is Matches honoring a context for cooperative cancellation;
-// a cancelled evaluation yields the context's error as its final pair.
-func (c *Corpus) MatchesContext(ctx context.Context, q *Query) iter.Seq2[Match, error] {
-	return func(yield func(Match, error) bool) {
-		if err := c.Build(); err != nil {
-			yield(Match{}, err)
-			return
-		}
-		err := c.eng.Stream(ctx, q.path, func(m Match) bool {
-			return yield(m, nil)
-		})
-		if err != nil {
-			yield(Match{}, err)
-		}
-	}
-}
-
-// Count returns the number of matches of the query, using the engine's
-// count-only pipeline: the same joins as Select, but without the final sort
-// and node materialization. Count always equals len(Select(q)).
-func (c *Corpus) Count(q *Query) (int, error) {
-	if err := c.Build(); err != nil {
-		return 0, err
-	}
-	return c.eng.Count(q.path)
-}
-
-// CountContext is Count honoring a context, with the same cooperative
-// cancellation guarantees as SelectContext.
-func (c *Corpus) CountContext(ctx context.Context, q *Query) (int, error) {
-	if err := c.Build(); err != nil {
-		return 0, err
-	}
-	return c.eng.CountContext(ctx, q.path)
-}
-
-// Explain plans the query against the corpus statistics, executes the plan
-// with cardinality counters, and returns the EXPLAIN report: per step, the
-// chosen access path and the estimated vs actual rows (see docs/PLANNER.md
-// for the format).
-func (c *Corpus) Explain(q *Query) (string, error) {
-	if err := c.Build(); err != nil {
-		return "", err
-	}
-	return c.eng.Explain(q.path)
-}
-
-// ExplainContext is Explain honoring a context for cooperative
-// cancellation: EXPLAIN executes the query, so a deadline bounds it like any
-// other evaluation.
-func (c *Corpus) ExplainContext(ctx context.Context, q *Query) (string, error) {
-	if err := c.Build(); err != nil {
-		return "", err
-	}
-	return c.eng.ExplainContext(ctx, q.path)
-}
-
-// ExplainText is Explain on raw query text through the plan cache: the
-// report renders the cached executable plan a repeated text will actually
-// run, and the actual-cardinality counters are fresh on every call — a
-// cached plan never reports a prior execution's actuals.
-func (c *Corpus) ExplainText(text string) (string, error) {
-	if c.planCache == nil {
-		q, err := Compile(text)
-		if err != nil {
-			return "", err
-		}
-		return c.Explain(q)
-	}
-	if err := c.Build(); err != nil {
-		return "", err
-	}
-	ast, exec, err := c.cachedPlan(text)
-	if err != nil {
-		return "", err
-	}
-	return c.eng.ExplainPlan(ast, exec)
-}
-
-// Strategies plans the query against the current corpus statistics and
-// returns how many of its main-path steps execute as per-binding probes, as
-// set-at-a-time merges, as members of holistic twig runs, and as bitmap
-// scope entries (the exec= column of EXPLAIN; see docs/EXECUTION.md). With
-// planning disabled every step counts as a probe.
-func (c *Corpus) Strategies(q *Query) (probe, merge, twig, bitmap int, err error) {
-	if err := c.Build(); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	plan := c.eng.Plan(q.path)
+func strategiesOf(path *ast.Path, plan *planner.Plan) (s Strategies) {
 	if plan == nil {
-		for p := q.path; p != nil; p = p.Scoped {
-			probe += len(p.Steps)
+		for p := path; p != nil; p = p.Scoped {
+			s.Probe += len(p.Steps)
 		}
-		return probe, 0, 0, 0, nil
+		return s
 	}
-	probe, merge, twig, bitmap = plan.StrategyCounts()
-	return probe, merge, twig, bitmap, nil
+	s.Probe, s.Merge, s.Twig, s.Bitmap = plan.StrategyCounts()
+	return s
 }
 
-// numWorkers resolves the configured worker bound.
-func (c *Corpus) numWorkers() int {
-	if c.workers > 0 {
-		return c.workers
-	}
-	return runtime.GOMAXPROCS(0)
+// Result is the outcome of one Request; a failed request's Result carries
+// nothing but its error.
+type Result struct {
+	// Matches is ModeSelect's result: non-nil, possibly empty.
+	Matches []Match
+	// Count is ModeCount's result; ModeSelect sets it to len(Matches).
+	Count int
+	// Explain is ModeExplain's report.
+	Explain string
+	// Strategies describes the plan the evaluation executed.
+	Strategies Strategies
+	// Err is the slot's error in a RunBatch result. Run returns its error
+	// separately and leaves Err nil.
+	Err error
 }
 
-// buildShards constructs the per-shard stores and engines lazily; queries
-// through SelectParallel trigger it automatically.
+// buildShards constructs the per-shard stores and engines lazily; Parallel
+// requests trigger it automatically.
 func (c *Corpus) buildShards() error {
 	if !c.shardsDirty && c.shards != nil {
 		return nil
 	}
 	k := c.shardCount
 	if k < 1 {
-		k = c.numWorkers()
+		k = c.workers
 	}
-	shards, err := engine.NewSharded(relstore.BuildShards(c.trees, relstore.SchemeInterval, k), c.engineOpts()...)
+	if k < 1 {
+		k = runtime.GOMAXPROCS(0)
+	}
+	shards, err := engine.NewSharded(relstore.BuildShards(c.trees, relstore.SchemeInterval, k), c.engineOpts...)
 	if err != nil {
 		return err
 	}
@@ -643,292 +507,264 @@ func (c *Corpus) buildShards() error {
 	return nil
 }
 
-// SelectParallel evaluates the query over tree-ID shards with a bounded
-// worker pool (see WithWorkers and WithShards) and returns exactly the
-// matches Select returns, in the same (tree, document) order — the result
-// is deterministic and independent of the worker count. The shard index is
-// built lazily on first use, like Select's.
-func (c *Corpus) SelectParallel(q *Query) ([]Match, error) {
-	return c.SelectParallelContext(context.Background(), q)
-}
-
-// SelectParallelContext is SelectParallel honoring a context: cancellation
-// abandons shards that have not started and returns the context's error.
-func (c *Corpus) SelectParallelContext(ctx context.Context, q *Query) ([]Match, error) {
-	if err := c.buildShards(); err != nil {
-		return nil, err
+// resolve is the front half of every evaluation: build the index the
+// request runs on (the store, or the shards), resolve the query — a compiled
+// Query as is, Text through the plan cache — and plan it, once. Shard
+// engines share the corpus-global statistics, so the first shard's plan is
+// every shard's plan; an empty sharded corpus has no engine and no plan.
+func (c *Corpus) resolve(req Request) (*ast.Path, *planner.Plan, error) {
+	if req.Mode < ModeSelect || req.Mode > ModeExplain {
+		return nil, nil, fmt.Errorf("lpath: unknown request mode %d", req.Mode)
 	}
-	return engine.EvalParallel(ctx, c.shards, q.path, engine.WithWorkers(c.numWorkers()))
-}
-
-// SelectParallelLimit is SelectLimit over the shards: every shard streams
-// with a per-shard cap of limit matches, and once the lowest shards have
-// settled limit ordered matches all higher shards are cancelled. It returns
-// exactly SelectLimit's result (the first limit entries of Select's order),
-// deterministically, whatever the worker count.
-func (c *Corpus) SelectParallelLimit(q *Query, limit int) ([]Match, error) {
-	return c.SelectParallelLimitContext(context.Background(), q, limit)
-}
-
-// SelectParallelLimitContext is SelectParallelLimit honoring a context.
-func (c *Corpus) SelectParallelLimitContext(ctx context.Context, q *Query, limit int) ([]Match, error) {
-	if err := c.buildShards(); err != nil {
-		return nil, err
+	sharded := req.Parallel && req.Mode != ModeExplain
+	var eng *engine.Engine
+	if sharded {
+		if err := c.buildShards(); err != nil {
+			return nil, nil, err
+		}
+		if len(c.shards) > 0 {
+			eng = c.shards[0]
+		}
+	} else {
+		if err := c.Build(); err != nil {
+			return nil, nil, err
+		}
+		eng = c.eng
 	}
-	return engine.EvalParallelLimit(ctx, c.shards, q.path, limit, engine.WithWorkers(c.numWorkers()))
-}
-
-// CountParallel returns the number of matches, evaluated in parallel with
-// the count-only pipeline: each shard counts its distinct matches (no sort,
-// no node materialization) and the disjoint per-shard counts are summed.
-// CountParallel always equals len(SelectParallel(q)).
-func (c *Corpus) CountParallel(q *Query) (int, error) {
-	return c.CountParallelContext(context.Background(), q)
-}
-
-// CountParallelContext is CountParallel honoring a context: cancellation
-// abandons shards that have not started and interrupts in-flight shard
-// evaluations cooperatively.
-func (c *Corpus) CountParallelContext(ctx context.Context, q *Query) (int, error) {
-	if err := c.buildShards(); err != nil {
-		return 0, err
+	var path *ast.Path
+	var err error
+	switch {
+	case req.Query != nil:
+		path = req.Query.path
+	case c.planCache == nil:
+		path, err = compilePath(req.Text)
+	case !sharded:
+		return c.planCache.GetOrPlan(req.Text, c.gen, compilePath, eng.Plan)
+	default:
+		path, err = c.planCache.GetOrCompile(req.Text, compilePath)
 	}
-	return engine.CountParallel(ctx, c.shards, q.path, engine.WithWorkers(c.numWorkers()))
+	if err != nil || eng == nil {
+		return path, nil, err
+	}
+	return path, eng.Plan(path), nil
 }
 
-// SelectBatch evaluates the queries as one batch in a single shared pass:
-// the engine memoizes whole-query results, main-path step frontiers and
+// Run evaluates one request: the single path from a query to the engine.
+// Cancellation or an expired deadline interrupts the evaluation
+// cooperatively — the executors poll the context inside their sweeps, and a
+// sharded run abandons shards that have not started — so even a long-running
+// query returns promptly with the context's error (context.Canceled or
+// context.DeadlineExceeded); context.Background() is the no-deadline case.
+func (c *Corpus) Run(ctx context.Context, req Request) (Result, error) {
+	path, plan, err := c.resolve(req)
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Strategies: strategiesOf(path, plan)}
+	switch {
+	case req.Mode == ModeExplain:
+		res.Explain, err = c.eng.ExplainPlanContext(ctx, path, plan)
+	case req.Mode == ModeCount && req.Parallel:
+		res.Count, err = engine.CountParallel(ctx, c.shards, path, plan, c.workers)
+	case req.Mode == ModeCount:
+		res.Count, err = c.eng.CountPlanContext(ctx, path, plan)
+	case req.Parallel:
+		res.Matches, err = engine.EvalParallel(ctx, c.shards, path, plan, req.Limit, c.workers)
+		res.Count = len(res.Matches)
+	default:
+		res.Matches, err = c.eng.EvalPlanLimitContext(ctx, path, plan, req.Limit)
+		res.Count = len(res.Matches)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
+// RunBatch evaluates the requests as one batch in a single shared pass: the
+// engine memoizes whole-query results, main-path step frontiers and
 // predicate satisfier sets by canonical structural key across the batch
 // (docs/EXECUTION.md, "Batched evaluation"), so overlapping queries —
 // duplicates, shared step prefixes, shared filters — amortize the corpus
-// scans they have in common. Results and errors are positional: slot i is
-// element-wise identical to Select(qs[i]), error included, and a failing
-// query never disturbs its batch mates.
-func (c *Corpus) SelectBatch(qs []*Query) ([][]Match, []error) {
-	return c.SelectBatchContext(context.Background(), qs)
+// scans they have in common. Results are positional: slot i is element-wise
+// identical to Run(ctx, reqs[i]), with the error in Result.Err, and a failing
+// request — a text that does not compile, say — never disturbs its batch
+// mates. A batch evaluates each query fully so its memo stays valid for the
+// others, then truncates to the slot's Limit; Parallel slots share a
+// per-shard memo, with shards as the unit of work; ModeExplain slots run on
+// their own (instrumented executions share nothing). Once the context is
+// done, the requests it interrupted report its error.
+func (c *Corpus) RunBatch(ctx context.Context, reqs []Request) []Result {
+	out, _ := c.runBatch(ctx, reqs)
+	return out
 }
 
-// SelectBatchContext is SelectBatch honoring a context: once the context is
-// done, the queries it interrupted report its error.
-func (c *Corpus) SelectBatchContext(ctx context.Context, qs []*Query) ([][]Match, []error) {
-	if err := c.Build(); err != nil {
-		return nil, batchErrs(len(qs), err)
-	}
-	return c.eng.EvalBatchContext(ctx, batchPaths(qs))
-}
-
-// SelectBatchStats is SelectBatch additionally reporting the cross-query
-// memo hit rates the batch achieved.
-func (c *Corpus) SelectBatchStats(ctx context.Context, qs []*Query) ([][]Match, []error, engine.BatchStats) {
-	if err := c.Build(); err != nil {
-		return nil, batchErrs(len(qs), err), engine.BatchStats{}
-	}
-	return c.eng.EvalBatchStats(ctx, batchPaths(qs), nil)
-}
-
-// CountBatch counts each query's matches in one shared batch pass; slot i
-// always equals Count(qs[i]).
-func (c *Corpus) CountBatch(qs []*Query) ([]int, []error) {
-	return c.CountBatchContext(context.Background(), qs)
-}
-
-// CountBatchContext is CountBatch honoring a context.
-func (c *Corpus) CountBatchContext(ctx context.Context, qs []*Query) ([]int, []error) {
-	if err := c.Build(); err != nil {
-		return nil, batchErrs(len(qs), err)
-	}
-	return c.eng.CountBatch(ctx, batchPaths(qs))
-}
-
-// SelectBatchParallel is SelectBatch over the tree-ID shards: shards are the
-// unit of work, every shard visit evaluates all queries of the batch under
-// one per-shard memo, and each query's per-shard results merge back into
-// global (tree, document) order. Slot i is identical to SelectParallel's —
-// and Select's — result for qs[i], deterministically.
-func (c *Corpus) SelectBatchParallel(qs []*Query) ([][]Match, []error) {
-	return c.SelectBatchParallelContext(context.Background(), qs)
-}
-
-// SelectBatchParallelContext is SelectBatchParallel honoring a context.
-func (c *Corpus) SelectBatchParallelContext(ctx context.Context, qs []*Query) ([][]Match, []error) {
-	if err := c.buildShards(); err != nil {
-		return nil, batchErrs(len(qs), err)
-	}
-	return engine.EvalBatchParallel(ctx, c.shards, batchPaths(qs), engine.WithWorkers(c.numWorkers()))
-}
-
-func batchPaths(qs []*Query) []*ast.Path {
-	paths := make([]*ast.Path, len(qs))
-	for i, q := range qs {
-		paths[i] = q.path
-	}
-	return paths
-}
-
-// batchErrs fans one setup failure (a corpus build error) out to every slot
-// of a batch.
-func batchErrs(n int, err error) []error {
-	errs := make([]error, n)
-	for i := range errs {
-		errs[i] = err
-	}
-	return errs
-}
-
-// SelectBatchText is SelectBatch on raw query texts, each resolved through
-// the plan cache (see WithPlanCache): the repeated-traffic batch entry
-// point. A text that fails to compile occupies its slot with that error.
-func (c *Corpus) SelectBatchText(texts []string) ([][]Match, []error) {
-	return c.SelectBatchLimitTextContext(context.Background(), texts, nil)
-}
-
-// SelectBatchLimitTextContext is SelectBatchText honoring a context and an
-// optional per-query result cap — the serving path lpathd's request
-// coalescer calls (docs/SERVER.md). limits may be nil (no caps); otherwise
-// it is parallel to texts, where a negative limit means unlimited and zero
-// yields an empty result. Capped slots are the exact prefix of the query's
-// full (tree, document)-ordered result.
-func (c *Corpus) SelectBatchLimitTextContext(ctx context.Context, texts []string, limits []int) ([][]Match, []error) {
-	if err := c.Build(); err != nil {
-		return nil, batchErrs(len(texts), err)
-	}
-	paths := make([]*ast.Path, len(texts))
-	plans := make([]*planner.Plan, len(texts))
-	errs := make([]error, len(texts))
-	for i, text := range texts {
-		if c.planCache == nil {
-			q, err := Compile(text)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			paths[i], plans[i] = q.path, c.eng.Plan(q.path)
+// runBatch is RunBatch additionally reporting the cross-query memo hit rates
+// of the batch's serial slots.
+func (c *Corpus) runBatch(ctx context.Context, reqs []Request) ([]Result, engine.BatchStats) {
+	out := make([]Result, len(reqs))
+	var serial, sharded []engine.BatchQuery
+	var serialAt, shardedAt []int // batch position → request slot
+	for i, req := range reqs {
+		if req.Mode == ModeExplain {
+			res, err := c.Run(ctx, req)
+			res.Err = err
+			out[i] = res
 			continue
 		}
-		paths[i], plans[i], errs[i] = c.cachedPlan(text)
-	}
-	out, evalErrs, _ := c.eng.EvalBatchPlans(ctx, paths, plans, limits)
-	for i, err := range evalErrs {
-		if errs[i] == nil {
-			errs[i] = err
-		}
-	}
-	return out, errs
-}
-
-// CompileCached compiles a query through the corpus's plan cache (see
-// WithPlanCache), so repeated texts skip parsing and validation. Without a
-// configured cache it is plain Compile.
-func (c *Corpus) CompileCached(text string) (*Query, error) {
-	if c.planCache == nil {
-		return Compile(text)
-	}
-	p, err := c.planCache.GetOrCompile(text, func(s string) (*ast.Path, error) {
-		q, err := Compile(s)
+		path, plan, err := c.resolve(req)
 		if err != nil {
-			return nil, err
+			out[i].Err = err
+			continue
 		}
-		return q.path, nil
-	})
-	if err != nil {
-		return nil, err
+		out[i].Strategies = strategiesOf(path, plan)
+		q := engine.BatchQuery{Path: path, Plan: plan, Limit: req.Limit, CountOnly: req.Mode == ModeCount}
+		if req.Parallel {
+			sharded, shardedAt = append(sharded, q), append(shardedAt, i)
+		} else {
+			serial, serialAt = append(serial, q), append(serialAt, i)
+		}
 	}
-	return &Query{text: text, path: p}, nil
+	fill := func(at []int, rs []engine.BatchResult) {
+		for j, r := range rs {
+			if r.Err != nil {
+				out[at[j]] = Result{Err: r.Err}
+				continue
+			}
+			out[at[j]].Matches, out[at[j]].Count = r.Matches, r.Count
+		}
+	}
+	var stats engine.BatchStats
+	if len(serial) > 0 {
+		var rs []engine.BatchResult
+		rs, stats = c.eng.EvalBatch(ctx, serial)
+		fill(serialAt, rs)
+	}
+	if len(sharded) > 0 {
+		fill(shardedAt, engine.EvalBatchParallel(ctx, c.shards, sharded, c.workers))
+	}
+	return out, stats
 }
 
-// SelectText compiles the query text via the plan cache and evaluates it —
-// the repeated-traffic entry point: under a configured plan cache, a hot
-// query pays parse + validate + cost-based planning once per store build,
-// and each repeat executes the cached plan directly.
-func (c *Corpus) SelectText(text string) ([]Match, error) {
-	return c.SelectTextContext(context.Background(), text)
-}
-
-// SelectTextContext is SelectText honoring a context, with the same
-// cooperative cancellation guarantees as SelectContext — the serving path:
-// compile through the plan cache, evaluate under the request's deadline.
-func (c *Corpus) SelectTextContext(ctx context.Context, text string) ([]Match, error) {
-	if c.planCache == nil {
-		q, err := Compile(text)
+// Stream is the iterator form of Run for ModeSelect requests: a
+// range-over-func iterator over the matches in Run's (tree, document) order,
+// evaluating incrementally — breaking out of the range loop terminates the
+// evaluation, so consuming k matches costs what Limit: k costs. It streams
+// from the serial engine (Parallel is ignored) and stops by itself after a
+// positive Limit. On an evaluation error — the context's, when cancelled —
+// the iterator yields one (zero Match, error) pair and stops.
+func (c *Corpus) Stream(ctx context.Context, req Request) iter.Seq2[Match, error] {
+	return func(yield func(Match, error) bool) {
+		req.Parallel = false
+		path, plan, err := c.resolve(req)
+		if err == nil && req.Mode != ModeSelect {
+			err = fmt.Errorf("lpath: Stream needs a ModeSelect request")
+		}
+		if err == nil {
+			n := 0
+			err = c.eng.StreamPlan(ctx, path, plan, func(m Match) bool {
+				n++
+				return yield(m, nil) && n != req.Limit
+			})
+		}
 		if err != nil {
-			return nil, err
+			yield(Match{}, err)
 		}
-		return c.SelectContext(ctx, q)
 	}
-	if err := c.Build(); err != nil {
-		return nil, err
-	}
-	ast, exec, err := c.cachedPlan(text)
-	if err != nil {
-		return nil, err
-	}
-	return c.eng.EvalPlanContext(ctx, ast, exec)
 }
 
-// SelectLimitText is SelectLimit on raw query text through the plan cache —
-// the serving path for limited queries: compile and plan once per store
-// build, stream with early termination on every repeat.
-func (c *Corpus) SelectLimitText(text string, limit int) ([]Match, error) {
-	return c.SelectLimitTextContext(context.Background(), text, limit)
+// Select evaluates the query with the label-based engine and returns the
+// distinct matches of its final step in document order; it is
+// Run(context.Background(), Request{Query: q}).
+func (c *Corpus) Select(q *Query) ([]Match, error) {
+	res, err := c.Run(context.Background(), Request{Query: q})
+	return res.Matches, err
 }
 
-// SelectLimitTextContext is SelectLimitText honoring a context, like
-// SelectTextContext.
+// SelectLimit is Select returning at most limit matches — exactly the first
+// limit entries of Select's result, with early termination (Request.Limit).
+// limit <= 0 returns an empty slice.
+func (c *Corpus) SelectLimit(q *Query, limit int) ([]Match, error) {
+	if limit <= 0 {
+		return []Match{}, nil
+	}
+	res, err := c.Run(context.Background(), Request{Query: q, Limit: limit})
+	return res.Matches, err
+}
+
+// SelectLimitTextContext is SelectLimit on raw query text (Request.Text)
+// honoring a context — lpathd's limited serving call.
 func (c *Corpus) SelectLimitTextContext(ctx context.Context, text string, limit int) ([]Match, error) {
-	if c.planCache == nil {
-		q, err := Compile(text)
-		if err != nil {
-			return nil, err
-		}
-		return c.SelectLimitContext(ctx, q, limit)
+	if limit <= 0 {
+		return []Match{}, nil
 	}
-	if err := c.Build(); err != nil {
-		return nil, err
-	}
-	ast, exec, err := c.cachedPlan(text)
-	if err != nil {
-		return nil, err
-	}
-	return c.eng.EvalPlanLimitContext(ctx, ast, exec, limit)
+	res, err := c.Run(ctx, Request{Text: text, Limit: limit})
+	return res.Matches, err
 }
 
-// CountText compiles via the plan cache and counts the matches with the
-// count-only pipeline.
+// Matches returns a range-over-func iterator over the query's matches in
+// Select's order; it is Stream(context.Background(), Request{Query: q}).
+//
+//	for m, err := range c.Matches(q) {
+//		if err != nil { ... }
+//		use(m)
+//	}
+func (c *Corpus) Matches(q *Query) iter.Seq2[Match, error] {
+	return c.Stream(context.Background(), Request{Query: q})
+}
+
+// Count returns the number of matches of the query (ModeCount); it always
+// equals len(Select(q)).
+func (c *Corpus) Count(q *Query) (int, error) {
+	res, err := c.Run(context.Background(), Request{Query: q, Mode: ModeCount})
+	return res.Count, err
+}
+
+// CountParallel is Count over the shards (Request.Parallel): each shard
+// counts its distinct matches and the disjoint per-shard counts are summed.
+func (c *Corpus) CountParallel(q *Query) (int, error) {
+	res, err := c.Run(context.Background(), Request{Query: q, Mode: ModeCount, Parallel: true})
+	return res.Count, err
+}
+
+// CountText is Count on raw query text (Request.Text).
 func (c *Corpus) CountText(text string) (int, error) {
 	return c.CountTextContext(context.Background(), text)
 }
 
-// CountTextContext is CountText honoring a context, like SelectTextContext.
+// CountTextContext is CountText honoring a context — lpathd's counting
+// serving call.
 func (c *Corpus) CountTextContext(ctx context.Context, text string) (int, error) {
-	if c.planCache == nil {
-		q, err := Compile(text)
-		if err != nil {
-			return 0, err
-		}
-		return c.CountContext(ctx, q)
-	}
-	if err := c.Build(); err != nil {
-		return 0, err
-	}
-	ast, exec, err := c.cachedPlan(text)
-	if err != nil {
-		return 0, err
-	}
-	return c.eng.CountPlanContext(ctx, ast, exec)
+	res, err := c.Run(ctx, Request{Text: text, Mode: ModeCount})
+	return res.Count, err
 }
 
-// cachedPlan resolves text → (AST, executable plan) through the plan cache
-// at the current store generation. The corpus must be built.
-func (c *Corpus) cachedPlan(text string) (*ast.Path, *planner.Plan, error) {
-	return c.planCache.GetOrPlan(text, c.gen,
-		func(s string) (*ast.Path, error) {
-			q, err := Compile(s)
-			if err != nil {
-				return nil, err
-			}
-			return q.path, nil
-		},
-		c.eng.Plan)
+// Explain returns the query's EXPLAIN report (ModeExplain).
+func (c *Corpus) Explain(q *Query) (string, error) {
+	res, err := c.Run(context.Background(), Request{Query: q, Mode: ModeExplain})
+	return res.Explain, err
+}
+
+// ExplainText is Explain on raw query text (Request.Text): the report
+// renders the cached executable plan a repeated text will actually run.
+func (c *Corpus) ExplainText(text string) (string, error) {
+	res, err := c.Run(context.Background(), Request{Text: text, Mode: ModeExplain})
+	return res.Explain, err
+}
+
+// SelectBatchStats is RunBatch over plain Select requests, additionally
+// reporting the cross-query memo hit rates the batch achieved.
+func (c *Corpus) SelectBatchStats(ctx context.Context, qs []*Query) ([][]Match, []error, engine.BatchStats) {
+	reqs := make([]Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = Request{Query: q}
+	}
+	rs, stats := c.runBatch(ctx, reqs)
+	out, errs := make([][]Match, len(qs)), make([]error, len(qs))
+	for i, r := range rs {
+		out[i], errs[i] = r.Matches, r.Err
+	}
+	return out, errs, stats
 }
 
 // CacheStats reports plan-cache effectiveness; see Corpus.PlanCacheStats.

@@ -9,45 +9,51 @@ import (
 )
 
 // batchSizes chunks the 23-query suite: a singleton batch (must degenerate
-// to Select), small and medium batches, and the whole suite at once.
+// to Run), small and medium batches, and the whole suite at once.
 var batchSizes = []int{1, 4, 16, 23}
 
-// TestSelectBatchParity is the public batch identity property: for every
+// suiteRequests returns one request per paper query, shaped by the given
+// template (whose Query is replaced), and each query's serial Select result.
+func suiteRequests(t *testing.T, c *Corpus, shape Request) ([]Request, [][]Match) {
+	t.Helper()
+	var reqs []Request
+	var want [][]Match
+	for _, eq := range EvalQueries() {
+		shape.Query = MustCompile(eq.Text)
+		ms, err := c.Select(shape.Query)
+		if err != nil {
+			t.Fatalf("Q%d select: %v", eq.ID, err)
+		}
+		reqs = append(reqs, shape)
+		want = append(want, ms)
+	}
+	return reqs, want
+}
+
+// TestRunBatchParity is the public batch identity property: for every
 // executor strategy and every batch size, chunking the paper's 23-query
-// suite through SelectBatch yields slot-for-slot exactly what Select
-// returns for each query alone.
-func TestSelectBatchParity(t *testing.T) {
+// suite through RunBatch — serial slots and sharded slots alike — yields
+// slot-for-slot exactly what Select returns for each query alone.
+func TestRunBatchParity(t *testing.T) {
 	for _, st := range limitStrategies() {
 		t.Run(st.name, func(t *testing.T) {
-			c, err := GenerateCorpus("wsj", 0.004, 3, st.opts...)
+			c, err := GenerateCorpus("wsj", 0.004, 3, append(st.opts, WithShards(3), WithWorkers(4))...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			qs := make([]*Query, 0, len(EvalQueries()))
-			want := make([][]Match, 0, len(EvalQueries()))
-			for _, eq := range EvalQueries() {
-				q := MustCompile(eq.Text)
-				ms, err := c.Select(q)
-				if err != nil {
-					t.Fatalf("Q%d select: %v", eq.ID, err)
-				}
-				qs = append(qs, q)
-				want = append(want, ms)
-			}
-			for _, size := range batchSizes {
-				for lo := 0; lo < len(qs); lo += size {
-					hi := min(lo+size, len(qs))
-					got, errs := c.SelectBatch(qs[lo:hi])
-					for i := range got {
-						if errs[i] != nil {
-							t.Fatalf("size %d: %q: %v", size, qs[lo+i], errs[i])
-						}
-						if len(got[i]) == 0 && len(want[lo+i]) == 0 {
-							continue
-						}
-						if !reflect.DeepEqual(got[i], want[lo+i]) {
-							t.Errorf("size %d: %q: batch %d matches, serial %d",
-								size, qs[lo+i], len(got[i]), len(want[lo+i]))
+			for _, parallel := range []bool{false, true} {
+				reqs, want := suiteRequests(t, c, Request{Parallel: parallel})
+				for _, size := range batchSizes {
+					for lo := 0; lo < len(reqs); lo += size {
+						hi := min(lo+size, len(reqs))
+						for i, got := range c.RunBatch(context.Background(), reqs[lo:hi]) {
+							if got.Err != nil {
+								t.Fatalf("size %d parallel=%v: %q: %v", size, parallel, reqs[lo+i].Query, got.Err)
+							}
+							if !reflect.DeepEqual(got.Matches, want[lo+i]) {
+								t.Errorf("size %d parallel=%v: %q: batch %d matches, serial %d",
+									size, parallel, reqs[lo+i].Query, len(got.Matches), len(want[lo+i]))
+							}
 						}
 					}
 				}
@@ -56,92 +62,29 @@ func TestSelectBatchParity(t *testing.T) {
 	}
 }
 
-// TestSelectBatchParallelParity holds the sharded batch path to the same
-// contract, across shard and worker counts.
-func TestSelectBatchParallelParity(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.004, 3, WithShards(3), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := make([]*Query, 0, len(EvalQueries()))
-	want := make([][]Match, 0, len(EvalQueries()))
-	for _, eq := range EvalQueries() {
-		q := MustCompile(eq.Text)
-		ms, err := c.Select(q)
-		if err != nil {
-			t.Fatalf("Q%d select: %v", eq.ID, err)
-		}
-		qs = append(qs, q)
-		want = append(want, ms)
-	}
-	for _, size := range batchSizes {
-		for lo := 0; lo < len(qs); lo += size {
-			hi := min(lo+size, len(qs))
-			got, errs := c.SelectBatchParallel(qs[lo:hi])
-			for i := range got {
-				if errs[i] != nil {
-					t.Fatalf("size %d: %q: %v", size, qs[lo+i], errs[i])
-				}
-				if len(got[i]) == 0 && len(want[lo+i]) == 0 {
-					continue
-				}
-				if !reflect.DeepEqual(got[i], want[lo+i]) {
-					t.Errorf("size %d: %q: parallel batch %d matches, serial %d",
-						size, qs[lo+i], len(got[i]), len(want[lo+i]))
-				}
-			}
-		}
-	}
-}
-
-// TestSelectBatchLimitTextParity drives the serving path (texts through the
+// TestRunBatchLimitTextParity drives the serving path (texts through the
 // plan cache, with per-query caps): each capped slot is the exact prefix of
 // the full serial result, and the batch shares plans across duplicates.
-func TestSelectBatchLimitTextParity(t *testing.T) {
+func TestRunBatchLimitTextParity(t *testing.T) {
 	c, err := GenerateCorpus("wsj", 0.004, 3, WithPlanCache(64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	texts := make([]string, 0, len(EvalQueries()))
-	for _, eq := range EvalQueries() {
-		texts = append(texts, eq.Text)
+	reqs, full := suiteRequests(t, c, Request{})
+	for i := range reqs {
+		reqs[i] = Request{Text: reqs[i].Query.String(), Limit: []int{0, 1, 7, 1000}[i%4]}
 	}
-	full := make([][]Match, len(texts))
-	for i, text := range texts {
-		ms, err := c.Select(MustCompile(text))
-		if err != nil {
-			t.Fatalf("%q: %v", text, err)
-		}
-		full[i] = ms
-	}
-	limits := make([]int, len(texts))
-	for i := range limits {
-		switch i % 4 {
-		case 0:
-			limits[i] = -1
-		case 1:
-			limits[i] = 0
-		case 2:
-			limits[i] = 1
-		case 3:
-			limits[i] = 7
-		}
-	}
-	got, errs := c.SelectBatchLimitTextContext(context.Background(), texts, limits)
-	for i := range texts {
-		if errs[i] != nil {
-			t.Fatalf("%q: %v", texts[i], errs[i])
+	for i, got := range c.RunBatch(context.Background(), reqs) {
+		if got.Err != nil {
+			t.Fatalf("%q: %v", reqs[i].Text, got.Err)
 		}
 		want := full[i]
-		if limits[i] >= 0 && limits[i] < len(want) {
-			want = want[:limits[i]]
+		if k := reqs[i].Limit; k > 0 && k < len(want) {
+			want = want[:k]
 		}
-		if len(got[i]) != len(want) {
-			t.Errorf("%q limit %d: %d matches, want %d", texts[i], limits[i], len(got[i]), len(want))
-			continue
-		}
-		if len(want) > 0 && !reflect.DeepEqual(got[i], want) {
-			t.Errorf("%q limit %d: result is not the serial prefix", texts[i], limits[i])
+		if !reflect.DeepEqual(got.Matches, want) {
+			t.Errorf("%q limit %d: %d matches, want the serial prefix of %d",
+				reqs[i].Text, reqs[i].Limit, len(got.Matches), len(want))
 		}
 	}
 	if st := c.PlanCacheStats(); st.Misses == 0 {
@@ -149,80 +92,82 @@ func TestSelectBatchLimitTextParity(t *testing.T) {
 	}
 }
 
-// TestSelectBatchTextCompileError: an uncompilable text occupies exactly its
+// TestRunBatchTextCompileError: an uncompilable text occupies exactly its
 // own slot with the compile error; batch mates are unaffected.
-func TestSelectBatchTextCompileError(t *testing.T) {
+func TestRunBatchTextCompileError(t *testing.T) {
 	for _, opts := range [][]Option{nil, {WithPlanCache(8)}} {
 		c := NewCorpus(opts...)
 		if err := c.AddSentence(`(S (NP (N I)) (VP (V saw) (NP (D the) (N dog))))`); err != nil {
 			t.Fatal(err)
 		}
-		got, errs := c.SelectBatchText([]string{`//NP`, `//[`, `//V`})
-		if errs[0] != nil || errs[2] != nil {
-			t.Fatalf("healthy slots errored: %v, %v", errs[0], errs[2])
+		got := c.RunBatch(context.Background(), []Request{{Text: `//NP`}, {Text: `//[`}, {Text: `//V`}})
+		if got[0].Err != nil || got[2].Err != nil {
+			t.Fatalf("healthy slots errored: %v, %v", got[0].Err, got[2].Err)
 		}
-		if errs[1] == nil {
+		if got[1].Err == nil {
 			t.Fatal("uncompilable text did not error its slot")
 		}
-		if got[1] != nil {
-			t.Errorf("failed slot carries %d matches", len(got[1]))
+		if got[1].Matches != nil {
+			t.Errorf("failed slot carries %d matches", len(got[1].Matches))
 		}
-		if len(got[0]) != 2 || len(got[2]) != 1 {
-			t.Errorf("matches = %d, %d; want 2, 1", len(got[0]), len(got[2]))
+		if len(got[0].Matches) != 2 || len(got[2].Matches) != 1 {
+			t.Errorf("matches = %d, %d; want 2, 1", len(got[0].Matches), len(got[2].Matches))
 		}
 	}
 }
 
-// TestSelectBatchCancelled: a dead context fails every slot with its error,
-// for both the serial and the sharded batch entry points.
-func TestSelectBatchCancelled(t *testing.T) {
+// TestRunBatchCancelled: a dead context fails every slot with its error,
+// serial and sharded alike.
+func TestRunBatchCancelled(t *testing.T) {
 	c, err := GenerateCorpus("wsj", 0.002, 5, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Build(); err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	qs := []*Query{MustCompile(`//NP`), MustCompile(`//VP//V`)}
-	_, errs := c.SelectBatchContext(ctx, qs)
-	for i, err := range errs {
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("serial slot %d: got %v, want context.Canceled", i, err)
-		}
-	}
-	_, errs = c.SelectBatchParallelContext(ctx, qs)
-	for i, err := range errs {
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("parallel slot %d: got %v, want context.Canceled", i, err)
+	got := c.RunBatch(ctx, []Request{
+		{Query: MustCompile(`//NP`)}, {Query: MustCompile(`//VP//V`), Mode: ModeCount},
+		{Query: MustCompile(`//NP`), Parallel: true}, {Query: MustCompile(`//VP//V`), Parallel: true},
+	})
+	for i, r := range got {
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("slot %d: got %v, want context.Canceled", i, r.Err)
 		}
 	}
 }
 
-// TestCountBatchParity checks the public CountBatch against serial Count
-// over the whole suite in one batch.
-func TestCountBatchParity(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.002, 5)
+// TestRunBatchCountAndExplain checks the other two modes as batch slots:
+// counts ride the shared memo and equal serial Count, serial or sharded, and
+// an EXPLAIN slot reports exactly what Explain does.
+func TestRunBatchCountAndExplain(t *testing.T) {
+	c, err := GenerateCorpus("wsj", 0.002, 5, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := make([]*Query, 0, len(EvalQueries()))
-	for _, eq := range EvalQueries() {
-		qs = append(qs, MustCompile(eq.Text))
+	reqs, want := suiteRequests(t, c, Request{Mode: ModeCount})
+	n := len(reqs)
+	for _, r := range reqs[:n] {
+		r.Parallel = true
+		reqs = append(reqs, r)
 	}
-	counts, errs := c.CountBatch(qs)
-	for i, q := range qs {
-		if errs[i] != nil {
-			t.Fatalf("%q: %v", q, errs[i])
+	q := MustCompile(`//VP{//NP$}`)
+	reqs = append(reqs, Request{Query: q, Mode: ModeExplain})
+	got := c.RunBatch(context.Background(), reqs)
+	for i, r := range got[:2*n] {
+		if r.Err != nil {
+			t.Fatalf("%q: %v", reqs[i].Query, r.Err)
 		}
-		want, err := c.Count(q)
-		if err != nil {
-			t.Fatal(err)
+		if r.Count != len(want[i%n]) || r.Matches != nil {
+			t.Errorf("%q parallel=%v: batch count %d (%d matches), serial %d",
+				reqs[i].Query, reqs[i].Parallel, r.Count, len(r.Matches), len(want[i%n]))
 		}
-		if counts[i] != want {
-			t.Errorf("%q: batch count %d, serial %d", q, counts[i], want)
-		}
+	}
+	report, err := c.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := got[2*n]; last.Err != nil || last.Explain != report {
+		t.Errorf("EXPLAIN slot differs from Explain (%v):\n%s", last.Err, last.Explain)
 	}
 }
 

@@ -3,66 +3,72 @@ package lpath
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	ast "lpath/internal/lpath"
 )
 
-// TestErrorParityAcrossEntryPoints pins the error contract of the public
-// query API: for one identical failure, every entry point — serial,
-// parallel, counting, context-honoring, text-compiling — returns the
-// identical error, independent of worker scheduling. The parallel paths used
-// to surface whichever shard's error won the race; runShards now propagates
-// deterministically by shard index.
-func TestErrorParityAcrossEntryPoints(t *testing.T) {
+// requestShapes is the cross product of Request's axes — mode × parallel ×
+// limit — that the error contracts below must hold over. spell fills in the
+// query (compiled or raw text) per contract.
+func requestShapes() []Request {
+	var shapes []Request
+	for _, mode := range []Mode{ModeSelect, ModeCount, ModeExplain} {
+		for _, parallel := range []bool{false, true} {
+			for _, limit := range []int{0, 3} {
+				shapes = append(shapes, Request{Mode: mode, Parallel: parallel, Limit: limit})
+			}
+		}
+	}
+	return shapes
+}
+
+func shapeName(r Request) string {
+	spelling := "query"
+	if r.Query == nil {
+		spelling = "text"
+	}
+	return fmt.Sprintf("mode=%d/parallel=%v/limit=%d/%s", r.Mode, r.Parallel, r.Limit, spelling)
+}
+
+// TestErrorParityAcrossRequests pins the error contract of the one request
+// path: for one identical failure, every Request shape — serial or sharded,
+// selecting, counting or explaining, limited or not, alone or as a batch
+// slot — returns the identical error, independent of worker scheduling
+// (runShards propagates deterministically by shard index).
+func TestErrorParityAcrossRequests(t *testing.T) {
 	c, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), WithShards(4), WithPlanCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// An attribute step in the main path fails validation (the parser only
-	// accepts @ inside predicates, so build the AST directly). The public
-	// Compile rejects it, so forge the Query the way a buggy caller (or a
-	// future code path skipping validation) would: every evaluation entry
-	// point must still fail with the same sentinel.
-	badQuery := &Query{text: `//@lex`, path: &ast.Path{Steps: []ast.Step{
-		{Axis: ast.AxisDescendant, Test: "lex"},
-	}}}
-	badQuery.path.Steps[0].Axis = ast.AxisAttribute
-
-	t.Run("forged invalid query", func(t *testing.T) {
-		entries := []struct {
-			name string
-			run  func() error
-		}{
-			{"Select", func() error { _, err := c.Select(badQuery); return err }},
-			{"SelectContext", func() error { _, err := c.SelectContext(context.Background(), badQuery); return err }},
-			{"SelectParallel", func() error { _, err := c.SelectParallel(badQuery); return err }},
-			{"SelectParallelContext", func() error {
-				_, err := c.SelectParallelContext(context.Background(), badQuery)
-				return err
-			}},
-			{"Count", func() error { _, err := c.Count(badQuery); return err }},
-			{"CountContext", func() error { _, err := c.CountContext(context.Background(), badQuery); return err }},
-			{"CountParallel", func() error { _, err := c.CountParallel(badQuery); return err }},
-			{"CountParallelContext", func() error {
-				_, err := c.CountParallelContext(context.Background(), badQuery)
-				return err
-			}},
-			{"Explain", func() error { _, err := c.Explain(badQuery); return err }},
-			{"ExplainContext", func() error { _, err := c.ExplainContext(context.Background(), badQuery); return err }},
+	// Run a shape alone and as a slot of a batch; both must fail alike.
+	failures := func(ctx context.Context, r Request) map[string]error {
+		_, runErr := c.Run(ctx, r)
+		batch := c.RunBatch(ctx, []Request{{Text: `//NP`}, r})
+		if batch[0].Err != nil && ctx.Err() == nil {
+			t.Errorf("%s: healthy batch mate failed: %v", shapeName(r), batch[0].Err)
 		}
-		for _, e := range entries {
-			err := e.run()
-			if err == nil {
-				t.Errorf("%s: no error for invalid query", e.name)
-				continue
-			}
-			if !errors.Is(err, ast.ErrAttrInMainPath) {
-				t.Errorf("%s: got %v, want ErrAttrInMainPath", e.name, err)
-			}
-			if got, want := err.Error(), ast.ErrAttrInMainPath.Error(); got != want {
-				t.Errorf("%s: error text %q, want %q", e.name, got, want)
+		return map[string]error{"Run": runErr, "RunBatch": batch[1].Err}
+	}
+
+	// An attribute step in the main path fails validation. The public Compile
+	// rejects it, so forge the Query the way a buggy caller (or a future code
+	// path skipping validation) would: every request must still fail with
+	// the same sentinel.
+	badQuery := &Query{text: `//@lex`, path: &ast.Path{Steps: []ast.Step{
+		{Axis: ast.AxisAttribute, Test: "lex"},
+	}}}
+	t.Run("forged invalid query", func(t *testing.T) {
+		for _, r := range requestShapes() {
+			r.Query = badQuery
+			for entry, err := range failures(context.Background(), r) {
+				if !errors.Is(err, ast.ErrAttrInMainPath) {
+					t.Errorf("%s %s: got %v, want ErrAttrInMainPath", entry, shapeName(r), err)
+				} else if got, want := err.Error(), ast.ErrAttrInMainPath.Error(); got != want {
+					t.Errorf("%s %s: error text %q, want %q", entry, shapeName(r), got, want)
+				}
 			}
 		}
 	})
@@ -73,94 +79,129 @@ func TestErrorParityAcrossEntryPoints(t *testing.T) {
 		if wantErr == nil {
 			t.Fatalf("Compile(%q) unexpectedly succeeded", bad)
 		}
-		entries := []struct {
-			name string
-			run  func() error
-		}{
-			{"SelectText", func() error { _, err := c.SelectText(bad); return err }},
-			{"SelectTextContext", func() error { _, err := c.SelectTextContext(context.Background(), bad); return err }},
-			{"CountText", func() error { _, err := c.CountText(bad); return err }},
-			{"CountTextContext", func() error { _, err := c.CountTextContext(context.Background(), bad); return err }},
-			{"ExplainText", func() error { _, err := c.ExplainText(bad); return err }},
-			{"CompileCached", func() error { _, err := c.CompileCached(bad); return err }},
-		}
-		for _, e := range entries {
-			err := e.run()
-			if err == nil {
-				t.Errorf("%s: no error for %q", e.name, bad)
-				continue
-			}
-			if err.Error() != wantErr.Error() {
-				t.Errorf("%s: error %q, want %q", e.name, err, wantErr)
+		for _, r := range requestShapes() {
+			r.Text = bad
+			for entry, err := range failures(context.Background(), r) {
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Errorf("%s %s: error %v, want %q", entry, shapeName(r), err, wantErr)
+				}
 			}
 		}
 	})
 
 	t.Run("cancelled context", func(t *testing.T) {
-		q := MustCompile(`//NP`)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		entries := []struct {
-			name string
-			run  func() error
-		}{
-			{"SelectContext", func() error { _, err := c.SelectContext(ctx, q); return err }},
-			{"CountContext", func() error { _, err := c.CountContext(ctx, q); return err }},
-			{"ExplainContext", func() error { _, err := c.ExplainContext(ctx, q); return err }},
-			{"SelectParallelContext", func() error { _, err := c.SelectParallelContext(ctx, q); return err }},
-			{"CountParallelContext", func() error { _, err := c.CountParallelContext(ctx, q); return err }},
-			{"SelectTextContext", func() error { _, err := c.SelectTextContext(ctx, `//NP`); return err }},
-			{"CountTextContext", func() error { _, err := c.CountTextContext(ctx, `//NP`); return err }},
-		}
-		for _, e := range entries {
-			if err := e.run(); !errors.Is(err, context.Canceled) {
-				t.Errorf("%s: got %v, want context.Canceled", e.name, err)
+		for _, r := range requestShapes() {
+			for _, spelled := range []Request{{Query: MustCompile(`//NP`)}, {Text: `//NP`}} {
+				r.Query, r.Text = spelled.Query, spelled.Text
+				for entry, err := range failures(ctx, r) {
+					if !errors.Is(err, context.Canceled) {
+						t.Errorf("%s %s: got %v, want context.Canceled", entry, shapeName(r), err)
+					}
+				}
 			}
+		}
+	})
+
+	t.Run("unknown mode", func(t *testing.T) {
+		if _, err := c.Run(context.Background(), Request{Text: `//NP`, Mode: Mode(7)}); err == nil {
+			t.Error("Run accepted an unknown mode")
 		}
 	})
 }
 
-// TestContextEntryPointsAgreeWhenHealthy verifies the context variants are
-// result-identical to their plain counterparts under a live context.
-func TestContextEntryPointsAgreeWhenHealthy(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.005, 11, WithPlanCache(8))
+// TestSugarEqualsRun holds every surviving shorthand method to the Run (or
+// RunBatch, or Stream) call its documentation names, on all 23 paper
+// queries.
+func TestSugarEqualsRun(t *testing.T) {
+	c, err := GenerateCorpus("wsj", 0.004, 3, WithPlanCache(32), WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, text := range []string{`//NP`, `//VP/VB-->NN`, `//S[//NP/ADJP]`} {
-		q := MustCompile(text)
-		want, err := c.Select(q)
+	run := func(r Request) Result {
+		t.Helper()
+		res, err := c.Run(ctx, r)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Run(%s): %v", shapeName(r), err)
 		}
-		got, err := c.SelectContext(ctx, q)
-		if err != nil {
-			t.Fatal(err)
+		return res
+	}
+	var qs []*Query
+	for _, eq := range EvalQueries() {
+		q := MustCompile(eq.Text)
+		qs = append(qs, q)
+		full := run(Request{Query: q})
+
+		if ms, err := c.Select(q); err != nil || !reflect.DeepEqual(ms, full.Matches) {
+			t.Errorf("Q%d: Select = %d matches, %v; Run %d", eq.ID, len(ms), err, len(full.Matches))
 		}
-		if len(got) != len(want) {
-			t.Errorf("SelectContext(%s): %d matches, want %d", text, len(got), len(want))
+		if ms, err := c.SelectLimit(q, 5); err != nil || !reflect.DeepEqual(ms, run(Request{Query: q, Limit: 5}).Matches) {
+			t.Errorf("Q%d: SelectLimit(5) = %d matches, %v", eq.ID, len(ms), err)
 		}
-		n, err := c.CountContext(ctx, q)
-		if err != nil {
-			t.Fatal(err)
+		if ms, err := c.SelectLimitTextContext(ctx, eq.Text, 5); err != nil || !reflect.DeepEqual(ms, run(Request{Text: eq.Text, Limit: 5}).Matches) {
+			t.Errorf("Q%d: SelectLimitTextContext(5) = %d matches, %v", eq.ID, len(ms), err)
 		}
-		if n != len(want) {
-			t.Errorf("CountContext(%s): %d, want %d", text, n, len(want))
+		for _, k := range []int{0, -1} {
+			if ms, err := c.SelectLimit(q, k); err != nil || ms == nil || len(ms) != 0 {
+				t.Errorf("Q%d: SelectLimit(%d) = %v, %v; want empty non-nil", eq.ID, k, ms, err)
+			}
+			if ms, err := c.SelectLimitTextContext(ctx, eq.Text, k); err != nil || ms == nil || len(ms) != 0 {
+				t.Errorf("Q%d: SelectLimitTextContext(%d) = %v, %v; want empty non-nil", eq.ID, k, ms, err)
+			}
 		}
-		nt, err := c.CountTextContext(ctx, text)
-		if err != nil {
-			t.Fatal(err)
+		var streamed []Match
+		for m, err := range c.Matches(q) {
+			if err != nil {
+				t.Fatalf("Q%d: Matches: %v", eq.ID, err)
+			}
+			streamed = append(streamed, m)
 		}
-		if nt != len(want) {
-			t.Errorf("CountTextContext(%s): %d, want %d", text, nt, len(want))
+		if len(streamed) != len(full.Matches) || (len(streamed) > 0 && !reflect.DeepEqual(streamed, full.Matches)) {
+			t.Errorf("Q%d: Matches yielded %d matches, Run %d", eq.ID, len(streamed), len(full.Matches))
 		}
-		pn, err := c.CountParallelContext(ctx, q)
-		if err != nil {
-			t.Fatal(err)
+
+		want := run(Request{Query: q, Mode: ModeCount}).Count
+		if want != len(full.Matches) {
+			t.Errorf("Q%d: ModeCount = %d, ModeSelect has %d matches", eq.ID, want, len(full.Matches))
 		}
-		if pn != len(want) {
-			t.Errorf("CountParallelContext(%s): %d, want %d", text, pn, len(want))
+		counts := map[string]func() (int, error){
+			"Count":            func() (int, error) { return c.Count(q) },
+			"CountParallel":    func() (int, error) { return c.CountParallel(q) },
+			"CountText":        func() (int, error) { return c.CountText(eq.Text) },
+			"CountTextContext": func() (int, error) { return c.CountTextContext(ctx, eq.Text) },
+		}
+		for name, count := range counts {
+			if n, err := count(); err != nil || n != want {
+				t.Errorf("Q%d: %s = %d, %v; Run %d", eq.ID, name, n, err, want)
+			}
+		}
+		if n := run(Request{Query: q, Mode: ModeCount, Parallel: true}).Count; n != want {
+			t.Errorf("Q%d: parallel ModeCount = %d, serial %d", eq.ID, n, want)
+		}
+
+		report := run(Request{Query: q, Mode: ModeExplain}).Explain
+		if got, err := c.Explain(q); err != nil || got != report {
+			t.Errorf("Q%d: Explain differs from Run: %v", eq.ID, err)
+		}
+		if got, err := c.ExplainText(eq.Text); err != nil || got != report {
+			t.Errorf("Q%d: ExplainText differs from Run: %v", eq.ID, err)
+		}
+	}
+
+	reqs := make([]Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = Request{Query: q}
+	}
+	batch := c.RunBatch(ctx, reqs)
+	ms, errs, _ := c.SelectBatchStats(ctx, qs)
+	for i := range qs {
+		if errs[i] != nil || batch[i].Err != nil {
+			t.Fatalf("%q: %v / %v", qs[i], errs[i], batch[i].Err)
+		}
+		if !reflect.DeepEqual(ms[i], batch[i].Matches) {
+			t.Errorf("%q: SelectBatchStats slot differs from RunBatch", qs[i])
 		}
 	}
 }

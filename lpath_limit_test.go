@@ -27,13 +27,52 @@ func limitStrategies() []struct {
 	}
 }
 
-// TestSelectLimitParity holds SelectLimit(k) ≡ Select()[:k] for every query
-// of the paper's 23-query suite, every executor strategy, and limits around
-// the interesting boundaries (empty, one, mid-stream, exact, past the end).
-func TestSelectLimitParity(t *testing.T) {
+// checkLimit holds Limit k to its one meaning — the first k entries of the
+// full result, the whole result when k is 0 — everywhere a limit can be
+// applied through Run: the serial stream, the sharded settled prefix, and
+// serial and sharded batch slots, whose uncapped batch mate must stay whole.
+func checkLimit(t *testing.T, c *Corpus, q *Query, k int, full []Match) {
+	t.Helper()
+	want := full
+	if k > 0 && k < len(full) {
+		want = full[:k]
+	}
+	ctx := context.Background()
+	got := map[string]Result{}
+	for name, parallel := range map[string]bool{"serial": false, "parallel": true} {
+		res, err := c.Run(ctx, Request{Query: q, Limit: k, Parallel: parallel})
+		if err != nil {
+			t.Fatalf("%s %s limit %d: %v", q, name, k, err)
+		}
+		got[name] = res
+	}
+	batch := c.RunBatch(ctx, []Request{
+		{Query: q, Limit: k}, {Query: q}, {Query: q, Limit: k, Parallel: true},
+	})
+	got["batch"], got["batch-parallel"] = batch[0], batch[2]
+	for name, res := range got {
+		if res.Err != nil {
+			t.Fatalf("%s %s limit %d: %v", q, name, k, res.Err)
+		}
+		if !reflect.DeepEqual(res.Matches, want) || res.Count != len(want) {
+			t.Errorf("%s %s: Limit %d = %d matches (Count %d), want prefix of %d",
+				q, name, k, len(res.Matches), res.Count, len(want))
+		}
+	}
+	if batch[1].Err != nil || !reflect.DeepEqual(batch[1].Matches, full) {
+		t.Errorf("%s: uncapped mate of a Limit %d slot has %d matches (%v), want all %d",
+			q, k, len(batch[1].Matches), batch[1].Err, len(full))
+	}
+}
+
+// TestLimitParity is the one limit convention, through Run, for every query
+// of the paper's 23-query suite under every executor strategy, at limits
+// around the interesting boundaries (none, one, mid-stream, exact, past the
+// end), independent of shard and worker counts.
+func TestLimitParity(t *testing.T) {
 	for _, st := range limitStrategies() {
 		t.Run(st.name, func(t *testing.T) {
-			c, err := GenerateCorpus("wsj", 0.004, 3, st.opts...)
+			c, err := GenerateCorpus("wsj", 0.004, 3, append(st.opts, WithShards(3), WithWorkers(4))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,52 +83,10 @@ func TestSelectLimitParity(t *testing.T) {
 					t.Fatalf("Q%d select: %v", eq.ID, err)
 				}
 				for _, k := range []int{0, 1, 7, len(full), len(full) + 1} {
-					got, err := c.SelectLimit(q, k)
-					if err != nil {
-						t.Fatalf("Q%d limit %d: %v", eq.ID, k, err)
-					}
-					want := full
-					if k < len(full) {
-						want = full[:k]
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("Q%d: SelectLimit(%d) = %d matches, want prefix of %d",
-							eq.ID, k, len(got), len(want))
-					}
+					checkLimit(t, c, q, k, full)
 				}
 			}
 		})
-	}
-}
-
-// TestSelectParallelLimitParity holds the sharded path to the same contract:
-// SelectParallelLimit(k) ≡ Select()[:k], independent of shard and worker
-// counts.
-func TestSelectParallelLimitParity(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.004, 3, WithShards(3), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eq := range EvalQueries() {
-		q := MustCompile(eq.Text)
-		full, err := c.Select(q)
-		if err != nil {
-			t.Fatalf("Q%d select: %v", eq.ID, err)
-		}
-		for _, k := range []int{0, 1, 7, len(full), len(full) + 1} {
-			got, err := c.SelectParallelLimit(q, k)
-			if err != nil {
-				t.Fatalf("Q%d parallel limit %d: %v", eq.ID, k, err)
-			}
-			want := full
-			if k < len(full) {
-				want = full[:k]
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("Q%d: SelectParallelLimit(%d) = %d matches, want prefix of %d",
-					eq.ID, k, len(got), len(want))
-			}
-		}
 	}
 }
 
@@ -138,7 +135,7 @@ func TestMatchesIterator(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sawErr := false
-	for _, err := range c.MatchesContext(ctx, q) {
+	for _, err := range c.Stream(ctx, Request{Query: q}) {
 		if err != nil {
 			sawErr = true
 			if err != context.Canceled {
@@ -149,11 +146,30 @@ func TestMatchesIterator(t *testing.T) {
 	if !sawErr {
 		t.Error("cancelled iteration yielded no error")
 	}
+
+	// Stream stops by itself at a positive Limit, resolves Text like Run, and
+	// refuses the modes that have nothing to iterate.
+	var limited []Match
+	for m, err := range c.Stream(context.Background(), Request{Text: `//VB->NP`, Limit: 5}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		limited = append(limited, m)
+	}
+	if !reflect.DeepEqual(limited, full[:5]) {
+		t.Errorf("Stream under Limit 5: %d matches, want the first 5", len(limited))
+	}
+	for _, err := range c.Stream(context.Background(), Request{Query: q, Mode: ModeCount}) {
+		if err == nil {
+			t.Error("Stream accepted a ModeCount request")
+		}
+	}
 }
 
-// TestSelectLimitText covers the plan-cache serving path: with and without a
-// configured cache, SelectLimitText equals the prefix of SelectText.
-func TestSelectLimitText(t *testing.T) {
+// TestLimitText covers the plan-cache serving path: with and without a
+// configured cache, a limited Text request equals the prefix of the full one.
+func TestLimitText(t *testing.T) {
+	ctx := context.Background()
 	for _, cached := range []bool{false, true} {
 		opts := []Option{}
 		if cached {
@@ -164,19 +180,19 @@ func TestSelectLimitText(t *testing.T) {
 			t.Fatal(err)
 		}
 		const text = `//VB->NP`
-		full, err := c.SelectText(text)
+		full, err := c.Run(ctx, Request{Text: text})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.SelectLimitText(text, 3)
+		got, err := c.Run(ctx, Request{Text: text, Limit: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(full) < 3 || !reflect.DeepEqual(got, full[:3]) {
-			t.Errorf("cached=%v: SelectLimitText(3) = %d matches, want the first 3 of %d",
-				cached, len(got), len(full))
+		if len(full.Matches) < 3 || !reflect.DeepEqual(got.Matches, full.Matches[:3]) {
+			t.Errorf("cached=%v: Limit 3 = %d matches, want the first 3 of %d",
+				cached, len(got.Matches), len(full.Matches))
 		}
-		if _, err := c.SelectLimitText(`//VB[`, 3); err == nil {
+		if _, err := c.Run(ctx, Request{Text: `//VB[`, Limit: 3}); err == nil {
 			t.Errorf("cached=%v: compile error not reported", cached)
 		}
 	}

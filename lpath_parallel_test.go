@@ -9,7 +9,7 @@ import (
 
 // axisPropertyQueries cover all eight horizontal axes (-> --> <- <-- => ==>
 // <= <==), subtree scoping and edge alignment over the WSJ tag set, for the
-// randomized SelectParallel ≡ Select ≡ SelectOracle property.
+// randomized parallel ≡ serial ≡ oracle property.
 var axisPropertyQueries = []string{
 	`//VB->NP`, `//VB-->NN`, `//NN[<-VB]`, `//NN[<--DT]`,
 	`//VB=>NP`, `//VB==>NP`, `//NP[<=VB]`, `//NP[<==VB]`,
@@ -26,6 +26,10 @@ func TestSelectParallelEqualsSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	selectParallel := func(q *Query) ([]Match, error) {
+		res, err := c.Run(context.Background(), Request{Query: q, Parallel: true})
+		return res.Matches, err
+	}
 	for _, workers := range []int{1, 2, 4} {
 		c.Configure(WithWorkers(workers), WithShards(4))
 		for _, eq := range EvalQueries() {
@@ -34,7 +38,7 @@ func TestSelectParallelEqualsSelect(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Q%d select: %v", eq.ID, err)
 			}
-			par, err := c.SelectParallel(q)
+			par, err := selectParallel(q)
 			if err != nil {
 				t.Fatalf("Q%d parallel (w=%d): %v", eq.ID, workers, err)
 			}
@@ -50,7 +54,7 @@ func TestSelectParallelEqualsSelect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := c.SelectParallel(q)
+		par, err := selectParallel(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,8 +65,8 @@ func TestSelectParallelEqualsSelect(t *testing.T) {
 }
 
 // TestSelectParallelOracleProperty is the randomized three-way property:
-// on corpora of varying seeds and shard layouts, SelectParallel, Select and
-// the reference tree-walking oracle agree on every axis-coverage query.
+// on corpora of varying seeds and shard layouts, a Parallel request, Select
+// and the reference tree-walking oracle agree on every axis-coverage query.
 func TestSelectParallelOracleProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		c, err := GenerateCorpus("wsj", 0.001, seed, WithShards(int(seed)+1), WithWorkers(3))
@@ -71,10 +75,11 @@ func TestSelectParallelOracleProperty(t *testing.T) {
 		}
 		for _, text := range axisPropertyQueries {
 			q := MustCompile(text)
-			par, err := c.SelectParallel(q)
+			parRes, err := c.Run(context.Background(), Request{Query: q, Parallel: true})
 			if err != nil {
 				t.Fatalf("seed %d %s parallel: %v", seed, text, err)
 			}
+			par := parRes.Matches
 			serial, err := c.Select(q)
 			if err != nil {
 				t.Fatalf("seed %d %s select: %v", seed, text, err)
@@ -119,9 +124,9 @@ func TestSelectParallelAddInvalidatesShards(t *testing.T) {
 
 func TestSelectParallelEmptyCorpus(t *testing.T) {
 	c := NewCorpus()
-	ms, err := c.SelectParallel(MustCompile(`//NP`))
-	if err != nil || len(ms) != 0 {
-		t.Errorf("empty corpus: %d matches, %v", len(ms), err)
+	res, err := c.Run(context.Background(), Request{Text: `//NP`, Parallel: true})
+	if err != nil || res.Matches == nil || len(res.Matches) != 0 {
+		t.Errorf("empty corpus: %v, %v; want empty non-nil", res.Matches, err)
 	}
 }
 
@@ -132,7 +137,7 @@ func TestSelectParallelContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.SelectParallelContext(ctx, MustCompile(`//NP`)); err == nil {
+	if _, err := c.Run(ctx, Request{Query: MustCompile(`//NP`), Parallel: true}); err == nil {
 		t.Error("expected error from cancelled context")
 	}
 }
@@ -150,17 +155,27 @@ func TestPlanCacheThroughPublicAPI(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 2 || st.Len != 1 {
 		t.Errorf("stats after 3 identical queries = %+v", st)
 	}
-	if _, err := c.SelectText(`//NP[`); err == nil {
-		t.Error("expected compile error through SelectText")
+	if _, err := c.Run(context.Background(), Request{Text: `//NP[`}); err == nil {
+		t.Error("expected compile error through Request.Text")
 	}
 	if got := c.PlanCacheStats().Len; got != 1 {
 		t.Errorf("failed compile cached: Len = %d", got)
 	}
 	// Cached plans must produce identical results to fresh ones.
 	fresh, _ := c.Select(MustCompile(`//NP`))
-	cached, err := c.SelectText(`//NP`)
-	if err != nil || !reflect.DeepEqual(fresh, cached) {
+	cached, err := c.Run(context.Background(), Request{Text: `//NP`})
+	if err != nil || !reflect.DeepEqual(fresh, cached.Matches) {
 		t.Errorf("cached plan results differ: %v", err)
+	}
+	// A Parallel text request reuses the cached parse (a hit, no new entry)
+	// and plans on the shards.
+	before := c.PlanCacheStats()
+	par, err := c.Run(context.Background(), Request{Text: `//NP`, Parallel: true})
+	if err != nil || !reflect.DeepEqual(fresh, par.Matches) {
+		t.Errorf("parallel text results differ: %v", err)
+	}
+	if st := c.PlanCacheStats(); st.Hits != before.Hits+1 || st.Len != 1 {
+		t.Errorf("parallel text request: stats %+v -> %+v, want one more hit", before, st)
 	}
 }
 

@@ -1,6 +1,7 @@
 package lpath
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -112,17 +113,18 @@ func TestPlannerResultIdentity(t *testing.T) {
 			t.Errorf("Q%d: bitmap-off %d matches, unplanned %d — or a match differs",
 				eq.ID, len(gotNoBitmap), len(want))
 		}
-		gotPar, err := planned.SelectParallel(q)
+		sharded := Request{Query: q, Parallel: true}
+		gotPar, err := planned.Run(context.Background(), sharded)
 		if err != nil {
 			t.Fatalf("Q%d planned parallel: %v", eq.ID, err)
 		}
-		wantPar, err := unplanned.SelectParallel(q)
+		wantPar, err := unplanned.Run(context.Background(), sharded)
 		if err != nil {
 			t.Fatalf("Q%d unplanned parallel: %v", eq.ID, err)
 		}
-		if !reflect.DeepEqual(got, gotPar) || !matchesEqual(gotPar, wantPar) {
+		if !reflect.DeepEqual(got, gotPar.Matches) || !matchesEqual(gotPar.Matches, wantPar.Matches) {
 			t.Errorf("Q%d: parallel results diverge (planned %d / unplanned %d)",
-				eq.ID, len(gotPar), len(wantPar))
+				eq.ID, len(gotPar.Matches), len(wantPar.Matches))
 		}
 		for name, pair := range map[string][2]int{
 			"Count":         {mustCount(t, planned.Count, q), mustCount(t, unplanned.Count, q)},

@@ -2,6 +2,7 @@ package lpath
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 )
@@ -73,9 +74,9 @@ func TestSnapshotQueriesAllStrategies(t *testing.T) {
 				if got, err := fromFile.CountParallel(q); err != nil || got != want {
 					t.Errorf("Q%d: snapshot CountParallel = %d (%v), want %d", eq.ID, got, err, want)
 				}
-				par, err := fromReader.SelectParallel(q)
-				if err != nil || len(par) != want {
-					t.Errorf("Q%d: snapshot SelectParallel = %d (%v), want %d", eq.ID, len(par), err, want)
+				par, err := fromReader.Run(context.Background(), Request{Query: q, Parallel: true})
+				if err != nil || len(par.Matches) != want {
+					t.Errorf("Q%d: snapshot parallel select = %d (%v), want %d", eq.ID, len(par.Matches), err, want)
 				}
 			}
 		})
