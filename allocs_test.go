@@ -2,6 +2,7 @@ package lpath
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -26,6 +27,14 @@ var bitmapAllocBudgets = map[int]int{
 	10: 64, 11: 64, 12: 64, 13: 64, 14: 64, 15: 64, 16: 64, 17: 64,
 	18: 64, 19: 64, 20: 64, 21: 64, 22: 64, 23: 64,
 }
+
+// semijoinAttr is an attribute name too long for the compiler's 32-byte
+// stack buffer for non-escaping concatenations: with @lex a per-row "@"+name
+// costs no heap allocation and would go unnoticed. The test copies @lex under
+// this name onto every DT node and filters on it through a name-seeded
+// semijoin (EXPLAIN: "semijoin (seed=name ..."), whose every seed row passes
+// through semiAttrOK.
+var semijoinAttr = strings.Repeat("lex", 12)
 
 // TestStepEvaluationAllocBudget pins the steady-state allocation behavior of
 // the executors across the full 23-query evaluation matrix: with a warm plan
@@ -54,26 +63,43 @@ func TestStepEvaluationAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			check := func(c *Corpus, name, text string, budget int) {
+				t.Run(name, func(t *testing.T) {
+					if _, err := c.CountText(text); err != nil { // warm: compile, cache, size arenas
+						t.Fatal(err)
+					}
+					allocs := testing.AllocsPerRun(20, func() {
+						if _, err := c.CountText(text); err != nil {
+							t.Fatal(err)
+						}
+					})
+					t.Logf("warm CountText(%s) = %.0f allocs/op (budget %d)", name, allocs, budget)
+					if allocs > float64(budget) {
+						t.Errorf("warm CountText(%s) = %.0f allocs/op, budget %d", name, allocs, budget)
+					}
+				})
+			}
 			for _, eq := range EvalQueries() {
 				budget, ok := cfg.budgets[eq.ID]
 				if !ok {
 					t.Fatalf("Q%d: no allocation budget defined", eq.ID)
 				}
-				t.Run(fmt.Sprintf("Q%d", eq.ID), func(t *testing.T) {
-					if _, err := c.CountText(eq.Text); err != nil { // warm: compile, cache, size arenas
-						t.Fatal(err)
-					}
-					allocs := testing.AllocsPerRun(20, func() {
-						if _, err := c.CountText(eq.Text); err != nil {
-							t.Fatal(err)
-						}
-					})
-					t.Logf("warm CountText(Q%d) = %.0f allocs/op (budget %d)", eq.ID, allocs, budget)
-					if allocs > float64(budget) {
-						t.Errorf("warm CountText(Q%d) = %.0f allocs/op, budget %d", eq.ID, allocs, budget)
-					}
-				})
+				check(c, fmt.Sprintf("Q%d", eq.ID), eq.Text, budget)
 			}
+			// A corpus of its own: the extra attribute rows must not shift the
+			// statistics the 23 budgets above were measured under.
+			sc, err := GenerateCorpus("wsj", 0.01, 42, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range sc.Trees() {
+				for _, n := range tr.Nodes() {
+					if n.Tag == "DT" {
+						n.SetAttr(semijoinAttr, n.Word)
+					}
+				}
+			}
+			check(sc, "semijoin-attr", "//NP[/DT@"+semijoinAttr+"!=the]", 64)
 		})
 	}
 }

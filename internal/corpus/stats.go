@@ -2,6 +2,8 @@ package corpus
 
 import (
 	"io"
+	"iter"
+	"slices"
 
 	"lpath/internal/tree"
 )
@@ -17,16 +19,28 @@ type Stats struct {
 }
 
 // Measure computes corpus statistics.
-func Measure(c *tree.Corpus) Stats {
-	st := Stats{
-		Sentences: c.Len(),
-		Words:     c.WordCount(),
-		TreeNodes: c.NodeCount(),
-		MaxDepth:  c.MaxDepth(),
-	}
-	st.UniqueTags = len(c.TagFrequencies())
+func Measure(c *tree.Corpus) Stats { return MeasureTrees(slices.Values(c.Trees)) }
+
+// MeasureTrees is Measure over a stream of trees: each is visited and
+// serialized once and not referenced afterwards, so a source that builds its
+// trees on the fly (a snapshot-backed store) never holds more than one.
+func MeasureTrees(trees iter.Seq[*tree.Tree]) Stats {
+	var st Stats
 	var cw countingWriter
-	_ = tree.WriteAll(&cw, c)
+	tags := make(map[string]struct{})
+	for t := range trees {
+		st.Sentences++
+		st.MaxDepth = max(st.MaxDepth, t.MaxDepth())
+		for _, n := range t.Nodes() {
+			st.TreeNodes++
+			if n.Word != "" {
+				st.Words++
+			}
+			tags[n.Tag] = struct{}{}
+		}
+		_ = tree.Write(&cw, t) // a countingWriter cannot fail
+	}
+	st.UniqueTags = len(tags)
 	st.FileSize = cw.n
 	return st
 }

@@ -197,7 +197,7 @@ func (e *Engine) semiAttrOK(sj *planner.Semijoin, ri int32) bool {
 		return true
 	}
 	r := e.s.Row(ri)
-	v, ok := e.s.AttrValue(r.TID, r.ID, "@"+sj.Attr)
+	v, ok := e.s.AttrValueBare(r.TID, r.ID, sj.Attr)
 	if !ok {
 		return false
 	}

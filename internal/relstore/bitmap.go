@@ -6,99 +6,60 @@ import (
 	"lpath/internal/bitset"
 )
 
-// Bitmap-executor support: a parent-pointer column and dense per-name
-// bitsets over the clustered row index, built lazily on first use and cached
-// on the store alongside Cols (docs/EXECUTION.md, "Bitmap filter kernels").
-// Everything here is derived from the clustered relation, so snapshot-loaded
-// stores (Assemble) rebuild it on demand exactly like freshly built ones.
-//
-// The caches are safe for concurrent readers: engines share one store across
-// goroutines, so the lazy builds are guarded.
+// Bitmap-executor support: a parent-pointer column and dense bitsets over the
+// clustered row index (docs/EXECUTION.md, "Bitmap filter kernels"). The
+// parent column and the element bitset come out of the position-index pass
+// every store runs at construction (positions.go); the per-name bitsets are
+// built lazily on first use, guarded for the concurrent readers that share
+// one store.
 
-// bitmapCache holds the lazily built bitmap-executor structures.
-type bitmapCache struct {
-	parentOnce sync.Once
-	parentRows []int32 // row → parent element row index, -1 for roots/orphans
-
-	elemOnce sync.Once
-	elemBits *bitset.Set // all element rows (attribute rows excluded)
-
-	nameMu   sync.RWMutex
-	nameBits map[string]*bitset.Set // name → rows of that name
+// nameBitsCache holds the lazily built per-name bitsets.
+type nameBitsCache struct {
+	mu   sync.RWMutex
+	bits map[string]*bitset.Set // name → rows of that name
 }
 
 // NoParent marks a row without a parent element row in ParentRows (tree
-// roots, and attribute rows whose owner is not an element).
+// roots and their attribute rows).
 const NoParent int32 = -1
 
 // ParentRows returns the parent column: for every clustered row i, the row
 // index of its parent element (NoParent for tree roots). Attribute rows map
 // to their owning element's parent, matching the (left, right, depth, id,
-// pid) labels they share with it. Built once, lazily; read-only.
+// pid) labels they share with it. Read-only.
 //
-// This is the column that turns the engine's per-scope child probing
-// (childIdx map lookups) into two array loads and a bit test: a candidate x
-// is a child of some scope s exactly when scopeBits.Has(ParentRows()[x]).
-func (s *Store) ParentRows() []int32 {
-	s.bitmaps.parentOnce.Do(func() {
-		parents := make([]int32, len(s.rows))
-		for i := range s.rows {
-			r := &s.rows[i]
-			if r.PID == 0 {
-				parents[i] = NoParent
-				continue
-			}
-			if p, ok := s.idIdx[Key(r.TID, r.PID)]; ok {
-				parents[i] = p
-			} else {
-				parents[i] = NoParent
-			}
-		}
-		s.bitmaps.parentRows = parents
-	})
-	return s.bitmaps.parentRows
-}
+// This is the column that turns the engine's per-scope child probing into
+// two array loads and a bit test: a candidate x is a child of some scope s
+// exactly when scopeBits.Has(ParentRows()[x]).
+func (s *Store) ParentRows() []int32 { return s.parentRows }
 
-// ElementBits returns the bitset of all element rows (attribute rows clear),
-// built lazily from the clustered relation. Read-only; callers needing a
-// mutable copy must CopyFrom it.
-func (s *Store) ElementBits() *bitset.Set {
-	s.bitmaps.elemOnce.Do(func() {
-		b := bitset.New(len(s.rows))
-		for name, rng := range s.nameIdx {
-			if len(name) > 0 && name[0] == '@' {
-				continue
-			}
-			b.SetRange(rng[0], rng[1])
-		}
-		s.bitmaps.elemBits = b
-	})
-	return s.bitmaps.elemBits
-}
+// ElementBits returns the bitset of all element rows (attribute rows clear).
+// Read-only; callers needing a mutable copy must CopyFrom it.
+func (s *Store) ElementBits() *bitset.Set { return s.elemBits }
 
 // NameBits returns the bitset of rows clustered under the name — the O(1)
 // word-fill conversion of a clustered posting range (SetRange over
 // [lo, hi)). Built lazily per name and cached for the store's lifetime; the
 // returned set is shared and read-only.
 func (s *Store) NameBits(name string) *bitset.Set {
-	s.bitmaps.nameMu.RLock()
-	b := s.bitmaps.nameBits[name]
-	s.bitmaps.nameMu.RUnlock()
+	s.nameBits.mu.RLock()
+	b := s.nameBits.bits[name]
+	s.nameBits.mu.RUnlock()
 	if b != nil {
 		return b
 	}
-	s.bitmaps.nameMu.Lock()
-	defer s.bitmaps.nameMu.Unlock()
-	if b = s.bitmaps.nameBits[name]; b != nil {
+	s.nameBits.mu.Lock()
+	defer s.nameBits.mu.Unlock()
+	if b = s.nameBits.bits[name]; b != nil {
 		return b
 	}
 	b = bitset.New(len(s.rows))
 	if rng, ok := s.nameIdx[name]; ok {
 		b.SetRange(rng[0], rng[1])
 	}
-	if s.bitmaps.nameBits == nil {
-		s.bitmaps.nameBits = make(map[string]*bitset.Set)
+	if s.nameBits.bits == nil {
+		s.nameBits.bits = make(map[string]*bitset.Set)
 	}
-	s.bitmaps.nameBits[name] = b
+	s.nameBits.bits[name] = b
 	return b
 }

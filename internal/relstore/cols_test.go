@@ -59,7 +59,7 @@ func TestColumnarSurvivesSnapshot(t *testing.T) {
 	c := tree.NewCorpus()
 	c.Add(tree.Figure1())
 	s := Build(c, SchemeInterval)
-	loaded, _, err := Assemble(s.Parts())
+	loaded, err := Assemble(s.Parts())
 	if err != nil {
 		t.Fatal(err)
 	}

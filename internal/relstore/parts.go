@@ -8,11 +8,11 @@ package relstore
 // dictionaries, every sorted posting permutation, and the Statistics block —
 // into dictionary-coded flat arrays that a binary format can write and read
 // verbatim (see internal/relstore/snapshot). Assemble is the inverse: it
-// revalidates the arrays and rebuilds the Store's hash indexes, packed sort
-// keys, and corpus trees with linear passes only. Nothing is re-sorted on
-// load; every sorted order ships in the snapshot and is verified, not
-// recomputed, which is what turns cold start from O(parse + sort) into
-// O(read + scan).
+// revalidates the arrays and rebuilds the Store's rows, name dictionaries,
+// position arrays and packed sort keys with linear passes only. Nothing is
+// re-sorted on load — every sorted order ships in the snapshot and is
+// verified, not recomputed — and no tree is built: trees are materialized
+// one at a time, when a caller asks for a node (positions.go).
 //
 // Assemble treats its input as untrusted: any structural inconsistency —
 // out-of-range posting, misordered permutation, orphaned attribute row,
@@ -22,8 +22,6 @@ package relstore
 import (
 	"fmt"
 	"sort"
-
-	"lpath/internal/tree"
 )
 
 // StatsParts is the serializable image of the Statistics block. Counts that
@@ -205,53 +203,52 @@ func checkPrefix(what string, starts []int32, wantLen int, total int) error {
 	return nil
 }
 
-// Assemble reconstructs a Store (and the corpus trees behind its NodeFor
-// mapping) from flattened parts, validating every structural invariant the
-// engine depends on. No sorting happens: all orders are checked against the
-// shipped arrays. Returns an error — never panics — on any inconsistency.
-func Assemble(p *Parts) (*Store, *tree.Corpus, error) {
+// Assemble reconstructs a Store from flattened parts, validating every
+// structural invariant the engine depends on. No sorting happens: all orders
+// are checked against the shipped arrays. Returns an error — never panics —
+// on any inconsistency.
+func Assemble(p *Parts) (*Store, error) {
 	if p == nil {
-		return nil, nil, corruptf("nil parts")
+		return nil, corruptf("nil parts")
 	}
 	if p.Scheme != SchemeInterval && p.Scheme != SchemeStartEnd {
-		return nil, nil, corruptf("unknown scheme %d", int(p.Scheme))
+		return nil, corruptf("unknown scheme %d", int(p.Scheme))
 	}
 	if p.TreeCount < 0 {
-		return nil, nil, corruptf("negative tree count %d", p.TreeCount)
+		return nil, corruptf("negative tree count %d", p.TreeCount)
 	}
 	n := len(p.Cols.TID)
 	for _, c := range [][]int32{p.Cols.Left, p.Cols.Right, p.Cols.Depth, p.Cols.ID, p.Cols.PID} {
 		if len(c) != n {
-			return nil, nil, corruptf("column lengths differ: %d vs %d", len(c), n)
+			return nil, corruptf("column lengths differ: %d vs %d", len(c), n)
 		}
 	}
 
 	// --- Dictionaries and the clustered partition -----------------------
 	if len(p.NameStarts) != len(p.Names)+1 {
-		return nil, nil, corruptf("name starts length %d for %d names", len(p.NameStarts), len(p.Names))
+		return nil, corruptf("name starts length %d for %d names", len(p.NameStarts), len(p.Names))
 	}
 	if p.NameStarts[0] != 0 || int(p.NameStarts[len(p.Names)]) != n {
-		return nil, nil, corruptf("name ranges do not partition %d rows", n)
+		return nil, corruptf("name ranges do not partition %d rows", n)
 	}
 	for i, name := range p.Names {
 		if name == "" {
-			return nil, nil, corruptf("empty name in dictionary")
+			return nil, corruptf("empty name in dictionary")
 		}
 		if i > 0 && p.Names[i-1] >= name {
-			return nil, nil, corruptf("name dictionary not strictly ascending at %q", name)
+			return nil, corruptf("name dictionary not strictly ascending at %q", name)
 		}
 		if p.NameStarts[i] >= p.NameStarts[i+1] {
-			return nil, nil, corruptf("name %q has empty or inverted range", name)
+			return nil, corruptf("name %q has empty or inverted range", name)
 		}
 	}
 	for i := 1; i < len(p.Values); i++ {
 		if p.Values[i-1] >= p.Values[i] {
-			return nil, nil, corruptf("value dictionary not strictly ascending at %q", p.Values[i])
+			return nil, corruptf("value dictionary not strictly ascending at %q", p.Values[i])
 		}
 	}
 
-	// Row counts per kind fall out of the name dictionary ranges, so every
-	// map below can be allocated at its final size before the row scan.
+	// Row counts per kind fall out of the name dictionary ranges.
 	var elemCount, attrCount int
 	for i, name := range p.Names {
 		span := int(p.NameStarts[i+1] - p.NameStarts[i])
@@ -279,10 +276,6 @@ func Assemble(p *Parts) (*Store, *tree.Corpus, error) {
 		rightIdx: make(map[string][]int32, len(p.Names)),
 		docIdx:   make(map[string][]int32, len(p.DocNames)),
 		valueIdx: make(map[string][]int32, len(p.Values)),
-		idIdx:    make(map[int64]int32, elemCount),
-		attrIdx:  make(map[int64][]int32, attrCount),
-		childIdx: make(map[int64][]int32, elemCount),
-		nodeOf:   make(map[int64]*tree.Node, elemCount),
 	}
 	rows := s.rows
 	for ni, name := range p.Names {
@@ -295,31 +288,31 @@ func Assemble(p *Parts) (*Store, *tree.Corpus, error) {
 				Name: name,
 			}
 			if i > lo && !clusteredLess(&rows[i-1], &rows[i]) {
-				return nil, nil, corruptf("rows for %q not in clustered order at %d", name, i)
+				return nil, corruptf("rows for %q not in clustered order at %d", name, i)
 			}
 		}
 	}
 
 	// --- Attribute values ------------------------------------------------
 	if err := checkPrefix("value postings", p.ValueStarts, len(p.Values)+1, len(p.ValuePost)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(p.ValuePost) != attrCount {
-		return nil, nil, corruptf("value postings cover %d rows, have %d attribute rows", len(p.ValuePost), attrCount)
+		return nil, corruptf("value postings cover %d rows, have %d attribute rows", len(p.ValuePost), attrCount)
 	}
 	valued := make([]bool, n)
 	for vi, v := range p.Values {
 		post := p.ValuePost[p.ValueStarts[vi]:p.ValueStarts[vi+1]]
 		for k, ri := range post {
 			if ri < 0 || int(ri) >= n {
-				return nil, nil, corruptf("value %q posting out of range: %d", v, ri)
+				return nil, corruptf("value %q posting out of range: %d", v, ri)
 			}
 			r := &rows[ri]
 			if !r.IsAttr() {
-				return nil, nil, corruptf("value %q posting %d targets an element row", v, ri)
+				return nil, corruptf("value %q posting %d targets an element row", v, ri)
 			}
 			if valued[ri] {
-				return nil, nil, corruptf("row %d carries two values", ri)
+				return nil, corruptf("row %d carries two values", ri)
 			}
 			valued[ri] = true
 			r.Value = v
@@ -328,7 +321,7 @@ func Assemble(p *Parts) (*Store, *tree.Corpus, error) {
 				pr := &rows[prev]
 				if pr.TID > r.TID || (pr.TID == r.TID && pr.ID > r.ID) ||
 					(pr.TID == r.TID && pr.ID == r.ID && prev >= ri) {
-					return nil, nil, corruptf("value %q postings not in (tid, id, row) order", v)
+					return nil, corruptf("value %q postings not in (tid, id, row) order", v)
 				}
 			}
 		}
@@ -337,30 +330,30 @@ func Assemble(p *Parts) (*Store, *tree.Corpus, error) {
 
 	// --- Per-name reverse-order postings ---------------------------------
 	if err := checkPrefix("right postings", p.RightStarts, len(p.Names)+1, len(p.RightPost)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for ni, name := range p.Names {
 		post := p.RightPost[p.RightStarts[ni]:p.RightStarts[ni+1]]
 		lo, hi := p.NameStarts[ni], p.NameStarts[ni+1]
 		if name[0] == '@' {
 			if len(post) != 0 {
-				return nil, nil, corruptf("attribute name %q has right postings", name)
+				return nil, corruptf("attribute name %q has right postings", name)
 			}
 			continue
 		}
 		if int32(len(post)) != hi-lo {
-			return nil, nil, corruptf("right postings for %q cover %d of %d rows", name, len(post), hi-lo)
+			return nil, corruptf("right postings for %q cover %d of %d rows", name, len(post), hi-lo)
 		}
 		for k, ri := range post {
 			if ri < lo || ri >= hi {
-				return nil, nil, corruptf("right posting for %q out of its range: %d", name, ri)
+				return nil, corruptf("right posting for %q out of its range: %d", name, ri)
 			}
 			if k > 0 {
 				a, b := &rows[post[k-1]], &rows[ri]
 				if a.TID > b.TID || (a.TID == b.TID && (a.Right > b.Right ||
 					(a.Right == b.Right && (a.Left > b.Left ||
 						(a.Left == b.Left && a.Depth >= b.Depth))))) {
-					return nil, nil, corruptf("right postings for %q not in (tid, right, left, depth) order", name)
+					return nil, corruptf("right postings for %q not in (tid, right, left, depth) order", name)
 				}
 			}
 		}
@@ -369,33 +362,33 @@ func Assemble(p *Parts) (*Store, *tree.Corpus, error) {
 
 	// --- Doc-order permutations ------------------------------------------
 	if err := checkPrefix("doc postings", p.DocStarts, len(p.DocNames)+1, len(p.DocPost)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for di, ni := range p.DocNames {
 		if ni < 0 || int(ni) >= len(p.Names) {
-			return nil, nil, corruptf("doc permutation names out of range: %d", ni)
+			return nil, corruptf("doc permutation names out of range: %d", ni)
 		}
 		if di > 0 && p.DocNames[di-1] >= ni {
-			return nil, nil, corruptf("doc permutation names not ascending")
+			return nil, corruptf("doc permutation names not ascending")
 		}
 		name := p.Names[ni]
 		if name[0] == '@' {
-			return nil, nil, corruptf("doc permutation on attribute name %q", name)
+			return nil, corruptf("doc permutation on attribute name %q", name)
 		}
 		post := p.DocPost[p.DocStarts[di]:p.DocStarts[di+1]]
 		lo, hi := p.NameStarts[ni], p.NameStarts[ni+1]
 		if int32(len(post)) != hi-lo {
-			return nil, nil, corruptf("doc permutation for %q covers %d of %d rows", name, len(post), hi-lo)
+			return nil, corruptf("doc permutation for %q covers %d of %d rows", name, len(post), hi-lo)
 		}
 		for k, ri := range post {
 			if ri < lo || ri >= hi {
-				return nil, nil, corruptf("doc posting for %q out of its range: %d", name, ri)
+				return nil, corruptf("doc posting for %q out of its range: %d", name, ri)
 			}
 			if k > 0 {
 				a, b := &rows[post[k-1]], &rows[ri]
 				if a.TID > b.TID || (a.TID == b.TID && (a.Left > b.Left ||
 					(a.Left == b.Left && a.Depth >= b.Depth))) {
-					return nil, nil, corruptf("doc permutation for %q not in (tid, left, depth) order", name)
+					return nil, corruptf("doc permutation for %q not in (tid, left, depth) order", name)
 				}
 			}
 		}
@@ -404,146 +397,49 @@ func Assemble(p *Parts) (*Store, *tree.Corpus, error) {
 
 	// --- Whole-relation document-order permutations ----------------------
 	if len(p.ElemsByLeft) != elemCount || len(p.ElemsByRight) != elemCount {
-		return nil, nil, corruptf("element permutations cover %d/%d rows, have %d elements",
+		return nil, corruptf("element permutations cover %d/%d rows, have %d elements",
 			len(p.ElemsByLeft), len(p.ElemsByRight), elemCount)
 	}
-	seen := make([]bool, n)
 	for k, ri := range p.ElemsByLeft {
 		if ri < 0 || int(ri) >= n || rows[ri].IsAttr() {
-			return nil, nil, corruptf("elems-by-left entry %d invalid", ri)
+			return nil, corruptf("elems-by-left entry %d invalid", ri)
 		}
-		if seen[ri] {
-			return nil, nil, corruptf("elems-by-left repeats row %d", ri)
-		}
-		seen[ri] = true
 		if k > 0 {
 			a, b := &rows[p.ElemsByLeft[k-1]], &rows[ri]
 			if a.TID > b.TID || (a.TID == b.TID && (a.Left > b.Left ||
 				(a.Left == b.Left && a.Depth >= b.Depth))) {
-				return nil, nil, corruptf("elems-by-left not in (tid, left, depth) order at %d", k)
+				return nil, corruptf("elems-by-left not in (tid, left, depth) order at %d", k)
 			}
 		}
 	}
 	for k, ri := range p.ElemsByRight {
 		if ri < 0 || int(ri) >= n || rows[ri].IsAttr() {
-			return nil, nil, corruptf("elems-by-right entry %d invalid", ri)
+			return nil, corruptf("elems-by-right entry %d invalid", ri)
 		}
 		if k > 0 {
 			a, b := &rows[p.ElemsByRight[k-1]], &rows[ri]
 			if a.TID > b.TID || (a.TID == b.TID && (a.Right > b.Right ||
 				(a.Right == b.Right && (a.Left > b.Left ||
 					(a.Left == b.Left && a.Depth >= b.Depth))))) {
-				return nil, nil, corruptf("elems-by-right not in (tid, right, left, depth) order at %d", k)
+				return nil, corruptf("elems-by-right not in (tid, right, left, depth) order at %d", k)
 			}
 		}
 	}
 	s.elemsByLeft = p.ElemsByLeft
 	s.elemsByRight = p.ElemsByRight
 
-	// --- Hash indexes, trees, and nodeOf: linear passes ------------------
-	// Clustered scan: identity and attribute indexes in clustered order,
-	// exactly as buildIndexes appends them.
-	for i := range rows {
-		r := &rows[i]
-		key := Key(r.TID, r.ID)
-		if r.IsAttr() {
-			s.attrIdx[key] = append(s.attrIdx[key], int32(i))
-		} else {
-			// Unconditional insert; a duplicate shows as the map not growing.
-			before := len(s.idIdx)
-			s.idIdx[key] = int32(i)
-			if len(s.idIdx) == before {
-				return nil, nil, corruptf("duplicate element identity (%d, %d)", r.TID, r.ID)
-			}
-		}
-	}
-	// Document-order scan: child lists arrive (left, depth)-sorted for free,
-	// roots arrive in tid order, parents precede children — which rebuilds
-	// the trees in one pass. Nodes come from a single arena allocation.
-	corpus := tree.NewCorpus()
-	arena := make([]tree.Node, elemCount)
-	var curTID int32 = -1
-	for k, ri := range p.ElemsByLeft {
-		r := &rows[ri]
-		node := &arena[k]
-		node.Tag = r.Name
-		key := Key(r.TID, r.ID)
-		before := len(s.nodeOf)
-		s.nodeOf[key] = node
-		if len(s.nodeOf) == before {
-			return nil, nil, corruptf("duplicate node identity (%d, %d)", r.TID, r.ID)
-		}
-		if r.PID == 0 {
-			if r.TID == curTID {
-				return nil, nil, corruptf("tree %d has two roots", r.TID)
-			}
-			if len(s.rootRows) == 0 {
-				s.rootRows = make([]int32, 0, p.TreeCount)
-			}
-			curTID = r.TID
-			s.rootRows = append(s.rootRows, ri)
-			t := corpus.Add(tree.NewTree(node))
-			if int32(t.ID) != r.TID {
-				// Snapshot tree ids are normally dense and 1-based; preserve
-				// them explicitly if a gap appears.
-				t.ID = int(r.TID)
-			}
-		} else {
-			if r.TID != curTID {
-				return nil, nil, corruptf("tree %d has no root before node %d", r.TID, r.ID)
-			}
-			parent := s.nodeOf[Key(r.TID, r.PID)]
-			if parent == nil {
-				return nil, nil, corruptf("tree %d: node %d has unknown parent %d", r.TID, r.ID, r.PID)
-			}
-			parent.AddChild(node)
-		}
-		s.childIdx[Key(r.TID, r.PID)] = append(s.childIdx[Key(r.TID, r.PID)], ri)
-	}
-	if corpus.Len() > p.TreeCount {
-		return nil, nil, corruptf("%d trees reconstructed, tree count says %d", corpus.Len(), p.TreeCount)
-	}
-	// Attribute rows attach to their element's node; the clustered order is
-	// deterministic, and AttrNames() re-sorts on the write side anyway.
-	for i := range rows {
-		r := &rows[i]
-		if !r.IsAttr() {
-			continue
-		}
-		node := s.nodeOf[Key(r.TID, r.ID)]
-		if node == nil {
-			return nil, nil, corruptf("attribute row %s for unknown element (%d, %d)", r.Name, r.TID, r.ID)
-		}
-		node.SetAttr(r.Name, r.Value)
+	// --- Position arrays: identity, children, attributes, parents ----------
+	if err := s.indexPositions(p.TreeCount); err != nil {
+		return nil, err
 	}
 
-	// --- Derived state: identity permutation and packed sort keys --------
-	s.rowSeq = make([]int32, n)
-	for i := range s.rowSeq {
-		s.rowSeq[i] = int32(i)
-	}
-	s.clusterKeys = make([]int64, n)
-	for i := range rows {
-		s.clusterKeys[i] = DocKey(rows[i].TID, rows[i].Left)
-	}
-	s.docKeys = make(map[string][]int64, len(s.docIdx))
-	for name, idxs := range s.docIdx {
-		keys := make([]int64, len(idxs))
-		for i, ri := range idxs {
-			keys[i] = s.clusterKeys[ri]
-		}
-		s.docKeys[name] = keys
-	}
-	s.elemKeys = make([]int64, len(s.elemsByLeft))
-	for i, ri := range s.elemsByLeft {
-		s.elemKeys[i] = s.clusterKeys[ri]
-	}
+	s.deriveKeys()
 
 	// --- Statistics -------------------------------------------------------
 	if err := s.assembleStats(p, elemCount, attrCount); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s, corpus, nil
+	return s, nil
 }
 
 // assembleStats reconstructs the Statistics snapshot from the stats parts

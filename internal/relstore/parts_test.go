@@ -2,6 +2,8 @@ package relstore
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"lpath/internal/tree"
@@ -9,14 +11,45 @@ import (
 
 // assembleRoundTrip flattens a built store and reassembles it, failing the
 // test on any validation error.
-func assembleRoundTrip(t *testing.T, c *tree.Corpus, scheme Scheme) (*Store, *Store, *tree.Corpus) {
+func assembleRoundTrip(t *testing.T, c *tree.Corpus, scheme Scheme) (*Store, *Store) {
 	t.Helper()
 	orig := Build(c, scheme)
-	loaded, corpus, err := Assemble(orig.Parts())
+	loaded, err := Assemble(orig.Parts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return orig, loaded, corpus
+	return orig, loaded
+}
+
+// checkAccessorsEqual compares what the position arrays answer on the two
+// stores, element by element: identity, children, attributes, parents and
+// the node behind each row.
+func checkAccessorsEqual(t *testing.T, orig, loaded *Store) {
+	t.Helper()
+	if !reflect.DeepEqual(loaded.ParentRows(), orig.ParentRows()) {
+		t.Error("ParentRows differ")
+	}
+	if !reflect.DeepEqual(loaded.ElementBits(), orig.ElementBits()) {
+		t.Error("ElementBits differ")
+	}
+	if loaded.ElementCount() != orig.ElementCount() {
+		t.Errorf("ElementCount = %d, want %d", loaded.ElementCount(), orig.ElementCount())
+	}
+	for _, ri := range orig.ElementsByLeft() {
+		r := orig.Row(ri)
+		if got, ok := loaded.ElementByID(r.TID, r.ID); !ok || got != ri {
+			t.Errorf("ElementByID(%d, %d) = %d, %v, want %d", r.TID, r.ID, got, ok, ri)
+		}
+		if got, want := loaded.Children(r.TID, r.ID), orig.Children(r.TID, r.ID); !slices.Equal(got, want) {
+			t.Errorf("Children(%d, %d) = %v, want %v", r.TID, r.ID, got, want)
+		}
+		if got, want := loaded.Attrs(r.TID, r.ID), orig.Attrs(r.TID, r.ID); !slices.Equal(got, want) {
+			t.Errorf("Attrs(%d, %d) = %v, want %v", r.TID, r.ID, got, want)
+		}
+		if got, want := loaded.NodeFor(loaded.Row(ri)), orig.NodeFor(r); got == nil || got.String() != want.String() {
+			t.Errorf("NodeFor(%d, %d) = %v, want %v", r.TID, r.ID, got, want)
+		}
+	}
 }
 
 // checkStoreEqual compares every index structure the engine reads, including
@@ -48,15 +81,7 @@ func checkStoreEqual(t *testing.T, orig, loaded *Store) {
 	if !reflect.DeepEqual(loaded.valueIdx, orig.valueIdx) {
 		t.Error("valueIdx differs")
 	}
-	if !reflect.DeepEqual(loaded.idIdx, orig.idIdx) {
-		t.Error("idIdx differs")
-	}
-	if !reflect.DeepEqual(loaded.attrIdx, orig.attrIdx) {
-		t.Error("attrIdx differs")
-	}
-	if !reflect.DeepEqual(loaded.childIdx, orig.childIdx) {
-		t.Error("childIdx differs")
-	}
+	checkAccessorsEqual(t, orig, loaded)
 	if !reflect.DeepEqual(loaded.rootRows, orig.rootRows) {
 		t.Error("rootRows differ")
 	}
@@ -87,10 +112,11 @@ func TestPartsRoundTrip(t *testing.T) {
 	// A unary same-name chain: rightIdx order is only total with the depth
 	// tiebreak, which the snapshot layer depends on.
 	c.Add(tree.MustParseTree(`(NP (NP (NP x)))`))
-	orig, loaded, corpus := assembleRoundTrip(t, c, SchemeInterval)
+	orig, loaded := assembleRoundTrip(t, c, SchemeInterval)
 	checkStoreEqual(t, orig, loaded)
 
 	// Reconstructed trees match the originals structurally.
+	corpus := loaded.Forest()
 	if corpus.Len() != c.Len() {
 		t.Fatalf("corpus len = %d", corpus.Len())
 	}
@@ -120,14 +146,14 @@ func TestPartsRoundTrip(t *testing.T) {
 func TestPartsStartEndScheme(t *testing.T) {
 	c := tree.NewCorpus()
 	c.Add(tree.Figure1())
-	orig, loaded, _ := assembleRoundTrip(t, c, SchemeStartEnd)
+	orig, loaded := assembleRoundTrip(t, c, SchemeStartEnd)
 	checkStoreEqual(t, orig, loaded)
 }
 
 func TestPartsEmpty(t *testing.T) {
-	_, loaded, corpus := assembleRoundTrip(t, tree.NewCorpus(), SchemeInterval)
-	if loaded.Len() != 0 || corpus.Len() != 0 {
-		t.Errorf("empty store: %d rows, %d trees", loaded.Len(), corpus.Len())
+	_, loaded := assembleRoundTrip(t, tree.NewCorpus(), SchemeInterval)
+	if loaded.Len() != 0 || loaded.Forest().Len() != 0 {
+		t.Errorf("empty store: %d rows, %d trees", loaded.Len(), loaded.Forest().Len())
 	}
 }
 
@@ -161,12 +187,24 @@ func cloneParts(p *Parts) *Parts {
 	return &q
 }
 
+// lastAttrRow is the last row of the last attribute name: the attribute with
+// the greatest (tid, left), so relabeling it upwards keeps every shipped
+// order intact and only its owner goes missing.
+func lastAttrRow(p *Parts) int32 {
+	for i := len(p.Names) - 1; i >= 0; i-- {
+		if p.Names[i][0] == '@' {
+			return p.NameStarts[i+1] - 1
+		}
+	}
+	panic("no attribute rows")
+}
+
 func TestAssembleRejectsCorruptParts(t *testing.T) {
 	c := tree.NewCorpus()
 	c.Add(tree.Figure1())
 	c.Add(tree.MustParseTree(`(S (NP (Det the) (N cat)) (VP (V sat)))`))
 	base := Build(c, SchemeInterval).Parts()
-	if _, _, err := Assemble(cloneParts(base)); err != nil {
+	if _, err := Assemble(cloneParts(base)); err != nil {
 		t.Fatalf("pristine parts rejected: %v", err)
 	}
 
@@ -206,6 +244,23 @@ func TestAssembleRejectsCorruptParts(t *testing.T) {
 			}
 		}},
 		{"elems-by-left repeats", func(p *Parts) { p.ElemsByLeft[1] = p.ElemsByLeft[0] }},
+		// The position arrays index by (tid, id): every way an identity can
+		// fail to be a dense preorder number, or name something that is not
+		// there, must stop here and not at an out-of-range index later.
+		{"id out of range", func(p *Parts) { p.Cols.ID[p.ElemsByLeft[3]] = 1000 }},
+		{"id zero", func(p *Parts) { p.Cols.ID[p.ElemsByLeft[3]] = 0 }},
+		{"ids out of preorder", func(p *Parts) {
+			a, b := p.ElemsByLeft[2], p.ElemsByLeft[3]
+			p.Cols.ID[a], p.Cols.ID[b] = p.Cols.ID[b], p.Cols.ID[a]
+		}},
+		{"duplicate identity", func(p *Parts) { p.Cols.ID[p.ElemsByLeft[3]] = p.Cols.ID[p.ElemsByLeft[2]] }},
+		{"unknown parent", func(p *Parts) { p.Cols.PID[p.ElemsByLeft[3]] = 1000 }},
+		{"parent not before child", func(p *Parts) { p.Cols.PID[p.ElemsByLeft[3]] = p.Cols.ID[p.ElemsByLeft[3]] }},
+		{"second root", func(p *Parts) { p.Cols.PID[p.ElemsByLeft[3]] = 0 }},
+		{"root with a parent", func(p *Parts) { p.Cols.PID[p.ElemsByLeft[0]] = 1 }},
+		{"orphan attribute: no such tree", func(p *Parts) { p.Cols.TID[lastAttrRow(p)] = 3 }},
+		{"orphan attribute: no such id", func(p *Parts) { p.Cols.ID[lastAttrRow(p)] = 1000 }},
+		{"more trees than the tree count", func(p *Parts) { p.TreeCount = 1 }},
 		{"elems-by-right misordered", func(p *Parts) {
 			p.ElemsByRight[0], p.ElemsByRight[len(p.ElemsByRight)-1] =
 				p.ElemsByRight[len(p.ElemsByRight)-1], p.ElemsByRight[0]
@@ -218,15 +273,17 @@ func TestAssembleRejectsCorruptParts(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.mutate == nil {
-				if _, _, err := Assemble(nil); err == nil {
+				if _, err := Assemble(nil); err == nil {
 					t.Fatal("Assemble(nil) succeeded")
 				}
 				return
 			}
 			p := cloneParts(base)
 			tc.mutate(p)
-			if _, _, err := Assemble(p); err == nil {
+			if _, err := Assemble(p); err == nil {
 				t.Fatal("corrupt parts accepted")
+			} else if !strings.HasPrefix(err.Error(), "relstore: corrupt parts: ") {
+				t.Fatalf("err = %v, want a corrupt-parts error", err)
 			}
 		})
 	}

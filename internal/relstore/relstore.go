@@ -18,6 +18,7 @@ package relstore
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"lpath/internal/label"
@@ -64,9 +65,6 @@ type Row struct {
 // IsAttr reports whether the row is an attribute row.
 func (r *Row) IsAttr() bool { return len(r.Name) > 0 && r.Name[0] == '@' }
 
-// Key packs (tid, id) into a single map key.
-func Key(tid, id int32) int64 { return int64(tid)<<32 | int64(uint32(id)) }
-
 // Cols exposes the hot label fields of the clustered relation as parallel
 // column arrays, index-aligned with Row(i): Cols().Left[i] == Row(i).Left and
 // so on. The set-at-a-time executor's inner comparison loops (the Table 2
@@ -93,16 +91,16 @@ type Store struct {
 	rightIdx map[string][]int32  // name → element row indexes sorted by (tid, right)
 	docIdx   map[string][]int32  // name → element rows in document order, when ≠ clustered order
 	valueIdx map[string][]int32  // value → attribute row indexes sorted by (tid, id)
-	idIdx    map[int64]int32     // (tid,id) → element row index
-	attrIdx  map[int64][]int32   // (tid,id) → attribute row indexes
-	childIdx map[int64][]int32   // (tid,pid) → element row indexes of children in order
-	nodeOf   map[int64]*tree.Node
 
 	treeCount int
 	rootRows  []int32 // element row index of each tree root, by tid order
 
+	// elemsByLeft doubles as the {tid, id} identity index: ids are dense
+	// preorder per tree, so element (tid, id) sits at position
+	// treeStart[tid-firstTID]+id-1 (see positions.go).
 	elemsByLeft  []int32 // all element rows sorted by (tid, left, depth)
 	elemsByRight []int32 // all element rows sorted by (tid, right, left)
+	positions
 
 	// Packed (tid, left) document-order sort keys (see DocKey): one per row
 	// in clustered order, plus slices parallel to each doc-order
@@ -116,10 +114,9 @@ type Store struct {
 	// shards it is replaced by the merged corpus-global snapshot.
 	stats *Statistics
 
-	// bitmaps holds the lazily built bitmap-executor caches (see bitmap.go):
-	// the parent-row column and the per-name dense bitsets. Zero value is
-	// ready, so snapshot assembly needs no extra wiring.
-	bitmaps bitmapCache
+	// nameBits caches the per-name dense bitsets (see bitmap.go). Zero value
+	// is ready.
+	nameBits nameBitsCache
 }
 
 // Build labels every tree of the corpus under the scheme and constructs the
@@ -130,10 +127,6 @@ func Build(c *tree.Corpus, scheme Scheme) *Store {
 		nameIdx:  make(map[string][2]int32),
 		rightIdx: make(map[string][]int32),
 		valueIdx: make(map[string][]int32),
-		idIdx:    make(map[int64]int32),
-		attrIdx:  make(map[int64][]int32),
-		childIdx: make(map[int64][]int32),
-		nodeOf:   make(map[int64]*tree.Node),
 	}
 	s.treeCount = c.Len()
 	est := c.NodeCount()
@@ -142,6 +135,13 @@ func Build(c *tree.Corpus, scheme Scheme) *Store {
 		s.appendTree(t)
 	}
 	s.buildIndexes()
+	// The caller's own nodes answer NodeFor: every tree is published up
+	// front, its nodes in document order, which is id order.
+	for _, t := range c.Trees {
+		if t.Root != nil {
+			s.trees[int32(t.ID)-s.firstTID].Store(&treeNodes{tree: t, nodes: t.Nodes()})
+		}
+	}
 	return s
 }
 
@@ -162,7 +162,6 @@ func (s *Store) appendTree(t *tree.Tree) {
 			Name: ln.Node.Tag,
 		}
 		s.rows = append(s.rows, row)
-		s.nodeOf[Key(tid, ln.Label.ID)] = ln.Node
 		for _, attr := range ln.Node.AttrNames() {
 			v, _ := ln.Node.Attr(attr)
 			arow := row
@@ -229,12 +228,10 @@ func (s *Store) buildIndexes() {
 		ID:    make([]int32, len(rows)),
 		PID:   make([]int32, len(rows)),
 	}
-	s.rowSeq = make([]int32, len(rows))
 	for i := range rows {
 		r := &rows[i]
 		s.cols.TID[i], s.cols.Left[i], s.cols.Right[i] = r.TID, r.Left, r.Right
 		s.cols.Depth[i], s.cols.ID[i], s.cols.PID[i] = r.Depth, r.ID, r.PID
-		s.rowSeq[i] = int32(i)
 	}
 	var curName string
 	var lo int32
@@ -252,24 +249,13 @@ func (s *Store) buildIndexes() {
 			curName = r.Name
 			lo = int32(i)
 		}
-		key := Key(r.TID, r.ID)
 		if r.IsAttr() {
 			s.valueIdx[r.Value] = append(s.valueIdx[r.Value], int32(i))
-			s.attrIdx[key] = append(s.attrIdx[key], int32(i))
-		} else {
-			s.idIdx[key] = int32(i)
-			s.childIdx[Key(r.TID, r.PID)] = append(s.childIdx[Key(r.TID, r.PID)], int32(i))
-			if r.PID == 0 {
-				s.rootRows = append(s.rootRows, int32(i))
-			}
 		}
 	}
 	if len(rows) > 0 {
 		flush(int32(len(rows)))
 	}
-	sort.Slice(s.rootRows, func(a, b int) bool {
-		return rows[s.rootRows[a]].TID < rows[s.rootRows[b]].TID
-	})
 	// Per-name (tid, right)-ordered element indexes for the reverse
 	// horizontal axes.
 	for name, rng := range s.nameIdx {
@@ -336,7 +322,7 @@ func (s *Store) buildIndexes() {
 		})
 		s.docIdx[name] = idxs
 	}
-	// Value and child index postings sorted for deterministic scans.
+	// Value postings sorted for deterministic scans.
 	for v, idxs := range s.valueIdx {
 		sort.Slice(idxs, func(a, b int) bool {
 			ra, rb := &rows[idxs[a]], &rows[idxs[b]]
@@ -353,15 +339,8 @@ func (s *Store) buildIndexes() {
 		})
 		s.valueIdx[v] = idxs
 	}
-	for k, idxs := range s.childIdx {
-		sort.Slice(idxs, func(a, b int) bool {
-			return rows[idxs[a]].Left < rows[idxs[b]].Left ||
-				(rows[idxs[a]].Left == rows[idxs[b]].Left && rows[idxs[a]].Depth < rows[idxs[b]].Depth)
-		})
-		s.childIdx[k] = idxs
-	}
 	// Whole-relation document-order indexes for wildcard node tests.
-	s.elemsByLeft = make([]int32, 0, len(s.idIdx))
+	s.elemsByLeft = make([]int32, 0, len(rows))
 	for i := range rows {
 		if !rows[i].IsAttr() {
 			s.elemsByLeft = append(s.elemsByLeft, int32(i))
@@ -393,12 +372,26 @@ func (s *Store) buildIndexes() {
 		// snapshot-stable.
 		return ra.Depth < rb.Depth
 	})
-	// Packed document-order sort keys: the clustered array first, then a
-	// parallel slice for every kept permutation (built by indirection into
-	// the clustered array, so the packing exists in exactly one place).
-	s.clusterKeys = make([]int64, len(rows))
-	for i := range rows {
-		s.clusterKeys[i] = DocKey(rows[i].TID, rows[i].Left)
+	s.deriveKeys()
+	// Trees come from tree.Corpus with distinct ids, labeled in preorder, so
+	// the position index can only fail on a corpus holding one tree twice.
+	if err := s.indexPositions(math.MaxInt32); err != nil {
+		panic(fmt.Sprintf("relstore: Build: %v", err))
+	}
+	s.computeStats()
+}
+
+// deriveKeys fills what every store derives from its finished permutations:
+// the identity row sequence and the packed document-order sort keys — the
+// clustered array first, then a parallel slice for every kept permutation
+// (built by indirection into the clustered array, so the packing exists in
+// exactly one place).
+func (s *Store) deriveKeys() {
+	s.rowSeq = make([]int32, len(s.rows))
+	s.clusterKeys = make([]int64, len(s.rows))
+	for i := range s.rows {
+		s.rowSeq[i] = int32(i)
+		s.clusterKeys[i] = DocKey(s.cols.TID[i], s.cols.Left[i])
 	}
 	s.docKeys = make(map[string][]int64, len(s.docIdx))
 	for name, idxs := range s.docIdx {
@@ -412,7 +405,6 @@ func (s *Store) buildIndexes() {
 	for i, ri := range s.elemsByLeft {
 		s.elemKeys[i] = s.clusterKeys[ri]
 	}
-	s.computeStats()
 }
 
 // DocKey packs a row's (tid, left) into its int64 document-order sort key —
@@ -507,7 +499,7 @@ func (s *Store) NameCount(name string) int {
 }
 
 // ElementCount returns the total number of element rows.
-func (s *Store) ElementCount() int { return len(s.idIdx) }
+func (s *Store) ElementCount() int { return len(s.elemsByLeft) }
 
 // NameByRight returns the element row indexes for the name ordered by
 // (tid, right); used by the preceding/immediate-preceding probes.
@@ -517,45 +509,5 @@ func (s *Store) NameByRight(name string) []int32 { return s.rightIdx[name] }
 // (tid, id).
 func (s *Store) ByValue(v string) []int32 { return s.valueIdx[v] }
 
-// ElementByID returns the element row index for (tid, id).
-func (s *Store) ElementByID(tid, id int32) (int32, bool) {
-	i, ok := s.idIdx[Key(tid, id)]
-	return i, ok
-}
-
-// Attrs returns the attribute row indexes of element (tid, id).
-func (s *Store) Attrs(tid, id int32) []int32 { return s.attrIdx[Key(tid, id)] }
-
-// AttrValue returns the value of the named attribute ('@' prefix included)
-// on element (tid, id).
-func (s *Store) AttrValue(tid, id int32, name string) (string, bool) {
-	for _, i := range s.attrIdx[Key(tid, id)] {
-		if s.rows[i].Name == name {
-			return s.rows[i].Value, true
-		}
-	}
-	return "", false
-}
-
-// AttrValueBare is AttrValue for an attribute name given without the '@'
-// prefix; it avoids the per-call string concatenation a "@"+attr lookup
-// would cost in the evaluator's hot predicate loops.
-func (s *Store) AttrValueBare(tid, id int32, attr string) (string, bool) {
-	for _, i := range s.attrIdx[Key(tid, id)] {
-		if n := s.rows[i].Name; len(n) > 1 && n[0] == '@' && n[1:] == attr {
-			return s.rows[i].Value, true
-		}
-	}
-	return "", false
-}
-
-// Children returns the element row indexes of the children of (tid, pid) in
-// left-to-right order.
-func (s *Store) Children(tid, pid int32) []int32 { return s.childIdx[Key(tid, pid)] }
-
 // Roots returns the element row indexes of the tree roots.
 func (s *Store) Roots() []int32 { return s.rootRows }
-
-// NodeFor maps a row back to its tree node (element rows and attribute rows
-// both map to the element's node).
-func (s *Store) NodeFor(r *Row) *tree.Node { return s.nodeOf[Key(r.TID, r.ID)] }

@@ -8,20 +8,19 @@ import (
 	"lpath/internal/tree"
 )
 
-// File is a snapshot opened from disk: the decoded store and corpus plus the
-// backing buffer they alias. On platforms with mmap the buffer is the mapped
-// file, so loading faults in only the pages the validation pass and queries
-// actually touch, and the page cache is shared across processes serving the
-// same corpus.
+// File is a snapshot opened from disk: the decoded store plus the backing
+// buffer it aliases. On platforms with mmap the buffer is the mapped file,
+// whose pages the kernel shares across processes serving the same corpus;
+// validation reads every section once, so all of them are faulted in by the
+// time Open returns.
 type File struct {
-	store  *relstore.Store
-	corpus *tree.Corpus
-	data   []byte
-	unmap  func([]byte) error // nil when the buffer is heap memory
+	store *relstore.Store
+	data  []byte
+	unmap func([]byte) error // nil when the buffer is heap memory
 }
 
 // Open maps (or, where mmap is unavailable, reads) the snapshot at path and
-// decodes it. The returned store and corpus remain valid until Close.
+// decodes it. The returned store remains valid until Close.
 func Open(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -36,24 +35,25 @@ func Open(path string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	store, corpus, err := Decode(data)
+	store, err := Decode(data)
 	if err != nil {
 		if unmap != nil {
 			unmap(data)
 		}
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &File{store: store, corpus: corpus, data: data, unmap: unmap}, nil
+	return &File{store: store, data: data, unmap: unmap}, nil
 }
 
 // Store returns the decoded store. It aliases the mapped file and must not
 // be used after Close.
 func (f *File) Store() *relstore.Store { return f.store }
 
-// Corpus returns the reconstructed corpus trees. Tree structure is heap
-// memory, but tag and attribute strings alias the mapped file and must not
-// be used after Close.
-func (f *File) Corpus() *tree.Corpus { return f.corpus }
+// Corpus returns the corpus trees, materializing the whole forest from the
+// store's columns on the first call (relstore.Store.Forest). Tree structure
+// is heap memory, but tag and attribute strings alias the mapped file and
+// must not be used after Close.
+func (f *File) Corpus() *tree.Corpus { return f.store.Forest() }
 
 // Size returns the snapshot size in bytes.
 func (f *File) Size() int64 { return int64(len(f.data)) }

@@ -32,9 +32,14 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(empty)
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
+	// Correctly signed images with broken identities: the mutator starts next
+	// to the inputs only Assemble's position checks stand against.
+	for _, data := range corruptIdentities(f) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, corpus, err := Decode(data)
+		s, err := Decode(data)
 		if err != nil {
 			if !IsFormatError(err) {
 				t.Fatalf("untyped load error: %v", err)
@@ -43,14 +48,27 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 		// Whatever decoded must be internally consistent enough to encode
 		// again and reload identically.
-		if s == nil || corpus == nil {
-			t.Fatal("nil store/corpus without error")
+		if s == nil {
+			t.Fatal("nil store without error")
+		}
+		// Every accepted element must resolve through the position arrays,
+		// and the whole forest must materialize without indexing astray.
+		for _, ri := range s.ElementsByLeft() {
+			r := s.Row(ri)
+			if got, ok := s.ElementByID(r.TID, r.ID); !ok || got != ri {
+				t.Fatalf("ElementByID(%d, %d) = %d, %v, want %d", r.TID, r.ID, got, ok, ri)
+			}
+			s.Children(r.TID, r.ID)
+			s.Attrs(r.TID, r.ID)
+		}
+		if n := s.Forest().NodeCount(); n != s.ElementCount() {
+			t.Fatalf("forest has %d nodes, store %d elements", n, s.ElementCount())
 		}
 		again, err := Encode(s)
 		if err != nil {
 			t.Fatalf("re-encode of an accepted store failed: %v", err)
 		}
-		s2, _, err := Decode(again)
+		s2, err := Decode(again)
 		if err != nil {
 			t.Fatalf("re-decode of an accepted store failed: %v", err)
 		}

@@ -52,7 +52,7 @@ func TestGoldenSnapshot(t *testing.T) {
 			goldenSource, len(data), goldenPath, len(want))
 	}
 	// The committed golden loads into a store equivalent to a fresh build.
-	loaded, trees, err := Decode(want)
+	loaded, err := Decode(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestGoldenSnapshot(t *testing.T) {
 	if !partsEqual(loaded.Parts(), fresh.Parts()) {
 		t.Error("golden snapshot decodes to a different store than a fresh build")
 	}
-	if trees.Len() != c.Len() {
+	if trees := loaded.Forest(); trees.Len() != c.Len() {
 		t.Errorf("golden snapshot has %d trees, corpus has %d", trees.Len(), c.Len())
 	}
 }

@@ -7,39 +7,40 @@ import (
 	"math"
 
 	"lpath/internal/relstore"
-	"lpath/internal/tree"
 )
 
 // Decode validates and loads a snapshot image, returning the ready-to-query
-// store and its reconstructed corpus trees.
+// store. No tree is built: the store materializes one from its columns when
+// a caller asks for a node (relstore.Store.NodeFor, Forest).
 //
 // The store aliases data where the host allows it (numeric columns, posting
 // arrays, dictionary strings), so the caller must keep data alive and
-// unmodified for the lifetime of the store — which is exactly what makes
-// loading a read + validate + slice-cast instead of a rebuild. Use Open for
-// the mmap-backed variant with an explicit lifetime.
-func Decode(data []byte) (*relstore.Store, *tree.Corpus, error) {
+// unmodified for the lifetime of the store and of every tree it hands out.
+// What does not alias is derived per load in linear passes (see
+// docs/SNAPSHOT.md, "What open costs"). Use Open for the mmap-backed variant
+// with an explicit lifetime.
+func Decode(data []byte) (*relstore.Store, error) {
 	secs, err := parseDirectory(data)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p, err := decodeParts(secs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s, c, err := relstore.Assemble(p)
+	s, err := relstore.Assemble(p)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return s, c, nil
+	return s, nil
 }
 
 // Read loads a snapshot from r (reading it fully into memory) and decodes
 // it.
-func Read(r io.Reader) (*relstore.Store, *tree.Corpus, error) {
+func Read(r io.Reader) (*relstore.Store, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return Decode(data)
 }

@@ -58,13 +58,17 @@ func checkRoundTrip(t *testing.T, orig *relstore.Store, origTrees *tree.Corpus) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, loadedTrees, err := Decode(data)
+	loaded, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !partsEqual(loaded.Parts(), orig.Parts()) {
 		t.Error("decoded parts differ from original")
 	}
+	if n := loaded.TreesBuilt(); n != 0 {
+		t.Errorf("decoding built %d trees; none was asked for", n)
+	}
+	loadedTrees := loaded.Forest()
 	if loadedTrees.Len() != origTrees.Len() {
 		t.Fatalf("decoded %d trees, want %d", loadedTrees.Len(), origTrees.Len())
 	}
@@ -136,13 +140,13 @@ func TestReadWriter(t *testing.T) {
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	loaded, loadedTrees, err := Read(&buf)
+	loaded, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != s.Len() || loadedTrees.Len() != trees.Len() {
+	if loaded.Len() != s.Len() || loaded.Forest().Len() != trees.Len() {
 		t.Fatalf("loaded %d rows/%d trees, want %d/%d",
-			loaded.Len(), loadedTrees.Len(), s.Len(), trees.Len())
+			loaded.Len(), loaded.Forest().Len(), s.Len(), trees.Len())
 	}
 }
 
@@ -286,7 +290,7 @@ func TestDecodeRejectsTamperedImages(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mutate(append([]byte(nil), valid...))
-			_, _, err := Decode(data)
+			_, err := Decode(data)
 			if err == nil {
 				t.Fatal("tampered snapshot decoded successfully")
 			}
@@ -295,6 +299,58 @@ func TestDecodeRejectsTamperedImages(t *testing.T) {
 			}
 			if tc.want != nil && !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// corruptIdentities are images whose every checksum and section frame is
+// valid but whose relation breaks what the store's position arrays rest on:
+// ids that are not a dense preorder numbering, parents and attribute owners
+// that name nothing. Checksums cannot catch these — a buggy or hostile writer
+// signs them like any other image — so Assemble must, before anything indexes
+// by them.
+func corruptIdentities(t testing.TB) map[string][]byte {
+	c := tree.NewCorpus()
+	c.Add(tree.Figure1())
+	c.Add(tree.MustParseTree(`(S (NP (Det the) (N cat)) (VP (V sat)))`))
+	lastAttr := func(p *relstore.Parts) int32 {
+		for i := len(p.Names) - 1; ; i-- {
+			if p.Names[i][0] == '@' {
+				return p.NameStarts[i+1] - 1
+			}
+		}
+	}
+	out := make(map[string][]byte)
+	for name, mutate := range map[string]func(p *relstore.Parts){
+		"id out of range":      func(p *relstore.Parts) { p.Cols.ID[p.ElemsByLeft[3]] = 1 << 30 },
+		"negative id":          func(p *relstore.Parts) { p.Cols.ID[p.ElemsByLeft[3]] = -4 },
+		"ids out of preorder":  func(p *relstore.Parts) { p.Cols.ID[p.ElemsByLeft[2]], p.Cols.ID[p.ElemsByLeft[3]] = 4, 3 },
+		"duplicate identity":   func(p *relstore.Parts) { p.Cols.ID[p.ElemsByLeft[3]] = 3 },
+		"unknown parent":       func(p *relstore.Parts) { p.Cols.PID[p.ElemsByLeft[3]] = 1 << 30 },
+		"negative parent":      func(p *relstore.Parts) { p.Cols.PID[p.ElemsByLeft[3]] = -1 },
+		"second root":          func(p *relstore.Parts) { p.Cols.PID[p.ElemsByLeft[3]] = 0 },
+		"orphan attribute tid": func(p *relstore.Parts) { p.Cols.TID[lastAttr(p)] = 1 << 30 },
+		"orphan attribute id":  func(p *relstore.Parts) { p.Cols.ID[lastAttr(p)] = 1 << 30 },
+		"tree ids past count":  func(p *relstore.Parts) { p.TreeCount = 1 },
+	} {
+		// Parts aliases the store, so every case mutates a build of its own.
+		p := relstore.Build(c, relstore.SchemeInterval).Parts()
+		mutate(p)
+		data, err := encodeParts(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = data
+	}
+	return out
+}
+
+func TestDecodeRejectsCorruptIdentities(t *testing.T) {
+	for name, data := range corruptIdentities(t) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
 			}
 		})
 	}
@@ -311,7 +367,7 @@ func TestDecodeRejectsEveryTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < len(valid); n++ {
-		if _, _, err := Decode(valid[:n]); err == nil {
+		if _, err := Decode(valid[:n]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded successfully", n, len(valid))
 		} else if !IsFormatError(err) {
 			t.Fatalf("prefix %d: err = %v, want a typed format error", n, err)
@@ -335,7 +391,7 @@ func TestDecodeSurvivesEveryBitFlip(t *testing.T) {
 	for i := 0; i < len(valid); i++ {
 		data := append([]byte(nil), valid...)
 		data[i] ^= 0x55
-		loaded, _, err := Decode(data)
+		loaded, err := Decode(data)
 		if err != nil {
 			if !IsFormatError(err) {
 				t.Fatalf("flip at %d: err = %v, want a typed format error", i, err)

@@ -141,7 +141,7 @@ func (s *Store) computeStats() {
 		}
 		a.count++
 		a.span += int64(r.Right - r.Left)
-		nkids := len(s.childIdx[Key(r.TID, r.ID)])
+		nkids := len(s.Children(r.TID, r.ID))
 		a.children += nkids
 		if nkids == 0 {
 			st.Leaves++

@@ -110,6 +110,8 @@ func (q *Query) SQL() (string, error) { return sqlgen.Translate(q.path) }
 // GenerateCorpus. Adding trees invalidates the index, which is rebuilt
 // lazily on the next query.
 type Corpus struct {
+	// trees is nil on a snapshot-backed corpus nobody has added to: its trees
+	// are the store's, built on demand (see forest).
 	trees  *tree.Corpus
 	store  *relstore.Store
 	eng    *engine.Engine
@@ -276,8 +278,19 @@ func GenerateCorpus(profile string, scale float64, seed int64, opts ...Option) (
 	return newCorpus(tc, opts...), nil
 }
 
+// forest returns the corpus's trees. A snapshot-backed corpus materializes
+// them from the store's columns, all of them, on the first call that needs
+// the whole forest; queries never do (a match materializes its own tree).
+func (c *Corpus) forest() *tree.Corpus {
+	if c.trees == nil {
+		return c.store.Forest()
+	}
+	return c.trees
+}
+
 // Add appends a tree to the corpus.
 func (c *Corpus) Add(t *Tree) {
+	c.trees = c.forest()
 	c.trees.Add(t)
 	c.dirty = true
 	c.shardsDirty = true
@@ -294,16 +307,28 @@ func (c *Corpus) AddSentence(bracketed string) error {
 }
 
 // Len returns the number of trees.
-func (c *Corpus) Len() int { return c.trees.Len() }
+func (c *Corpus) Len() int {
+	if c.trees == nil {
+		return len(c.store.Roots())
+	}
+	return c.trees.Len()
+}
 
 // Trees returns the underlying trees (shared, not copied).
-func (c *Corpus) Trees() []*Tree { return c.trees.Trees }
+func (c *Corpus) Trees() []*Tree { return c.forest().Trees }
 
-// Stats measures the corpus (Figure 6(a)-style statistics).
-func (c *Corpus) Stats() Stats { return corpus.Measure(c.trees) }
+// Stats measures the corpus (Figure 6(a)-style statistics). On a
+// snapshot-backed corpus the trees stream through one at a time and none is
+// kept, so measuring does not cost the memory of the forest.
+func (c *Corpus) Stats() Stats {
+	if c.trees == nil {
+		return corpus.MeasureTrees(c.store.Trees())
+	}
+	return corpus.Measure(c.trees)
+}
 
 // Save writes the corpus in bracketed format.
-func (c *Corpus) Save(w io.Writer) error { return tree.WriteAll(w, c.trees) }
+func (c *Corpus) Save(w io.Writer) error { return tree.WriteAll(w, c.forest()) }
 
 // SaveStore writes the corpus's interval-label store as a binary snapshot
 // (the .lpx format of internal/relstore/snapshot), building it first if
@@ -329,40 +354,48 @@ func (c *Corpus) SaveStoreFile(path string) error {
 }
 
 // LoadStore reads a store snapshot written by SaveStore and returns a
-// ready-to-query corpus with its trees reconstructed from the relation.
-// Every load failure — truncation, bit corruption, version skew — is
+// ready-to-query corpus; see OpenStore for what loading does and does not
+// build. Every load failure — truncation, bit corruption, version skew — is
 // reported as a typed error from internal/relstore/snapshot; a snapshot
 // never loads silently wrong.
 func LoadStore(r io.Reader, opts ...Option) (*Corpus, error) {
-	store, trees, err := snapshot.Read(r)
+	store, err := snapshot.Read(r)
 	if err != nil {
 		return nil, err
 	}
-	return corpusFromStore(store, trees, nil, opts...)
+	return corpusFromStore(store, nil, opts...)
 }
 
-// OpenStore memory-maps a store snapshot file. Loading is lazy at page
-// granularity: validation and queries fault in only the pages they touch,
-// and the kernel page cache shares the index across processes. The mapping
-// lives until Close (or process exit).
+// OpenStore memory-maps a store snapshot file. The label columns, every
+// posting permutation and the dictionary strings alias the mapping, which the
+// kernel page cache shares across processes; opening validates all of them
+// (one sequential read of the file) and derives the rest in linear passes —
+// the row array, the child/attribute/parent position arrays and the packed
+// sort keys, about 2.6 times the file's size in heap (docs/SNAPSHOT.md, "What
+// open costs"). It builds no tree: a match materializes the one tree it lives
+// in when its Node is asked for, so Count, limit queries and a server's hit
+// path never pay for the forest; Trees, Save, Add, Parallel requests and
+// SelectOracle materialize all of it, once. The mapping lives until Close (or
+// process exit).
 func OpenStore(path string, opts ...Option) (*Corpus, error) {
 	f, err := snapshot.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return corpusFromStore(f.Store(), f.Corpus(), f.Close, opts...)
+	return corpusFromStore(f.Store(), f.Close, opts...)
 }
 
 // corpusFromStore wraps an already-built store (from a snapshot) in a
 // Corpus, honoring the configured engine options.
-func corpusFromStore(store *relstore.Store, trees *tree.Corpus, closer func() error, opts ...Option) (*Corpus, error) {
-	c := &Corpus{trees: trees, store: store, shardsDirty: true, closer: closer}
+func corpusFromStore(store *relstore.Store, closer func() error, opts ...Option) (*Corpus, error) {
+	c := &Corpus{store: store, shardsDirty: true, closer: closer}
 	c.Configure(opts...)
 	eng, err := engine.New(store, c.engineOpts...)
 	if err != nil {
 		return nil, err
 	}
 	c.eng = eng
+	c.dirty = false // the options above are already in eng
 	return c, nil
 }
 
@@ -385,7 +418,12 @@ func (c *Corpus) Build() error {
 	if !c.dirty && c.eng != nil {
 		return nil
 	}
-	store := relstore.Build(c.trees, relstore.SchemeInterval)
+	// A snapshot-backed corpus nobody added to keeps its store: only its
+	// engine can be stale (Configure with an engine option).
+	store := c.store
+	if c.trees != nil {
+		store = relstore.Build(c.trees, relstore.SchemeInterval)
+	}
 	eng, err := engine.New(store, c.engineOpts...)
 	if err != nil {
 		return err
@@ -498,7 +536,7 @@ func (c *Corpus) buildShards() error {
 	if k < 1 {
 		k = runtime.GOMAXPROCS(0)
 	}
-	shards, err := engine.NewSharded(relstore.BuildShards(c.trees, relstore.SchemeInterval, k), c.engineOpts...)
+	shards, err := engine.NewSharded(relstore.BuildShards(c.forest(), relstore.SchemeInterval, k), c.engineOpts...)
 	if err != nil {
 		return err
 	}
@@ -783,7 +821,7 @@ func (c *Corpus) PlanCacheStats() CacheStats {
 // evaluator. It is slow and exists to cross-check Select.
 func (c *Corpus) SelectOracle(q *Query) ([]Match, error) {
 	if c.oracle == nil {
-		c.oracle = treeval.NewCorpus(c.trees)
+		c.oracle = treeval.NewCorpus(c.forest())
 	}
 	ms, err := c.oracle.Eval(q.path)
 	if err != nil {
