@@ -19,9 +19,9 @@ var allocBudgets = map[int]int{
 }
 
 // bitmapAllocBudgets is the same contract with the dense-bitset kernels
-// forced onto every eligible scope entry and satisfier set: the bitsets are
-// arena-pooled, so forcing them must not reintroduce per-scope or per-row
-// allocation on any query.
+// forced onto every eligible scope entry: the sets are arena-pooled, so
+// forcing them must not reintroduce per-scope or per-row allocation on any
+// query.
 var bitmapAllocBudgets = map[int]int{
 	1: 64, 2: 64, 3: 64, 4: 700, 5: 70, 6: 90, 7: 64, 8: 64, 9: 64,
 	10: 64, 11: 64, 12: 64, 13: 64, 14: 64, 15: 64, 16: 64, 17: 64,
@@ -103,3 +103,59 @@ func TestStepEvaluationAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestFilterPathAllocBudget holds the three filter queries the set-at-a-time
+// filters target — Q7's scope-only filter, Q9's negated set filter and Q10's
+// nested one — to the same no-per-row-allocation contract on each side of the
+// run-time forward/set choice, under a full Select and under SelectLimit(q,
+// 10), whose limit stream evaluates tid window by window and resets the
+// filters' sets between windows. Select's budget covers its result: one
+// match slice and the lazily built trees' nodes are per-match costs paid once
+// (the corpus caches them) and excluded by the warm-up run.
+func TestFilterPathAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget needs a non-trivial corpus")
+	}
+	for _, cfg := range []struct {
+		name string
+		opts []Option
+	}{
+		{"auto", nil},
+		{"sets", []Option{withFilterSets()}},
+		{"forward", []Option{withFiltersForward()}},
+	} {
+		c, err := GenerateCorpus("wsj", 0.01, 42, append([]Option{WithPlanCache(0)}, cfg.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []int{7, 9, 10} {
+			q := MustCompile(EvalQueries()[id-1].Text)
+			for _, run := range []struct {
+				name string
+				f    func() error
+			}{
+				{"full", func() error { _, err := c.Select(q); return err }},
+				{"limit10", func() error { _, err := c.SelectLimit(q, 10); return err }},
+			} {
+				t.Run(fmt.Sprintf("%s/Q%d/%s", cfg.name, id, run.name), func(t *testing.T) {
+					if err := run.f(); err != nil { // warm: arenas, trees
+						t.Fatal(err)
+					}
+					allocs := testing.AllocsPerRun(10, func() {
+						if err := run.f(); err != nil {
+							t.Fatal(err)
+						}
+					})
+					t.Logf("%.0f allocs/op (budget %d)", allocs, filterAllocBudget)
+					if allocs > filterAllocBudget {
+						t.Errorf("%.0f allocs/op, budget %d", allocs, filterAllocBudget)
+					}
+				})
+			}
+		}
+	}
+}
+
+// filterAllocBudget is TestFilterPathAllocBudget's cap per evaluation, ~2x
+// the steady state measured at scale 0.01 (32–68 allocs/op).
+const filterAllocBudget = 128

@@ -97,9 +97,17 @@ func FuzzEvalOracle(f *testing.F) {
 		c.Configure(WithoutMergeExecutor())
 		probed, probedErr := c.Select(q)
 
+		// Filter rotation: answer every set-capable and scope-only filter for
+		// its whole frontier, then every filter candidate by candidate, with
+		// the executors otherwise as planned.
+		c.Configure(withFilterSets())
+		setFiltered, setFilteredErr := c.Select(q)
+		c.Configure(withFiltersForward())
+		fwdFiltered, fwdFilteredErr := c.Select(q)
+
 		// Bitmap rotation: force the dense-bitset kernels onto every eligible
-		// scope entry and satisfier set, then disable them entirely (per-scope
-		// expansion and map-backed satisfier sets, the pre-bitmap engine).
+		// scope entry, then disable them entirely (per-scope expansion and
+		// forward filters, the pre-bitmap engine).
 		c.Configure(withBitmapAlways())
 		bitmapped, bitmappedErr := c.Select(q)
 		c.Configure(WithoutBitmapExecutor())
@@ -129,6 +137,10 @@ func FuzzEvalOracle(f *testing.F) {
 			t.Fatalf("%q: planned err %v, bitmap-always err %v, bitmap-off err %v",
 				query, plannedErr, bitmappedErr, unbitmappedErr)
 		}
+		if (plannedErr != nil) != (setFilteredErr != nil) || (plannedErr != nil) != (fwdFilteredErr != nil) {
+			t.Fatalf("%q: planned err %v, set filters err %v, forward filters err %v",
+				query, plannedErr, setFilteredErr, fwdFilteredErr)
+		}
 		for i, slot := range batch {
 			if (plannedErr != nil) != (slot.Err != nil) {
 				t.Fatalf("%q: planned err %v, batch slot %d err %v", query, plannedErr, i, slot.Err)
@@ -156,6 +168,14 @@ func FuzzEvalOracle(f *testing.F) {
 		if !reflect.DeepEqual(planned, untwigged) {
 			t.Fatalf("%q: twig-off differs from planned (%d vs %d matches)\nuntwigged: %v\nplanned: %v",
 				query, len(untwigged), len(planned), matchKeys(untwigged), matchKeys(planned))
+		}
+		if !reflect.DeepEqual(planned, setFiltered) {
+			t.Fatalf("%q: set filters differ from planned (%d vs %d matches)\nset: %v\nplanned: %v",
+				query, len(setFiltered), len(planned), matchKeys(setFiltered), matchKeys(planned))
+		}
+		if !reflect.DeepEqual(planned, fwdFiltered) {
+			t.Fatalf("%q: forward filters differ from planned (%d vs %d matches)\nforward: %v\nplanned: %v",
+				query, len(fwdFiltered), len(planned), matchKeys(fwdFiltered), matchKeys(planned))
 		}
 		if !reflect.DeepEqual(planned, bitmapped) {
 			t.Fatalf("%q: bitmap-always differs from planned (%d vs %d matches)\nbitmapped: %v\nplanned: %v",

@@ -77,20 +77,8 @@ func (s *Set) Has(i int32) bool {
 // a set costs O(hi-lo)/64 — the O(ranges) conversion the bitmap executor
 // relies on.
 func (s *Set) SetRange(lo, hi int32) {
-	if lo < 0 {
-		lo = 0
-	}
-	if int(hi) > s.n {
-		hi = int32(s.n)
-	}
-	if lo >= hi {
-		return
-	}
-	lw, hw := int(lo>>6), int((hi-1)>>6)
-	loMask := ^uint64(0) << uint(lo&63)
-	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
-	if lw == hw {
-		s.words[lw] |= loMask & hiMask
+	lw, hw, loMask, hiMask, ok := s.span(lo, hi)
+	if !ok {
 		return
 	}
 	s.words[lw] |= loMask
@@ -98,6 +86,81 @@ func (s *Set) SetRange(lo, hi int32) {
 		s.words[w] = ^uint64(0)
 	}
 	s.words[hw] |= hiMask
+}
+
+// span returns the word span [lw, hw] covering bits [lo, hi) clamped to the
+// set's length, with the masks selecting the range's bits in the first and
+// last word (equal when the span is one word, so applying both is
+// idempotent); ok is false for an empty range.
+func (s *Set) span(lo, hi int32) (lw, hw int, loMask, hiMask uint64, ok bool) {
+	lo = max(lo, 0)
+	hi = min(hi, int32(s.n))
+	if lo >= hi {
+		return 0, 0, 0, 0, false
+	}
+	lw, hw = int(lo>>6), int((hi-1)>>6)
+	loMask = ^uint64(0) << uint(lo&63)
+	hiMask = ^uint64(0) >> uint(63-(hi-1)&63)
+	if lw == hw {
+		loMask &= hiMask
+		hiMask = loMask
+	}
+	return lw, hw, loMask, hiMask, true
+}
+
+// ClearRange clears every bit in [lo, hi), writing only the words that cover
+// the range: a caller that knows where its bits are resets a large set in
+// time proportional to that span, not to the set.
+func (s *Set) ClearRange(lo, hi int32) {
+	lw, hw, loMask, hiMask, ok := s.span(lo, hi)
+	if !ok {
+		return
+	}
+	s.words[lw] &^= loMask
+	if hw > lw+1 {
+		clear(s.words[lw+1 : hw])
+	}
+	s.words[hw] &^= hiMask
+}
+
+// CopyRange copies o's bits in [lo, hi) into s, leaving s's other bits alone.
+func (s *Set) CopyRange(o *Set, lo, hi int32) {
+	lw, hw, loMask, hiMask, ok := s.span(lo, min(hi, int32(o.n)))
+	if !ok {
+		return
+	}
+	s.words[lw] = s.words[lw]&^loMask | o.words[lw]&loMask
+	if hw > lw+1 {
+		copy(s.words[lw+1:hw], o.words[lw+1:hw])
+	}
+	s.words[hw] = s.words[hw]&^hiMask | o.words[hw]&hiMask
+}
+
+// AppendRange appends the set bits in [lo, hi) in ascending order to dst and
+// returns it, visiting only the words that cover the range.
+func (s *Set) AppendRange(dst []int32, lo, hi int32) []int32 {
+	lw, hw, loMask, hiMask, ok := s.span(lo, hi)
+	if !ok {
+		return dst
+	}
+	for w := lw; w <= hw; w++ {
+		word := s.words[w]
+		if word == 0 {
+			continue
+		}
+		if w == lw {
+			word &= loMask
+		}
+		if w == hw {
+			word &= hiMask
+		}
+		base := int32(w * wordBits)
+		for word != 0 {
+			dst = append(dst, base+int32(bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	return dst
 }
 
 // And intersects s with o in place.

@@ -243,3 +243,84 @@ func TestMismatchedLengths(t *testing.T) {
 		t.Errorf("Or short: count=%d", c.Count())
 	}
 }
+
+// TestRangeKernelsAgainstOracle drives ClearRange, CopyRange and AppendRange
+// over random sets and ranges straddling word boundaries, against the oracle.
+func TestRangeKernelsAgainstOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 63, 64, 65, 200, 1000} {
+		for iter := 0; iter < 50; iter++ {
+			lo := int32(rng.Intn(n+10)) - 5
+			hi := lo + int32(rng.Intn(n+10))
+			in := func(i int32) bool { return i >= lo && i < hi }
+
+			s, o := randSet(rng, n)
+			var want []int32
+			for _, i := range o.collect(n) {
+				if in(i) {
+					want = append(want, i)
+				}
+			}
+			if got := s.AppendRange(nil, lo, hi); len(got) != len(want) {
+				t.Fatalf("n=%d AppendRange(%d, %d) = %v, want %v", n, lo, hi, got, want)
+			} else {
+				for k := range got {
+					if got[k] != want[k] {
+						t.Fatalf("n=%d AppendRange(%d, %d) = %v, want %v", n, lo, hi, got, want)
+					}
+				}
+			}
+
+			src, so := randSet(rng, n)
+			s.CopyRange(src, lo, hi)
+			for i := range o {
+				if in(i) {
+					delete(o, i)
+				}
+			}
+			for i := range so {
+				if in(i) {
+					o[i] = true
+				}
+			}
+			equal(t, "CopyRange", s, o)
+
+			s.ClearRange(lo, hi)
+			for i := range o {
+				if in(i) {
+					delete(o, i)
+				}
+			}
+			equal(t, "ClearRange", s, o)
+		}
+	}
+}
+
+// TestClearRangeTouchesOnlyItsWords pins the cost contract the engine's
+// position sets rely on: clearing a range writes only the words covering it,
+// so a word outside the range keeps whatever it holds.
+func TestClearRangeTouchesOnlyItsWords(t *testing.T) {
+	s := New(64 * 10)
+	s.SetRange(0, int32(s.Len()))
+	s.ClearRange(64*3+5, 64*6+7)
+	for w := range s.words {
+		switch {
+		case w < 3 || w > 6:
+			if s.words[w] != ^uint64(0) {
+				t.Errorf("word %d outside the range changed: %#x", w, s.words[w])
+			}
+		case w == 3:
+			if s.words[w] != 1<<5-1 {
+				t.Errorf("first word %#x, want only the bits below the range", s.words[w])
+			}
+		case w == 6:
+			if s.words[w] != ^uint64(1<<7-1) {
+				t.Errorf("last word %#x, want only the bits above the range", s.words[w])
+			}
+		default:
+			if s.words[w] != 0 {
+				t.Errorf("word %d inside the range not cleared: %#x", w, s.words[w])
+			}
+		}
+	}
+}

@@ -32,9 +32,9 @@ type arena struct {
 	ints     [][]int32
 	i64s     [][]int64
 	binds    [][]bind
-	rowSets  []map[int32]bool
 	bindSets []map[bind]bool
-	bitsets  []*bitset.Set
+	sets     []*spanSet
+	setLen   int // bits per set: the store's row count
 }
 
 func (a *arena) getInts() []int32 {
@@ -85,39 +85,24 @@ func (a *arena) putBinds(s []bind) {
 	a.binds = append(a.binds, s[:0])
 }
 
-func (a *arena) getRowSet() map[int32]bool {
-	if n := len(a.rowSets); n > 0 {
-		m := a.rowSets[n-1]
-		a.rowSets = a.rowSets[:n-1]
-		return m
-	}
-	return make(map[int32]bool, 64)
-}
-
-func (a *arena) putRowSet(m map[int32]bool) {
-	if len(m) > maxPooledSet {
-		return
-	}
-	clear(m)
-	a.rowSets = append(a.rowSets, m)
-}
-
-// getBitset hands out a cleared bitset of n bits. Bitsets pool without a
-// size cap: Set.Reset clears only the words the requested length needs, so a
-// set that once grew large never taxes a later, smaller borrower the way an
-// oversized map would.
-func (a *arena) getBitset(n int) *bitset.Set {
-	if k := len(a.bitsets); k > 0 {
-		s := a.bitsets[k-1]
-		a.bitsets = a.bitsets[:k-1]
-		s.Reset(n)
+// getSet hands out an empty dense set over the store's rows (or their
+// document positions, which are fewer). Sets pool without a size cap:
+// putSet clears only the span a set was used over, so a set that once
+// covered the whole store costs a later borrower nothing extra.
+func (a *arena) getSet() *spanSet {
+	if k := len(a.sets); k > 0 {
+		s := a.sets[k-1]
+		a.sets = a.sets[:k-1]
 		return s
 	}
-	return bitset.New(n)
+	s := &spanSet{lo: maxInt32}
+	s.bits.Reset(a.setLen)
+	return s
 }
 
-func (a *arena) putBitset(s *bitset.Set) {
-	a.bitsets = append(a.bitsets, s)
+func (a *arena) putSet(s *spanSet) {
+	s.clear()
+	a.sets = append(a.sets, s)
 }
 
 func (a *arena) getBindSet() map[bind]bool {
@@ -135,4 +120,35 @@ func (a *arena) putBindSet(m map[bind]bool) {
 	}
 	clear(m)
 	a.bindSets = append(a.bindSets, m)
+}
+
+// spanSet is a dense set over document positions (relstore.Store.Pos) or
+// rows that tracks the span of indexes added since it was last cleared. A
+// subtree, a tree and a streaming tid window are each one contiguous
+// position range, and a one-name frontier one clustered row range per
+// window, so clearing or walking a set costs the window, subtree or result
+// it was used for — never the whole store.
+type spanSet struct {
+	bits   bitset.Set
+	lo, hi int32 // added indexes lie in [lo, hi); lo > hi when empty
+}
+
+func (s *spanSet) add(p int32) {
+	s.bits.Set(p)
+	s.lo = min(s.lo, p)
+	s.hi = max(s.hi, p+1)
+}
+
+func (s *spanSet) has(p int32) bool { return s.bits.Has(p) }
+
+// clear empties the set, writing only the words of its span.
+func (s *spanSet) clear() {
+	s.bits.ClearRange(s.lo, s.hi)
+	s.lo, s.hi = maxInt32, 0
+}
+
+// copyFrom makes the empty set s a copy of o.
+func (s *spanSet) copyFrom(o *spanSet) {
+	s.bits.CopyRange(&o.bits, o.lo, o.hi)
+	s.lo, s.hi = o.lo, o.hi
 }

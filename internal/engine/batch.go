@@ -16,7 +16,6 @@ package engine
 import (
 	"context"
 
-	"lpath/internal/bitset"
 	"lpath/internal/lpath"
 	"lpath/internal/planner"
 )
@@ -42,7 +41,7 @@ func (s *BatchStats) Add(o BatchStats) {
 }
 
 // batchMemo is the per-batch shared memo. All values are heap-owned: binds
-// and rows are private copies, and the bitsets are allocated outside the
+// and rows are private copies, and the sets are allocated outside the
 // arena (the evaluation contexts that populate them return their own sets to
 // the arena between queries).
 type batchMemo struct {
@@ -52,16 +51,16 @@ type batchMemo struct {
 	// frontiers caches the binding frontier after the main path's step
 	// sequence (before any scoped tail), keyed by the plan's MainKey.
 	frontiers map[string][]bind
-	// satBits caches unscoped semijoin satisfier bitsets by Semijoin.Key.
-	satBits map[string]*bitset.Set
-	stats   BatchStats
+	// sats caches unscoped satisfier sets by Semijoin.Key.
+	sats  map[string]*spanSet
+	stats BatchStats
 }
 
 func newBatchMemo() *batchMemo {
 	return &batchMemo{
 		rows:      make(map[string][]int32),
 		frontiers: make(map[string][]bind),
-		satBits:   make(map[string]*bitset.Set),
+		sats:      make(map[string]*spanSet),
 	}
 }
 

@@ -22,6 +22,7 @@ var batchOptRotations = []struct {
 	{"twig", []Option{WithTwigAlways()}},
 	{"nobitmap", []Option{WithoutBitmap()}},
 	{"bitmap", []Option{WithBitmapAlways()}},
+	{"filter-sets", []Option{WithFilterPath(true)}},
 }
 
 // batchOf builds the batch that evaluates every path with the plan e would

@@ -57,22 +57,39 @@ const (
 	twigAlways
 )
 
-// bitmapMode selects whether dense-bitset kernels may execute subtree-scope
-// entries and materialize semijoin satisfier sets (bitmap.go); it is
-// orthogonal to execMode and twigMode, which govern the remaining steps.
+// bitmapMode selects whether the dense-set kernels may execute subtree-scope
+// entries (bitmap.go) and answer filters for whole frontiers (semijoin.go);
+// it is orthogonal to execMode and twigMode, which govern the remaining
+// steps.
 type bitmapMode int
 
 const (
 	// bitmapAuto follows the plan's cost-marked scope entries (no bitmap
-	// without a plan); unscoped satisfier sets still materialize as bitsets.
+	// without a plan); filters choose between forward evaluation and their
+	// satisfier sets per frontier.
 	bitmapAuto bitmapMode = iota
-	// bitmapOff disables the bitmap kernels (ablation): scoped tails expand
-	// per scope and satisfier sets stay maps — exactly the pre-bitmap engine.
+	// bitmapOff disables the kernels (ablation): scoped tails expand per
+	// scope and every filter evaluates forward, candidate by candidate.
 	bitmapOff
 	// bitmapAlways runs every shape-eligible scope entry through the bitmap
 	// kernel, bypassing the cost decision; differential tests and fuzzers
 	// use it to keep the kernel under continuous cross-checking.
 	bitmapAlways
+)
+
+// filterMode overrides the run-time choice between forward evaluation and a
+// whole-frontier answer (satisfier set, scope-only kernel) for the filters
+// that have one; differential tests and fuzzers force each side in turn.
+type filterMode int
+
+const (
+	filterAuto filterMode = iota
+	// filterForward evaluates every filter candidate by candidate.
+	filterForward
+	// filterSet answers every set-capable filter from its satisfier set and
+	// every scope-only filter through the frontier kernel, whatever the
+	// frontier's size.
+	filterSet
 )
 
 // Engine evaluates LPath queries against an interval-labeled store.
@@ -94,6 +111,8 @@ type Engine struct {
 	twig twigMode
 	// bitmap selects whether the dense-bitset kernels are available.
 	bitmap bitmapMode
+	// filters forces one side of the filters' forward/set choice.
+	filters filterMode
 
 	// ctxPool recycles evalCtx values (and their scratch arenas) across
 	// evaluations, so a hot compiled query runs without steady-state
@@ -150,8 +169,8 @@ func WithTwigAlways() Option {
 }
 
 // WithoutBitmap disables the dense-bitset kernels: subtree scopes expand per
-// scope and semijoin satisfier sets materialize as maps. Used by the
-// executor ablation benchmarks and differential tests.
+// scope and every filter evaluates forward, candidate by candidate. Used by
+// the executor ablation benchmarks and differential tests.
 func WithoutBitmap() Option {
 	return func(e *Engine) { e.bitmap = bitmapOff }
 }
@@ -165,13 +184,27 @@ func WithBitmapAlways() Option {
 	return func(e *Engine) { e.bitmap = bitmapAlways }
 }
 
+// WithFilterPath forces the filters that can be answered for a whole
+// frontier onto one side of the run-time choice: satisfier sets and the
+// scope-only kernel when set is true, forward evaluation when false. Both
+// sides are result-identical; the option keeps each under differential
+// testing on inputs where the cost model would never pick it.
+func WithFilterPath(set bool) Option {
+	return func(e *Engine) {
+		e.filters = filterForward
+		if set {
+			e.filters = filterSet
+		}
+	}
+}
+
 // New creates an engine over the store, which must use the interval scheme.
 func New(s *relstore.Store, opts ...Option) (*Engine, error) {
 	if s.Scheme() != relstore.SchemeInterval {
 		return nil, fmt.Errorf("engine: store uses %v labels; the LPath engine requires the interval scheme", s.Scheme())
 	}
 	e := &Engine{s: s}
-	e.ctxPool.New = func() any { return &evalCtx{ar: &arena{}} }
+	e.ctxPool.New = func() any { return &evalCtx{ar: &arena{setLen: s.Len()}} }
 	for _, o := range opts {
 		o(e)
 	}
@@ -268,30 +301,51 @@ func (e *Engine) evalRows(p *lpath.Path, ctx *evalCtx) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := ctx.ar.getInts()
-	seen := ctx.ar.getRowSet()
-	for _, b := range binds {
-		if b.row != noRow && !seen[b.row] {
-			seen[b.row] = true
-			rows = append(rows, b.row)
-		}
-	}
-	ctx.ar.putRowSet(seen)
+	rows := e.distinctRows(binds, ctx.ar.getInts(), ctx)
 	ctx.ar.putBinds(binds)
-	ids := e.s.Cols().ID
-	tids := e.s.Cols().TID
-	sort.Slice(rows, func(i, j int) bool {
-		if tids[rows[i]] != tids[rows[j]] {
-			return tids[rows[i]] < tids[rows[j]]
-		}
-		return ids[rows[i]] < ids[rows[j]] // ids are preorder: document order
-	})
 	return rows, nil
 }
 
+// distinctRows appends the distinct rows of binds to dst in document order:
+// as they come when they already are (a single name range, a per-binding
+// probe in frontier order), else by setting their positions in a position
+// set and walking it — the set's span is the window, or the result's extent.
+func (e *Engine) distinctRows(binds []bind, dst []int32, ctx *evalCtx) []int32 {
+	last := int32(-1)
+	sorted := true
+	for _, b := range binds {
+		if b.row == noRow {
+			continue
+		}
+		if p := e.s.Pos(b.row); p > last {
+			last = p
+			dst = append(dst, b.row)
+			continue
+		}
+		sorted = false
+		break
+	}
+	if sorted {
+		return dst
+	}
+	dst = dst[:0]
+	set := ctx.ar.getSet()
+	for _, b := range binds {
+		if b.row != noRow {
+			set.add(e.s.Pos(b.row))
+		}
+	}
+	dst = set.bits.AppendRange(dst, set.lo, set.hi)
+	ctx.ar.putSet(set)
+	elems := e.s.ElementsByLeft()
+	for i, pos := range dst {
+		dst[i] = elems[pos]
+	}
+	return dst
+}
+
 // Count returns the number of distinct matches without materializing them:
-// the same join pipeline as Eval, skipping the document-order sort and the
-// row → node mapping.
+// the same join pipeline as Eval, skipping the row → node mapping.
 func (e *Engine) Count(p *lpath.Path) (int, error) {
 	return e.CountPlanContext(context.Background(), p, e.Plan(p))
 }
@@ -305,22 +359,12 @@ func (e *Engine) CountPlanContext(cctx context.Context, p *lpath.Path, plan *pla
 		return 0, err
 	}
 	defer e.releaseCtx(ctx)
-	start := [1]bind{{row: noRow, scope: noRow}}
-	binds, err := e.evalPath(p, start[:], ctx)
+	rows, err := e.evalRows(p, ctx)
 	if err != nil {
 		return 0, err
 	}
-	seen := ctx.ar.getRowSet()
-	n := 0
-	for _, b := range binds {
-		if b.row != noRow && !seen[b.row] {
-			seen[b.row] = true
-			n++
-		}
-	}
-	ctx.ar.putRowSet(seen)
-	ctx.ar.putBinds(binds)
-	return n, nil
+	ctx.ar.putInts(rows)
+	return len(rows), nil
 }
 
 // ExplainPlanContext executes the plan with cardinality counters and returns
@@ -418,33 +462,10 @@ func (e *Engine) evalSteps(p *lpath.Path, start int, binds []bind, owned bool, c
 		ctx.batch.frontiers[frontKey] = append([]bind(nil), cur...)
 	}
 	if p.Scoped != nil {
-		if e.useBitmapEntry(p.Scoped, ctx) {
-			res, err := e.evalBitmapScoped(p.Scoped, cur, ctx)
-			if owned {
-				ctx.ar.putBinds(cur)
-			}
-			return res, err
-		}
-		// Open a subtree scope at each current node and evaluate the tail.
-		scoped := ctx.ar.getBinds()
-		for _, b := range cur {
-			row := b.row
-			if row == noRow {
-				// Scope on the virtual root: evaluate per tree root (within
-				// the streaming tid window, when one is active).
-				for _, ri := range e.narrowToWindow(e.s.Roots(), ctx) {
-					scoped = append(scoped, bind{row: ri, scope: ri})
-				}
-				continue
-			}
-			scoped = append(scoped, bind{row: row, scope: row})
-		}
+		res, err := e.evalScoped(p.Scoped, cur, ctx)
 		if owned {
 			ctx.ar.putBinds(cur)
 		}
-		scoped = dedupBinds(scoped, ctx)
-		res, err := e.evalPath(p.Scoped, scoped, ctx)
-		ctx.ar.putBinds(scoped)
 		return res, err
 	}
 	if !owned {
@@ -454,6 +475,38 @@ func (e *Engine) evalSteps(p *lpath.Path, start int, binds []bind, owned bool, c
 		return out, nil
 	}
 	return cur, nil
+}
+
+// evalScoped opens a subtree scope at every row of the frontier (at every
+// tree root for the virtual root) and evaluates the tail from there, through
+// the bitmap scope entry when it applies. cur is read-only; the caller
+// releases it.
+func (e *Engine) evalScoped(tail *lpath.Path, cur []bind, ctx *evalCtx) ([]bind, error) {
+	if e.useBitmapEntry(tail, cur, ctx) {
+		return e.evalBitmapScoped(tail, cur, ctx)
+	}
+	// Every scope binding is (r, r): the frontier's distinct rows.
+	scoped := ctx.ar.getBinds()
+	seen := ctx.ar.getSet()
+	for _, b := range cur {
+		rows := [1]int32{b.row}
+		open := rows[:]
+		if b.row == noRow {
+			// Scope on the virtual root: evaluate per tree root (within the
+			// streaming tid window, when one is active).
+			open = e.narrowToWindow(e.s.Roots(), ctx)
+		}
+		for _, r := range open {
+			if p := e.s.Pos(r); !seen.has(p) {
+				seen.add(p)
+				scoped = append(scoped, bind{row: r, scope: r})
+			}
+		}
+	}
+	ctx.ar.putSet(seen)
+	res, err := e.evalPath(tail, scoped, ctx)
+	ctx.ar.putBinds(scoped)
+	return res, err
 }
 
 // evalStep performs one join step, dispatching between the per-binding
@@ -516,7 +569,7 @@ func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []l
 	if !positional {
 		// The value-index shortcut would reorder the predicate pipeline
 		// and corrupt position(); positional steps keep axis probes.
-		e.initValueDriver(&vd, step)
+		e.initValueDriver(&vd, step, sp)
 	}
 	out := ctx.ar.getBinds()
 	// A single binding's probe already yields distinct rows, so the
@@ -659,22 +712,39 @@ func (e *Engine) groupByTID(cands []int32) [][]int32 {
 // filterPred keeps the candidates satisfying one predicate, supplying the
 // positional context. The filter compacts in place: the caller must own the
 // slice (both executors materialize borrowed slices before the pipeline).
+// Planned filters resolve for the whole frontier where they can: a
+// scope-only filter runs its tail once for every candidate, and unscoped
+// set-capable filters answer from satisfier sets when those are cheaper on
+// the frontier at hand (semijoin.go). WithoutBitmap and WithFilterPath(false)
+// evaluate every candidate forward.
 func (e *Engine) filterPred(pred lpath.Expr, scope int32, cands []int32, ctx *evalCtx) ([]int32, error) {
-	// Bitmap fast path: a boolean combination whose every leaf has a planned
-	// semijoin resolves to one satisfier bitset (possibly stored complemented)
-	// via word-parallel set algebra; the per-candidate loop becomes a bit
-	// test per candidate (bitmap.go).
-	if e.bitmap != bitmapOff && scope == noRow && len(cands) > 0 {
-		if set, negated, ok, err := e.predBits(pred, scope, ctx); err != nil {
-			return nil, err
-		} else if ok {
-			out := cands[:0]
-			for _, ci := range cands {
-				if set.Has(ci) != negated {
-					out = append(out, ci)
-				}
+	if len(cands) == 0 {
+		return cands, nil
+	}
+	if e.bitmap != bitmapOff && e.filters != filterForward && ctx.plan != nil {
+		x, neg := pred, false
+		if n, ok := pred.(*lpath.NotExpr); ok {
+			x, neg = n.X, true
+		}
+		if tail := planner.ScopeOnlyTail(x); tail != nil && (len(cands) > 1 || e.filters == filterSet) {
+			return e.filterScopeOnly(x, tail, neg, cands, ctx)
+		}
+		if scope == noRow {
+			if err := e.chooseSets(pred, len(cands), ctx); err != nil {
+				return nil, err
 			}
-			return out, nil
+			// A filter or its negation answered by a set: one bit test per
+			// candidate. Other combinations test their sets per candidate
+			// through evalExpr below.
+			if set := ctx.setFor(x); set != nil {
+				out := cands[:0]
+				for _, ci := range cands {
+					if set.has(e.s.Pos(ci)) != neg {
+						out = append(out, ci)
+					}
+				}
+				return out, nil
+			}
 		}
 	}
 	out := cands[:0]
@@ -812,12 +882,22 @@ type valueDriver struct {
 	rowsSet  bool
 }
 
-// initValueDriver inspects the step's predicates for a usable value-index
-// access path. The driver lives on the caller's stack; its memoized row
-// buffer is arena-owned and released by the caller after the step.
-func (e *Engine) initValueDriver(vd *valueDriver, step *lpath.Step) {
+// initValueDriver sets up the value-index access path for a step. A planned
+// step carries the planner's choice (StepPlan.Value, made against the same
+// statistics), so nested per-candidate evaluations pay no index lookups;
+// unplanned, the first direct @attr=value predicate whose posting list is
+// shorter than the step's name range drives. The driver lives on the
+// caller's stack; its memoized row buffer is arena-owned and released by the
+// caller after the step.
+func (e *Engine) initValueDriver(vd *valueDriver, step *lpath.Step, sp *planner.StepPlan) {
 	vd.step = step
 	if e.disableValueIndex {
+		return
+	}
+	if sp != nil {
+		if sp.Value != "" {
+			vd.ok, vd.value, vd.attr, vd.postings = true, sp.Value, sp.Attr[1:], sp.Postings
+		}
 		return
 	}
 	for _, pred := range step.Preds {
@@ -949,22 +1029,4 @@ func axisHolds(axis lpath.Axis, x, c label.Label) bool {
 		return label.IsImmediatePrecedingSibling(x, c)
 	}
 	return false
-}
-
-// dedupBinds compacts the bindings in place (the caller must own the slice),
-// keeping the first occurrence of each (row, scope) pair.
-func dedupBinds(binds []bind, ctx *evalCtx) []bind {
-	if len(binds) <= 1 {
-		return binds
-	}
-	seen := ctx.ar.getBindSet()
-	out := binds[:0]
-	for _, b := range binds {
-		if !seen[b] {
-			seen[b] = true
-			out = append(out, b)
-		}
-	}
-	ctx.ar.putBindSet(seen)
-	return out
 }

@@ -3,39 +3,28 @@ package engine
 import (
 	"context"
 
-	"lpath/internal/bitset"
 	"lpath/internal/lpath"
 	"lpath/internal/planner"
 )
 
 // Plan-directed execution state. An evalCtx travels through one evaluation
 // (one Eval/Count/Explain call): it carries the cost-based plan the steps
-// consult, the memoized semijoin satisfier sets, and — for EXPLAIN — the
+// consult, the per-filter state (satisfier sets), and — for EXPLAIN — the
 // actual-cardinality counters. A nil plan (or a nil field lookup) means the
 // engine's default strategy, which is exactly the pre-planner behavior; the
 // differential tests and fuzzers hold the two result-identical.
 
-type satKey struct {
-	expr  lpath.Expr
-	scope int32
-}
-
 type evalCtx struct {
 	plan *planner.Plan
-	// sat memoizes semijoin satisfier sets per (filter expression, scope):
-	// within one evaluation the same filter under the same scope always has
-	// the same satisfiers, however many candidates probe it.
-	sat map[satKey]map[int32]bool
-	// satBits is the dense counterpart of sat (bitmap.go): arena-owned
-	// satisfier bitsets for unscoped filters, including memoized boolean
-	// combinations. satNeg marks combination sets stored complemented (the
-	// De Morgan rewrites keep the kernels to And/Or/AndNot).
-	satBits map[satKey]*bitset.Set
-	satNeg  map[satKey]bool
+	// filters holds each set-capable filter's state for the evaluation (or
+	// the current stream window), indexed by planner.Semijoin.ID: within
+	// one window the same unscoped filter always has the same satisfiers,
+	// however many frontiers probe it.
+	filters []filterState
 	// act collects actual cardinalities when EXPLAIN runs the query.
 	act *planner.Actuals
 	// batch is the cross-query memo of the enclosing EvalBatch call, nil
-	// outside batched evaluation (batch.go). Unlike sat/satBits it is keyed
+	// outside batched evaluation (batch.go). Unlike filters it is keyed
 	// by canonical structural keys, not AST identity, so it survives across
 	// the batch's per-query evaluation contexts.
 	batch *batchMemo
@@ -133,32 +122,25 @@ func (e *Engine) releaseCtx(ctx *evalCtx) {
 	ctx.cerr = nil
 	ctx.winLo, ctx.winHi = 0, 0
 	ctx.windowed = false
-	// Satisfier sets are valid only for the evaluation's plan identity; the
-	// outer map is kept, the per-expression sets are dropped.
+	// Satisfier sets are valid only for the evaluation's plan: they go back
+	// to the arena.
 	ctx.clearSat()
 	e.ctxPool.Put(ctx)
 }
 
-// clearSat drops the memoized semijoin satisfier sets. The streaming
-// evaluator also calls it between tid-window batches: a satisfier set built
-// under one window is seeded from that window's trees only and must not
-// answer probes from the next. A map that grew large is released entirely —
-// clear() costs O(capacity) and maps never shrink, so retaining it would tax
-// every later evaluation.
+// clearSat drops the per-filter state: satisfier sets go back to the arena
+// and the forward counters restart. The streaming evaluator also calls it
+// between tid-window batches: a satisfier set built under one window is
+// seeded from that window's trees only and must not answer probes from the
+// next.
 func (c *evalCtx) clearSat() {
-	if len(c.sat) > 64 {
-		c.sat = nil
-	} else {
-		clear(c.sat)
+	for i := range c.filters {
+		if s := c.filters[i].set; s != nil {
+			c.ar.putSet(s)
+		}
 	}
-	// Satisfier bitsets recycle through the arena: unlike maps, a bitset's
-	// reset cost is proportional to the next evaluation's row count, not to
-	// its own peak size, so they always pool.
-	for _, s := range c.satBits {
-		c.ar.putBitset(s)
-	}
-	clear(c.satBits)
-	clear(c.satNeg)
+	clear(c.filters)
+	c.filters = c.filters[:0]
 }
 
 func (c *evalCtx) stepPlan(s *lpath.Step) *planner.StepPlan {
@@ -185,14 +167,19 @@ func (c *evalCtx) countStep(sp *planner.StepPlan, n int) {
 	c.act.Steps[sp] += n
 }
 
-func (c *evalCtx) countSemi(x lpath.Expr, seed, set int) {
-	if c == nil || c.act == nil {
-		return
+// filterRun returns the EXPLAIN record of a filter, nil when the evaluation
+// is not instrumented.
+func (c *evalCtx) filterRun(x lpath.Expr) *planner.FilterRun {
+	if c.act == nil {
+		return nil
 	}
-	if c.act.SemiSeed == nil {
-		c.act.SemiSeed = make(map[lpath.Expr]int)
-		c.act.SemiSet = make(map[lpath.Expr]int)
+	if c.act.Filters == nil {
+		c.act.Filters = make(map[lpath.Expr]*planner.FilterRun)
 	}
-	c.act.SemiSeed[x] = seed
-	c.act.SemiSet[x] = set
+	r := c.act.Filters[x]
+	if r == nil {
+		r = &planner.FilterRun{}
+		c.act.Filters[x] = r
+	}
+	return r
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"lpath/internal/lpath"
@@ -31,11 +33,11 @@ import (
 // so no cross-binding dedup set is needed.
 func (e *Engine) evalStepMerge(step *lpath.Step, sp *planner.StepPlan, preds []lpath.Expr, binds []bind, ctx *evalCtx) ([]bind, error) {
 	work := append(ctx.ar.getBinds(), binds...)
-	sort.Slice(work, func(i, j int) bool {
-		if work[i].scope != work[j].scope {
-			return work[i].scope < work[j].scope
+	slices.SortFunc(work, func(a, b bind) int {
+		if c := cmp.Compare(a.scope, b.scope); c != 0 {
+			return c
 		}
-		return work[i].row < work[j].row
+		return cmp.Compare(a.row, b.row)
 	})
 	out := ctx.ar.getBinds()
 	ctxRows := ctx.ar.getInts()
@@ -156,15 +158,14 @@ func (e *Engine) mergeAxis(step *lpath.Step, scope int32, ctxs, dst []int32) []i
 func (e *Engine) mergeDescendant(post, ctxs, dst []int32, orSelf bool) []int32 {
 	cols := e.s.Cols()
 	tids, lefts, rights, depths := cols.TID, cols.Left, cols.Right, cols.Depth
-	sort.Slice(ctxs, func(i, j int) bool {
-		a, b := ctxs[i], ctxs[j]
-		if tids[a] != tids[b] {
-			return tids[a] < tids[b]
+	slices.SortFunc(ctxs, func(a, b int32) int {
+		if c := cmp.Compare(tids[a], tids[b]); c != 0 {
+			return c
 		}
-		if lefts[a] != lefts[b] {
-			return lefts[a] < lefts[b]
+		if c := cmp.Compare(lefts[a], lefts[b]); c != 0 {
+			return c
 		}
-		return depths[a] < depths[b]
+		return cmp.Compare(depths[a], depths[b])
 	})
 	kept := ctxs[:0]
 	for _, c := range ctxs {
@@ -208,13 +209,7 @@ func (e *Engine) mergeDescendant(post, ctxs, dst []int32, orSelf bool) []int32 {
 func (e *Engine) mergeChild(post, ctxs, dst []int32) []int32 {
 	cols := e.s.Cols()
 	tids, ids, pids := cols.TID, cols.ID, cols.PID
-	sort.Slice(ctxs, func(i, j int) bool {
-		a, b := ctxs[i], ctxs[j]
-		if tids[a] != tids[b] {
-			return tids[a] < tids[b]
-		}
-		return ids[a] < ids[b]
-	})
+	sortByTID(ctxs, tids, ids)
 	for _, ri := range post {
 		pid := pids[ri]
 		if pid == 0 {
@@ -243,13 +238,7 @@ func (e *Engine) mergeChild(post, ctxs, dst []int32) []int32 {
 func (e *Engine) mergeFollowing(post, ctxs, dst []int32, orSelf, wild bool, nlo, nhi, maxLeft int32) []int32 {
 	cols := e.s.Cols()
 	tids, lefts, rights := cols.TID, cols.Left, cols.Right
-	sort.Slice(ctxs, func(i, j int) bool {
-		a, b := ctxs[i], ctxs[j]
-		if tids[a] != tids[b] {
-			return tids[a] < tids[b]
-		}
-		return rights[a] < rights[b]
-	})
+	sortByTID(ctxs, tids, rights)
 	p, n := 0, len(post)
 	for i := 0; i < len(ctxs); {
 		ct := tids[ctxs[i]]
@@ -284,13 +273,7 @@ func (e *Engine) mergeFollowing(post, ctxs, dst []int32, orSelf, wild bool, nlo,
 func (e *Engine) mergePreceding(post, ctxs, dst []int32, orSelf, wild bool, nlo, nhi, minRight int32) []int32 {
 	cols := e.s.Cols()
 	tids, lefts, rights := cols.TID, cols.Left, cols.Right
-	sort.Slice(ctxs, func(i, j int) bool {
-		a, b := ctxs[i], ctxs[j]
-		if tids[a] != tids[b] {
-			return tids[a] < tids[b]
-		}
-		return lefts[a] < lefts[b]
-	})
+	sortByTID(ctxs, tids, lefts)
 	p, n := 0, len(post)
 	for i := 0; i < len(ctxs); {
 		ct := tids[ctxs[i]]
@@ -330,13 +313,7 @@ func (e *Engine) mergePreceding(post, ctxs, dst []int32, orSelf, wild bool, nlo,
 func (e *Engine) mergeImmFollowing(post, ctxs, dst []int32) []int32 {
 	cols := e.s.Cols()
 	tids, lefts, rights := cols.TID, cols.Left, cols.Right
-	sort.Slice(ctxs, func(i, j int) bool {
-		a, b := ctxs[i], ctxs[j]
-		if tids[a] != tids[b] {
-			return tids[a] < tids[b]
-		}
-		return rights[a] < rights[b]
-	})
+	sortByTID(ctxs, tids, rights)
 	p, n := 0, len(post)
 	for i, c := range ctxs {
 		ct, rt := tids[c], rights[c]
@@ -363,13 +340,7 @@ func (e *Engine) mergeImmFollowing(post, ctxs, dst []int32) []int32 {
 func (e *Engine) mergeImmPreceding(post, ctxs, dst []int32) []int32 {
 	cols := e.s.Cols()
 	tids, lefts, rights := cols.TID, cols.Left, cols.Right
-	sort.Slice(ctxs, func(i, j int) bool {
-		a, b := ctxs[i], ctxs[j]
-		if tids[a] != tids[b] {
-			return tids[a] < tids[b]
-		}
-		return lefts[a] < lefts[b]
-	})
+	sortByTID(ctxs, tids, lefts)
 	p, n := 0, len(post)
 	for i, c := range ctxs {
 		ct, lf := tids[c], lefts[c]
@@ -388,6 +359,16 @@ func (e *Engine) mergeImmPreceding(post, ctxs, dst []int32) []int32 {
 		}
 	}
 	return dst
+}
+
+// sortByTID sorts rows by (tid, key).
+func sortByTID(rows, tids, key []int32) {
+	slices.SortFunc(rows, func(a, b int32) int {
+		if c := cmp.Compare(tids[a], tids[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(key[a], key[b])
+	})
 }
 
 // gallopPost advances the posting cursor to the first index whose row

@@ -114,18 +114,18 @@ func (e *Engine) axisCandidates(step *lpath.Step, b bind, ctx *evalCtx) (cands [
 		if step.Axis == lpath.AxisDescendantOrSelf {
 			minDepth = ctxDepth
 		}
-		return e.scanLeftRange(step, ctxTID, ctxLeft, ctxRight-1, ctxRight, minDepth, ctx.ar.getInts()), false
+		return e.scanLeftRange(wild, nlo, nhi, ctxTID, ctxLeft, ctxRight-1, ctxRight, minDepth, ctx.ar.getInts()), false
 
 	case lpath.AxisImmediateFollowing:
 		// left = c.right.
-		return e.scanLeftRange(step, ctxTID, ctxRight, minInt32Of(ctxRight, maxLeft), maxInt32, 0, ctx.ar.getInts()), false
+		return e.scanLeftRange(wild, nlo, nhi, ctxTID, ctxRight, minInt32Of(ctxRight, maxLeft), maxInt32, 0, ctx.ar.getInts()), false
 
 	case lpath.AxisFollowing:
 		// left ≥ c.right (clamped to the scope's span).
-		return e.scanLeftRange(step, ctxTID, ctxRight, maxLeft, maxInt32, 0, ctx.ar.getInts()), false
+		return e.scanLeftRange(wild, nlo, nhi, ctxTID, ctxRight, maxLeft, maxInt32, 0, ctx.ar.getInts()), false
 
 	case lpath.AxisFollowingOrSelf:
-		out := e.scanLeftRange(step, ctxTID, ctxRight, maxLeft, maxInt32, 0, ctx.ar.getInts())
+		out := e.scanLeftRange(wild, nlo, nhi, ctxTID, ctxRight, maxLeft, maxInt32, 0, ctx.ar.getInts())
 		if wild || (row >= nlo && row < nhi) {
 			// Self precedes every following node in document order; insert
 			// it in front so the step's output stays (tid, left)-sorted.
@@ -206,18 +206,18 @@ func (e *Engine) virtualRootCandidates(step *lpath.Step, ctx *evalCtx) ([]int32,
 	}
 }
 
-// scanLeftRange appends to dst the rows with the step's name whose left ∈
-// [lo, hi] within tid, additionally filtered by right ≤ maxRight and
-// depth ≥ minDepth (pass maxInt32 / 0 to disable). It binary-searches the
-// clustered name range (or the whole-relation document order for wildcards),
-// so the probe costs O(log n + results).
-func (e *Engine) scanLeftRange(step *lpath.Step, tid, lo, hi, maxRight, minDepth int32, dst []int32) []int32 {
+// scanLeftRange appends to dst the rows of the clustered name range
+// [rlo, rhi) whose left ∈ [lo, hi] within tid, additionally filtered by
+// right ≤ maxRight and depth ≥ minDepth (pass maxInt32 / 0 to disable). It
+// binary-searches the name range (or, for a wildcard, the whole-relation
+// document order), so the probe costs O(log n + results).
+func (e *Engine) scanLeftRange(wild bool, rlo, rhi, tid, lo, hi, maxRight, minDepth int32, dst []int32) []int32 {
 	if hi < lo {
 		return dst
 	}
 	cols := e.s.Cols()
 	tids, lefts, rights, depths := cols.TID, cols.Left, cols.Right, cols.Depth
-	if step.Wildcard() {
+	if wild {
 		idxs := e.s.ElementsByLeft()
 		start := sort.Search(len(idxs), func(i int) bool {
 			ri := idxs[i]
@@ -232,10 +232,6 @@ func (e *Engine) scanLeftRange(step *lpath.Step, tid, lo, hi, maxRight, minDepth
 				dst = append(dst, ri)
 			}
 		}
-		return dst
-	}
-	rlo, rhi, ok := e.s.NameRange(step.Test)
-	if !ok {
 		return dst
 	}
 	start := sort.Search(int(rhi-rlo), func(i int) bool {
@@ -356,13 +352,13 @@ func (e *Engine) evalExpr(x lpath.Expr, b bind, pos, size int, ctx *evalCtx) (bo
 		ok, err := e.evalExpr(ex.X, b, pos, size, ctx)
 		return !ok, err
 	case *lpath.PathExpr:
-		if sj := ctx.semijoin(x); sj != nil && b.row != noRow {
-			return e.semiHolds(sj, x, b, ctx)
+		if set := ctx.setFor(x); set != nil && b.scope == noRow && b.row != noRow {
+			return set.has(e.s.Pos(b.row)), nil
 		}
 		return e.evalExistential(ex.Path, b, "", "", ctx)
 	case *lpath.CmpExpr:
-		if sj := ctx.semijoin(x); sj != nil && b.row != noRow {
-			return e.semiHolds(sj, x, b, ctx)
+		if set := ctx.setFor(x); set != nil && b.scope == noRow && b.row != noRow {
+			return set.has(e.s.Pos(b.row)), nil
 		}
 		return e.evalExistential(ex.Path, b, ex.Op, ex.Value, ctx)
 	case *lpath.PositionExpr:

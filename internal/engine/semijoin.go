@@ -1,89 +1,211 @@
 package engine
 
 import (
-	"lpath/internal/label"
+	"slices"
+
 	"lpath/internal/lpath"
 	"lpath/internal/planner"
+	"lpath/internal/relstore"
 )
 
-// Semijoin execution: the reverse strategy for an existential filter chosen
-// by the planner. Instead of evaluating the filter path forward from every
-// candidate, the engine materializes the set of rows that satisfy the filter
-// once per (filter, scope) — seeding from the path's final step (a value
+// Set-at-a-time filters (docs/EXECUTION.md, "Bitmap filter kernels"). An
+// existential filter the planner registered a Semijoin on can be answered two
+// ways: forward, evaluating the filter path from every candidate, or through
+// its satisfier set — the rows from which the path has a match, materialized
+// once per evaluation window by seeding from the path's final step (a value
 // posting list or one clustered name range) and walking the inverse axes
-// back to the path's head — and then answers each candidate with a set
-// lookup. Soundness rests on the Table 2 label predicates being symmetric
-// under lpath.InverseAxis, and on the planner's reversibility gate (no
-// alignment, no positional predicates, no subtree scope, no attribute axes
-// mid-path), which guarantees the reverse walk visits exactly the rows a
-// forward evaluation could have reached.
+// back to its head. filterPred makes the choice per frontier from the actual
+// frontier and seed sizes (planner.Semijoin.SetWins). Soundness rests on the
+// Table 2 label predicates being symmetric under lpath.InverseAxis, and on
+// the planner's reversibility gate (no alignment, no positional or
+// error-capable predicates, no subtree scope, no attribute axes mid-path),
+// which guarantees the reverse walk visits exactly the rows a forward
+// evaluation could have reached. Sets exist for unscoped candidates only: a
+// filter evaluated inside a subtree scope sees only that scope's rows.
 
-// semiHolds answers one candidate's filter membership, building and
-// memoizing the satisfier set on first use. Unscoped filters materialize as
-// dense bitsets (bitmap.go) unless the bitmap kernels are disabled; scoped
-// satisfier sets are small and numerous (one per scope), so they stay maps —
-// a bitset's whole-store clear per scope would swamp the lookup win.
-func (e *Engine) semiHolds(sj *planner.Semijoin, x lpath.Expr, b bind, ctx *evalCtx) (bool, error) {
-	if b.scope == noRow && e.bitmap != bitmapOff {
-		set, err := e.satisfierBits(sj, x, b.scope, ctx)
-		if err != nil {
-			return false, err
-		}
-		return set.Has(b.row), nil
-	}
-	key := satKey{expr: x, scope: b.scope}
-	set, ok := ctx.sat[key]
-	if !ok {
-		if ctx.sat == nil {
-			ctx.sat = make(map[satKey]map[int32]bool)
-		}
-		var err error
-		set, err = e.satisfiers(sj, x, b.scope, ctx)
-		if err != nil {
-			return false, err
-		}
-		ctx.sat[key] = set
-	}
-	return set[b.row], nil
+// filterState is one set-capable filter's state within an evaluation window.
+type filterState struct {
+	set   *spanSet // the satisfier set, once materialized
+	fwd   int      // candidates answered forward so far
+	seeds int      // seed rows in the window plus one; 0 until counted
 }
 
-// satisfiers computes the rows from which the filter path has at least one
-// match under the given scope.
-func (e *Engine) satisfiers(sj *planner.Semijoin, x lpath.Expr, scope int32, ctx *evalCtx) (map[int32]bool, error) {
-	steps := sj.Head.Steps
-	cur, err := e.semiSeeds(sj, scope, ctx)
+// filter returns the state of the semijoin's filter, growing the table to
+// the plan's numbering on first use. The pointer is valid until the next
+// call: materializing one filter's set may grow the table for another.
+func (c *evalCtx) filter(sj *planner.Semijoin) *filterState {
+	if n := sj.ID + 1; n > len(c.filters) {
+		c.filters = slices.Grow(c.filters, n-len(c.filters))[:n]
+	}
+	return &c.filters[sj.ID]
+}
+
+// setFor returns the filter's satisfier set when one is materialized.
+func (c *evalCtx) setFor(x lpath.Expr) *spanSet {
+	sj := c.semijoin(x)
+	if sj == nil || sj.ID >= len(c.filters) {
+		return nil
+	}
+	return c.filters[sj.ID].set
+}
+
+// chooseSets walks the predicate's boolean structure and decides, for every
+// set-capable leaf, whether its satisfier set answers the frontier of n
+// candidates, materializing the set when it does.
+func (e *Engine) chooseSets(x lpath.Expr, n int, ctx *evalCtx) error {
+	switch t := x.(type) {
+	case *lpath.AndExpr:
+		if err := e.chooseSets(t.L, n, ctx); err != nil {
+			return err
+		}
+		return e.chooseSets(t.R, n, ctx)
+	case *lpath.OrExpr:
+		if err := e.chooseSets(t.L, n, ctx); err != nil {
+			return err
+		}
+		return e.chooseSets(t.R, n, ctx)
+	case *lpath.NotExpr:
+		return e.chooseSets(t.X, n, ctx)
+	case *lpath.PathExpr, *lpath.CmpExpr:
+		if sj := ctx.semijoin(x); sj != nil {
+			return e.choose(sj, n, ctx)
+		}
+	}
+	return nil
+}
+
+// choose makes one filter's forward/set decision for a frontier of n
+// candidates. A set a batch mate already built costs a copy, so it always
+// wins; WithFilterPath(true) forces the set for differential coverage.
+func (e *Engine) choose(sj *planner.Semijoin, n int, ctx *evalCtx) error {
+	st := ctx.filter(sj)
+	run := ctx.filterRun(sj.Expr)
+	if run != nil {
+		run.Frontier += n
+	}
+	if st.set != nil {
+		return nil
+	}
+	if st.seeds == 0 {
+		st.seeds = e.seedCount(sj, ctx) + 1
+	}
+	st.fwd += n
+	if run != nil {
+		run.Seeds = st.seeds - 1
+	}
+	if e.filters != filterSet && ctx.batchSet(sj) == nil && !sj.SetWins(st.fwd, n, st.seeds-1) {
+		if run != nil {
+			run.Path = "forward"
+		}
+		return nil
+	}
+	set, err := e.satisfiers(sj, ctx)
+	if err != nil {
+		return err
+	}
+	ctx.filter(sj).set = set
+	if run != nil {
+		if run.Path == "forward" {
+			run.Path = "forward+set"
+		} else {
+			run.Path = "set"
+		}
+		buf := set.bits.AppendRange(ctx.ar.getInts(), set.lo, set.hi)
+		run.Set = len(buf)
+		ctx.ar.putInts(buf)
+	}
+	return nil
+}
+
+// seedCount is the number of rows the filter's set would be seeded from in
+// the window: the posting-list length for a value seed, else the final
+// step's name range narrowed to the window.
+func (e *Engine) seedCount(sj *planner.Semijoin, ctx *evalCtx) int {
+	if sj.Seed == planner.SeedValue {
+		return len(e.s.ByValue(sj.SeedValue))
+	}
+	return len(e.seedRange(sj, ctx))
+}
+
+// seedRange is the final step's clustered name range (the document-order
+// element index for a wildcard) narrowed to the window; borrowed from the
+// store.
+func (e *Engine) seedRange(sj *planner.Semijoin, ctx *evalCtx) []int32 {
+	last := &sj.Head.Steps[len(sj.Head.Steps)-1]
+	if last.Wildcard() {
+		return e.narrowToWindow(e.s.ElementsByLeft(), ctx)
+	}
+	if lo, hi, ok := e.s.NameRange(last.Test); ok {
+		return e.narrowToWindow(e.s.RowSeq()[lo:hi], ctx)
+	}
+	return nil
+}
+
+// batchSet returns the satisfier set a batch mate materialized for an
+// identical filter, when the evaluation may share it: an unscoped satisfier
+// set is a pure function of the filter's canonical key (Semijoin.Key)
+// against the store, but only for an unwindowed, uninstrumented evaluation.
+func (c *evalCtx) batchSet(sj *planner.Semijoin) *spanSet {
+	if c.batch == nil || c.windowed || c.act != nil || sj.Key == "" {
+		return nil
+	}
+	return c.batch.sats[sj.Key]
+}
+
+// satisfiers materializes the filter's satisfier set for the window, as one
+// copy when a batch mate already built it. The batch keeps a heap-owned
+// copy; the evaluation's own set is arena-owned and clearSat recycles it.
+func (e *Engine) satisfiers(sj *planner.Semijoin, ctx *evalCtx) (*spanSet, error) {
+	if cached := ctx.batchSet(sj); cached != nil {
+		ctx.batch.stats.SatHits++
+		set := ctx.ar.getSet()
+		set.copyFrom(cached)
+		return set, nil
+	}
+	set, err := e.buildSatisfiers(sj, ctx)
 	if err != nil {
 		return nil, err
 	}
-	nSeeds := len(cur)
+	if ctx.batch != nil && !ctx.windowed && ctx.act == nil && sj.Key != "" {
+		ctx.batch.stats.SatMisses++
+		cp := &spanSet{}
+		cp.bits.Reset(e.s.Len())
+		cp.copyFrom(set)
+		ctx.batch.sats[sj.Key] = cp
+	}
+	return set, nil
+}
 
-	// Climb: level i-1 holds the rows matching step i-1 (test, predicates,
-	// scope) from which some level-i row is reachable along step i's axis —
+// buildSatisfiers computes the rows from which the filter path has at least
+// one match. Each level's rows are filtered by that step's predicates through
+// filterPred, so a nested filter makes its own forward/set choice for the
+// whole level at once.
+func (e *Engine) buildSatisfiers(sj *planner.Semijoin, ctx *evalCtx) (*spanSet, error) {
+	steps := sj.Head.Steps
+	cur, err := e.semiSeeds(sj, ctx)
+	if err != nil {
+		return nil, err
+	}
+	// Climb: level i-1 holds the rows matching step i-1 (test, predicates)
+	// from which some level-i row is reachable along step i's axis —
 	// equivalently, rows reachable from a level-i row along the inverse.
+	seen := ctx.ar.getSet()
+	defer ctx.ar.putSet(seen)
 	for i := len(steps) - 1; i >= 1 && len(cur) > 0; i-- {
 		inv, _ := lpath.InverseAxis(steps[i].Axis)
 		prev := &steps[i-1]
 		synth := lpath.Step{Axis: inv, Test: prev.Test}
-		next := cur[:0:0]
-		seen := make(map[int32]bool)
+		next := ctx.ar.getInts()
 		for _, ri := range cur {
-			cands, borrowed := e.axisCandidates(&synth, bind{row: ri, scope: scope}, ctx)
+			if ctx.interrupted() {
+				ctx.ar.putInts(cur)
+				ctx.ar.putInts(next)
+				return nil, ctx.cerr
+			}
+			cands, borrowed := e.axisCandidates(&synth, bind{row: ri, scope: noRow}, ctx)
 			for _, ci := range cands {
-				if seen[ci] {
-					continue
-				}
-				seen[ci] = true
-				if !e.inScopeRow(scope, ci) {
-					continue
-				}
-				ok, err := e.semiPredsHold(prev.Preds, ci, scope, "", "", ctx)
-				if err != nil {
-					if !borrowed {
-						ctx.ar.putInts(cands)
-					}
-					return nil, err
-				}
-				if ok {
+				if p := e.s.Pos(ci); !seen.has(p) {
+					seen.add(p)
 					next = append(next, ci)
 				}
 			}
@@ -91,104 +213,103 @@ func (e *Engine) satisfiers(sj *planner.Semijoin, x lpath.Expr, scope int32, ctx
 				ctx.ar.putInts(cands)
 			}
 		}
-		cur = next
+		seen.clear()
+		ctx.ar.putInts(cur)
+		if cur, err = e.filterAll(prev.Preds, next, ctx); err != nil {
+			return nil, err
+		}
 	}
 
 	// Final hop: any row that reaches a head-level row along the first
 	// step's axis satisfies the filter. The candidate's own test, scope and
-	// predicates are the outer step's business, so the inverse probe is
+	// predicates are the outer step's business, so the inverse hop is
 	// unconstrained (wildcard).
-	out := make(map[int32]bool, len(cur))
+	out := ctx.ar.getSet()
 	inv0, _ := lpath.InverseAxis(steps[0].Axis)
-	synth := lpath.Step{Axis: inv0, Test: "_"}
-	for _, ri := range cur {
-		cands, borrowed := e.axisCandidates(&synth, bind{row: ri, scope: scope}, ctx)
-		for _, ci := range cands {
-			out[ci] = true
+	parents := e.s.ParentRows()
+	switch inv0 {
+	case lpath.AxisParent:
+		for _, ri := range cur {
+			if p := parents[ri]; p != relstore.NoParent {
+				out.add(e.s.Pos(p))
+			}
 		}
-		if !borrowed {
-			ctx.ar.putInts(cands)
+	case lpath.AxisAncestor, lpath.AxisAncestorOrSelf:
+		// Every row in out has all its ancestors in out too, so a climb
+		// stops at the first row already there.
+		for _, ri := range cur {
+			x := ri
+			if inv0 == lpath.AxisAncestor {
+				x = parents[ri]
+			}
+			for ; x != relstore.NoParent; x = parents[x] {
+				p := e.s.Pos(x)
+				if out.has(p) {
+					break
+				}
+				out.add(p)
+			}
+		}
+	default:
+		synth := lpath.Step{Axis: inv0, Test: "_"}
+		for _, ri := range cur {
+			cands, borrowed := e.axisCandidates(&synth, bind{row: ri, scope: noRow}, ctx)
+			for _, ci := range cands {
+				out.add(e.s.Pos(ci))
+			}
+			if !borrowed {
+				ctx.ar.putInts(cands)
+			}
 		}
 	}
-	ctx.countSemi(x, nSeeds, len(out))
+	ctx.ar.putInts(cur)
 	return out, nil
 }
 
-// semiSeeds materializes the filter path's final-step matches: rows
-// satisfying its node test, its predicates, the scope, and the filter's
-// trailing attribute condition.
-func (e *Engine) semiSeeds(sj *planner.Semijoin, scope int32, ctx *evalCtx) ([]int32, error) {
-	steps := sj.Head.Steps
-	last := &steps[len(steps)-1]
-	var cands []int32
-	skipValue, skipAttr := "", ""
+// semiSeeds materializes the filter path's final-step matches in the window:
+// rows satisfying its node test, its predicates and the filter's trailing
+// attribute condition. The result is arena-owned.
+func (e *Engine) semiSeeds(sj *planner.Semijoin, ctx *evalCtx) ([]int32, error) {
+	last := &sj.Head.Steps[len(sj.Head.Steps)-1]
+	out := ctx.ar.getInts()
 	if sj.Seed == planner.SeedValue {
-		// The posting list already enforces one @attr=value equality; skip
-		// re-checking that predicate, like the forward value driver does.
-		skipValue, skipAttr = sj.SeedValue, sj.SeedAttr
+		// The posting list already enforces one @attr=value equality, which
+		// SeedPreds leaves out, like the forward value driver does.
 		for _, pi := range e.s.ByValue(sj.SeedValue) {
 			ar := e.s.Row(pi)
-			if ar.Name != sj.SeedAttr {
-				continue
-			}
-			// Posting lists are grouped by attribute name, not tid-sorted, so
-			// the streaming tid window filters linearly. The windowed set is
-			// memoized per batch only; evalCtx.clearSat drops it between
-			// batches.
-			if !ctx.inWindow(ar.TID) {
+			// Posting lists are grouped by attribute name, not tid-sorted,
+			// so the streaming tid window filters linearly.
+			if ar.Name != sj.SeedAttr || !ctx.inWindow(ar.TID) {
 				continue
 			}
 			ei, ok := e.s.ElementByID(ar.TID, ar.ID)
-			if !ok {
+			if !ok || (!last.Wildcard() && e.s.Row(ei).Name != last.Test) || !e.semiAttrOK(sj, ei) {
 				continue
 			}
-			if !last.Wildcard() && e.s.Row(ei).Name != last.Test {
-				continue
+			out = append(out, ei)
+		}
+	} else {
+		for _, ci := range e.seedRange(sj, ctx) {
+			if e.semiAttrOK(sj, ci) {
+				out = append(out, ci)
 			}
-			cands = append(cands, ei)
-		}
-	} else if last.Wildcard() {
-		cands = e.narrowToWindow(e.s.ElementsByLeft(), ctx)
-	} else if lo, hi, ok := e.s.NameRange(last.Test); ok {
-		// The clustered name range, zero-copy via the identity row sequence,
-		// narrowed to the streaming tid window when one is active.
-		cands = e.narrowToWindow(e.s.RowSeq()[lo:hi], ctx)
-	}
-
-	out := cands[:0:0]
-	for _, ci := range cands {
-		if !e.inScopeRow(scope, ci) || !e.semiAttrOK(sj, ci) {
-			continue
-		}
-		ok, err := e.semiPredsHold(last.Preds, ci, scope, skipValue, skipAttr, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, ci)
 		}
 	}
-	return out, nil
+	return e.filterAll(sj.SeedPreds, out, ctx)
 }
 
-// semiPredsHold checks a step's predicates on one row. The reversibility
-// gate excludes positional predicates, so the positional context is inert;
-// nested paths evaluate forward exactly as they would in the forward
-// strategy (and may use their own semijoins via ctx).
-func (e *Engine) semiPredsHold(preds []lpath.Expr, ri, scope int32, skipValue, skipAttr string, ctx *evalCtx) (bool, error) {
+// filterAll runs an unscoped candidate list through a predicate pipeline.
+// It owns cands: on error the buffer goes back to the arena.
+func (e *Engine) filterAll(preds []lpath.Expr, cands []int32, ctx *evalCtx) ([]int32, error) {
 	for _, pred := range preds {
-		if skipValue != "" {
-			if cmp, ok := pred.(*lpath.CmpExpr); ok && isDirectEq(cmp) &&
-				cmp.Value == skipValue && len(skipAttr) > 1 && cmp.Path.Steps[0].Test == skipAttr[1:] {
-				continue
-			}
+		out, err := e.filterPred(pred, noRow, cands, ctx)
+		if err != nil {
+			ctx.ar.putInts(cands)
+			return nil, err
 		}
-		ok, err := e.evalExpr(pred, bind{row: ri, scope: scope}, 1, 1, ctx)
-		if err != nil || !ok {
-			return false, err
-		}
+		cands = out
 	}
-	return true, nil
+	return cands, nil
 }
 
 // semiAttrOK applies the filter's trailing attribute condition to a row.
@@ -210,12 +331,38 @@ func (e *Engine) semiAttrOK(sj *planner.Semijoin, ri int32) bool {
 	return true
 }
 
-// inScopeRow reports whether the row lies inside the subtree scope (noRow =
-// unscoped).
-func (e *Engine) inScopeRow(scope, ri int32) bool {
-	if scope == noRow {
-		return true
+// filterScopeOnly answers the scope-only filter [{tail}] — [not({tail})]
+// when neg — for a whole frontier at once: the tail runs once through the
+// main-path scoped pipeline from every candidate as its own scope (bitmap
+// entry, merge and twig as planned), and a candidate satisfies the filter
+// exactly when it is the scope of some result binding. The tail holds no
+// nested scope (planner.ScopeOnlyTail), so every result's scope is the
+// candidate it started from.
+func (e *Engine) filterScopeOnly(x lpath.Expr, tail *lpath.Path, neg bool, cands []int32, ctx *evalCtx) ([]int32, error) {
+	if run := ctx.filterRun(x); run != nil {
+		run.Path = "scope"
+		run.Frontier += len(cands)
 	}
-	sc, r := e.s.Row(scope), e.s.Row(ri)
-	return r.TID == sc.TID && label.InScope(rowLabel(r), rowLabel(sc))
+	front := ctx.ar.getBinds()
+	for _, c := range cands {
+		front = append(front, bind{row: c, scope: noRow})
+	}
+	res, err := e.evalScoped(tail, front, ctx)
+	ctx.ar.putBinds(front)
+	if err != nil {
+		return nil, err
+	}
+	hit := ctx.ar.getSet()
+	for _, b := range res {
+		hit.add(e.s.Pos(b.scope))
+	}
+	ctx.ar.putBinds(res)
+	out := cands[:0]
+	for _, c := range cands {
+		if hit.has(e.s.Pos(c)) != neg {
+			out = append(out, c)
+		}
+	}
+	ctx.ar.putSet(hit)
+	return out, nil
 }

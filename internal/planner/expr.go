@@ -1,17 +1,16 @@
 package planner
 
 import (
-	"fmt"
 	"math"
 
 	"lpath/internal/lpath"
 )
 
 // Predicate planning: estimate each conjunct's selectivity and per-candidate
-// cost, and — for existential path filters — decide between the forward
-// strategy (evaluate the filter path from every candidate) and a reverse
+// cost, and — for existential path filters — register the set strategy, a
 // semijoin (materialize the filter's satisfier set once from its selective
-// end, then test candidates by membership).
+// end, then test candidates by membership), with the cost inputs the engine
+// weighs against forward evaluation per frontier at run time.
 
 // selFloor keeps selectivities strictly positive so downstream estimates
 // stay ordered instead of collapsing to zero.
@@ -119,6 +118,9 @@ func (pl *Planner) planExistential(x lpath.Expr, path *lpath.Path, op, value str
 		return pp
 	}
 
+	if tail := ScopeOnlyTail(x); tail != nil {
+		return pl.planScopeOnly(pp, head, tail, c, nCtx, plan)
+	}
 	hp := pl.planPath(head, c, 1, plan, "", false)
 	pp.Paths = []*PathPlan{hp}
 	m := hp.EstOut
@@ -136,22 +138,85 @@ func (pl *Planner) planExistential(x lpath.Expr, path *lpath.Path, op, value str
 	}
 	pp.Cost = hp.cost + 1
 
-	if sj := pl.planSemijoin(x, head, hp, attr, op, value, c, nCtx, pp.Cost); sj != nil {
+	if sj := pl.planSemijoin(x, head, hp, attr, op, value, pp.Cost); sj != nil {
+		sj.ID = len(plan.semis)
 		plan.semis[x] = sj
-		pp.Note = fmt.Sprintf("semijoin (seed=%s ~%s rows, set ~%s)",
-			sj.Seed, card(sj.EstSeed), card(sj.EstSet))
-		// Amortized per-candidate cost once the set exists.
-		pp.Cost = sj.EstReverse / math.Max(nCtx, 1)
+		// The engine answers the frontier whichever way is cheaper on its
+		// actual sizes; order predicates by the cheaper estimate.
+		n := math.Max(nCtx, 1)
+		pp.Cost = math.Min(sj.forwardCost(n), sj.setCost(n, sj.seedScan)) / n
 	}
 	return pp
 }
 
-// planSemijoin models the reverse strategy for the filter and returns it
-// when it is both sound (reversible axes, no alignment, no positional or
-// error-capable predicates, no subtree scope inside the filter) and modeled
-// sufficiently cheaper than evaluating the filter forward from each of the
-// nCtx candidates.
-func (pl *Planner) planSemijoin(x lpath.Expr, head *lpath.Path, hp *PathPlan, attr, op, value string, c ectx, nCtx, fwdCost float64) *Semijoin {
+// ScopeOnlyTail returns the tail of a scope-only filter [{tail}] that the
+// engine answers for a whole frontier at once — the tail run once from every
+// candidate as its own scope — or nil when the filter has another shape: an
+// attribute comparison, steps before the scope, a nested scope inside the
+// tail, or a predicate that could raise a runtime error (running the tail
+// for the whole frontier must not change whether one surfaces).
+func ScopeOnlyTail(x lpath.Expr) *lpath.Path {
+	pe, ok := x.(*lpath.PathExpr)
+	if !ok || len(pe.Path.Steps) != 0 || pe.Path.Scoped == nil {
+		return nil
+	}
+	tail := pe.Path.Scoped
+	if tail.Scoped != nil || len(tail.Steps) == 0 || pathPredsCanError(tail) || pathHasAttrStep(tail) {
+		return nil
+	}
+	return tail
+}
+
+// planScopeOnly plans a scope-only filter's tail as the engine runs it: once
+// for the whole frontier of nCtx candidates, like a main-path scoped tail, so
+// the scope entry and twig runs are chosen for that frontier.
+func (pl *Planner) planScopeOnly(pp *PredPlan, head, tail *lpath.Path, c ectx, nCtx float64, plan *Plan) *PredPlan {
+	n := math.Max(nCtx, 1)
+	hp := pl.planPath(head, c, n, plan, "", false)
+	if !pl.noTwig {
+		pl.markTwigRuns(hp.Scoped, false, true)
+	}
+	pp.Paths = []*PathPlan{hp}
+	pp.Sel = clampSel(math.Min(1, hp.EstOut/n))
+	pp.Cost = hp.cost/n + 1
+	pp.Note = "scope filter"
+	return pp
+}
+
+// nestedEvalCost is the fixed cost, in modeled row touches, of one nested
+// path evaluation: the frontier buffers, plan lookups and step dispatch a
+// forward filter pays for every candidate before its probe touches a row.
+const nestedEvalCost = 8
+
+// forwardCost models answering n candidates forward: per candidate, one
+// binary search into the filter's first posting plus the fixed cost of a
+// nested evaluation and the path's modeled row touches.
+func (sj *Semijoin) forwardCost(n float64) float64 {
+	return n * (sj.probe + math.Log2(sj.posting+2) + nestedEvalCost)
+}
+
+// setCost models answering n candidates from a satisfier set seeded from
+// seeds rows: the seed scan, the per-level climbs (the planned climb cost
+// scaled to the seed count), and one membership test per candidate.
+func (sj *Semijoin) setCost(n, seeds float64) float64 {
+	return seeds*(1+sj.climbPerSeed) + n
+}
+
+// SetWins is the engine's run-time choice for a frontier of n candidates,
+// fwd of them (n included) answered forward so far in this evaluation, when
+// the seed range holds seeds rows: materialize the satisfier set once its
+// cost no longer exceeds the forward work it replaces. Counting earlier
+// frontiers makes a filter probed from many small frontiers — a nested path,
+// a per-binding probe — switch to its set once the forward work adds up.
+func (sj *Semijoin) SetWins(fwd, n, seeds int) bool {
+	return sj.setCost(float64(n), float64(seeds)) <= sj.forwardCost(float64(fwd))
+}
+
+// planSemijoin models the set strategy for the filter and returns it when it
+// is sound: reversible axes, no alignment, no positional or error-capable
+// predicates, no subtree scope inside the filter. Whether the set or the
+// forward evaluation runs is decided per frontier by the engine (SetWins).
+func (pl *Planner) planSemijoin(x lpath.Expr, head *lpath.Path, hp *PathPlan, attr, op, value string, fwdCost float64) *Semijoin {
 	if !reversible(head) {
 		return nil
 	}
@@ -159,7 +224,8 @@ func (pl *Planner) planSemijoin(x lpath.Expr, head *lpath.Path, hp *PathPlan, at
 	k := len(steps)
 	last := &steps[k-1]
 
-	sj := &Semijoin{Expr: x, Key: exprText(x), Head: head, Attr: attr, Op: op, Value: value}
+	sj := &Semijoin{Expr: x, Key: exprText(x), Head: head, Attr: attr, Op: op, Value: value,
+		probe: fwdCost, posting: pl.nameCount(steps[0].Test)}
 	var seedCost float64
 	switch {
 	case op == "=" && attr != "" && !pl.noValue:
@@ -189,28 +255,32 @@ func (pl *Planner) planSemijoin(x lpath.Expr, head *lpath.Path, hp *PathPlan, at
 		}
 	}
 
+	// The seed step's predicates, less the equality a posting-list seed
+	// already enforces.
+	for _, pred := range last.Preds {
+		if sj.Seed == SeedValue && consumedByValue(pred, sj.SeedValue, sj.SeedAttr) {
+			continue
+		}
+		sj.SeedPreds = append(sj.SeedPreds, pred)
+	}
+
 	// Walk the inverse axes from the seed level back to the head of the
 	// filter path, capping each level at its name cardinality.
 	r := sj.EstSeed
-	revCost := seedCost
+	climb := 0.0
 	for i := k - 1; i >= 1; i-- {
 		inv, _ := lpath.InverseAxis(steps[i].Axis)
 		cctx := ectx{test: steps[i].Test, span: pl.spanOf(steps[i].Test)}
 		cands, cost, _ := pl.probe(cctx, inv, steps[i-1].Test)
-		revCost += r * cost
+		climb += r * cost
 		r = math.Min(pl.nameCount(steps[i-1].Test), r*cands) * predSel(hp.Steps[i-1])
 	}
 	inv0, _ := lpath.InverseAxis(steps[0].Axis)
 	cands, cost, _ := pl.probe(ectx{test: steps[0].Test, span: pl.spanOf(steps[0].Test)}, inv0, "_")
-	revCost += r * cost
+	climb += r * cost
 	sj.EstSet = math.Min(pl.elements, r*cands)
-	revCost += nCtx // one membership probe per candidate
-
-	sj.EstForward = nCtx * fwdCost
-	sj.EstReverse = revCost
-	if revCost >= semijoinAdvantage*sj.EstForward {
-		return nil
-	}
+	sj.seedScan = seedCost
+	sj.climbPerSeed = climb / seedCost
 	return sj
 }
 

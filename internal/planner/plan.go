@@ -261,12 +261,17 @@ type PredPlan struct {
 	Paths []*PathPlan
 }
 
-// Semijoin is the reverse-driven strategy for one existential filter
-// [path] or [path Op 'value']: materialize the set of rows that satisfy the
-// filter once — seeding from the path's final step and walking the inverse
-// axes back — then answer each candidate with a set-membership test.
+// Semijoin is the set strategy for one existential filter [path] or
+// [path Op 'value']: materialize the set of rows that satisfy the filter
+// once — seeding from the path's final step and walking the inverse axes
+// back — then answer each candidate with a set-membership test. The planner
+// registers one on every filter the reversal is sound for; the engine picks
+// between it and forward evaluation per frontier (SetWins).
 type Semijoin struct {
 	Expr lpath.Expr
+	// ID numbers the plan's semijoins densely from 0, so an evaluation keeps
+	// its per-filter state in a slice.
+	ID int
 	// Key is the canonical print of the filter expression. An unscoped
 	// satisfier set is a pure function of this key against one store
 	// generation — the filter path, operator and value fully determine which
@@ -282,9 +287,17 @@ type Semijoin struct {
 	Seed SeedKind
 	// SeedValue/SeedAttr are the posting-list drive when Seed == SeedValue.
 	SeedValue, SeedAttr string
-	// Estimates: seed rows, satisfier-set size, and the modeled costs of
-	// the forward and reverse strategies (row touches).
-	EstSeed, EstSet, EstForward, EstReverse float64
+	// SeedPreds are the final step's predicates the seed rows must pass: all
+	// of them, less the equality a value seed already enforces.
+	SeedPreds []lpath.Expr
+	// EstSeed and EstSet estimate the seed rows and the satisfier-set size.
+	EstSeed, EstSet float64
+
+	// The cost model's inputs (forwardCost, setCost): the forward path's
+	// modeled row touches per candidate, the posting length its probe
+	// searches, the planned seed-range length, and the climb cost per seed
+	// row.
+	probe, posting, seedScan, climbPerSeed float64
 }
 
 // Actuals carries runtime cardinalities collected by an instrumented
@@ -292,11 +305,21 @@ type Semijoin struct {
 type Actuals struct {
 	// Steps maps a step plan to the number of bindings it produced.
 	Steps map[*StepPlan]int
-	// SemiSeed and SemiSet map a semijoin's expression to the materialized
-	// seed and satisfier-set sizes.
-	SemiSeed, SemiSet map[lpath.Expr]int
+	// Filters maps a set-capable or scope-only filter to how it ran.
+	Filters map[lpath.Expr]*FilterRun
 	// Matches is the final distinct-match count.
 	Matches int
+}
+
+// FilterRun is how an instrumented execution answered one filter: which
+// path ran and the sizes behind the choice. Path is "forward", "set",
+// "forward+set" (forward on early frontiers, then the set once the forward
+// work outgrew it) or "scope" (a scope-only filter run for whole frontiers);
+// Frontier counts the candidates filtered, Seeds the seed rows the choice
+// was made against, and Set the satisfier-set size once materialized.
+type FilterRun struct {
+	Path                 string
+	Frontier, Seeds, Set int
 }
 
 // Render formats the plan in the EXPLAIN format (docs/PLANNER.md). With a
@@ -342,19 +365,14 @@ func (p *Plan) renderPred(b *strings.Builder, pred *PredPlan, a *Actuals, indent
 	if pred.Note != "" {
 		fmt.Fprintf(b, "  %s", pred.Note)
 	}
-	if sj := p.semis[pred.Expr]; sj != nil && sj.Key != "" {
-		fmt.Fprintf(b, "  share=%s", shareHash(sj.Key))
+	if sj := p.semis[pred.Expr]; sj != nil {
+		fmt.Fprintf(b, "  semijoin (seed=%s ~%s rows, set ~%s)", sj.Seed, card(sj.EstSeed), card(sj.EstSet))
+		if sj.Key != "" {
+			fmt.Fprintf(b, "  share=%s", shareHash(sj.Key))
+		}
 	}
 	if a != nil {
-		if sj := p.semisUnder(pred.Expr); sj != nil {
-			if n, ok := a.SemiSeed[sj.Expr]; ok {
-				fmt.Fprintf(b, "  [seed=%d", n)
-				if m, ok := a.SemiSet[sj.Expr]; ok {
-					fmt.Fprintf(b, " set=%d", m)
-				}
-				b.WriteByte(']')
-			}
-		}
+		renderRuns(b, pred.Expr, a)
 	}
 	b.WriteByte('\n')
 	for _, sub := range pred.Paths {
@@ -362,27 +380,29 @@ func (p *Plan) renderPred(b *strings.Builder, pred *PredPlan, a *Actuals, indent
 	}
 }
 
-// semisUnder finds the first semijoin registered on the expression or any
-// of its boolean children (for the actual-cardinality annotation).
-func (p *Plan) semisUnder(x lpath.Expr) *Semijoin {
-	if sj := p.semis[x]; sj != nil {
-		return sj
+// renderRuns prints how each filter in the predicate's boolean structure
+// ran, in visit order.
+func renderRuns(b *strings.Builder, x lpath.Expr, a *Actuals) {
+	if r := a.Filters[x]; r != nil {
+		fmt.Fprintf(b, "  [%s frontier=%d", r.Path, r.Frontier)
+		if r.Path != "scope" {
+			fmt.Fprintf(b, " seeds=%d", r.Seeds)
+		}
+		if r.Set > 0 {
+			fmt.Fprintf(b, " set=%d", r.Set)
+		}
+		b.WriteByte(']')
 	}
 	switch e := x.(type) {
 	case *lpath.AndExpr:
-		if sj := p.semisUnder(e.L); sj != nil {
-			return sj
-		}
-		return p.semisUnder(e.R)
+		renderRuns(b, e.L, a)
+		renderRuns(b, e.R, a)
 	case *lpath.OrExpr:
-		if sj := p.semisUnder(e.L); sj != nil {
-			return sj
-		}
-		return p.semisUnder(e.R)
+		renderRuns(b, e.L, a)
+		renderRuns(b, e.R, a)
 	case *lpath.NotExpr:
-		return p.semisUnder(e.X)
+		renderRuns(b, e.X, a)
 	}
-	return nil
 }
 
 func accessText(sp *StepPlan) string {

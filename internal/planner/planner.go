@@ -73,11 +73,6 @@ func New(st *relstore.Statistics, opts ...Option) *Planner {
 	return pl
 }
 
-// semijoinAdvantage is how much cheaper the modeled reverse strategy must be
-// before the planner abandons the forward one — a margin against estimation
-// error, since a wrongly chosen semijoin materializes a whole set up front.
-const semijoinAdvantage = 0.8
-
 // ectx is the planner's model of a step's input context: the name the
 // context rows are known to carry ("" or "_" = unknown), their expected
 // subtree span, and whether the context is the virtual super-root.

@@ -160,6 +160,24 @@ func (s *Store) position(tid, id int32) (int32, bool) {
 	return s.treeStart[t] + id - 1, true
 }
 
+// Pos returns the document-order position of element row ri — its index in
+// ElementsByLeft, so ElementsByLeft()[Pos(ri)] == ri. A subtree and a run of
+// whole trees are each one contiguous range of positions, which is what lets
+// the engine's dense sets clear or walk just the range they used.
+func (s *Store) Pos(ri int32) int32 {
+	return s.treeStart[s.cols.TID[ri]-s.firstTID] + s.cols.ID[ri] - 1
+}
+
+// PosRange returns the positions [lo, hi) of the trees with tid in
+// [tidLo, tidHi).
+func (s *Store) PosRange(tidLo, tidHi int32) (lo, hi int32) {
+	clamp := func(tid int32) int32 {
+		t := int64(tid) - int64(s.firstTID)
+		return s.treeStart[max(0, min(t, int64(len(s.treeStart)-1)))]
+	}
+	return clamp(tidLo), clamp(tidHi)
+}
+
 // ElementByID returns the element row index for (tid, id).
 func (s *Store) ElementByID(tid, id int32) (int32, bool) {
 	p, ok := s.position(tid, id)

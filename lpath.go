@@ -217,6 +217,13 @@ func WithoutBitmapExecutor() Option { return engineOption(engine.WithoutBitmap()
 // cross-checking.
 func withBitmapAlways() Option { return engineOption(engine.WithBitmapAlways()) }
 
+// withFilterSets and withFiltersForward force the filters that can be
+// answered for a whole frontier onto one side of the engine's run-time
+// choice — satisfier sets and the scope-only kernel, or candidate-by-candidate
+// forward evaluation; the differential tests and fuzzers rotate through both.
+func withFilterSets() Option     { return engineOption(engine.WithFilterPath(true)) }
+func withFiltersForward() Option { return engineOption(engine.WithFilterPath(false)) }
+
 // WithPlanCache enables the compiled-plan cache that Request.Text resolves
 // through, holding at most capacity plans under LRU eviction (capacity < 1
 // selects the default, engine.DefaultPlanCacheSize = 128).

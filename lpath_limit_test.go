@@ -24,6 +24,8 @@ func limitStrategies() []struct {
 		{"twig", []Option{withTwigAlways()}},
 		{"bitmap", []Option{withBitmapAlways()}},
 		{"no-bitmap", []Option{WithoutBitmapExecutor()}},
+		{"filter-sets", []Option{withFilterSets()}},
+		{"filter-forward", []Option{withFiltersForward()}},
 	}
 }
 

@@ -23,6 +23,7 @@ func TestSnapshotQueriesAllStrategies(t *testing.T) {
 		{"no-twig", []Option{WithoutTwigExecutor()}},
 		{"no-bitmap", []Option{WithoutBitmapExecutor()}},
 		{"bitmap-always", []Option{withBitmapAlways()}},
+		{"filter-sets", []Option{withFilterSets()}},
 		{"sharded", []Option{WithShards(4), WithWorkers(3)}},
 	}
 
