@@ -8,26 +8,14 @@
 //
 // Figures: 6a (dataset characteristics), 6b (tag frequencies), 6c (query
 // result sizes), 7 (WSJ query times), 8 (SWB query times), 9 (scalability),
-// 10 (labeling-scheme comparison), ablations, planner (cost-based planner
-// on/off), exec (set-at-a-time merge executor on/off with allocation
-// counts), twig (holistic twig executor on/off with allocation counts),
-// bitmap (dense-bitset filter kernels on/off with allocation counts),
-// limit (streaming early termination at limits 1/10/100 vs full
-// evaluation), par (parallel sharded execution scaling), batch (EvalBatch
-// over a skewed serving mix vs query-by-query evaluation), snapshot (binary
-// .lpx cold start vs text parse+build), or all.
+// 10 (labeling-scheme comparison), ablations (the design choices of
+// DESIGN.md §5), or all.
 //
 // -scale sets the fraction of the paper's corpus size (1.0 ≈ 49k WSJ
 // sentences, 1.41M element nodes — the paper's 3.5M most likely counts
 // relation rows; the default 0.05 keeps a full run under a couple of
-// minutes). With -csv DIR each timing figure is also written as CSV.
-// With -json DIR the planner, exec, twig, bitmap, limit, par and batch
-// experiments additionally write the machine-readable BENCH_planner.json,
-// BENCH_executor.json, BENCH_twig.json, BENCH_bitmap.json,
-// BENCH_limit.json, BENCH_parallel.json and BENCH_batch.json (the CI bench
-// artifacts).
-// -workers caps the worker sweep of the parallel experiment (default:
-// GOMAXPROCS); the sweep measures 1, 2, 4, ... up to the cap.
+// minutes) and must be positive. With -csv DIR each timing figure is also
+// written as CSV.
 // -cpuprofile/-memprofile write pprof profiles covering the selected
 // experiments (the memory profile is taken at exit).
 package main
@@ -49,8 +37,7 @@ import (
 )
 
 // figures are the valid -fig values.
-var figures = []string{"6a", "6b", "6c", "7", "8", "9", "10", "ablations", "planner",
-	"exec", "twig", "bitmap", "limit", "par", "batch", "snapshot", "all"}
+var figures = []string{"6a", "6b", "6c", "7", "8", "9", "10", "ablations", "all"}
 
 // parseFigs splits a comma-separated -fig value into the set of experiments
 // to run, rejecting names that would otherwise silently select nothing.
@@ -72,13 +59,14 @@ func main() {
 		scale      = flag.Float64("scale", 0.05, "corpus scale (1.0 = paper size)")
 		seed       = flag.Int64("seed", 42, "corpus seed")
 		csvDir     = flag.String("csv", "", "directory for CSV output (optional)")
-		jsonDir    = flag.String("json", "", "directory for BENCH_*.json artifacts (planner, exec, twig, bitmap, par)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "max workers for the parallel experiment")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 	want, err := parseFigs(*fig)
+	if err == nil && *scale <= 0 {
+		err = fmt.Errorf("-scale must be positive, got %g", *scale)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lpathbench:", err)
 		os.Exit(2)
@@ -196,82 +184,6 @@ func main() {
 		bench.WriteAblations(os.Stdout, rows)
 		fmt.Println()
 	}
-	if need("planner") {
-		rows, err := bench.PlannerImpact(buildWSJ())
-		check(err)
-		bench.WritePlannerImpact(os.Stdout, rows)
-		writeCSV(*csvDir, "planner_impact.csv", bench.CSVPlannerImpact(rows))
-		writeJSON(*jsonDir, "BENCH_planner.json", func() ([]byte, error) { return bench.JSONPlannerImpact(rows) })
-		fmt.Println()
-	}
-	if need("exec") {
-		rows, err := bench.ExecutorImpact(buildWSJ())
-		check(err)
-		bench.WriteExecutorImpact(os.Stdout, rows)
-		writeCSV(*csvDir, "executor_impact.csv", bench.CSVExecutorImpact(rows))
-		writeJSON(*jsonDir, "BENCH_executor.json", func() ([]byte, error) { return bench.JSONExecutorImpact(rows) })
-		fmt.Println()
-	}
-	if need("twig") {
-		rows, err := bench.TwigImpact(buildWSJ())
-		check(err)
-		bench.WriteTwigImpact(os.Stdout, rows)
-		writeCSV(*csvDir, "twig_impact.csv", bench.CSVTwigImpact(rows))
-		writeJSON(*jsonDir, "BENCH_twig.json", func() ([]byte, error) { return bench.JSONTwigImpact(rows) })
-		fmt.Println()
-	}
-	if need("bitmap") {
-		rows, err := bench.BitmapImpact(buildWSJ())
-		check(err)
-		bench.WriteBitmapImpact(os.Stdout, rows)
-		writeCSV(*csvDir, "bitmap_impact.csv", bench.CSVBitmapImpact(rows))
-		writeJSON(*jsonDir, "BENCH_bitmap.json", func() ([]byte, error) { return bench.JSONBitmapImpact(rows) })
-		fmt.Println()
-	}
-	if need("limit") {
-		rows, err := bench.LimitImpact(buildWSJ())
-		check(err)
-		bench.WriteLimitImpact(os.Stdout, rows)
-		writeCSV(*csvDir, "limit_impact.csv", bench.CSVLimitImpact(rows))
-		writeJSON(*jsonDir, "BENCH_limit.json", func() ([]byte, error) { return bench.JSONLimitImpact(rows) })
-		fmt.Println()
-	}
-	if need("snapshot") {
-		r, err := bench.SnapshotImpact(loadWSJ())
-		check(err)
-		bench.WriteSnapshotImpact(os.Stdout, r)
-		writeCSV(*csvDir, "snapshot_impact.csv", bench.CSVSnapshotImpact(r))
-		writeJSON(*jsonDir, "BENCH_snapshot.json", func() ([]byte, error) { return bench.JSONSnapshotImpact(r) })
-		fmt.Println()
-	}
-	if need("par") {
-		rows, err := bench.ParallelScaling(buildWSJ(), workerSweep(*workers))
-		check(err)
-		bench.WriteParallel(os.Stdout, rows)
-		writeCSV(*csvDir, "parallel_scaling.csv", bench.CSVParallel(rows))
-		writeJSON(*jsonDir, "BENCH_parallel.json", func() ([]byte, error) { return bench.JSONParallel(rows) })
-		fmt.Println()
-	}
-	if need("batch") {
-		rows, err := bench.BatchImpact(buildWSJ())
-		check(err)
-		bench.WriteBatchImpact(os.Stdout, rows)
-		writeCSV(*csvDir, "batch_impact.csv", bench.CSVBatchImpact(rows))
-		writeJSON(*jsonDir, "BENCH_batch.json", func() ([]byte, error) { return bench.JSONBatchImpact(rows) })
-		fmt.Println()
-	}
-}
-
-// workerSweep returns 1, 2, 4, ... doubling up to and including max.
-func workerSweep(max int) []int {
-	if max < 1 {
-		max = 1
-	}
-	var out []int
-	for w := 1; w < max; w *= 2 {
-		out = append(out, w)
-	}
-	return append(out, max)
 }
 
 func timed[T any](what string, f func() T) T {
@@ -281,31 +193,14 @@ func timed[T any](what string, f func() T) T {
 	return v
 }
 
-// writeFile writes content under dir, creating dir as needed; a missing dir
+// writeCSV writes content under dir, creating dir as needed; a missing -csv
 // flag (empty string) disables the output.
-func writeFile(dir, name string, content []byte) {
-	if dir == "" {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		check(err)
-	}
-	check(os.WriteFile(filepath.Join(dir, name), content, 0o644))
-}
-
 func writeCSV(dir, name, content string) {
-	writeFile(dir, name, []byte(content))
-}
-
-// writeJSON renders and writes one BENCH_*.json artifact; render only runs
-// when -json was given.
-func writeJSON(dir, name string, render func() ([]byte, error)) {
 	if dir == "" {
 		return
 	}
-	data, err := render()
-	check(err)
-	writeFile(dir, name, append(data, '\n'))
+	check(os.MkdirAll(dir, 0o755))
+	check(os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644))
 }
 
 func check(err error) {

@@ -90,11 +90,11 @@ func FuzzEvalOracle(f *testing.F) {
 		// All must agree with the planner-chosen mix.
 		c.Configure(withTwigAlways())
 		twigged, twiggedErr := c.Select(q)
-		c.Configure(WithoutTwigExecutor())
+		c.Configure(withoutTwig())
 		untwigged, untwiggedErr := c.Select(q)
 		c.Configure(withMergeAlways())
 		merged, mergedErr := c.Select(q)
-		c.Configure(WithoutMergeExecutor())
+		c.Configure(withoutMerge())
 		probed, probedErr := c.Select(q)
 
 		// Filter rotation: answer every set-capable and scope-only filter for
@@ -110,7 +110,7 @@ func FuzzEvalOracle(f *testing.F) {
 		// forward filters, the pre-bitmap engine).
 		c.Configure(withBitmapAlways())
 		bitmapped, bitmappedErr := c.Select(q)
-		c.Configure(WithoutBitmapExecutor())
+		c.Configure(withoutBitmap())
 		unbitmapped, unbitmappedErr := c.Select(q)
 
 		c.Configure(WithoutPlanner())

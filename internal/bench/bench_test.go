@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -248,42 +247,6 @@ func TestFig10AndAblations(t *testing.T) {
 	WriteAblations(&sb, ab)
 }
 
-func TestParallelScalingAndFormat(t *testing.T) {
-	ws, _ := testSystems(t)
-	rows, err := ParallelScaling(ws, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(Fig9Queries)*3 {
-		t.Fatalf("rows = %d, want %d", len(rows), len(Fig9Queries)*3)
-	}
-	for _, r := range rows {
-		if r.Serial <= 0 || r.Parallel <= 0 {
-			t.Errorf("Q%d workers=%d: non-positive timing %v/%v", r.ID, r.Workers, r.Serial, r.Parallel)
-		}
-		if r.Speedup() <= 0 {
-			t.Errorf("Q%d workers=%d: speedup %f", r.ID, r.Workers, r.Speedup())
-		}
-		// Each query must report the same match count at every worker count
-		// (ParallelScaling itself verifies parallel == serial counts).
-		if r.Matches < 0 {
-			t.Errorf("Q%d: negative match count", r.ID)
-		}
-	}
-	var sb strings.Builder
-	WriteParallel(&sb, rows)
-	if !strings.Contains(sb.String(), "Parallel scaling") || !strings.Contains(sb.String(), "workers") {
-		t.Errorf("WriteParallel output:\n%s", sb.String())
-	}
-	csv := CSVParallel(rows)
-	if !strings.HasPrefix(csv, "query,workers,serial_s,parallel_s,speedup,matches\n") {
-		t.Errorf("CSV header: %q", csv)
-	}
-	if strings.Count(csv, "\n") != len(rows)+1 {
-		t.Errorf("CSV rows = %d, want %d", strings.Count(csv, "\n")-1, len(rows))
-	}
-}
-
 func TestReplicateFractional(t *testing.T) {
 	base := GenerateTrees(corpus.WSJ, 0.001, 5)
 	half := Replicate(base, 0.5)
@@ -310,76 +273,5 @@ func TestTimeItTrimmedMean(t *testing.T) {
 	}
 	if d < 0 {
 		t.Errorf("negative duration %v", d)
-	}
-}
-
-func TestBatchImpactAndFormat(t *testing.T) {
-	ws, _ := testSystems(t)
-	work := ws.BatchWorkload()
-	if len(work) != BatchWorkloadLen {
-		t.Fatalf("workload length = %d, want %d", len(work), BatchWorkloadLen)
-	}
-	// The serving mix must be duplicate-heavy within a 16-slot window: that
-	// skew is what the rows memo amortizes.
-	uniq := map[int]bool{}
-	for _, id := range work[:16] {
-		uniq[id] = true
-	}
-	if len(uniq) >= 16 {
-		t.Fatalf("first 16-slot window has no duplicates: %v", work[:16])
-	}
-
-	rows, err := BatchImpact(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(BatchSizes) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(BatchSizes))
-	}
-	for i, r := range rows {
-		if r.Size != BatchSizes[i] {
-			t.Errorf("row %d size = %d, want %d", i, r.Size, BatchSizes[i])
-		}
-		if r.Serial <= 0 || r.Batched <= 0 {
-			t.Errorf("batch %d: non-positive timing %v/%v", r.Size, r.Serial, r.Batched)
-		}
-		if r.Matches != rows[0].Matches {
-			t.Errorf("batch %d: %d matches, batch %d reported %d",
-				r.Size, r.Matches, rows[0].Size, rows[0].Matches)
-		}
-		if r.Size == 1 && r.Stats.RowsHits != 0 {
-			t.Errorf("batch width 1 reported %d rows hits; the memo is per batch", r.Stats.RowsHits)
-		}
-		if r.Size >= 16 && r.Stats.RowsHits == 0 {
-			t.Errorf("batch width %d saw no rows-memo hits over the skewed mix", r.Size)
-		}
-	}
-
-	var sb strings.Builder
-	WriteBatchImpact(&sb, rows)
-	if !strings.Contains(sb.String(), "Batch impact") || !strings.Contains(sb.String(), "rows%") {
-		t.Errorf("WriteBatchImpact output:\n%s", sb.String())
-	}
-	csv := CSVBatchImpact(rows)
-	if !strings.HasPrefix(csv, "batch,serial_s,batched_s,speedup,rows_hit_rate,frontier_hit_rate,sat_hit_rate,matches\n") {
-		t.Errorf("CSV header: %q", csv)
-	}
-	if strings.Count(csv, "\n") != 1+len(rows) {
-		t.Errorf("csv lines = %d", strings.Count(csv, "\n"))
-	}
-	data, err := JSONBatchImpact(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded []struct {
-		Query   int   `json:"query"`
-		NsPerOp int64 `json:"ns_per_op"`
-		Matches int   `json:"matches"`
-	}
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != len(rows) || decoded[2].Query != 16 || decoded[2].NsPerOp <= 0 {
-		t.Errorf("JSON rows: %+v", decoded)
 	}
 }

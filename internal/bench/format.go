@@ -1,19 +1,15 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 	"time"
 
-	"lpath/internal/lpath"
 	"lpath/internal/tree"
 )
 
-func parseLPath(text string) (*lpath.Path, error) { return lpath.Parse(text) }
-
-// ms renders a duration in seconds with paper-style precision.
+// secs renders a duration in seconds with paper-style precision.
 func secs(d time.Duration) string { return fmt.Sprintf("%.4f", d.Seconds()) }
 
 // WriteFig6a renders the dataset characteristics table.
@@ -112,351 +108,6 @@ func WriteAblations(w io.Writer, rows []AblationRow) {
 	}
 }
 
-// WritePlannerImpact renders the planner before/after measurements.
-func WritePlannerImpact(w io.Writer, rows []PlannerRow) {
-	fmt.Fprintf(w, "Planner impact: cost-based planner on vs off (s)\n")
-	fmt.Fprintf(w, "%-4s %-44s %10s %10s %9s %9s\n",
-		"Q", "Query", "planned", "unplanned", "speedup", "matches")
-	for _, r := range rows {
-		fmt.Fprintf(w, "Q%-3d %-44s %10s %10s %8.2fx %9d\n",
-			r.ID, r.Query, secs(r.Planned), secs(r.Unplanned), r.Speedup(), r.N)
-	}
-}
-
-// CSVPlannerImpact renders the planner before/after rows as CSV.
-func CSVPlannerImpact(rows []PlannerRow) string {
-	var b strings.Builder
-	b.WriteString("query,planned_s,unplanned_s,speedup,matches\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "Q%d,%f,%f,%f,%d\n",
-			r.ID, r.Planned.Seconds(), r.Unplanned.Seconds(), r.Speedup(), r.N)
-	}
-	return b.String()
-}
-
-// WriteExecutorImpact renders the merge-executor before/after measurements.
-func WriteExecutorImpact(w io.Writer, rows []ExecRow) {
-	fmt.Fprintf(w, "Executor impact: set-at-a-time merge vs per-binding probe (s)\n")
-	fmt.Fprintf(w, "%-4s %-44s %10s %10s %9s %12s %12s %9s   %s\n",
-		"Q", "Query", "merge", "probe", "speedup", "allocs(m)", "allocs(p)", "matches", "strategy")
-	for _, r := range rows {
-		fmt.Fprintf(w, "Q%-3d %-44s %10s %10s %8.2fx %12.0f %12.0f %9d   %s\n",
-			r.ID, r.Query, secs(r.Merge), secs(r.Probe), r.Speedup(),
-			r.AllocsMerge, r.AllocsProbe, r.N, r.Strategy)
-	}
-}
-
-// CSVExecutorImpact renders the merge-executor rows as CSV.
-func CSVExecutorImpact(rows []ExecRow) string {
-	var b strings.Builder
-	b.WriteString("query,merge_s,probe_s,speedup,allocs_merge,allocs_probe,matches,strategy\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "Q%d,%f,%f,%f,%.0f,%.0f,%d,%s\n",
-			r.ID, r.Merge.Seconds(), r.Probe.Seconds(), r.Speedup(),
-			r.AllocsMerge, r.AllocsProbe, r.N, r.Strategy)
-	}
-	return b.String()
-}
-
-// execJSONRow is the machine-readable shape of one ExecRow, mirroring the
-// testing-package convention of ns/op and allocs/op.
-type execJSONRow struct {
-	Query       int     `json:"query"`
-	Text        string  `json:"text"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	NsPerOpOff  int64   `json:"ns_per_op_probe"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	AllocsOff   float64 `json:"allocs_per_op_probe"`
-	Speedup     float64 `json:"speedup"`
-	Matches     int     `json:"matches"`
-	Strategy    string  `json:"strategy"`
-}
-
-// JSONExecutorImpact renders the merge-executor rows as indented JSON, the
-// payload of the BENCH_executor.json CI artifact.
-func JSONExecutorImpact(rows []ExecRow) ([]byte, error) {
-	out := make([]execJSONRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, execJSONRow{
-			Query:       r.ID,
-			Text:        r.Query,
-			NsPerOp:     r.Merge.Nanoseconds(),
-			NsPerOpOff:  r.Probe.Nanoseconds(),
-			AllocsPerOp: r.AllocsMerge,
-			AllocsOff:   r.AllocsProbe,
-			Speedup:     r.Speedup(),
-			Matches:     r.N,
-			Strategy:    r.Strategy,
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// WriteTwigImpact renders the twig-executor before/after measurements.
-func WriteTwigImpact(w io.Writer, rows []TwigRow) {
-	fmt.Fprintf(w, "Twig impact: holistic twig sweep vs per-step probe/merge (s)\n")
-	fmt.Fprintf(w, "%-4s %-44s %10s %10s %9s %12s %12s %9s   %s\n",
-		"Q", "Query", "twig", "no-twig", "speedup", "allocs(t)", "allocs(n)", "matches", "strategy")
-	for _, r := range rows {
-		fmt.Fprintf(w, "Q%-3d %-44s %10s %10s %8.2fx %12.0f %12.0f %9d   %s\n",
-			r.ID, r.Query, secs(r.Twig), secs(r.NoTwig), r.Speedup(),
-			r.AllocsTwig, r.AllocsNoTwig, r.N, r.Strategy)
-	}
-}
-
-// CSVTwigImpact renders the twig-executor rows as CSV.
-func CSVTwigImpact(rows []TwigRow) string {
-	var b strings.Builder
-	b.WriteString("query,twig_s,notwig_s,speedup,allocs_twig,allocs_notwig,matches,strategy\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "Q%d,%f,%f,%f,%.0f,%.0f,%d,%s\n",
-			r.ID, r.Twig.Seconds(), r.NoTwig.Seconds(), r.Speedup(),
-			r.AllocsTwig, r.AllocsNoTwig, r.N, r.Strategy)
-	}
-	return b.String()
-}
-
-// twigJSONRow is the machine-readable shape of one TwigRow, mirroring the
-// testing-package convention of ns/op and allocs/op.
-type twigJSONRow struct {
-	Query       int     `json:"query"`
-	Text        string  `json:"text"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	NsPerOpOff  int64   `json:"ns_per_op_notwig"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	AllocsOff   float64 `json:"allocs_per_op_notwig"`
-	Speedup     float64 `json:"speedup"`
-	Matches     int     `json:"matches"`
-	Strategy    string  `json:"strategy"`
-}
-
-// JSONTwigImpact renders the twig-executor rows as indented JSON, the
-// payload of the BENCH_twig.json artifact.
-func JSONTwigImpact(rows []TwigRow) ([]byte, error) {
-	out := make([]twigJSONRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, twigJSONRow{
-			Query:       r.ID,
-			Text:        r.Query,
-			NsPerOp:     r.Twig.Nanoseconds(),
-			NsPerOpOff:  r.NoTwig.Nanoseconds(),
-			AllocsPerOp: r.AllocsTwig,
-			AllocsOff:   r.AllocsNoTwig,
-			Speedup:     r.Speedup(),
-			Matches:     r.N,
-			Strategy:    r.Strategy,
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// WriteBitmapImpact renders the bitmap-kernel before/after measurements.
-func WriteBitmapImpact(w io.Writer, rows []BitmapRow) {
-	fmt.Fprintf(w, "Bitmap impact: dense-bitset kernels vs per-scope probe expansion (s)\n")
-	fmt.Fprintf(w, "%-4s %-44s %10s %10s %9s %12s %12s %9s   %s\n",
-		"Q", "Query", "bitmap", "no-bitmap", "speedup", "allocs(b)", "allocs(n)", "matches", "strategy")
-	for _, r := range rows {
-		fmt.Fprintf(w, "Q%-3d %-44s %10s %10s %8.2fx %12.0f %12.0f %9d   %s\n",
-			r.ID, r.Query, secs(r.Bitmap), secs(r.NoBitmap), r.Speedup(),
-			r.AllocsBitmap, r.AllocsNoBmp, r.N, r.Strategy)
-	}
-}
-
-// CSVBitmapImpact renders the bitmap-kernel rows as CSV.
-func CSVBitmapImpact(rows []BitmapRow) string {
-	var b strings.Builder
-	b.WriteString("query,bitmap_s,nobitmap_s,speedup,allocs_bitmap,allocs_nobitmap,matches,strategy\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "Q%d,%f,%f,%f,%.0f,%.0f,%d,%s\n",
-			r.ID, r.Bitmap.Seconds(), r.NoBitmap.Seconds(), r.Speedup(),
-			r.AllocsBitmap, r.AllocsNoBmp, r.N, r.Strategy)
-	}
-	return b.String()
-}
-
-// bitmapJSONRow is the machine-readable shape of one BitmapRow, mirroring
-// the testing-package convention of ns/op and allocs/op.
-type bitmapJSONRow struct {
-	Query       int     `json:"query"`
-	Text        string  `json:"text"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	NsPerOpOff  int64   `json:"ns_per_op_nobitmap"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	AllocsOff   float64 `json:"allocs_per_op_nobitmap"`
-	Speedup     float64 `json:"speedup"`
-	Matches     int     `json:"matches"`
-	Strategy    string  `json:"strategy"`
-}
-
-// JSONBitmapImpact renders the bitmap-kernel rows as indented JSON, the
-// payload of the BENCH_bitmap.json artifact.
-func JSONBitmapImpact(rows []BitmapRow) ([]byte, error) {
-	out := make([]bitmapJSONRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, bitmapJSONRow{
-			Query:       r.ID,
-			Text:        r.Query,
-			NsPerOp:     r.Bitmap.Nanoseconds(),
-			NsPerOpOff:  r.NoBitmap.Nanoseconds(),
-			AllocsPerOp: r.AllocsBitmap,
-			AllocsOff:   r.AllocsNoBmp,
-			Speedup:     r.Speedup(),
-			Matches:     r.N,
-			Strategy:    r.Strategy,
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// WriteLimitImpact renders the limit-pushdown measurements; "sp@10" is the
-// full/limited speedup at limit 10, the figure's headline number.
-func WriteLimitImpact(w io.Writer, rows []LimitRow) {
-	fmt.Fprintf(w, "Limit impact: streaming early termination (EvalLimit) vs full evaluation (s)\n")
-	fmt.Fprintf(w, "%-4s %-44s %10s", "Q", "Query", "full")
-	for _, k := range LimitPoints {
-		fmt.Fprintf(w, " %10s", fmt.Sprintf("k=%d", k))
-	}
-	fmt.Fprintf(w, " %9s %9s\n", "sp@10", "matches")
-	for _, r := range rows {
-		fmt.Fprintf(w, "Q%-3d %-44s %10s", r.ID, r.Query, secs(r.Full))
-		for _, d := range r.Limited {
-			fmt.Fprintf(w, " %10s", secs(d))
-		}
-		fmt.Fprintf(w, " %8.2fx %9d\n", r.Speedup(1), r.N)
-	}
-}
-
-// CSVLimitImpact renders the limit-pushdown rows as CSV.
-func CSVLimitImpact(rows []LimitRow) string {
-	var b strings.Builder
-	b.WriteString("query,full_s")
-	for _, k := range LimitPoints {
-		fmt.Fprintf(&b, ",limit%d_s,speedup%d", k, k)
-	}
-	b.WriteString(",matches\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "Q%d,%f", r.ID, r.Full.Seconds())
-		for i := range LimitPoints {
-			fmt.Fprintf(&b, ",%f,%f", r.Limited[i].Seconds(), r.Speedup(i))
-		}
-		fmt.Fprintf(&b, ",%d\n", r.N)
-	}
-	return b.String()
-}
-
-// limitJSONRow is the machine-readable shape of one LimitRow. ns_per_op is
-// the limit-10 evaluation, so the benchguard gate watches the
-// early-termination path itself rather than the full scan; the other limits
-// and the full time ride along for inspection. The fields assume the
-// standing LimitPoints of {1, 10, 100}.
-type limitJSONRow struct {
-	Query       int     `json:"query"`
-	Text        string  `json:"text"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	NsPerOpFull int64   `json:"ns_per_op_full"`
-	NsPerOp1    int64   `json:"ns_per_op_limit1"`
-	NsPerOp100  int64   `json:"ns_per_op_limit100"`
-	Speedup     float64 `json:"speedup"`
-	Matches     int     `json:"matches"`
-}
-
-// JSONLimitImpact renders the limit-pushdown rows as indented JSON, the
-// payload of the BENCH_limit.json artifact.
-func JSONLimitImpact(rows []LimitRow) ([]byte, error) {
-	out := make([]limitJSONRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, limitJSONRow{
-			Query:       r.ID,
-			Text:        r.Query,
-			NsPerOp:     r.Limited[1].Nanoseconds(),
-			NsPerOpFull: r.Full.Nanoseconds(),
-			NsPerOp1:    r.Limited[0].Nanoseconds(),
-			NsPerOp100:  r.Limited[2].Nanoseconds(),
-			Speedup:     r.Speedup(1),
-			Matches:     r.N,
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// plannerJSONRow is the machine-readable shape of one PlannerRow.
-type plannerJSONRow struct {
-	Query      int     `json:"query"`
-	Text       string  `json:"text"`
-	NsPerOp    int64   `json:"ns_per_op"`
-	NsPerOpOff int64   `json:"ns_per_op_unplanned"`
-	Speedup    float64 `json:"speedup"`
-	Matches    int     `json:"matches"`
-}
-
-// JSONPlannerImpact renders the planner rows as indented JSON, the payload
-// of the BENCH_planner.json artifact.
-func JSONPlannerImpact(rows []PlannerRow) ([]byte, error) {
-	out := make([]plannerJSONRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, plannerJSONRow{
-			Query:      r.ID,
-			Text:       r.Query,
-			NsPerOp:    r.Planned.Nanoseconds(),
-			NsPerOpOff: r.Unplanned.Nanoseconds(),
-			Speedup:    r.Speedup(),
-			Matches:    r.N,
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// parallelJSONRow is the machine-readable shape of one ParallelRow.
-type parallelJSONRow struct {
-	Query      int     `json:"query"`
-	Text       string  `json:"text"`
-	Workers    int     `json:"workers"`
-	NsPerOp    int64   `json:"ns_per_op"`
-	NsPerOpOff int64   `json:"ns_per_op_serial"`
-	Speedup    float64 `json:"speedup"`
-	Matches    int     `json:"matches"`
-}
-
-// JSONParallel renders the parallel-scaling rows as indented JSON, the
-// payload of the BENCH_parallel.json artifact.
-func JSONParallel(rows []ParallelRow) ([]byte, error) {
-	out := make([]parallelJSONRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, parallelJSONRow{
-			Query:      r.ID,
-			Text:       r.Query,
-			Workers:    r.Workers,
-			NsPerOp:    r.Parallel.Nanoseconds(),
-			NsPerOpOff: r.Serial.Nanoseconds(),
-			Speedup:    r.Speedup(),
-			Matches:    r.Matches,
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// WriteParallel renders the parallel-scaling measurements.
-func WriteParallel(w io.Writer, rows []ParallelRow) {
-	fmt.Fprintf(w, "Parallel scaling: serial engine vs sharded EvalParallel (s)\n")
-	fmt.Fprintf(w, "%-4s %-30s %8s %10s %10s %9s %9s\n",
-		"Q", "Query", "workers", "serial", "parallel", "speedup", "matches")
-	for _, r := range rows {
-		fmt.Fprintf(w, "Q%-3d %-30s %8d %10s %10s %8.2fx %9d\n",
-			r.ID, r.Query, r.Workers, secs(r.Serial), secs(r.Parallel), r.Speedup(), r.Matches)
-	}
-}
-
-// CSVParallel renders the parallel-scaling rows as CSV.
-func CSVParallel(rows []ParallelRow) string {
-	var b strings.Builder
-	b.WriteString("query,workers,serial_s,parallel_s,speedup,matches\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "Q%d,%d,%f,%f,%f,%d\n",
-			r.ID, r.Workers, r.Serial.Seconds(), r.Parallel.Seconds(), r.Speedup(), r.Matches)
-	}
-	return b.String()
-}
-
 // CSVFig7or8 renders the timing rows as CSV.
 func CSVFig7or8(rows []SystemTiming) string {
 	var b strings.Builder
@@ -490,64 +141,4 @@ func CSVFig10(rows []LabelTiming) string {
 		fmt.Fprintf(&b, "Q%d,%f,%f,%d\n", r.ID, r.LPath.Seconds(), r.XPath.Seconds(), r.NLPath)
 	}
 	return b.String()
-}
-
-// WriteBatchImpact renders the batched-evaluation measurements.
-func WriteBatchImpact(w io.Writer, rows []BatchRow) {
-	fmt.Fprintf(w, "Batch impact: EvalBatch over the %d-query serving mix vs query-by-query (s)\n", BatchWorkloadLen)
-	fmt.Fprintf(w, "%-6s %10s %10s %9s %8s %8s %8s\n",
-		"batch", "serial", "batched", "speedup", "rows%", "front%", "sat%")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6d %10s %10s %8.2fx %7.1f%% %7.1f%% %7.1f%%\n",
-			r.Size, secs(r.Serial), secs(r.Batched), r.Speedup(),
-			100*r.RowsHitRate(), 100*r.FrontierHitRate(), 100*r.SatHitRate())
-	}
-}
-
-// CSVBatchImpact renders the batched-evaluation rows as CSV.
-func CSVBatchImpact(rows []BatchRow) string {
-	var b strings.Builder
-	b.WriteString("batch,serial_s,batched_s,speedup,rows_hit_rate,frontier_hit_rate,sat_hit_rate,matches\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%d,%f,%f,%f,%f,%f,%f,%d\n",
-			r.Size, r.Serial.Seconds(), r.Batched.Seconds(), r.Speedup(),
-			r.RowsHitRate(), r.FrontierHitRate(), r.SatHitRate(), r.Matches)
-	}
-	return b.String()
-}
-
-// batchJSONRow is the machine-readable shape of one BatchRow. The benchguard
-// gate matches rows by the query field, which here carries the batch width;
-// ns_per_op is the batched workload total so the gate watches the shared
-// evaluation path itself.
-type batchJSONRow struct {
-	Query           int     `json:"query"` // batch width (benchguard row key)
-	Text            string  `json:"text"`
-	NsPerOp         int64   `json:"ns_per_op"`
-	NsPerOpSerial   int64   `json:"ns_per_op_serial"`
-	Speedup         float64 `json:"speedup"`
-	RowsHitRate     float64 `json:"rows_hit_rate"`
-	FrontierHitRate float64 `json:"frontier_hit_rate"`
-	SatHitRate      float64 `json:"sat_hit_rate"`
-	Matches         int     `json:"matches"`
-}
-
-// JSONBatchImpact renders the batched-evaluation rows as indented JSON, the
-// payload of the BENCH_batch.json artifact.
-func JSONBatchImpact(rows []BatchRow) ([]byte, error) {
-	out := make([]batchJSONRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, batchJSONRow{
-			Query:           r.Size,
-			Text:            fmt.Sprintf("workload %dq, batch width %d", BatchWorkloadLen, r.Size),
-			NsPerOp:         r.Batched.Nanoseconds(),
-			NsPerOpSerial:   r.Serial.Nanoseconds(),
-			Speedup:         r.Speedup(),
-			RowsHitRate:     r.RowsHitRate(),
-			FrontierHitRate: r.FrontierHitRate(),
-			SatHitRate:      r.SatHitRate(),
-			Matches:         r.Matches,
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
 }

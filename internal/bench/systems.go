@@ -26,18 +26,11 @@ import (
 type Systems struct {
 	Trees *tree.Corpus
 
-	LPath        *engine.Engine
-	LPathNoVal   *engine.Engine // value-index ablation
-	LPathNoPlan  *engine.Engine // cost-based-planner ablation
-	LPathNoMerge *engine.Engine // merge-executor ablation (probe-only)
-	LPathNoTwig  *engine.Engine // twig-executor ablation (probe/merge only)
-	LPathTwig    *engine.Engine // twig forced on every eligible run
-	LPathMerge   *engine.Engine // merge forced on every mergeable step
-	LPathNoBmp   *engine.Engine // bitmap-kernel ablation (pre-bitmap engine)
-	LPathBmp     *engine.Engine // bitmap forced on every eligible scope entry
-	XPath        *xpath.Engine
-	TGrep        *tgrep.Corpus
-	CS           *corpussearch.Corpus
+	LPath      *engine.Engine
+	LPathNoVal *engine.Engine // value-index ablation
+	XPath      *xpath.Engine
+	TGrep      *tgrep.Corpus
+	CS         *corpussearch.Corpus
 
 	Store *relstore.Store // the interval-label store behind LPath
 
@@ -63,27 +56,6 @@ func BuildSystems(c *tree.Corpus) (*Systems, error) {
 		return nil, err
 	}
 	if s.LPathNoVal, err = engine.New(s.Store, engine.WithoutValueIndex()); err != nil {
-		return nil, err
-	}
-	if s.LPathNoPlan, err = engine.New(s.Store, engine.WithoutPlanner()); err != nil {
-		return nil, err
-	}
-	if s.LPathNoMerge, err = engine.New(s.Store, engine.WithoutMerge()); err != nil {
-		return nil, err
-	}
-	if s.LPathNoTwig, err = engine.New(s.Store, engine.WithoutTwig()); err != nil {
-		return nil, err
-	}
-	if s.LPathTwig, err = engine.New(s.Store, engine.WithTwigAlways()); err != nil {
-		return nil, err
-	}
-	if s.LPathMerge, err = engine.New(s.Store, engine.WithMergeAlways()); err != nil {
-		return nil, err
-	}
-	if s.LPathNoBmp, err = engine.New(s.Store, engine.WithoutBitmap()); err != nil {
-		return nil, err
-	}
-	if s.LPathBmp, err = engine.New(s.Store, engine.WithBitmapAlways()); err != nil {
 		return nil, err
 	}
 	if s.XPath, err = xpath.New(relstore.Build(c, relstore.SchemeStartEnd)); err != nil {
@@ -152,48 +124,6 @@ func (s *Systems) RunLPath(id int) (int, error) {
 // RunLPathNoValueIndex evaluates query id with the value index disabled.
 func (s *Systems) RunLPathNoValueIndex(id int) (int, error) {
 	return s.LPathNoVal.Count(s.lpathQ[id])
-}
-
-// RunLPathNoPlanner evaluates query id with the cost-based planner disabled.
-func (s *Systems) RunLPathNoPlanner(id int) (int, error) {
-	return s.LPathNoPlan.Count(s.lpathQ[id])
-}
-
-// RunLPathNoMerge evaluates query id with the merge executor disabled
-// (every step falls back to per-binding probes).
-func (s *Systems) RunLPathNoMerge(id int) (int, error) {
-	return s.LPathNoMerge.Count(s.lpathQ[id])
-}
-
-// RunLPathNoTwig evaluates query id with the holistic twig executor
-// disabled (steps run per-step under probe or merge).
-func (s *Systems) RunLPathNoTwig(id int) (int, error) {
-	return s.LPathNoTwig.Count(s.lpathQ[id])
-}
-
-// RunLPathTwigForced evaluates query id with the twig executor forced onto
-// every eligible step run, overriding the planner's cost decision.
-func (s *Systems) RunLPathTwigForced(id int) (int, error) {
-	return s.LPathTwig.Count(s.lpathQ[id])
-}
-
-// RunLPathMergeForced evaluates query id with the merge executor forced
-// onto every mergeable step (twig suppressed).
-func (s *Systems) RunLPathMergeForced(id int) (int, error) {
-	return s.LPathMerge.Count(s.lpathQ[id])
-}
-
-// RunLPathNoBitmap evaluates query id with the dense-bitset kernels
-// disabled (scoped tails expand per scope, satisfier sets stay maps).
-func (s *Systems) RunLPathNoBitmap(id int) (int, error) {
-	return s.LPathNoBmp.Count(s.lpathQ[id])
-}
-
-// RunLPathBitmapForced evaluates query id with the bitmap kernel forced onto
-// every shape-eligible subtree-scope entry, overriding the planner's cost
-// decision.
-func (s *Systems) RunLPathBitmapForced(id int) (int, error) {
-	return s.LPathBmp.Count(s.lpathQ[id])
 }
 
 // RunXPath evaluates query id on the XPath (start/end labeling) engine.

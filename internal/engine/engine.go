@@ -33,7 +33,8 @@ type execMode int
 const (
 	// execAuto follows the plan's per-step strategy (probe without a plan).
 	execAuto execMode = iota
-	// execProbe forces per-binding probes everywhere (merge ablation).
+	// execProbe forces per-binding probes everywhere (merge off; a
+	// differential-test hook).
 	execProbe
 	// execAlways forces the merge executor on every eligible step,
 	// bypassing the cost decision; differential tests and fuzzers use it to
@@ -49,7 +50,7 @@ type twigMode int
 const (
 	// twigAuto follows the plan's cost-marked runs (no twig without a plan).
 	twigAuto twigMode = iota
-	// twigOff disables the twig executor (ablation).
+	// twigOff disables the twig executor (a differential-test hook).
 	twigOff
 	// twigAlways runs every maximal twig-able run holistically, bypassing
 	// the cost decision; differential tests and fuzzers use it to keep the
@@ -68,8 +69,9 @@ const (
 	// without a plan); filters choose between forward evaluation and their
 	// satisfier sets per frontier.
 	bitmapAuto bitmapMode = iota
-	// bitmapOff disables the kernels (ablation): scoped tails expand per
-	// scope and every filter evaluates forward, candidate by candidate.
+	// bitmapOff disables the kernels (a differential-test hook): scoped
+	// tails expand per scope and every filter evaluates forward, candidate
+	// by candidate.
 	bitmapOff
 	// bitmapAlways runs every shape-eligible scope entry through the bitmap
 	// kernel, bypassing the cost decision; differential tests and fuzzers
@@ -137,8 +139,8 @@ func WithoutPlanner() Option {
 }
 
 // WithoutMerge disables the set-at-a-time merge executor, so every step runs
-// per-binding probes regardless of the plan. Used by the executor ablation
-// benchmarks and differential tests.
+// per-binding probes regardless of the plan. It is a differential-test hook:
+// the probe path stays under cross-checking against the planned engine.
 func WithoutMerge() Option {
 	return func(e *Engine) { e.exec = execProbe }
 }
@@ -153,8 +155,8 @@ func WithMergeAlways() Option {
 }
 
 // WithoutTwig disables the holistic twig executor, so every step runs
-// through the per-step probe/merge dispatch. Used by the executor ablation
-// benchmarks and differential tests.
+// through the per-step probe/merge dispatch. It is a differential-test hook:
+// the per-step path stays under cross-checking against the twig sweep.
 func WithoutTwig() Option {
 	return func(e *Engine) { e.twig = twigOff }
 }
@@ -169,8 +171,9 @@ func WithTwigAlways() Option {
 }
 
 // WithoutBitmap disables the dense-bitset kernels: subtree scopes expand per
-// scope and every filter evaluates forward, candidate by candidate. Used by
-// the executor ablation benchmarks and differential tests.
+// scope and every filter evaluates forward, candidate by candidate. It is a
+// differential-test hook: the forward path stays under cross-checking
+// against the kernels and satisfier sets.
 func WithoutBitmap() Option {
 	return func(e *Engine) { e.bitmap = bitmapOff }
 }
@@ -213,14 +216,14 @@ func New(s *relstore.Store, opts ...Option) (*Engine, error) {
 		popts = append(popts, planner.WithoutValueIndex())
 	}
 	if e.twig == twigOff {
-		// The twig ablation must execute the pre-twig plan: without this the
+		// The twig-off engine must execute the pre-twig plan: without this the
 		// planner would still mark runs whose steps then fall back to probe
 		// (the merge executor only accepts steps marked StrategyMerge),
 		// which is neither the twig engine nor the pre-twig one.
 		popts = append(popts, planner.WithoutTwig())
 	}
 	if e.bitmap == bitmapOff {
-		// Same reasoning for the bitmap ablation: a scope entry marked
+		// Same reasoning for the bitmap-off engine: a scope entry marked
 		// StrategyBitmap would fall back to probe and also block twig-run
 		// formation over the scoped tail.
 		popts = append(popts, planner.WithoutBitmap())

@@ -191,8 +191,8 @@ func (e *Engine) twigRunLen(p *lpath.Path, i int, binds []bind, ctx *evalCtx) in
 	case e.twig == twigAlways:
 		n = e.maxTwigRun(p, i, binds)
 	case e.exec != execAuto:
-		// Forced probe (merge ablation) and forced merge both measure a
-		// specific per-step executor; the twig path would shadow it.
+		// Forced probe (merge off) and forced merge both pin a specific
+		// per-step executor under test; the twig path would shadow it.
 		return 0
 	default:
 		sp := ctx.stepPlan(&p.Steps[i])

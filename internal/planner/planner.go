@@ -34,16 +34,15 @@ func WithoutValueIndex() Option {
 
 // WithoutTwig makes the planner never mark holistic twig runs, so every step
 // keeps its per-step probe/merge strategy; it mirrors the engine option of
-// the same name so the twig ablation plans exactly what the pre-twig engine
-// would execute.
+// the same name so the twig-off engine plans exactly what it executes.
 func WithoutTwig() Option {
 	return func(pl *Planner) { pl.noTwig = true }
 }
 
 // WithoutBitmap makes the planner never mark bitmap scope entries, so scoped
 // tails keep their per-step probe/merge/twig strategies; it mirrors the
-// engine option of the same name so the bitmap ablation plans exactly what
-// the pre-bitmap engine would execute.
+// engine option of the same name so the bitmap-off engine plans exactly what
+// it executes.
 func WithoutBitmap() Option {
 	return func(pl *Planner) { pl.noBitmap = true }
 }

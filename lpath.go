@@ -179,42 +179,20 @@ func engineOption(o engine.Option) Option {
 // measuring the planner's contribution.
 func WithoutPlanner() Option { return engineOption(engine.WithoutPlanner()) }
 
-// WithoutMergeExecutor disables the set-at-a-time merge executor, so every
-// location step runs per-binding index probes regardless of the plan's
-// strategy. The two executors are result-identical (the differential tests
-// enforce it); this option exists for those tests and for measuring the merge
-// executor's contribution (docs/EXECUTION.md).
-func WithoutMergeExecutor() Option { return engineOption(engine.WithoutMerge()) }
-
-// withMergeAlways forces the merge executor on every eligible step, bypassing
-// the planner's cost decision; the differential tests and fuzzers use it to
-// keep the merge path under continuous cross-checking.
-func withMergeAlways() Option { return engineOption(engine.WithMergeAlways()) }
-
-// WithoutTwigExecutor disables the holistic twig executor, so every location
-// step runs through the per-step probe/merge dispatch regardless of the
-// plan's run marking. The twig executor is result-identical to the per-step
-// executors (the differential tests enforce it); this option exists for
-// those tests and for measuring the twig executor's contribution
-// (docs/EXECUTION.md).
-func WithoutTwigExecutor() Option { return engineOption(engine.WithoutTwig()) }
-
-// withTwigAlways runs every maximal twig-able run through the holistic sweep,
-// bypassing the planner's cost decision; the differential tests and fuzzers
-// use it to keep the twig path under continuous cross-checking.
-func withTwigAlways() Option { return engineOption(engine.WithTwigAlways()) }
-
-// WithoutBitmapExecutor disables the dense-bitset kernels, so subtree scopes
-// expand per scope and semijoin satisfier sets materialize as maps — exactly
-// the pre-bitmap engine. The bitmap kernels are result-identical (the
-// differential tests enforce it); this option exists for those tests and for
-// measuring the bitmap executor's contribution (docs/EXECUTION.md).
-func WithoutBitmapExecutor() Option { return engineOption(engine.WithoutBitmap()) }
-
-// withBitmapAlways runs every shape-eligible subtree-scope entry through the
-// bitmap kernel, bypassing the planner's cost decision; the differential
-// tests and fuzzers use it to keep the bitmap path under continuous
-// cross-checking.
+// withoutMerge, withoutTwig and withoutBitmap switch one executor off, so
+// every step runs without it: probes instead of merge, per-step dispatch
+// instead of twig sweeps, per-scope expansion and candidate-by-candidate
+// filters instead of the bitmap kernels and satisfier sets.
+// withMergeAlways, withTwigAlways and withBitmapAlways force that executor
+// wherever it is eligible, bypassing the planner's cost decision. Every
+// executor is result-identical to the others; these are differential-test
+// hooks that keep each path under continuous cross-checking (the fuzzers and
+// the per-strategy table tests rotate through them).
+func withoutMerge() Option     { return engineOption(engine.WithoutMerge()) }
+func withMergeAlways() Option  { return engineOption(engine.WithMergeAlways()) }
+func withoutTwig() Option      { return engineOption(engine.WithoutTwig()) }
+func withTwigAlways() Option   { return engineOption(engine.WithTwigAlways()) }
+func withoutBitmap() Option    { return engineOption(engine.WithoutBitmap()) }
 func withBitmapAlways() Option { return engineOption(engine.WithBitmapAlways()) }
 
 // withFilterSets and withFiltersForward force the filters that can be

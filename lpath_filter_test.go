@@ -23,11 +23,11 @@ var filterRotations = []struct {
 }{
 	{"auto", nil},
 	{"no-planner", []Option{WithoutPlanner()}},
-	{"probe", []Option{WithoutMergeExecutor(), WithoutTwigExecutor()}},
-	{"merge", []Option{withMergeAlways(), WithoutTwigExecutor()}},
+	{"probe", []Option{withoutMerge(), withoutTwig()}},
+	{"merge", []Option{withMergeAlways(), withoutTwig()}},
 	{"twig", []Option{withTwigAlways()}},
 	{"bitmap", []Option{withBitmapAlways()}},
-	{"no-bitmap", []Option{WithoutBitmapExecutor()}},
+	{"no-bitmap", []Option{withoutBitmap()}},
 	{"filter-sets", []Option{withFilterSets()}},
 	{"filter-forward", []Option{withFiltersForward()}},
 }

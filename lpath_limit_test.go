@@ -19,11 +19,11 @@ func limitStrategies() []struct {
 		opts []Option
 	}{
 		{"auto", nil},
-		{"probe", []Option{WithoutMergeExecutor(), WithoutTwigExecutor()}},
-		{"merge", []Option{withMergeAlways(), WithoutTwigExecutor()}},
+		{"probe", []Option{withoutMerge(), withoutTwig()}},
+		{"merge", []Option{withMergeAlways(), withoutTwig()}},
 		{"twig", []Option{withTwigAlways()}},
 		{"bitmap", []Option{withBitmapAlways()}},
-		{"no-bitmap", []Option{WithoutBitmapExecutor()}},
+		{"no-bitmap", []Option{withoutBitmap()}},
 		{"filter-sets", []Option{withFilterSets()}},
 		{"filter-forward", []Option{withFiltersForward()}},
 	}
@@ -69,8 +69,9 @@ func checkLimit(t *testing.T, c *Corpus, q *Query, k int, full []Match) {
 
 // TestLimitParity is the one limit convention, through Run, for every query
 // of the paper's 23-query suite under every executor strategy, at limits
-// around the interesting boundaries (none, one, mid-stream, exact, past the
-// end), independent of shard and worker counts.
+// around the interesting boundaries (none, one, mid-stream at a shallow and
+// a deeper cut, exact, past the end), independent of shard and worker
+// counts.
 func TestLimitParity(t *testing.T) {
 	for _, st := range limitStrategies() {
 		t.Run(st.name, func(t *testing.T) {
@@ -84,7 +85,7 @@ func TestLimitParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Q%d select: %v", eq.ID, err)
 				}
-				for _, k := range []int{0, 1, 7, len(full), len(full) + 1} {
+				for _, k := range []int{0, 1, 7, 100, len(full), len(full) + 1} {
 					checkLimit(t, c, q, k, full)
 				}
 			}

@@ -10,7 +10,8 @@ import (
 // TestPlannerResultIdentity is the optimizer's acceptance property: over the
 // full 23-query evaluation matrix, the cost-based planner changes evaluation
 // strategy only — results are byte-identical with the planner on and off,
-// serially and sharded, and the count pipelines agree with materialization.
+// serially and sharded, and the count pipelines agree with materialization
+// under every forced or disabled executor.
 func TestPlannerResultIdentity(t *testing.T) {
 	planned, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3))
 	if err != nil {
@@ -26,7 +27,7 @@ func TestPlannerResultIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probeOnly, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), WithoutMergeExecutor())
+	probeOnly, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), withoutMerge())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,18 +37,18 @@ func TestPlannerResultIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twigOff, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), WithoutTwigExecutor())
+	twigOff, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), withoutTwig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Bitmap rotation: the dense-bitset kernels forced on every eligible
-	// scope entry, and disabled entirely (per-scope expansion, map-backed
-	// satisfier sets).
+	// scope entry, and disabled entirely (per-scope expansion, every filter
+	// evaluated forward).
 	forcedBitmap, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), withBitmapAlways())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitmapOff, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), WithoutBitmapExecutor())
+	bitmapOff, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), withoutBitmap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +128,14 @@ func TestPlannerResultIdentity(t *testing.T) {
 				eq.ID, len(gotPar.Matches), len(wantPar.Matches))
 		}
 		for name, pair := range map[string][2]int{
-			"Count":         {mustCount(t, planned.Count, q), mustCount(t, unplanned.Count, q)},
-			"CountParallel": {mustCount(t, planned.CountParallel, q), mustCount(t, unplanned.CountParallel, q)},
+			"Count planned/unplanned":         {mustCount(t, planned.Count, q), mustCount(t, unplanned.Count, q)},
+			"CountParallel planned/unplanned": {mustCount(t, planned.CountParallel, q), mustCount(t, unplanned.CountParallel, q)},
+			"Count merge forced/off":          {mustCount(t, forcedMerge.Count, q), mustCount(t, probeOnly.Count, q)},
+			"Count twig forced/off":           {mustCount(t, forcedTwig.Count, q), mustCount(t, twigOff.Count, q)},
+			"Count bitmap forced/off":         {mustCount(t, forcedBitmap.Count, q), mustCount(t, bitmapOff.Count, q)},
 		} {
 			if pair[0] != len(want) || pair[1] != len(want) {
-				t.Errorf("Q%d %s: planned %d, unplanned %d, want %d",
+				t.Errorf("Q%d %s: %d and %d, want %d",
 					eq.ID, name, pair[0], pair[1], len(want))
 			}
 		}

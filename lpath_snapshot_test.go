@@ -19,9 +19,9 @@ func TestSnapshotQueriesAllStrategies(t *testing.T) {
 	}{
 		{"default", nil},
 		{"no-planner", []Option{WithoutPlanner()}},
-		{"no-merge", []Option{WithoutMergeExecutor()}},
-		{"no-twig", []Option{WithoutTwigExecutor()}},
-		{"no-bitmap", []Option{WithoutBitmapExecutor()}},
+		{"no-merge", []Option{withoutMerge()}},
+		{"no-twig", []Option{withoutTwig()}},
+		{"no-bitmap", []Option{withoutBitmap()}},
 		{"bitmap-always", []Option{withBitmapAlways()}},
 		{"filter-sets", []Option{withFilterSets()}},
 		{"sharded", []Option{WithShards(4), WithWorkers(3)}},
