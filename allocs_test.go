@@ -63,28 +63,41 @@ func TestStepEvaluationAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check := func(c *Corpus, name, text string, budget int) {
+			check := func(name string, budget int, run func() error) {
 				t.Run(name, func(t *testing.T) {
-					if _, err := c.CountText(text); err != nil { // warm: compile, cache, size arenas
+					if err := run(); err != nil { // warm: compile, cache, size arenas, build trees
 						t.Fatal(err)
 					}
 					allocs := testing.AllocsPerRun(20, func() {
-						if _, err := c.CountText(text); err != nil {
+						if err := run(); err != nil {
 							t.Fatal(err)
 						}
 					})
-					t.Logf("warm CountText(%s) = %.0f allocs/op (budget %d)", name, allocs, budget)
+					t.Logf("warm %s = %.0f allocs/op (budget %d)", name, allocs, budget)
 					if allocs > float64(budget) {
-						t.Errorf("warm CountText(%s) = %.0f allocs/op, budget %d", name, allocs, budget)
+						t.Errorf("warm %s = %.0f allocs/op, budget %d", name, allocs, budget)
 					}
 				})
+			}
+			countText := func(c *Corpus, text string) func() error {
+				return func() error { _, err := c.CountText(text); return err }
 			}
 			for _, eq := range EvalQueries() {
 				budget, ok := cfg.budgets[eq.ID]
 				if !ok {
 					t.Fatalf("Q%d: no allocation budget defined", eq.ID)
 				}
-				check(c, fmt.Sprintf("Q%d", eq.ID), eq.Text, budget)
+				check(fmt.Sprintf("Q%d", eq.ID), budget, countText(c, eq.Text))
+			}
+			// The main-path kernel steps under the limit stream, which runs
+			// them window by window on small frontiers: the run-time choice
+			// and the windowed posting walk must not allocate per window.
+			for _, id := range []int{18, 22} {
+				q := MustCompile(EvalQueries()[id-1].Text)
+				check(fmt.Sprintf("Q%d-limit10", id), cfg.budgets[id], func() error {
+					_, err := c.SelectLimit(q, 10)
+					return err
+				})
 			}
 			// A corpus of its own: the extra attribute rows must not shift the
 			// statistics the 23 budgets above were measured under.
@@ -99,7 +112,7 @@ func TestStepEvaluationAllocBudget(t *testing.T) {
 					}
 				}
 			}
-			check(sc, "semijoin-attr", "//NP[/DT@"+semijoinAttr+"!=the]", 64)
+			check("semijoin-attr", 64, countText(sc, "//NP[/DT@"+semijoinAttr+"!=the]"))
 		})
 	}
 }

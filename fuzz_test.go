@@ -19,8 +19,9 @@ import (
 // reflect.DeepEqual across all evaluators.
 func FuzzEvalOracle(f *testing.F) {
 	bank := "(S (NP (N I)) (VP (V saw) (NP (D the) (N dog))))\n" +
-		"(S (NP (DT the) (NN cat)) (VP (VB sat) (PP (IN on) (NP (DT a) (NN mat)))))"
-	for _, eq := range EvalQueries() {
+		"(S (NP (DT the) (NN cat)) (VP (VB sat) (PP (IN on) (NP (DT a) (NN mat)))))\n" +
+		"(S (NP (DT the) (JJ old) (NN man)) (VP (VB gave) (NP (NP (DT a) (NN dog)) (PP (IN with) (NP (NN spots)))) (PP (IN to) (NP (NN me)))))"
+	for _, eq := range identityQueries() {
 		f.Add(eq.Text, bank)
 	}
 	f.Add(`//VP{/VB-->NN}`, bank)

@@ -64,7 +64,9 @@ func cancelEngine(t testing.TB, tc *tree.Corpus, opts ...Option) *Engine {
 // TestCancelMidSweepPerStrategy proves that context-honoring evaluation
 // returns promptly with context.Canceled from inside each executor's sweep:
 // the per-binding probe loop, the merge group sweep with its predicate
-// pipeline, and the holistic twig arrival loop.
+// pipeline, the holistic twig arrival loop, and the bitmap kernels' posting
+// walks — the scope entry's parent-chain climb and the main-path / and =>
+// steps.
 func TestCancelMidSweepPerStrategy(t *testing.T) {
 	tc := cancelCorpus(t)
 	cases := []struct {
@@ -78,6 +80,9 @@ func TestCancelMidSweepPerStrategy(t *testing.T) {
 		{"probe", []Option{WithoutPlanner()}, `//_[//_[//NP]]`, 1},
 		{"merge", []Option{WithoutPlanner(), WithMergeAlways()}, `//_[//_[//NP]]`, 1},
 		{"twig", []Option{WithoutPlanner(), WithTwigAlways()}, `//_//_//_`, 1},
+		{"bitmap-entry", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_{//_}`, 1},
+		{"bitmap-child", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_/_/_`, 1},
+		{"bitmap-sibling", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_=>_`, 1},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {

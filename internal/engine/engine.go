@@ -59,23 +59,25 @@ const (
 )
 
 // bitmapMode selects whether the dense-set kernels may execute subtree-scope
-// entries (bitmap.go) and answer filters for whole frontiers (semijoin.go);
-// it is orthogonal to execMode and twigMode, which govern the remaining
-// steps.
+// entries and main-path / and => steps (bitmap.go) and answer filters for
+// whole frontiers (semijoin.go); it is orthogonal to execMode and twigMode,
+// which govern the remaining steps.
 type bitmapMode int
 
 const (
-	// bitmapAuto follows the plan's cost-marked scope entries (no bitmap
-	// without a plan); filters choose between forward evaluation and their
-	// satisfier sets per frontier.
+	// bitmapAuto follows the plan's cost-marked scope entries and kernel
+	// steps (no bitmap without a plan), the latter choosing between the
+	// kernel and probes per frontier; filters choose between forward
+	// evaluation and their satisfier sets per frontier.
 	bitmapAuto bitmapMode = iota
 	// bitmapOff disables the kernels (a differential-test hook): scoped
 	// tails expand per scope and every filter evaluates forward, candidate
 	// by candidate.
 	bitmapOff
-	// bitmapAlways runs every shape-eligible scope entry through the bitmap
-	// kernel, bypassing the cost decision; differential tests and fuzzers
-	// use it to keep the kernel under continuous cross-checking.
+	// bitmapAlways runs every shape-eligible scope entry and main-path step
+	// through the bitmap kernels, bypassing the cost and size decisions;
+	// differential tests and fuzzers use it to keep the kernels under
+	// continuous cross-checking.
 	bitmapAlways
 )
 
@@ -171,18 +173,20 @@ func WithTwigAlways() Option {
 }
 
 // WithoutBitmap disables the dense-bitset kernels: subtree scopes expand per
-// scope and every filter evaluates forward, candidate by candidate. It is a
-// differential-test hook: the forward path stays under cross-checking
-// against the kernels and satisfier sets.
+// scope, main-path / and => steps run as the plan without kernels has them
+// (twig runs, merge or probes), and every filter evaluates forward,
+// candidate by candidate. It is a differential-test hook: the forward path
+// stays under cross-checking against the kernels and satisfier sets.
 func WithoutBitmap() Option {
 	return func(e *Engine) { e.bitmap = bitmapOff }
 }
 
-// WithBitmapAlways runs every shape-eligible subtree-scope entry through the
-// bitmap kernel, bypassing the planner's cost decision. The bitmap kernel is
-// result-identical to the scoped probe expansion by construction; this
-// option keeps it under continuous differential testing even on inputs
-// where the planner would never choose it.
+// WithBitmapAlways runs every shape-eligible subtree-scope entry and every
+// unscoped / or => step outside a twig run through the bitmap kernels,
+// bypassing the planner's cost decision and the run-time size choice. The
+// kernels are result-identical to per-binding probing by construction; this
+// option keeps them under continuous differential testing even on inputs
+// where neither choice would pick them.
 func WithBitmapAlways() Option {
 	return func(e *Engine) { e.bitmap = bitmapAlways }
 }
@@ -223,9 +227,9 @@ func New(s *relstore.Store, opts ...Option) (*Engine, error) {
 		popts = append(popts, planner.WithoutTwig())
 	}
 	if e.bitmap == bitmapOff {
-		// Same reasoning for the bitmap-off engine: a scope entry marked
-		// StrategyBitmap would fall back to probe and also block twig-run
-		// formation over the scoped tail.
+		// Same reasoning for the bitmap-off engine: a scope entry or a
+		// main-path / step marked StrategyBitmap would fall back to probe,
+		// where the kernel-less plan runs it in a twig run or merge.
 		popts = append(popts, planner.WithoutBitmap())
 	}
 	e.pl = planner.New(s.Statistics(), popts...)
@@ -513,8 +517,9 @@ func (e *Engine) evalScoped(tail *lpath.Path, cur []bind, ctx *evalCtx) ([]bind,
 }
 
 // evalStep performs one join step, dispatching between the per-binding
-// probe executor and the set-at-a-time merge executor (merge.go) according
-// to the plan's strategy (or the engine's forced execution mode).
+// probe executor, the set-at-a-time merge executor (merge.go) and the bitmap
+// step kernel (bitmap.go) according to the plan's strategy, the frontier's
+// actual size (or the engine's forced execution mode).
 func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind, error) {
 	if step.Axis == lpath.AxisAttribute {
 		return nil, lpath.ErrAttrInMainPath
@@ -528,6 +533,9 @@ func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind,
 	preds := step.Preds
 	if sp != nil && sp.Reordered {
 		preds = sp.PredExprs()
+	}
+	if cands, ok := e.bitmapStep(step, sp, binds, ctx); ok {
+		return e.evalBitmapStep(step, sp, preds, binds, cands, ctx)
 	}
 	if e.mergeStep(step, sp, positional, binds) {
 		return e.evalStepMerge(step, sp, preds, binds, ctx)
@@ -831,14 +839,8 @@ func (e *Engine) alignRef(b bind, candTID int32) int32 {
 	if b.row != noRow {
 		return b.row
 	}
-	return e.rootOf(candTID)
-}
-
-func (e *Engine) rootOf(tid int32) int32 {
-	roots := e.s.Roots()
-	i := sort.Search(len(roots), func(i int) bool { return e.s.Row(roots[i]).TID >= tid })
-	if i < len(roots) && e.s.Row(roots[i]).TID == tid {
-		return roots[i]
+	if root, ok := e.s.ElementByID(candTID, 1); ok {
+		return root
 	}
 	return noRow
 }

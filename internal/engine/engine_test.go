@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -377,6 +378,41 @@ func TestCount(t *testing.T) {
 	n, err = e.Count(lpath.MustParse(`//ZZZ`))
 	if err != nil || n != 0 {
 		t.Errorf("Count(//ZZZ) = %d, %v", n, err)
+	}
+}
+
+// TestAlignmentTIDGaps holds edge alignment from the virtual root — where ^
+// and $ compare against the candidate's own tree root, found by its (tid, 1)
+// identity — on stores whose tree ids have gaps, as a shard of a filtered
+// corpus has: against the oracle serially, and sharded against serial.
+func TestAlignmentTIDGaps(t *testing.T) {
+	full := randomCorpus(91, 12)
+	gappy := tree.NewCorpus()
+	for i, tr := range full.Trees {
+		if i%3 != 0 { // keeps tree ids 2, 3, 5, 6, 8, ...: gaps, and none at 1
+			gappy.Trees = append(gappy.Trees, tr)
+		}
+	}
+	queries := []string{
+		`//^_`, `//_$`, `//^NP`, `//N$`, `//^_$`, `//^S//N`, `//_$/^_`,
+		`//VP/^_`, `//VP/_$`, `//NP{//^_}`, `//S{//N$}`,
+	}
+	crossValidate(t, gappy, queries)
+	serial := buildEngine(t, gappy)
+	shards := shardEngines(t, gappy, 3)
+	for _, q := range queries {
+		p := lpath.MustParse(q)
+		want, err := serial.Eval(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EvalParallel(context.Background(), shards, p, shards[0].Plan(p), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Errorf("%s: sharded %d matches, serial %d", q, len(got), len(want))
+		}
 	}
 }
 

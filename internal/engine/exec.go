@@ -167,6 +167,21 @@ func (c *evalCtx) countStep(sp *planner.StepPlan, n int) {
 	c.act.Steps[sp] += n
 }
 
+// stepSide records which side of a main-path bitmap step's run-time choice
+// ran, for EXPLAIN.
+func (c *evalCtx) stepSide(sp *planner.StepPlan, side string) {
+	if c.act == nil {
+		return
+	}
+	if c.act.Sides == nil {
+		c.act.Sides = make(map[*planner.StepPlan]string)
+	}
+	if prev := c.act.Sides[sp]; prev != "" && prev != side {
+		side = "kernel+probe"
+	}
+	c.act.Sides[sp] = side
+}
+
 // filterRun returns the EXPLAIN record of a filter, nil when the evaluation
 // is not instrumented.
 func (c *evalCtx) filterRun(x lpath.Expr) *planner.FilterRun {

@@ -15,7 +15,7 @@ import (
 // advanced together in global (tid, left, depth) order, with the partial
 // matches between adjacent steps encoded compactly in per-step state — an
 // ancestor stack for the vertical axes, a stack of pending adjacency edges
-// for -> and =>, a running minimum right edge for --> — instead of
+// for ->, a running minimum right edge for --> — instead of
 // materialized (and deduplicated) inter-step binding frontiers.
 //
 // The sweep works because for every twig-able axis the supporting row
@@ -101,15 +101,14 @@ type twigStepState struct {
 	// descendant, and a (depth, id) scan from the top answers child.
 	stack []int32
 
-	// adj (immediate adjacency): pending (right, pid) edges of supported
-	// rows packed as right<<32|pid. Because spans are laminar, the rows
-	// still open at the sweep position are a nested ancestor chain, so
-	// their right edges are non-increasing bottom→top — the pending edges
-	// form a stack (top = least right), no heap needed. cur holds the
-	// edges whose right equals the sweep's current left — the ones an
-	// arrival at this position can attach to.
-	adj             []int64
-	cur             []int64
+	// adj (immediate following): pending right edges of supported rows.
+	// Because spans are laminar, the rows still open at the sweep position
+	// are a nested ancestor chain, so their right edges are non-increasing
+	// bottom→top — the pending edges form a stack (top = least right), no
+	// heap needed. due says an edge's right equals the sweep's current
+	// left, (curTid, curLeft): an arrival at this position is adjacent.
+	adj             []int32
+	due             bool
 	curTid, curLeft int32
 
 	// minRight (following): the least right edge among supported rows of
@@ -126,7 +125,7 @@ func (st *twigStepState) reset() {
 	st.tid = -1
 	st.stack = st.stack[:0]
 	st.adj = st.adj[:0]
-	st.cur = st.cur[:0]
+	st.due = false
 	st.curTid, st.curLeft = -1, -1
 	st.minRight = maxInt32
 	st.lastSup = noRow
@@ -159,8 +158,7 @@ func (tw *twigScratch) ensure(k int, ar *arena) {
 	for i := range tw.st {
 		st := &tw.st[i]
 		st.stack = ar.getInts()
-		st.adj = ar.getI64s()
-		st.cur = ar.getI64s()
+		st.adj = ar.getInts()
 		tw.counts[i] = 0
 	}
 }
@@ -169,9 +167,8 @@ func (tw *twigScratch) release(ar *arena) {
 	for i := range tw.st {
 		st := &tw.st[i]
 		ar.putInts(st.stack)
-		ar.putI64s(st.adj)
-		ar.putI64s(st.cur)
-		st.stack, st.adj, st.cur = nil, nil, nil
+		ar.putInts(st.adj)
+		st.stack, st.adj = nil, nil
 	}
 	for i := range tw.cur {
 		tw.cur[i] = twigCursor{}
@@ -468,13 +465,13 @@ func (sw *twigSweep) group(ctxRows []int32, ctxKeys []int64, scope int32, out []
 					}
 					break
 				}
-			case lpath.AxisImmediateFollowing, lpath.AxisImmediateFollowingSibling:
+			case lpath.AxisImmediateFollowing:
 				for {
 					ri := c.post[c.pos]
 					tw.counts[0]++
 					if dk := c.key&^0xffffffff | int64(uint32(sw.rights[ri])); dk >= ck2 {
 						sw.refreshAdj(st, int32(c.key>>32), int32(uint32(c.key)))
-						st.adj = append(st.adj, int64(sw.rights[ri])<<32|int64(uint32(sw.pids[ri])))
+						st.adj = append(st.adj, sw.rights[ri])
 					}
 					c.pos++
 					c.load()
@@ -603,14 +600,14 @@ func (sw *twigSweep) earliest(st *twigStepState, ri, tid, left int32) (now bool,
 			return true, 0, false
 		}
 		return false, 0, true
-	case lpath.AxisImmediateFollowing, lpath.AxisImmediateFollowingSibling:
+	case lpath.AxisImmediateFollowing:
 		sw.refreshAdj(st, tid, left)
-		if len(st.cur) > 0 {
+		if st.due {
 			return true, 0, false
 		}
 		if n := len(st.adj); n > 0 {
 			// Top of the stack = least pending right edge.
-			return false, relstore.DocKey(tid, int32(st.adj[n-1]>>32)), false
+			return false, relstore.DocKey(tid, st.adj[n-1]), false
 		}
 		return false, 0, true
 	case lpath.AxisFollowingOrSelf:
@@ -638,7 +635,7 @@ func (sw *twigSweep) earliest(st *twigStepState, ri, tid, left int32) (now bool,
 // the supporter's own left, a following-or-self row at its own position.
 func twigDelta(axis lpath.Axis) int32 {
 	switch axis {
-	case lpath.AxisFollowing, lpath.AxisImmediateFollowing, lpath.AxisImmediateFollowingSibling:
+	case lpath.AxisFollowing, lpath.AxisImmediateFollowing:
 		return 1
 	}
 	return 0
@@ -673,16 +670,7 @@ func (sw *twigSweep) supported(st *twigStepState, ri, tid, left int32) bool {
 		return false
 	case lpath.AxisImmediateFollowing:
 		sw.refreshAdj(st, tid, left)
-		return len(st.cur) > 0
-	case lpath.AxisImmediateFollowingSibling:
-		sw.refreshAdj(st, tid, left)
-		pid := int64(uint32(sw.pids[ri]))
-		for _, v := range st.cur {
-			if v&0xffffffff == pid {
-				return true
-			}
-		}
-		return false
+		return st.due
 	case lpath.AxisFollowing:
 		return st.tid == tid && st.minRight <= left
 	case lpath.AxisFollowingOrSelf:
@@ -707,7 +695,7 @@ func (sw *twigSweep) push(st *twigStepState, ri, tid, left int32, ck int64) {
 		}
 		sw.cleanStack(st, tid, left)
 		st.stack = append(st.stack, ri)
-	case lpath.AxisImmediateFollowing, lpath.AxisImmediateFollowingSibling:
+	case lpath.AxisImmediateFollowing:
 		// Adjacency is due exactly at the right edge's position.
 		if int64(tid)<<32|int64(uint32(sw.rights[ri])) < ck {
 			return
@@ -717,7 +705,7 @@ func (sw *twigSweep) push(st *twigStepState, ri, tid, left int32, ck int64) {
 		// its right edge is the least — the stack invariant holds. (right >
 		// left always, so the fresh edge is never already due.)
 		sw.refreshAdj(st, tid, left)
-		st.adj = append(st.adj, int64(sw.rights[ri])<<32|int64(uint32(sw.pids[ri])))
+		st.adj = append(st.adj, sw.rights[ri])
 	case lpath.AxisFollowing, lpath.AxisFollowingOrSelf:
 		if st.tid != tid {
 			st.minRight = maxInt32
@@ -743,16 +731,16 @@ func (sw *twigSweep) cleanStack(st *twigStepState, tid, left int32) {
 }
 
 // refreshAdj advances the adjacency stack to the sweep position: edges whose
-// right passed are popped, edges due exactly here move to cur. Arrivals
-// sharing (tid, left) reuse cur — and a supporter pushed at this position
-// cannot be due here, since its right exceeds its left. Only the top is ever
-// inspected: the open edges are nested, so rights are non-increasing
-// bottom→top.
+// right passed are popped, and due records whether one of them ends exactly
+// here. Arrivals sharing (tid, left) reuse due — and a supporter pushed at
+// this position cannot be due here, since its right exceeds its left. Only
+// the top is ever inspected: the open edges are nested, so rights are
+// non-increasing bottom→top.
 func (sw *twigSweep) refreshAdj(st *twigStepState, tid, left int32) {
 	if st.curTid == tid && st.curLeft == left {
 		return
 	}
-	st.cur = st.cur[:0]
+	st.due = false
 	st.curTid, st.curLeft = tid, left
 	if st.tid != tid {
 		st.adj = st.adj[:0]
@@ -760,15 +748,12 @@ func (sw *twigSweep) refreshAdj(st *twigStepState, tid, left int32) {
 		return
 	}
 	for n := len(st.adj); n > 0; n-- {
-		top := st.adj[n-1]
-		r := int32(top >> 32)
+		r := st.adj[n-1]
 		if r > left {
 			break
 		}
 		st.adj = st.adj[:n-1]
-		if r == left {
-			st.cur = append(st.cur, top)
-		}
+		st.due = st.due || r == left
 	}
 }
 

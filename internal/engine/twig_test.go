@@ -107,9 +107,10 @@ func TestCrossValidateTwigOff(t *testing.T) {
 }
 
 // TestTwigEqualsProbeOrdered builds engines over one shared store —
-// planner-driven, twig-forced, twig-off, and twig-forced with merge also
-// forced for the residual steps — and requires byte-identical ordered results
-// against the probe-only baseline on every query.
+// planner-driven, twig-forced, twig-off, twig-forced with merge also forced
+// for the residual steps, and the bitmap kernels forced and off — and
+// requires byte-identical ordered results against the probe-only baseline on
+// every query.
 func TestTwigEqualsProbeOrdered(t *testing.T) {
 	queries := append(append([]string{}, queryCorpus...), twigQueries...)
 	corpora := []*tree.Corpus{nestedCorpus()}
@@ -134,6 +135,8 @@ func TestTwigEqualsProbeOrdered(t *testing.T) {
 		add("twig-always", WithTwigAlways())
 		add("twig-off", WithoutTwig())
 		add("twig-and-merge", WithTwigAlways(), WithMergeAlways())
+		add("bitmap-always", WithBitmapAlways())
+		add("bitmap-off", WithoutBitmap())
 		for _, q := range queries {
 			p := lpath.MustParse(q)
 			want, err := probe.Eval(p)

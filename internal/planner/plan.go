@@ -80,11 +80,11 @@ const (
 	// once, with per-step stacks instead of materialized inter-step
 	// frontiers. The run's head step carries TwigRun.
 	StrategyTwig
-	// StrategyBitmap evaluates a subtree-scope entry step set-at-a-time
-	// over dense bitsets: the scope frontier becomes a bitset over the
-	// columnar row index, and the step's posting list resolves membership
-	// through the parent-pointer column instead of per-scope index probes
-	// (internal/engine/bitmap.go).
+	// StrategyBitmap evaluates a subtree-scope entry, or a main-path / or =>
+	// step, set-at-a-time: the frontier becomes a dense set of rows and one
+	// walk of the step's posting list resolves each candidate's scope or
+	// context through the parent-pointer column (internal/engine/bitmap.go).
+	// A main-path step still runs as probes on frontiers too small for it.
 	StrategyBitmap
 )
 
@@ -143,8 +143,8 @@ func (p *Plan) Step(s *lpath.Step) *StepPlan { return p.steps[s] }
 // StrategyCounts tallies the execution strategies chosen for the main path's
 // steps (including scoped tails): how many run as per-binding probes, as
 // set-at-a-time merges, as members of holistic twig runs, and as bitmap
-// scope entries. The serving layer exports these as executor-strategy
-// metrics.
+// scope entries or main-path kernel steps. The serving layer exports these
+// as executor-strategy metrics.
 func (p *Plan) StrategyCounts() (probe, merge, twig, bitmap int) {
 	for pp := p.Root; pp != nil; pp = pp.Scoped {
 		for _, sp := range pp.Steps {
@@ -307,6 +307,10 @@ type Actuals struct {
 	Steps map[*StepPlan]int
 	// Filters maps a set-capable or scope-only filter to how it ran.
 	Filters map[lpath.Expr]*FilterRun
+	// Sides maps a main-path bitmap step to the side of its run-time choice
+	// that ran: "kernel", "probe", or "kernel+probe" when the frontiers of
+	// successive stream windows chose differently.
+	Sides map[*StepPlan]string
 	// Matches is the final distinct-match count.
 	Matches int
 }
@@ -346,6 +350,9 @@ func (p *Plan) renderPath(b *strings.Builder, pp *PathPlan, a *Actuals, indent, 
 		if a != nil {
 			if n, ok := a.Steps[sp]; ok {
 				fmt.Fprintf(b, " actual=%d", n)
+			}
+			if side := a.Sides[sp]; side != "" {
+				fmt.Fprintf(b, "  [%s]", side)
 			}
 		}
 		b.WriteByte('\n')

@@ -95,6 +95,9 @@ func (pl *Planner) Plan(p *lpath.Path) *Plan {
 	if !pl.noTwig {
 		pl.markTwigRuns(plan.Root, true, false)
 	}
+	if !pl.noBitmap {
+		pl.markBitmapSteps(plan.Root)
+	}
 	plan.EstMatches = plan.Root.EstOut
 	return plan
 }
@@ -430,15 +433,16 @@ func MergeableAxis(axis lpath.Axis) bool {
 // run (internal/engine/twig.go): the forward axes whose supporting context
 // row always arrives no later than the supported row in one document-order
 // (tid, left, depth) sweep, so support can be decided at arrival time from a
-// per-step stack, adjacency heap, or running minimum. The reverse axes would
-// need supporters from the future, and the non-immediate sibling axes a
-// per-parent map, so they stay with probe/merge.
+// per-step stack, adjacency stack, or running minimum. The reverse axes would
+// need supporters from the future and the sibling axes a per-parent map, so
+// they stay with probe/merge — and => with the bitmap step kernel, which
+// finds a candidate's one possible context directly.
 func TwigableAxis(axis lpath.Axis) bool {
 	switch axis {
 	case lpath.AxisChild,
 		lpath.AxisDescendant, lpath.AxisDescendantOrSelf,
 		lpath.AxisFollowing, lpath.AxisFollowingOrSelf,
-		lpath.AxisImmediateFollowing, lpath.AxisImmediateFollowingSibling:
+		lpath.AxisImmediateFollowing:
 		return true
 	}
 	return false
@@ -476,18 +480,26 @@ func TwigableStep(step *lpath.Step, inScope bool) bool {
 	return true
 }
 
-// BitmapEntryStep reports whether a subtree-scoped tail's first step has the
-// shape the bitmap scope-entry kernel supports (internal/engine/bitmap.go):
-// a downward axis whose scope membership resolves through the parent-pointer
-// column, with no positional predicates — the kernel emits bindings in
-// posting order, not per-scope document order.
-func BitmapEntryStep(step *lpath.Step) bool {
-	switch step.Axis {
-	case lpath.AxisChild, lpath.AxisDescendant, lpath.AxisDescendantOrSelf:
-	default:
+// BitmapStep reports whether a step has the shape a bitmap kernel supports
+// (internal/engine/bitmap.go). A subtree-scope entry (entry set) takes a
+// downward axis, whose scopes lie on the candidate's parent chain; a
+// main-path step takes / or =>, whose one possible context is the
+// candidate's parent or its immediately preceding sibling. Neither takes
+// positional predicates: the kernels emit bindings in posting order, not
+// per-context document order.
+func BitmapStep(step *lpath.Step, entry bool) bool {
+	if step.HasPositional() {
 		return false
 	}
-	return !step.HasPositional()
+	switch step.Axis {
+	case lpath.AxisChild:
+		return true
+	case lpath.AxisDescendant, lpath.AxisDescendantOrSelf:
+		return entry
+	case lpath.AxisImmediateFollowingSibling:
+		return !entry
+	}
+	return false
 }
 
 // bitmapTouchCost weights one bitmap scope-entry touch — a posting row's
@@ -511,7 +523,7 @@ func (pl *Planner) markBitmapEntry(scoped *PathPlan, c ectx, scopes float64) {
 		return
 	}
 	sp := scoped.Steps[0]
-	if sp.Access == AccessValueIndex || !BitmapEntryStep(sp.Step) {
+	if sp.Access == AccessValueIndex || !BitmapStep(sp.Step, true) {
 		return
 	}
 	_, probeCost, _ := pl.probe(c, sp.Step.Axis, sp.Step.Test)
@@ -541,7 +553,9 @@ func (pl *Planner) markBitmapEntry(scoped *PathPlan, c ectx, scopes float64) {
 // its nested subtree scopes — not predicate paths, which evaluate per
 // binding): it finds maximal runs of twig-able steps and, where the modeled
 // holistic sweep beats the chosen per-step strategies, marks every member
-// StrategyTwig and stamps the run length on the head step.
+// StrategyTwig and stamps the run length on the head step. An unscoped run
+// whose steps after the head are all / is left to markBitmapSteps: twig
+// keeps only the mixed runs, those with a //, -> or --> join.
 func (pl *Planner) markTwigRuns(pp *PathPlan, root, inScope bool) {
 	steps := pp.Steps
 	for i := 0; i < len(steps); {
@@ -550,10 +564,12 @@ func (pl *Planner) markTwigRuns(pp *PathPlan, root, inScope bool) {
 			continue
 		}
 		j := i + 1
+		mixed := inScope || pl.noBitmap
 		for j < len(steps) && pl.twigEligible(steps[j], false, inScope) {
+			mixed = mixed || steps[j].Step.Axis != lpath.AxisChild
 			j++
 		}
-		if j-i >= 2 && pl.twigWins(steps[i:j], root && i == 0) {
+		if j-i >= 2 && mixed && pl.twigWins(steps[i:j], root && i == 0) {
 			for _, sp := range steps[i:j] {
 				sp.Strategy = StrategyTwig
 			}
@@ -563,6 +579,22 @@ func (pl *Planner) markTwigRuns(pp *PathPlan, root, inScope bool) {
 	}
 	if pp.Scoped != nil {
 		pl.markTwigRuns(pp.Scoped, false, true)
+	}
+}
+
+// markBitmapSteps marks the root path's / and => steps exec=bitmap, except
+// the first (its context is the virtual root, whose probe is already a
+// range handover) and the members of twig runs. The engine then picks, per
+// frontier and on actual sizes, between the bitmap step kernel — one walk of
+// the step's posting against the frontier's row set — and per-binding
+// probes. Subtree-scoped steps are not marked: the kernel resolves one
+// context per candidate, not one per (context, scope) pair.
+func (pl *Planner) markBitmapSteps(pp *PathPlan) {
+	for i := 1; i < len(pp.Steps); i++ {
+		sp := pp.Steps[i]
+		if sp.Strategy != StrategyTwig && sp.Access != AccessValueIndex && BitmapStep(sp.Step, false) {
+			sp.Strategy = StrategyBitmap
+		}
 	}
 }
 

@@ -68,10 +68,10 @@ func checkLimit(t *testing.T, c *Corpus, q *Query, k int, full []Match) {
 }
 
 // TestLimitParity is the one limit convention, through Run, for every query
-// of the paper's 23-query suite under every executor strategy, at limits
-// around the interesting boundaries (none, one, mid-stream at a shallow and
-// a deeper cut, exact, past the end), independent of shard and worker
-// counts.
+// of the paper's 23-query suite and mainPathShapes under every executor
+// strategy, at limits around the interesting boundaries (none, one,
+// mid-stream at a shallow and a deeper cut, exact, past the end),
+// independent of shard and worker counts.
 func TestLimitParity(t *testing.T) {
 	for _, st := range limitStrategies() {
 		t.Run(st.name, func(t *testing.T) {
@@ -79,11 +79,11 @@ func TestLimitParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, eq := range EvalQueries() {
+			for _, eq := range identityQueries() {
 				q := MustCompile(eq.Text)
 				full, err := c.Select(q)
 				if err != nil {
-					t.Fatalf("Q%d select: %v", eq.ID, err)
+					t.Fatalf("%s select: %v", eq.Name, err)
 				}
 				for _, k := range []int{0, 1, 7, 100, len(full), len(full) + 1} {
 					checkLimit(t, c, q, k, full)

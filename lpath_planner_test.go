@@ -2,16 +2,42 @@ package lpath
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
 
+// mainPathShapes are the main-path / and => shapes beyond the paper's
+// queries that the identity, limit and fuzz suites hold too: a child of the
+// virtual root as the head, wildcard child and sibling chains, a filter on a
+// kernel step, the kernel after a filter, a twig run that ends where a =>
+// begins, and a scoped =>, which the kernel leaves to per-binding probes.
+var mainPathShapes = []string{
+	`/S/VP/NP`, `//_/_/_`, `//DT=>NN`, `//_=>_=>_`,
+	`//NP/PP[//IN]`, `//S[//NP]/VP/VB`, `//VB->NP=>PP`, `//VP{/NP=>PP}`,
+}
+
+// namedQuery is one input of the identity suites.
+type namedQuery struct{ Name, Text string }
+
+// identityQueries is the paper's 23-query matrix followed by mainPathShapes.
+func identityQueries() []namedQuery {
+	var out []namedQuery
+	for _, eq := range EvalQueries() {
+		out = append(out, namedQuery{fmt.Sprintf("Q%d", eq.ID), eq.Text})
+	}
+	for _, s := range mainPathShapes {
+		out = append(out, namedQuery{s, s})
+	}
+	return out
+}
+
 // TestPlannerResultIdentity is the optimizer's acceptance property: over the
-// full 23-query evaluation matrix, the cost-based planner changes evaluation
-// strategy only — results are byte-identical with the planner on and off,
-// serially and sharded, and the count pipelines agree with materialization
-// under every forced or disabled executor.
+// full 23-query evaluation matrix and mainPathShapes, the cost-based planner
+// changes evaluation strategy only — results are byte-identical with the
+// planner on and off, serially and sharded, and the count pipelines agree
+// with materialization under every forced or disabled executor.
 func TestPlannerResultIdentity(t *testing.T) {
 	planned, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3))
 	if err != nil {
@@ -52,80 +78,80 @@ func TestPlannerResultIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eq := range EvalQueries() {
+	for _, eq := range identityQueries() {
 		q := MustCompile(eq.Text)
 		want, err := unplanned.Select(q)
 		if err != nil {
-			t.Fatalf("Q%d unplanned: %v", eq.ID, err)
+			t.Fatalf("%s unplanned: %v", eq.Name, err)
 		}
 		got, err := planned.Select(q)
 		if err != nil {
-			t.Fatalf("Q%d planned: %v", eq.ID, err)
+			t.Fatalf("%s planned: %v", eq.Name, err)
 		}
 		if !matchesEqual(got, want) {
-			t.Errorf("Q%d: planned %d matches, unplanned %d — or a match differs",
-				eq.ID, len(got), len(want))
+			t.Errorf("%s: planned %d matches, unplanned %d — or a match differs",
+				eq.Name, len(got), len(want))
 		}
 		gotMerge, err := forcedMerge.Select(q)
 		if err != nil {
-			t.Fatalf("Q%d forced-merge: %v", eq.ID, err)
+			t.Fatalf("%s forced-merge: %v", eq.Name, err)
 		}
 		if !matchesEqual(gotMerge, want) {
-			t.Errorf("Q%d: forced-merge %d matches, unplanned %d — or a match differs",
-				eq.ID, len(gotMerge), len(want))
+			t.Errorf("%s: forced-merge %d matches, unplanned %d — or a match differs",
+				eq.Name, len(gotMerge), len(want))
 		}
 		gotProbe, err := probeOnly.Select(q)
 		if err != nil {
-			t.Fatalf("Q%d probe-only: %v", eq.ID, err)
+			t.Fatalf("%s probe-only: %v", eq.Name, err)
 		}
 		if !matchesEqual(gotProbe, want) {
-			t.Errorf("Q%d: probe-only %d matches, unplanned %d — or a match differs",
-				eq.ID, len(gotProbe), len(want))
+			t.Errorf("%s: probe-only %d matches, unplanned %d — or a match differs",
+				eq.Name, len(gotProbe), len(want))
 		}
 		gotTwig, err := forcedTwig.Select(q)
 		if err != nil {
-			t.Fatalf("Q%d forced-twig: %v", eq.ID, err)
+			t.Fatalf("%s forced-twig: %v", eq.Name, err)
 		}
 		if !matchesEqual(gotTwig, want) {
-			t.Errorf("Q%d: forced-twig %d matches, unplanned %d — or a match differs",
-				eq.ID, len(gotTwig), len(want))
+			t.Errorf("%s: forced-twig %d matches, unplanned %d — or a match differs",
+				eq.Name, len(gotTwig), len(want))
 		}
 		gotNoTwig, err := twigOff.Select(q)
 		if err != nil {
-			t.Fatalf("Q%d twig-off: %v", eq.ID, err)
+			t.Fatalf("%s twig-off: %v", eq.Name, err)
 		}
 		if !matchesEqual(gotNoTwig, want) {
-			t.Errorf("Q%d: twig-off %d matches, unplanned %d — or a match differs",
-				eq.ID, len(gotNoTwig), len(want))
+			t.Errorf("%s: twig-off %d matches, unplanned %d — or a match differs",
+				eq.Name, len(gotNoTwig), len(want))
 		}
 		gotBitmap, err := forcedBitmap.Select(q)
 		if err != nil {
-			t.Fatalf("Q%d forced-bitmap: %v", eq.ID, err)
+			t.Fatalf("%s forced-bitmap: %v", eq.Name, err)
 		}
 		if !matchesEqual(gotBitmap, want) {
-			t.Errorf("Q%d: forced-bitmap %d matches, unplanned %d — or a match differs",
-				eq.ID, len(gotBitmap), len(want))
+			t.Errorf("%s: forced-bitmap %d matches, unplanned %d — or a match differs",
+				eq.Name, len(gotBitmap), len(want))
 		}
 		gotNoBitmap, err := bitmapOff.Select(q)
 		if err != nil {
-			t.Fatalf("Q%d bitmap-off: %v", eq.ID, err)
+			t.Fatalf("%s bitmap-off: %v", eq.Name, err)
 		}
 		if !matchesEqual(gotNoBitmap, want) {
-			t.Errorf("Q%d: bitmap-off %d matches, unplanned %d — or a match differs",
-				eq.ID, len(gotNoBitmap), len(want))
+			t.Errorf("%s: bitmap-off %d matches, unplanned %d — or a match differs",
+				eq.Name, len(gotNoBitmap), len(want))
 		}
 		sharded := Request{Query: q, Parallel: true}
 		gotPar, err := planned.Run(context.Background(), sharded)
 		if err != nil {
-			t.Fatalf("Q%d planned parallel: %v", eq.ID, err)
+			t.Fatalf("%s planned parallel: %v", eq.Name, err)
 		}
 		wantPar, err := unplanned.Run(context.Background(), sharded)
 		if err != nil {
-			t.Fatalf("Q%d unplanned parallel: %v", eq.ID, err)
+			t.Fatalf("%s unplanned parallel: %v", eq.Name, err)
 		}
 		if !reflect.DeepEqual(got, gotPar.Matches) || !matchesEqual(gotPar.Matches, wantPar.Matches) {
-			t.Errorf("Q%d: parallel results diverge (planned %d / unplanned %d)",
-				eq.ID, len(gotPar.Matches), len(wantPar.Matches))
+			t.Errorf("%s: parallel results diverge (planned %d / unplanned %d)",
+				eq.Name, len(gotPar.Matches), len(wantPar.Matches))
 		}
 		for name, pair := range map[string][2]int{
 			"Count planned/unplanned":         {mustCount(t, planned.Count, q), mustCount(t, unplanned.Count, q)},
@@ -135,8 +161,8 @@ func TestPlannerResultIdentity(t *testing.T) {
 			"Count bitmap forced/off":         {mustCount(t, forcedBitmap.Count, q), mustCount(t, bitmapOff.Count, q)},
 		} {
 			if pair[0] != len(want) || pair[1] != len(want) {
-				t.Errorf("Q%d %s: %d and %d, want %d",
-					eq.ID, name, pair[0], pair[1], len(want))
+				t.Errorf("%s %s: %d and %d, want %d",
+					eq.Name, name, pair[0], pair[1], len(want))
 			}
 		}
 	}
