@@ -325,24 +325,16 @@ var (
 	parBenchCorp *Corpus
 )
 
-// parallelBenchCorpus builds one shared WSJ corpus with a fixed shard
-// layout so every sub-benchmark varies only the worker count.
+// parallelBenchCorpus builds one shared WSJ corpus so every sub-benchmark
+// varies only the worker count.
 func parallelBenchCorpus(b *testing.B) *Corpus {
 	b.Helper()
 	parBenchOnce.Do(func() {
-		shards := runtime.GOMAXPROCS(0)
-		if shards < 4 {
-			shards = 4
-		}
-		c, err := GenerateCorpus("wsj", benchScale(), 42, WithShards(shards))
+		c, err := GenerateCorpus("wsj", benchScale(), 42)
 		if err != nil {
 			return
 		}
 		if err := c.Build(); err != nil {
-			return
-		}
-		// Warm the shard index outside the timed regions.
-		if _, err := c.CountParallel(MustCompile(`//NP`)); err != nil {
 			return
 		}
 		parBenchCorp = c
@@ -414,19 +406,6 @@ func BenchmarkPlanCache(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkBuildShards measures the sharded index construction that a
-// Parallel request adds over the serial store build.
-func BenchmarkBuildShards(b *testing.B) {
-	trees := bench.GenerateTrees(corpus.WSJ, benchScale(), 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := &Corpus{trees: treeCorpusOf(trees), dirty: true, shardsDirty: true, shardCount: 4}
-		if err := c.buildShards(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkBuildStore measures index construction (the offline cost of the

@@ -40,7 +40,7 @@ func FuzzEvalOracle(f *testing.F) {
 		if err != nil {
 			return // not a valid query; FuzzParse covers the parser
 		}
-		c := NewCorpus(WithShards(2), WithWorkers(2))
+		c := NewCorpus(WithWorkers(2))
 		trees := 0
 		for _, line := range strings.Split(treebank, "\n") {
 			line = strings.TrimSpace(line)
@@ -75,7 +75,7 @@ func FuzzEvalOracle(f *testing.F) {
 
 		// Batch rotation: a duplicate pair rides every cross-query memo layer
 		// (rows, frontiers, satisfiers) while the identity property is
-		// checked, serial and sharded, and the text pair adds the per-slot
+		// checked, serial and Parallel, and the text pair adds the per-slot
 		// limit. Batch limits evaluate fully and truncate, so error agreement
 		// with Select is exact — no early-termination caveat.
 		batch := c.RunBatch(ctx, []Request{

@@ -1,5 +1,5 @@
 // Package bitset provides dense bitsets over the columnar row index of a
-// relstore shard: bit i corresponds to clustered row i, so name postings and
+// relstore.Store: bit i corresponds to clustered row i, so name postings and
 // value-index postings convert to sets in O(ranges) via SetRange, and
 // conjunctive/disjunctive structural filters evaluate as word-parallel
 // And/Or/AndNot kernels instead of per-candidate probes (docs/EXECUTION.md,
@@ -7,7 +7,7 @@
 //
 // A Set is not safe for concurrent mutation; concurrent readers are fine.
 // All sets combined by the binary kernels are expected to share the same
-// logical length (the shard's row count); the kernels tolerate shorter
+// logical length (the store's row count); the kernels tolerate shorter
 // operands by treating missing words as zero.
 package bitset
 

@@ -3,9 +3,9 @@
 // structural keys of the plan IR prove equal across queries (planner:
 // StepPlan.Key, Semijoin.Key): whole-query result rows, main-path step
 // frontiers, and unscoped predicate satisfier bitsets. The memo lives for
-// one batch only — queries inside a batch run sequentially per engine (per
-// shard under EvalBatchParallel), so it needs no locking, and every result a
-// later query may reuse is copied to the heap before the arena reclaims it.
+// one batch only — queries inside a batch run sequentially on one engine, so
+// it needs no locking, and every result a later query may reuse is copied to
+// the heap before the arena reclaims it.
 //
 // The contract is the batch identity property, held by the differential
 // tests and FuzzEvalOracle: slot i of EvalBatch is element-wise identical to
@@ -158,81 +158,4 @@ func (e *Engine) batchRows(cctx context.Context, p *lpath.Path, plan *planner.Pl
 	ctx.ar.putInts(arRows)
 	memo.rows[key] = rows
 	return rows, nil
-}
-
-// EvalBatchParallel runs the batch over the shards with shards as the unit
-// of work: each shard visit evaluates all N queries under one per-shard
-// batch memo, and each query's per-shard results merge back into global
-// (tid, id) order — slot i is identical to EvalParallel (or CountParallel)
-// of query i alone, errors included, with the same deterministic
-// lowest-shard error choice. Shard engines share the corpus-global
-// statistics snapshot, so each slot's one plan serves every shard. A failing
-// query never disturbs its batch mates; cancelling ctx surfaces the context
-// error on every query it interrupted.
-func EvalBatchParallel(ctx context.Context, shards []*Engine, qs []BatchQuery, workers int) []BatchResult {
-	out := make([]BatchResult, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	if len(shards) == 0 {
-		for i, q := range qs {
-			if out[i].Err = lpath.Validate(q.Path); out[i].Err != nil {
-				continue
-			}
-			if out[i].Err = ctx.Err(); out[i].Err == nil && !q.CountOnly {
-				out[i].Matches = []Match{}
-			}
-		}
-		return out
-	}
-	perShard := make([][]BatchResult, len(shards))
-	_ = runShards(ctx, len(shards), workers, func(sctx context.Context, si int) error {
-		memo := newBatchMemo()
-		rs := make([]BatchResult, len(qs))
-		for qi, q := range qs {
-			rs[qi] = shards[si].evalBatchOne(sctx, q, memo)
-		}
-		perShard[si] = rs
-		return nil // per-query errors propagate positionally, not per shard
-	})
-	for qi, q := range qs {
-		parts := make([][]Match, 0, len(shards))
-		var qerr error
-		missing := false
-		count := 0
-		for si := range shards {
-			switch {
-			case perShard[si] == nil:
-				missing = true // shard drained after cancellation
-			case perShard[si][qi].Err != nil:
-				if err := perShard[si][qi].Err; !isCancel(err) {
-					if qerr == nil {
-						qerr = err // lowest shard's real failure wins
-					}
-				} else {
-					missing = true
-				}
-			default:
-				parts = append(parts, perShard[si][qi].Matches)
-				count += perShard[si][qi].Count
-			}
-		}
-		switch {
-		case qerr != nil:
-			out[qi].Err = qerr
-		case missing:
-			if out[qi].Err = ctx.Err(); out[qi].Err == nil {
-				out[qi].Err = context.Canceled
-			}
-		case q.CountOnly:
-			out[qi].Count = count // shards hold disjoint trees: counts add
-		default:
-			ms := mergeByTree(parts)
-			if q.Limit > 0 && len(ms) > q.Limit {
-				ms = ms[:q.Limit]
-			}
-			out[qi].Matches, out[qi].Count = ms, len(ms)
-		}
-	}
-	return out
 }

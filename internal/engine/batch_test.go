@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"lpath/internal/lpath"
-	"lpath/internal/tree"
 )
 
 // batchOptRotations are the executor configurations the batch identity
@@ -297,92 +296,5 @@ func TestEvalBatchMidCancel(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, ref) {
 		t.Fatalf("post-cancel results differ: %d vs %d matches", len(want), len(ref))
-	}
-}
-
-// TestEvalBatchParallelMatchesSerial is the sharded batch identity property:
-// for every shard count and worker count, EvalBatchParallel's slot i equals
-// EvalParallel for that query alone — which the parallel tests hold equal to
-// serial Eval.
-func TestEvalBatchParallelMatchesSerial(t *testing.T) {
-	paths := make([]*lpath.Path, len(queryCorpus))
-	for i, q := range queryCorpus {
-		paths[i] = lpath.MustParse(q)
-	}
-	for seed := int64(1); seed <= 2; seed++ {
-		c := randomCorpus(seed, 7)
-		serial := buildEngine(t, c)
-		want := make([][]Match, len(paths))
-		for i, p := range paths {
-			ms, err := serial.Eval(p)
-			if err != nil {
-				t.Fatalf("seed %d: serial %q: %v", seed, queryCorpus[i], err)
-			}
-			want[i] = ms
-		}
-		for _, k := range []int{1, 3, 7} {
-			shards := shardEngines(t, c, k)
-			for _, workers := range []int{1, 3} {
-				got := EvalBatchParallel(context.Background(), shards, batchOf(shards[0], paths), workers)
-				for i := range paths {
-					if got[i].Err != nil {
-						t.Fatalf("seed %d k=%d w=%d: %q: %v", seed, k, workers, queryCorpus[i], got[i].Err)
-					}
-					if len(got[i].Matches) == 0 && len(want[i]) == 0 {
-						continue
-					}
-					if !reflect.DeepEqual(got[i].Matches, want[i]) {
-						t.Errorf("seed %d k=%d w=%d: %q: batch %d matches, serial %d",
-							seed, k, workers, queryCorpus[i], len(got[i].Matches), len(want[i]))
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestEvalBatchParallelErrorSlots: a failing query fails only its own slot,
-// positionally, across shards.
-func TestEvalBatchParallelErrorSlots(t *testing.T) {
-	c := tree.NewCorpus()
-	c.Add(tree.Figure1())
-	shards := shardEngines(t, c, 2)
-	bad := lpath.MustParse(`//S@lex`)
-	paths := []*lpath.Path{lpath.MustParse(`//NP`), bad}
-	got := EvalBatchParallel(context.Background(), shards, batchOf(shards[0], paths), 0)
-	if got[0].Err != nil {
-		t.Fatalf("healthy slot: %v", got[0].Err)
-	}
-	if got[1].Err == nil {
-		t.Fatal("bad slot did not error")
-	}
-	if len(got[0].Matches) != 4 {
-		t.Errorf("//NP: %d matches, want 4", len(got[0].Matches))
-	}
-}
-
-// TestEvalBatchParallelEmptyShards mirrors EvalParallel's empty-shard
-// behavior per slot: empty results, validation errors still surfaced.
-func TestEvalBatchParallelEmptyShards(t *testing.T) {
-	qs := []BatchQuery{{Path: lpath.MustParse(`//NP`)}, {Path: lpath.MustParse(`//S@lex`)}}
-	got := EvalBatchParallel(context.Background(), nil, qs, 0)
-	if got[0].Err != nil || len(got[0].Matches) != 0 {
-		t.Errorf("healthy slot on empty shards: %d matches, %v", len(got[0].Matches), got[0].Err)
-	}
-	if got[1].Err == nil {
-		t.Error("invalid query accepted on empty shards")
-	}
-}
-
-// TestEvalBatchParallelPreCancelled: a dead context fails every slot.
-func TestEvalBatchParallelPreCancelled(t *testing.T) {
-	c := tree.NewCorpus()
-	c.Add(tree.Figure1())
-	shards := shardEngines(t, c, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	got := EvalBatchParallel(ctx, shards, []BatchQuery{{Path: lpath.MustParse(`//NP`)}}, 0)
-	if !errors.Is(got[0].Err, context.Canceled) {
-		t.Errorf("got %v, want context.Canceled", got[0].Err)
 	}
 }

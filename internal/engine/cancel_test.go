@@ -120,26 +120,23 @@ func TestCancelMidSweepPerStrategy(t *testing.T) {
 	}
 }
 
-// TestCancelParallelMidSweep proves the sharded path is interrupted
-// cooperatively too: the deadline reaches each in-flight shard evaluation
-// (shards evaluate with the derived context), not just the not-yet-started
-// ones. The query's full evaluation takes orders of magnitude longer than
-// the deadline, so the workers are guaranteed to be mid-sweep when it fires.
+// TestCancelParallelMidSweep proves the windowed parallel path is
+// interrupted cooperatively too: the deadline reaches each in-flight window
+// evaluation (windows evaluate with the derived context), not just the
+// not-yet-started ones. The query's full evaluation takes orders of magnitude
+// longer than the deadline, so the workers are guaranteed to be mid-sweep
+// when it fires.
 func TestCancelParallelMidSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based cancellation test")
 	}
-	tc := cancelCorpus(t)
-	shards, err := NewSharded(relstore.BuildShards(tc, relstore.SchemeInterval, 4), WithoutPlanner())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := cancelEngine(t, cancelCorpus(t), WithoutPlanner())
 	p := lpath.MustParse(`//_[//_[//_]]`)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := EvalParallel(ctx, shards, p, shards[0].Plan(p), 0, 2); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.EvalParallel(ctx, p, e.Plan(p), 0, 4); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("EvalParallel: got err %v after %v, want context.DeadlineExceeded", err, time.Since(start))
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -148,7 +145,7 @@ func TestCancelParallelMidSweep(t *testing.T) {
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel2()
-	if _, err := CountParallel(ctx2, shards, p, shards[0].Plan(p), 2); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.CountParallel(ctx2, p, e.Plan(p), 4); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("CountParallel: got err %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -198,10 +195,6 @@ func TestDeadlineExceededMidSweep(t *testing.T) {
 func TestContextPreCancelled(t *testing.T) {
 	tc := cancelCorpus(t)
 	e := cancelEngine(t, tc)
-	shards, err := NewSharded(relstore.BuildShards(tc, relstore.SchemeInterval, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := lpath.MustParse(`//NP`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -215,10 +208,10 @@ func TestContextPreCancelled(t *testing.T) {
 	if _, err := e.ExplainPlanContext(ctx, p, e.Plan(p)); !errors.Is(err, context.Canceled) {
 		t.Errorf("ExplainPlanContext: got %v", err)
 	}
-	if _, err := EvalParallel(ctx, shards, p, nil, 0, 0); !errors.Is(err, context.Canceled) {
+	if _, err := e.EvalParallel(ctx, p, nil, 0, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("EvalParallel: got %v", err)
 	}
-	if _, err := CountParallel(ctx, shards, p, nil, 0); !errors.Is(err, context.Canceled) {
+	if _, err := e.CountParallel(ctx, p, nil, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("CountParallel: got %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lpath/internal/lpath"
+	"lpath/internal/tree"
 )
 
 // TestCountAgreesWithSelect is the count-only pipeline's contract: Count
@@ -34,38 +35,34 @@ func TestCountAgreesWithSelect(t *testing.T) {
 	}
 }
 
-// TestCountParallelAgreesWithSerial checks the sharded count against both
-// the serial count and the materializing parallel path, across shard and
-// worker counts.
+// TestCountParallelAgreesWithSerial checks the windowed count against both
+// the serial count and the materializing parallel path, across worker (so
+// window) counts.
 func TestCountParallelAgreesWithSerial(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		c := randomCorpus(seed, 9)
-		serial := buildEngine(t, c)
-		for _, k := range []int{1, 3, 9} {
-			shards := shardEngines(t, c, k)
-			for _, workers := range []int{1, 4} {
-				for _, q := range queryCorpus {
-					p := lpath.MustParse(q)
-					want, err := serial.Count(p)
-					if err != nil {
-						t.Fatalf("seed %d %q: %v", seed, q, err)
-					}
-					got, err := CountParallel(context.Background(), shards, p, shards[0].Plan(p), workers)
-					if err != nil {
-						t.Fatalf("seed %d k=%d w=%d %q: %v", seed, k, workers, q, err)
-					}
-					if got != want {
-						t.Errorf("seed %d k=%d w=%d %q: CountParallel = %d, serial Count = %d",
-							seed, k, workers, q, got, want)
-					}
-					ms, err := EvalParallel(context.Background(), shards, p, shards[0].Plan(p), 0, workers)
-					if err != nil {
-						t.Fatalf("seed %d k=%d w=%d %q eval: %v", seed, k, workers, q, err)
-					}
-					if got != len(ms) {
-						t.Errorf("seed %d k=%d w=%d %q: CountParallel = %d, len(EvalParallel) = %d",
-							seed, k, workers, q, got, len(ms))
-					}
+		e := buildEngine(t, randomCorpus(seed, 9))
+		for _, workers := range []int{1, 3, 4, 9} {
+			for _, q := range queryCorpus {
+				p := lpath.MustParse(q)
+				want, err := e.Count(p)
+				if err != nil {
+					t.Fatalf("seed %d %q: %v", seed, q, err)
+				}
+				got, err := e.CountParallel(context.Background(), p, e.Plan(p), workers)
+				if err != nil {
+					t.Fatalf("seed %d w=%d %q: %v", seed, workers, q, err)
+				}
+				if got != want {
+					t.Errorf("seed %d w=%d %q: CountParallel = %d, serial Count = %d",
+						seed, workers, q, got, want)
+				}
+				ms, err := e.EvalParallel(context.Background(), p, e.Plan(p), 0, workers)
+				if err != nil {
+					t.Fatalf("seed %d w=%d %q eval: %v", seed, workers, q, err)
+				}
+				if got != len(ms) {
+					t.Errorf("seed %d w=%d %q: CountParallel = %d, len(EvalParallel) = %d",
+						seed, workers, q, got, len(ms))
 				}
 			}
 		}
@@ -73,17 +70,17 @@ func TestCountParallelAgreesWithSerial(t *testing.T) {
 }
 
 func TestCountParallelValidationAndEmpty(t *testing.T) {
-	if _, err := CountParallel(context.Background(), nil, lpath.MustParse(`@lex`), nil, 0); err == nil {
+	e := buildEngine(t, randomCorpus(1, 4))
+	if _, err := e.CountParallel(context.Background(), lpath.MustParse(`@lex`), nil, 0); err == nil {
 		t.Error("expected validation error for a bare attribute path")
 	}
-	n, err := CountParallel(context.Background(), nil, lpath.MustParse(`//NP`), nil, 0)
+	n, err := buildEngine(t, tree.NewCorpus()).CountParallel(context.Background(), lpath.MustParse(`//NP`), nil, 0)
 	if err != nil || n != 0 {
-		t.Errorf("no shards: CountParallel = %d, %v", n, err)
+		t.Errorf("empty store: CountParallel = %d, %v", n, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	shards := shardEngines(t, randomCorpus(1, 4), 2)
-	if _, err := CountParallel(ctx, shards, lpath.MustParse(`//NP`), nil, 0); err == nil {
+	if _, err := e.CountParallel(ctx, lpath.MustParse(`//NP`), nil, 2); err == nil {
 		t.Error("expected error from cancelled context")
 	}
 }

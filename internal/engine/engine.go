@@ -238,8 +238,7 @@ func New(s *relstore.Store, opts ...Option) (*Engine, error) {
 
 // Plan returns the cost-based plan Eval would execute for the query, or nil
 // when planning is disabled. Plans are immutable and may be executed
-// concurrently (and on other shards of the same corpus, whose engines share
-// the corpus-global statistics).
+// concurrently (as the tid windows of EvalParallel do).
 func (e *Engine) Plan(p *lpath.Path) *planner.Plan {
 	if e.noPlanner {
 		return nil
@@ -639,7 +638,7 @@ func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []l
 		// position() counts within one context node. The virtual root stands
 		// for every tree root at once, so its candidates are partitioned per
 		// tree before counting — the per-tree semantics the reference oracle
-		// and the sharded parallel path share.
+		// and the windowed paths share.
 		groups := [][]int32{cands}
 		if positional && b.row == noRow {
 			groups = e.groupByTID(cands)

@@ -1,9 +1,11 @@
 // Parallel evaluation: the interval scheme makes every axis a per-tree label
 // comparison (Table 2), so a query over a corpus decomposes into independent
-// evaluations over disjoint tid shards — the same per-tree decomposability
-// that makes conjunctive tree queries parallelizable. EvalParallel fans a
-// planned query out over per-shard engines with a bounded worker pool and
-// merges the per-shard results back into global (tid, id) order.
+// evaluations over disjoint tid windows of the one store — the same
+// per-tree decomposability that makes conjunctive tree queries
+// parallelizable, and the one StreamPlan uses to stop early. EvalParallel
+// cuts the store's trees into one window per worker, evaluates the windows
+// concurrently, and concatenates their results in window order, which is
+// exactly global (tid, id) order.
 
 package engine
 
@@ -11,91 +13,153 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sort"
 	"sync"
 
 	"lpath/internal/lpath"
 	"lpath/internal/planner"
-	"lpath/internal/relstore"
 )
 
-// NewSharded builds one engine per shard store. The shards are typically the
-// output of relstore.BuildShards; every engine option applies to every
-// shard.
-func NewSharded(shards []*relstore.Store, opts ...Option) ([]*Engine, error) {
-	out := make([]*Engine, len(shards))
-	for i, s := range shards {
-		e, err := New(s, opts...)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = e
-	}
-	return out, nil
-}
-
-// EvalParallel evaluates the query over every shard concurrently, executing
-// the given plan (nil = the default strategy) on at most workers goroutines
-// (below 1 = runtime.GOMAXPROCS(0)), and returns the merged matches in
-// global (tree, document) order — the identical order Engine.Eval produces
-// on an unsharded store, because shards partition whole trees. Shard engines
-// share the corpus-global statistics snapshot (relstore.BuildShards), so one
-// plan is every shard's plan and the per-query planning cost does not scale
-// with the shard count.
+// EvalParallel evaluates the query executing the given plan (nil = the
+// default strategy) over tid windows on at most workers goroutines (below 1
+// = runtime.GOMAXPROCS(0)), and returns the matches in the identical order
+// EvalPlanContext produces. Each window evaluates with its own pooled
+// evaluation context over the shared store, so one plan serves every window.
 //
-// The first shard error cancels the remaining work via the context;
-// cancelling ctx abandons shards that have not started and interrupts
-// in-flight shard evaluations cooperatively (each shard evaluates with the
-// context). The result slice is deterministic: it does not depend on the
-// worker count or on scheduling — and so is the error: identical failures
-// yield the identical (lowest-shard) error, whatever order workers ran in.
+// The first window error cancels the remaining work via the context;
+// cancelling ctx abandons windows that have not started and interrupts
+// in-flight window evaluations cooperatively. The result slice is
+// deterministic: it does not depend on the worker count or on scheduling —
+// and so is the error: identical failures yield the identical
+// (lowest-window) error, whatever order workers ran in.
 //
 // A positive limit returns only the first limit entries of that result, with
 // early termination (evalParallelLimit); limit <= 0 means no limit.
-func EvalParallel(ctx context.Context, shards []*Engine, p *lpath.Path, plan *planner.Plan, limit, workers int) ([]Match, error) {
+func (e *Engine) EvalParallel(ctx context.Context, p *lpath.Path, plan *planner.Plan, limit, workers int) ([]Match, error) {
 	if err := lpath.Validate(p); err != nil {
 		return nil, err
 	}
-	if len(shards) == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return []Match{}, nil
-	}
+	bounds := e.windows(workers)
 	if limit > 0 {
-		return evalParallelLimit(ctx, shards, p, plan, limit, workers)
+		return e.evalParallelLimit(ctx, p, plan, bounds, limit, workers)
 	}
-	results := make([][]Match, len(shards))
-	err := runShards(ctx, len(shards), workers, func(ctx context.Context, i int) error {
-		ms, err := shards[i].EvalPlanContext(ctx, p, plan)
-		if err != nil {
-			return err
-		}
-		results[i] = ms
-		return nil
+	results := make([][]Match, len(bounds)-1)
+	err := runWindows(ctx, len(results), workers, func(ctx context.Context, i int) error {
+		return e.evalWindow(ctx, p, plan, bounds[i], bounds[i+1], func(rows []int32) {
+			results[i] = e.matches(rows)
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	return mergeByTree(results), nil
+	total := 0
+	for _, r := range results {
+		total += len(r)
+	}
+	// Non-nil even when nothing matches, like EvalPlanContext.
+	out := make([]Match, 0, total)
+	for _, r := range results {
+		out = append(out, r...)
+	}
+	return out, nil
 }
 
-// evalParallelLimit is EvalParallel under a positive limit, with a per-shard
-// cap of limit matches. Shards hold tid-contiguous, ascending tree ranges,
-// so the global prefix is the concatenation of per-shard prefixes in shard
-// order, truncated at limit; every shard streams with early termination
-// (EvalPlanLimitContext), and the moment a settled prefix of shards holds
-// limit matches, all higher shards are cancelled — work past the answer is
-// abandoned, not merged and discarded.
+// CountParallel counts the query's matches over tid windows concurrently and
+// returns the global count — identical to len(EvalParallel(...)), but no
+// window materializes a match. Windows hold disjoint trees, so the
+// per-window distinct counts add exactly.
+func (e *Engine) CountParallel(ctx context.Context, p *lpath.Path, plan *planner.Plan, workers int) (int, error) {
+	if err := lpath.Validate(p); err != nil {
+		return 0, err
+	}
+	bounds := e.windows(workers)
+	counts := make([]int, len(bounds)-1)
+	err := runWindows(ctx, len(counts), workers, func(ctx context.Context, i int) error {
+		return e.evalWindow(ctx, p, plan, bounds[i], bounds[i+1], func(rows []int32) {
+			counts[i] = len(rows)
+		})
+	})
+	if err != nil {
+		return 0, err
+	}
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	return total, nil
+}
+
+// windows cuts the store's trees into one window of consecutive roots per
+// worker (never more windows than trees), balanced by position span: positions
+// are dense per tree, so a tree's span is its node count. Window i is the
+// trees Roots()[bounds[i]:bounds[i+1]]; an empty store has no window.
+func (e *Engine) windows(workers int) []int {
+	roots := e.s.Roots()
+	n := len(roots)
+	k := poolSize(workers, n)
+	bounds := make([]int, 1, k+1)
+	total := e.s.ElementCount()
+	for w := 1; w < k; w++ {
+		// The first tree starting at w/k of the positions opens window w,
+		// leaving every window at least one tree.
+		target := int32(total * w / k)
+		i := sort.Search(n, func(i int) bool { return e.s.Pos(roots[i]) >= target })
+		bounds = append(bounds, min(max(i, bounds[w-1]+1), n-k+w))
+	}
+	if n > 0 {
+		bounds = append(bounds, n)
+	}
+	return bounds
+}
+
+// setWindow restricts ctx to the trees Roots()[lo:hi].
+func (e *Engine) setWindow(ctx *evalCtx, lo, hi int) {
+	roots, tids := e.s.Roots(), e.s.Cols().TID
+	ctx.windowed = true
+	ctx.winLo = tids[roots[lo]]
+	if hi >= len(roots) {
+		ctx.winHi = maxInt32
+	} else {
+		ctx.winHi = tids[roots[hi]]
+	}
+}
+
+// evalWindow evaluates the query over the trees Roots()[lo:hi] and hands the
+// distinct result rows, in (tid, id) order, to use; the rows go back to the
+// arena when use returns.
+func (e *Engine) evalWindow(cctx context.Context, p *lpath.Path, plan *planner.Plan, lo, hi int, use func([]int32)) error {
+	ctx, err := e.begin(cctx, p, plan)
+	if err != nil {
+		return err
+	}
+	defer e.releaseCtx(ctx)
+	e.setWindow(ctx, lo, hi)
+	rows, err := e.evalRows(p, ctx)
+	if err != nil {
+		return err
+	}
+	use(rows)
+	ctx.ar.putInts(rows)
+	return nil
+}
+
+// evalParallelLimit is EvalParallel under a positive limit, with a
+// per-window cap of limit matches. Windows hold tid-contiguous, ascending
+// tree ranges, so the global prefix is the concatenation of per-window
+// prefixes in window order, truncated at limit; every window streams with
+// early termination (evalLimit), and the moment a settled prefix of windows
+// holds limit matches, all higher windows are cancelled — work past the
+// answer is abandoned, not merged and discarded.
 //
 // The result is deterministic like EvalParallel's, and so is the error: a
 // real failure surfaces only when it lies before the point where the settled
 // prefix reaches limit — the trees a serial limited evaluation would
 // actually have visited — with the lowest-indexed such failure winning.
-func evalParallelLimit(ctx context.Context, shards []*Engine, p *lpath.Path, plan *planner.Plan, limit, workers int) ([]Match, error) {
+func (e *Engine) evalParallelLimit(ctx context.Context, p *lpath.Path, plan *planner.Plan, bounds []int, limit, workers int) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	n := len(shards)
+	n := len(bounds) - 1
 	parent := ctx
 	ctx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
@@ -106,8 +170,8 @@ func evalParallelLimit(ctx context.Context, shards []*Engine, p *lpath.Path, pla
 		errs       = make([]error, n)
 		done       = make([]bool, n)
 		cancels    = make([]context.CancelFunc, n)
-		settled    int // first shard index not yet finished
-		prefix     int // matches held by shards [0, settled)
+		settled    int // first window index not yet finished
+		prefix     int // matches held by windows [0, settled)
 		sufficient bool
 	)
 	record := func(i int, ms []Match, err error) {
@@ -115,7 +179,7 @@ func evalParallelLimit(ctx context.Context, shards []*Engine, p *lpath.Path, pla
 		defer mu.Unlock()
 		results[i], errs[i], done[i] = ms, err, true
 		if err != nil && !isCancel(err) {
-			cancelAll() // real failure: stop all shards, like EvalParallel
+			cancelAll() // real failure: stop all windows, like EvalParallel
 			return
 		}
 		for settled < n && done[settled] {
@@ -145,12 +209,12 @@ func evalParallelLimit(ctx context.Context, shards []*Engine, p *lpath.Path, pla
 				mu.Lock()
 				if sufficient || ctx.Err() != nil {
 					mu.Unlock()
-					continue // drain: this shard's output is unreachable
+					continue // drain: this window's output is unreachable
 				}
-				sctx, cancel := context.WithCancel(ctx)
+				wctx, cancel := context.WithCancel(ctx)
 				cancels[i] = cancel
 				mu.Unlock()
-				ms, err := shards[i].EvalPlanLimitContext(sctx, p, plan, limit)
+				ms, err := e.evalLimit(wctx, p, plan, bounds[i], bounds[i+1], limit)
 				cancel()
 				record(i, ms, err)
 			}
@@ -162,8 +226,8 @@ func evalParallelLimit(ctx context.Context, shards []*Engine, p *lpath.Path, pla
 	close(jobs)
 	wg.Wait()
 
-	// Concatenate per-shard prefixes in shard order up to limit. A missing
-	// shard (skipped or cancelled) before the limit is reached means the
+	// Concatenate per-window prefixes in window order up to limit. A missing
+	// window (skipped or cancelled) before the limit is reached means the
 	// evaluation did not finish cleanly: surface the lowest-indexed real
 	// failure, else the caller's cancellation.
 	out := make([]Match, 0, min(limit, 256))
@@ -191,37 +255,6 @@ func isCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// CountParallel counts the query's matches over every shard concurrently and
-// returns the global count — identical to len(EvalParallel(...)), but each
-// shard uses the count-only pipeline (no sort, no node materialization) and
-// only an integer crosses the merge. Shards hold disjoint trees, so the
-// per-shard distinct counts add exactly.
-func CountParallel(ctx context.Context, shards []*Engine, p *lpath.Path, plan *planner.Plan, workers int) (int, error) {
-	if err := lpath.Validate(p); err != nil {
-		return 0, err
-	}
-	if len(shards) == 0 {
-		return 0, ctx.Err()
-	}
-	counts := make([]int, len(shards))
-	err := runShards(ctx, len(shards), workers, func(ctx context.Context, i int) error {
-		n, err := shards[i].CountPlanContext(ctx, p, plan)
-		if err != nil {
-			return err
-		}
-		counts[i] = n
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, nil
-}
-
 // poolSize resolves a worker bound for n jobs: values below 1 select
 // runtime.GOMAXPROCS(0), and a pool never outnumbers its jobs.
 func poolSize(workers, n int) int {
@@ -231,15 +264,15 @@ func poolSize(workers, n int) int {
 	return min(workers, n)
 }
 
-// runShards runs fn(ctx, i) for every shard index over a bounded worker
-// pool. The first error cancels the remaining work (abandoning shards that
+// runWindows runs fn(ctx, i) for every window index over a bounded worker
+// pool. The first error cancels the remaining work (abandoning windows that
 // have not started and interrupting in-flight, context-honoring fn calls),
-// but error *propagation* is deterministic: per-shard errors are collected
-// by index, and the lowest-indexed shard's non-cancellation error is
+// but error *propagation* is deterministic: per-window errors are collected
+// by index, and the lowest-indexed window's non-cancellation error is
 // returned — so the parallel entry points report the same error as the
 // serial ones for the same failure, independent of worker scheduling.
 // Cancellation of the caller's context surfaces as that context's error.
-func runShards(ctx context.Context, n, workers int, fn func(context.Context, int) error) error {
+func runWindows(ctx context.Context, n, workers int, fn func(context.Context, int) error) error {
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -276,46 +309,4 @@ func runShards(ctx context.Context, n, workers int, fn func(context.Context, int
 	// context (or from our own cancel chasing a failure that then must have
 	// been real — excluded above), so report the caller's state.
 	return parent.Err()
-}
-
-// mergeByTree merges per-shard match lists, each already in (tid, id) order,
-// into one global (tid, id)-ordered list. Shards hold disjoint tid sets, so
-// comparing head TreeIDs (ties broken by shard index, which cannot occur
-// across well-formed shards) yields exactly the unsharded engine's order.
-func mergeByTree(results [][]Match) []Match {
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	if total == 0 {
-		// Eval returns a non-nil empty slice when nothing matches; mirror it
-		// so a sharded evaluation stays byte-identical to a serial one,
-		// matches or not.
-		return []Match{}
-	}
-	out := make([]Match, 0, total)
-	heads := make([]int, len(results))
-	for len(out) < total {
-		best := -1
-		for s, r := range results {
-			if heads[s] >= len(r) {
-				continue
-			}
-			if best == -1 || r[heads[s]].TreeID < results[best][heads[best]].TreeID {
-				best = s
-			}
-		}
-		// A shard's run of equal-TreeID matches is contiguous; copy the
-		// whole tree's matches in one go to keep the merge near O(total).
-		r := results[best]
-		i := heads[best]
-		tid := r[i].TreeID
-		j := i
-		for j < len(r) && r[j].TreeID == tid {
-			j++
-		}
-		out = append(out, r[i:j]...)
-		heads[best] = j
-	}
-	return out
 }

@@ -7,54 +7,72 @@ import (
 	"testing"
 
 	"lpath/internal/lpath"
-	"lpath/internal/relstore"
 	"lpath/internal/tree"
 )
 
-func shardEngines(t *testing.T, c *tree.Corpus, k int) []*Engine {
-	t.Helper()
-	shards, err := NewSharded(relstore.BuildShards(c, relstore.SchemeInterval, k))
-	if err != nil {
-		t.Fatal(err)
+// TestWindowsPartitionRoots: the windows of every worker count cover every
+// tree exactly once, in order, none empty and never more than the trees.
+func TestWindowsPartitionRoots(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 23} {
+		e := buildEngine(t, randomCorpus(int64(n)+1, n))
+		for _, workers := range []int{1, 2, 3, 7, 64} {
+			bounds := e.windows(workers)
+			if want := min(workers, n); len(bounds)-1 != want {
+				t.Fatalf("n=%d w=%d: %d windows, want %d", n, workers, len(bounds)-1, want)
+			}
+			if bounds[0] != 0 || (n > 0 && bounds[len(bounds)-1] != n) {
+				t.Fatalf("n=%d w=%d: bounds %v do not span the roots", n, workers, bounds)
+			}
+			for i := 1; i < len(bounds); i++ {
+				if bounds[i] <= bounds[i-1] {
+					t.Fatalf("n=%d w=%d: empty or reversed window in %v", n, workers, bounds)
+				}
+			}
+		}
 	}
-	return shards
+}
+
+// TestWindowsBalanceSpan: on a corpus of one huge tree among many small ones,
+// the huge tree gets a window of its own instead of an even tree count.
+func TestWindowsBalanceSpan(t *testing.T) {
+	c := tree.NewCorpus()
+	for i := 0; i < 9; i++ {
+		c.Add(tree.MustParseTree(`(S (NP a))`))
+	}
+	big := &tree.Node{Tag: "S"}
+	for i := 0; i < 200; i++ {
+		big.AddChild(&tree.Node{Tag: "NP", Word: "b"})
+	}
+	c.AddRoot(big)
+	if got := buildEngine(t, c).windows(2); !reflect.DeepEqual(got, []int{0, 9, 10}) {
+		t.Errorf("windows(2) = %v, want [0 9 10]", got)
+	}
 }
 
 // TestEvalParallelMatchesSerial is the core equivalence property: on random
-// corpora, for every query in the cross-validation corpus, every shard
-// count and every worker count, EvalParallel returns exactly Engine.Eval's
-// result — same matches, same order.
+// corpora, for every query in the cross-validation corpus and every worker
+// (so window) count, EvalParallel returns exactly Engine.Eval's result —
+// same matches, same order.
 func TestEvalParallelMatchesSerial(t *testing.T) {
 	plans := make([]*lpath.Path, len(queryCorpus))
 	for i, q := range queryCorpus {
 		plans[i] = lpath.MustParse(q)
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		c := randomCorpus(seed, 7)
-		serial := buildEngine(t, c)
-		want := make([][]Match, len(plans))
+		e := buildEngine(t, randomCorpus(seed, 7))
 		for i, p := range plans {
-			ms, err := serial.Eval(p)
+			want, err := e.Eval(p)
 			if err != nil {
 				t.Fatalf("seed %d: serial %q: %v", seed, queryCorpus[i], err)
 			}
-			want[i] = ms
-		}
-		for _, k := range []int{1, 3, 7} {
-			shards := shardEngines(t, c, k)
-			for _, workers := range []int{1, 3} {
-				for i, p := range plans {
-					got, err := EvalParallel(context.Background(), shards, p, shards[0].Plan(p), 0, workers)
-					if err != nil {
-						t.Fatalf("seed %d k=%d w=%d: parallel %q: %v", seed, k, workers, queryCorpus[i], err)
-					}
-					if len(got) == 0 && len(want[i]) == 0 {
-						continue
-					}
-					if !reflect.DeepEqual(got, want[i]) {
-						t.Errorf("seed %d k=%d w=%d: %q: parallel %d matches, serial %d",
-							seed, k, workers, queryCorpus[i], len(got), len(want[i]))
-					}
+			for _, workers := range []int{1, 3, 7, 64} {
+				got, err := e.EvalParallel(context.Background(), p, e.Plan(p), 0, workers)
+				if err != nil {
+					t.Fatalf("seed %d w=%d: parallel %q: %v", seed, workers, queryCorpus[i], err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d w=%d: %q: parallel %d matches, serial %d",
+						seed, workers, queryCorpus[i], len(got), len(want))
 				}
 			}
 		}
@@ -64,10 +82,10 @@ func TestEvalParallelMatchesSerial(t *testing.T) {
 func TestEvalParallelDefaultWorkers(t *testing.T) {
 	c := tree.NewCorpus()
 	c.Add(tree.Figure1())
-	shards := shardEngines(t, c, 1)
+	e := buildEngine(t, c)
 	// Workers below 1 fall back to GOMAXPROCS; both must succeed.
 	for _, w := range []int{-1, 0, 99} {
-		ms, err := EvalParallel(context.Background(), shards, lpath.MustParse(`//NP`), nil, 0, w)
+		ms, err := e.EvalParallel(context.Background(), lpath.MustParse(`//NP`), nil, 0, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -77,70 +95,52 @@ func TestEvalParallelDefaultWorkers(t *testing.T) {
 	}
 }
 
+// TestEvalParallelEmptyShards: an empty store has no window, and the result
+// is a non-nil empty slice like Eval's, with or without a limit.
 func TestEvalParallelEmptyShards(t *testing.T) {
-	ms, err := EvalParallel(context.Background(), nil, lpath.MustParse(`//NP`), nil, 0, 0)
-	if err != nil || len(ms) != 0 {
-		t.Errorf("empty shard set: %d matches, %v", len(ms), err)
+	e := buildEngine(t, tree.NewCorpus())
+	for _, limit := range []int{0, 5} {
+		ms, err := e.EvalParallel(context.Background(), lpath.MustParse(`//NP`), nil, limit, 0)
+		if err != nil || ms == nil || len(ms) != 0 {
+			t.Errorf("empty store, limit %d: %#v, %v", limit, ms, err)
+		}
+	}
+	// Zero matches over several windows is the same non-nil empty slice.
+	e = buildEngine(t, randomCorpus(3, 5))
+	if ms, err := e.EvalParallel(context.Background(), lpath.MustParse(`//ZZZ`), nil, 0, 3); err != nil || ms == nil || len(ms) != 0 {
+		t.Errorf("zero matches: %#v, %v", ms, err)
 	}
 }
 
 func TestEvalParallelValidationError(t *testing.T) {
 	c := tree.NewCorpus()
 	c.Add(tree.Figure1())
-	shards := shardEngines(t, c, 2)
-	if _, err := EvalParallel(context.Background(), shards, lpath.MustParse(`//S@lex`), nil, 0, 0); err == nil {
+	e := buildEngine(t, c)
+	if _, err := e.EvalParallel(context.Background(), lpath.MustParse(`//S@lex`), nil, 0, 2); err == nil {
 		t.Error("expected validation error for attribute step in main path")
 	}
 }
 
 func TestEvalParallelCancelledContext(t *testing.T) {
-	c := randomCorpus(5, 6)
-	shards := shardEngines(t, c, 6)
+	e := buildEngine(t, randomCorpus(5, 6))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EvalParallel(ctx, shards, lpath.MustParse(`//NP`), nil, 0, 0); err == nil {
+	if _, err := e.EvalParallel(ctx, lpath.MustParse(`//NP`), nil, 0, 6); err == nil {
 		t.Error("expected context error after cancellation")
 	}
 }
 
-func TestMergeByTree(t *testing.T) {
-	n := &tree.Node{Tag: "X"}
-	m := func(tid int) Match { return Match{TreeID: tid, Node: n} }
-	got := mergeByTree([][]Match{
-		{m(1), m(1), m(4)},
-		{m(2), m(3), m(3)},
-		nil,
-		{m(5)},
-	})
-	want := []int{1, 1, 2, 3, 3, 4, 5}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d matches, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		if got[i].TreeID != w {
-			t.Errorf("merged[%d].TreeID = %d, want %d", i, got[i].TreeID, w)
-		}
-	}
-	// The empty merge is a non-nil empty slice, mirroring Engine.Eval, so
-	// EvalParallel is byte-identical to serial even on zero matches.
-	for _, in := range [][][]Match{nil, {nil, nil}} {
-		if m := mergeByTree(in); m == nil || len(m) != 0 {
-			t.Errorf("empty merge = %#v, want non-nil empty slice", m)
-		}
-	}
-}
-
 // TestRunShardsErrorPropagation pins the worker-pool error contract: a
-// shard's real error is returned verbatim (and deterministically — the
-// lowest recorded shard index wins over scheduling), real errors always win
+// window's real error is returned verbatim (and deterministically — the
+// lowest recorded window index wins over scheduling), real errors always win
 // over cancellation noise from the fail-fast cancel, and a cancelled parent
 // context surfaces as the parent's own error.
 func TestRunShardsErrorPropagation(t *testing.T) {
-	boom := errors.New("shard exploded")
+	boom := errors.New("window exploded")
 
 	t.Run("single failing shard", func(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
-			err := runShards(context.Background(), 8, 4, func(ctx context.Context, i int) error {
+			err := runWindows(context.Background(), 8, 4, func(ctx context.Context, i int) error {
 				if i == 5 {
 					return boom
 				}
@@ -154,7 +154,7 @@ func TestRunShardsErrorPropagation(t *testing.T) {
 
 	t.Run("identical failure on every shard", func(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
-			err := runShards(context.Background(), 8, 4, func(ctx context.Context, i int) error {
+			err := runWindows(context.Background(), 8, 4, func(ctx context.Context, i int) error {
 				return boom
 			})
 			if !errors.Is(err, boom) {
@@ -164,10 +164,10 @@ func TestRunShardsErrorPropagation(t *testing.T) {
 	})
 
 	t.Run("real error beats in-flight cancellation", func(t *testing.T) {
-		// Shards that observe the fail-fast cancel return ctx.Err(); the one
+		// Windows that observe the fail-fast cancel return ctx.Err(); the one
 		// real error must still be the reported one.
 		for trial := 0; trial < 25; trial++ {
-			err := runShards(context.Background(), 8, 4, func(ctx context.Context, i int) error {
+			err := runWindows(context.Background(), 8, 4, func(ctx context.Context, i int) error {
 				if i == 2 {
 					return boom
 				}
@@ -183,8 +183,8 @@ func TestRunShardsErrorPropagation(t *testing.T) {
 	t.Run("parent cancellation surfaces as parent error", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		err := runShards(ctx, 8, 4, func(ctx context.Context, i int) error {
-			return ctx.Err() // shards that started before the flag observed it
+		err := runWindows(ctx, 8, 4, func(ctx context.Context, i int) error {
+			return ctx.Err() // windows that started before the flag observed it
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("got %v, want context.Canceled", err)
@@ -192,7 +192,7 @@ func TestRunShardsErrorPropagation(t *testing.T) {
 	})
 
 	t.Run("no failure returns nil", func(t *testing.T) {
-		if err := runShards(context.Background(), 8, 4, func(ctx context.Context, i int) error { return nil }); err != nil {
+		if err := runWindows(context.Background(), 8, 4, func(ctx context.Context, i int) error { return nil }); err != nil {
 			t.Fatalf("got %v, want nil", err)
 		}
 	})

@@ -94,26 +94,11 @@ func (c *PlanCache) Put(text string, plan *lpath.Path) {
 	c.entries[text] = c.order.PushFront(&planEntry{text: text, plan: plan})
 }
 
-// GetOrCompile returns the cached plan for the text, compiling and caching
-// it on a miss. Concurrent misses on the same text may compile more than
-// once; every compilation produces an equivalent immutable plan, so the
-// duplicate work is harmless and the cache keeps whichever lands last.
-// Compilation errors are returned and not cached.
-func (c *PlanCache) GetOrCompile(text string, compile func(string) (*lpath.Path, error)) (*lpath.Path, error) {
-	if p, ok := c.Get(text); ok {
-		return p, nil
-	}
-	p, err := compile(text)
-	if err != nil {
-		return nil, err
-	}
-	c.Put(text, p)
-	return p, nil
-}
-
-// GetOrPlan is GetOrCompile extended with the cost-based executable plan:
-// it returns the cached AST and the exec plan valid for store generation
-// gen, compiling and/or planning on demand. A cached entry from an older
+// GetOrPlan returns the cached AST and the cost-based exec plan valid for
+// store generation gen, compiling and/or planning on demand. Concurrent
+// misses on the same text may compile more than once; every compilation
+// produces an equivalent immutable plan, so the duplicate work is harmless.
+// Compilation errors are returned and not cached. A cached entry from an older
 // generation keeps its AST but is re-planned, so corpus rebuilds invalidate
 // plans without re-parsing. plan may return nil (planning disabled); the
 // nil is cached like any other plan.

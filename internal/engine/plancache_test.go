@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lpath/internal/lpath"
+	"lpath/internal/planner"
 )
 
 func TestPlanCacheHitMissEviction(t *testing.T) {
@@ -62,6 +63,12 @@ func TestPlanCacheDefaultCapacity(t *testing.T) {
 	}
 }
 
+// noPlan is GetOrPlan's plan step for the tests that exercise the AST half
+// of the cache.
+func noPlan(*lpath.Path) *planner.Plan { return nil }
+
+// TestPlanCacheGetOrCompile: GetOrPlan compiles a text once, and never
+// caches a compilation error.
 func TestPlanCacheGetOrCompile(t *testing.T) {
 	c := NewPlanCache(4)
 	compiles := 0
@@ -70,7 +77,7 @@ func TestPlanCacheGetOrCompile(t *testing.T) {
 		return lpath.Parse(s)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := c.GetOrCompile(`//NP`, compile); err != nil {
+		if _, _, err := c.GetOrPlan(`//NP`, 0, compile, noPlan); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,10 +88,10 @@ func TestPlanCacheGetOrCompile(t *testing.T) {
 	boom := errors.New("boom")
 	fails := 0
 	for i := 0; i < 3; i++ {
-		_, err := c.GetOrCompile(`//bad`, func(string) (*lpath.Path, error) {
+		_, _, err := c.GetOrPlan(`//bad`, 0, func(string) (*lpath.Path, error) {
 			fails++
 			return nil, boom
-		})
+		}, noPlan)
 		if !errors.Is(err, boom) {
 			t.Fatalf("err = %v", err)
 		}
@@ -114,9 +121,9 @@ func TestPlanCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				text := texts[(g*7+i)%len(texts)]
-				p, err := c.GetOrCompile(text, lpath.Parse)
+				p, _, err := c.GetOrPlan(text, 0, lpath.Parse, noPlan)
 				if err != nil || p == nil {
-					t.Errorf("GetOrCompile(%q): %v", text, err)
+					t.Errorf("GetOrPlan(%q): %v", text, err)
 					return
 				}
 			}

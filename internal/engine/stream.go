@@ -13,7 +13,7 @@ import (
 // break the deterministic (tid, id) output order or force a cross-executor
 // reordering buffer. Instead the stream evaluates the pipeline over
 // successive disjoint tree-ID windows: axes never cross trees (the same
-// per-tree decomposability the sharded parallel path exploits), so the
+// per-tree decomposability the parallel path exploits), so the
 // concatenation of per-window results in ascending tid order is exactly the
 // full evaluation's output — and the evaluation stops cold, mid-corpus, the
 // moment the consumer has seen enough.
@@ -34,24 +34,19 @@ const (
 // when yield returns false. The context cancels cooperatively, exactly like
 // EvalPlanContext.
 func (e *Engine) StreamPlan(cctx context.Context, p *lpath.Path, plan *planner.Plan, yield func(Match) bool) error {
+	return e.stream(cctx, p, plan, 0, len(e.s.Roots()), yield)
+}
+
+// stream is StreamPlan over the trees Roots()[lo:hi]: the windows grow from
+// lo and the last one ends at hi.
+func (e *Engine) stream(cctx context.Context, p *lpath.Path, plan *planner.Plan, lo, hi int, yield func(Match) bool) error {
 	ctx, err := e.begin(cctx, p, plan)
 	if err != nil {
 		return err
 	}
 	defer e.releaseCtx(ctx)
-	roots := e.s.Roots()
-	tids := e.s.Cols().TID
-	ctx.windowed = true
-	batch := streamBatchTrees
-	for lo := 0; lo < len(roots); lo, batch = lo+batch, batch*streamBatchGrowth {
-		hi := lo + batch
-		if hi >= len(roots) {
-			hi = len(roots)
-			ctx.winHi = maxInt32
-		} else {
-			ctx.winHi = tids[roots[hi]]
-		}
-		ctx.winLo = tids[roots[lo]]
+	for batch := streamBatchTrees; lo < hi; lo, batch = lo+batch, batch*streamBatchGrowth {
+		e.setWindow(ctx, lo, min(lo+batch, hi))
 		rows, err := e.evalRows(p, ctx)
 		if err != nil {
 			return err
@@ -83,8 +78,14 @@ func (e *Engine) EvalPlanLimitContext(cctx context.Context, p *lpath.Path, plan 
 	if limit <= 0 {
 		return e.EvalPlanContext(cctx, p, plan)
 	}
+	return e.evalLimit(cctx, p, plan, 0, len(e.s.Roots()), limit)
+}
+
+// evalLimit collects the first limit (> 0) matches of the trees
+// Roots()[lo:hi], streaming with early termination.
+func (e *Engine) evalLimit(cctx context.Context, p *lpath.Path, plan *planner.Plan, lo, hi, limit int) ([]Match, error) {
 	out := make([]Match, 0, min(limit, 256))
-	err := e.StreamPlan(cctx, p, plan, func(m Match) bool {
+	err := e.stream(cctx, p, plan, lo, hi, func(m Match) bool {
 		out = append(out, m)
 		return len(out) < limit
 	})

@@ -143,37 +143,29 @@ func TestEvalLimitCancel(t *testing.T) {
 	}
 }
 
-// TestEvalParallelLimitParity holds the sharded limit path to the serial
-// contract over several shard and worker counts.
+// TestEvalParallelLimitParity holds the windowed limit path to the serial
+// contract over several worker (so window) counts.
 func TestEvalParallelLimitParity(t *testing.T) {
-	tc := corpus.Generate(corpus.Config{Profile: corpus.WSJ, Scale: 0.004, Seed: 9})
-	serial, err := New(relstore.Build(tc, relstore.SchemeInterval))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, nshards := range []int{1, 3} {
-		shards, err := NewSharded(relstore.BuildShards(tc, relstore.SchemeInterval, nshards))
-		if err != nil {
-			t.Fatal(err)
-		}
+	e := streamCorpus(t)
+	for _, workers := range []int{1, 3, 8} {
 		for _, text := range streamQueries {
 			p := lpath.MustParse(text)
-			full, err := serial.Eval(p)
+			full, err := e.Eval(p)
 			if err != nil {
 				t.Fatalf("%s: %v", text, err)
 			}
 			for _, k := range []int{0, 1, 3, len(full), len(full) + 1} {
-				got, err := EvalParallel(context.Background(), shards, p, shards[0].Plan(p), k, 2)
+				got, err := e.EvalParallel(context.Background(), p, e.Plan(p), k, workers)
 				if err != nil {
-					t.Fatalf("%s shards=%d limit=%d: %v", text, nshards, k, err)
+					t.Fatalf("%s workers=%d limit=%d: %v", text, workers, k, err)
 				}
 				want := full
 				if k > 0 && k < len(full) {
 					want = full[:k]
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s shards=%d: EvalParallel(limit %d) = %d matches, want %d",
-						text, nshards, k, len(got), len(want))
+					t.Errorf("%s workers=%d: EvalParallel(limit %d) = %d matches, want %d",
+						text, workers, k, len(got), len(want))
 				}
 			}
 		}
@@ -184,12 +176,6 @@ func TestEvalParallelLimitParity(t *testing.T) {
 // streaming surfaces, mirroring TestContextPreCancelled.
 func TestLimitEntryPointsPreCancelled(t *testing.T) {
 	e := streamCorpus(t)
-	shards, err := NewSharded(relstore.BuildShards(
-		corpus.Generate(corpus.Config{Profile: corpus.WSJ, Scale: 0.002, Seed: 9}),
-		relstore.SchemeInterval, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := lpath.MustParse(`//NP`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -200,7 +186,7 @@ func TestLimitEntryPointsPreCancelled(t *testing.T) {
 	if err := e.StreamPlan(ctx, p, e.Plan(p), func(Match) bool { return true }); !errors.Is(err, context.Canceled) {
 		t.Errorf("StreamPlan: got %v", err)
 	}
-	if _, err := EvalParallel(ctx, shards, p, shards[0].Plan(p), 10, 0); !errors.Is(err, context.Canceled) {
+	if _, err := e.EvalParallel(ctx, p, e.Plan(p), 10, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("EvalParallel(limit): got %v", err)
 	}
 	// limit <= 0 means no limit: the full evaluation.

@@ -9,8 +9,8 @@ import (
 )
 
 // Planner builds cost-based plans from a statistics snapshot. A Planner is
-// immutable and safe for concurrent use; every shard of a sharded corpus
-// shares one (the snapshot is corpus-global, see relstore.BuildShards).
+// immutable and safe for concurrent use; the tid windows of a parallel
+// evaluation all execute its one plan.
 type Planner struct {
 	st       *relstore.Statistics
 	noValue  bool

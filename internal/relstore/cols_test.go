@@ -50,9 +50,9 @@ func TestColumnarAcrossShards(t *testing.T) {
 	c.Add(tree.Figure1())
 	c.Add(tree.MustParseTree(`(S (NP a) (VP (V b) (NP c)))`))
 	c.Add(tree.MustParseTree(`(S (NP d))`))
-	for _, sh := range BuildShards(c, SchemeInterval, 2) {
-		checkColumnar(t, sh)
-	}
+	// Stores of tree slices: tid-offset (first tid 3) and the first two.
+	checkColumnar(t, Build(&tree.Corpus{Trees: c.Trees[2:]}, SchemeInterval))
+	checkColumnar(t, Build(&tree.Corpus{Trees: c.Trees[:2]}, SchemeInterval))
 }
 
 func TestColumnarSurvivesSnapshot(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 // pairs), and its tree node. All of it is derived from the clustered
 // relation by indexPositions, for built and assembled stores alike.
 type positions struct {
-	firstTID  int32   // smallest tree id (a shard keeps its corpus-wide ids)
+	firstTID  int32   // smallest tree id (a store of a tree slice keeps their ids)
 	treeStart []int32 // tree t = tid-firstTID owns positions [treeStart[t], treeStart[t+1])
 
 	childStart, childRows []int32 // children of position p, left to right

@@ -115,7 +115,7 @@ func checkAgainstMaps(t *testing.T, s *Store) {
 }
 
 // TestPositionArraysAgreeWithMaps is the property behind the array-indexed
-// store: over generated corpora, both labeling schemes and shards whose first
+// store: over generated corpora, both labeling schemes and stores whose first
 // tree id is not 1, every position-array accessor answers what a hash index
 // over the same rows answers, NodeFor hands back the caller's own nodes on a
 // built store, and the store assembled from the same parts agrees with both
@@ -132,21 +132,17 @@ func TestPositionArraysAgreeWithMaps(t *testing.T) {
 	for name, c := range corpora {
 		for _, scheme := range []Scheme{SchemeInterval, SchemeStartEnd} {
 			for _, k := range []int{1, 3, 7} {
-				shards, split := BuildShards(c, scheme, k), SplitByTID(c, k)
-				if len(shards) != k {
-					t.Fatalf("%s: %d shards, want %d", name, len(shards), k)
-				}
-				next := 0 // index into c.Trees of the shard's first tree
-				for si, sh := range shards {
+				// k stores over contiguous tree slices: each but the first has
+				// a tid offset, as the trees keep their corpus-wide ids.
+				for si := 0; si < k; si++ {
+					part := &tree.Corpus{Trees: c.Trees[si*c.Len()/k : (si+1)*c.Len()/k]}
+					sh := Build(part, scheme)
 					t.Run(fmt.Sprintf("%s/%v/k%d/shard%d", name, scheme, k, si), func(t *testing.T) {
-						if want := int32(c.Trees[next].ID); sh.firstTID != want {
+						if want := int32(part.Trees[0].ID); sh.firstTID != want {
 							t.Fatalf("firstTID = %d, want %d", sh.firstTID, want)
 						}
 						checkAgainstMaps(t, sh)
-						// A shard carries the corpus-wide statistics, which its own
-						// rows do not add up to; the plain build of the same trees
-						// is the one that flattens into loadable parts.
-						loaded, err := Assemble(Build(split[si], scheme).Parts())
+						loaded, err := Assemble(sh.Parts())
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -174,7 +170,6 @@ func TestPositionArraysAgreeWithMaps(t *testing.T) {
 							t.Fatalf("%d trees built after visiting every node, want %d", got, want)
 						}
 					})
-					next += sh.TreeCount()
 				}
 			}
 		}

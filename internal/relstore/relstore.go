@@ -110,8 +110,7 @@ type Store struct {
 	docKeys     map[string][]int64
 	elemKeys    []int64
 
-	// stats is the build-time statistics snapshot (see stats.go). For
-	// shards it is replaced by the merged corpus-global snapshot.
+	// stats is the build-time statistics snapshot (see stats.go).
 	stats *Statistics
 
 	// nameBits caches the per-name dense bitsets (see bitmap.go). Zero value

@@ -2,12 +2,10 @@ package relstore
 
 import "lpath/internal/tree"
 
-// Sharding partitions a corpus into disjoint tree-ID ranges so queries can
-// be evaluated shard-by-shard in parallel. Every LPath axis relates nodes of
-// a single tree (Table 2 predicates all conjoin on tid), so a per-tree
-// partition never splits a match: evaluating a query on each shard and
-// concatenating the per-shard results in tid order is exactly the global
-// evaluation.
+// Sharding partitions a corpus into disjoint tree-ID ranges, each indexed
+// as a store of its own. Every LPath axis relates nodes of a single tree
+// (Table 2 predicates all conjoin on tid), so a per-tree partition never
+// splits a match.
 
 // SplitByTID partitions the corpus's trees into at most k contiguous chunks,
 // balanced by node count so shards carry comparable evaluation work even
@@ -50,24 +48,15 @@ func SplitByTID(c *tree.Corpus, k int) []*tree.Corpus {
 }
 
 // BuildShards splits the corpus with SplitByTID and builds an independent
-// Store per shard under the scheme. Each shard is a complete store over its
-// trees — same clustering, same secondary indexes — so any engine that runs
-// over a Store runs unchanged over a shard.
-// Each shard's Statistics() snapshot is the corpus-global merge of the
-// per-shard statistics, so planning decisions are identical on every shard.
+// Store per shard under the scheme, each with its own statistics. The query
+// engine does not use shards — it evaluates tid windows of one store
+// (engine.EvalParallel) — so the one caller is the relstore.shard_build
+// probe of benchmark/trace.go, which times this construction.
 func BuildShards(c *tree.Corpus, scheme Scheme, k int) []*Store {
 	parts := SplitByTID(c, k)
 	out := make([]*Store, len(parts))
-	stats := make([]*Statistics, len(parts))
 	for i, p := range parts {
 		out[i] = Build(p, scheme)
-		stats[i] = out[i].stats
-	}
-	if len(out) > 0 {
-		merged := mergeStatistics(stats)
-		for _, s := range out {
-			s.stats = merged
-		}
 	}
 	return out
 }

@@ -3,10 +3,8 @@ package relstore
 // Corpus statistics: the relational catalog the cost-based planner reads.
 // Everything here is computed once, at index-build time, from the finished
 // indexes — a Statistics value is an immutable snapshot that can be shared
-// freely across goroutines and across shards. BuildShards merges the
-// per-shard snapshots into one corpus-global snapshot and hands that single
-// snapshot to every shard, so a plan chosen from the statistics is the same
-// plan no matter which shard executes it.
+// freely across goroutines, so a plan chosen from the statistics is the same
+// plan whichever tid window of the store executes it.
 
 import "sort"
 
@@ -41,8 +39,8 @@ type ValueStats struct {
 	Hist []int
 }
 
-// Statistics is the build-time statistics snapshot of a store (or of a whole
-// sharded corpus; see BuildShards). It is immutable after construction.
+// Statistics is the build-time statistics snapshot of a store. It is
+// immutable after construction.
 type Statistics struct {
 	// Trees, Elements, AttrRows and Leaves count trees, element rows,
 	// attribute rows and terminal elements.
@@ -103,9 +101,7 @@ func (st *Statistics) AvgTreeSpan() float64 {
 	return float64(st.TotalSpan) / float64(st.Trees)
 }
 
-// Statistics returns the store's statistics snapshot. For a shard built by
-// BuildShards the snapshot describes the whole corpus, not just the shard,
-// so every shard plans against identical statistics.
+// Statistics returns the store's statistics snapshot.
 func (s *Store) Statistics() *Statistics { return s.stats }
 
 // computeStats builds the snapshot from the finished indexes; called at the
@@ -201,75 +197,6 @@ func summarizeValues(card map[string]int) ValueStats {
 		vs.Mean = float64(vs.Rows) / float64(vs.Distinct)
 	}
 	return vs
-}
-
-// mergeStatistics combines per-shard snapshots into one corpus-global
-// snapshot: counts and histograms add, averages re-weight by their counts.
-func mergeStatistics(parts []*Statistics) *Statistics {
-	out := &Statistics{
-		Names:     make(map[string]NameStat),
-		AttrNames: make(map[string]int),
-		valueCard: make(map[string]int),
-	}
-	type nameAcc struct {
-		count    int
-		children float64
-		span     float64
-	}
-	accs := make(map[string]*nameAcc)
-	var depthSum float64
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		out.Trees += p.Trees
-		out.Elements += p.Elements
-		out.AttrRows += p.AttrRows
-		out.Leaves += p.Leaves
-		out.TotalSpan += p.TotalSpan
-		if p.MaxDepth > out.MaxDepth {
-			out.MaxDepth = p.MaxDepth
-		}
-		depthSum += p.AvgDepth * float64(p.Elements)
-		for name, ns := range p.Names {
-			a := accs[name]
-			if a == nil {
-				a = &nameAcc{}
-				accs[name] = a
-			}
-			a.count += ns.Count
-			a.children += ns.Fanout * float64(ns.Count)
-			a.span += ns.Span * float64(ns.Count)
-		}
-		for name, n := range p.AttrNames {
-			out.AttrNames[name] += n
-		}
-		for v, n := range p.valueCard {
-			out.valueCard[v] += n
-		}
-	}
-	out.DepthHist = make([]int, out.MaxDepth+1)
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		for d, n := range p.DepthHist {
-			out.DepthHist[d] += n
-		}
-	}
-	if out.Elements > 0 {
-		out.AvgDepth = depthSum / float64(out.Elements)
-	}
-	for name, a := range accs {
-		ns := NameStat{Count: a.count}
-		if a.count > 0 {
-			ns.Fanout = a.children / float64(a.count)
-			ns.Span = a.span / float64(a.count)
-		}
-		out.Names[name] = ns
-	}
-	out.Values = summarizeValues(out.valueCard)
-	return out
 }
 
 // NamesBySize returns the element tag names in decreasing cardinality order

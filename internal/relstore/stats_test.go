@@ -86,61 +86,6 @@ func TestStatisticsEmptyStore(t *testing.T) {
 	}
 }
 
-// TestShardStatisticsMerged checks that every shard carries the identical
-// corpus-global snapshot, equal to what an unsharded build computes.
-func TestShardStatisticsMerged(t *testing.T) {
-	c := randomShardCorpus(99, 23)
-	whole := Build(c, SchemeInterval).Statistics()
-	shards := BuildShards(c, SchemeInterval, 4)
-	if len(shards) != 4 {
-		t.Fatalf("BuildShards returned %d shards", len(shards))
-	}
-	for i, sh := range shards {
-		st := sh.Statistics()
-		if st.Trees != whole.Trees || st.Elements != whole.Elements ||
-			st.AttrRows != whole.AttrRows || st.Leaves != whole.Leaves ||
-			st.TotalSpan != whole.TotalSpan || st.MaxDepth != whole.MaxDepth {
-			t.Fatalf("shard %d counts differ from unsharded: %+v vs %+v", i, st, whole)
-		}
-		if math.Abs(st.AvgDepth-whole.AvgDepth) > 1e-9 {
-			t.Errorf("shard %d AvgDepth = %g, want %g", i, st.AvgDepth, whole.AvgDepth)
-		}
-		if len(st.Names) != len(whole.Names) {
-			t.Fatalf("shard %d has %d names, want %d", i, len(st.Names), len(whole.Names))
-		}
-		for name, ns := range whole.Names {
-			got := st.Names[name]
-			if got.Count != ns.Count {
-				t.Errorf("shard %d NameCount(%s) = %d, want %d", i, name, got.Count, ns.Count)
-			}
-			if math.Abs(got.Fanout-ns.Fanout) > 1e-9 || math.Abs(got.Span-ns.Span) > 1e-9 {
-				t.Errorf("shard %d %s stat %+v, want %+v", i, name, got, ns)
-			}
-		}
-		for name, n := range whole.AttrNames {
-			if st.AttrNames[name] != n {
-				t.Errorf("shard %d AttrNames[%s] = %d, want %d", i, name, st.AttrNames[name], n)
-			}
-		}
-		if st.Values.Distinct != whole.Values.Distinct || st.Values.Rows != whole.Values.Rows ||
-			st.Values.Max != whole.Values.Max {
-			t.Errorf("shard %d Values = %+v, want %+v", i, st.Values, whole.Values)
-		}
-		for v, n := range whole.valueCard {
-			if st.PostingCount(v) != n {
-				t.Errorf("shard %d PostingCount(%s) = %d, want %d", i, v, st.PostingCount(v), n)
-			}
-		}
-	}
-	// Shards 1..k share the exact snapshot pointer with shard 0 — planning
-	// once per query is sound because the statistics are one object.
-	for i := 1; i < len(shards); i++ {
-		if shards[i].Statistics() != shards[0].Statistics() {
-			t.Errorf("shard %d has a distinct Statistics pointer", i)
-		}
-	}
-}
-
 func TestNamesBySize(t *testing.T) {
 	s := figureStore(t, SchemeInterval)
 	names := s.Statistics().NamesBySize()

@@ -13,7 +13,7 @@
 // Select and Count are shorthands for the one request path, Corpus.Run: a
 // Request names the query (compiled, or raw text resolved through the plan
 // cache), the mode (matches, count, EXPLAIN), an optional limit, and whether
-// to run over parallel shards.
+// to run tid windows of the corpus in parallel.
 //
 // Queries support the full LPath language: the XPath vertical axes, the
 // horizontal axes -> --> <- <-- => ==> <= <==, subtree scoping with braces,
@@ -30,7 +30,6 @@ import (
 	"io"
 	"iter"
 	"os"
-	"runtime"
 
 	"lpath/internal/corpus"
 	"lpath/internal/engine"
@@ -118,13 +117,8 @@ type Corpus struct {
 	oracle *treeval.CorpusEval
 	dirty  bool
 
-	// Parallel execution state: per-shard engines (built lazily, invalidated
-	// separately from the serial engine so either path can build first) and
-	// the configured worker-pool and shard-count bounds.
-	shards      []*engine.Engine
-	shardsDirty bool
-	workers     int
-	shardCount  int
+	// workers bounds the worker pool of Parallel requests.
+	workers int
 
 	// planCache memoizes query text → compiled plan for Request.Text.
 	planCache *engine.PlanCache
@@ -151,24 +145,12 @@ func WithWorkers(n int) Option {
 	return func(c *Corpus) { c.workers = n }
 }
 
-// WithShards partitions the corpus into k tree-ID shards for parallel
-// execution. The default (and any value below 1) is the worker count, so
-// every worker owns one shard; larger values improve load balance on skewed
-// corpora at a small per-shard indexing cost.
-func WithShards(k int) Option {
-	return func(c *Corpus) {
-		c.shardCount = k
-		c.shardsDirty = true
-	}
-}
-
 // engineOption is a corpus option that configures the engines the corpus
 // builds; built indexes are invalidated so the next query applies it.
 func engineOption(o engine.Option) Option {
 	return func(c *Corpus) {
 		c.engineOpts = append(c.engineOpts, o)
 		c.dirty = true
-		c.shardsDirty = true
 	}
 }
 
@@ -218,7 +200,7 @@ func (c *Corpus) Configure(opts ...Option) {
 }
 
 func newCorpus(tc *tree.Corpus, opts ...Option) *Corpus {
-	c := &Corpus{trees: tc, dirty: true, shardsDirty: true}
+	c := &Corpus{trees: tc, dirty: true}
 	c.Configure(opts...)
 	return c
 }
@@ -278,7 +260,6 @@ func (c *Corpus) Add(t *Tree) {
 	c.trees = c.forest()
 	c.trees.Add(t)
 	c.dirty = true
-	c.shardsDirty = true
 }
 
 // AddSentence parses a bracketed tree and appends it.
@@ -359,8 +340,8 @@ func LoadStore(r io.Reader, opts ...Option) (*Corpus, error) {
 // sort keys, about 2.6 times the file's size in heap (docs/SNAPSHOT.md, "What
 // open costs"). It builds no tree: a match materializes the one tree it lives
 // in when its Node is asked for, so Count, limit queries and a server's hit
-// path never pay for the forest; Trees, Save, Add, Parallel requests and
-// SelectOracle materialize all of it, once. The mapping lives until Close (or
+// path never pay for the forest; Trees, Save, Add and SelectOracle
+// materialize all of it, once. The mapping lives until Close (or
 // process exit).
 func OpenStore(path string, opts ...Option) (*Corpus, error) {
 	f, err := snapshot.Open(path)
@@ -373,7 +354,7 @@ func OpenStore(path string, opts ...Option) (*Corpus, error) {
 // corpusFromStore wraps an already-built store (from a snapshot) in a
 // Corpus, honoring the configured engine options.
 func corpusFromStore(store *relstore.Store, closer func() error, opts ...Option) (*Corpus, error) {
-	c := &Corpus{store: store, shardsDirty: true, closer: closer}
+	c := &Corpus{store: store, closer: closer}
 	c.Configure(opts...)
 	eng, err := engine.New(store, c.engineOpts...)
 	if err != nil {
@@ -442,7 +423,7 @@ const (
 )
 
 // Request is one query evaluation. Every way of running a query — full or
-// limited, serial or sharded, compiled or raw text, alone or in a batch — is
+// limited, serial or parallel, compiled or raw text, alone or in a batch — is
 // a Request value handed to Run, RunBatch or Stream; the zero value of each
 // field is the plain case.
 type Request struct {
@@ -451,9 +432,8 @@ type Request struct {
 	// Text is raw query text, resolved through the corpus's plan cache (see
 	// WithPlanCache) — the repeated-traffic spelling: a hot text pays parse +
 	// validate + cost-based planning once per store build, and each repeat
-	// executes the cached plan directly. (The cache holds the serial engine's
-	// plans; a Parallel request reuses the cached parse and plans per call.)
-	// Without a configured cache the text is compiled on every call.
+	// executes the cached plan directly, serial or Parallel. Without a
+	// configured cache the text is compiled on every call.
 	Text string
 	// Mode selects matches, a count, or an EXPLAIN report.
 	Mode Mode
@@ -464,12 +444,14 @@ type Request struct {
 	// actually needed, not the corpus. 0 means no limit; the other modes
 	// ignore the field.
 	Limit int
-	// Parallel evaluates ModeSelect and ModeCount over tree-ID shards with a
-	// bounded worker pool (see WithWorkers and WithShards). The result is
-	// exactly the serial one, in the same order — deterministic and
-	// independent of the worker count; under a Limit, shards past the settled
-	// prefix are cancelled. The shard index is built lazily on first use.
-	// ModeExplain ignores the field: the report describes one engine's run.
+	// Parallel evaluates ModeSelect and ModeCount over tree-ID windows of the
+	// one index, one window per worker of a bounded pool (see WithWorkers).
+	// The result is exactly the serial one, in the same order —
+	// deterministic and independent of the worker count; under a Limit,
+	// windows past the settled prefix are cancelled. Run alone honors the
+	// field: ModeExplain ignores it (the report describes one serial run),
+	// and so do RunBatch, whose slots all join its serial memo pass, and
+	// Stream.
 	Parallel bool
 }
 
@@ -508,76 +490,38 @@ type Result struct {
 	Err error
 }
 
-// buildShards constructs the per-shard stores and engines lazily; Parallel
-// requests trigger it automatically.
-func (c *Corpus) buildShards() error {
-	if !c.shardsDirty && c.shards != nil {
-		return nil
-	}
-	k := c.shardCount
-	if k < 1 {
-		k = c.workers
-	}
-	if k < 1 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	shards, err := engine.NewSharded(relstore.BuildShards(c.forest(), relstore.SchemeInterval, k), c.engineOpts...)
-	if err != nil {
-		return err
-	}
-	c.shards = shards
-	c.shardsDirty = false
-	return nil
-}
-
-// resolve is the front half of every evaluation: build the index the
-// request runs on (the store, or the shards), resolve the query — a compiled
-// Query as is, Text through the plan cache — and plan it, once. Shard
-// engines share the corpus-global statistics, so the first shard's plan is
-// every shard's plan; an empty sharded corpus has no engine and no plan.
+// resolve is the front half of every evaluation: build the index, resolve
+// the query — a compiled Query as is, Text through the plan cache — and plan
+// it, once.
 func (c *Corpus) resolve(req Request) (*ast.Path, *planner.Plan, error) {
 	if req.Mode < ModeSelect || req.Mode > ModeExplain {
 		return nil, nil, fmt.Errorf("lpath: unknown request mode %d", req.Mode)
 	}
-	sharded := req.Parallel && req.Mode != ModeExplain
-	var eng *engine.Engine
-	if sharded {
-		if err := c.buildShards(); err != nil {
-			return nil, nil, err
-		}
-		if len(c.shards) > 0 {
-			eng = c.shards[0]
-		}
-	} else {
-		if err := c.Build(); err != nil {
-			return nil, nil, err
-		}
-		eng = c.eng
+	if err := c.Build(); err != nil {
+		return nil, nil, err
 	}
 	var path *ast.Path
-	var err error
 	switch {
 	case req.Query != nil:
 		path = req.Query.path
-	case c.planCache == nil:
-		path, err = compilePath(req.Text)
-	case !sharded:
-		return c.planCache.GetOrPlan(req.Text, c.gen, compilePath, eng.Plan)
+	case c.planCache != nil:
+		return c.planCache.GetOrPlan(req.Text, c.gen, compilePath, c.eng.Plan)
 	default:
-		path, err = c.planCache.GetOrCompile(req.Text, compilePath)
+		var err error
+		if path, err = compilePath(req.Text); err != nil {
+			return nil, nil, err
+		}
 	}
-	if err != nil || eng == nil {
-		return path, nil, err
-	}
-	return path, eng.Plan(path), nil
+	return path, c.eng.Plan(path), nil
 }
 
 // Run evaluates one request: the single path from a query to the engine.
 // Cancellation or an expired deadline interrupts the evaluation
 // cooperatively — the executors poll the context inside their sweeps, and a
-// sharded run abandons shards that have not started — so even a long-running
-// query returns promptly with the context's error (context.Canceled or
-// context.DeadlineExceeded); context.Background() is the no-deadline case.
+// Parallel run abandons windows that have not started — so even a
+// long-running query returns promptly with the context's error
+// (context.Canceled or context.DeadlineExceeded); context.Background() is the
+// no-deadline case.
 func (c *Corpus) Run(ctx context.Context, req Request) (Result, error) {
 	path, plan, err := c.resolve(req)
 	if err != nil {
@@ -588,11 +532,11 @@ func (c *Corpus) Run(ctx context.Context, req Request) (Result, error) {
 	case req.Mode == ModeExplain:
 		res.Explain, err = c.eng.ExplainPlanContext(ctx, path, plan)
 	case req.Mode == ModeCount && req.Parallel:
-		res.Count, err = engine.CountParallel(ctx, c.shards, path, plan, c.workers)
+		res.Count, err = c.eng.CountParallel(ctx, path, plan, c.workers)
 	case req.Mode == ModeCount:
 		res.Count, err = c.eng.CountPlanContext(ctx, path, plan)
 	case req.Parallel:
-		res.Matches, err = engine.EvalParallel(ctx, c.shards, path, plan, req.Limit, c.workers)
+		res.Matches, err = c.eng.EvalParallel(ctx, path, plan, req.Limit, c.workers)
 		res.Count = len(res.Matches)
 	default:
 		res.Matches, err = c.eng.EvalPlanLimitContext(ctx, path, plan, req.Limit)
@@ -613,21 +557,22 @@ func (c *Corpus) Run(ctx context.Context, req Request) (Result, error) {
 // identical to Run(ctx, reqs[i]), with the error in Result.Err, and a failing
 // request — a text that does not compile, say — never disturbs its batch
 // mates. A batch evaluates each query fully so its memo stays valid for the
-// others, then truncates to the slot's Limit; Parallel slots share a
-// per-shard memo, with shards as the unit of work; ModeExplain slots run on
-// their own (instrumented executions share nothing). Once the context is
-// done, the requests it interrupted report its error.
+// others, then truncates to the slot's Limit. Parallel is ignored: a
+// Parallel slot joins the serial memo pass like any other, with the same
+// result. ModeExplain slots run on their own (instrumented executions share
+// nothing). Once the context is done, the requests it interrupted report its
+// error.
 func (c *Corpus) RunBatch(ctx context.Context, reqs []Request) []Result {
 	out, _ := c.runBatch(ctx, reqs)
 	return out
 }
 
 // runBatch is RunBatch additionally reporting the cross-query memo hit rates
-// of the batch's serial slots.
+// the batch achieved.
 func (c *Corpus) runBatch(ctx context.Context, reqs []Request) ([]Result, engine.BatchStats) {
 	out := make([]Result, len(reqs))
-	var serial, sharded []engine.BatchQuery
-	var serialAt, shardedAt []int // batch position → request slot
+	var qs []engine.BatchQuery
+	var at []int // batch position → request slot
 	for i, req := range reqs {
 		if req.Mode == ModeExplain {
 			res, err := c.Run(ctx, req)
@@ -641,30 +586,19 @@ func (c *Corpus) runBatch(ctx context.Context, reqs []Request) ([]Result, engine
 			continue
 		}
 		out[i].Strategies = strategiesOf(path, plan)
-		q := engine.BatchQuery{Path: path, Plan: plan, Limit: req.Limit, CountOnly: req.Mode == ModeCount}
-		if req.Parallel {
-			sharded, shardedAt = append(sharded, q), append(shardedAt, i)
-		} else {
-			serial, serialAt = append(serial, q), append(serialAt, i)
+		qs = append(qs, engine.BatchQuery{Path: path, Plan: plan, Limit: req.Limit, CountOnly: req.Mode == ModeCount})
+		at = append(at, i)
+	}
+	if len(qs) == 0 {
+		return out, engine.BatchStats{}
+	}
+	rs, stats := c.eng.EvalBatch(ctx, qs)
+	for j, r := range rs {
+		if r.Err != nil {
+			out[at[j]] = Result{Err: r.Err}
+			continue
 		}
-	}
-	fill := func(at []int, rs []engine.BatchResult) {
-		for j, r := range rs {
-			if r.Err != nil {
-				out[at[j]] = Result{Err: r.Err}
-				continue
-			}
-			out[at[j]].Matches, out[at[j]].Count = r.Matches, r.Count
-		}
-	}
-	var stats engine.BatchStats
-	if len(serial) > 0 {
-		var rs []engine.BatchResult
-		rs, stats = c.eng.EvalBatch(ctx, serial)
-		fill(serialAt, rs)
-	}
-	if len(sharded) > 0 {
-		fill(shardedAt, engine.EvalBatchParallel(ctx, c.shards, sharded, c.workers))
+		out[at[j]].Matches, out[at[j]].Count = r.Matches, r.Count
 	}
 	return out, stats
 }
@@ -678,7 +612,6 @@ func (c *Corpus) runBatch(ctx context.Context, reqs []Request) ([]Result, engine
 // the iterator yields one (zero Match, error) pair and stops.
 func (c *Corpus) Stream(ctx context.Context, req Request) iter.Seq2[Match, error] {
 	return func(yield func(Match, error) bool) {
-		req.Parallel = false
 		path, plan, err := c.resolve(req)
 		if err == nil && req.Mode != ModeSelect {
 			err = fmt.Errorf("lpath: Stream needs a ModeSelect request")
@@ -743,8 +676,8 @@ func (c *Corpus) Count(q *Query) (int, error) {
 	return res.Count, err
 }
 
-// CountParallel is Count over the shards (Request.Parallel): each shard
-// counts its distinct matches and the disjoint per-shard counts are summed.
+// CountParallel is Count over parallel tid windows (Request.Parallel): each
+// window counts its distinct matches and the disjoint counts are summed.
 func (c *Corpus) CountParallel(q *Query) (int, error) {
 	res, err := c.Run(context.Background(), Request{Query: q, Mode: ModeCount, Parallel: true})
 	return res.Count, err

@@ -32,12 +32,12 @@ func suiteRequests(t *testing.T, c *Corpus, shape Request) ([]Request, [][]Match
 
 // TestRunBatchParity is the public batch identity property: for every
 // executor strategy and every batch size, chunking the paper's 23-query
-// suite through RunBatch — serial slots and sharded slots alike — yields
+// suite through RunBatch — serial slots and Parallel slots alike — yields
 // slot-for-slot exactly what Select returns for each query alone.
 func TestRunBatchParity(t *testing.T) {
 	for _, st := range limitStrategies() {
 		t.Run(st.name, func(t *testing.T) {
-			c, err := GenerateCorpus("wsj", 0.004, 3, append(st.opts, WithShards(3), WithWorkers(4))...)
+			c, err := GenerateCorpus("wsj", 0.004, 3, append(st.opts, WithWorkers(3))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,9 +117,9 @@ func TestRunBatchTextCompileError(t *testing.T) {
 }
 
 // TestRunBatchCancelled: a dead context fails every slot with its error,
-// serial and sharded alike.
+// serial and Parallel alike.
 func TestRunBatchCancelled(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.002, 5, WithShards(2))
+	c, err := GenerateCorpus("wsj", 0.002, 5, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +137,10 @@ func TestRunBatchCancelled(t *testing.T) {
 }
 
 // TestRunBatchCountAndExplain checks the other two modes as batch slots:
-// counts ride the shared memo and equal serial Count, serial or sharded, and
+// counts ride the shared memo and equal serial Count, serial or Parallel, and
 // an EXPLAIN slot reports exactly what Explain does.
 func TestRunBatchCountAndExplain(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.002, 5, WithShards(2))
+	c, err := GenerateCorpus("wsj", 0.002, 5, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,12 @@ func shapeName(r Request) string {
 }
 
 // TestErrorParityAcrossRequests pins the error contract of the one request
-// path: for one identical failure, every Request shape — serial or sharded,
+// path: for one identical failure, every Request shape — serial or parallel,
 // selecting, counting or explaining, limited or not, alone or as a batch
 // slot — returns the identical error, independent of worker scheduling
-// (runShards propagates deterministically by shard index).
+// (runWindows propagates deterministically by window index).
 func TestErrorParityAcrossRequests(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), WithShards(4), WithPlanCache(8))
+	c, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), WithPlanCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestErrorParityAcrossRequests(t *testing.T) {
 // RunBatch, or Stream) call its documentation names, on all 23 paper
 // queries.
 func TestSugarEqualsRun(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.004, 3, WithPlanCache(32), WithShards(3))
+	c, err := GenerateCorpus("wsj", 0.004, 3, WithPlanCache(32), WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package lpath
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -59,6 +60,45 @@ func TestOpenStoreBuildsTreesOnlyForMatches(t *testing.T) {
 		}
 		if built := c.store.TreesBuilt() - before; built > len(trees) {
 			t.Errorf("Q%d: limit 10 built %d trees for matches in %d", eq.ID, built, len(trees))
+		}
+	}
+}
+
+// TestParallelOnSnapshotBuildsNoTrees: Parallel requests on a
+// snapshot-backed corpus run over the one mapped store, so they are as lazy
+// as serial ones — a parallel count builds no tree, and a parallel select
+// builds only the trees its matches live in, no more than the serial select.
+func TestParallelOnSnapshotBuildsNoTrees(t *testing.T) {
+	_, c, path := openedPair(t, 0.01)
+	c.Configure(WithWorkers(4))
+	for _, eq := range EvalQueries() {
+		if _, err := c.CountParallel(MustCompile(eq.Text)); err != nil {
+			t.Fatalf("Q%d: %v", eq.ID, err)
+		}
+	}
+	if n := c.store.TreesBuilt(); n != 0 {
+		t.Fatalf("CountParallel over the 23 queries built %d trees", n)
+	}
+	serial, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serial.Close()
+	for _, eq := range EvalQueries() {
+		q := MustCompile(eq.Text)
+		want, err := serial.Select(q)
+		if err != nil {
+			t.Fatalf("Q%d: %v", eq.ID, err)
+		}
+		res, err := c.Run(context.Background(), Request{Query: q, Parallel: true})
+		if err != nil {
+			t.Fatalf("Q%d parallel: %v", eq.ID, err)
+		}
+		if len(res.Matches) != len(want) {
+			t.Fatalf("Q%d: parallel %d matches, serial %d", eq.ID, len(res.Matches), len(want))
+		}
+		if got, max := c.store.TreesBuilt(), serial.store.TreesBuilt(); got > max {
+			t.Fatalf("Q%d: parallel selects built %d trees, serial %d", eq.ID, got, max)
 		}
 	}
 }

@@ -31,8 +31,8 @@ func limitStrategies() []struct {
 
 // checkLimit holds Limit k to its one meaning — the first k entries of the
 // full result, the whole result when k is 0 — everywhere a limit can be
-// applied through Run: the serial stream, the sharded settled prefix, and
-// serial and sharded batch slots, whose uncapped batch mate must stay whole.
+// applied through Run: the serial stream, the windowed settled prefix, and
+// serial and Parallel batch slots, whose uncapped batch mate must stay whole.
 func checkLimit(t *testing.T, c *Corpus, q *Query, k int, full []Match) {
 	t.Helper()
 	want := full
@@ -71,11 +71,11 @@ func checkLimit(t *testing.T, c *Corpus, q *Query, k int, full []Match) {
 // of the paper's 23-query suite and mainPathShapes under every executor
 // strategy, at limits around the interesting boundaries (none, one,
 // mid-stream at a shallow and a deeper cut, exact, past the end),
-// independent of shard and worker counts.
+// independent of the worker (so window) count.
 func TestLimitParity(t *testing.T) {
 	for _, st := range limitStrategies() {
 		t.Run(st.name, func(t *testing.T) {
-			c, err := GenerateCorpus("wsj", 0.004, 3, append(st.opts, WithShards(3), WithWorkers(4))...)
+			c, err := GenerateCorpus("wsj", 0.004, 3, append(st.opts, WithWorkers(3))...)
 			if err != nil {
 				t.Fatal(err)
 			}

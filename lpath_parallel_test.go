@@ -19,7 +19,7 @@ var axisPropertyQueries = []string{
 }
 
 // TestSelectParallelEqualsSelect checks byte-identical results (same
-// matches, same order) between the serial and the sharded parallel path on
+// matches, same order) between the serial and the windowed parallel path on
 // the full 23-query evaluation matrix, across worker counts.
 func TestSelectParallelEqualsSelect(t *testing.T) {
 	c, err := GenerateCorpus("wsj", 0.002, 7)
@@ -31,7 +31,7 @@ func TestSelectParallelEqualsSelect(t *testing.T) {
 		return res.Matches, err
 	}
 	for _, workers := range []int{1, 2, 4} {
-		c.Configure(WithWorkers(workers), WithShards(4))
+		c.Configure(WithWorkers(workers))
 		for _, eq := range EvalQueries() {
 			q := MustCompile(eq.Text)
 			serial, err := c.Select(q)
@@ -65,11 +65,11 @@ func TestSelectParallelEqualsSelect(t *testing.T) {
 }
 
 // TestSelectParallelOracleProperty is the randomized three-way property:
-// on corpora of varying seeds and shard layouts, a Parallel request, Select
+// on corpora of varying seeds and window layouts, a Parallel request, Select
 // and the reference tree-walking oracle agree on every axis-coverage query.
 func TestSelectParallelOracleProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		c, err := GenerateCorpus("wsj", 0.001, seed, WithShards(int(seed)+1), WithWorkers(3))
+		c, err := GenerateCorpus("wsj", 0.001, seed, WithWorkers(int(seed)+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,8 +103,8 @@ func TestSelectParallelOracleProperty(t *testing.T) {
 	}
 }
 
-func TestSelectParallelAddInvalidatesShards(t *testing.T) {
-	c := NewCorpus(WithShards(2))
+func TestSelectParallelAfterAdd(t *testing.T) {
+	c := NewCorpus(WithWorkers(2))
 	if err := c.AddSentence(`(S (NP I) (VP (V saw) (NP it)))`); err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +122,38 @@ func TestSelectParallelAddInvalidatesShards(t *testing.T) {
 	}
 }
 
+// TestSelectParallelMoreWorkersThanTrees: a pool larger than the corpus
+// gets one window per tree, with the serial results at every limit.
+func TestSelectParallelMoreWorkersThanTrees(t *testing.T) {
+	c := figure1Corpus(t)
+	for _, s := range []string{`(S (NP a) (VP (V b) (NP c)))`, `(S (NP d))`} {
+		if err := c.AddSentence(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Configure(WithWorkers(64))
+	for _, text := range []string{`//NP`, `//VP/V-->NP`, `//S{//NP$}`, `//ZZZ`} {
+		q := MustCompile(text)
+		serial, err := c.Select(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, limit := range []int{0, 1, 2} {
+			want := serial
+			if limit > 0 && limit < len(serial) {
+				want = serial[:limit]
+			}
+			res, err := c.Run(context.Background(), Request{Query: q, Limit: limit, Parallel: true})
+			if err != nil || !reflect.DeepEqual(res.Matches, want) {
+				t.Errorf("%s limit %d: parallel %d matches (%v), want %d", text, limit, len(res.Matches), err, len(want))
+			}
+		}
+		if n, err := c.CountParallel(q); err != nil || n != len(serial) {
+			t.Errorf("%s: CountParallel = %d, %v; want %d", text, n, err, len(serial))
+		}
+	}
+}
+
 func TestSelectParallelEmptyCorpus(t *testing.T) {
 	c := NewCorpus()
 	res, err := c.Run(context.Background(), Request{Text: `//NP`, Parallel: true})
@@ -131,7 +163,7 @@ func TestSelectParallelEmptyCorpus(t *testing.T) {
 }
 
 func TestSelectParallelContextCancelled(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.001, 2, WithShards(4))
+	c, err := GenerateCorpus("wsj", 0.001, 2, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +199,7 @@ func TestPlanCacheThroughPublicAPI(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(fresh, cached.Matches) {
 		t.Errorf("cached plan results differ: %v", err)
 	}
-	// A Parallel text request reuses the cached parse (a hit, no new entry)
-	// and plans on the shards.
+	// A Parallel text request reuses the cached plan (a hit, no new entry).
 	before := c.PlanCacheStats()
 	par, err := c.Run(context.Background(), Request{Text: `//NP`, Parallel: true})
 	if err != nil || !reflect.DeepEqual(fresh, par.Matches) {
@@ -192,9 +223,9 @@ func TestSelectTextWithoutCache(t *testing.T) {
 
 // TestSelectParallelConcurrentUse exercises a built corpus answering
 // parallel queries from many goroutines at once, as a multi-user server
-// would; the -race job certifies the shard engines are read-safe.
+// would; the -race job certifies the windowed evaluation is read-safe.
 func TestSelectParallelConcurrentUse(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.001, 4, WithShards(3), WithWorkers(2), WithPlanCache(16))
+	c, err := GenerateCorpus("wsj", 0.001, 4, WithWorkers(3), WithPlanCache(16))
 	if err != nil {
 		t.Fatal(err)
 	}

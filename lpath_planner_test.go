@@ -36,45 +36,45 @@ func identityQueries() []namedQuery {
 // TestPlannerResultIdentity is the optimizer's acceptance property: over the
 // full 23-query evaluation matrix and mainPathShapes, the cost-based planner
 // changes evaluation strategy only — results are byte-identical with the
-// planner on and off, serially and sharded, and the count pipelines agree
+// planner on and off, serially and in parallel, and the count pipelines agree
 // with materialization under every forced or disabled executor.
 func TestPlannerResultIdentity(t *testing.T) {
-	planned, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3))
+	planned, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	unplanned, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), WithoutPlanner())
+	unplanned, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), WithoutPlanner())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Executor rotation: the merge executor forced on every eligible step,
 	// and disabled entirely — both must match the planner-chosen mix.
-	forcedMerge, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), withMergeAlways())
+	forcedMerge, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withMergeAlways())
 	if err != nil {
 		t.Fatal(err)
 	}
-	probeOnly, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), withoutMerge())
+	probeOnly, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withoutMerge())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Twig rotation: the holistic sweep forced on every maximal run, and
 	// disabled entirely (falling back to the per-step probe/merge pipeline).
-	forcedTwig, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), withTwigAlways())
+	forcedTwig, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withTwigAlways())
 	if err != nil {
 		t.Fatal(err)
 	}
-	twigOff, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), withoutTwig())
+	twigOff, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withoutTwig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Bitmap rotation: the dense-bitset kernels forced on every eligible
 	// scope entry, and disabled entirely (per-scope expansion, every filter
 	// evaluated forward).
-	forcedBitmap, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), withBitmapAlways())
+	forcedBitmap, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withBitmapAlways())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitmapOff, err := GenerateCorpus("wsj", 0.005, 11, WithShards(4), WithWorkers(3), withoutBitmap())
+	bitmapOff, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withoutBitmap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,12 @@ func TestPlannerResultIdentity(t *testing.T) {
 			t.Errorf("%s: bitmap-off %d matches, unplanned %d — or a match differs",
 				eq.Name, len(gotNoBitmap), len(want))
 		}
-		sharded := Request{Query: q, Parallel: true}
-		gotPar, err := planned.Run(context.Background(), sharded)
+		parallel := Request{Query: q, Parallel: true}
+		gotPar, err := planned.Run(context.Background(), parallel)
 		if err != nil {
 			t.Fatalf("%s planned parallel: %v", eq.Name, err)
 		}
-		wantPar, err := unplanned.Run(context.Background(), sharded)
+		wantPar, err := unplanned.Run(context.Background(), parallel)
 		if err != nil {
 			t.Fatalf("%s unplanned parallel: %v", eq.Name, err)
 		}
