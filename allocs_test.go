@@ -40,10 +40,8 @@ var semijoinAttr = strings.Repeat("lex", 12)
 // the executors across the full 23-query evaluation matrix: with a warm plan
 // cache and grown scratch arenas, evaluation must not allocate per binding or
 // per row. Before the columnar merge executor and the arena-pooled evaluation
-// context, one warm CountText of Q10 allocated ~58k objects; today the twig
-// and merge pipelines hold nearly every query to double-digit allocations
-// (Q4's budget reflects its per-group trailing-context materialization, the
-// one remaining per-group cost).
+// context, one warm CountText of Q10 allocated ~58k objects; today the probe
+// and kernel pipelines hold nearly every query to double-digit allocations.
 func TestStepEvaluationAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget needs a non-trivial corpus")

@@ -15,6 +15,7 @@ package lpath
 //	Figure 9     BenchmarkFig9Scalability/Q*/x*/{LPath,TGrep2,CorpusSearch}
 //	Figure 10    BenchmarkFig10Labeling/Q*/{Interval,StartEnd}
 //	Ablations    BenchmarkAblation*
+//	Axes         BenchmarkAxisTemplates/<axis>/{Count,Limit100}
 
 import (
 	"context"
@@ -406,6 +407,63 @@ func BenchmarkPlanCache(b *testing.B) {
 			}
 		}
 	})
+}
+
+// axisTemplates are the ten serve_distinct query templates of benchmark/, one
+// per axis shape, each filled with two node tests.
+var axisTemplates = []struct{ name, text string }{
+	{"child", "//%s/%s"},
+	{"descendant", "//%s//%s"},
+	{"immediate-following", "//%s->%s"},
+	{"following", "//%s-->%s"},
+	{"immediate-following-sibling", "//%s=>%s"},
+	{"following-sibling", "//%s==>%s"},
+	{"scoped-right-aligned-child", "//%s{/%s$}"},
+	{"scoped-left-aligned-descendant", "//%s{//^%s}"},
+	{"descendant-filter", "//%s[//%s]"},
+	{"negated-descendant-filter", "//%s[not(//%s)]"},
+}
+
+// BenchmarkAxisTemplates runs each serve_distinct template over every pair
+// of the 14 most frequent tags (196 texts) on a scale-0.05 WSJ corpus: one
+// op is the Count, or the first-100-match SelectLimit, of all 196 texts. It
+// is the per-axis yardstick for the run-time choice between the bitmap step
+// kernels and per-binding probes.
+func BenchmarkAxisTemplates(b *testing.B) {
+	c, err := GenerateCorpus("wsj", 0.05, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.Build(); err != nil {
+		b.Fatal(err)
+	}
+	tags := topTags(c, 14)
+	for _, tpl := range axisTemplates {
+		var qs []*Query
+		for _, a := range tags {
+			for _, t := range tags {
+				qs = append(qs, MustCompile(fmt.Sprintf(tpl.text, a, t)))
+			}
+		}
+		b.Run(tpl.name+"/Count", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, q := range qs {
+					if _, err := c.Count(q); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(tpl.name+"/Limit100", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, q := range qs {
+					if _, err := c.SelectLimit(q, 100); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkBuildStore measures index construction (the offline cost of the

@@ -31,6 +31,15 @@ func FuzzEvalOracle(f *testing.F) {
 	f.Add(`//_[position()=2]`, bank)
 	f.Add(`//NP[not(//JJ) and //NN]`, bank)
 	f.Add(`//S{//N$}`, bank)
+	// The unscoped kernel axes, bare and under a scope, aligned and or-self.
+	for _, q := range []string{
+		`//NP->PP`, `//DT-->NN`, `//NN<-DT`, `//NN<--DT`, `//VP//NN`, `//NP//NP`,
+		`//VP{//DT->NN}`, `//VP{//VB-->NN$}`, `//S{//NN<-^DT}`, `//S{//NN<--DT}`,
+		`//S{//NP//^NN}`, `//NP/descendant-or-self::NP`, `//DT/following-or-self::_`,
+		`//NN/preceding-or-self::NN`, `//NP//^DT`, `//S[count({//NP//NN})>=2]`,
+	} {
+		f.Add(q, bank)
+	}
 
 	f.Fuzz(func(t *testing.T, query, treebank string) {
 		if len(query) > 256 || len(treebank) > 2048 {
@@ -84,20 +93,6 @@ func FuzzEvalOracle(f *testing.F) {
 			{Text: query, Limit: limit}, {Text: query},
 		})
 
-		// Executor rotation: force the holistic twig sweep on every maximal
-		// run, then disable it; then force the set-at-a-time merge executor on
-		// every eligible step, then disable it (the merge rotations run with
-		// the twig executor off, pinning the per-step pipeline on its own).
-		// All must agree with the planner-chosen mix.
-		c.Configure(withTwigAlways())
-		twigged, twiggedErr := c.Select(q)
-		c.Configure(withoutTwig())
-		untwigged, untwiggedErr := c.Select(q)
-		c.Configure(withMergeAlways())
-		merged, mergedErr := c.Select(q)
-		c.Configure(withoutMerge())
-		probed, probedErr := c.Select(q)
-
 		// Filter rotation: answer every set-capable and scope-only filter for
 		// its whole frontier, then every filter candidate by candidate, with
 		// the executors otherwise as planned.
@@ -107,10 +102,14 @@ func FuzzEvalOracle(f *testing.F) {
 		fwdFiltered, fwdFilteredErr := c.Select(q)
 
 		// Bitmap rotation: force the dense-bitset kernels onto every eligible
-		// scope entry, then disable them entirely (per-scope expansion and
-		// forward filters, the pre-bitmap engine).
+		// scope entry and step, under each filter side in turn (the options
+		// accumulate, so the first run keeps the forward filters above), then
+		// disable them entirely: per-binding probes, per-scope expansion and
+		// forward filters — the probe reference.
 		c.Configure(withBitmapAlways())
 		bitmapped, bitmappedErr := c.Select(q)
+		c.Configure(withFilterSets())
+		bitmapSets, bitmapSetsErr := c.Select(q)
 		c.Configure(withoutBitmap())
 		unbitmapped, unbitmappedErr := c.Select(q)
 
@@ -126,17 +125,10 @@ func FuzzEvalOracle(f *testing.F) {
 			t.Fatalf("%q: select err %v, count err %v, parallel errs %v/%v",
 				query, plannedErr, plannedCountErr, parErr, parCountErr)
 		}
-		if (plannedErr != nil) != (mergedErr != nil) || (plannedErr != nil) != (probedErr != nil) {
-			t.Fatalf("%q: planned err %v, merge-always err %v, probe-only err %v",
-				query, plannedErr, mergedErr, probedErr)
-		}
-		if (plannedErr != nil) != (twiggedErr != nil) || (plannedErr != nil) != (untwiggedErr != nil) {
-			t.Fatalf("%q: planned err %v, twig-always err %v, twig-off err %v",
-				query, plannedErr, twiggedErr, untwiggedErr)
-		}
-		if (plannedErr != nil) != (bitmappedErr != nil) || (plannedErr != nil) != (unbitmappedErr != nil) {
-			t.Fatalf("%q: planned err %v, bitmap-always err %v, bitmap-off err %v",
-				query, plannedErr, bitmappedErr, unbitmappedErr)
+		if (plannedErr != nil) != (bitmappedErr != nil) || (plannedErr != nil) != (bitmapSetsErr != nil) ||
+			(plannedErr != nil) != (unbitmappedErr != nil) {
+			t.Fatalf("%q: planned err %v, bitmap-always errs %v/%v, bitmap-off err %v",
+				query, plannedErr, bitmappedErr, bitmapSetsErr, unbitmappedErr)
 		}
 		if (plannedErr != nil) != (setFilteredErr != nil) || (plannedErr != nil) != (fwdFilteredErr != nil) {
 			t.Fatalf("%q: planned err %v, set filters err %v, forward filters err %v",
@@ -154,22 +146,6 @@ func FuzzEvalOracle(f *testing.F) {
 			t.Fatalf("%q: planned %d matches, unplanned %d — or order differs\nplanned:   %v\nunplanned: %v",
 				query, len(planned), len(unplanned), matchKeys(planned), matchKeys(unplanned))
 		}
-		if !reflect.DeepEqual(planned, merged) {
-			t.Fatalf("%q: merge-always differs from planned (%d vs %d matches)\nmerged: %v\nplanned: %v",
-				query, len(merged), len(planned), matchKeys(merged), matchKeys(planned))
-		}
-		if !reflect.DeepEqual(planned, probed) {
-			t.Fatalf("%q: probe-only differs from planned (%d vs %d matches)\nprobed: %v\nplanned: %v",
-				query, len(probed), len(planned), matchKeys(probed), matchKeys(planned))
-		}
-		if !reflect.DeepEqual(planned, twigged) {
-			t.Fatalf("%q: twig-always differs from planned (%d vs %d matches)\ntwigged: %v\nplanned: %v",
-				query, len(twigged), len(planned), matchKeys(twigged), matchKeys(planned))
-		}
-		if !reflect.DeepEqual(planned, untwigged) {
-			t.Fatalf("%q: twig-off differs from planned (%d vs %d matches)\nuntwigged: %v\nplanned: %v",
-				query, len(untwigged), len(planned), matchKeys(untwigged), matchKeys(planned))
-		}
 		if !reflect.DeepEqual(planned, setFiltered) {
 			t.Fatalf("%q: set filters differ from planned (%d vs %d matches)\nset: %v\nplanned: %v",
 				query, len(setFiltered), len(planned), matchKeys(setFiltered), matchKeys(planned))
@@ -181,6 +157,10 @@ func FuzzEvalOracle(f *testing.F) {
 		if !reflect.DeepEqual(planned, bitmapped) {
 			t.Fatalf("%q: bitmap-always differs from planned (%d vs %d matches)\nbitmapped: %v\nplanned: %v",
 				query, len(bitmapped), len(planned), matchKeys(bitmapped), matchKeys(planned))
+		}
+		if !reflect.DeepEqual(planned, bitmapSets) {
+			t.Fatalf("%q: bitmap-always with set filters differs from planned (%d vs %d matches)\nbitmapped: %v\nplanned: %v",
+				query, len(bitmapSets), len(planned), matchKeys(bitmapSets), matchKeys(planned))
 		}
 		if !reflect.DeepEqual(planned, unbitmapped) {
 			t.Fatalf("%q: bitmap-off differs from planned (%d vs %d matches)\nunbitmapped: %v\nplanned: %v",

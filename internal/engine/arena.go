@@ -30,11 +30,35 @@ const maxPooledSet = 256
 
 type arena struct {
 	ints     [][]int32
-	i64s     [][]int64
 	binds    [][]bind
 	bindSets []map[bind]bool
 	sets     []*spanSet
 	setLen   int // bits per set: the store's row count
+	// reach is the descendant kernel's per-leaf summary, indexed like
+	// document positions: entries are epoch<<reachBits | right edge, and
+	// only entries of the current epoch count.
+	reach []uint32
+	epoch uint32
+}
+
+const (
+	reachBits = 16
+	reachMask = 1<<reachBits - 1
+)
+
+// getReach returns the per-leaf summary, at least n long, with a fresh
+// epoch: every entry left by an earlier walk reads as absent. When the
+// epochs wrap the array is cleared once.
+func (a *arena) getReach(n int) ([]uint32, uint32) {
+	if len(a.reach) < n {
+		a.reach = make([]uint32, n)
+	}
+	a.epoch++
+	if a.epoch == 1<<(32-reachBits) {
+		clear(a.reach)
+		a.epoch = 1
+	}
+	return a.reach, a.epoch
 }
 
 func (a *arena) getInts() []int32 {
@@ -51,22 +75,6 @@ func (a *arena) putInts(s []int32) {
 		return
 	}
 	a.ints = append(a.ints, s[:0])
-}
-
-func (a *arena) getI64s() []int64 {
-	if n := len(a.i64s); n > 0 {
-		s := a.i64s[n-1]
-		a.i64s = a.i64s[:n-1]
-		return s
-	}
-	return make([]int64, 0, 32)
-}
-
-func (a *arena) putI64s(s []int64) {
-	if cap(s) == 0 {
-		return
-	}
-	a.i64s = append(a.i64s, s[:0])
 }
 
 func (a *arena) getBinds() []bind {

@@ -17,8 +17,6 @@ var batchOptRotations = []struct {
 }{
 	{"planned", nil},
 	{"noplanner", []Option{WithoutPlanner()}},
-	{"merge", []Option{WithMergeAlways()}},
-	{"twig", []Option{WithTwigAlways()}},
 	{"nobitmap", []Option{WithoutBitmap()}},
 	{"bitmap", []Option{WithBitmapAlways()}},
 	{"filter-sets", []Option{WithFilterPath(true)}},

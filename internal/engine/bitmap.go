@@ -6,23 +6,21 @@ import (
 	"lpath/internal/relstore"
 )
 
-// Bitmap execution: the step kernels (docs/EXECUTION.md, "Bitmap filter
-// kernels"). They replace per-binding probing with one pass over the step's
-// clustered posting range against a dense set of frontier rows, resolving
-// each candidate's context through the store's parent-pointer column. A
+// Bitmap execution: the step kernels (docs/EXECUTION.md, "Posting walk per
+// axis"). They replace per-binding probing with one pass over the step's
+// clustered posting range against a small summary of the frontier. A
 // subtree-scope entry emits exactly the (row, scope) pairs the scoped
 // expansion would after its dedup: one array load and a bit test for the
 // child axis, a parent-chain climb for descendants, cut short by edge
 // alignment (rights never decrease and lefts never grow while climbing, so a
-// climb past the first non-aligned ancestor cannot realign). A main-path /
-// or => step emits the rows per-binding probes would: a candidate has one
-// possible context, its parent or its immediately preceding sibling. The
+// climb past the first non-aligned ancestor cannot realign). An unscoped
+// step emits the rows per-binding probes would, testing each posting row
+// against the Table 2 conjunction its axis reduces to (axisJoin). The
 // set-at-a-time filters that share the sets live in semijoin.go.
 
 // useBitmapEntry decides whether a subtree-scoped tail enters through the
-// bitmap kernel. Under bitmapAuto the plan's cost-marked entry decides —
-// except when a forced merge or twig mode is measuring a specific executor
-// the kernel would shadow. bitmapAlways forces every shape-eligible entry.
+// bitmap kernel. Under bitmapAuto the plan's cost-marked entry decides;
+// bitmapAlways forces every shape-eligible entry.
 func (e *Engine) useBitmapEntry(tail *lpath.Path, cur []bind, ctx *evalCtx) bool {
 	if e.bitmap == bitmapOff || len(tail.Steps) == 0 {
 		return false
@@ -33,9 +31,6 @@ func (e *Engine) useBitmapEntry(tail *lpath.Path, cur []bind, ctx *evalCtx) bool
 	}
 	if e.bitmap == bitmapAlways {
 		return true
-	}
-	if e.exec == execAlways || e.twig == twigAlways {
-		return false
 	}
 	// A one-scope frontier would walk the whole posting list for one
 	// subtree: a scope-only filter evaluated forward opens its scope one
@@ -163,10 +158,10 @@ func (e *Engine) stepPosting(step *lpath.Step, ctx *evalCtx) []int32 {
 	return nil
 }
 
-// stepJoin is the posting walk both kernels share: it appends to dst every
-// candidate whose one possible context is in set — its parent for the child
-// axis, its immediately preceding sibling for => — and is edge-aligned with
-// that context, the node ^ and $ refer to for a scope entry and an unscoped
+// stepJoin is the posting walk the entry kernel and the / and => steps
+// share: it appends to dst every candidate whose one possible context is in
+// set — its parent for the child axis, its immediately preceding sibling
+// for => — and is edge-aligned with that context, the node ^ and $ refer to for a scope entry and an unscoped
 // step alike. Siblings are consecutive children (every leaf spans one
 // position), so the preceding sibling is the previous entry of the parent's
 // child list, found by binary search on id. On cancellation dst is returned
@@ -211,43 +206,44 @@ func (e *Engine) stepJoin(step *lpath.Step, cands []int32, set *spanSet, dst []i
 }
 
 // Kernel crossovers: the posting rows one frontier binding is worth. A
-// per-binding probe pays a child-list lookup, a candidate buffer and a
-// cross-binding dedup insert, ≈ 80–100 ns; the kernel pays a sequential
-// parent load and a bit test per posting row for / (≈ 6 ns), plus a
-// sibling-list search for => (≈ 18 ns), measured on the scale-1.0 WSJ
-// corpus (Q18, //NP=>NP; 2-vCPU VM).
-const (
-	childKernelRows   = 16
-	siblingKernelRows = 4
-)
+// per-binding probe pays a candidate lookup (a child-list read, or a binary
+// search of the posting), a candidate buffer and a cross-binding dedup
+// insert per result, ≈ 80–150 ns; the kernel pays a few sequential column
+// loads and a bit test per posting row (≈ 6 ns), plus a sibling-list search
+// for => (≈ 18 ns), measured on the scale-1.0 WSJ corpus (Q18, //NP=>NP; a
+// 2-vCPU VM). The other axes' 24 was the best of 8, 24 and 64 on the //, ->
+// and --> texts of serve_distinct at scale 1.0.
+func kernelRows(axis lpath.Axis) int {
+	switch axis {
+	case lpath.AxisChild:
+		return 16
+	case lpath.AxisImmediateFollowingSibling:
+		return 4
+	}
+	return 24
+}
 
-// bitmapStep decides whether a main-path step runs through the bitmap step
-// kernel, and returns the windowed posting the kernel walks. The kernel
-// needs an unscoped frontier of real rows. Under bitmapAuto the step must be
-// marked exec=bitmap and the frontier hold more than one binding, and the
-// actual sizes decide — the frontier's length against the windowed
-// posting's — unless a forced merge or twig mode is measuring the executor
-// the kernel would shadow. bitmapAlways takes every eligible step.
+// bitmapStep decides whether a step runs through the bitmap step kernel, and
+// returns the windowed posting the kernel walks. The kernel needs an
+// unscoped frontier of real rows. Under bitmapAuto the step must be marked
+// exec=bitmap and the frontier hold more than one binding, and the actual
+// sizes decide: the frontier's length against the windowed posting's.
+// bitmapAlways takes every eligible step.
 func (e *Engine) bitmapStep(step *lpath.Step, sp *planner.StepPlan, binds []bind, ctx *evalCtx) ([]int32, bool) {
 	if e.bitmap == bitmapOff || len(binds) == 0 || binds[0].row == noRow || binds[0].scope != noRow {
 		return nil, false
 	}
-	if e.bitmap == bitmapAuto && (sp == nil || sp.Strategy != planner.StrategyBitmap ||
-		e.exec == execAlways || e.twig == twigAlways) {
+	if e.bitmap == bitmapAuto && (sp == nil || sp.Strategy != planner.StrategyBitmap) {
 		return nil, false
 	}
 	if !planner.BitmapStep(step, false) {
 		return nil, false
 	}
 	if e.bitmap == bitmapAlways {
-		return e.stepPosting(step, ctx), true
-	}
-	rows := childKernelRows
-	if step.Axis == lpath.AxisImmediateFollowingSibling {
-		rows = siblingKernelRows
+		return e.framePosting(step, binds, ctx), true
 	}
 	if len(binds) > 1 {
-		if cands := e.stepPosting(step, ctx); len(cands) <= rows*len(binds) {
+		if cands := e.framePosting(step, binds, ctx); len(cands) <= kernelRows(step.Axis)*len(binds) {
 			ctx.stepSide(sp, "kernel")
 			return cands, true
 		}
@@ -256,19 +252,25 @@ func (e *Engine) bitmapStep(step *lpath.Step, sp *planner.StepPlan, binds []bind
 	return nil, false
 }
 
-// evalBitmapStep runs a main-path / or => step through the kernel: the
-// frontier's rows become a set, the windowed posting is walked once, and the
+// framePosting is the step's windowed posting narrowed to the trees the
+// unscoped frontier touches: axes never cross trees.
+func (e *Engine) framePosting(step *lpath.Step, binds []bind, ctx *evalCtx) []int32 {
+	tids := e.s.Cols().TID
+	lo, hi := maxInt32, int32(-1)
+	for _, b := range binds {
+		lo, hi = min(lo, tids[b.row]), max(hi, tids[b.row])
+	}
+	return e.narrowToTIDs(e.stepPosting(step, ctx), lo, hi+1)
+}
+
+// evalBitmapStep runs an unscoped step through the kernel: the windowed
+// posting is walked once against the frontier's summary (axisJoin), and the
 // surviving rows pass the step's predicates through filterPred for the whole
 // step at once — so a filter on the step makes its own forward/set choice on
-// the kernel's output. Each candidate has one context, so the output needs
-// no dedup.
+// the kernel's output. The walk emits each posting row at most once, so the
+// output needs no dedup.
 func (e *Engine) evalBitmapStep(step *lpath.Step, sp *planner.StepPlan, preds []lpath.Expr, binds []bind, cands []int32, ctx *evalCtx) ([]bind, error) {
-	set := ctx.ar.getSet()
-	for _, b := range binds {
-		set.add(b.row)
-	}
-	rows, err := e.stepJoin(step, cands, set, ctx.ar.getInts(), ctx)
-	ctx.ar.putSet(set)
+	rows, err := e.axisJoin(step, binds, cands, ctx.ar.getInts(), ctx)
 	if err != nil {
 		ctx.ar.putInts(rows)
 		return nil, err
@@ -283,4 +285,227 @@ func (e *Engine) evalBitmapStep(step *lpath.Step, sp *planner.StepPlan, preds []
 	ctx.ar.putInts(rows)
 	ctx.countStep(sp, len(out))
 	return out, nil
+}
+
+// axisJoin appends to dst, in posting order, every candidate the axis
+// relates to some row of the unscoped frontier. Each axis is the Table 2
+// conjunction tested against one summary of the frontier:
+//
+//	/, =>        the one possible context is in the frontier's row set (stepJoin)
+//	//           x.right ≤ the greatest frontier right covering x.left (descendantJoin)
+//	-->, <--     x.left ≥ the tree's least frontier right; x.right ≤ its greatest left
+//	->, <-       x.left (x.right) is one of the tree's frontier right (left) edges
+//	or-self      x itself is in the frontier
+//
+// Edge alignment compares against the context itself. A horizontal axis
+// cannot relate two aligned rows, so an aligned horizontal step keeps only
+// the or-self rows; an aligned // climbs the candidate's aligned ancestors
+// instead (climbJoin). cands must lie in the frontier's trees
+// (framePosting). On cancellation dst is returned with the context error;
+// the caller releases it either way.
+func (e *Engine) axisJoin(step *lpath.Step, binds []bind, cands, dst []int32, ctx *evalCtx) ([]int32, error) {
+	cols := e.s.Cols()
+	tids, lefts, rights, ids := cols.TID, cols.Left, cols.Right, cols.ID
+	aligned := step.LeftAlign || step.RightAlign
+	// set holds frontier rows, or the tree edges of -> and <-.
+	set := ctx.ar.getSet()
+	defer ctx.ar.putSet(set)
+	switch step.Axis {
+	case lpath.AxisChild, lpath.AxisImmediateFollowingSibling:
+		fillRows(set, binds)
+		return e.stepJoin(step, cands, set, dst, ctx)
+
+	case lpath.AxisDescendant, lpath.AxisDescendantOrSelf:
+		// The leaf summary writes frontier spans, a climb walks a parent
+		// chain per posting row. Climb when the posting is the smaller
+		// side, or when alignment cuts every climb short.
+		if !aligned && len(cands) >= len(binds) {
+			if out, ok, err := e.descendantJoin(step, binds, cands, set, dst, ctx); ok {
+				return out, err
+			}
+		}
+		fillRows(set, binds)
+		return e.climbJoin(step, cands, set, dst, ctx)
+	case lpath.AxisImmediateFollowing, lpath.AxisImmediatePreceding:
+		if aligned {
+			return dst, nil
+		}
+		// Over a tree's L leaves edges run 1..L+1, and edge 1 is no node's
+		// right: edges 2..L+1 map to the tree's first L positions (a tree
+		// has at least as many elements as leaves), rootPos + edge − 2.
+		// ctxEdge is the edge a context offers, candEdge the one a candidate
+		// must meet it with.
+		ctxEdge, candEdge := rights, lefts
+		if step.Axis == lpath.AxisImmediatePreceding {
+			ctxEdge, candEdge = lefts, rights
+		}
+		for _, b := range binds {
+			if c := b.row; ctxEdge[c] > 1 {
+				set.add(e.s.Pos(c) - ids[c] + ctxEdge[c] - 1)
+			}
+		}
+		for _, x := range cands {
+			if ctx.interrupted() {
+				return dst, ctx.cerr
+			}
+			if edge := candEdge[x]; edge > 1 && set.has(e.s.Pos(x)-ids[x]+edge-1) {
+				dst = append(dst, x)
+			}
+		}
+		return dst, nil
+	}
+
+	// Following and preceding, with or without self: one extreme edge per
+	// tree, in an array indexed by tid − lo.
+	following := step.Axis == lpath.AxisFollowing || step.Axis == lpath.AxisFollowingOrSelf
+	orSelf := step.Axis == lpath.AxisFollowingOrSelf || step.Axis == lpath.AxisPrecedingOrSelf
+	lo, hi := maxInt32, int32(-1)
+	for _, b := range binds {
+		if orSelf {
+			set.add(b.row)
+		}
+		lo, hi = min(lo, tids[b.row]), max(hi, tids[b.row])
+	}
+	ext := ctx.ar.getInts()
+	defer func() { ctx.ar.putInts(ext) }()
+	if !aligned {
+		fill := int32(-1) // greatest left: no right edge is ≤ -1
+		if following {
+			fill = maxInt32 // least right: no left edge is ≥ maxInt32
+		}
+		for range hi - lo + 1 {
+			ext = append(ext, fill)
+		}
+		for _, b := range binds {
+			t := tids[b.row] - lo
+			if following {
+				ext[t] = min(ext[t], rights[b.row])
+			} else {
+				ext[t] = max(ext[t], lefts[b.row])
+			}
+		}
+	}
+	for _, x := range cands {
+		if ctx.interrupted() {
+			return dst, ctx.cerr
+		}
+		hit := orSelf && set.has(x)
+		if t := tids[x] - lo; !hit && !aligned {
+			if following {
+				hit = lefts[x] >= ext[t]
+			} else {
+				hit = rights[x] <= ext[t]
+			}
+		}
+		if hit {
+			dst = append(dst, x)
+		}
+	}
+	return dst, nil
+}
+
+// fillRows adds the frontier's rows to set.
+func fillRows(set *spanSet, binds []bind) {
+	for _, b := range binds {
+		set.add(b.row)
+	}
+}
+
+// climbJoin appends to dst the candidates with an edge-aligned ancestor (or,
+// for descendant-or-self, the candidate itself) in the frontier's row set:
+// the contexts lie on the candidate's parent chain, and alignment cuts the
+// climb short.
+func (e *Engine) climbJoin(step *lpath.Step, cands []int32, set *spanSet, dst []int32, ctx *evalCtx) ([]int32, error) {
+	cols := e.s.Cols()
+	lefts, rights := cols.Left, cols.Right
+	parents := e.s.ParentRows()
+	orSelf := step.Axis == lpath.AxisDescendantOrSelf
+	for _, x := range cands {
+		if ctx.interrupted() {
+			return dst, ctx.cerr
+		}
+		hit := orSelf && set.has(x)
+		for p := parents[x]; !hit && p != relstore.NoParent; p = parents[p] {
+			if step.LeftAlign && lefts[p] != lefts[x] || step.RightAlign && rights[p] != rights[x] {
+				break
+			}
+			hit = set.has(p)
+		}
+		if hit {
+			dst = append(dst, x)
+		}
+	}
+	return dst, nil
+}
+
+// descendantJoin appends to dst the candidates strictly inside a frontier
+// row's span (or, for descendant-or-self, in the frontier's row set). The
+// summary is reach[l], per leaf l: the greatest right edge of a frontier row
+// covering l, written leaf by leaf over each row's span — a row whose first
+// leaf already reaches its right edge lies inside a written span and writes
+// nothing. Spans are laminar, so x lies strictly inside a frontier span iff
+// reach[x.left] > x.right or reach[x.left−1] ≥ x.right. The remaining case,
+// a frontier row with exactly x's span, is a unary chain: x descends from it
+// iff it is on x's parent chain before the span changes. Leaves are indexed
+// like positions (a tree has at least as many elements as leaves), and the
+// arena's epoch stamp retires the previous walk's entries, so nothing is
+// cleared. ok is false, and nothing is appended, when a right edge is too
+// wide for the stamp.
+func (e *Engine) descendantJoin(step *lpath.Step, binds []bind, cands []int32, set *spanSet, dst []int32, ctx *evalCtx) (out []int32, ok bool, err error) {
+	cols := e.s.Cols()
+	lefts, rights, ids := cols.Left, cols.Right, cols.ID
+	parents := e.s.ParentRows()
+	reach, epoch := ctx.ar.getReach(e.s.ElementCount())
+	at := func(k int32) int32 {
+		if v := reach[k]; v>>reachBits == epoch {
+			return int32(v & reachMask)
+		}
+		return 0
+	}
+	for _, b := range binds {
+		if ctx.interrupted() {
+			return dst, true, ctx.cerr
+		}
+		c := b.row
+		l, r := lefts[c], rights[c]
+		if r > reachMask {
+			return dst, false, nil
+		}
+		k := e.s.Pos(c) - ids[c] + l
+		if at(k) >= r {
+			continue
+		}
+		stamp := epoch<<reachBits | uint32(r)
+		for i := k; i < k+r-l; i++ {
+			if at(i) < r {
+				reach[i] = stamp
+			}
+		}
+	}
+	orSelf := step.Axis == lpath.AxisDescendantOrSelf
+	filled := orSelf // the row set is filled when first needed
+	if orSelf {
+		fillRows(set, binds)
+	}
+	for _, x := range cands {
+		if ctx.interrupted() {
+			return dst, true, ctx.cerr
+		}
+		l, r := lefts[x], rights[x]
+		hit := orSelf && set.has(x)
+		if k := e.s.Pos(x) - ids[x] + l; !hit && at(k) >= r {
+			hit = at(k) > r || l > 1 && at(k-1) >= r
+			if !hit && !filled {
+				fillRows(set, binds)
+				filled = true
+			}
+			for c := parents[x]; !hit && c != relstore.NoParent && lefts[c] == l && rights[c] == r; c = parents[c] {
+				hit = set.has(c)
+			}
+		}
+		if hit {
+			dst = append(dst, x)
+		}
+	}
+	return dst, true, nil
 }

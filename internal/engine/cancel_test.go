@@ -63,10 +63,10 @@ func cancelEngine(t testing.TB, tc *tree.Corpus, opts ...Option) *Engine {
 
 // TestCancelMidSweepPerStrategy proves that context-honoring evaluation
 // returns promptly with context.Canceled from inside each executor's sweep:
-// the per-binding probe loop, the merge group sweep with its predicate
-// pipeline, the holistic twig arrival loop, and the bitmap kernels' posting
-// walks — the scope entry's parent-chain climb and the main-path / and =>
-// steps.
+// the per-binding probe loop and the bitmap kernels' loops — the scope
+// entry's parent-chain climb, and for the unscoped step kernel the / and =>
+// walk, the // subtree marking and its posting walk, the aligned // climb,
+// the -> and <- edge walks and the --> and <-- extreme-edge walks.
 func TestCancelMidSweepPerStrategy(t *testing.T) {
 	tc := cancelCorpus(t)
 	cases := []struct {
@@ -78,11 +78,14 @@ func TestCancelMidSweepPerStrategy(t *testing.T) {
 		sweepPolls int64
 	}{
 		{"probe", []Option{WithoutPlanner()}, `//_[//_[//NP]]`, 1},
-		{"merge", []Option{WithoutPlanner(), WithMergeAlways()}, `//_[//_[//NP]]`, 1},
-		{"twig", []Option{WithoutPlanner(), WithTwigAlways()}, `//_//_//_`, 1},
 		{"bitmap-entry", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_{//_}`, 1},
 		{"bitmap-child", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_/_/_`, 1},
 		{"bitmap-sibling", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_=>_`, 1},
+		{"bitmap-descendant", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_//_//_`, 1},
+		{"bitmap-descendant-aligned", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_//^_`, 1},
+		{"bitmap-following", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_-->_`, 1},
+		{"bitmap-preceding", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_/preceding-or-self::_`, 1},
+		{"bitmap-adjacent", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_->_<-_`, 1},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {

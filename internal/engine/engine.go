@@ -27,41 +27,9 @@ import (
 	"lpath/internal/tree"
 )
 
-// execMode selects how axis steps are executed (docs/EXECUTION.md).
-type execMode int
-
-const (
-	// execAuto follows the plan's per-step strategy (probe without a plan).
-	execAuto execMode = iota
-	// execProbe forces per-binding probes everywhere (merge off; a
-	// differential-test hook).
-	execProbe
-	// execAlways forces the merge executor on every eligible step,
-	// bypassing the cost decision; differential tests and fuzzers use it to
-	// keep the merge path under continuous cross-checking.
-	execAlways
-)
-
-// twigMode selects whether runs of consecutive steps may execute as one
-// holistic twig sweep (twig.go); it is orthogonal to execMode, which picks
-// the per-step executor for everything outside a twig run.
-type twigMode int
-
-const (
-	// twigAuto follows the plan's cost-marked runs (no twig without a plan).
-	twigAuto twigMode = iota
-	// twigOff disables the twig executor (a differential-test hook).
-	twigOff
-	// twigAlways runs every maximal twig-able run holistically, bypassing
-	// the cost decision; differential tests and fuzzers use it to keep the
-	// sweep under continuous cross-checking.
-	twigAlways
-)
-
 // bitmapMode selects whether the dense-set kernels may execute subtree-scope
-// entries and main-path / and => steps (bitmap.go) and answer filters for
-// whole frontiers (semijoin.go); it is orthogonal to execMode and twigMode,
-// which govern the remaining steps.
+// entries and axis steps (bitmap.go) and answer filters for whole frontiers
+// (semijoin.go); every other step runs per-binding probes.
 type bitmapMode int
 
 const (
@@ -70,11 +38,11 @@ const (
 	// kernel and probes per frontier; filters choose between forward
 	// evaluation and their satisfier sets per frontier.
 	bitmapAuto bitmapMode = iota
-	// bitmapOff disables the kernels (a differential-test hook): scoped
-	// tails expand per scope and every filter evaluates forward, candidate
-	// by candidate.
+	// bitmapOff disables the kernels (a differential-test hook): every step
+	// runs per-binding probes, scoped tails expand per scope and every
+	// filter evaluates forward, candidate by candidate.
 	bitmapOff
-	// bitmapAlways runs every shape-eligible scope entry and main-path step
+	// bitmapAlways runs every shape-eligible scope entry and axis step
 	// through the bitmap kernels, bypassing the cost and size decisions;
 	// differential tests and fuzzers use it to keep the kernels under
 	// continuous cross-checking.
@@ -109,10 +77,6 @@ type Engine struct {
 	// reordering, no semijoins, the hardcoded value-index threshold); the
 	// differential tests hold the two paths result-identical.
 	noPlanner bool
-	// exec selects the step execution strategy (probe vs merge).
-	exec execMode
-	// twig selects whether step runs may execute as holistic twig sweeps.
-	twig twigMode
 	// bitmap selects whether the dense-bitset kernels are available.
 	bitmap bitmapMode
 	// filters forces one side of the filters' forward/set choice.
@@ -140,50 +104,18 @@ func WithoutPlanner() Option {
 	return func(e *Engine) { e.noPlanner = true }
 }
 
-// WithoutMerge disables the set-at-a-time merge executor, so every step runs
-// per-binding probes regardless of the plan. It is a differential-test hook:
-// the probe path stays under cross-checking against the planned engine.
-func WithoutMerge() Option {
-	return func(e *Engine) { e.exec = execProbe }
-}
-
-// WithMergeAlways forces the merge executor on every eligible step,
-// bypassing the planner's cost decision. The merge and probe executors are
-// result-identical by construction; this option keeps the merge path under
-// continuous differential testing even on inputs where the planner would
-// choose probes.
-func WithMergeAlways() Option {
-	return func(e *Engine) { e.exec = execAlways }
-}
-
-// WithoutTwig disables the holistic twig executor, so every step runs
-// through the per-step probe/merge dispatch. It is a differential-test hook:
-// the per-step path stays under cross-checking against the twig sweep.
-func WithoutTwig() Option {
-	return func(e *Engine) { e.twig = twigOff }
-}
-
-// WithTwigAlways runs every maximal twig-able run through the holistic
-// sweep, bypassing the planner's cost decision. The twig executor is
-// result-identical to the per-step executors by construction; this option
-// keeps the sweep under continuous differential testing even on inputs
-// where the planner would never choose it.
-func WithTwigAlways() Option {
-	return func(e *Engine) { e.twig = twigAlways }
-}
-
-// WithoutBitmap disables the dense-bitset kernels: subtree scopes expand per
-// scope, main-path / and => steps run as the plan without kernels has them
-// (twig runs, merge or probes), and every filter evaluates forward,
-// candidate by candidate. It is a differential-test hook: the forward path
-// stays under cross-checking against the kernels and satisfier sets.
+// WithoutBitmap disables the dense-bitset kernels: every step runs
+// per-binding probes, subtree scopes expand per scope, and every filter
+// evaluates forward, candidate by candidate. It is the probe reference of
+// the differential tests: the forward path stays under cross-checking
+// against the kernels and satisfier sets.
 func WithoutBitmap() Option {
 	return func(e *Engine) { e.bitmap = bitmapOff }
 }
 
 // WithBitmapAlways runs every shape-eligible subtree-scope entry and every
-// unscoped / or => step outside a twig run through the bitmap kernels,
-// bypassing the planner's cost decision and the run-time size choice. The
+// kernel-capable unscoped step through the bitmap kernels, bypassing the
+// planner's cost decision and the run-time size choice. The
 // kernels are result-identical to per-binding probing by construction; this
 // option keeps them under continuous differential testing even on inputs
 // where neither choice would pick them.
@@ -219,17 +151,9 @@ func New(s *relstore.Store, opts ...Option) (*Engine, error) {
 	if e.disableValueIndex {
 		popts = append(popts, planner.WithoutValueIndex())
 	}
-	if e.twig == twigOff {
-		// The twig-off engine must execute the pre-twig plan: without this the
-		// planner would still mark runs whose steps then fall back to probe
-		// (the merge executor only accepts steps marked StrategyMerge),
-		// which is neither the twig engine nor the pre-twig one.
-		popts = append(popts, planner.WithoutTwig())
-	}
 	if e.bitmap == bitmapOff {
-		// Same reasoning for the bitmap-off engine: a scope entry or a
-		// main-path / step marked StrategyBitmap would fall back to probe,
-		// where the kernel-less plan runs it in a twig run or merge.
+		// The bitmap-off engine plans what it executes: no step marked
+		// exec=bitmap that would then run as probes.
 		popts = append(popts, planner.WithoutBitmap())
 	}
 	e.pl = planner.New(s.Statistics(), popts...)
@@ -433,22 +357,8 @@ func (e *Engine) evalSteps(p *lpath.Path, start int, binds []bind, owned bool, c
 			ctx.batch.stats.FrontierMisses++
 		}
 	}
-	for i := start; i < len(p.Steps); {
-		var next []bind
-		var err error
-		// A cost-marked (or, under WithTwigAlways, maximal) run of twig-able
-		// steps evaluates as one holistic sweep; everything else dispatches
-		// per step between the probe and merge executors.
-		if n := e.twigRunLen(p, i, cur, ctx); n > 0 {
-			next = e.evalTwigRun(p.Steps[i:i+n], cur, ctx)
-			// The twig sweep's signature carries no error; a cancelled sweep
-			// returns partial results and latches the context error instead.
-			err = ctx.cerr
-			i += n
-		} else {
-			next, err = e.evalStep(&p.Steps[i], cur, ctx)
-			i++
-		}
+	for i := start; i < len(p.Steps); i++ {
+		next, err := e.evalStep(&p.Steps[i], cur, ctx)
 		if owned {
 			ctx.ar.putBinds(cur)
 		}
@@ -515,10 +425,9 @@ func (e *Engine) evalScoped(tail *lpath.Path, cur []bind, ctx *evalCtx) ([]bind,
 	return res, err
 }
 
-// evalStep performs one join step, dispatching between the per-binding
-// probe executor, the set-at-a-time merge executor (merge.go) and the bitmap
-// step kernel (bitmap.go) according to the plan's strategy, the frontier's
-// actual size (or the engine's forced execution mode).
+// evalStep performs one join step: through the bitmap step kernel
+// (bitmap.go) when the plan marks the step and the frontier's actual size
+// favours it (or the engine forces it), else as per-binding probes.
 func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind, error) {
 	if step.Axis == lpath.AxisAttribute {
 		return nil, lpath.ErrAttrInMainPath
@@ -536,39 +445,7 @@ func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind,
 	if cands, ok := e.bitmapStep(step, sp, binds, ctx); ok {
 		return e.evalBitmapStep(step, sp, preds, binds, cands, ctx)
 	}
-	if e.mergeStep(step, sp, positional, binds) {
-		return e.evalStepMerge(step, sp, preds, binds, ctx)
-	}
 	return e.evalStepProbe(step, sp, preds, positional, binds, ctx)
-}
-
-// mergeStep decides whether the step runs set-at-a-time: the axis must have
-// a merge implementation, the candidate set must be a pure function of
-// (context, scope) — no positional predicates, no edge alignment — and the
-// frontier must hold real rows (the virtual root's probe is already a single
-// range handover). Under execAuto the plan's cost-based choice decides;
-// execAlways forces merge for differential coverage.
-func (e *Engine) mergeStep(step *lpath.Step, sp *planner.StepPlan, positional bool, binds []bind) bool {
-	if e.exec == execProbe || positional || step.LeftAlign || step.RightAlign {
-		return false
-	}
-	if !planner.MergeableAxis(step.Axis) {
-		return false
-	}
-	if len(binds) == 1 && binds[0].row == noRow {
-		return false
-	}
-	if e.exec == execAlways {
-		return true
-	}
-	// A one-binding frontier gains nothing from set-at-a-time execution (and
-	// a child merge would walk the whole posting list for it): nested
-	// predicate paths evaluate from one binding at a time, whatever the
-	// planner estimated for the enclosing pipeline.
-	if len(binds) < 2 {
-		return false
-	}
-	return sp != nil && sp.Strategy == planner.StrategyMerge
 }
 
 // evalStepProbe is the per-binding executor: for every context binding,
@@ -857,10 +734,16 @@ func (e *Engine) narrowToWindow(idx []int32, ctx *evalCtx) []int32 {
 	if !ctx.windowed {
 		return idx
 	}
+	return e.narrowToTIDs(idx, ctx.winLo, ctx.winHi)
+}
+
+// narrowToTIDs returns the subslice of the tid-ascending idx covering the
+// trees with tid ∈ [lo, hi).
+func (e *Engine) narrowToTIDs(idx []int32, lo, hi int32) []int32 {
 	tids := e.s.Cols().TID
-	lo := sort.Search(len(idx), func(i int) bool { return tids[idx[i]] >= ctx.winLo })
-	hi := lo + sort.Search(len(idx)-lo, func(i int) bool { return tids[idx[lo+i]] >= ctx.winHi })
-	return idx[lo:hi]
+	i := sort.Search(len(idx), func(k int) bool { return tids[idx[k]] >= lo })
+	j := i + sort.Search(len(idx)-i, func(k int) bool { return tids[idx[i+k]] >= hi })
+	return idx[i:j]
 }
 
 // isDirectEq reports whether the expression is a direct equality comparison

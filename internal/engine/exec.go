@@ -31,25 +31,20 @@ type evalCtx struct {
 	// ar is the evaluation's scratch arena (see arena.go); it survives
 	// across evaluations via the Engine's evalCtx pool.
 	ar *arena
-	// tw is the twig executor's reusable run state (cursors, per-step
-	// stacks/heaps, counters); like the arena it survives across
-	// evaluations, keeping warm twig runs allocation-free.
-	tw twigScratch
 
 	// Cooperative cancellation. cctx is the evaluation's context — nil when
 	// the caller's context can never be cancelled, so uncancellable
 	// evaluations pay nothing. The executors' hot loops call interrupted(),
 	// which polls cctx.Err() once every cancelStride calls and latches the
-	// result in cerr; evalPath propagates cerr out of executors (like the
-	// twig sweep) whose signatures carry no error.
+	// result in cerr.
 	cctx context.Context
 	tick int
 	cerr error
 
 	// Streaming tid window (stream.go). When windowed is set, every
 	// virtual-root entry point — the probe's first-step candidate lists, the
-	// twig root-mode cursor windows, the scoped-roots expansion, semijoin
-	// seeds and the value-driver postings — restricts itself to trees with
+	// kernels' postings, the scoped-roots expansion, semijoin seeds and the
+	// value-driver postings — restricts itself to trees with
 	// tid ∈ [winLo, winHi). Axes never cross trees, so a windowed evaluation
 	// is exactly the full evaluation restricted to that tree range, which is
 	// what lets StreamPlan evaluate batches of trees and stop early.

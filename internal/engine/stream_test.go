@@ -22,7 +22,7 @@ func streamCorpus(t testing.TB) *Engine {
 }
 
 // streamQueries exercises every windowed entry point: plain descendants, the
-// twig-able runs, positional predicates under the virtual root, value-index
+// kernel steps, positional predicates under the virtual root, value-index
 // driving, semijoin-eligible filters, and scoping on the virtual root.
 var streamQueries = []string{
 	`//NP`,
@@ -92,7 +92,7 @@ func TestStreamOrderAndAbort(t *testing.T) {
 	}
 
 	// The abort above released the eval context mid-corpus; the pooled
-	// arena and twig scratch must still produce correct full evaluations.
+	// arena must still produce correct full evaluations.
 	for i := 0; i < 3; i++ {
 		again, err := e.Eval(p)
 		if err != nil {
@@ -114,8 +114,7 @@ func TestEvalLimitCancel(t *testing.T) {
 		opts []Option
 	}{
 		{"probe", []Option{WithoutPlanner()}},
-		{"merge", []Option{WithoutPlanner(), WithMergeAlways()}},
-		{"twig", []Option{WithoutPlanner(), WithTwigAlways()}},
+		{"bitmap", []Option{WithoutPlanner(), WithBitmapAlways()}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			e := cancelEngine(t, tc, tt.opts...)

@@ -169,13 +169,10 @@ func ScopeOnlyTail(x lpath.Expr) *lpath.Path {
 
 // planScopeOnly plans a scope-only filter's tail as the engine runs it: once
 // for the whole frontier of nCtx candidates, like a main-path scoped tail, so
-// the scope entry and twig runs are chosen for that frontier.
+// the scope entry is chosen for that frontier.
 func (pl *Planner) planScopeOnly(pp *PredPlan, head, tail *lpath.Path, c ectx, nCtx float64, plan *Plan) *PredPlan {
 	n := math.Max(nCtx, 1)
 	hp := pl.planPath(head, c, n, plan, "", false)
-	if !pl.noTwig {
-		pl.markTwigRuns(hp.Scoped, false, true)
-	}
 	pp.Paths = []*PathPlan{hp}
 	pp.Sel = clampSel(math.Min(1, hp.EstOut/n))
 	pp.Cost = hp.cost/n + 1

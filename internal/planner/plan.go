@@ -71,30 +71,17 @@ const (
 	// StrategyProbe evaluates the step binding-at-a-time: one index probe
 	// per context row.
 	StrategyProbe Strategy = iota
-	// StrategyMerge evaluates the whole frontier against the step's posting
-	// list in one forward sweep — the set-at-a-time structural join the
-	// interval labeling enables (docs/EXECUTION.md).
-	StrategyMerge
-	// StrategyTwig evaluates the step as part of a holistic run: one
-	// synchronized document-order sweep over every step's posting list at
-	// once, with per-step stacks instead of materialized inter-step
-	// frontiers. The run's head step carries TwigRun.
-	StrategyTwig
-	// StrategyBitmap evaluates a subtree-scope entry, or a main-path / or =>
-	// step, set-at-a-time: the frontier becomes a dense set of rows and one
-	// walk of the step's posting list resolves each candidate's scope or
-	// context through the parent-pointer column (internal/engine/bitmap.go).
-	// A main-path step still runs as probes on frontiers too small for it.
+	// StrategyBitmap evaluates a subtree-scope entry, or a main-path axis
+	// step, set-at-a-time: the frontier becomes a small summary — a dense
+	// set of rows, positions or edges, or one edge per tree — and one walk
+	// of the step's posting list tests every candidate against it
+	// (internal/engine/bitmap.go). A main-path step still runs as probes on
+	// frontiers too small for it.
 	StrategyBitmap
 )
 
 func (st Strategy) String() string {
-	switch st {
-	case StrategyMerge:
-		return "merge"
-	case StrategyTwig:
-		return "twig"
-	case StrategyBitmap:
+	if st == StrategyBitmap {
 		return "bitmap"
 	}
 	return "probe"
@@ -141,26 +128,22 @@ type Plan struct {
 func (p *Plan) Step(s *lpath.Step) *StepPlan { return p.steps[s] }
 
 // StrategyCounts tallies the execution strategies chosen for the main path's
-// steps (including scoped tails): how many run as per-binding probes, as
-// set-at-a-time merges, as members of holistic twig runs, and as bitmap
-// scope entries or main-path kernel steps. The serving layer exports these
-// as executor-strategy metrics.
+// steps (including scoped tails): how many run as per-binding probes and
+// how many as bitmap scope entries or main-path kernel steps. The merge and
+// twig results are always 0 — those executors are gone — and stay in the
+// signature for callers that destructure all four. The serving layer exports
+// the counts as executor-strategy metrics.
 func (p *Plan) StrategyCounts() (probe, merge, twig, bitmap int) {
 	for pp := p.Root; pp != nil; pp = pp.Scoped {
 		for _, sp := range pp.Steps {
-			switch sp.Strategy {
-			case StrategyMerge:
-				merge++
-			case StrategyTwig:
-				twig++
-			case StrategyBitmap:
+			if sp.Strategy == StrategyBitmap {
 				bitmap++
-			default:
+			} else {
 				probe++
 			}
 		}
 	}
-	return probe, merge, twig, bitmap
+	return probe, 0, 0, bitmap
 }
 
 // SemijoinFor returns the semijoin strategy chosen for a predicate
@@ -207,7 +190,7 @@ type StepPlan struct {
 	// steps, whose sharing runs through Semijoin.Key instead.
 	Key string
 	// Strategy says whether the engine executes the step as per-binding
-	// probes or as one set-at-a-time merge over the sorted frontier.
+	// probes or may run it through a bitmap kernel.
 	Strategy Strategy
 	// Value/Attr/Postings describe the value-index drive when Access is
 	// AccessValueIndex: the literal, the attribute name (with '@'), and
@@ -225,11 +208,6 @@ type StepPlan struct {
 	// the order differs from the written one.
 	Preds     []*PredPlan
 	Reordered bool
-	// TwigRun, on the head step of a holistic run, is the number of
-	// consecutive steps (including this one) the engine evaluates in one
-	// synchronized twig sweep. Zero everywhere else; every member step of
-	// the run has Strategy == StrategyTwig.
-	TwigRun int
 	// EstIn, EstCand and EstOut estimate the bindings entering the step,
 	// the candidates after the node test, and the bindings surviving the
 	// predicates.

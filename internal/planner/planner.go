@@ -14,7 +14,6 @@ import (
 type Planner struct {
 	st       *relstore.Statistics
 	noValue  bool
-	noTwig   bool
 	noBitmap bool
 
 	elements   float64 // element rows
@@ -32,17 +31,10 @@ func WithoutValueIndex() Option {
 	return func(pl *Planner) { pl.noValue = true }
 }
 
-// WithoutTwig makes the planner never mark holistic twig runs, so every step
-// keeps its per-step probe/merge strategy; it mirrors the engine option of
-// the same name so the twig-off engine plans exactly what it executes.
-func WithoutTwig() Option {
-	return func(pl *Planner) { pl.noTwig = true }
-}
-
-// WithoutBitmap makes the planner never mark bitmap scope entries, so scoped
-// tails keep their per-step probe/merge/twig strategies; it mirrors the
-// engine option of the same name so the bitmap-off engine plans exactly what
-// it executes.
+// WithoutBitmap makes the planner never mark bitmap scope entries or kernel
+// steps, so every step keeps the probe strategy; it mirrors the engine
+// option of the same name so the bitmap-off engine plans exactly what it
+// executes.
 func WithoutBitmap() Option {
 	return func(pl *Planner) { pl.noBitmap = true }
 }
@@ -92,9 +84,6 @@ func (pl *Planner) Plan(p *lpath.Path) *Plan {
 		semis:     make(map[lpath.Expr]*Semijoin),
 	}
 	plan.Root = pl.planPath(p, ectx{root: true, span: pl.treeSpan()}, 1, plan, "", true)
-	if !pl.noTwig {
-		pl.markTwigRuns(plan.Root, true, false)
-	}
 	if !pl.noBitmap {
 		pl.markBitmapSteps(plan.Root)
 	}
@@ -332,45 +321,6 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 		}
 	}
 
-	// Execution strategy: for the mergeable axes, compare the modeled cost
-	// of per-binding probes — a binary search into the posting plus the scan
-	// per context — against one set-at-a-time sweep: sorting the frontier,
-	// then advancing a single posting cursor with galloping, which bounds the
-	// sweep by min(posting touches, probe touches). The merge executor
-	// requires the candidate set to be a pure function of (context, scope),
-	// so positional predicates and edge alignment keep the probe, as does the
-	// virtual root (its probe is already a single range handover) and the
-	// value index (a different access path altogether).
-	if MergeableAxis(step.Axis) && !positional && !step.LeftAlign && !step.RightAlign &&
-		!c.root && sp.Access != AccessValueIndex {
-		f := math.Max(nIn, 1)
-		posting := math.Max(pl.nameCount(step.Test), 1)
-		lgP := math.Log2(math.Max(posting, 2))
-		lgF := math.Log2(f + 2)
-		// Sorting the frontier touches rows sequentially; a probe's binary
-		// search chases cold cache lines. Weight sort comparisons at a
-		// quarter of a probe touch.
-		sortCost := 0.25 * f * lgF
-		var probeTotal, mergeTotal float64
-		if step.Axis == lpath.AxisChild {
-			// Child probes hit the {tid,pid} hash index (no log); the merge
-			// variant walks the whole posting list and binary-searches the
-			// frontier, so it only pays off for very dense frontiers.
-			probeTotal = f * probeCost
-			mergeTotal = sortCost + posting*lgF
-		} else {
-			// Per-binding overhead (buffer handling, probe setup) rides on
-			// every probe; galloping bounds the sweep by whichever is
-			// smaller, the posting walk or the per-context searches.
-			const probeOverhead = 4
-			probeTotal = f * (lgP + probeOverhead + probeCost)
-			mergeTotal = sortCost + math.Min(posting, f*lgP) + f + probeCost
-		}
-		if mergeTotal < probeTotal {
-			sp.Strategy = StrategyMerge
-		}
-	}
-
 	// Predicates: estimate each conjunct, then order the commutative ones
 	// cheapest-effective-first (rank = cost / (1 - selectivity)).
 	pctx := ectx{test: step.Test, span: pl.spanOf(step.Test)}
@@ -412,91 +362,24 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 	return sp
 }
 
-// MergeableAxis reports whether the axis has a set-at-a-time merge
-// implementation in the engine (internal/engine/merge.go): the axes whose
-// candidate ranges are sargable over one sorted posting ordering. Sibling
-// axes probe per-parent child lists and the vertical reverse axes walk the
-// pid chain, so they stay per-binding.
-func MergeableAxis(axis lpath.Axis) bool {
-	switch axis {
-	case lpath.AxisChild,
-		lpath.AxisDescendant, lpath.AxisDescendantOrSelf,
-		lpath.AxisFollowing, lpath.AxisFollowingOrSelf,
-		lpath.AxisPreceding, lpath.AxisPrecedingOrSelf,
-		lpath.AxisImmediateFollowing, lpath.AxisImmediatePreceding:
-		return true
-	}
-	return false
-}
-
-// TwigableAxis reports whether the axis can participate in a holistic twig
-// run (internal/engine/twig.go): the forward axes whose supporting context
-// row always arrives no later than the supported row in one document-order
-// (tid, left, depth) sweep, so support can be decided at arrival time from a
-// per-step stack, adjacency stack, or running minimum. The reverse axes would
-// need supporters from the future and the sibling axes a per-parent map, so
-// they stay with probe/merge — and => with the bitmap step kernel, which
-// finds a candidate's one possible context directly.
-func TwigableAxis(axis lpath.Axis) bool {
-	switch axis {
-	case lpath.AxisChild,
-		lpath.AxisDescendant, lpath.AxisDescendantOrSelf,
-		lpath.AxisFollowing, lpath.AxisFollowingOrSelf,
-		lpath.AxisImmediateFollowing:
-		return true
-	}
-	return false
-}
-
-// TwigPushablePred reports whether the predicate can be pushed into the twig
-// sweep as a constant-time per-arrival filter: a comparison on an attribute
-// of the candidate node itself.
-func TwigPushablePred(x lpath.Expr) bool {
-	cmp, ok := x.(*lpath.CmpExpr)
-	if !ok || (cmp.Op != "=" && cmp.Op != "!=") {
-		return false
-	}
-	return cmp.Path.Scoped == nil && len(cmp.Path.Steps) == 1 &&
-		cmp.Path.Steps[0].Axis == lpath.AxisAttribute
-}
-
-// TwigableStep reports whether a step can be a member of a holistic twig
-// run. Positional predicates need the materialized per-context candidate
-// list, and relative-path predicates need per-binding evaluation, so both
-// exclude the step. Edge alignment compares against the enclosing scope,
-// which is only constant across the sweep inside a subtree scope.
-func TwigableStep(step *lpath.Step, inScope bool) bool {
-	if !TwigableAxis(step.Axis) || step.HasPositional() {
-		return false
-	}
-	if (step.LeftAlign || step.RightAlign) && !inScope {
-		return false
-	}
-	for _, p := range step.Preds {
-		if !TwigPushablePred(p) {
-			return false
-		}
-	}
-	return true
-}
-
 // BitmapStep reports whether a step has the shape a bitmap kernel supports
 // (internal/engine/bitmap.go). A subtree-scope entry (entry set) takes a
-// downward axis, whose scopes lie on the candidate's parent chain; a
-// main-path step takes / or =>, whose one possible context is the
-// candidate's parent or its immediately preceding sibling. Neither takes
-// positional predicates: the kernels emit bindings in posting order, not
-// per-context document order.
+// downward axis, whose scopes lie on the candidate's parent chain. An
+// unscoped step takes every axis whose Table 2 conjunction one posting walk
+// can test against a summary of the frontier: /, =>, //, -->, <--, -> and
+// <-, and the or-self forms. Neither takes positional predicates: the
+// kernels emit bindings in posting order, not per-context document order.
 func BitmapStep(step *lpath.Step, entry bool) bool {
 	if step.HasPositional() {
 		return false
 	}
 	switch step.Axis {
-	case lpath.AxisChild:
+	case lpath.AxisChild, lpath.AxisDescendant, lpath.AxisDescendantOrSelf:
 		return true
-	case lpath.AxisDescendant, lpath.AxisDescendantOrSelf:
-		return entry
-	case lpath.AxisImmediateFollowingSibling:
+	case lpath.AxisImmediateFollowingSibling,
+		lpath.AxisFollowing, lpath.AxisFollowingOrSelf,
+		lpath.AxisPreceding, lpath.AxisPrecedingOrSelf,
+		lpath.AxisImmediateFollowing, lpath.AxisImmediatePreceding:
 		return !entry
 	}
 	return false
@@ -549,106 +432,21 @@ func (pl *Planner) markBitmapEntry(scoped *PathPlan, c ectx, scopes float64) {
 	}
 }
 
-// markTwigRuns is a post-pass over the main path chain (the root path and
-// its nested subtree scopes — not predicate paths, which evaluate per
-// binding): it finds maximal runs of twig-able steps and, where the modeled
-// holistic sweep beats the chosen per-step strategies, marks every member
-// StrategyTwig and stamps the run length on the head step. An unscoped run
-// whose steps after the head are all / is left to markBitmapSteps: twig
-// keeps only the mixed runs, those with a //, -> or --> join.
-func (pl *Planner) markTwigRuns(pp *PathPlan, root, inScope bool) {
-	steps := pp.Steps
-	for i := 0; i < len(steps); {
-		if !pl.twigEligible(steps[i], root && i == 0, inScope) {
-			i++
-			continue
-		}
-		j := i + 1
-		mixed := inScope || pl.noBitmap
-		for j < len(steps) && pl.twigEligible(steps[j], false, inScope) {
-			mixed = mixed || steps[j].Step.Axis != lpath.AxisChild
-			j++
-		}
-		if j-i >= 2 && mixed && pl.twigWins(steps[i:j], root && i == 0) {
-			for _, sp := range steps[i:j] {
-				sp.Strategy = StrategyTwig
-			}
-			steps[i].TwigRun = j - i
-		}
-		i = j
-	}
-	if pp.Scoped != nil {
-		pl.markTwigRuns(pp.Scoped, false, true)
-	}
-}
-
-// markBitmapSteps marks the root path's / and => steps exec=bitmap, except
-// the first (its context is the virtual root, whose probe is already a
-// range handover) and the members of twig runs. The engine then picks, per
-// frontier and on actual sizes, between the bitmap step kernel — one walk of
-// the step's posting against the frontier's row set — and per-binding
-// probes. Subtree-scoped steps are not marked: the kernel resolves one
-// context per candidate, not one per (context, scope) pair.
+// markBitmapSteps marks the root path's kernel-capable steps exec=bitmap,
+// except the first (its context is the virtual root, whose probe is already
+// a range handover) and value-index steps. It has no cost model: the engine
+// picks, per frontier and on actual sizes, between the bitmap step kernel —
+// one walk of the step's posting against a summary of the frontier — and
+// per-binding probes. Subtree-scoped steps are not marked: their frontier
+// pairs every context with a scope, which the kernel's per-tree summaries do
+// not key on.
 func (pl *Planner) markBitmapSteps(pp *PathPlan) {
 	for i := 1; i < len(pp.Steps); i++ {
 		sp := pp.Steps[i]
-		if sp.Strategy != StrategyTwig && sp.Access != AccessValueIndex && BitmapStep(sp.Step, false) {
+		if sp.Access != AccessValueIndex && BitmapStep(sp.Step, false) {
 			sp.Strategy = StrategyBitmap
 		}
 	}
-}
-
-// twigEligible is TwigableStep plus the planner-side exclusions: the value
-// index is a different access path, and a run headed at the virtual root can
-// only open with an axis the super-root supports.
-func (pl *Planner) twigEligible(sp *StepPlan, fromRoot, inScope bool) bool {
-	if sp.Access == AccessValueIndex || sp.Strategy == StrategyBitmap {
-		return false
-	}
-	if !TwigableStep(sp.Step, inScope) {
-		return false
-	}
-	if fromRoot {
-		switch sp.Step.Axis {
-		case lpath.AxisChild, lpath.AxisDescendant, lpath.AxisDescendantOrSelf:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// twigTouchCost weights one twig-sweep posting touch (an arrival: a cursor
-// advance, a stack/heap maintenance step and a support test) against one
-// modeled probe row touch. Sequential columnar reads against pointer-chasing
-// probes, so well under 1.
-const twigTouchCost = 0.5
-
-// twigWins compares the modeled cost of evaluating the run holistically —
-// sort the input frontier once, then stream every step's posting window
-// through constant-time per-arrival work — against the per-step strategies,
-// which also pay to materialize and deduplicate every intermediate frontier.
-func (pl *Planner) twigWins(run []*StepPlan, fromRoot bool) bool {
-	stepwise := 0.0
-	for _, sp := range run {
-		stepwise += math.Max(sp.EstIn, 1) * sp.cost
-	}
-	for _, sp := range run[:len(run)-1] {
-		stepwise += 2 * sp.EstOut
-	}
-	f := math.Max(run[0].EstIn, 1)
-	twig := 0.25 * f * math.Log2(f+2)
-	for _, sp := range run {
-		p := math.Max(pl.nameCount(sp.Step.Test), 1)
-		touch := p
-		if !fromRoot {
-			// A bounded frontier opens per-scope posting windows: pay the
-			// seeks plus the expected candidates instead of the whole list.
-			touch = math.Min(p, f*math.Log2(p+2)+sp.EstCand)
-		}
-		twig += twigTouchCost * touch
-	}
-	return twig < stepwise
 }
 
 // predRank orders predicates for execution: pay little, filter much. The

@@ -11,7 +11,7 @@ import (
 // extends further right (a trailing leaf widens it). The clustered order
 // breaks the left tie by right ascending — innermost first — while document
 // order is outermost first, so this is exactly the shape that forces a
-// per-name document-order permutation (NameByDoc) plus its packed key slice.
+// per-name document-order permutation (NameByDoc).
 func leftAlignedCorpus() *tree.Corpus {
 	root := &tree.Node{Tag: "NP"}
 	cur := root
@@ -28,11 +28,6 @@ func leftAlignedCorpus() *tree.Corpus {
 	single.AddChild(&tree.Node{Tag: "N", Word: "dog"})
 	c.AddRoot(single)
 	return c
-}
-
-func docKeyOf(s *Store, ri int32) int64 {
-	r := s.Row(ri)
-	return DocKey(r.TID, r.Left)
 }
 
 // TestNameByDocOrder checks the document-order permutation invariants: it
@@ -67,67 +62,8 @@ func TestNameByDocOrder(t *testing.T) {
 		}
 	}
 	// A name whose clustered order is already document order keeps no
-	// permutation: the twig executor reads the clustered range directly.
+	// permutation: its clustered range is its document order.
 	if s.NameByDoc("N") != nil {
 		t.Error("NameByDoc(N) built despite clustered order being document order")
-	}
-	if s.NameKeysByDoc("N") != nil {
-		t.Error("NameKeysByDoc(N) non-nil while NameByDoc(N) is nil")
-	}
-}
-
-// TestPackedKeySlices checks every packed key slice is parallel to its row
-// permutation: ClusterKeys to RowSeq, NameKeysByDoc to NameByDoc, and
-// ElementKeys to ElementsByLeft.
-func TestPackedKeySlices(t *testing.T) {
-	for name, c := range map[string]*tree.Corpus{
-		"spine": leftAlignedCorpus(),
-		"fig1": func() *tree.Corpus {
-			c := tree.NewCorpus()
-			c.Add(tree.Figure1())
-			return c
-		}(),
-	} {
-		s := Build(c, SchemeInterval)
-		if got, want := len(s.ClusterKeys()), s.Len(); got != want {
-			t.Fatalf("%s: ClusterKeys len %d, store len %d", name, got, want)
-		}
-		for i, ri := range s.RowSeq() {
-			if s.ClusterKeys()[i] != docKeyOf(s, ri) {
-				t.Fatalf("%s: ClusterKeys[%d] does not pack RowSeq[%d]'s (tid, left)", name, i, i)
-			}
-		}
-		for _, tag := range s.Names() {
-			idx, keys := s.NameByDoc(tag), s.NameKeysByDoc(tag)
-			if (idx == nil) != (keys == nil) || len(idx) != len(keys) {
-				t.Fatalf("%s: NameKeysByDoc(%s) not parallel to NameByDoc", name, tag)
-			}
-			for i, ri := range idx {
-				if keys[i] != docKeyOf(s, ri) {
-					t.Fatalf("%s: NameKeysByDoc(%s)[%d] mismatched", name, tag, i)
-				}
-			}
-		}
-		elems, keys := s.ElementsByLeft(), s.ElementKeys()
-		if len(elems) != len(keys) {
-			t.Fatalf("%s: ElementKeys not parallel to ElementsByLeft", name)
-		}
-		for i, ri := range elems {
-			if keys[i] != docKeyOf(s, ri) {
-				t.Fatalf("%s: ElementKeys[%d] mismatched", name, i)
-			}
-		}
-	}
-}
-
-// TestDocKeyOrdering pins the packing: keys compare exactly as (tid, left)
-// pairs, including left values with the high bit clear but large magnitude.
-func TestDocKeyOrdering(t *testing.T) {
-	pairs := [][2]int32{{0, 0}, {0, 1}, {0, 1 << 30}, {1, 0}, {1, 5}, {2, 0}}
-	for i := 1; i < len(pairs); i++ {
-		a, b := pairs[i-1], pairs[i]
-		if DocKey(a[0], a[1]) >= DocKey(b[0], b[1]) {
-			t.Errorf("DocKey(%d,%d) >= DocKey(%d,%d)", a[0], a[1], b[0], b[1])
-		}
 	}
 }

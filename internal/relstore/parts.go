@@ -433,7 +433,7 @@ func Assemble(p *Parts) (*Store, error) {
 		return nil, err
 	}
 
-	s.deriveKeys()
+	s.deriveRowSeq()
 
 	// --- Statistics -------------------------------------------------------
 	if err := s.assembleStats(p, elemCount, attrCount); err != nil {

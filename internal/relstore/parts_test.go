@@ -91,15 +91,6 @@ func checkStoreEqual(t *testing.T, orig, loaded *Store) {
 	if !reflect.DeepEqual(loaded.elemsByRight, orig.elemsByRight) {
 		t.Error("elemsByRight differs")
 	}
-	if !reflect.DeepEqual(loaded.clusterKeys, orig.clusterKeys) {
-		t.Error("clusterKeys differ")
-	}
-	if !reflect.DeepEqual(loaded.docKeys, orig.docKeys) {
-		t.Error("docKeys differ")
-	}
-	if !reflect.DeepEqual(loaded.elemKeys, orig.elemKeys) {
-		t.Error("elemKeys differ")
-	}
 	if !reflect.DeepEqual(loaded.stats, orig.stats) {
 		t.Errorf("stats differ:\n got %+v\nwant %+v", loaded.stats, orig.stats)
 	}

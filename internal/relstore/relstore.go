@@ -102,14 +102,6 @@ type Store struct {
 	elemsByRight []int32 // all element rows sorted by (tid, right, left)
 	positions
 
-	// Packed (tid, left) document-order sort keys (see DocKey): one per row
-	// in clustered order, plus slices parallel to each doc-order
-	// permutation, so stream cursors compare one sequential int64 array
-	// instead of chasing a permutation through two columns.
-	clusterKeys []int64
-	docKeys     map[string][]int64
-	elemKeys    []int64
-
 	// stats is the build-time statistics snapshot (see stats.go).
 	stats *Statistics
 
@@ -282,8 +274,8 @@ func (s *Store) buildIndexes() {
 		})
 		s.rightIdx[name] = idxs
 	}
-	// Per-name document-order (tid, left, depth) permutations for the
-	// holistic twig executor's step streams. The clustered order breaks
+	// Per-name document-order (tid, left, depth) permutations, part of the
+	// snapshot format (NameByDoc). The clustered order breaks
 	// same-(tid, left) ties by right ascending — innermost first — so a
 	// left-aligned same-name nesting like (NP (NP ...) ...) is stored
 	// deepest-first, the opposite of document order. The permutation is
@@ -371,7 +363,7 @@ func (s *Store) buildIndexes() {
 		// snapshot-stable.
 		return ra.Depth < rb.Depth
 	})
-	s.deriveKeys()
+	s.deriveRowSeq()
 	// Trees come from tree.Corpus with distinct ids, labeled in preorder, so
 	// the position index can only fail on a corpus holding one tree twice.
 	if err := s.indexPositions(math.MaxInt32); err != nil {
@@ -380,47 +372,14 @@ func (s *Store) buildIndexes() {
 	s.computeStats()
 }
 
-// deriveKeys fills what every store derives from its finished permutations:
-// the identity row sequence and the packed document-order sort keys — the
-// clustered array first, then a parallel slice for every kept permutation
-// (built by indirection into the clustered array, so the packing exists in
-// exactly one place).
-func (s *Store) deriveKeys() {
+// deriveRowSeq fills the identity row sequence every store derives from its
+// finished clustered relation.
+func (s *Store) deriveRowSeq() {
 	s.rowSeq = make([]int32, len(s.rows))
-	s.clusterKeys = make([]int64, len(s.rows))
 	for i := range s.rows {
 		s.rowSeq[i] = int32(i)
-		s.clusterKeys[i] = DocKey(s.cols.TID[i], s.cols.Left[i])
-	}
-	s.docKeys = make(map[string][]int64, len(s.docIdx))
-	for name, idxs := range s.docIdx {
-		keys := make([]int64, len(idxs))
-		for i, ri := range idxs {
-			keys[i] = s.clusterKeys[ri]
-		}
-		s.docKeys[name] = keys
-	}
-	s.elemKeys = make([]int64, len(s.elemsByLeft))
-	for i, ri := range s.elemsByLeft {
-		s.elemKeys[i] = s.clusterKeys[ri]
 	}
 }
-
-// DocKey packs a row's (tid, left) into its int64 document-order sort key —
-// the comparison unit of the twig executor's stream cursors.
-func DocKey(tid, left int32) int64 { return int64(tid)<<32 | int64(uint32(left)) }
-
-// ClusterKeys returns every row's packed (tid, left) key in clustered order;
-// a clustered name range [lo, hi) doubles as its document-order key slice
-// ClusterKeys()[lo:hi].
-func (s *Store) ClusterKeys() []int64 { return s.clusterKeys }
-
-// NameKeysByDoc returns the packed key slice parallel to NameByDoc — nil
-// exactly when NameByDoc is nil.
-func (s *Store) NameKeysByDoc(name string) []int64 { return s.docKeys[name] }
-
-// ElementKeys returns the packed key slice parallel to ElementsByLeft.
-func (s *Store) ElementKeys() []int64 { return s.elemKeys }
 
 // ElementsByLeft returns every element row index ordered by (tid, left,
 // depth) — document order. Used for wildcard node tests.

@@ -33,7 +33,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	ep.observe(200, 2*time.Millisecond)
 	ep.observe(200, 2*time.Millisecond)
 	ep.observe(429, 10*time.Microsecond)
-	m.AddStrategies(lpath.Strategies{Probe: 3, Merge: 2, Twig: 1, Bitmap: 4})
+	m.AddStrategies(lpath.Strategies{Probe: 3, Bitmap: 4})
 
 	var b strings.Builder
 	m.WritePrometheus(&b)
@@ -45,12 +45,15 @@ func TestWritePrometheusFormat(t *testing.T) {
 		`lpathd_request_duration_seconds_count{endpoint="query"} 3`,
 		`lpathd_request_duration_seconds_bucket{endpoint="query",le="+Inf"} 3`,
 		`lpathd_plan_steps_total{strategy="probe"} 3`,
-		`lpathd_plan_steps_total{strategy="merge"} 2`,
-		`lpathd_plan_steps_total{strategy="twig"} 1`,
 		`lpathd_plan_steps_total{strategy="bitmap"} 4`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q", want)
+		}
+	}
+	for _, gone := range []string{`strategy="merge"`, `strategy="twig"`} {
+		if strings.Contains(out, gone) {
+			t.Errorf("output still exports the retired %s series", gone)
 		}
 	}
 

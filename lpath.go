@@ -161,19 +161,13 @@ func engineOption(o engine.Option) Option {
 // measuring the planner's contribution.
 func WithoutPlanner() Option { return engineOption(engine.WithoutPlanner()) }
 
-// withoutMerge, withoutTwig and withoutBitmap switch one executor off, so
-// every step runs without it: probes instead of merge, per-step dispatch
-// instead of twig sweeps, per-scope expansion and candidate-by-candidate
-// filters instead of the bitmap kernels and satisfier sets.
-// withMergeAlways, withTwigAlways and withBitmapAlways force that executor
-// wherever it is eligible, bypassing the planner's cost decision. Every
-// executor is result-identical to the others; these are differential-test
-// hooks that keep each path under continuous cross-checking (the fuzzers and
-// the per-strategy table tests rotate through them).
-func withoutMerge() Option     { return engineOption(engine.WithoutMerge()) }
-func withMergeAlways() Option  { return engineOption(engine.WithMergeAlways()) }
-func withoutTwig() Option      { return engineOption(engine.WithoutTwig()) }
-func withTwigAlways() Option   { return engineOption(engine.WithTwigAlways()) }
+// withoutBitmap switches the bitmap kernels off, so every step runs
+// per-binding probes, scopes expand per scope and filters evaluate candidate
+// by candidate: the probe reference. withBitmapAlways forces the kernels
+// wherever they are eligible, bypassing the planner's marking and the
+// run-time size choice. Both sides are result-identical; these are
+// differential-test hooks that keep each under continuous cross-checking
+// (the fuzzers and the per-strategy table tests rotate through them).
 func withoutBitmap() Option    { return engineOption(engine.WithoutBitmap()) }
 func withBitmapAlways() Option { return engineOption(engine.WithBitmapAlways()) }
 
@@ -336,9 +330,9 @@ func LoadStore(r io.Reader, opts ...Option) (*Corpus, error) {
 // posting permutation and the dictionary strings alias the mapping, which the
 // kernel page cache shares across processes; opening validates all of them
 // (one sequential read of the file) and derives the rest in linear passes —
-// the row array, the child/attribute/parent position arrays and the packed
-// sort keys, about 2.6 times the file's size in heap (docs/SNAPSHOT.md, "What
-// open costs"). It builds no tree: a match materializes the one tree it lives
+// the row array, the child/attribute/parent position arrays and the identity
+// row sequence, about 2.2 times the file's size in heap (docs/SNAPSHOT.md,
+// "What open costs"). It builds no tree: a match materializes the one tree it lives
 // in when its Node is asked for, so Count, limit queries and a server's hit
 // path never pay for the forest; Trees, Save, Add and SelectOracle
 // materialize all of it, once. The mapping lives until Close (or
@@ -455,12 +449,12 @@ type Request struct {
 	Parallel bool
 }
 
-// Strategies counts how many main-path steps of an executed plan ran as
-// per-binding probes, as set-at-a-time merges, as members of holistic twig
-// runs, and as bitmap scope entries (the exec= column of EXPLAIN; see
-// docs/EXECUTION.md). With planning disabled every step counts as a probe.
+// Strategies counts how many main-path steps of an executed plan were
+// planned as per-binding probes and how many as bitmap scope entries or
+// kernel steps (the exec= column of EXPLAIN; see docs/EXECUTION.md). With
+// planning disabled every step counts as a probe.
 type Strategies struct {
-	Probe, Merge, Twig, Bitmap int
+	Probe, Bitmap int
 }
 
 func strategiesOf(path *ast.Path, plan *planner.Plan) (s Strategies) {
@@ -470,7 +464,7 @@ func strategiesOf(path *ast.Path, plan *planner.Plan) (s Strategies) {
 		}
 		return s
 	}
-	s.Probe, s.Merge, s.Twig, s.Bitmap = plan.StrategyCounts()
+	s.Probe, _, _, s.Bitmap = plan.StrategyCounts()
 	return s
 }
 

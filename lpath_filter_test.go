@@ -23,13 +23,12 @@ var filterRotations = []struct {
 }{
 	{"auto", nil},
 	{"no-planner", []Option{WithoutPlanner()}},
-	{"probe", []Option{withoutMerge(), withoutTwig()}},
-	{"merge", []Option{withMergeAlways(), withoutTwig()}},
-	{"twig", []Option{withTwigAlways()}},
+	{"probe", []Option{withoutBitmap()}},
 	{"bitmap", []Option{withBitmapAlways()}},
-	{"no-bitmap", []Option{withoutBitmap()}},
 	{"filter-sets", []Option{withFilterSets()}},
 	{"filter-forward", []Option{withFiltersForward()}},
+	{"bitmap-filter-sets", []Option{withBitmapAlways(), withFilterSets()}},
+	{"bitmap-filter-forward", []Option{withBitmapAlways(), withFiltersForward()}},
 }
 
 // filterCorpus generates the scale-0.05 corpus once and returns a loader

@@ -196,10 +196,12 @@ func TestOpenStoreStatsStreams(t *testing.T) {
 }
 
 // TestOpenStoreHeapBudget is the tier-1 guard on what opening a snapshot
-// costs: the live heap OpenStore leaves behind stays within 3x the file. The
-// derived arrays (rows, position arrays, sort keys) come to about 2.6x; a
-// per-node hash map or an eager tree arena — 6.4x before the store became
-// array-indexed — fails here and not in the next benchmark run.
+// costs: the live heap OpenStore leaves behind stays within 2.5x the file.
+// The derived arrays (rows, position arrays, the identity row sequence) come
+// to 2.23x at scale 0.05 (2.16x at scale 1.0), so the budget leaves a
+// margin of about 0.27x; a per-node hash map or an eager tree arena — 6.4x
+// before the store became array-indexed — fails here and not in the next
+// benchmark run.
 func TestOpenStoreHeapBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap budget needs a non-trivial corpus")
@@ -226,8 +228,8 @@ func TestOpenStoreHeapBudget(t *testing.T) {
 	runtime.KeepAlive(c)
 	grew := int64(after) - int64(before)
 	t.Logf("snapshot %d bytes, live heap after OpenStore +%d bytes (%.2fx)", info.Size(), grew, float64(grew)/float64(info.Size()))
-	if grew > 3*info.Size() {
-		t.Errorf("OpenStore keeps %d bytes of heap live for a %d-byte snapshot (%.2fx, budget 3x)",
+	if grew > info.Size()*5/2 {
+		t.Errorf("OpenStore keeps %d bytes of heap live for a %d-byte snapshot (%.2fx, budget 2.5x)",
 			grew, info.Size(), float64(grew)/float64(info.Size()))
 	}
 }

@@ -8,8 +8,7 @@ import (
 
 // limitStrategies pins each executor strategy the way the differential
 // fuzzer does, so the early-termination parity holds for the probe loop, the
-// merge sweep, the twig sweep, the bitmap kernels and the planner's own mix
-// alike.
+// bitmap kernels under each filter side and the planner's own mix alike.
 func limitStrategies() []struct {
 	name string
 	opts []Option
@@ -19,13 +18,12 @@ func limitStrategies() []struct {
 		opts []Option
 	}{
 		{"auto", nil},
-		{"probe", []Option{withoutMerge(), withoutTwig()}},
-		{"merge", []Option{withMergeAlways(), withoutTwig()}},
-		{"twig", []Option{withTwigAlways()}},
+		{"probe", []Option{withoutBitmap()}},
 		{"bitmap", []Option{withBitmapAlways()}},
-		{"no-bitmap", []Option{withoutBitmap()}},
 		{"filter-sets", []Option{withFilterSets()}},
 		{"filter-forward", []Option{withFiltersForward()}},
+		{"bitmap-filter-sets", []Option{withBitmapAlways(), withFilterSets()}},
+		{"bitmap-filter-forward", []Option{withBitmapAlways(), withFiltersForward()}},
 	}
 }
 

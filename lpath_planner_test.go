@@ -11,8 +11,8 @@ import (
 // mainPathShapes are the main-path / and => shapes beyond the paper's
 // queries that the identity, limit and fuzz suites hold too: a child of the
 // virtual root as the head, wildcard child and sibling chains, a filter on a
-// kernel step, the kernel after a filter, a twig run that ends where a =>
-// begins, and a scoped =>, which the kernel leaves to per-binding probes.
+// kernel step, the kernel after a filter, a -> kernel step followed by a =>,
+// and a scoped =>, which the kernel leaves to per-binding probes.
 var mainPathShapes = []string{
 	`/S/VP/NP`, `//_/_/_`, `//DT=>NN`, `//_=>_=>_`,
 	`//NP/PP[//IN]`, `//S[//NP]/VP/VB`, `//VB->NP=>PP`, `//VP{/NP=>PP}`,
@@ -47,30 +47,19 @@ func TestPlannerResultIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Executor rotation: the merge executor forced on every eligible step,
-	// and disabled entirely — both must match the planner-chosen mix.
-	forcedMerge, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withMergeAlways())
-	if err != nil {
-		t.Fatal(err)
-	}
-	probeOnly, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withoutMerge())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Twig rotation: the holistic sweep forced on every maximal run, and
-	// disabled entirely (falling back to the per-step probe/merge pipeline).
-	forcedTwig, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withTwigAlways())
-	if err != nil {
-		t.Fatal(err)
-	}
-	twigOff, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withoutTwig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Bitmap rotation: the dense-bitset kernels forced on every eligible
-	// scope entry, and disabled entirely (per-scope expansion, every filter
-	// evaluated forward).
+	// scope entry and step — under each filter side in turn — and disabled
+	// entirely (per-binding probes, per-scope expansion, every filter
+	// evaluated forward: the probe reference).
 	forcedBitmap, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withBitmapAlways())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitmapSets, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withBitmapAlways(), withFilterSets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitmapForward, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), withBitmapAlways(), withFiltersForward())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,38 +81,6 @@ func TestPlannerResultIdentity(t *testing.T) {
 			t.Errorf("%s: planned %d matches, unplanned %d — or a match differs",
 				eq.Name, len(got), len(want))
 		}
-		gotMerge, err := forcedMerge.Select(q)
-		if err != nil {
-			t.Fatalf("%s forced-merge: %v", eq.Name, err)
-		}
-		if !matchesEqual(gotMerge, want) {
-			t.Errorf("%s: forced-merge %d matches, unplanned %d — or a match differs",
-				eq.Name, len(gotMerge), len(want))
-		}
-		gotProbe, err := probeOnly.Select(q)
-		if err != nil {
-			t.Fatalf("%s probe-only: %v", eq.Name, err)
-		}
-		if !matchesEqual(gotProbe, want) {
-			t.Errorf("%s: probe-only %d matches, unplanned %d — or a match differs",
-				eq.Name, len(gotProbe), len(want))
-		}
-		gotTwig, err := forcedTwig.Select(q)
-		if err != nil {
-			t.Fatalf("%s forced-twig: %v", eq.Name, err)
-		}
-		if !matchesEqual(gotTwig, want) {
-			t.Errorf("%s: forced-twig %d matches, unplanned %d — or a match differs",
-				eq.Name, len(gotTwig), len(want))
-		}
-		gotNoTwig, err := twigOff.Select(q)
-		if err != nil {
-			t.Fatalf("%s twig-off: %v", eq.Name, err)
-		}
-		if !matchesEqual(gotNoTwig, want) {
-			t.Errorf("%s: twig-off %d matches, unplanned %d — or a match differs",
-				eq.Name, len(gotNoTwig), len(want))
-		}
 		gotBitmap, err := forcedBitmap.Select(q)
 		if err != nil {
 			t.Fatalf("%s forced-bitmap: %v", eq.Name, err)
@@ -131,6 +88,16 @@ func TestPlannerResultIdentity(t *testing.T) {
 		if !matchesEqual(gotBitmap, want) {
 			t.Errorf("%s: forced-bitmap %d matches, unplanned %d — or a match differs",
 				eq.Name, len(gotBitmap), len(want))
+		}
+		for name, c := range map[string]*Corpus{"bitmap-filter-sets": bitmapSets, "bitmap-filter-forward": bitmapForward} {
+			got, err := c.Select(q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", eq.Name, name, err)
+			}
+			if !matchesEqual(got, want) {
+				t.Errorf("%s: %s %d matches, unplanned %d — or a match differs",
+					eq.Name, name, len(got), len(want))
+			}
 		}
 		gotNoBitmap, err := bitmapOff.Select(q)
 		if err != nil {
@@ -156,8 +123,6 @@ func TestPlannerResultIdentity(t *testing.T) {
 		for name, pair := range map[string][2]int{
 			"Count planned/unplanned":         {mustCount(t, planned.Count, q), mustCount(t, unplanned.Count, q)},
 			"CountParallel planned/unplanned": {mustCount(t, planned.CountParallel, q), mustCount(t, unplanned.CountParallel, q)},
-			"Count merge forced/off":          {mustCount(t, forcedMerge.Count, q), mustCount(t, probeOnly.Count, q)},
-			"Count twig forced/off":           {mustCount(t, forcedTwig.Count, q), mustCount(t, twigOff.Count, q)},
 			"Count bitmap forced/off":         {mustCount(t, forcedBitmap.Count, q), mustCount(t, bitmapOff.Count, q)},
 		} {
 			if pair[0] != len(want) || pair[1] != len(want) {

@@ -19,8 +19,6 @@ func TestSnapshotQueriesAllStrategies(t *testing.T) {
 	}{
 		{"default", nil},
 		{"no-planner", []Option{WithoutPlanner()}},
-		{"no-merge", []Option{withoutMerge()}},
-		{"no-twig", []Option{withoutTwig()}},
 		{"no-bitmap", []Option{withoutBitmap()}},
 		{"bitmap-always", []Option{withBitmapAlways()}},
 		{"filter-sets", []Option{withFilterSets()}},
