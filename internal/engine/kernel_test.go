@@ -154,50 +154,83 @@ func kernelAxisQueries() []string {
 	return qs
 }
 
-func TestCrossValidateBitmapAlways(t *testing.T) {
-	queries := append(append(append([]string{}, queryCorpus...), kernelQueries...), kernelAxisQueries()...)
-	crossValidate(t, nestedCorpus(), queries, WithBitmapAlways())
-	crossValidate(t, unaryCorpus(), queries, WithBitmapAlways())
+// The cross-validation and ordered-identity tests below keep the names,
+// corpora and seeds of the differential tests of the merge and twig sweeps
+// that the step kernels replaced: the Merge tests run over Figure 1 and the
+// low-numbered random seeds, the Twig tests over the nested and unary
+// corpora and the high-numbered seeds. Every query set includes the kernel
+// shapes, so each test holds the kernels to the oracle (or to probe-only)
+// on its own corpora.
+
+// allKernelQueries is the paper corpus plus every kernel shape.
+func allKernelQueries() []string {
+	return append(append(append([]string{}, queryCorpus...), kernelQueries...), kernelAxisQueries()...)
+}
+
+func TestCrossValidateMergeAlways(t *testing.T) {
+	queries := allKernelQueries()
 	fig := tree.NewCorpus()
 	fig.Add(tree.Figure1())
 	crossValidate(t, fig, queries, WithBitmapAlways())
 	for seed := int64(21); seed <= 26; seed++ {
 		crossValidate(t, randomCorpus(seed, 3), queries, WithBitmapAlways())
 	}
+}
+
+func TestCrossValidateTwigAlways(t *testing.T) {
+	queries := allKernelQueries()
+	crossValidate(t, nestedCorpus(), queries, WithBitmapAlways())
+	crossValidate(t, unaryCorpus(), queries, WithBitmapAlways())
 	for seed := int64(61); seed <= 66; seed++ {
 		crossValidate(t, randomCorpus(seed, 3), queries, WithBitmapAlways())
 	}
 }
 
-func TestCrossValidateBitmapOff(t *testing.T) {
+func TestCrossValidateMergeOff(t *testing.T) {
 	queries := append(append([]string{}, queryCorpus...), kernelQueries...)
 	fig := tree.NewCorpus()
 	fig.Add(tree.Figure1())
 	crossValidate(t, fig, queries, WithoutBitmap())
-	crossValidate(t, nestedCorpus(), queries, WithoutBitmap())
 	for seed := int64(41); seed <= 44; seed++ {
 		crossValidate(t, randomCorpus(seed, 3), queries, WithoutBitmap())
 	}
+}
+
+func TestCrossValidateTwigOff(t *testing.T) {
+	queries := append(append([]string{}, queryCorpus...), kernelQueries...)
+	crossValidate(t, nestedCorpus(), queries, WithoutBitmap())
 	for seed := int64(71); seed <= 74; seed++ {
 		crossValidate(t, randomCorpus(seed, 3), queries, WithoutBitmap())
 	}
 }
 
-// TestKernelEqualsProbeOrdered builds engines over one shared store —
+// TestMergeEqualsProbeOrdered and TestTwigEqualsProbeOrdered hold the
+// kernel variants to the probe-only baseline, ordered, over their corpora.
+func TestMergeEqualsProbeOrdered(t *testing.T) {
+	var corpora []*tree.Corpus
+	for seed := int64(31); seed <= 36; seed++ {
+		corpora = append(corpora, randomCorpus(seed, 4))
+	}
+	kernelEqualsProbeOrdered(t, corpora)
+}
+
+func TestTwigEqualsProbeOrdered(t *testing.T) {
+	corpora := []*tree.Corpus{nestedCorpus(), unaryCorpus()}
+	for seed := int64(81); seed <= 85; seed++ {
+		corpora = append(corpora, randomCorpus(seed, 4))
+	}
+	kernelEqualsProbeOrdered(t, corpora)
+}
+
+// kernelEqualsProbeOrdered builds engines over one shared store per corpus —
 // planner-driven, kernel-forced, and the kernel-forced engine with each
 // filter side forced — and requires byte-identical ordered results against
 // the probe-only baseline on every query. This is stricter than the oracle
 // cross-validation (which compares multisets): the sides must agree on
 // result order too.
-func TestKernelEqualsProbeOrdered(t *testing.T) {
+func kernelEqualsProbeOrdered(t *testing.T, corpora []*tree.Corpus) {
+	t.Helper()
 	queries := append(append([]string{}, queryCorpus...), kernelQueries...)
-	corpora := []*tree.Corpus{nestedCorpus(), unaryCorpus()}
-	for seed := int64(31); seed <= 36; seed++ {
-		corpora = append(corpora, randomCorpus(seed, 4))
-	}
-	for seed := int64(81); seed <= 85; seed++ {
-		corpora = append(corpora, randomCorpus(seed, 4))
-	}
 	for ci, c := range corpora {
 		s := relstore.Build(c, relstore.SchemeInterval)
 		probe, err := New(s, WithoutBitmap())

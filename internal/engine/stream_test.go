@@ -106,19 +106,23 @@ func TestStreamOrderAndAbort(t *testing.T) {
 
 // TestEvalLimitCancel proves limited evaluation is interrupted cooperatively
 // mid-sweep, and that an interrupted limit evaluation does not poison the
-// pooled state (the arena-ownership guarantee of the early-exit path).
+// pooled state (the arena-ownership guarantee of the early-exit path). The
+// merge and twig cases are named for the sweeps whose axes the step kernels
+// now walk: the horizontal axes (-->) and the vertical ones (//).
 func TestEvalLimitCancel(t *testing.T) {
 	tc := cancelCorpus(t)
 	for _, tt := range []struct {
-		name string
-		opts []Option
+		name  string
+		opts  []Option
+		query string
 	}{
-		{"probe", []Option{WithoutPlanner()}},
-		{"bitmap", []Option{WithoutPlanner(), WithBitmapAlways()}},
+		{"probe", []Option{WithoutPlanner()}, `//_[//_[//NP]]`},
+		{"merge", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_-->_-->NP`},
+		{"twig", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_[//_[//NP]]`},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			e := cancelEngine(t, tc, tt.opts...)
-			p := lpath.MustParse(`//_[//_[//NP]]`)
+			p := lpath.MustParse(tt.query)
 
 			cctx := newCountdownCtx()
 			cctx.setPolls(2)

@@ -16,14 +16,16 @@ import (
 // unfiltered result, and a scope-only filter keeps exactly the nodes that
 // open a scope in which its tail matches.
 
-// filterRotations is every strategy rotation the identities run under.
+// filterRotations is every strategy rotation the identities run under
+// (probe and no-bitmap as in limitStrategies).
 var filterRotations = []struct {
 	name string
 	opts []Option
 }{
 	{"auto", nil},
 	{"no-planner", []Option{WithoutPlanner()}},
-	{"probe", []Option{withoutBitmap()}},
+	{"probe", []Option{WithoutPlanner(), withoutBitmap()}},
+	{"no-bitmap", []Option{withoutBitmap()}},
 	{"bitmap", []Option{withBitmapAlways()}},
 	{"filter-sets", []Option{withFilterSets()}},
 	{"filter-forward", []Option{withFiltersForward()}},

@@ -9,6 +9,8 @@ import (
 // limitStrategies pins each executor strategy the way the differential
 // fuzzer does, so the early-termination parity holds for the probe loop, the
 // bitmap kernels under each filter side and the planner's own mix alike.
+// probe is the unplanned probe loop; no-bitmap keeps the planner's step order
+// and access paths with the kernels off.
 func limitStrategies() []struct {
 	name string
 	opts []Option
@@ -18,7 +20,8 @@ func limitStrategies() []struct {
 		opts []Option
 	}{
 		{"auto", nil},
-		{"probe", []Option{withoutBitmap()}},
+		{"probe", []Option{WithoutPlanner(), withoutBitmap()}},
+		{"no-bitmap", []Option{withoutBitmap()}},
 		{"bitmap", []Option{withBitmapAlways()}},
 		{"filter-sets", []Option{withFilterSets()}},
 		{"filter-forward", []Option{withFiltersForward()}},
