@@ -37,6 +37,8 @@ func FuzzEvalOracle(f *testing.F) {
 		`//VP{//DT->NN}`, `//VP{//VB-->NN$}`, `//S{//NN<-^DT}`, `//S{//NN<--DT}`,
 		`//S{//NP//^NN}`, `//NP/descendant-or-self::NP`, `//DT/following-or-self::_`,
 		`//NN/preceding-or-self::NN`, `//NP//^DT`, `//S[count({//NP//NN})>=2]`,
+		// Scoped horizontal steps between nonterminals, walked per scope.
+		`//S{//NP<--VP}`, `//S{//_->NP$}`, `//S{//VP{//VB-->_}}`, `//VP{/VB->NP->PP}`,
 	} {
 		f.Add(q, bank)
 	}

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"slices"
+	"sort"
+
 	"lpath/internal/lpath"
 	"lpath/internal/planner"
 	"lpath/internal/relstore"
@@ -13,10 +16,10 @@ import (
 // expansion would after its dedup: one array load and a bit test for the
 // child axis, a parent-chain climb for descendants, cut short by edge
 // alignment (rights never decrease and lefts never grow while climbing, so a
-// climb past the first non-aligned ancestor cannot realign). An unscoped
-// step emits the rows per-binding probes would, testing each posting row
-// against the Table 2 conjunction its axis reduces to (axisJoin). The
-// set-at-a-time filters that share the sets live in semijoin.go.
+// climb past the first non-aligned ancestor cannot realign). A later step
+// emits the rows per-binding probes would, testing each posting row against
+// the Table 2 conjunction its axis reduces to (axisJoin), once per scope on
+// a scoped frontier. The set-at-a-time filters live in semijoin.go.
 
 // useBitmapEntry decides whether a subtree-scoped tail enters through the
 // bitmap kernel. Under bitmapAuto the plan's cost-marked entry decides;
@@ -263,33 +266,147 @@ func (e *Engine) framePosting(step *lpath.Step, binds []bind, ctx *evalCtx) []in
 	return e.narrowToTIDs(e.stepPosting(step, ctx), lo, hi+1)
 }
 
-// evalBitmapStep runs an unscoped step through the kernel: the windowed
-// posting is walked once against the frontier's summary (axisJoin), and the
-// surviving rows pass the step's predicates through filterPred for the whole
-// step at once — so a filter on the step makes its own forward/set choice on
-// the kernel's output. The walk emits each posting row at most once, so the
-// output needs no dedup.
-func (e *Engine) evalBitmapStep(step *lpath.Step, sp *planner.StepPlan, preds []lpath.Expr, binds []bind, cands []int32, ctx *evalCtx) ([]bind, error) {
-	rows, err := e.axisJoin(step, binds, cands, ctx.ar.getInts(), ctx)
+// evalBitmapStep runs a step through the kernel for bindings that share one
+// scope (noRow: unscoped): cands is walked once against their summary
+// (axisJoin), and the kept rows pass the step's predicates through
+// filterPred at once, so a filter makes its own forward/set choice. Inside
+// a scope ^ and $ name the scope (alignRef): the walk runs unaligned, and a
+// kept row must lie inside (label.InScope) and be aligned with the scope.
+// A posting row comes out at most once: the (x, scope) pairs need no dedup.
+func (e *Engine) evalBitmapStep(step *lpath.Step, sp *planner.StepPlan, preds []lpath.Expr, scope int32, binds []bind, cands []int32, out []bind, ctx *evalCtx) ([]bind, error) {
+	n0 := len(out)
+	walk := *step
+	if scope != noRow {
+		walk.LeftAlign, walk.RightAlign = false, false
+	}
+	rows, err := e.axisJoin(&walk, binds, cands, ctx.ar.getInts(), ctx)
 	if err != nil {
 		ctx.ar.putInts(rows)
 		return nil, err
 	}
-	if rows, err = e.filterAll(preds, rows, ctx); err != nil {
+	if c := e.s.Cols(); scope != noRow {
+		sl, sr, sd := c.Left[scope], c.Right[scope], c.Depth[scope]
+		rows = slices.DeleteFunc(rows, func(x int32) bool {
+			return c.Right[x] > sr || c.Depth[x] < sd || step.LeftAlign && c.Left[x] != sl || step.RightAlign && c.Right[x] != sr
+		})
+	}
+	if rows, err = e.filterAll(preds, scope, rows, ctx); err != nil {
 		return nil, err
 	}
-	out := ctx.ar.getBinds()
 	for _, x := range rows {
-		out = append(out, bind{row: x, scope: noRow})
+		out = append(out, bind{row: x, scope: scope})
 	}
 	ctx.ar.putInts(rows)
-	ctx.countStep(sp, len(out))
+	ctx.countStep(sp, len(out)-n0)
 	return out, nil
 }
 
+// scopedKernel reports whether a step over a scoped (c, s) frontier runs
+// through evalScopedStep. As unscoped, a lone binding and a step the value
+// index can drive probe unless the kernels are forced.
+func (e *Engine) scopedKernel(step *lpath.Step, sp *planner.StepPlan, binds []bind) bool {
+	lone := len(binds) == 1 && e.bitmap != bitmapAlways
+	if e.bitmap == bitmapOff || len(binds) == 0 || lone || binds[0].scope == noRow || !planner.BitmapStep(step, false) {
+		return false
+	}
+	var vd valueDriver
+	e.initValueDriver(&vd, step, sp)
+	return e.bitmap == bitmapAlways || !vd.ok
+}
+
+// evalScopedStep runs a step over a scoped frontier one scope at a time, in
+// document order. A scope's share of the posting — the rows starting inside
+// it — is walked (evalBitmapStep) when it holds at most kernelRows per
+// context; the other scopes' bindings are probed together afterwards.
+func (e *Engine) evalScopedStep(step *lpath.Step, sp *planner.StepPlan, preds []lpath.Expr, binds []bind, ctx *evalCtx) ([]bind, error) {
+	grouped, ends := e.groupByScope(binds, ctx)
+	posting := e.stepPosting(step, ctx)
+	c := e.s.Cols()
+	out, probe := ctx.ar.getBinds(), ctx.ar.getBinds()
+	var err error
+	start, at := int32(0), 0
+	for _, end := range ends {
+		group, s := grouped[start:end], grouped[start].scope
+		start = end
+		// s's share of the posting, the rows starting inside it, up to budget.
+		at = e.seekSpan(posting, at, c.TID[s], c.Left[s])
+		n, budget := at, len(posting)
+		if e.bitmap != bitmapAlways {
+			budget = at + kernelRows(step.Axis)*len(group)
+		}
+		for n < len(posting) && n <= budget && c.TID[posting[n]] == c.TID[s] && c.Left[posting[n]] < c.Right[s] {
+			n++
+		}
+		if n > budget {
+			probe = append(probe, group...)
+			continue
+		}
+		ctx.stepSide(sp, "kernel")
+		if out, err = e.evalBitmapStep(step, sp, preds, s, group, posting[at:n], out, ctx); err != nil {
+			break
+		}
+	}
+	if err == nil && len(probe) > 0 {
+		ctx.stepSide(sp, "probe")
+		out, err = e.evalStepProbe(step, sp, preds, false, probe, out, ctx)
+	}
+	ctx.ar.putBinds(probe)
+	ctx.ar.putBinds(grouped)
+	ctx.ar.putInts(ends)
+	return out, err
+}
+
+// groupByScope returns the frontier with each scope's bindings contiguous,
+// scopes in document order, and each scope's end offset, both arena-owned:
+// a counting sort on each scope's rank among the distinct scopes, which the
+// arena's reach array holds meanwhile (reset to 0, absent in every epoch).
+func (e *Engine) groupByScope(binds []bind, ctx *evalCtx) (grouped []bind, ends []int32) {
+	set := ctx.ar.getSet()
+	for _, b := range binds {
+		set.add(e.s.Pos(b.scope))
+	}
+	scopes := set.bits.AppendRange(ctx.ar.getInts(), set.lo, set.hi)
+	ctx.ar.putSet(set)
+	rank, _ := ctx.ar.getReach(e.s.ElementCount())
+	ends = ctx.ar.getInts()
+	for i, p := range scopes {
+		rank[p], ends = uint32(i), append(ends, 0)
+	}
+	for _, b := range binds {
+		ends[rank[e.s.Pos(b.scope)]]++
+	}
+	sum := int32(0) // each run's start, which the scatter advances to its end
+	for i, n := range ends {
+		ends[i], sum = sum, sum+n
+	}
+	grouped = slices.Grow(ctx.ar.getBinds(), len(binds))[:len(binds)]
+	for _, b := range binds {
+		g := rank[e.s.Pos(b.scope)]
+		grouped[ends[g]], ends[g] = b, ends[g]+1
+	}
+	for _, p := range scopes {
+		rank[p] = 0
+	}
+	ctx.ar.putInts(scopes)
+	return grouped, ends
+}
+
+// seekSpan returns the first k ≥ from of the (tid, left)-ordered idx whose
+// row does not start before edge left of tree tid, galloping from from:
+// scopes come in document order, so a search costs the log of its move.
+func (e *Engine) seekSpan(idx []int32, from int, tid, left int32) int {
+	tids, lefts := e.s.Cols().TID, e.s.Cols().Left
+	before := func(k int) bool { return tids[idx[k]] < tid || tids[idx[k]] == tid && lefts[idx[k]] < left }
+	step := 1
+	for ; from+step <= len(idx) && before(from+step-1); step *= 2 {
+		from += step
+	}
+	return from + sort.Search(min(step-1, len(idx)-from), func(k int) bool { return !before(from + k) })
+}
+
 // axisJoin appends to dst, in posting order, every candidate the axis
-// relates to some row of the unscoped frontier. Each axis is the Table 2
-// conjunction tested against one summary of the frontier:
+// relates to some row of the frontier, whose scopes it ignores. Each axis is
+// the Table 2 conjunction tested against one summary of the frontier:
 //
 //	/, =>        the one possible context is in the frontier's row set (stepJoin)
 //	//           x.right ≤ the greatest frontier right covering x.left (descendantJoin)
@@ -300,9 +417,9 @@ func (e *Engine) evalBitmapStep(step *lpath.Step, sp *planner.StepPlan, preds []
 // Edge alignment compares against the context itself. A horizontal axis
 // cannot relate two aligned rows, so an aligned horizontal step keeps only
 // the or-self rows; an aligned // climbs the candidate's aligned ancestors
-// instead (climbJoin). cands must lie in the frontier's trees
-// (framePosting). On cancellation dst is returned with the context error;
-// the caller releases it either way.
+// instead (climbJoin). cands must lie in the frontier's trees (framePosting,
+// or one scope's share). On cancellation dst is returned with the context
+// error; the caller releases it either way.
 func (e *Engine) axisJoin(step *lpath.Step, binds []bind, cands, dst []int32, ctx *evalCtx) ([]int32, error) {
 	cols := e.s.Cols()
 	tids, lefts, rights, ids := cols.TID, cols.Left, cols.Right, cols.ID
@@ -367,7 +484,6 @@ func (e *Engine) axisJoin(step *lpath.Step, binds []bind, cands, dst []int32, ct
 		lo, hi = min(lo, tids[b.row]), max(hi, tids[b.row])
 	}
 	ext := ctx.ar.getInts()
-	defer func() { ctx.ar.putInts(ext) }()
 	if !aligned {
 		fill := int32(-1) // greatest left: no right edge is ≤ -1
 		if following {
@@ -387,6 +503,7 @@ func (e *Engine) axisJoin(step *lpath.Step, binds []bind, cands, dst []int32, ct
 	}
 	for _, x := range cands {
 		if ctx.interrupted() {
+			ctx.ar.putInts(ext)
 			return dst, ctx.cerr
 		}
 		hit := orSelf && set.has(x)
@@ -401,6 +518,7 @@ func (e *Engine) axisJoin(step *lpath.Step, binds []bind, cands, dst []int32, ct
 			dst = append(dst, x)
 		}
 	}
+	ctx.ar.putInts(ext)
 	return dst, nil
 }
 

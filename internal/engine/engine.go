@@ -34,8 +34,8 @@ type bitmapMode int
 
 const (
 	// bitmapAuto follows the plan's cost-marked scope entries and kernel
-	// steps (no bitmap without a plan), the latter choosing between the
-	// kernel and probes per frontier; filters choose between forward
+	// steps, the latter choosing kernel or probes per frontier (per scope,
+	// plan or not, after a scope's entry); filters choose between forward
 	// evaluation and their satisfier sets per frontier.
 	bitmapAuto bitmapMode = iota
 	// bitmapOff disables the kernels (a differential-test hook): every step
@@ -114,11 +114,11 @@ func WithoutBitmap() Option {
 }
 
 // WithBitmapAlways runs every shape-eligible subtree-scope entry and every
-// kernel-capable unscoped step through the bitmap kernels, bypassing the
-// planner's cost decision and the run-time size choice. The
-// kernels are result-identical to per-binding probing by construction; this
-// option keeps them under continuous differential testing even on inputs
-// where neither choice would pick them.
+// kernel-capable step, scoped or not, through the bitmap kernels, bypassing
+// the planner's cost decision and the run-time size choice. The kernels are
+// result-identical to per-binding probing by construction; this option
+// keeps them under continuous differential testing even on inputs where
+// neither choice would pick them.
 func WithBitmapAlways() Option {
 	return func(e *Engine) { e.bitmap = bitmapAlways }
 }
@@ -426,8 +426,8 @@ func (e *Engine) evalScoped(tail *lpath.Path, cur []bind, ctx *evalCtx) ([]bind,
 }
 
 // evalStep performs one join step: through the bitmap step kernel
-// (bitmap.go) when the plan marks the step and the frontier's actual size
-// favours it (or the engine forces it), else as per-binding probes.
+// (bitmap.go) when the frontier's actual sizes favour it — per scope after
+// a scope's entry, else on plan-marked steps — and per binding otherwise.
 func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind, error) {
 	if step.Axis == lpath.AxisAttribute {
 		return nil, lpath.ErrAttrInMainPath
@@ -442,23 +442,27 @@ func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind,
 	if sp != nil && sp.Reordered {
 		preds = sp.PredExprs()
 	}
-	if cands, ok := e.bitmapStep(step, sp, binds, ctx); ok {
-		return e.evalBitmapStep(step, sp, preds, binds, cands, ctx)
+	if e.scopedKernel(step, sp, binds) {
+		return e.evalScopedStep(step, sp, preds, binds, ctx)
 	}
-	return e.evalStepProbe(step, sp, preds, positional, binds, ctx)
+	if cands, ok := e.bitmapStep(step, sp, binds, ctx); ok {
+		return e.evalBitmapStep(step, sp, preds, noRow, binds, cands, ctx.ar.getBinds(), ctx)
+	}
+	return e.evalStepProbe(step, sp, preds, positional, binds, ctx.ar.getBinds(), ctx)
 }
 
 // evalStepProbe is the per-binding executor: for every context binding,
 // probe the store for candidate rows on the axis, then filter by scope,
-// alignment and predicates.
-func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []lpath.Expr, positional bool, binds []bind, ctx *evalCtx) ([]bind, error) {
+// alignment and predicates. It appends the results to out.
+func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []lpath.Expr, positional bool, binds, out []bind, ctx *evalCtx) ([]bind, error) {
+	n0 := len(out)
 	var vd valueDriver
 	if !positional {
 		// The value-index shortcut would reorder the predicate pipeline
 		// and corrupt position(); positional steps keep axis probes.
 		e.initValueDriver(&vd, step, sp)
 	}
-	out := ctx.ar.getBinds()
+	nlo, nhi, _ := e.s.NameRange(step.Test)
 	// A single binding's probe already yields distinct rows, so the
 	// cross-binding dedup map is only needed for fan-in — predicates
 	// evaluate paths from one binding at a time and skip it entirely.
@@ -478,7 +482,7 @@ func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []l
 			scratch = e.filterByAxis(vd.candidates(e, ctx), step, b, ctx.ar.getInts())
 			cands = scratch
 		} else {
-			cands, borrowed = e.axisCandidates(step, b, ctx)
+			cands, borrowed = e.axisCandidates(step, nlo, nhi, b, ctx)
 			if !borrowed {
 				scratch = cands
 			}
@@ -572,7 +576,7 @@ func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []l
 	if vd.rowsSet {
 		ctx.ar.putInts(vd.rows)
 	}
-	ctx.countStep(sp, len(out))
+	ctx.countStep(sp, len(out)-n0)
 	return out, nil
 }
 

@@ -162,7 +162,7 @@ func (c *evalCtx) countStep(sp *planner.StepPlan, n int) {
 	c.act.Steps[sp] += n
 }
 
-// stepSide records which side of a main-path bitmap step's run-time choice
+// stepSide records which side of a kernel-capable step's run-time choice
 // ran, for EXPLAIN.
 func (c *evalCtx) stepSide(sp *planner.StepPlan, side string) {
 	if c.act == nil {

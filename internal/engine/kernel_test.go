@@ -42,6 +42,13 @@ var kernelQueries = []string{
 	// Predicates on kernel steps.
 	`//NP[@lex]/NP`, `//NP//N[@lex=dog]`, `//_[@lex=the]->_[@lex=old]`,
 	`//S//NP->PP//N`, `//NP-->N[not(//Det)]`,
+	// Scoped frontiers, walked one scope at a time: chained horizontal
+	// steps after the entry, a predicate on a scoped step, or-self forms,
+	// and nested scopes in which one context sits in several scopes.
+	`//S{//Det->N->_}`, `//VP{/V-->N-->_}`, `//S{//NP-->N[//^_]}`,
+	`//S{//NP->_<-_}`, `//NP{//Det/following-or-self::_$}`,
+	`//S{//N/preceding-or-self::^_}`, `//S{//NP/descendant-or-self::NP$}`,
+	`//NP{//NP->N}`, `//S{//VP{//V-->N}}`, `//NP{//NP{//N<--_}}`,
 }
 
 // nestedCorpus builds trees that stress laminar same-name nesting: an NP
@@ -131,16 +138,20 @@ var kernelAxes = []string{
 }
 
 // kernelAxisQueries crosses every kernel axis with the step shapes the
-// kernel distinguishes: unscoped, inside a subtree scope (the entry step and
-// a later one), left- and right-aligned, with a predicate, under count()
-// through a scope, whose result counts (row, scope) pairs, and after a step
-// whose output is not in document order.
+// kernel distinguishes: unscoped, inside a subtree scope (the entry step,
+// a later one, two chained, one under nested same-name scopes), left- and
+// right-aligned, with a predicate, under count() through a scope, whose
+// result counts (row, scope) pairs, and after a step whose output is not in
+// document order.
 func kernelAxisQueries() []string {
 	forms := []string{
 		`//NP%sN`, `//_%sNP`, `//NP%sNP`,
 		`//S{%sNP}`, `//S{//NP%sN}`, `//VP{/_%s_}`,
 		`//NP%s^N`, `//NP%sN$`, `//S{//NP%s^_$}`, `//S{//_%s_$}`,
 		`//NP%sN[//_]`, `//S[count({//NP%s_})>=2]`, `//S[count(//_%sN)=3]`,
+		// Scoped steps after the entry: nested same-name scopes (one
+		// context in several scopes), chained, with a predicate.
+		`//NP{//NP%sN}`, `//S{//VP{//V%sN}}`, `//S{//_%s_%s_}`, `//S{//NP%sN[//^_]}`,
 		// An ancestor probe hands the kernel a frontier out of document
 		// order.
 		`//N\\_%s_`,
@@ -397,4 +408,34 @@ func documentOrder(c *tree.Corpus) map[*tree.Node]int {
 		walk(tr.Root)
 	}
 	return idx
+}
+
+// TestExplainScopedSide pins the EXPLAIN side of steps after a scope's
+// entry: Q4's -->NN and Q7's ->NP and ->PP$ report the side of their
+// per-scope choice that ran.
+func TestExplainScopedSide(t *testing.T) {
+	e := cancelEngine(t, cancelCorpus(t))
+	for _, tt := range []struct{ query, step string }{
+		{`//VP{/VB-->NN}`, "s2. -->NN"},
+		{`//VP[{//^VB->NP->PP$}]`, "ps2. ->NP"},
+		{`//VP[{//^VB->NP->PP$}]`, "ps3. ->PP$"},
+	} {
+		p := lpath.MustParse(tt.query)
+		report, err := e.ExplainPlanContext(context.Background(), p, e.Plan(p))
+		if err != nil {
+			t.Fatalf("%s: %v", tt.query, err)
+		}
+		found := false
+		for _, line := range strings.Split(report, "\n") {
+			if strings.Contains(line, tt.step+" ") {
+				found = true
+				if !strings.HasSuffix(line, "[kernel]") && !strings.HasSuffix(line, "[kernel+probe]") {
+					t.Errorf("%s: step %q reports no kernel side:\n%s", tt.query, tt.step, line)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: no step %q in\n%s", tt.query, tt.step, report)
+		}
+	}
 }

@@ -19,21 +19,17 @@ import (
 // ri ∈ [nlo, nhi) — not a string comparison.
 
 // axisCandidates returns the rows reachable from the binding's context along
-// the step's axis that satisfy the node test. Scope, alignment and
-// predicates are applied later. borrowed=true means the slice aliases a
+// the step's axis in the name range [nlo, nhi), which the caller looks up
+// once per step (Store.NameRange; unused for a wildcard). Scope, alignment
+// and predicates are applied later. borrowed=true means the slice aliases a
 // store index: the caller must not mutate it and must not release it.
-func (e *Engine) axisCandidates(step *lpath.Step, b bind, ctx *evalCtx) (cands []int32, borrowed bool) {
+func (e *Engine) axisCandidates(step *lpath.Step, nlo, nhi int32, b bind, ctx *evalCtx) (cands []int32, borrowed bool) {
 	if b.row == noRow {
 		return e.virtualRootCandidates(step, ctx)
 	}
 	wild := step.Wildcard()
-	var nlo, nhi int32
-	if !wild {
-		var ok bool
-		nlo, nhi, ok = e.s.NameRange(step.Test)
-		if !ok {
-			return nil, false
-		}
+	if !wild && nlo == nhi {
+		return nil, false
 	}
 	cols := e.s.Cols()
 	row := b.row

@@ -195,6 +195,7 @@ func (e *Engine) buildSatisfiers(sj *planner.Semijoin, ctx *evalCtx) (*spanSet, 
 		inv, _ := lpath.InverseAxis(steps[i].Axis)
 		prev := &steps[i-1]
 		synth := lpath.Step{Axis: inv, Test: prev.Test}
+		nlo, nhi, _ := e.s.NameRange(prev.Test)
 		next := ctx.ar.getInts()
 		for _, ri := range cur {
 			if ctx.interrupted() {
@@ -202,7 +203,7 @@ func (e *Engine) buildSatisfiers(sj *planner.Semijoin, ctx *evalCtx) (*spanSet, 
 				ctx.ar.putInts(next)
 				return nil, ctx.cerr
 			}
-			cands, borrowed := e.axisCandidates(&synth, bind{row: ri, scope: noRow}, ctx)
+			cands, borrowed := e.axisCandidates(&synth, nlo, nhi, bind{row: ri, scope: noRow}, ctx)
 			for _, ci := range cands {
 				if p := e.s.Pos(ci); !seen.has(p) {
 					seen.add(p)
@@ -215,7 +216,7 @@ func (e *Engine) buildSatisfiers(sj *planner.Semijoin, ctx *evalCtx) (*spanSet, 
 		}
 		seen.clear()
 		ctx.ar.putInts(cur)
-		if cur, err = e.filterAll(prev.Preds, next, ctx); err != nil {
+		if cur, err = e.filterAll(prev.Preds, noRow, next, ctx); err != nil {
 			return nil, err
 		}
 	}
@@ -253,7 +254,7 @@ func (e *Engine) buildSatisfiers(sj *planner.Semijoin, ctx *evalCtx) (*spanSet, 
 	default:
 		synth := lpath.Step{Axis: inv0, Test: "_"}
 		for _, ri := range cur {
-			cands, borrowed := e.axisCandidates(&synth, bind{row: ri, scope: noRow}, ctx)
+			cands, borrowed := e.axisCandidates(&synth, 0, 0, bind{row: ri, scope: noRow}, ctx)
 			for _, ci := range cands {
 				out.add(e.s.Pos(ci))
 			}
@@ -295,14 +296,15 @@ func (e *Engine) semiSeeds(sj *planner.Semijoin, ctx *evalCtx) ([]int32, error) 
 			}
 		}
 	}
-	return e.filterAll(sj.SeedPreds, out, ctx)
+	return e.filterAll(sj.SeedPreds, noRow, out, ctx)
 }
 
-// filterAll runs an unscoped candidate list through a predicate pipeline.
-// It owns cands: on error the buffer goes back to the arena.
-func (e *Engine) filterAll(preds []lpath.Expr, cands []int32, ctx *evalCtx) ([]int32, error) {
+// filterAll runs a candidate list through a predicate pipeline under one
+// scope (noRow: unscoped). It owns cands: on error the buffer goes back to
+// the arena.
+func (e *Engine) filterAll(preds []lpath.Expr, scope int32, cands []int32, ctx *evalCtx) ([]int32, error) {
 	for _, pred := range preds {
-		out, err := e.filterPred(pred, noRow, cands, ctx)
+		out, err := e.filterPred(pred, scope, cands, ctx)
 		if err != nil {
 			ctx.ar.putInts(cands)
 			return nil, err

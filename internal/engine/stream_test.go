@@ -108,7 +108,8 @@ func TestStreamOrderAndAbort(t *testing.T) {
 // mid-sweep, and that an interrupted limit evaluation does not poison the
 // pooled state (the arena-ownership guarantee of the early-exit path). The
 // merge and twig cases are named for the sweeps whose axes the step kernels
-// now walk: the horizontal axes (-->) and the vertical ones (//).
+// now walk: the horizontal axes (-->) and the vertical ones (//); the
+// scoped case walks a scoped frontier one scope at a time.
 func TestEvalLimitCancel(t *testing.T) {
 	tc := cancelCorpus(t)
 	for _, tt := range []struct {
@@ -119,6 +120,9 @@ func TestEvalLimitCancel(t *testing.T) {
 		{"probe", []Option{WithoutPlanner()}, `//_[//_[//NP]]`},
 		{"merge", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_-->_-->NP`},
 		{"twig", []Option{WithoutPlanner(), WithBitmapAlways()}, `//_[//_[//NP]]`},
+		// A one-child scope entry, then two scoped walks over each S's
+		// elements: the countdown lands in the scoped kernel's walk.
+		{"scoped", []Option{WithoutPlanner(), WithBitmapAlways()}, `//S{/NP-SBJ-->_-->_}`},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			e := cancelEngine(t, tc, tt.opts...)

@@ -285,9 +285,10 @@ type Actuals struct {
 	Steps map[*StepPlan]int
 	// Filters maps a set-capable or scope-only filter to how it ran.
 	Filters map[lpath.Expr]*FilterRun
-	// Sides maps a main-path bitmap step to the side of its run-time choice
-	// that ran: "kernel", "probe", or "kernel+probe" when the frontiers of
-	// successive stream windows chose differently.
+	// Sides maps a kernel-capable step — unscoped, or after a scope's entry
+	// — to the side of its run-time choice that ran: "kernel", "probe", or
+	// "kernel+probe" when successive stream windows, or the scopes of one
+	// scoped frontier, chose differently.
 	Sides map[*StepPlan]string
 	// Matches is the final distinct-match count.
 	Matches int
