@@ -97,7 +97,7 @@ func FuzzEvalOracle(f *testing.F) {
 
 		// Filter rotation: answer every set-capable and scope-only filter for
 		// its whole frontier, then every filter candidate by candidate, with
-		// the executors otherwise as planned.
+		// the step sides otherwise chosen at run time.
 		c.Configure(withFilterSets())
 		setFiltered, setFilteredErr := c.Select(q)
 		c.Configure(withFiltersForward())

@@ -21,28 +21,60 @@ import (
 // the Table 2 conjunction its axis reduces to (axisJoin), once per scope on
 // a scoped frontier. The set-at-a-time filters live in semijoin.go.
 
+// The side rule. Every kernel-capable step — a scope's entry, an unscoped
+// step, a step over a scoped frontier — runs through the kernel or as
+// per-binding probes by one rule on the sizes at hand: the gate
+// (kernelGate), then the size test (kernelFits). The plan says what a step
+// is; only this rule says how it runs.
+
+// kernelGate is the side rule's gate for a kernel-capable step over a
+// frontier of n bindings. bitmapAlways passes every step and bitmapOff none.
+// Otherwise the probes keep a step without a plan (a WithoutPlanner engine
+// shares no side choice with the planned path), one the value index can
+// drive (StepPlan.Value: a posting list shorter than the step's name range)
+// and one over a lone binding (one walk of the whole posting for one
+// context). Only the last is a run-time outcome, so only it is recorded for
+// EXPLAIN.
+func (e *Engine) kernelGate(sp *planner.StepPlan, n int, ctx *evalCtx) bool {
+	switch {
+	case e.bitmap != bitmapAuto:
+		return e.bitmap == bitmapAlways
+	case sp == nil || sp.Value != "":
+		return false
+	case n <= 1:
+		ctx.stepSide(sp, "probe")
+		return false
+	}
+	return true
+}
+
+// kernelFits is the side rule's size test: the kernel walks a posting of
+// the given length for n frontier bindings when each binding is worth at
+// most kernelRows of its rows. bitmapAlways fits every posting.
+func (e *Engine) kernelFits(axis lpath.Axis, posting, n int) bool {
+	return e.bitmap == bitmapAlways || posting <= kernelRows(axis)*n
+}
+
 // useBitmapEntry decides whether a subtree-scoped tail enters through the
-// bitmap kernel. Under bitmapAuto the plan's cost-marked entry decides;
-// bitmapAlways forces every shape-eligible entry.
+// bitmap kernel: the side rule over the scope frontier, whose virtual root
+// stands for every tree root of the window, against the entry step's
+// windowed posting. A declined entry expands its scopes and meets the rule
+// again as a step over a scoped frontier.
 func (e *Engine) useBitmapEntry(tail *lpath.Path, cur []bind, ctx *evalCtx) bool {
-	if e.bitmap == bitmapOff || len(tail.Steps) == 0 {
+	if len(tail.Steps) == 0 || !planner.BitmapStep(&tail.Steps[0], true) {
 		return false
 	}
 	step := &tail.Steps[0]
-	if !planner.BitmapStep(step, true) {
-		return false
-	}
-	if e.bitmap == bitmapAlways {
-		return true
-	}
-	// A one-scope frontier would walk the whole posting list for one
-	// subtree: a scope-only filter evaluated forward opens its scope one
-	// candidate at a time, whatever the planner estimated for the frontier.
-	if len(cur) == 1 && cur[0].row != noRow {
-		return false
-	}
 	sp := ctx.stepPlan(step)
-	return sp != nil && sp.Strategy == planner.StrategyBitmap
+	n := len(cur)
+	if n == 1 && cur[0].row == noRow {
+		n = len(e.narrowToWindow(e.s.Roots(), ctx))
+	}
+	if !e.kernelGate(sp, n, ctx) || !e.kernelFits(step.Axis, len(e.stepPosting(step, ctx)), n) {
+		return false
+	}
+	ctx.stepSide(sp, "kernel")
+	return true
 }
 
 // evalBitmapScoped evaluates a subtree-scoped tail whose first step runs as
@@ -226,30 +258,16 @@ func kernelRows(axis lpath.Axis) int {
 	return 24
 }
 
-// bitmapStep decides whether a step runs through the bitmap step kernel, and
-// returns the windowed posting the kernel walks. The kernel needs an
-// unscoped frontier of real rows. Under bitmapAuto the step must be marked
-// exec=bitmap and the frontier hold more than one binding, and the actual
-// sizes decide: the frontier's length against the windowed posting's.
-// bitmapAlways takes every eligible step.
+// bitmapStep decides, by the side rule, whether a step over an unscoped
+// frontier of real rows runs through the kernel, and returns the framed
+// posting the kernel walks.
 func (e *Engine) bitmapStep(step *lpath.Step, sp *planner.StepPlan, binds []bind, ctx *evalCtx) ([]int32, bool) {
-	if e.bitmap == bitmapOff || len(binds) == 0 || binds[0].row == noRow || binds[0].scope != noRow {
+	if len(binds) == 0 || binds[0].row == noRow || binds[0].scope != noRow || !planner.BitmapStep(step, false) || !e.kernelGate(sp, len(binds), ctx) {
 		return nil, false
 	}
-	if e.bitmap == bitmapAuto && (sp == nil || sp.Strategy != planner.StrategyBitmap) {
-		return nil, false
-	}
-	if !planner.BitmapStep(step, false) {
-		return nil, false
-	}
-	if e.bitmap == bitmapAlways {
-		return e.framePosting(step, binds, ctx), true
-	}
-	if len(binds) > 1 {
-		if cands := e.framePosting(step, binds, ctx); len(cands) <= kernelRows(step.Axis)*len(binds) {
-			ctx.stepSide(sp, "kernel")
-			return cands, true
-		}
+	if cands := e.framePosting(step, binds, ctx); e.kernelFits(step.Axis, len(cands), len(binds)) {
+		ctx.stepSide(sp, "kernel")
+		return cands, true
 	}
 	ctx.stepSide(sp, "probe")
 	return nil, false
@@ -301,23 +319,17 @@ func (e *Engine) evalBitmapStep(step *lpath.Step, sp *planner.StepPlan, preds []
 	return out, nil
 }
 
-// scopedKernel reports whether a step over a scoped (c, s) frontier runs
-// through evalScopedStep. As unscoped, a lone binding and a step the value
-// index can drive probe unless the kernels are forced.
-func (e *Engine) scopedKernel(step *lpath.Step, sp *planner.StepPlan, binds []bind) bool {
-	lone := len(binds) == 1 && e.bitmap != bitmapAlways
-	if e.bitmap == bitmapOff || len(binds) == 0 || lone || binds[0].scope == noRow || !planner.BitmapStep(step, false) {
-		return false
-	}
-	var vd valueDriver
-	e.initValueDriver(&vd, step, sp)
-	return e.bitmap == bitmapAlways || !vd.ok
+// scopedKernel reports whether a step over a scoped (c, s) frontier passes
+// the side rule's gate; evalScopedStep then applies the size test per scope.
+func (e *Engine) scopedKernel(step *lpath.Step, sp *planner.StepPlan, binds []bind, ctx *evalCtx) bool {
+	return len(binds) > 0 && binds[0].scope != noRow && planner.BitmapStep(step, false) && e.kernelGate(sp, len(binds), ctx)
 }
 
 // evalScopedStep runs a step over a scoped frontier one scope at a time, in
 // document order. A scope's share of the posting — the rows starting inside
-// it — is walked (evalBitmapStep) when it holds at most kernelRows per
-// context; the other scopes' bindings are probed together afterwards.
+// it — is walked (evalBitmapStep) when it passes the size test against the
+// scope's bindings; the other scopes' bindings are probed together
+// afterwards.
 func (e *Engine) evalScopedStep(step *lpath.Step, sp *planner.StepPlan, preds []lpath.Expr, binds []bind, ctx *evalCtx) ([]bind, error) {
 	grouped, ends := e.groupByScope(binds, ctx)
 	posting := e.stepPosting(step, ctx)
@@ -328,16 +340,14 @@ func (e *Engine) evalScopedStep(step *lpath.Step, sp *planner.StepPlan, preds []
 	for _, end := range ends {
 		group, s := grouped[start:end], grouped[start].scope
 		start = end
-		// s's share of the posting, the rows starting inside it, up to budget.
+		// s's share of the posting, the rows starting inside it, counted
+		// until it fails the size test.
 		at = e.seekSpan(posting, at, c.TID[s], c.Left[s])
-		n, budget := at, len(posting)
-		if e.bitmap != bitmapAlways {
-			budget = at + kernelRows(step.Axis)*len(group)
-		}
-		for n < len(posting) && n <= budget && c.TID[posting[n]] == c.TID[s] && c.Left[posting[n]] < c.Right[s] {
+		n := at
+		for n < len(posting) && e.kernelFits(step.Axis, n-at, len(group)) && c.TID[posting[n]] == c.TID[s] && c.Left[posting[n]] < c.Right[s] {
 			n++
 		}
-		if n > budget {
+		if !e.kernelFits(step.Axis, n-at, len(group)) {
 			probe = append(probe, group...)
 			continue
 		}

@@ -33,17 +33,18 @@ import (
 type bitmapMode int
 
 const (
-	// bitmapAuto follows the plan's cost-marked scope entries and kernel
-	// steps, the latter choosing kernel or probes per frontier (per scope,
-	// plan or not, after a scope's entry); filters choose between forward
-	// evaluation and their satisfier sets per frontier.
+	// bitmapAuto picks the side of every kernel-capable step — scope
+	// entry, unscoped step, step over a scoped frontier — by the engine's
+	// one side rule on the actual sizes (kernelGate, kernelFits), per
+	// frontier and, over a scoped frontier, per scope; filters choose
+	// between forward evaluation and their satisfier sets per frontier.
 	bitmapAuto bitmapMode = iota
 	// bitmapOff disables the kernels (a differential-test hook): every step
 	// runs per-binding probes, scoped tails expand per scope and every
 	// filter evaluates forward, candidate by candidate.
 	bitmapOff
 	// bitmapAlways runs every shape-eligible scope entry and axis step
-	// through the bitmap kernels, bypassing the cost and size decisions;
+	// through the bitmap kernels, bypassing the side rule;
 	// differential tests and fuzzers use it to keep the kernels under
 	// continuous cross-checking.
 	bitmapAlways
@@ -74,8 +75,8 @@ type Engine struct {
 	// ablation benchmarks.
 	disableValueIndex bool
 	// noPlanner restores the pre-planner evaluation strategy (no predicate
-	// reordering, no semijoins, the hardcoded value-index threshold); the
-	// differential tests hold the two paths result-identical.
+	// reordering, no semijoins, no kernel steps, the hardcoded value-index
+	// threshold); the differential tests hold the two paths result-identical.
 	noPlanner bool
 	// bitmap selects whether the dense-bitset kernels are available.
 	bitmap bitmapMode
@@ -98,8 +99,9 @@ func WithoutValueIndex() Option {
 }
 
 // WithoutPlanner disables cost-based planning: queries evaluate with the
-// engine's default strategy only. Used by the differential tests and to
-// measure the planner's contribution.
+// engine's default strategy only, every step as per-binding probes (the side
+// rule's gate needs a plan). Used by the differential tests and to measure
+// the planner's contribution.
 func WithoutPlanner() Option {
 	return func(e *Engine) { e.noPlanner = true }
 }
@@ -115,10 +117,10 @@ func WithoutBitmap() Option {
 
 // WithBitmapAlways runs every shape-eligible subtree-scope entry and every
 // kernel-capable step, scoped or not, through the bitmap kernels, bypassing
-// the planner's cost decision and the run-time size choice. The kernels are
+// the run-time side rule's gate and size test. The kernels are
 // result-identical to per-binding probing by construction; this option
 // keeps them under continuous differential testing even on inputs where
-// neither choice would pick them.
+// the side rule would not pick them.
 func WithBitmapAlways() Option {
 	return func(e *Engine) { e.bitmap = bitmapAlways }
 }
@@ -147,14 +149,12 @@ func New(s *relstore.Store, opts ...Option) (*Engine, error) {
 	for _, o := range opts {
 		o(e)
 	}
+	// The planner says what each step is and how its candidates are
+	// accessed; which side runs it is the engine's run-time choice, so the
+	// only engine option the planner mirrors is the value index's.
 	var popts []planner.Option
 	if e.disableValueIndex {
 		popts = append(popts, planner.WithoutValueIndex())
-	}
-	if e.bitmap == bitmapOff {
-		// The bitmap-off engine plans what it executes: no step marked
-		// exec=bitmap that would then run as probes.
-		popts = append(popts, planner.WithoutBitmap())
 	}
 	e.pl = planner.New(s.Statistics(), popts...)
 	return e, nil
@@ -312,7 +312,7 @@ func (e *Engine) ExplainPlanContext(cctx context.Context, p *lpath.Path, plan *p
 		return "", err
 	}
 	defer e.releaseCtx(ctx)
-	ctx.act = &planner.Actuals{}
+	ctx.act = &planner.Actuals{Sides: make(map[*planner.StepPlan]string)}
 	rows, err := e.evalRows(p, ctx)
 	if err != nil {
 		return "", err
@@ -426,8 +426,8 @@ func (e *Engine) evalScoped(tail *lpath.Path, cur []bind, ctx *evalCtx) ([]bind,
 }
 
 // evalStep performs one join step: through the bitmap step kernel
-// (bitmap.go) when the frontier's actual sizes favour it — per scope after
-// a scope's entry, else on plan-marked steps — and per binding otherwise.
+// (bitmap.go) when the side rule picks it — per scope over a scoped
+// frontier — and per binding otherwise.
 func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind, error) {
 	if step.Axis == lpath.AxisAttribute {
 		return nil, lpath.ErrAttrInMainPath
@@ -442,7 +442,7 @@ func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind,
 	if sp != nil && sp.Reordered {
 		preds = sp.PredExprs()
 	}
-	if e.scopedKernel(step, sp, binds) {
+	if e.scopedKernel(step, sp, binds, ctx) {
 		return e.evalScopedStep(step, sp, preds, binds, ctx)
 	}
 	if cands, ok := e.bitmapStep(step, sp, binds, ctx); ok {

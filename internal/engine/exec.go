@@ -163,13 +163,11 @@ func (c *evalCtx) countStep(sp *planner.StepPlan, n int) {
 }
 
 // stepSide records which side of a kernel-capable step's run-time choice
-// ran, for EXPLAIN.
+// ran, for EXPLAIN. It allocates nothing: the side rule calls it on every
+// step, and ExplainPlanContext makes the map up front.
 func (c *evalCtx) stepSide(sp *planner.StepPlan, side string) {
-	if c.act == nil {
+	if c.act == nil || sp == nil {
 		return
-	}
-	if c.act.Sides == nil {
-		c.act.Sides = make(map[*planner.StepPlan]string)
 	}
 	if prev := c.act.Sides[sp]; prev != "" && prev != side {
 		side = "kernel+probe"

@@ -335,8 +335,8 @@ func (e *Engine) semiAttrOK(sj *planner.Semijoin, ri int32) bool {
 
 // filterScopeOnly answers the scope-only filter [{tail}] — [not({tail})]
 // when neg — for a whole frontier at once: the tail runs once through the
-// main-path scoped pipeline from every candidate as its own scope (bitmap
-// entry as planned), and a candidate satisfies the filter
+// main-path scoped pipeline from every candidate as its own scope (its
+// entry by the side rule), and a candidate satisfies the filter
 // exactly when it is the scope of some result binding. The tail holds no
 // nested scope (planner.ScopeOnlyTail), so every result's scope is the
 // candidate it started from.

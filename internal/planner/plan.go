@@ -64,29 +64,6 @@ func (a Access) String() string {
 	return fmt.Sprintf("access(%d)", int(a))
 }
 
-// Strategy enumerates how a step's axis join is executed.
-type Strategy int
-
-const (
-	// StrategyProbe evaluates the step binding-at-a-time: one index probe
-	// per context row.
-	StrategyProbe Strategy = iota
-	// StrategyBitmap evaluates a subtree-scope entry, or a main-path axis
-	// step, set-at-a-time: the frontier becomes a small summary — a dense
-	// set of rows, positions or edges, or one edge per tree — and one walk
-	// of the step's posting list tests every candidate against it
-	// (internal/engine/bitmap.go). A main-path step still runs as probes on
-	// frontiers too small for it.
-	StrategyBitmap
-)
-
-func (st Strategy) String() string {
-	if st == StrategyBitmap {
-		return "bitmap"
-	}
-	return "probe"
-}
-
 // SeedKind says how a semijoin's seed set (the matches of the filter path's
 // final step) is materialized.
 type SeedKind int
@@ -115,9 +92,6 @@ type Plan struct {
 	Root *PathPlan
 	// EstMatches is the estimated final result cardinality.
 	EstMatches float64
-	// Threshold is the statistics-derived value-probe density (elements
-	// per unit of span) used by the runtime crossover check.
-	Threshold float64
 
 	steps map[*lpath.Step]*StepPlan
 	semis map[lpath.Expr]*Semijoin
@@ -127,16 +101,17 @@ type Plan struct {
 // planned (e.g. a trailing attribute step).
 func (p *Plan) Step(s *lpath.Step) *StepPlan { return p.steps[s] }
 
-// StrategyCounts tallies the execution strategies chosen for the main path's
-// steps (including scoped tails): how many run as per-binding probes and
-// how many as bitmap scope entries or main-path kernel steps. The merge and
-// twig results are always 0 — those executors are gone — and stay in the
-// signature for callers that destructure all four. The serving layer exports
-// the counts as executor-strategy metrics.
+// StrategyCounts tallies the main path's steps (including scoped tails) by
+// shape: bitmap counts the steps a kernel can take (BitmapStep) and probe the
+// rest, the root path's first step among them (its one context is the
+// virtual root). Which side a step runs on is the engine's run-time choice,
+// not the plan's. The merge and twig results are always 0. The function's
+// only caller is the frozen benchmark harness, which destructures all four.
 func (p *Plan) StrategyCounts() (probe, merge, twig, bitmap int) {
 	for pp := p.Root; pp != nil; pp = pp.Scoped {
-		for _, sp := range pp.Steps {
-			if sp.Strategy == StrategyBitmap {
+		for i, sp := range pp.Steps {
+			head := pp == p.Root && i == 0 // one context: the virtual root
+			if !head && BitmapStep(sp.Step, pp != p.Root && i == 0) {
 				bitmap++
 			} else {
 				probe++
@@ -189,12 +164,13 @@ type StepPlan struct {
 	// cross-query memo keys on (engine.EvalBatch). Empty on predicate-path
 	// steps, whose sharing runs through Semijoin.Key instead.
 	Key string
-	// Strategy says whether the engine executes the step as per-binding
-	// probes or may run it through a bitmap kernel.
-	Strategy Strategy
-	// Value/Attr/Postings describe the value-index drive when Access is
-	// AccessValueIndex: the literal, the attribute name (with '@'), and
-	// the statistics-time posting count.
+	// Value/Attr/Postings describe the value-index drive — the literal, the
+	// attribute name (with '@'), and the statistics-time posting count — of
+	// a step whose direct @attr=value predicate has a posting list shorter
+	// than the step's name range. Such a step is value-drivable: the engine
+	// may drive it from the index per binding (Bias), and its side rule
+	// keeps it on the probes. Access is AccessValueIndex when the planner expects the drive
+	// to win for every binding.
 	Value    string
 	Attr     string
 	Postings int
@@ -208,10 +184,9 @@ type StepPlan struct {
 	// the order differs from the written one.
 	Preds     []*PredPlan
 	Reordered bool
-	// EstIn, EstCand and EstOut estimate the bindings entering the step,
-	// the candidates after the node test, and the bindings surviving the
-	// predicates.
-	EstIn, EstCand, EstOut float64
+	// EstCand and EstOut estimate the candidates after the node test and
+	// the bindings surviving the predicates.
+	EstCand, EstOut float64
 	// cost is the modeled per-context row touches of executing the step.
 	cost float64
 }
@@ -285,10 +260,11 @@ type Actuals struct {
 	Steps map[*StepPlan]int
 	// Filters maps a set-capable or scope-only filter to how it ran.
 	Filters map[lpath.Expr]*FilterRun
-	// Sides maps a kernel-capable step — unscoped, or after a scope's entry
-	// — to the side of its run-time choice that ran: "kernel", "probe", or
-	// "kernel+probe" when successive stream windows, or the scopes of one
-	// scoped frontier, chose differently.
+	// Sides maps a kernel-capable step — a scope's entry, an unscoped step
+	// or a step over a scoped frontier — to the side of the engine's
+	// run-time choice that ran whenever the choice got past its gate:
+	// "kernel", "probe", or "kernel+probe" when successive stream windows,
+	// or the scopes of one scoped frontier, chose differently.
 	Sides map[*StepPlan]string
 	// Matches is the final distinct-match count.
 	Matches int
@@ -392,11 +368,9 @@ func renderRuns(b *strings.Builder, x lpath.Expr, a *Actuals) {
 }
 
 func accessText(sp *StepPlan) string {
-	var s string
+	s := sp.Access.String()
 	if sp.Access == AccessValueIndex {
-		s = fmt.Sprintf("value-index %s=%s ~%d postings exec=%s", sp.Attr, sp.Value, sp.Postings, sp.Strategy)
-	} else {
-		s = fmt.Sprintf("%s exec=%s", sp.Access, sp.Strategy)
+		s = fmt.Sprintf("value-index %s=%s ~%d postings", sp.Attr, sp.Value, sp.Postings)
 	}
 	if sp.Key != "" {
 		s += " share=" + shareHash(sp.Key)

@@ -12,9 +12,8 @@ import (
 // immutable and safe for concurrent use; the tid windows of a parallel
 // evaluation all execute its one plan.
 type Planner struct {
-	st       *relstore.Statistics
-	noValue  bool
-	noBitmap bool
+	st      *relstore.Statistics
+	noValue bool
 
 	elements   float64 // element rows
 	totalSpan  float64 // summed root spans
@@ -29,14 +28,6 @@ type Option func(*Planner)
 // name so ablation runs plan what they execute.
 func WithoutValueIndex() Option {
 	return func(pl *Planner) { pl.noValue = true }
-}
-
-// WithoutBitmap makes the planner never mark bitmap scope entries or kernel
-// steps, so every step keeps the probe strategy; it mirrors the engine
-// option of the same name so the bitmap-off engine plans exactly what it
-// executes.
-func WithoutBitmap() Option {
-	return func(pl *Planner) { pl.noBitmap = true }
 }
 
 // New creates a planner over the snapshot (nil is treated as an empty
@@ -78,15 +69,11 @@ type ectx struct {
 // strategy and are annotated as such.
 func (pl *Planner) Plan(p *lpath.Path) *Plan {
 	plan := &Plan{
-		Text:      p.String(),
-		Threshold: pl.st.NodesPerSpan(),
-		steps:     make(map[*lpath.Step]*StepPlan),
-		semis:     make(map[lpath.Expr]*Semijoin),
+		Text:  p.String(),
+		steps: make(map[*lpath.Step]*StepPlan),
+		semis: make(map[lpath.Expr]*Semijoin),
 	}
 	plan.Root = pl.planPath(p, ectx{root: true, span: pl.treeSpan()}, 1, plan, "", true)
-	if !pl.noBitmap {
-		pl.markBitmapSteps(plan.Root)
-	}
 	plan.EstMatches = plan.Root.EstOut
 	return plan
 }
@@ -279,7 +266,6 @@ func (pl *Planner) planPath(p *lpath.Path, c ectx, nIn float64, plan *Plan, pref
 	}
 	if p.Scoped != nil {
 		pp.Scoped = pl.planPath(p.Scoped, cur, est, plan, acc+"{", keyed)
-		pl.markBitmapEntry(pp.Scoped, cur, est)
 		pp.cost += pp.Scoped.cost
 		est = pp.Scoped.EstOut
 	}
@@ -288,7 +274,7 @@ func (pl *Planner) planPath(p *lpath.Path, c ectx, nIn float64, plan *Plan, pref
 }
 
 func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *StepPlan {
-	sp := &StepPlan{Step: step, EstIn: nIn}
+	sp := &StepPlan{Step: step}
 	if step.Axis == lpath.AxisAttribute {
 		// Invalid in a navigation path; the engine reports the error.
 		sp.Access = AccessSelf
@@ -363,12 +349,14 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 }
 
 // BitmapStep reports whether a step has the shape a bitmap kernel supports
-// (internal/engine/bitmap.go). A subtree-scope entry (entry set) takes a
-// downward axis, whose scopes lie on the candidate's parent chain. An
-// unscoped step takes every axis whose Table 2 conjunction one posting walk
-// can test against a summary of the frontier: /, =>, //, -->, <--, -> and
-// <-, and the or-self forms. Neither takes positional predicates: the
-// kernels emit bindings in posting order, not per-context document order.
+// (internal/engine/bitmap.go); which side runs it is the engine's run-time
+// choice. A subtree-scope entry (entry set) takes a downward axis, whose
+// scopes lie on the candidate's parent chain. Any other step, unscoped or
+// over a scoped frontier, takes every axis whose Table 2 conjunction one
+// posting walk can test against a summary of the frontier: /, =>, //, -->,
+// <--, -> and <-, and the or-self forms. Neither takes positional
+// predicates: the kernels emit bindings in posting order, not per-context
+// document order.
 func BitmapStep(step *lpath.Step, entry bool) bool {
 	if step.HasPositional() {
 		return false
@@ -383,70 +371,6 @@ func BitmapStep(step *lpath.Step, entry bool) bool {
 		return !entry
 	}
 	return false
-}
-
-// bitmapTouchCost weights one bitmap scope-entry touch — a posting row's
-// parent-column load plus a bitset membership test — against one modeled
-// probe row touch. Two sequential array loads against a hash probe or a
-// binary search, so well under 1.
-const bitmapTouchCost = 0.3
-
-// markBitmapEntry decides whether the first step of a subtree-scoped tail
-// runs as a bitmap scope entry: instead of expanding every scope into a
-// binding, deduplicating, and probing the step per scope, the engine sets
-// the scope rows in a dense bitset and walks the step's posting list once,
-// resolving scope membership through the parent-pointer column. The modeled
-// crossover compares per-scope probing (plus the frontier expansion and
-// dedup the scoped branch pays) against one posting sweep whose per-row cost
-// is the parent chain walked — length 1 for the child axis, a short prefix
-// for edge-aligned descendants (alignment breaks the climb at the first
-// non-aligned ancestor), half the average depth otherwise.
-func (pl *Planner) markBitmapEntry(scoped *PathPlan, c ectx, scopes float64) {
-	if pl.noBitmap || len(scoped.Steps) == 0 {
-		return
-	}
-	sp := scoped.Steps[0]
-	if sp.Access == AccessValueIndex || !BitmapStep(sp.Step, true) {
-		return
-	}
-	_, probeCost, _ := pl.probe(c, sp.Step.Axis, sp.Step.Test)
-	f := math.Max(scopes, 1)
-	posting := math.Max(pl.nameCount(sp.Step.Test), 1)
-	// Per-scope probing pays the access path plus per-binding overhead
-	// (buffer handling, hash or search setup) for every scope, and the
-	// scoped branch additionally materializes and deduplicates the scope
-	// frontier.
-	const probeOverhead = 4
-	stepwise := f*(probeCost+probeOverhead) + 2*f
-	climb := 1.0
-	if sp.Step.Axis != lpath.AxisChild {
-		if sp.Step.LeftAlign || sp.Step.RightAlign {
-			climb = 2
-		} else {
-			climb = math.Max(pl.avgDepth()/2, 1)
-		}
-	}
-	bitmap := 0.2*f + bitmapTouchCost*posting*climb
-	if bitmap < stepwise {
-		sp.Strategy = StrategyBitmap
-	}
-}
-
-// markBitmapSteps marks the root path's kernel-capable steps exec=bitmap,
-// except the first (its context is the virtual root, whose probe is already
-// a range handover) and value-index steps. It has no cost model: the engine
-// picks, per frontier and on actual sizes, between the bitmap step kernel —
-// one walk of the step's posting against a summary of the frontier — and
-// per-binding probes. Subtree-scoped steps are not marked: their frontier
-// pairs every context with a scope, which the kernel's per-tree summaries do
-// not key on.
-func (pl *Planner) markBitmapSteps(pp *PathPlan) {
-	for i := 1; i < len(pp.Steps); i++ {
-		sp := pp.Steps[i]
-		if sp.Access != AccessValueIndex && BitmapStep(sp.Step, false) {
-			sp.Strategy = StrategyBitmap
-		}
-	}
 }
 
 // predRank orders predicates for execution: pay little, filter much. The

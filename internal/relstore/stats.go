@@ -74,16 +74,6 @@ func (st *Statistics) NameCount(name string) int { return st.Names[name].Count }
 // PostingCount returns the exact posting-list size of an attribute value.
 func (st *Statistics) PostingCount(v string) int { return st.valueCard[v] }
 
-// NodesPerSpan is the average number of element rows per unit of leaf span —
-// the density that converts a context subtree's span into an expected node
-// count. The engine derives the value-index crossover threshold from it.
-func (st *Statistics) NodesPerSpan() float64 {
-	if st.TotalSpan <= 0 {
-		return 2 // the treebank-typical default when the corpus is empty
-	}
-	return float64(st.Elements) / float64(st.TotalSpan)
-}
-
 // AvgFanout is the average number of children of an internal element.
 func (st *Statistics) AvgFanout() float64 {
 	internal := st.Elements - st.Leaves

@@ -43,9 +43,6 @@ func TestStatisticsFigure1(t *testing.T) {
 	if got := st.PostingCount("no-such-word"); got != 0 {
 		t.Errorf("PostingCount(no-such-word) = %d, want 0", got)
 	}
-	if got := st.NodesPerSpan(); math.Abs(got-15.0/9.0) > 1e-9 {
-		t.Errorf("NodesPerSpan = %g, want %g", got, 15.0/9.0)
-	}
 	if got := st.AvgTreeSpan(); got != 9 {
 		t.Errorf("AvgTreeSpan = %g, want 9", got)
 	}
@@ -77,9 +74,6 @@ func TestStatisticsEmptyStore(t *testing.T) {
 	st := s.Statistics()
 	if st.Elements != 0 || st.Trees != 0 {
 		t.Fatalf("empty store stats: %+v", st)
-	}
-	if got := st.NodesPerSpan(); got != 2 {
-		t.Errorf("empty NodesPerSpan = %g, want the default 2", got)
 	}
 	if got := st.AvgFanout(); got != 0 {
 		t.Errorf("empty AvgFanout = %g, want 0", got)

@@ -125,7 +125,7 @@ func selectBatch(ctx context.Context, entry *Entry, texts []string, limits []int
 // stream that ran dry within the limit is the complete result, total known.
 func foldResult(res lpath.Result, limit int) *queryResult {
 	ms := res.Matches
-	qr := &queryResult{matches: make([]matchJSON, len(ms)), strategies: res.Strategies}
+	qr := &queryResult{matches: make([]matchJSON, len(ms))}
 	for i, m := range ms {
 		qr.matches[i] = matchJSON{
 			Tree: m.TreeID,

@@ -79,9 +79,6 @@ type queryResult struct {
 	complete   bool // matches is the entire result set
 	count      int  // exact total; valid only when countKnown
 	countKnown bool
-	// strategies is the executed plan's step tally, for the
-	// lpathd_plan_steps_total counters of the request that evaluated it.
-	strategies lpath.Strategies
 }
 
 // canServe reports whether the entry answers a request with the given limit
@@ -266,8 +263,6 @@ func (s *Server) handleEval(kind string) http.HandlerFunc {
 // immutable value to cache (Cached=false, ElapsedMS unset; the handler stamps
 // both). For "query" the cacheable value is a *queryResult — a limit-agnostic
 // prefix the cache serves to later requests — not the rendered response.
-// Executor strategies are counted once per successful evaluation, from the
-// plan that evaluation ran.
 func (s *Server) evaluate(ctx context.Context, kind string, entry *Entry, req *queryRequest) (*queryResponse, any, error) {
 	resp := &queryResponse{Corpus: entry.Name, Query: req.Query}
 	run := lpath.Request{Text: req.Query}
@@ -277,7 +272,6 @@ func (s *Server) evaluate(ctx context.Context, kind string, entry *Entry, req *q
 		if err != nil {
 			return nil, nil, err
 		}
-		s.metrics.AddStrategies(qr.strategies)
 		resp = qr.render(req.Limit)
 		resp.Corpus, resp.Query = entry.Name, req.Query
 		return resp, qr, nil
@@ -292,7 +286,6 @@ func (s *Server) evaluate(ctx context.Context, kind string, entry *Entry, req *q
 	if err != nil {
 		return nil, nil, err
 	}
-	s.metrics.AddStrategies(res.Strategies)
 	resp.Count, resp.Explain = res.Count, res.Explain
 	return resp, resp, nil
 }

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"lpath"
 )
 
 // latencyBuckets are the fixed histogram bucket upper bounds, in seconds.
@@ -56,12 +54,6 @@ type Metrics struct {
 	mu        sync.Mutex
 	endpoints map[string]*endpointMetrics
 
-	// Executor strategy counts, summed from EXPLAIN-style planning of every
-	// uncached query: how many main-path steps ran as probes and how many
-	// as bitmap scope entries or kernel steps.
-	StrategyProbe  atomic.Uint64
-	StrategyBitmap atomic.Uint64
-
 	// /v1/query truncation outcomes: responses whose limit cut the match
 	// list (limit_hit=true, the early-termination fast path) vs complete
 	// result sets. Cached and uncached responses both count.
@@ -84,12 +76,6 @@ func (m *Metrics) Endpoint(name string) *endpointMetrics {
 		m.endpoints[name] = e
 	}
 	return e
-}
-
-// AddStrategies accumulates executor-strategy step counts from a plan.
-func (m *Metrics) AddStrategies(st lpath.Strategies) {
-	m.StrategyProbe.Add(uint64(st.Probe))
-	m.StrategyBitmap.Add(uint64(st.Bitmap))
 }
 
 // AddQueryResult records whether a served /v1/query response was truncated by
@@ -156,11 +142,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, extra ...func(io.Writer)) {
 		fmt.Fprintf(w, "lpathd_request_duration_seconds_sum{endpoint=%q} %g\n", name, float64(h.sum.Load())/1e6)
 		fmt.Fprintf(w, "lpathd_request_duration_seconds_count{endpoint=%q} %d\n", name, h.total.Load())
 	}
-
-	fmt.Fprintf(w, "# HELP lpathd_plan_steps_total Main-path steps executed, by strategy (from planning uncached queries).\n")
-	fmt.Fprintf(w, "# TYPE lpathd_plan_steps_total counter\n")
-	fmt.Fprintf(w, "lpathd_plan_steps_total{strategy=\"probe\"} %d\n", m.StrategyProbe.Load())
-	fmt.Fprintf(w, "lpathd_plan_steps_total{strategy=\"bitmap\"} %d\n", m.StrategyBitmap.Load())
 
 	fmt.Fprintf(w, "# HELP lpathd_query_results_total Served /v1/query responses, by whether the limit truncated the match list.\n")
 	fmt.Fprintf(w, "# TYPE lpathd_query_results_total counter\n")

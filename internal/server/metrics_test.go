@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"lpath"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -33,7 +31,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	ep.observe(200, 2*time.Millisecond)
 	ep.observe(200, 2*time.Millisecond)
 	ep.observe(429, 10*time.Microsecond)
-	m.AddStrategies(lpath.Strategies{Probe: 3, Bitmap: 4})
 
 	var b strings.Builder
 	m.WritePrometheus(&b)
@@ -44,17 +41,13 @@ func TestWritePrometheusFormat(t *testing.T) {
 		`lpathd_requests_total{endpoint="query",code="429"} 1`,
 		`lpathd_request_duration_seconds_count{endpoint="query"} 3`,
 		`lpathd_request_duration_seconds_bucket{endpoint="query",le="+Inf"} 3`,
-		`lpathd_plan_steps_total{strategy="probe"} 3`,
-		`lpathd_plan_steps_total{strategy="bitmap"} 4`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q", want)
 		}
 	}
-	for _, gone := range []string{`strategy="merge"`, `strategy="twig"`} {
-		if strings.Contains(out, gone) {
-			t.Errorf("output still exports the retired %s series", gone)
-		}
+	if strings.Contains(out, "strategy=") {
+		t.Errorf("output still exports a retired per-strategy series")
 	}
 
 	// Histogram buckets are cumulative: the 2ms observations land in the

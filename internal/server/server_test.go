@@ -256,7 +256,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lpathd_result_cache{event="hit"} 1`,
 		`lpathd_admission_total{outcome="admitted"}`,
 		`lpathd_plan_cache{corpus="wsj",event="miss"}`,
-		`lpathd_plan_steps_total{strategy=`,
 		`lpathd_query_results_total{limit_hit=`,
 		`lpathd_in_flight{endpoint="query"} 0`,
 	} {

@@ -164,8 +164,8 @@ func WithoutPlanner() Option { return engineOption(engine.WithoutPlanner()) }
 // withoutBitmap switches the bitmap kernels off, so every step runs
 // per-binding probes, scopes expand per scope and filters evaluate candidate
 // by candidate: the probe reference. withBitmapAlways forces the kernels
-// wherever they are eligible, bypassing the planner's marking and the
-// run-time size choice. Both sides are result-identical; these are
+// wherever they are eligible, bypassing the engine's run-time side rule.
+// Both sides are result-identical; these are
 // differential-test hooks that keep each under continuous cross-checking
 // (the fuzzers and the per-strategy table tests rotate through them).
 func withoutBitmap() Option    { return engineOption(engine.WithoutBitmap()) }
@@ -449,25 +449,6 @@ type Request struct {
 	Parallel bool
 }
 
-// Strategies counts how many main-path steps of an executed plan were
-// planned as per-binding probes and how many as bitmap scope entries or
-// kernel steps (the exec= column of EXPLAIN; see docs/EXECUTION.md). With
-// planning disabled every step counts as a probe.
-type Strategies struct {
-	Probe, Bitmap int
-}
-
-func strategiesOf(path *ast.Path, plan *planner.Plan) (s Strategies) {
-	if plan == nil {
-		for p := path; p != nil; p = p.Scoped {
-			s.Probe += len(p.Steps)
-		}
-		return s
-	}
-	s.Probe, _, _, s.Bitmap = plan.StrategyCounts()
-	return s
-}
-
 // Result is the outcome of one Request; a failed request's Result carries
 // nothing but its error.
 type Result struct {
@@ -477,8 +458,6 @@ type Result struct {
 	Count int
 	// Explain is ModeExplain's report.
 	Explain string
-	// Strategies describes the plan the evaluation executed.
-	Strategies Strategies
 	// Err is the slot's error in a RunBatch result. Run returns its error
 	// separately and leaves Err nil.
 	Err error
@@ -521,7 +500,7 @@ func (c *Corpus) Run(ctx context.Context, req Request) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Strategies: strategiesOf(path, plan)}
+	var res Result
 	switch {
 	case req.Mode == ModeExplain:
 		res.Explain, err = c.eng.ExplainPlanContext(ctx, path, plan)
@@ -579,7 +558,6 @@ func (c *Corpus) runBatch(ctx context.Context, reqs []Request) ([]Result, engine
 			out[i].Err = err
 			continue
 		}
-		out[i].Strategies = strategiesOf(path, plan)
 		qs = append(qs, engine.BatchQuery{Path: path, Plan: plan, Limit: req.Limit, CountOnly: req.Mode == ModeCount})
 		at = append(at, i)
 	}
