@@ -21,10 +21,9 @@
 // load sheds fast with 429. Every request runs under a deadline
 // (-default-timeout, clamped by -max-timeout) and client disconnects cancel
 // evaluation cooperatively. Results are cached per corpus generation
-// (-result-cache, bounded in bytes by -result-cache-bytes). Concurrent
-// /v1/query requests coalesce into shared batch evaluations (-batch-window);
-// a request arriving while the server is idle bypasses the window entirely.
-// See docs/SERVER.md.
+// (-result-cache, bounded in bytes by -result-cache-bytes). A /v1/query miss
+// streams its matches and stops one past the limit, so it never evaluates
+// more of the corpus than the limit needs. See docs/SERVER.md.
 package main
 
 import (
@@ -68,7 +67,6 @@ func main() {
 		maxTimeout  = flag.Duration("max-timeout", 60*time.Second, "upper clamp on request-supplied deadlines")
 		cacheSize   = flag.Int("result-cache", 256, "result cache capacity in entries (negative: disabled)")
 		cacheBytes  = flag.Int64("result-cache-bytes", 64<<20, "result cache byte bound (negative: unbounded)")
-		batchWindow = flag.Duration("batch-window", time.Millisecond, "request-coalescing gather window for /v1/query (negative: disabled); idle requests always bypass it")
 		defLimit    = flag.Int("default-limit", 100, "default /v1/query match-list cap")
 		maxLimit    = flag.Int("max-limit", 10000, "upper clamp on request-supplied limits")
 		planCache   = flag.Int("plan-cache", 128, "per-corpus compiled-plan cache capacity")
@@ -138,7 +136,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		CacheSize:      *cacheSize,
 		CacheBytes:     *cacheBytes,
-		BatchWindow:    *batchWindow,
 		DefaultLimit:   *defLimit,
 		MaxLimit:       *maxLimit,
 		Logger:         reqLogger,

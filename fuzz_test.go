@@ -86,14 +86,9 @@ func FuzzEvalOracle(f *testing.F) {
 
 		// Batch rotation: a duplicate pair rides every cross-query memo layer
 		// (rows, frontiers, satisfiers) while the identity property is
-		// checked, serial and Parallel, and the text pair adds the per-slot
-		// limit. Batch limits evaluate fully and truncate, so error agreement
-		// with Select is exact — no early-termination caveat.
-		batch := c.RunBatch(ctx, []Request{
-			{Query: q}, {Query: q},
-			{Query: q, Parallel: true}, {Query: q, Parallel: true},
-			{Text: query, Limit: limit}, {Text: query},
-		})
+		// checked. A batch evaluates each query fully, so error agreement
+		// with Select is exact.
+		batch, batchErrs, _ := c.SelectBatchStats(ctx, []*Query{q, q})
 
 		// Filter rotation: answer every set-capable and scope-only filter for
 		// its whole frontier, then every filter candidate by candidate, with
@@ -136,9 +131,9 @@ func FuzzEvalOracle(f *testing.F) {
 			t.Fatalf("%q: planned err %v, set filters err %v, forward filters err %v",
 				query, plannedErr, setFilteredErr, fwdFilteredErr)
 		}
-		for i, slot := range batch {
-			if (plannedErr != nil) != (slot.Err != nil) {
-				t.Fatalf("%q: planned err %v, batch slot %d err %v", query, plannedErr, i, slot.Err)
+		for i, err := range batchErrs {
+			if (plannedErr != nil) != (err != nil) {
+				t.Fatalf("%q: planned err %v, batch slot %d err %v", query, plannedErr, i, err)
 			}
 		}
 		if plannedErr != nil {
@@ -196,13 +191,9 @@ func FuzzEvalOracle(f *testing.F) {
 				query, limit, matchKeys(parLimited), matchKeys(wantPrefix))
 		}
 		for i, slot := range batch {
-			want := planned
-			if i == 4 {
-				want = wantPrefix // the capped text slot
-			}
-			if !reflect.DeepEqual(slot.Matches, want) {
+			if !reflect.DeepEqual(slot, planned) {
 				t.Fatalf("%q: batch slot %d = %v, want %v",
-					query, i, matchKeys(slot.Matches), matchKeys(want))
+					query, i, matchKeys(slot), matchKeys(planned))
 			}
 		}
 

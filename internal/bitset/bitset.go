@@ -1,14 +1,10 @@
-// Package bitset provides dense bitsets over the columnar row index of a
-// relstore.Store: bit i corresponds to clustered row i, so name postings and
-// value-index postings convert to sets in O(ranges) via SetRange, and
-// conjunctive/disjunctive structural filters evaluate as word-parallel
-// And/Or/AndNot kernels instead of per-candidate probes (docs/EXECUTION.md,
-// "Bitmap filter kernels").
+// Package bitset provides dense bitsets over document positions or rows of a
+// relstore.Store. The engine's position sets (spanSet) are built on them:
+// the range kernels ClearRange, CopyRange and AppendRange touch only the
+// words covering the range they are given, so clearing, copying or walking a
+// set costs the window, subtree or result it was used for, never the store.
 //
 // A Set is not safe for concurrent mutation; concurrent readers are fine.
-// All sets combined by the binary kernels are expected to share the same
-// logical length (the store's row count); the kernels tolerate shorter
-// operands by treating missing words as zero.
 package bitset
 
 import "math/bits"
@@ -56,14 +52,6 @@ func (s *Set) Set(i int32) {
 	s.words[i>>6] |= 1 << uint(i&63)
 }
 
-// Clear clears bit i. Out-of-range indexes are ignored.
-func (s *Set) Clear(i int32) {
-	if i < 0 || int(i) >= s.n {
-		return
-	}
-	s.words[i>>6] &^= 1 << uint(i&63)
-}
-
 // Has reports whether bit i is set. Out-of-range indexes are false.
 func (s *Set) Has(i int32) bool {
 	if i < 0 || int(i) >= s.n {
@@ -73,9 +61,7 @@ func (s *Set) Has(i int32) bool {
 }
 
 // SetRange sets every bit in [lo, hi), clamped to the set's length. Interior
-// words fill at word granularity, so converting a clustered posting range to
-// a set costs O(hi-lo)/64 — the O(ranges) conversion the bitmap executor
-// relies on.
+// words fill at word granularity, so it costs O(hi-lo)/64.
 func (s *Set) SetRange(lo, hi int32) {
 	lw, hw, loMask, hiMask, ok := s.span(lo, hi)
 	if !ok {
@@ -163,50 +149,6 @@ func (s *Set) AppendRange(dst []int32, lo, hi int32) []int32 {
 	return dst
 }
 
-// And intersects s with o in place.
-func (s *Set) And(o *Set) {
-	n := min(len(s.words), len(o.words))
-	for w := 0; w < n; w++ {
-		s.words[w] &= o.words[w]
-	}
-	for w := n; w < len(s.words); w++ {
-		s.words[w] = 0
-	}
-}
-
-// Or unions o into s in place.
-func (s *Set) Or(o *Set) {
-	n := min(len(s.words), len(o.words))
-	for w := 0; w < n; w++ {
-		s.words[w] |= o.words[w]
-	}
-}
-
-// AndNot removes o's bits from s in place.
-func (s *Set) AndNot(o *Set) {
-	n := min(len(s.words), len(o.words))
-	for w := 0; w < n; w++ {
-		s.words[w] &^= o.words[w]
-	}
-}
-
-// Not complements s in place within its logical length.
-func (s *Set) Not() {
-	for w := range s.words {
-		s.words[w] = ^s.words[w]
-	}
-	s.maskTail()
-}
-
-// maskTail zeroes the bits of the last word beyond the logical length, so
-// Count/Any/AppendTo never observe ghost bits after Not or SetRange at the
-// boundary.
-func (s *Set) maskTail() {
-	if tail := uint(s.n & 63); tail != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] &= ^uint64(0) >> (wordBits - tail)
-	}
-}
-
 // Count returns the number of set bits.
 func (s *Set) Count() int {
 	c := 0
@@ -214,54 +156,6 @@ func (s *Set) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Any reports whether any bit is set.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// ClampWindow clears every bit outside [lo, hi) — the word-masked window
-// clamp the streaming executors apply so a windowed evaluation never sees
-// rows outside its tree-ID slice.
-func (s *Set) ClampWindow(lo, hi int32) {
-	if lo < 0 {
-		lo = 0
-	}
-	if int(hi) > s.n {
-		hi = int32(s.n)
-	}
-	if lo >= hi {
-		clear(s.words)
-		return
-	}
-	lw, hw := int(lo>>6), int((hi-1)>>6)
-	for w := 0; w < lw; w++ {
-		s.words[w] = 0
-	}
-	s.words[lw] &= ^uint64(0) << uint(lo&63)
-	s.words[hw] &= ^uint64(0) >> uint(63-(hi-1)&63)
-	for w := hw + 1; w < len(s.words); w++ {
-		s.words[w] = 0
-	}
-}
-
-// AppendTo appends the set bits in ascending order to dst (typically an
-// arena-pooled candidate slice) via trailing-zero iteration and returns it.
-func (s *Set) AppendTo(dst []int32) []int32 {
-	for wi, w := range s.words {
-		base := int32(wi * wordBits)
-		for w != 0 {
-			dst = append(dst, base+int32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // Range calls f on every set bit in ascending order until f returns false.
@@ -275,10 +169,4 @@ func (s *Set) Range(f func(i int32) bool) {
 			w &= w - 1
 		}
 	}
-}
-
-// CopyFrom makes s an exact copy of o (same logical length and bits).
-func (s *Set) CopyFrom(o *Set) {
-	s.Reset(o.n)
-	copy(s.words, o.words)
 }

@@ -22,7 +22,7 @@ func equal(t *testing.T, what string, s *Set, o oracle) {
 	t.Helper()
 	n := s.Len()
 	want := o.collect(n)
-	got := s.AppendTo(nil)
+	got := s.AppendRange(nil, 0, int32(n))
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d bits, oracle %d\ngot  %v\nwant %v", what, len(got), len(want), got, want)
 	}
@@ -33,9 +33,6 @@ func equal(t *testing.T, what string, s *Set, o oracle) {
 	}
 	if s.Count() != len(want) {
 		t.Errorf("%s: Count = %d, want %d", what, s.Count(), len(want))
-	}
-	if s.Any() != (len(want) > 0) {
-		t.Errorf("%s: Any = %v with %d bits", what, s.Any(), len(want))
 	}
 	for _, i := range []int32{-1, int32(n), int32(n + 63)} {
 		if s.Has(i) {
@@ -52,64 +49,6 @@ func randSet(rng *rand.Rand, n int) (*Set, oracle) {
 		o[i] = true
 	}
 	return s, o
-}
-
-// TestKernelsAgainstOracle drives And/Or/AndNot/Not over random sets at
-// lengths straddling word boundaries and checks every kernel against the
-// map-based oracle.
-func TestKernelsAgainstOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 63, 64, 65, 127, 128, 129, 1000} {
-		for trial := 0; trial < 20; trial++ {
-			a, oa := randSet(rng, n)
-			b, ob := randSet(rng, n)
-
-			and := New(n)
-			and.CopyFrom(a)
-			and.And(b)
-			oAnd := oracle{}
-			for i := range oa {
-				if ob[i] {
-					oAnd[i] = true
-				}
-			}
-			equal(t, "And", and, oAnd)
-
-			or := New(n)
-			or.CopyFrom(a)
-			or.Or(b)
-			oOr := oracle{}
-			for i := range oa {
-				oOr[i] = true
-			}
-			for i := range ob {
-				oOr[i] = true
-			}
-			equal(t, "Or", or, oOr)
-
-			andNot := New(n)
-			andNot.CopyFrom(a)
-			andNot.AndNot(b)
-			oAndNot := oracle{}
-			for i := range oa {
-				if !ob[i] {
-					oAndNot[i] = true
-				}
-			}
-			equal(t, "AndNot", andNot, oAndNot)
-
-			not := New(n)
-			not.CopyFrom(a)
-			not.Not()
-			oNot := oracle{}
-			for i := int32(0); int(i) < n; i++ {
-				if !oa[i] {
-					oNot[i] = true
-				}
-			}
-			equal(t, "Not", not, oNot)
-		}
-	}
 }
 
 // TestSetRangeAgainstOracle checks the word-masked range fill at every
@@ -130,51 +69,28 @@ func TestSetRangeAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestClampWindow checks the window clamp against a filtered oracle.
-func TestClampWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 300
-	for _, w := range [][2]int32{
-		{0, 300}, {0, 0}, {50, 50}, {64, 128}, {63, 65}, {1, 299}, {-10, 400}, {200, 100},
-	} {
-		s, o := randSet(rng, n)
-		s.ClampWindow(w[0], w[1])
-		ow := oracle{}
-		for i := range o {
-			if i >= w[0] && i < w[1] {
-				ow[i] = true
-			}
-		}
-		equal(t, "ClampWindow", s, ow)
-	}
-}
-
 // TestEmptyAndFull pins the degenerate sets: zero-length, all-clear, and
-// all-set via SetRange and Not.
+// all-set via SetRange and cleared again via ClearRange.
 func TestEmptyAndFull(t *testing.T) {
 	z := New(0)
-	if z.Any() || z.Count() != 0 || len(z.AppendTo(nil)) != 0 {
+	if z.Count() != 0 || len(z.AppendRange(nil, 0, 1)) != 0 {
 		t.Error("zero-length set is not empty")
 	}
-	z.Set(0) // ignored
-	z.Not()  // no-op
-	if z.Any() {
+	z.Set(0)         // ignored
+	z.SetRange(0, 1) // clamped away
+	if z.Count() != 0 {
 		t.Error("zero-length set gained bits")
 	}
 
 	for _, n := range []int{64, 65, 130} {
 		full := New(n)
 		full.SetRange(0, int32(n))
-		if full.Count() != n {
+		if full.Count() != n || len(full.AppendRange(nil, 0, int32(n))) != n {
 			t.Errorf("full(%d): Count = %d", n, full.Count())
 		}
-		full.Not()
-		if full.Any() {
-			t.Errorf("¬full(%d) has bits", n)
-		}
-		full.Not()
-		if full.Count() != n {
-			t.Errorf("¬¬full(%d): Count = %d", n, full.Count())
+		full.ClearRange(0, int32(n))
+		if full.Count() != 0 {
+			t.Errorf("cleared full(%d) has %d bits", n, full.Count())
 		}
 	}
 }
@@ -185,12 +101,12 @@ func TestResetReuse(t *testing.T) {
 	s := New(256)
 	s.SetRange(0, 256)
 	s.Reset(100)
-	if s.Len() != 100 || s.Any() {
-		t.Fatalf("Reset(100): len=%d any=%v", s.Len(), s.Any())
+	if s.Len() != 100 || s.Count() != 0 {
+		t.Fatalf("Reset(100): len=%d count=%d", s.Len(), s.Count())
 	}
 	s.Set(99)
 	s.Reset(256)
-	if s.Any() {
+	if s.Count() != 0 {
 		t.Fatal("Reset(256) exposed stale bits")
 	}
 	s.Reset(-5)
@@ -212,35 +128,6 @@ func TestRangeEarlyStop(t *testing.T) {
 	})
 	if len(seen) != 2 || seen[0] != 3 || seen[1] != 70 {
 		t.Fatalf("Range early stop: %v", seen)
-	}
-}
-
-// TestMismatchedLengths pins the defensive behavior of the binary kernels on
-// operands of different lengths: missing operand words act as zero.
-func TestMismatchedLengths(t *testing.T) {
-	long := New(200)
-	long.SetRange(0, 200)
-	short := New(64)
-	short.SetRange(0, 64)
-
-	a := New(200)
-	a.CopyFrom(long)
-	a.And(short)
-	if a.Count() != 64 || a.Has(64) {
-		t.Errorf("And short: count=%d", a.Count())
-	}
-
-	b := New(200)
-	b.CopyFrom(long)
-	b.AndNot(short)
-	if b.Count() != 136 || b.Has(0) || !b.Has(64) {
-		t.Errorf("AndNot short: count=%d", b.Count())
-	}
-
-	c := New(200)
-	c.Or(short)
-	if c.Count() != 64 {
-		t.Errorf("Or short: count=%d", c.Count())
 	}
 }
 

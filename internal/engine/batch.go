@@ -78,26 +78,17 @@ func (c *evalCtx) frontierKey(p *lpath.Path, start int, binds []bind) string {
 	return c.plan.MainKey(p)
 }
 
-// BatchQuery is one slot of a batch: the query's AST, the plan to execute
-// (nil = the default strategy; it must have been built for Path), and what
-// the slot wants back.
+// BatchQuery is one slot of a batch: the query's AST and the plan to execute
+// (nil = the default strategy; it must have been built for Path).
 type BatchQuery struct {
 	Path *lpath.Path
 	Plan *planner.Plan
-	// Limit caps Matches when positive; 0 means no cap. A capped slot is the
-	// exact prefix of the query's full evaluation — the batch evaluates fully
-	// so its memo stays valid for batch mates, then truncates.
-	Limit int
-	// CountOnly skips match materialization: the slot reports Count only.
-	CountOnly bool
 }
 
-// BatchResult is one slot's outcome: exactly what evaluating the query
-// alone would have produced, error included. Count is the number of distinct
-// matches for a CountOnly slot and len(Matches) otherwise.
+// BatchResult is one slot's outcome: exactly what selecting the query alone
+// would have produced, error included.
 type BatchResult struct {
 	Matches []Match
-	Count   int
 	Err     error
 }
 
@@ -115,20 +106,13 @@ func (e *Engine) EvalBatch(cctx context.Context, qs []BatchQuery) ([]BatchResult
 }
 
 // evalBatchOne evaluates one query of a batch: resolve the distinct result
-// rows through the memo, then count them or materialize this slot's own
-// (possibly capped) Match slice.
+// rows through the memo, then materialize this slot's own Match slice.
 func (e *Engine) evalBatchOne(cctx context.Context, q BatchQuery, memo *batchMemo) BatchResult {
 	rows, err := e.batchRows(cctx, q.Path, q.Plan, memo)
 	if err != nil {
 		return BatchResult{Err: err}
 	}
-	if q.CountOnly {
-		return BatchResult{Count: len(rows)}
-	}
-	if q.Limit > 0 && len(rows) > q.Limit {
-		rows = rows[:q.Limit]
-	}
-	return BatchResult{Matches: e.matches(rows), Count: len(rows)}
+	return BatchResult{Matches: e.matches(rows)}
 }
 
 // batchRows returns the query's distinct result rows in (tid,id) order,

@@ -185,68 +185,6 @@ func TestEvalBatchSharedSatisfiers(t *testing.T) {
 	}
 }
 
-// TestEvalBatchLimit pins limit semantics: zero = no cap, positive = the
-// exact prefix of the full serial result — and a capped duplicate must not
-// shrink what an uncapped batch mate sees.
-func TestEvalBatchLimit(t *testing.T) {
-	e, _ := figureEngine(t)
-	p := lpath.MustParse(`//NP`)
-	full, err := e.Eval(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) != 4 {
-		t.Fatalf("//NP: %d matches, want 4", len(full))
-	}
-	limits := []int{1, 0, 2, 4, 10}
-	qs := batchOf(e, []*lpath.Path{p, p, p, p, p})
-	for i, limit := range limits {
-		qs[i].Limit = limit
-	}
-	got, _ := e.EvalBatch(context.Background(), qs)
-	for i, limit := range limits {
-		if got[i].Err != nil {
-			t.Fatalf("slot %d: %v", i, got[i].Err)
-		}
-		want := full
-		if limit > 0 && limit < len(full) {
-			want = full[:limit]
-		}
-		if !reflect.DeepEqual(got[i].Matches, want) || got[i].Count != len(want) {
-			t.Errorf("limit %d: %d matches (count %d), want the serial prefix of %d",
-				limit, len(got[i].Matches), got[i].Count, len(want))
-		}
-	}
-}
-
-// TestCountBatchMatchesSerial checks CountOnly slots slot-for-slot against
-// serial Count, including a duplicate that rides the rows memo.
-func TestCountBatchMatchesSerial(t *testing.T) {
-	e, _ := figureEngine(t)
-	queries := []string{`//NP`, `//VP/V`, `//NP`, `//_[@lex=missing]`}
-	paths := make([]*lpath.Path, len(queries))
-	for i, q := range queries {
-		paths[i] = lpath.MustParse(q)
-	}
-	qs := batchOf(e, paths)
-	for i := range qs {
-		qs[i].CountOnly = true
-	}
-	got, _ := e.EvalBatch(context.Background(), qs)
-	for i, p := range paths {
-		if got[i].Err != nil {
-			t.Fatalf("slot %d: %v", i, got[i].Err)
-		}
-		want, err := e.Count(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].Count != want || got[i].Matches != nil {
-			t.Errorf("%q: batch count %d (%d matches), serial %d", p, got[i].Count, len(got[i].Matches), want)
-		}
-	}
-}
-
 // TestEvalBatchPreCancelled: a dead context fails every slot with its error
 // before any store access.
 func TestEvalBatchPreCancelled(t *testing.T) {

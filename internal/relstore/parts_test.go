@@ -29,9 +29,6 @@ func checkAccessorsEqual(t *testing.T, orig, loaded *Store) {
 	if !reflect.DeepEqual(loaded.ParentRows(), orig.ParentRows()) {
 		t.Error("ParentRows differ")
 	}
-	if !reflect.DeepEqual(loaded.ElementBits(), orig.ElementBits()) {
-		t.Error("ElementBits differ")
-	}
 	if loaded.ElementCount() != orig.ElementCount() {
 		t.Errorf("ElementCount = %d, want %d", loaded.ElementCount(), orig.ElementCount())
 	}

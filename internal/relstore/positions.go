@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"lpath/internal/bitset"
 	"lpath/internal/tree"
 )
 
@@ -25,8 +24,7 @@ type positions struct {
 	childStart, childRows []int32 // children of position p, left to right
 	attrStart, attrRows   []int32 // attribute rows of position p, clustered order
 
-	parentRows []int32     // row → parent element row (see ParentRows)
-	elemBits   *bitset.Set // all element rows (see ElementBits)
+	parentRows []int32 // row → parent element row (see ParentRows)
 
 	// trees[t] holds tree t's nodes once somebody asked for one: Build
 	// publishes the caller's trees up front, an assembled store materializes
@@ -54,9 +52,6 @@ func (s *Store) indexPositions(maxSpan int) error {
 	// name-clustered relation.
 	attrLo := sort.Search(n, func(i int) bool { return s.rows[i].Name >= "@" })
 	attrHi := sort.Search(n, func(i int) bool { return s.rows[i].Name >= "A" })
-	s.elemBits = bitset.New(n)
-	s.elemBits.SetRange(0, int32(attrLo))
-	s.elemBits.SetRange(int32(attrHi), int32(n))
 	s.parentRows = make([]int32, n)
 	s.childStart = make([]int32, len(elems)+1)
 	s.attrStart = make([]int32, len(elems)+1)
@@ -168,15 +163,19 @@ func (s *Store) Pos(ri int32) int32 {
 	return s.treeStart[s.cols.TID[ri]-s.firstTID] + s.cols.ID[ri] - 1
 }
 
-// PosRange returns the positions [lo, hi) of the trees with tid in
-// [tidLo, tidHi).
-func (s *Store) PosRange(tidLo, tidHi int32) (lo, hi int32) {
-	clamp := func(tid int32) int32 {
-		t := int64(tid) - int64(s.firstTID)
-		return s.treeStart[max(0, min(t, int64(len(s.treeStart)-1)))]
-	}
-	return clamp(tidLo), clamp(tidHi)
-}
+// NoParent marks a row without a parent element row in ParentRows (tree
+// roots and their attribute rows).
+const NoParent int32 = -1
+
+// ParentRows returns the parent column: for every clustered row i, the row
+// index of its parent element (NoParent for tree roots). Attribute rows map
+// to their owning element's parent, matching the (left, right, depth, id,
+// pid) labels they share with it. Read-only.
+//
+// This is the column that turns the engine's per-scope child probing into
+// two array loads and a set test: a candidate x is a child of some scope s
+// exactly when the scope set holds ParentRows()[x].
+func (s *Store) ParentRows() []int32 { return s.parentRows }
 
 // ElementByID returns the element row index for (tid, id).
 func (s *Store) ElementByID(tid, id int32) (int32, bool) {

@@ -66,9 +66,6 @@ func checkAgainstMaps(t *testing.T, s *Store) {
 		if parents[i] != wantParent {
 			t.Fatalf("ParentRows[%d] = %d, want %d", i, parents[i], wantParent)
 		}
-		if s.ElementBits().Has(i) == r.IsAttr() {
-			t.Fatalf("ElementBits.Has(%d) = %v for %q", i, !r.IsAttr(), r.Name)
-		}
 		if r.IsAttr() {
 			if v, ok := s.AttrValue(r.TID, r.ID, r.Name); !ok || v != r.Value {
 				t.Fatalf("AttrValue(%d, %d, %s) = %q, %v, want %q", r.TID, r.ID, r.Name, v, ok, r.Value)

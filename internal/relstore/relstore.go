@@ -104,10 +104,6 @@ type Store struct {
 
 	// stats is the build-time statistics snapshot (see stats.go).
 	stats *Statistics
-
-	// nameBits caches the per-name dense bitsets (see bitmap.go). Zero value
-	// is ready.
-	nameBits nameBitsCache
 }
 
 // Build labels every tree of the corpus under the scheme and constructs the

@@ -293,35 +293,41 @@ func (s *Server) evaluate(ctx context.Context, kind string, entry *Entry, req *q
 // evaluateQuery runs one uncached /v1/query evaluation with the limit pushed
 // into the engine: the corpus streams matches in (tree, document) order and
 // stops after limit+1 — the extra match is how the server learns whether the
-// limit truncated the result without evaluating the rest of the corpus. With
-// request coalescing enabled the evaluation routes through the coalescer,
-// which may run it inside a shared batch pass alongside concurrent requests
-// (coalesce.go); the returned queryResult is identical either way. The
+// limit truncated the result without evaluating the rest of the corpus. The
 // exact total costs a separate count-only evaluation and is computed only
 // when the request asks for it (or comes free because the stream ran dry).
 func (s *Server) evaluateQuery(ctx context.Context, entry *Entry, req *queryRequest) (*queryResult, error) {
-	var qr *queryResult
-	var err error
-	if s.coal != nil {
-		qr, err = s.coal.do(ctx, entry, req.Query, req.Limit)
-	} else {
-		qr, err = selectOne(ctx, entry, req.Query, req.Limit)
-	}
+	res, err := entry.Corpus.Run(ctx, lpath.Request{Text: req.Query, Limit: req.Limit + 1})
 	if err != nil {
 		return nil, err
 	}
+	qr := foldResult(res, req.Limit)
 	if req.Count && !qr.countKnown {
 		res, err := entry.Corpus.Run(ctx, lpath.Request{Text: req.Query, Mode: lpath.ModeCount})
 		if err != nil {
 			return nil, err
 		}
-		// A coalesced queryResult may be shared with batch mates and the
-		// cache: attach the count to a copy rather than mutating it.
-		counted := *qr
-		counted.count, counted.countKnown = res.Count, true
-		qr = &counted
+		qr.count, qr.countKnown = res.Count, true
 	}
 	return qr, nil
+}
+
+// foldResult builds the cacheable queryResult from a limit+1 evaluation: a
+// stream that ran dry within the limit is the complete result, total known.
+func foldResult(res lpath.Result, limit int) *queryResult {
+	ms := res.Matches
+	qr := &queryResult{matches: make([]matchJSON, len(ms))}
+	for i, m := range ms {
+		qr.matches[i] = matchJSON{
+			Tree: m.TreeID,
+			Tag:  m.Node.Tag,
+			Text: strings.Join(m.Node.Words(), " "),
+		}
+	}
+	if len(ms) <= limit {
+		qr.complete, qr.count, qr.countKnown = true, len(ms), true
+	}
+	return qr
 }
 
 // handleHealthz reports readiness: 200 with the corpus inventory once at
@@ -378,29 +384,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "# HELP lpathd_result_cache_bytes Estimated resident bytes of cached results.\n")
 			fmt.Fprintf(w, "# TYPE lpathd_result_cache_bytes gauge\n")
 			fmt.Fprintf(w, "lpathd_result_cache_bytes %d\n", st.Bytes)
-		},
-		func(w io.Writer) {
-			if s.coal == nil {
-				return
-			}
-			st := s.coal.Stats()
-			fmt.Fprintf(w, "# HELP lpathd_batch_size Queries per evaluated /v1/query batch (1 = uncoalesced).\n")
-			fmt.Fprintf(w, "# TYPE lpathd_batch_size histogram\n")
-			var cum uint64
-			for i, ub := range batchSizeBuckets {
-				cum += st.SizeCounts[i]
-				fmt.Fprintf(w, "lpathd_batch_size_bucket{le=\"%d\"} %d\n", ub, cum)
-			}
-			cum += st.SizeCounts[len(batchSizeBuckets)]
-			fmt.Fprintf(w, "lpathd_batch_size_bucket{le=\"+Inf\"} %d\n", cum)
-			fmt.Fprintf(w, "lpathd_batch_size_sum %d\n", st.SizeSum)
-			fmt.Fprintf(w, "lpathd_batch_size_count %d\n", st.SizeTotal)
-			fmt.Fprintf(w, "# HELP lpathd_batch_dedup_total Requests answered by an identical query coalesced into the same batch.\n")
-			fmt.Fprintf(w, "# TYPE lpathd_batch_dedup_total counter\n")
-			fmt.Fprintf(w, "lpathd_batch_dedup_total %d\n", st.Dedup)
-			fmt.Fprintf(w, "# HELP lpathd_batch_coalesced_total Requests served through a multi-request batch.\n")
-			fmt.Fprintf(w, "# TYPE lpathd_batch_coalesced_total counter\n")
-			fmt.Fprintf(w, "lpathd_batch_coalesced_total %d\n", st.Coalesced)
 		},
 		func(w io.Writer) {
 			fmt.Fprintf(w, "# HELP lpathd_plan_cache Plan cache counters, by corpus.\n")

@@ -49,6 +49,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 	if strings.Contains(out, "strategy=") {
 		t.Errorf("output still exports a retired per-strategy series")
 	}
+	if strings.Contains(out, "lpathd_batch") {
+		t.Errorf("output still exports a retired request-batching series")
+	}
 
 	// Histogram buckets are cumulative: the 2ms observations land in the
 	// le="0.0025" bucket and every later one.

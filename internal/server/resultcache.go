@@ -118,7 +118,9 @@ func (c *ResultCache) GetServe(key resultKey, usable func(any) bool) (any, bool)
 // bound (entry count, total bytes) is exceeded. A value whose own estimated
 // size exceeds the byte bound is not stored — caching it would evict the
 // entire working set for an entry unlikely to be re-served before it is
-// evicted in turn.
+// evicted in turn. A /v1/query prefix stored over another one for the same
+// key keeps whatever both of them answer (mergeQueryResults), so a racing
+// evaluation with a smaller limit never narrows what the entry serves.
 func (c *ResultCache) Put(key resultKey, value any) {
 	if c.capacity < 1 {
 		return
@@ -131,6 +133,10 @@ func (c *ResultCache) Put(key resultKey, value any) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*resultEntry)
+		var fromOld bool
+		if value, fromOld = mergeQueryResults(e.value, value); fromOld {
+			size = e.size // the old prefix stays; a count adds no bytes
+		}
 		c.curBytes += size - e.size
 		e.value, e.size = value, size
 		c.ll.MoveToFront(el)
@@ -152,6 +158,30 @@ func (c *ResultCache) Put(key resultKey, value any) {
 		c.curBytes -= e.size
 		c.evictions++
 	}
+}
+
+// mergeQueryResults returns the value a Put of nv over the stored ov keeps.
+// Two /v1/query results for one key come from the same corpus generation, so
+// they agree wherever both are defined: the merge keeps nv's prefix unless
+// ov's is strictly longer or complete, with a total either of them knows, and
+// so answers every (limit, count) request either one answered. fromOld
+// reports that the kept prefix is ov's. Any other value simply replaces ov.
+func mergeQueryResults(ov, nv any) (v any, fromOld bool) {
+	o, ok := ov.(*queryResult)
+	n, ok2 := nv.(*queryResult)
+	if !ok || !ok2 {
+		return nv, false
+	}
+	keep, other := n, o
+	if fromOld = !n.complete && (o.complete || len(o.matches) > len(n.matches)); fromOld {
+		keep, other = o, n
+	}
+	if other.countKnown && !keep.countKnown {
+		counted := *keep // stored entries are immutable: count a copy
+		counted.count, counted.countKnown = other.count, true
+		keep = &counted
+	}
+	return keep, fromOld
 }
 
 // InvalidateCorpus drops every entry for the named corpus, regardless of

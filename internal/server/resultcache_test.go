@@ -164,3 +164,76 @@ func TestResultCacheBytesAccounting(t *testing.T) {
 		t.Fatalf("bytes %d after invalidating every entry, want 0", got)
 	}
 }
+
+// TestResultCachePutNeverNarrowsQueryEntry stores two /v1/query results for
+// one key in both orders — what two concurrent misses with different limits
+// or count flags race to do — and requires the surviving entry to answer
+// every (limit, count) request either of them answered, with the right
+// prefix. (It may answer more: a total one of them knows covers the other's
+// longer prefix too.)
+func TestResultCachePutNeverNarrowsQueryEntry(t *testing.T) {
+	const total = 50
+	all := make([]matchJSON, total)
+	for i := range all {
+		all[i] = matchJSON{Tree: i, Tag: "NP"}
+	}
+	// prefix is a limit+1 evaluation's result with limit n-1, optionally
+	// with the exact total attached.
+	prefix := func(n int, counted bool) *queryResult {
+		qr := &queryResult{matches: all[:n]}
+		if counted {
+			qr.count, qr.countKnown = total, true
+		}
+		return qr
+	}
+	complete := &queryResult{matches: all, complete: true, count: total, countKnown: true}
+	entries := map[string]*queryResult{
+		"limit 2":          prefix(3, false),
+		"limit 2 counted":  prefix(3, true),
+		"limit 10":         prefix(11, false),
+		"limit 10 counted": prefix(11, true),
+		"limit 40":         prefix(41, false),
+		"limit 40 counted": prefix(41, true),
+		"complete":         complete,
+	}
+	pairs := [][2]string{
+		{"limit 2", "limit 10"},
+		{"limit 10", "limit 40"},
+		{"limit 2", "limit 10 counted"},
+		{"limit 2 counted", "limit 10"},
+		{"limit 2 counted", "limit 40 counted"},
+		{"limit 10", "limit 10 counted"},
+		{"limit 10", "complete"},
+		{"limit 2 counted", "complete"},
+	}
+	key := resultKey{Corpus: "a", Gen: 1, Kind: "query", Query: "//NP"}
+	for _, pair := range pairs {
+		for _, order := range [][2]string{{pair[0], pair[1]}, {pair[1], pair[0]}} {
+			c := NewResultCache(8)
+			for _, name := range order {
+				c.Put(key, entries[name])
+			}
+			for _, limit := range []int{1, 2, 3, 10, 11, 20, 40, 49, 50, 100} {
+				for _, counted := range []bool{false, true} {
+					want := entries[order[0]].canServe(limit, counted) || entries[order[1]].canServe(limit, counted)
+					v, ok := c.GetServe(key, func(v any) bool { return v.(*queryResult).canServe(limit, counted) })
+					if want && !ok {
+						t.Errorf("Put %q then %q: limit %d count %v served=%v, want %v", order[0], order[1], limit, counted, ok, want)
+						continue
+					}
+					if !ok {
+						continue
+					}
+					got := v.(*queryResult).render(limit)
+					n := min(limit, total)
+					if len(got.Matches) != n || got.Matches[n-1] != all[n-1] || got.Truncated != (limit < total) {
+						t.Errorf("Put %q then %q: limit %d rendered %d matches truncated=%v", order[0], order[1], limit, len(got.Matches), got.Truncated)
+					}
+					if counted && got.Count != total {
+						t.Errorf("Put %q then %q: limit %d count %d, want %d", order[0], order[1], limit, got.Count, total)
+					}
+				}
+			}
+		}
+	}
+}

@@ -33,12 +33,6 @@ type Config struct {
 	// LRU entries once exceeded (default 64 MiB; negative removes the bound,
 	// leaving only the entry-count capacity).
 	CacheBytes int64
-	// BatchWindow is the request-coalescing gather window for /v1/query:
-	// requests arriving while an evaluation is in flight wait up to this long
-	// and then evaluate together as one batch (default 1ms; negative disables
-	// coalescing). A request arriving while the coalescer is idle always
-	// evaluates immediately — the window never delays an unqueued request.
-	BatchWindow time.Duration
 	// DefaultLimit is the /v1/query match-list cap when the request carries
 	// none (default 100).
 	DefaultLimit int
@@ -79,9 +73,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes < 0 {
 		c.CacheBytes = 0 // unbounded
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = defaultBatchWindow
-	}
 	if c.DefaultLimit == 0 {
 		c.DefaultLimit = 100
 	}
@@ -98,7 +89,6 @@ type Server struct {
 	registry  *Registry
 	admission *Admission
 	cache     *ResultCache
-	coal      *coalescer // nil when coalescing is disabled
 	metrics   *Metrics
 	http      *http.Server
 }
@@ -113,9 +103,6 @@ func New(reg *Registry, cfg Config) *Server {
 		admission: NewAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
 		cache:     NewResultCacheBytes(cfg.CacheSize, cfg.CacheBytes),
 		metrics:   NewMetrics(),
-	}
-	if cfg.BatchWindow > 0 {
-		s.coal = newCoalescer(cfg.BatchWindow, cfg.DefaultTimeout)
 	}
 	s.http = &http.Server{
 		Addr:              cfg.Addr,

@@ -2,12 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"lpath"
 )
@@ -261,6 +265,82 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output lacks %q", want)
+		}
+	}
+	if strings.Contains(body, "lpathd_batch") {
+		t.Errorf("metrics output still exports a retired request-batching series")
+	}
+}
+
+// TestMetricsExposeCacheBytes: the /metrics exposition carries the
+// result-cache byte gauge and the byte-bound eviction counter.
+func TestMetricsExposeCacheBytes(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	postJSON(t, h, "/v1/query", queryRequest{Query: `//NP`, Limit: 2})
+
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := w.Body.String()
+	for _, want := range []string{
+		"lpathd_result_cache_bytes",
+		`lpathd_result_cache{event="bytes_eviction"} 0`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics exposition lacks %q", want)
+		}
+	}
+}
+
+// TestConcurrentDistinctQueryMisses sends distinct limited /v1/query
+// requests from more goroutines than there are evaluation slots, so they
+// overlap in the engine and queue at admission. Every one is a cache miss
+// and must answer exactly what its own limit+1 evaluation folds to: the
+// first limit matches, truncated, total unknown.
+func TestConcurrentDistinctQueryMisses(t *testing.T) {
+	s, c := newTestServer(t, Config{MaxInFlight: 2, MaxQueue: 64, QueueWait: time.Minute})
+	h := s.Handler()
+	var reqs []queryRequest
+	for _, tag := range []string{"NP", "VP", "S", "NN", "DT", "PP", "IN", "VB"} {
+		for _, tmpl := range []string{`//%s`, `//S//%s`} {
+			reqs = append(reqs, queryRequest{Query: fmt.Sprintf(tmpl, tag), Limit: 1 + len(reqs)%4})
+		}
+	}
+	want := make([]*queryResponse, len(reqs))
+	for i, rq := range reqs {
+		res, err := c.Run(context.Background(), lpath.Request{Text: rq.Query, Limit: rq.Limit + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) <= rq.Limit {
+			t.Fatalf("%s has %d matches, not more than its limit %d", rq.Query, len(res.Matches), rq.Limit)
+		}
+		want[i] = foldResult(res, rq.Limit).render(rq.Limit)
+	}
+
+	got := make([]*httptest.ResponseRecorder, len(reqs))
+	var wg sync.WaitGroup
+	for i, rq := range reqs {
+		body, err := json.Marshal(rq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = httptest.NewRecorder()
+			h.ServeHTTP(got[i], httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		}()
+	}
+	wg.Wait()
+	for i, rq := range reqs {
+		if got[i].Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", rq.Query, got[i].Code, got[i].Body.String())
+		}
+		resp := decodeResponse(t, got[i])
+		if resp.Cached || !resp.Truncated || resp.Count != -1 || !reflect.DeepEqual(resp.Matches, want[i].Matches) {
+			t.Errorf("%s limit %d: cached=%v truncated=%v count=%d matches %+v, want a truncated miss with count -1 and %+v",
+				rq.Query, rq.Limit, resp.Cached, resp.Truncated, resp.Count, resp.Matches, want[i].Matches)
 		}
 	}
 }

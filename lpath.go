@@ -417,9 +417,8 @@ const (
 )
 
 // Request is one query evaluation. Every way of running a query — full or
-// limited, serial or parallel, compiled or raw text, alone or in a batch — is
-// a Request value handed to Run, RunBatch or Stream; the zero value of each
-// field is the plain case.
+// limited, serial or parallel, compiled or raw text — is a Request value
+// handed to Run or Stream; the zero value of each field is the plain case.
 type Request struct {
 	// Query is the compiled query. When nil, Text is compiled instead.
 	Query *Query
@@ -444,13 +443,11 @@ type Request struct {
 	// deterministic and independent of the worker count; under a Limit,
 	// windows past the settled prefix are cancelled. Run alone honors the
 	// field: ModeExplain ignores it (the report describes one serial run),
-	// and so do RunBatch, whose slots all join its serial memo pass, and
-	// Stream.
+	// and so does Stream.
 	Parallel bool
 }
 
-// Result is the outcome of one Request; a failed request's Result carries
-// nothing but its error.
+// Result is the outcome of one Request.
 type Result struct {
 	// Matches is ModeSelect's result: non-nil, possibly empty.
 	Matches []Match
@@ -458,9 +455,6 @@ type Result struct {
 	Count int
 	// Explain is ModeExplain's report.
 	Explain string
-	// Err is the slot's error in a RunBatch result. Run returns its error
-	// separately and leaves Err nil.
-	Err error
 }
 
 // resolve is the front half of every evaluation: build the index, resolve
@@ -519,60 +513,6 @@ func (c *Corpus) Run(ctx context.Context, req Request) (Result, error) {
 		return Result{}, err
 	}
 	return res, nil
-}
-
-// RunBatch evaluates the requests as one batch in a single shared pass: the
-// engine memoizes whole-query results, main-path step frontiers and
-// predicate satisfier sets by canonical structural key across the batch
-// (docs/EXECUTION.md, "Batched evaluation"), so overlapping queries —
-// duplicates, shared step prefixes, shared filters — amortize the corpus
-// scans they have in common. Results are positional: slot i is element-wise
-// identical to Run(ctx, reqs[i]), with the error in Result.Err, and a failing
-// request — a text that does not compile, say — never disturbs its batch
-// mates. A batch evaluates each query fully so its memo stays valid for the
-// others, then truncates to the slot's Limit. Parallel is ignored: a
-// Parallel slot joins the serial memo pass like any other, with the same
-// result. ModeExplain slots run on their own (instrumented executions share
-// nothing). Once the context is done, the requests it interrupted report its
-// error.
-func (c *Corpus) RunBatch(ctx context.Context, reqs []Request) []Result {
-	out, _ := c.runBatch(ctx, reqs)
-	return out
-}
-
-// runBatch is RunBatch additionally reporting the cross-query memo hit rates
-// the batch achieved.
-func (c *Corpus) runBatch(ctx context.Context, reqs []Request) ([]Result, engine.BatchStats) {
-	out := make([]Result, len(reqs))
-	var qs []engine.BatchQuery
-	var at []int // batch position → request slot
-	for i, req := range reqs {
-		if req.Mode == ModeExplain {
-			res, err := c.Run(ctx, req)
-			res.Err = err
-			out[i] = res
-			continue
-		}
-		path, plan, err := c.resolve(req)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		qs = append(qs, engine.BatchQuery{Path: path, Plan: plan, Limit: req.Limit, CountOnly: req.Mode == ModeCount})
-		at = append(at, i)
-	}
-	if len(qs) == 0 {
-		return out, engine.BatchStats{}
-	}
-	rs, stats := c.eng.EvalBatch(ctx, qs)
-	for j, r := range rs {
-		if r.Err != nil {
-			out[at[j]] = Result{Err: r.Err}
-			continue
-		}
-		out[at[j]].Matches, out[at[j]].Count = r.Matches, r.Count
-	}
-	return out, stats
 }
 
 // Stream is the iterator form of Run for ModeSelect requests: a
@@ -680,17 +620,30 @@ func (c *Corpus) ExplainText(text string) (string, error) {
 	return res.Explain, err
 }
 
-// SelectBatchStats is RunBatch over plain Select requests, additionally
-// reporting the cross-query memo hit rates the batch achieved.
+// SelectBatchStats selects the queries as one batch in a single shared pass,
+// reporting the cross-query memo hit rates the batch achieved: the engine
+// memoizes whole-query results, main-path step frontiers and predicate
+// satisfier sets by canonical structural key across the batch
+// (docs/EXECUTION.md, "Batched evaluation"). Slot i is element-wise identical
+// to Select(qs[i]), error included; a failing query never disturbs its batch
+// mates, and once the context is done the queries it interrupted report its
+// error.
 func (c *Corpus) SelectBatchStats(ctx context.Context, qs []*Query) ([][]Match, []error, engine.BatchStats) {
-	reqs := make([]Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = Request{Query: q}
-	}
-	rs, stats := c.runBatch(ctx, reqs)
 	out, errs := make([][]Match, len(qs)), make([]error, len(qs))
-	for i, r := range rs {
-		out[i], errs[i] = r.Matches, r.Err
+	var bqs []engine.BatchQuery
+	var at []int // batch position → query slot
+	for i, q := range qs {
+		path, plan, err := c.resolve(Request{Query: q})
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		bqs = append(bqs, engine.BatchQuery{Path: path, Plan: plan})
+		at = append(at, i)
+	}
+	rs, stats := c.eng.EvalBatch(ctx, bqs)
+	for j, r := range rs {
+		out[at[j]], errs[at[j]] = r.Matches, r.Err
 	}
 	return out, errs, stats
 }

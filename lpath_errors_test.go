@@ -35,22 +35,29 @@ func shapeName(r Request) string {
 
 // TestErrorParityAcrossRequests pins the error contract of the one request
 // path: for one identical failure, every Request shape — serial or parallel,
-// selecting, counting or explaining, limited or not, alone or as a batch
-// slot — returns the identical error, independent of worker scheduling
-// (runWindows propagates deterministically by window index).
+// selecting, counting or explaining, limited or not — returns the identical
+// error, independent of worker scheduling (runWindows propagates
+// deterministically by window index), and so does a compiled query's slot in
+// a SelectBatchStats batch.
 func TestErrorParityAcrossRequests(t *testing.T) {
 	c, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), WithPlanCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run a shape alone and as a slot of a batch; both must fail alike.
+	healthy := MustCompile(`//NP`)
+	// Run a shape alone and, when it is a plain compiled select, as a slot of
+	// a batch; both must fail alike.
 	failures := func(ctx context.Context, r Request) map[string]error {
 		_, runErr := c.Run(ctx, r)
-		batch := c.RunBatch(ctx, []Request{{Text: `//NP`}, r})
-		if batch[0].Err != nil && ctx.Err() == nil {
-			t.Errorf("%s: healthy batch mate failed: %v", shapeName(r), batch[0].Err)
+		out := map[string]error{"Run": runErr}
+		if r == (Request{Query: r.Query}) && r.Query != nil {
+			_, errs, _ := c.SelectBatchStats(ctx, []*Query{healthy, r.Query})
+			if errs[0] != nil && ctx.Err() == nil {
+				t.Errorf("%s: healthy batch mate failed: %v", shapeName(r), errs[0])
+			}
+			out["SelectBatchStats"] = errs[1]
 		}
-		return map[string]error{"Run": runErr, "RunBatch": batch[1].Err}
+		return out
 	}
 
 	// An attribute step in the main path fails validation. The public Compile
@@ -112,8 +119,8 @@ func TestErrorParityAcrossRequests(t *testing.T) {
 }
 
 // TestSugarEqualsRun holds every surviving shorthand method to the Run (or
-// RunBatch, or Stream) call its documentation names, on all 23 paper
-// queries.
+// Stream) call its documentation names, and SelectBatchStats to Run, on all
+// 23 paper queries.
 func TestSugarEqualsRun(t *testing.T) {
 	c, err := GenerateCorpus("wsj", 0.004, 3, WithPlanCache(32), WithWorkers(3))
 	if err != nil {
@@ -129,10 +136,11 @@ func TestSugarEqualsRun(t *testing.T) {
 		return res
 	}
 	var qs []*Query
+	var fulls [][]Match
 	for _, eq := range EvalQueries() {
 		q := MustCompile(eq.Text)
-		qs = append(qs, q)
 		full := run(Request{Query: q})
+		qs, fulls = append(qs, q), append(fulls, full.Matches)
 
 		if ms, err := c.Select(q); err != nil || !reflect.DeepEqual(ms, full.Matches) {
 			t.Errorf("Q%d: Select = %d matches, %v; Run %d", eq.ID, len(ms), err, len(full.Matches))
@@ -190,18 +198,13 @@ func TestSugarEqualsRun(t *testing.T) {
 		}
 	}
 
-	reqs := make([]Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = Request{Query: q}
-	}
-	batch := c.RunBatch(ctx, reqs)
 	ms, errs, _ := c.SelectBatchStats(ctx, qs)
 	for i := range qs {
-		if errs[i] != nil || batch[i].Err != nil {
-			t.Fatalf("%q: %v / %v", qs[i], errs[i], batch[i].Err)
+		if errs[i] != nil {
+			t.Fatalf("%q: %v", qs[i], errs[i])
 		}
-		if !reflect.DeepEqual(ms[i], batch[i].Matches) {
-			t.Errorf("%q: SelectBatchStats slot differs from RunBatch", qs[i])
+		if !reflect.DeepEqual(ms[i], fulls[i]) {
+			t.Errorf("%q: SelectBatchStats slot differs from Run", qs[i])
 		}
 	}
 }

@@ -32,8 +32,7 @@ func limitStrategies() []struct {
 
 // checkLimit holds Limit k to its one meaning — the first k entries of the
 // full result, the whole result when k is 0 — everywhere a limit can be
-// applied through Run: the serial stream, the windowed settled prefix, and
-// serial and Parallel batch slots, whose uncapped batch mate must stay whole.
+// applied through Run: the serial stream and the windowed settled prefix.
 func checkLimit(t *testing.T, c *Corpus, q *Query, k int, full []Match) {
 	t.Helper()
 	want := full
@@ -41,30 +40,15 @@ func checkLimit(t *testing.T, c *Corpus, q *Query, k int, full []Match) {
 		want = full[:k]
 	}
 	ctx := context.Background()
-	got := map[string]Result{}
 	for name, parallel := range map[string]bool{"serial": false, "parallel": true} {
 		res, err := c.Run(ctx, Request{Query: q, Limit: k, Parallel: parallel})
 		if err != nil {
 			t.Fatalf("%s %s limit %d: %v", q, name, k, err)
 		}
-		got[name] = res
-	}
-	batch := c.RunBatch(ctx, []Request{
-		{Query: q, Limit: k}, {Query: q}, {Query: q, Limit: k, Parallel: true},
-	})
-	got["batch"], got["batch-parallel"] = batch[0], batch[2]
-	for name, res := range got {
-		if res.Err != nil {
-			t.Fatalf("%s %s limit %d: %v", q, name, k, res.Err)
-		}
 		if !reflect.DeepEqual(res.Matches, want) || res.Count != len(want) {
 			t.Errorf("%s %s: Limit %d = %d matches (Count %d), want prefix of %d",
 				q, name, k, len(res.Matches), res.Count, len(want))
 		}
-	}
-	if batch[1].Err != nil || !reflect.DeepEqual(batch[1].Matches, full) {
-		t.Errorf("%s: uncapped mate of a Limit %d slot has %d matches (%v), want all %d",
-			q, k, len(batch[1].Matches), batch[1].Err, len(full))
 	}
 }
 
@@ -85,6 +69,15 @@ func TestLimitParity(t *testing.T) {
 				full, err := c.Select(q)
 				if err != nil {
 					t.Fatalf("%s select: %v", eq.Name, err)
+				}
+				// A batch takes no limit: a duplicate pair of slots, riding the
+				// batch memo, must each be the whole result.
+				batch, errs, _ := c.SelectBatchStats(context.Background(), []*Query{q, q})
+				for i := range batch {
+					if errs[i] != nil || !reflect.DeepEqual(batch[i], full) {
+						t.Errorf("%s: batch slot %d has %d matches (%v), want all %d",
+							eq.Name, i, len(batch[i]), errs[i], len(full))
+					}
 				}
 				for _, k := range []int{0, 1, 7, 100, len(full), len(full) + 1} {
 					checkLimit(t, c, q, k, full)

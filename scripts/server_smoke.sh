@@ -2,8 +2,10 @@
 # server_smoke.sh — end-to-end smoke test for lpathd against the testdata
 # corpus. Builds the CLI and the server, starts lpathd, waits for /healthz,
 # runs known queries through /v1/query and /v1/count, asserts the counts
-# match the lpath CLI's answers on the same corpus, provokes 429 shedding,
-# and checks /metrics reports the traffic. Exits non-zero on any mismatch.
+# match the lpath CLI's answers on the same corpus, sends a concurrent burst
+# of distinct limited /v1/query requests and checks their totals the same
+# way, provokes 429 shedding, and checks /metrics reports the traffic.
+# Exits non-zero on any mismatch.
 #
 # Usage: scripts/server_smoke.sh [port]
 set -euo pipefail
@@ -21,11 +23,14 @@ echo "== building lpath + lpathd"
 go build -o "$BIN/lpath" ./cmd/lpath
 go build -o "$BIN/lpathd" ./cmd/lpathd
 
+# cli_count QUERY prints the lpath CLI's match count for QUERY on $CORPUS.
+cli_count() { "$BIN/lpath" -corpus "$CORPUS" -count "$1" | grep -F "$1: " | awk '{print $(NF-1)}'; }
+
 echo "== expected counts from the lpath CLI"
 declare -a WANT
 for i in "${!QUERIES[@]}"; do
     q="${QUERIES[$i]}"
-    WANT[$i]=$("$BIN/lpath" -corpus "$CORPUS" -count "$q" | grep -F "$q: " | awk '{print $(NF-1)}')
+    WANT[$i]=$(cli_count "$q")
     [ -n "${WANT[$i]}" ] || { echo "FAIL: could not parse CLI count for $q"; exit 1; }
     echo "   $q -> ${WANT[$i]}"
 done
@@ -59,6 +64,28 @@ for i in "${!QUERIES[@]}"; do
     [ "$got" = "${WANT[$i]}" ] || { echo "FAIL: /v1/count $q: got $got, want ${WANT[$i]}"; exit 1; }
     echo "   $q -> $got (query+count agree with CLI)"
 done
+
+echo "== concurrent distinct /v1/query misses vs CLI"
+# Every text is new to the result cache, so each request evaluates its own
+# limit+1 stream and then its count while the others are in flight.
+BURST=('//DT' '//VP' '//S' '//NN' '//VBD' '//JJ' '//IN' '//PP' '//NNS' '//NP//NN' '//VP/VBD' '//S//DT')
+declare -a BURST_PIDS
+for i in "${!BURST[@]}"; do
+    curl -fsS -X POST -d "$(printf '{"query":"%s","limit":2,"count":true}' "${BURST[$i]}")" \
+        "$BASE/v1/query" > "$BIN/burst.$i" &
+    BURST_PIDS[$i]=$!
+done
+for i in "${!BURST[@]}"; do
+    wait "${BURST_PIDS[$i]}" || { echo "FAIL: burst /v1/query ${BURST[$i]} failed"; exit 1; }
+done
+for i in "${!BURST[@]}"; do
+    q="${BURST[$i]}"
+    want=$(cli_count "$q")
+    got=$(json_int count < "$BIN/burst.$i")
+    [ -n "$want" ] && [ "$got" = "$want" ] || { echo "FAIL: burst /v1/query $q: got $got, want $want"; exit 1; }
+    grep -q '"cached":false' "$BIN/burst.$i" || { echo "FAIL: burst /v1/query $q was not a miss"; exit 1; }
+done
+echo "   ${#BURST[@]} concurrent distinct queries agree with the CLI"
 
 echo "== limit pushdown: without \"count\" a truncated response reports -1"
 resp=$(curl -fsS -X POST -d '{"query":"//_","limit":1}' "$BASE/v1/query")
@@ -125,6 +152,9 @@ echo "$METRICS" | grep -q 'lpathd_request_duration_seconds_count' \
     || { echo "FAIL: latency histogram missing"; exit 1; }
 echo "$METRICS" | grep -q 'lpathd_admission_total{outcome="admitted"}' \
     || { echo "FAIL: admission counters missing"; exit 1; }
+if echo "$METRICS" | grep -q '^lpathd_batch_'; then
+    echo "FAIL: /metrics still exports a request-batching series"; exit 1
+fi
 echo "   metrics ok"
 
 echo "PASS: server smoke test"
