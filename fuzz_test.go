@@ -84,12 +84,6 @@ func FuzzEvalOracle(f *testing.F) {
 		parLimitedRes, parLimitedErr := c.Run(ctx, Request{Query: q, Limit: limit, Parallel: true})
 		limited, parLimited := limitedRes.Matches, parLimitedRes.Matches
 
-		// Batch rotation: a duplicate pair rides every cross-query memo layer
-		// (rows, frontiers, satisfiers) while the identity property is
-		// checked. A batch evaluates each query fully, so error agreement
-		// with Select is exact.
-		batch, batchErrs, _ := c.SelectBatchStats(ctx, []*Query{q, q})
-
 		// Filter rotation: answer every set-capable and scope-only filter for
 		// its whole frontier, then every filter candidate by candidate, with
 		// the step sides otherwise chosen at run time.
@@ -130,11 +124,6 @@ func FuzzEvalOracle(f *testing.F) {
 		if (plannedErr != nil) != (setFilteredErr != nil) || (plannedErr != nil) != (fwdFilteredErr != nil) {
 			t.Fatalf("%q: planned err %v, set filters err %v, forward filters err %v",
 				query, plannedErr, setFilteredErr, fwdFilteredErr)
-		}
-		for i, err := range batchErrs {
-			if (plannedErr != nil) != (err != nil) {
-				t.Fatalf("%q: planned err %v, batch slot %d err %v", query, plannedErr, i, err)
-			}
 		}
 		if plannedErr != nil {
 			return // all evaluators agree the query errors on this corpus
@@ -189,12 +178,6 @@ func FuzzEvalOracle(f *testing.F) {
 		if !reflect.DeepEqual(parLimited, wantPrefix) {
 			t.Fatalf("%q: parallel Limit %d = %v, want prefix %v",
 				query, limit, matchKeys(parLimited), matchKeys(wantPrefix))
-		}
-		for i, slot := range batch {
-			if !reflect.DeepEqual(slot, planned) {
-				t.Fatalf("%q: batch slot %d = %v, want %v",
-					query, i, matchKeys(slot), matchKeys(planned))
-			}
 		}
 
 		oracle, oracleErr := c.SelectOracle(q)

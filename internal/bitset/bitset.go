@@ -1,8 +1,8 @@
 // Package bitset provides dense bitsets over document positions or rows of a
 // relstore.Store. The engine's position sets (spanSet) are built on them:
-// the range kernels ClearRange, CopyRange and AppendRange touch only the
-// words covering the range they are given, so clearing, copying or walking a
-// set costs the window, subtree or result it was used for, never the store.
+// the range kernels ClearRange and AppendRange touch only the words covering
+// the range they are given, so clearing or walking a set costs the window,
+// subtree or result it was used for, never the store.
 //
 // A Set is not safe for concurrent mutation; concurrent readers are fine.
 package bitset
@@ -11,17 +11,11 @@ import "math/bits"
 
 const wordBits = 64
 
-// Set is a dense bitset of a fixed logical length.
+// Set is a dense bitset of a fixed logical length. The zero value is an
+// empty set of length 0; Reset sizes it.
 type Set struct {
 	words []uint64
 	n     int // logical length in bits
-}
-
-// New returns an empty set of logical length n bits.
-func New(n int) *Set {
-	s := &Set{}
-	s.Reset(n)
-	return s
 }
 
 // Reset clears the set and resizes it to n bits, reusing the word slice when
@@ -60,20 +54,6 @@ func (s *Set) Has(i int32) bool {
 	return s.words[i>>6]&(1<<uint(i&63)) != 0
 }
 
-// SetRange sets every bit in [lo, hi), clamped to the set's length. Interior
-// words fill at word granularity, so it costs O(hi-lo)/64.
-func (s *Set) SetRange(lo, hi int32) {
-	lw, hw, loMask, hiMask, ok := s.span(lo, hi)
-	if !ok {
-		return
-	}
-	s.words[lw] |= loMask
-	for w := lw + 1; w < hw; w++ {
-		s.words[w] = ^uint64(0)
-	}
-	s.words[hw] |= hiMask
-}
-
 // span returns the word span [lw, hw] covering bits [lo, hi) clamped to the
 // set's length, with the masks selecting the range's bits in the first and
 // last word (equal when the span is one word, so applying both is
@@ -109,19 +89,6 @@ func (s *Set) ClearRange(lo, hi int32) {
 	s.words[hw] &^= hiMask
 }
 
-// CopyRange copies o's bits in [lo, hi) into s, leaving s's other bits alone.
-func (s *Set) CopyRange(o *Set, lo, hi int32) {
-	lw, hw, loMask, hiMask, ok := s.span(lo, min(hi, int32(o.n)))
-	if !ok {
-		return
-	}
-	s.words[lw] = s.words[lw]&^loMask | o.words[lw]&loMask
-	if hw > lw+1 {
-		copy(s.words[lw+1:hw], o.words[lw+1:hw])
-	}
-	s.words[hw] = s.words[hw]&^hiMask | o.words[hw]&hiMask
-}
-
 // AppendRange appends the set bits in [lo, hi) in ascending order to dst and
 // returns it, visiting only the words that cover the range.
 func (s *Set) AppendRange(dst []int32, lo, hi int32) []int32 {
@@ -147,26 +114,4 @@ func (s *Set) AppendRange(dst []int32, lo, hi int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// Count returns the number of set bits.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Range calls f on every set bit in ascending order until f returns false.
-func (s *Set) Range(f func(i int32) bool) {
-	for wi, w := range s.words {
-		base := int32(wi * wordBits)
-		for w != 0 {
-			if !f(base + int32(bits.TrailingZeros64(w))) {
-				return
-			}
-			w &= w - 1
-		}
-	}
 }

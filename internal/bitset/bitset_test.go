@@ -18,6 +18,23 @@ func (o oracle) collect(n int) []int32 {
 	return out
 }
 
+// newSet returns an empty set of n bits.
+func newSet(n int) *Set {
+	s := &Set{}
+	s.Reset(n)
+	return s
+}
+
+// fill sets every bit in [lo, hi).
+func fill(s *Set, lo, hi int32) {
+	for i := lo; i < hi; i++ {
+		s.Set(i)
+	}
+}
+
+// count is the number of set bits, read through AppendRange.
+func count(s *Set) int { return len(s.AppendRange(nil, 0, int32(s.Len()))) }
+
 func equal(t *testing.T, what string, s *Set, o oracle) {
 	t.Helper()
 	n := s.Len()
@@ -31,9 +48,6 @@ func equal(t *testing.T, what string, s *Set, o oracle) {
 			t.Fatalf("%s: bit %d differs: got %d want %d", what, i, got[i], want[i])
 		}
 	}
-	if s.Count() != len(want) {
-		t.Errorf("%s: Count = %d, want %d", what, s.Count(), len(want))
-	}
 	for _, i := range []int32{-1, int32(n), int32(n + 63)} {
 		if s.Has(i) {
 			t.Errorf("%s: Has(%d) out of range true", what, i)
@@ -42,7 +56,7 @@ func equal(t *testing.T, what string, s *Set, o oracle) {
 }
 
 func randSet(rng *rand.Rand, n int) (*Set, oracle) {
-	s, o := New(n), oracle{}
+	s, o := newSet(n), oracle{}
 	for k := 0; k < n/2; k++ {
 		i := int32(rng.Intn(n))
 		s.Set(i)
@@ -51,46 +65,24 @@ func randSet(rng *rand.Rand, n int) (*Set, oracle) {
 	return s, o
 }
 
-// TestSetRangeAgainstOracle checks the word-masked range fill at every
-// boundary combination, including empty and inverted ranges.
-func TestSetRangeAgainstOracle(t *testing.T) {
-	n := 200
-	for _, r := range [][2]int32{
-		{0, 0}, {0, 1}, {0, 64}, {0, 200}, {63, 64}, {63, 65}, {64, 128},
-		{1, 199}, {127, 129}, {5, 5}, {10, 5}, {-3, 70}, {190, 300},
-	} {
-		s := New(n)
-		s.SetRange(r[0], r[1])
-		o := oracle{}
-		for i := max(r[0], 0); i < min(r[1], int32(n)); i++ {
-			o[i] = true
-		}
-		equal(t, "SetRange", s, o)
-	}
-}
-
 // TestEmptyAndFull pins the degenerate sets: zero-length, all-clear, and
-// all-set via SetRange and cleared again via ClearRange.
+// all-set then cleared again via ClearRange.
 func TestEmptyAndFull(t *testing.T) {
-	z := New(0)
-	if z.Count() != 0 || len(z.AppendRange(nil, 0, 1)) != 0 {
-		t.Error("zero-length set is not empty")
-	}
-	z.Set(0)         // ignored
-	z.SetRange(0, 1) // clamped away
-	if z.Count() != 0 {
-		t.Error("zero-length set gained bits")
+	z := &Set{}
+	z.Set(0) // ignored
+	if z.Len() != 0 || len(z.AppendRange(nil, 0, 1)) != 0 {
+		t.Error("zero-value set is not empty")
 	}
 
 	for _, n := range []int{64, 65, 130} {
-		full := New(n)
-		full.SetRange(0, int32(n))
-		if full.Count() != n || len(full.AppendRange(nil, 0, int32(n))) != n {
-			t.Errorf("full(%d): Count = %d", n, full.Count())
+		full := newSet(n)
+		fill(full, 0, int32(n))
+		if count(full) != n {
+			t.Errorf("full(%d) has %d bits", n, count(full))
 		}
 		full.ClearRange(0, int32(n))
-		if full.Count() != 0 {
-			t.Errorf("cleared full(%d) has %d bits", n, full.Count())
+		if count(full) != 0 {
+			t.Errorf("cleared full(%d) has %d bits", n, count(full))
 		}
 	}
 }
@@ -98,15 +90,15 @@ func TestEmptyAndFull(t *testing.T) {
 // TestResetReuse pins that Reset reuses capacity and clears content, and that
 // shrinking then growing inside capacity never exposes stale words.
 func TestResetReuse(t *testing.T) {
-	s := New(256)
-	s.SetRange(0, 256)
+	s := newSet(256)
+	fill(s, 0, 256)
 	s.Reset(100)
-	if s.Len() != 100 || s.Count() != 0 {
-		t.Fatalf("Reset(100): len=%d count=%d", s.Len(), s.Count())
+	if s.Len() != 100 || count(s) != 0 {
+		t.Fatalf("Reset(100): len=%d count=%d", s.Len(), count(s))
 	}
 	s.Set(99)
 	s.Reset(256)
-	if s.Count() != 0 {
+	if count(s) != 0 {
 		t.Fatal("Reset(256) exposed stale bits")
 	}
 	s.Reset(-5)
@@ -115,24 +107,8 @@ func TestResetReuse(t *testing.T) {
 	}
 }
 
-// TestRangeEarlyStop pins that Range stops when the callback returns false.
-func TestRangeEarlyStop(t *testing.T) {
-	s := New(200)
-	for _, i := range []int32{3, 70, 140, 199} {
-		s.Set(i)
-	}
-	var seen []int32
-	s.Range(func(i int32) bool {
-		seen = append(seen, i)
-		return len(seen) < 2
-	})
-	if len(seen) != 2 || seen[0] != 3 || seen[1] != 70 {
-		t.Fatalf("Range early stop: %v", seen)
-	}
-}
-
-// TestRangeKernelsAgainstOracle drives ClearRange, CopyRange and AppendRange
-// over random sets and ranges straddling word boundaries, against the oracle.
+// TestRangeKernelsAgainstOracle drives ClearRange and AppendRange over
+// random sets and ranges straddling word boundaries, against the oracle.
 func TestRangeKernelsAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 63, 64, 65, 200, 1000} {
@@ -158,20 +134,6 @@ func TestRangeKernelsAgainstOracle(t *testing.T) {
 				}
 			}
 
-			src, so := randSet(rng, n)
-			s.CopyRange(src, lo, hi)
-			for i := range o {
-				if in(i) {
-					delete(o, i)
-				}
-			}
-			for i := range so {
-				if in(i) {
-					o[i] = true
-				}
-			}
-			equal(t, "CopyRange", s, o)
-
 			s.ClearRange(lo, hi)
 			for i := range o {
 				if in(i) {
@@ -187,8 +149,8 @@ func TestRangeKernelsAgainstOracle(t *testing.T) {
 // position sets rely on: clearing a range writes only the words covering it,
 // so a word outside the range keeps whatever it holds.
 func TestClearRangeTouchesOnlyItsWords(t *testing.T) {
-	s := New(64 * 10)
-	s.SetRange(0, int32(s.Len()))
+	s := newSet(64 * 10)
+	fill(s, 0, int32(s.Len()))
 	s.ClearRange(64*3+5, 64*6+7)
 	for w := range s.words {
 		switch {

@@ -154,9 +154,3 @@ func (s *spanSet) clear() {
 	s.bits.ClearRange(s.lo, s.hi)
 	s.lo, s.hi = maxInt32, 0
 }
-
-// copyFrom makes the empty set s a copy of o.
-func (s *spanSet) copyFrom(o *spanSet) {
-	s.bits.CopyRange(&o.bits, o.lo, o.hi)
-	s.lo, s.hi = o.lo, o.hi
-}

@@ -335,28 +335,6 @@ func (e *Engine) evalPath(p *lpath.Path, binds []bind, ctx *evalCtx) ([]bind, er
 // arena-owned and released here; otherwise they belong to the caller.
 func (e *Engine) evalSteps(p *lpath.Path, start int, binds []bind, owned bool, ctx *evalCtx) ([]bind, error) {
 	cur := binds
-	// Batched evaluation: the frontier after the main path's step sequence is
-	// a pure function of its canonical key from the virtual root, so a batch
-	// mate that already walked an identical step sequence hands its frontier
-	// over (batch.go). Hits skip the step loop and resume at the scoped tail.
-	frontKey := ctx.frontierKey(p, start, binds)
-	if frontKey != "" {
-		if cached, ok := ctx.batch.frontiers[frontKey]; ok {
-			ctx.batch.stats.FrontierHits++
-			if owned {
-				ctx.ar.putBinds(cur)
-			}
-			if len(cached) == 0 {
-				return nil, nil
-			}
-			cur = append(ctx.ar.getBinds(), cached...)
-			owned = true
-			start = len(p.Steps)
-			frontKey = "" // served from the memo; nothing to store
-		} else {
-			ctx.batch.stats.FrontierMisses++
-		}
-	}
 	for i := start; i < len(p.Steps); i++ {
 		next, err := e.evalStep(&p.Steps[i], cur, ctx)
 		if owned {
@@ -367,15 +345,9 @@ func (e *Engine) evalSteps(p *lpath.Path, start int, binds []bind, owned bool, c
 		}
 		cur, owned = next, true
 		if len(cur) == 0 {
-			if frontKey != "" {
-				ctx.batch.frontiers[frontKey] = []bind{}
-			}
 			ctx.ar.putBinds(cur)
 			return nil, nil
 		}
-	}
-	if frontKey != "" {
-		ctx.batch.frontiers[frontKey] = append([]bind(nil), cur...)
 	}
 	if p.Scoped != nil {
 		res, err := e.evalScoped(p.Scoped, cur, ctx)

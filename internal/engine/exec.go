@@ -23,11 +23,6 @@ type evalCtx struct {
 	filters []filterState
 	// act collects actual cardinalities when EXPLAIN runs the query.
 	act *planner.Actuals
-	// batch is the cross-query memo of the enclosing EvalBatch call, nil
-	// outside batched evaluation (batch.go). Unlike filters it is keyed
-	// by canonical structural keys, not AST identity, so it survives across
-	// the batch's per-query evaluation contexts.
-	batch *batchMemo
 	// ar is the evaluation's scratch arena (see arena.go); it survives
 	// across evaluations via the Engine's evalCtx pool.
 	ar *arena
@@ -111,7 +106,6 @@ func (e *Engine) begin(cctx context.Context, p *lpath.Path, plan *planner.Plan) 
 func (e *Engine) releaseCtx(ctx *evalCtx) {
 	ctx.plan = nil
 	ctx.act = nil
-	ctx.batch = nil
 	ctx.cctx = nil
 	ctx.tick = 0
 	ctx.cerr = nil

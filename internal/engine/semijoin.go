@@ -75,8 +75,7 @@ func (e *Engine) chooseSets(x lpath.Expr, n int, ctx *evalCtx) error {
 }
 
 // choose makes one filter's forward/set decision for a frontier of n
-// candidates. A set a batch mate already built costs a copy, so it always
-// wins; WithFilterPath(true) forces the set for differential coverage.
+// candidates; WithFilterPath(true) forces the set for differential coverage.
 func (e *Engine) choose(sj *planner.Semijoin, n int, ctx *evalCtx) error {
 	st := ctx.filter(sj)
 	run := ctx.filterRun(sj.Expr)
@@ -93,13 +92,13 @@ func (e *Engine) choose(sj *planner.Semijoin, n int, ctx *evalCtx) error {
 	if run != nil {
 		run.Seeds = st.seeds - 1
 	}
-	if e.filters != filterSet && ctx.batchSet(sj) == nil && !sj.SetWins(st.fwd, n, st.seeds-1) {
+	if e.filters != filterSet && !sj.SetWins(st.fwd, n, st.seeds-1) {
 		if run != nil {
 			run.Path = "forward"
 		}
 		return nil
 	}
-	set, err := e.satisfiers(sj, ctx)
+	set, err := e.buildSatisfiers(sj, ctx)
 	if err != nil {
 		return err
 	}
@@ -139,41 +138,6 @@ func (e *Engine) seedRange(sj *planner.Semijoin, ctx *evalCtx) []int32 {
 		return e.narrowToWindow(e.s.RowSeq()[lo:hi], ctx)
 	}
 	return nil
-}
-
-// batchSet returns the satisfier set a batch mate materialized for an
-// identical filter, when the evaluation may share it: an unscoped satisfier
-// set is a pure function of the filter's canonical key (Semijoin.Key)
-// against the store, but only for an unwindowed, uninstrumented evaluation.
-func (c *evalCtx) batchSet(sj *planner.Semijoin) *spanSet {
-	if c.batch == nil || c.windowed || c.act != nil || sj.Key == "" {
-		return nil
-	}
-	return c.batch.sats[sj.Key]
-}
-
-// satisfiers materializes the filter's satisfier set for the window, as one
-// copy when a batch mate already built it. The batch keeps a heap-owned
-// copy; the evaluation's own set is arena-owned and clearSat recycles it.
-func (e *Engine) satisfiers(sj *planner.Semijoin, ctx *evalCtx) (*spanSet, error) {
-	if cached := ctx.batchSet(sj); cached != nil {
-		ctx.batch.stats.SatHits++
-		set := ctx.ar.getSet()
-		set.copyFrom(cached)
-		return set, nil
-	}
-	set, err := e.buildSatisfiers(sj, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.batch != nil && !ctx.windowed && ctx.act == nil && sj.Key != "" {
-		ctx.batch.stats.SatMisses++
-		cp := &spanSet{}
-		cp.bits.Reset(e.s.Len())
-		cp.copyFrom(set)
-		ctx.batch.sats[sj.Key] = cp
-	}
-	return set, nil
 }
 
 // buildSatisfiers computes the rows from which the filter path has at least

@@ -43,9 +43,18 @@ func MustParse(query string) *Path {
 	return p
 }
 
+// maxNesting bounds how deeply a query may nest: each predicate '[', scope
+// '{', and parenthesised or function-call '(' opens one level. The paper's
+// queries nest at most three deep. The bound caps the recursion of the
+// parser and of every later walk of the tree (validation, printing,
+// planning, evaluation); the planner re-walks nested filters at each level,
+// so without it planning time grows with the square of the depth.
+const maxNesting = 64
+
 type parser struct {
-	lx  *lexer
-	tok token
+	lx    *lexer
+	tok   token
+	depth int // open '[', '{' and '(' levels
 }
 
 func (p *parser) advance() error {
@@ -59,6 +68,22 @@ func (p *parser) advance() error {
 
 func (p *parser) errHere(format string, args ...any) error {
 	return &SyntaxError{Query: p.lx.src, Pos: p.tok.pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// open consumes the opener k and enters the nesting level it opens; close
+// consumes the matching closer and leaves it. Past maxNesting, open fails at
+// the opener's offset.
+func (p *parser) open(k tokenKind) error {
+	if p.tok.kind == k && p.depth == maxNesting {
+		return p.errHere("query nests deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	return p.expect(k)
+}
+
+func (p *parser) close(k tokenKind) error {
+	p.depth--
+	return p.expect(k)
 }
 
 func (p *parser) expect(k tokenKind) error {
@@ -100,7 +125,7 @@ func (p *parser) parsePath() (*Path, error) {
 			continue
 		}
 		if p.tok.kind == tokLBrace {
-			if err := p.advance(); err != nil {
+			if err := p.open(tokLBrace); err != nil {
 				return nil, err
 			}
 			inner, err := p.parsePath()
@@ -110,7 +135,7 @@ func (p *parser) parsePath() (*Path, error) {
 			if len(inner.Steps) == 0 && inner.Scoped == nil {
 				return nil, p.errHere("empty scope {}")
 			}
-			if err := p.expect(tokRBrace); err != nil {
+			if err := p.close(tokRBrace); err != nil {
 				return nil, err
 			}
 			path.Scoped = inner
@@ -198,14 +223,14 @@ func (p *parser) finishStep(step *Step) (*Step, error) {
 		}
 	}
 	for p.tok.kind == tokLBracket {
-		if err := p.advance(); err != nil {
+		if err := p.open(tokLBracket); err != nil {
 			return nil, err
 		}
 		e, err := p.parseOrExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokRBracket); err != nil {
+		if err := p.close(tokRBracket); err != nil {
 			return nil, err
 		}
 		step.Preds = append(step.Preds, e)
@@ -290,27 +315,27 @@ func (p *parser) parseUnaryExpr() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokLParen); err != nil {
+		if err := p.open(tokLParen); err != nil {
 			return nil, err
 		}
 		inner, err := p.parseOrExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokRParen); err != nil {
+		if err := p.close(tokRParen); err != nil {
 			return nil, err
 		}
 		return &NotExpr{X: inner}, nil
 	}
 	if p.tok.kind == tokLParen {
-		if err := p.advance(); err != nil {
+		if err := p.open(tokLParen); err != nil {
 			return nil, err
 		}
 		inner, err := p.parseOrExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokRParen); err != nil {
+		if err := p.close(tokRParen); err != nil {
 			return nil, err
 		}
 		return inner, nil
@@ -387,7 +412,7 @@ func (p *parser) parseCountExpr() (Expr, error) {
 	if err := p.advance(); err != nil { // count
 		return nil, err
 	}
-	if err := p.expect(tokLParen); err != nil {
+	if err := p.open(tokLParen); err != nil {
 		return nil, err
 	}
 	path, err := p.parsePath()
@@ -397,7 +422,7 @@ func (p *parser) parseCountExpr() (Expr, error) {
 	if len(path.Steps) == 0 && path.Scoped == nil {
 		return nil, p.errHere("count() requires a path argument")
 	}
-	if err := p.expect(tokRParen); err != nil {
+	if err := p.close(tokRParen); err != nil {
 		return nil, err
 	}
 	op, err := p.parseCmpOp()
@@ -422,7 +447,7 @@ func (p *parser) parseStrFnExpr(fn string) (Expr, error) {
 	if err := p.advance(); err != nil { // fn name
 		return nil, err
 	}
-	if err := p.expect(tokLParen); err != nil {
+	if err := p.open(tokLParen); err != nil {
 		return nil, err
 	}
 	path, err := p.parsePath()
@@ -442,7 +467,7 @@ func (p *parser) parseStrFnExpr(fn string) (Expr, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	if err := p.expect(tokRParen); err != nil {
+	if err := p.close(tokRParen); err != nil {
 		return nil, err
 	}
 	return &StrFnExpr{Fn: fn, Path: path, Arg: arg}, nil

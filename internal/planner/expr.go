@@ -55,7 +55,7 @@ func (pl *Planner) planExpr(x lpath.Expr, c ectx, nCtx float64, plan *Plan) *Pre
 		pp.Sel, pp.Cost = 0.5, 0
 
 	case *lpath.CountExpr:
-		hp := pl.planPath(e.Path, c, 1, plan, "", false)
+		hp := pl.planPath(e.Path, c, 1, plan)
 		pp.Sel = 0.5
 		pp.Cost = hp.cost
 		pp.Paths = []*PathPlan{hp}
@@ -66,7 +66,7 @@ func (pl *Planner) planExpr(x lpath.Expr, c ectx, nCtx float64, plan *Plan) *Pre
 			pp.Sel, pp.Cost = 0.1, 1
 			break
 		}
-		hp := pl.planPath(head, c, 1, plan, "", false)
+		hp := pl.planPath(head, c, 1, plan)
 		pp.Sel = clampSel(math.Min(1, hp.EstOut) * 0.1)
 		pp.Cost = hp.cost + 1
 		pp.Paths = []*PathPlan{hp}
@@ -121,7 +121,7 @@ func (pl *Planner) planExistential(x lpath.Expr, path *lpath.Path, op, value str
 	if tail := ScopeOnlyTail(x); tail != nil {
 		return pl.planScopeOnly(pp, head, tail, c, nCtx, plan)
 	}
-	hp := pl.planPath(head, c, 1, plan, "", false)
+	hp := pl.planPath(head, c, 1, plan)
 	pp.Paths = []*PathPlan{hp}
 	m := hp.EstOut
 	lastTest := lastStepTest(head)
@@ -172,7 +172,7 @@ func ScopeOnlyTail(x lpath.Expr) *lpath.Path {
 // the scope entry is chosen for that frontier.
 func (pl *Planner) planScopeOnly(pp *PredPlan, head, tail *lpath.Path, c ectx, nCtx float64, plan *Plan) *PredPlan {
 	n := math.Max(nCtx, 1)
-	hp := pl.planPath(head, c, n, plan, "", false)
+	hp := pl.planPath(head, c, n, plan)
 	pp.Paths = []*PathPlan{hp}
 	pp.Sel = clampSel(math.Min(1, hp.EstOut/n))
 	pp.Cost = hp.cost/n + 1
@@ -221,7 +221,7 @@ func (pl *Planner) planSemijoin(x lpath.Expr, head *lpath.Path, hp *PathPlan, at
 	k := len(steps)
 	last := &steps[k-1]
 
-	sj := &Semijoin{Expr: x, Key: exprText(x), Head: head, Attr: attr, Op: op, Value: value,
+	sj := &Semijoin{Expr: x, Head: head, Attr: attr, Op: op, Value: value,
 		probe: fwdCost, posting: pl.nameCount(steps[0].Test)}
 	var seedCost float64
 	switch {

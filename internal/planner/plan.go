@@ -18,7 +18,6 @@ package planner
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"lpath/internal/lpath"
@@ -86,8 +85,6 @@ func (k SeedKind) String() string {
 // planning; the engine threads it through evaluation and looks up the
 // per-step and per-predicate choices by AST node identity.
 type Plan struct {
-	// Text is the canonical query text.
-	Text string
 	// Root is the plan of the main path.
 	Root *PathPlan
 	// EstMatches is the estimated final result cardinality.
@@ -125,27 +122,11 @@ func (p *Plan) StrategyCounts() (probe, merge, twig, bitmap int) {
 // expression, or nil when the predicate runs forward.
 func (p *Plan) SemijoinFor(x lpath.Expr) *Semijoin { return p.semis[x] }
 
-// MainKey returns the canonical structural key of the main path's step
-// sequence when path is the plan's root path, and "" otherwise. The batch
-// executor uses it to recognize step-frontier computations shared across the
-// queries of a batch.
-func (p *Plan) MainKey(path *lpath.Path) string {
-	if p == nil || p.Root == nil || p.Root.Path != path {
-		return ""
-	}
-	return p.Root.Key
-}
-
 // PathPlan mirrors one relative path of the query.
 type PathPlan struct {
 	Path   *lpath.Path
 	Steps  []*StepPlan
 	Scoped *PathPlan
-	// Key is the canonical structural key of the path's step sequence
-	// (excluding any scoped tail): the cumulative key of its last step, or
-	// the inherited prefix for a step-less path. Empty on predicate paths,
-	// which are keyed through their semijoins instead.
-	Key string
 	// EstOut is the estimated number of bindings the path produces.
 	EstOut float64
 	// cost is the modeled total row touches of evaluating the path once.
@@ -156,14 +137,6 @@ type PathPlan struct {
 type StepPlan struct {
 	Step   *lpath.Step
 	Access Access
-	// Key is the canonical structural key of the step: the canonical print
-	// of the main path's steps (including predicates, alignment and subtree
-	// scope openings) from the virtual root up to and including this one.
-	// Equal keys across queries mean equal inputs to the planner and equal
-	// candidate frontiers at this point, which is what the batch executor's
-	// cross-query memo keys on (engine.EvalBatch). Empty on predicate-path
-	// steps, whose sharing runs through Semijoin.Key instead.
-	Key string
 	// Value/Attr/Postings describe the value-index drive — the literal, the
 	// attribute name (with '@'), and the statistics-time posting count — of
 	// a step whose direct @attr=value predicate has a posting list shorter
@@ -225,12 +198,6 @@ type Semijoin struct {
 	// ID numbers the plan's semijoins densely from 0, so an evaluation keeps
 	// its per-filter state in a slice.
 	ID int
-	// Key is the canonical print of the filter expression. An unscoped
-	// satisfier set is a pure function of this key against one store
-	// generation — the filter path, operator and value fully determine which
-	// rows satisfy it — so equal keys across queries in a batch share one
-	// materialization (engine.EvalBatch).
-	Key string
 	// Head is the filter path with a trailing attribute step removed.
 	Head *lpath.Path
 	// Attr (without '@'), Op and Value carry the attribute comparison the
@@ -286,7 +253,7 @@ type FilterRun struct {
 // estimates.
 func (p *Plan) Render(a *Actuals) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "query: %s\n", p.Text)
+	fmt.Fprintf(&b, "query: %s\n", p.Root.Path)
 	fmt.Fprintf(&b, "plan:\n")
 	p.renderPath(&b, p.Root, a, "  ", "")
 	fmt.Fprintf(&b, "estimated matches: %s", card(p.EstMatches))
@@ -329,9 +296,6 @@ func (p *Plan) renderPred(b *strings.Builder, pred *PredPlan, a *Actuals, indent
 	}
 	if sj := p.semis[pred.Expr]; sj != nil {
 		fmt.Fprintf(b, "  semijoin (seed=%s ~%s rows, set ~%s)", sj.Seed, card(sj.EstSeed), card(sj.EstSet))
-		if sj.Key != "" {
-			fmt.Fprintf(b, "  share=%s", shareHash(sj.Key))
-		}
 	}
 	if a != nil {
 		renderRuns(b, pred.Expr, a)
@@ -372,29 +336,7 @@ func accessText(sp *StepPlan) string {
 	if sp.Access == AccessValueIndex {
 		s = fmt.Sprintf("value-index %s=%s ~%d postings", sp.Attr, sp.Value, sp.Postings)
 	}
-	if sp.Key != "" {
-		s += " share=" + shareHash(sp.Key)
-	}
 	return s
-}
-
-// shareHash compacts a canonical structural key into the fixed-width token
-// EXPLAIN prints after share=. Two steps (or filters) with the same token
-// compute the same intermediate result against one store generation, so a
-// batch evaluates it once.
-func shareHash(key string) string {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return fmt.Sprintf("%08x", h.Sum32())
-}
-
-// stepCanon is the canonical print of one full location step — axis, test,
-// edge alignment and predicates — used to build the cumulative structural
-// keys. Unlike stepText it keeps the predicates: two steps share a frontier
-// only when their filters agree too.
-func stepCanon(s *lpath.Step) string {
-	p := &lpath.Path{Steps: []lpath.Step{*s}}
-	return p.String()
 }
 
 func stepText(s *lpath.Step) string {

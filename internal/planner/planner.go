@@ -69,11 +69,10 @@ type ectx struct {
 // strategy and are annotated as such.
 func (pl *Planner) Plan(p *lpath.Path) *Plan {
 	plan := &Plan{
-		Text:  p.String(),
 		steps: make(map[*lpath.Step]*StepPlan),
 		semis: make(map[lpath.Expr]*Semijoin),
 	}
-	plan.Root = pl.planPath(p, ectx{root: true, span: pl.treeSpan()}, 1, plan, "", true)
+	plan.Root = pl.planPath(p, ectx{root: true, span: pl.treeSpan()}, 1, plan)
 	plan.EstMatches = plan.Root.EstOut
 	return plan
 }
@@ -237,35 +236,21 @@ func (pl *Planner) probe(c ectx, axis lpath.Axis, test string) (cands, cost floa
 
 // --- path and step planning -----------------------------------------------
 
-// planPath plans one relative path. When keyed is set (the main path chain:
-// the root path and its nested subtree scopes), prefix is the canonical
-// structural key of everything evaluated before the path, and every step is
-// stamped with its cumulative key — equal keys across queries denote equal
-// planner inputs from the virtual root, hence equal frontiers a batch can
-// share. Predicate paths plan unkeyed: their frontiers depend on the outer
-// candidate, and their cross-query sharing runs through Semijoin.Key.
-func (pl *Planner) planPath(p *lpath.Path, c ectx, nIn float64, plan *Plan, prefix string, keyed bool) *PathPlan {
+// planPath plans one relative path and its scoped tail.
+func (pl *Planner) planPath(p *lpath.Path, c ectx, nIn float64, plan *Plan) *PathPlan {
 	pp := &PathPlan{Path: p}
 	cur, est := c, nIn
-	acc := prefix
 	for i := range p.Steps {
 		step := &p.Steps[i]
 		sp := pl.planStep(step, cur, est, plan)
-		if keyed {
-			acc += stepCanon(step)
-			sp.Key = acc
-		}
 		pp.Steps = append(pp.Steps, sp)
 		plan.steps[step] = sp
 		pp.cost += est * sp.cost
 		est = sp.EstOut
 		cur = ectx{test: step.Test, span: pl.spanOf(step.Test)}
 	}
-	if keyed {
-		pp.Key = acc
-	}
 	if p.Scoped != nil {
-		pp.Scoped = pl.planPath(p.Scoped, cur, est, plan, acc+"{", keyed)
+		pp.Scoped = pl.planPath(p.Scoped, cur, est, plan)
 		pp.cost += pp.Scoped.cost
 		est = pp.Scoped.EstOut
 	}

@@ -146,6 +146,31 @@ func TestQueryEndpointErrors(t *testing.T) {
 	})
 }
 
+// TestTooDeepQueryIs400: a query nested past the parser's bound is a bad
+// request like any other malformed query, refused at once, and the server
+// answers the next request as usual.
+func TestTooDeepQueryIs400(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	h := s.Handler()
+	deep := strings.Repeat(`//A[`, 10000) + `//B` + strings.Repeat(`]`, 10000)
+	start := time.Now()
+	w := postJSON(t, h, "/v1/count", queryRequest{Query: deep})
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("deep query: status %d, want 400: %s", w.Code, w.Body.String())
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("deep query refused after %v", elapsed)
+	}
+	want, err := c.CountText(`//NP`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = postJSON(t, h, "/v1/count", queryRequest{Query: `//NP`})
+	if resp := decodeResponse(t, w); w.Code != http.StatusOK || resp.Count != want {
+		t.Errorf("next request: status %d count %d, want 200 and %d", w.Code, resp.Count, want)
+	}
+}
+
 func TestDeadlineYields504(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based deadline test")

@@ -620,32 +620,18 @@ func (c *Corpus) ExplainText(text string) (string, error) {
 	return res.Explain, err
 }
 
-// SelectBatchStats selects the queries as one batch in a single shared pass,
-// reporting the cross-query memo hit rates the batch achieved: the engine
-// memoizes whole-query results, main-path step frontiers and predicate
-// satisfier sets by canonical structural key across the batch
-// (docs/EXECUTION.md, "Batched evaluation"). Slot i is element-wise identical
-// to Select(qs[i]), error included; a failing query never disturbs its batch
-// mates, and once the context is done the queries it interrupted report its
-// error.
+// SelectBatchStats selects each query as Select would, slot i holding
+// Select(qs[i])'s matches and error; once the context is done, every query
+// left reports its error. The engine shares no work across queries, so the
+// stats are always zero. The method remains only because the frozen benchmark
+// harness (benchmark/trace.go) compiles against it.
 func (c *Corpus) SelectBatchStats(ctx context.Context, qs []*Query) ([][]Match, []error, engine.BatchStats) {
 	out, errs := make([][]Match, len(qs)), make([]error, len(qs))
-	var bqs []engine.BatchQuery
-	var at []int // batch position → query slot
 	for i, q := range qs {
-		path, plan, err := c.resolve(Request{Query: q})
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		bqs = append(bqs, engine.BatchQuery{Path: path, Plan: plan})
-		at = append(at, i)
+		res, err := c.Run(ctx, Request{Query: q})
+		out[i], errs[i] = res.Matches, err
 	}
-	rs, stats := c.eng.EvalBatch(ctx, bqs)
-	for j, r := range rs {
-		out[at[j]], errs[at[j]] = r.Matches, r.Err
-	}
-	return out, errs, stats
+	return out, errs, engine.BatchStats{}
 }
 
 // CacheStats reports plan-cache effectiveness; see Corpus.PlanCacheStats.

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	ast "lpath/internal/lpath"
 )
@@ -205,6 +207,83 @@ func TestSugarEqualsRun(t *testing.T) {
 		}
 		if !reflect.DeepEqual(ms[i], fulls[i]) {
 			t.Errorf("%q: SelectBatchStats slot differs from Run", qs[i])
+		}
+	}
+}
+
+// nestedQuery wraps the innermost filter //NN in depth levels of predicates,
+// scopes, grouping and function-call parentheses under //S, each wrapper
+// true exactly when the filter is, so the query selects the S nodes that
+// dominate an NN however deep it nests.
+func nestedQuery(depth int) string {
+	wrappers := []struct {
+		levels      int
+		open, close string
+	}{
+		{2, `not(not(`, `))`},
+		{1, `.[`, `]`},
+		{2, `.{.[`, `]}`},
+		{1, `(`, `)`},
+		{2, `count(.[`, `])=1`},
+	}
+	inner := `//NN`
+	for i, n := 0, 1; n < depth; i++ {
+		w := wrappers[i%len(wrappers)]
+		if n+w.levels > depth {
+			w = wrappers[1]
+		}
+		inner = w.open + inner + w.close
+		n += w.levels
+	}
+	return `//S[` + inner + `]`
+}
+
+// TestParseNestingBound pins the parser's nesting bound: a query nested
+// exactly maxNesting deep compiles and counts what the tree-walking oracle
+// selects, one level more is a syntax error at the offending opener, and a
+// 10 000-deep query is refused as fast as it is read.
+func TestParseNestingBound(t *testing.T) {
+	c, err := GenerateCorpus("wsj", 0.002, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 64
+	q, err := Compile(nestedQuery(bound))
+	if err != nil {
+		t.Fatalf("query at the bound: %v", err)
+	}
+	n, err := c.Count(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.SelectOracle(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(want) || n == 0 {
+		t.Errorf("query at the bound counts %d, oracle selects %d", n, len(want))
+	}
+	if _, err := Compile(q.path.String()); err != nil {
+		t.Errorf("printed query at the bound does not recompile: %v", err)
+	}
+
+	deep := strings.Repeat(`//A[`, 10000) + `//B` + strings.Repeat(`]`, 10000)
+	for name, text := range map[string]string{
+		"one past the bound": nestedQuery(bound + 1),
+		"10000 deep":         deep,
+	} {
+		start := time.Now()
+		_, err := Compile(text)
+		elapsed := time.Since(start)
+		var se *ast.SyntaxError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: got %v, want a *SyntaxError", name, err)
+		}
+		if opener := text[se.Pos]; opener != '[' && opener != '{' && opener != '(' {
+			t.Errorf("%s: error at offset %d (%q), want the opener past the bound", name, se.Pos, opener)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s: refused after %v", name, elapsed)
 		}
 	}
 }

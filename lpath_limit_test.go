@@ -70,15 +70,6 @@ func TestLimitParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s select: %v", eq.Name, err)
 				}
-				// A batch takes no limit: a duplicate pair of slots, riding the
-				// batch memo, must each be the whole result.
-				batch, errs, _ := c.SelectBatchStats(context.Background(), []*Query{q, q})
-				for i := range batch {
-					if errs[i] != nil || !reflect.DeepEqual(batch[i], full) {
-						t.Errorf("%s: batch slot %d has %d matches (%v), want all %d",
-							eq.Name, i, len(batch[i]), errs[i], len(full))
-					}
-				}
 				for _, k := range []int{0, 1, 7, 100, len(full), len(full) + 1} {
 					checkLimit(t, c, q, k, full)
 				}

@@ -4,7 +4,9 @@
 # runs known queries through /v1/query and /v1/count, asserts the counts
 # match the lpath CLI's answers on the same corpus, sends a concurrent burst
 # of distinct limited /v1/query requests and checks their totals the same
-# way, provokes 429 shedding, and checks /metrics reports the traffic.
+# way, requires a 400 for a query nested past the parser's bound and a
+# correct answer right after it, provokes 429 shedding, and checks /metrics
+# reports the traffic.
 # Exits non-zero on any mismatch.
 #
 # Usage: scripts/server_smoke.sh [port]
@@ -86,6 +88,15 @@ for i in "${!BURST[@]}"; do
     grep -q '"cached":false' "$BIN/burst.$i" || { echo "FAIL: burst /v1/query $q was not a miss"; exit 1; }
 done
 echo "   ${#BURST[@]} concurrent distinct queries agree with the CLI"
+
+echo "== a query nested past the parser's bound is a 400, and the server goes on"
+DEEP="$(printf '//A[%.0s' $(seq 1 10000))//B$(printf ']%.0s' $(seq 1 10000))"
+code=$(curl -s -o "$BIN/deep.out" -w '%{http_code}' --max-time 2 -X POST \
+    -d "$(printf '{"query":"%s"}' "$DEEP")" "$BASE/v1/count") || true
+[ "$code" = 400 ] || { echo "FAIL: ${#DEEP}-byte, 10000-deep query: status $code within 2 s, want 400"; exit 1; }
+got=$(curl -fsS -X POST -d "$(printf '{"query":"%s"}' "${QUERIES[0]}")" "$BASE/v1/count" | json_int count)
+[ "$got" = "${WANT[0]}" ] || { echo "FAIL: after the deep query, ${QUERIES[0]}: got $got, want ${WANT[0]}"; exit 1; }
+echo "   10000-deep query -> 400; ${QUERIES[0]} -> $got"
 
 echo "== limit pushdown: without \"count\" a truncated response reports -1"
 resp=$(curl -fsS -X POST -d '{"query":"//_","limit":1}' "$BASE/v1/query")
