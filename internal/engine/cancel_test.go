@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,6 +44,23 @@ func (c *countdownCtx) Err() error {
 		return context.Canceled
 	}
 	return nil
+}
+
+// goroutineBalance returns a check, to defer, that fails the test unless the
+// goroutine count comes back to its value at the call within a second: a
+// cancelled or stopped run must leave no worker behind.
+func goroutineBalance(t *testing.T) func() {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("%d goroutines running after the test, %d before it", runtime.NumGoroutine(), before)
+				return
+			}
+		}
+	}
 }
 
 // cancelCorpus synthesizes a corpus big enough that every executor makes
@@ -133,14 +151,15 @@ func TestCancelParallelMidSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based cancellation test")
 	}
+	defer goroutineBalance(t)()
 	e := cancelEngine(t, cancelCorpus(t), WithoutPlanner())
 	p := lpath.MustParse(`//_[//_[//_]]`)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := e.EvalParallel(ctx, p, e.Plan(p), 0, 4); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("EvalParallel: got err %v after %v, want context.DeadlineExceeded", err, time.Since(start))
+	if _, err := e.Run(ctx, p, e.Plan(p), Spec{Workers: 4}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Run(Workers 4): got err %v after %v, want context.DeadlineExceeded", err, time.Since(start))
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancelled parallel evaluation took %v, cancellation is not cooperative", elapsed)
@@ -148,8 +167,8 @@ func TestCancelParallelMidSweep(t *testing.T) {
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel2()
-	if _, err := e.CountParallel(ctx2, p, e.Plan(p), 4); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("CountParallel: got err %v, want context.DeadlineExceeded", err)
+	if _, err := e.Run(ctx2, p, e.Plan(p), Spec{Mode: ModeCount, Workers: 4}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Run(ModeCount, Workers 4): got err %v, want context.DeadlineExceeded", err)
 	}
 }
 
@@ -196,6 +215,7 @@ func TestDeadlineExceededMidSweep(t *testing.T) {
 // context returns its error without touching the store, identically across
 // serial, parallel, and count entry points.
 func TestContextPreCancelled(t *testing.T) {
+	defer goroutineBalance(t)()
 	tc := cancelCorpus(t)
 	e := cancelEngine(t, tc)
 	p := lpath.MustParse(`//NP`)
@@ -208,13 +228,13 @@ func TestContextPreCancelled(t *testing.T) {
 	if _, err := e.CountPlanContext(ctx, p, e.Plan(p)); !errors.Is(err, context.Canceled) {
 		t.Errorf("CountPlanContext: got %v", err)
 	}
-	if _, err := e.ExplainPlanContext(ctx, p, e.Plan(p)); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExplainPlanContext: got %v", err)
+	if _, err := e.Run(ctx, p, e.Plan(p), Spec{Mode: ModeExplain}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run(ModeExplain): got %v", err)
 	}
-	if _, err := e.EvalParallel(ctx, p, nil, 0, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvalParallel: got %v", err)
+	if _, err := e.Run(ctx, p, nil, Spec{Workers: 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run(Workers 2): got %v", err)
 	}
-	if _, err := e.CountParallel(ctx, p, nil, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("CountParallel: got %v", err)
+	if _, err := e.Run(ctx, p, nil, Spec{Mode: ModeCount, Workers: 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run(ModeCount, Workers 2): got %v", err)
 	}
 }

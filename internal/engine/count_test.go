@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"lpath/internal/lpath"
@@ -48,20 +49,22 @@ func TestCountParallelAgreesWithSerial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %q: %v", seed, q, err)
 				}
-				got, err := e.CountParallel(context.Background(), p, e.Plan(p), workers)
+				res, err := e.Run(context.Background(), p, e.Plan(p), Spec{Mode: ModeCount, Workers: workers})
+				got := res.Count
 				if err != nil {
 					t.Fatalf("seed %d w=%d %q: %v", seed, workers, q, err)
 				}
 				if got != want {
-					t.Errorf("seed %d w=%d %q: CountParallel = %d, serial Count = %d",
+					t.Errorf("seed %d w=%d %q: parallel count = %d, serial Count = %d",
 						seed, workers, q, got, want)
 				}
-				ms, err := e.EvalParallel(context.Background(), p, e.Plan(p), 0, workers)
+				res, err = e.Run(context.Background(), p, e.Plan(p), Spec{Workers: workers})
+				ms := res.Matches
 				if err != nil {
 					t.Fatalf("seed %d w=%d %q eval: %v", seed, workers, q, err)
 				}
 				if got != len(ms) {
-					t.Errorf("seed %d w=%d %q: CountParallel = %d, len(EvalParallel) = %d",
+					t.Errorf("seed %d w=%d %q: parallel count = %d, parallel select = %d matches",
 						seed, workers, q, got, len(ms))
 				}
 			}
@@ -71,16 +74,17 @@ func TestCountParallelAgreesWithSerial(t *testing.T) {
 
 func TestCountParallelValidationAndEmpty(t *testing.T) {
 	e := buildEngine(t, randomCorpus(1, 4))
-	if _, err := e.CountParallel(context.Background(), lpath.MustParse(`@lex`), nil, 0); err == nil {
+	all := runtime.GOMAXPROCS(0)
+	if _, err := e.Run(context.Background(), lpath.MustParse(`@lex`), nil, Spec{Mode: ModeCount, Workers: all}); err == nil {
 		t.Error("expected validation error for a bare attribute path")
 	}
-	n, err := buildEngine(t, tree.NewCorpus()).CountParallel(context.Background(), lpath.MustParse(`//NP`), nil, 0)
-	if err != nil || n != 0 {
+	res, err := buildEngine(t, tree.NewCorpus()).Run(context.Background(), lpath.MustParse(`//NP`), nil, Spec{Mode: ModeCount, Workers: all})
+	if n := res.Count; err != nil || n != 0 {
 		t.Errorf("empty store: CountParallel = %d, %v", n, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.CountParallel(ctx, lpath.MustParse(`//NP`), nil, 2); err == nil {
+	if _, err := e.Run(ctx, lpath.MustParse(`//NP`), nil, Spec{Mode: ModeCount, Workers: 2}); err == nil {
 		t.Error("expected error from cancelled context")
 	}
 }

@@ -162,7 +162,7 @@ func New(s *relstore.Store, opts ...Option) (*Engine, error) {
 
 // Plan returns the cost-based plan Eval would execute for the query, or nil
 // when planning is disabled. Plans are immutable and may be executed
-// concurrently (as the tid windows of EvalParallel do).
+// concurrently (as the tid windows of a parallel Run do).
 func (e *Engine) Plan(p *lpath.Path) *planner.Plan {
 	if e.noPlanner {
 		return nil
@@ -174,6 +174,44 @@ func (e *Engine) Plan(p *lpath.Path) *planner.Plan {
 type Match struct {
 	TreeID int
 	Node   *tree.Node
+}
+
+// Mode selects what Run computes.
+type Mode int
+
+const (
+	// ModeSelect returns the distinct matches of the final step in (tree,
+	// document) order.
+	ModeSelect Mode = iota
+	// ModeCount returns only their number: the same joins, no match is
+	// materialized.
+	ModeCount
+	// ModeExplain executes the plan, serially, with fresh cardinality
+	// counters and returns the EXPLAIN report; a nil plan is planned here.
+	ModeExplain
+)
+
+// Spec says what Run computes. Its zero value is the serial full select.
+type Spec struct {
+	Mode Mode
+	// Limit keeps a ModeSelect run's first Limit matches (below 1: all);
+	// trees past the window holding the Limit-th match are never evaluated.
+	Limit int
+	// Yield, when set, receives a ModeSelect run's matches in order on the
+	// caller's goroutine instead of Result.Matches; false stops the run.
+	Yield func(Match) bool
+	// Workers bounds how many windows evaluate at once; below 2 (and for
+	// ModeExplain) the run is serial. The result never depends on it.
+	Workers int
+}
+
+// Result is what Run computed: Matches for ModeSelect without a Yield
+// (non-nil, possibly empty), Count for ModeCount and ModeSelect, Explain for
+// ModeExplain.
+type Result struct {
+	Matches []Match
+	Count   int
+	Explain string
 }
 
 const noRow = int32(-1)
@@ -193,34 +231,17 @@ func (e *Engine) Eval(p *lpath.Path) ([]Match, error) {
 	return e.EvalPlanContext(context.Background(), p, e.Plan(p))
 }
 
-// EvalPlanContext evaluates the query executing the given plan (nil = the
-// default strategy), which must have been built for this query's AST.
-// Cancellation (or an expired deadline) interrupts the join pipeline
-// cooperatively — the executors poll the context inside their sweeps, not
-// just between steps — and returns the context's error.
+// EvalPlanContext is Run's serial full select.
 func (e *Engine) EvalPlanContext(cctx context.Context, p *lpath.Path, plan *planner.Plan) ([]Match, error) {
-	ctx, err := e.begin(cctx, p, plan)
-	if err != nil {
-		return nil, err
-	}
-	defer e.releaseCtx(ctx)
-	rows, err := e.evalRows(p, ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := e.matches(rows)
-	ctx.ar.putInts(rows)
-	return out, nil
+	res, err := e.Run(cctx, p, plan, Spec{})
+	return res.Matches, err
 }
 
-// matches materializes result rows as Match values.
-func (e *Engine) matches(rows []int32) []Match {
-	out := make([]Match, 0, len(rows))
-	for _, ri := range rows {
-		r := e.s.Row(ri)
-		out = append(out, Match{TreeID: int(r.TID), Node: e.s.NodeFor(r)})
-	}
-	return out
+// EvalPlanLimitContext is Run's serial select of the first limit matches
+// (limit <= 0: all of them).
+func (e *Engine) EvalPlanLimitContext(cctx context.Context, p *lpath.Path, plan *planner.Plan, limit int) ([]Match, error) {
+	res, err := e.Run(cctx, p, plan, Spec{Limit: limit})
+	return res.Matches, err
 }
 
 // evalRows runs the join pipeline and returns the distinct result rows in
@@ -280,46 +301,10 @@ func (e *Engine) Count(p *lpath.Path) (int, error) {
 	return e.CountPlanContext(context.Background(), p, e.Plan(p))
 }
 
-// CountPlanContext is Count executing the given plan (nil = default
-// strategy) and honoring a context for cooperative cancellation, like
-// EvalPlanContext.
+// CountPlanContext is Run's serial count.
 func (e *Engine) CountPlanContext(cctx context.Context, p *lpath.Path, plan *planner.Plan) (int, error) {
-	ctx, err := e.begin(cctx, p, plan)
-	if err != nil {
-		return 0, err
-	}
-	defer e.releaseCtx(ctx)
-	rows, err := e.evalRows(p, ctx)
-	if err != nil {
-		return 0, err
-	}
-	ctx.ar.putInts(rows)
-	return len(rows), nil
-}
-
-// ExplainPlanContext executes the plan with cardinality counters and returns
-// the rendered EXPLAIN report (estimated vs actual rows per step). The
-// actuals are collected into a fresh counter set on every call, so a cached
-// plan reused across executions never reports a prior run's actuals. A nil
-// plan (a WithoutPlanner engine, or a cache entry of one) is planned here:
-// EXPLAIN exists to show what the planner would do.
-func (e *Engine) ExplainPlanContext(cctx context.Context, p *lpath.Path, plan *planner.Plan) (string, error) {
-	if plan == nil {
-		plan = e.pl.Plan(p)
-	}
-	ctx, err := e.begin(cctx, p, plan)
-	if err != nil {
-		return "", err
-	}
-	defer e.releaseCtx(ctx)
-	ctx.act = &planner.Actuals{Sides: make(map[*planner.StepPlan]string)}
-	rows, err := e.evalRows(p, ctx)
-	if err != nil {
-		return "", err
-	}
-	ctx.act.Matches = len(rows)
-	ctx.ar.putInts(rows)
-	return plan.Render(ctx.act), nil
+	res, err := e.Run(cctx, p, plan, Spec{Mode: ModeCount})
+	return res.Count, err
 }
 
 // evalPath runs the join pipeline for one relative path. The input binds are

@@ -405,11 +405,11 @@ func TestAlignmentTIDGaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.EvalParallel(context.Background(), p, e.Plan(p), 0, 3)
+		res, err := e.Run(context.Background(), p, e.Plan(p), Spec{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if got := res.Matches; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: windowed %d matches, serial %d", q, len(got), len(want))
 		}
 	}

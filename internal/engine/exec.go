@@ -17,7 +17,7 @@ import (
 type evalCtx struct {
 	plan *planner.Plan
 	// filters holds each set-capable filter's state for the evaluation (or
-	// the current stream window), indexed by planner.Semijoin.ID: within
+	// the current tid window), indexed by planner.Semijoin.ID: within
 	// one window the same unscoped filter always has the same satisfiers,
 	// however many frontiers probe it.
 	filters []filterState
@@ -36,13 +36,13 @@ type evalCtx struct {
 	tick int
 	cerr error
 
-	// Streaming tid window (stream.go). When windowed is set, every
+	// The tid window (window.go). When windowed is set, every
 	// virtual-root entry point — the probe's first-step candidate lists, the
 	// kernels' postings, the scoped-roots expansion, semijoin seeds and the
 	// value-driver postings — restricts itself to trees with
 	// tid ∈ [winLo, winHi). Axes never cross trees, so a windowed evaluation
 	// is exactly the full evaluation restricted to that tree range, which is
-	// what lets StreamPlan evaluate batches of trees and stop early.
+	// what lets Run evaluate windows of trees apart and stop early.
 	winLo, winHi int32
 	windowed     bool
 }
@@ -81,26 +81,19 @@ func (c *evalCtx) interrupted() bool {
 	return false
 }
 
-// begin is the preamble every evaluation body shares: validate the AST,
-// honor an already-done context, then take a pooled evaluation context bound
-// to the plan; the caller hands it back with releaseCtx. The arena's buffers
-// are retained across evaluations — that retention is what makes
-// steady-state execution of a compiled plan allocation-free. cctx is
-// recorded for cooperative cancellation only when it can actually be
-// cancelled (Done() != nil); context.Background() and friends cost nothing.
-func (e *Engine) begin(cctx context.Context, p *lpath.Path, plan *planner.Plan) (*evalCtx, error) {
-	if err := lpath.Validate(p); err != nil {
-		return nil, err
-	}
-	if err := cctx.Err(); err != nil {
-		return nil, err
-	}
+// acquire takes a pooled evaluation context bound to the plan; the caller
+// hands it back with releaseCtx. The arena's buffers are retained across
+// evaluations — that retention is what makes steady-state execution of a
+// compiled plan allocation-free. cctx is recorded for cooperative
+// cancellation only when it can actually be cancelled (Done() != nil);
+// context.Background() and friends cost nothing.
+func (e *Engine) acquire(cctx context.Context, plan *planner.Plan) *evalCtx {
 	ctx := e.ctxPool.Get().(*evalCtx)
 	ctx.plan = plan
 	if cctx.Done() != nil {
 		ctx.cctx = cctx
 	}
-	return ctx, nil
+	return ctx
 }
 
 func (e *Engine) releaseCtx(ctx *evalCtx) {
@@ -118,10 +111,10 @@ func (e *Engine) releaseCtx(ctx *evalCtx) {
 }
 
 // clearSat drops the per-filter state: satisfier sets go back to the arena
-// and the forward counters restart. The streaming evaluator also calls it
-// between tid-window batches: a satisfier set built under one window is
-// seeded from that window's trees only and must not answer probes from the
-// next.
+// and the forward counters restart. Run also calls it between the tid
+// windows one evaluation context evaluates: a satisfier set built under one
+// window is seeded from that window's trees only and must not answer probes
+// from the next.
 func (c *evalCtx) clearSat() {
 	for i := range c.filters {
 		if s := c.filters[i].set; s != nil {
@@ -158,7 +151,7 @@ func (c *evalCtx) countStep(sp *planner.StepPlan, n int) {
 
 // stepSide records which side of a kernel-capable step's run-time choice
 // ran, for EXPLAIN. It allocates nothing: the side rule calls it on every
-// step, and ExplainPlanContext makes the map up front.
+// step, and Run makes the map up front for ModeExplain.
 func (c *evalCtx) stepSide(sp *planner.StepPlan, side string) {
 	if c.act == nil || sp == nil {
 		return

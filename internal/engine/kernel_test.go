@@ -421,7 +421,8 @@ func TestExplainScopedSide(t *testing.T) {
 		{`//VP[{//^VB->NP->PP$}]`, "ps3. ->PP$"},
 	} {
 		p := lpath.MustParse(tt.query)
-		report, err := e.ExplainPlanContext(context.Background(), p, e.Plan(p))
+		res, err := e.Run(context.Background(), p, e.Plan(p), Spec{Mode: ModeExplain})
+		report := res.Explain
 		if err != nil {
 			t.Fatalf("%s: %v", tt.query, err)
 		}

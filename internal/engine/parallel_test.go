@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"lpath/internal/lpath"
@@ -51,7 +52,7 @@ func TestWindowsBalanceSpan(t *testing.T) {
 
 // TestEvalParallelMatchesSerial is the core equivalence property: on random
 // corpora, for every query in the cross-validation corpus and every worker
-// (so window) count, EvalParallel returns exactly Engine.Eval's result —
+// (so window) count, a parallel Run returns exactly Engine.Eval's result —
 // same matches, same order.
 func TestEvalParallelMatchesSerial(t *testing.T) {
 	plans := make([]*lpath.Path, len(queryCorpus))
@@ -66,7 +67,8 @@ func TestEvalParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("seed %d: serial %q: %v", seed, queryCorpus[i], err)
 			}
 			for _, workers := range []int{1, 3, 7, 64} {
-				got, err := e.EvalParallel(context.Background(), p, e.Plan(p), 0, workers)
+				res, err := e.Run(context.Background(), p, e.Plan(p), Spec{Workers: workers})
+				got := res.Matches
 				if err != nil {
 					t.Fatalf("seed %d w=%d: parallel %q: %v", seed, workers, queryCorpus[i], err)
 				}
@@ -83,9 +85,11 @@ func TestEvalParallelDefaultWorkers(t *testing.T) {
 	c := tree.NewCorpus()
 	c.Add(tree.Figure1())
 	e := buildEngine(t, c)
-	// Workers below 1 fall back to GOMAXPROCS; both must succeed.
+	// Workers below 2 run serially, more workers than trees one window per
+	// tree; all must succeed.
 	for _, w := range []int{-1, 0, 99} {
-		ms, err := e.EvalParallel(context.Background(), lpath.MustParse(`//NP`), nil, 0, w)
+		res, err := e.Run(context.Background(), lpath.MustParse(`//NP`), nil, Spec{Workers: w})
+		ms := res.Matches
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -99,15 +103,17 @@ func TestEvalParallelDefaultWorkers(t *testing.T) {
 // is a non-nil empty slice like Eval's, with or without a limit.
 func TestEvalParallelEmptyShards(t *testing.T) {
 	e := buildEngine(t, tree.NewCorpus())
+	all := runtime.GOMAXPROCS(0)
 	for _, limit := range []int{0, 5} {
-		ms, err := e.EvalParallel(context.Background(), lpath.MustParse(`//NP`), nil, limit, 0)
-		if err != nil || ms == nil || len(ms) != 0 {
+		res, err := e.Run(context.Background(), lpath.MustParse(`//NP`), nil, Spec{Limit: limit, Workers: all})
+		if ms := res.Matches; err != nil || ms == nil || len(ms) != 0 {
 			t.Errorf("empty store, limit %d: %#v, %v", limit, ms, err)
 		}
 	}
 	// Zero matches over several windows is the same non-nil empty slice.
 	e = buildEngine(t, randomCorpus(3, 5))
-	if ms, err := e.EvalParallel(context.Background(), lpath.MustParse(`//ZZZ`), nil, 0, 3); err != nil || ms == nil || len(ms) != 0 {
+	if res, err := e.Run(context.Background(), lpath.MustParse(`//ZZZ`), nil, Spec{Workers: 3}); err != nil || res.Matches == nil || len(res.Matches) != 0 {
+		ms := res.Matches
 		t.Errorf("zero matches: %#v, %v", ms, err)
 	}
 }
@@ -116,7 +122,7 @@ func TestEvalParallelValidationError(t *testing.T) {
 	c := tree.NewCorpus()
 	c.Add(tree.Figure1())
 	e := buildEngine(t, c)
-	if _, err := e.EvalParallel(context.Background(), lpath.MustParse(`//S@lex`), nil, 0, 2); err == nil {
+	if _, err := e.Run(context.Background(), lpath.MustParse(`//S@lex`), nil, Spec{Workers: 2}); err == nil {
 		t.Error("expected validation error for attribute step in main path")
 	}
 }
@@ -125,22 +131,29 @@ func TestEvalParallelCancelledContext(t *testing.T) {
 	e := buildEngine(t, randomCorpus(5, 6))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.EvalParallel(ctx, lpath.MustParse(`//NP`), nil, 0, 6); err == nil {
+	if _, err := e.Run(ctx, lpath.MustParse(`//NP`), nil, Spec{Workers: 6}); err == nil {
 		t.Error("expected context error after cancellation")
 	}
 }
 
-// TestRunShardsErrorPropagation pins the worker-pool error contract: a
+// scheduleAll is schedule over a full run: every window settles.
+func scheduleAll(ctx context.Context, n, workers int, run func(context.Context, int) error) error {
+	return schedule(ctx, n, workers, false, func(ctx context.Context, _, i int) error { return run(ctx, i) },
+		func(int) bool { return true })
+}
+
+// TestRunShardsErrorPropagation pins the scheduler's error contract: a
 // window's real error is returned verbatim (and deterministically — the
 // lowest recorded window index wins over scheduling), real errors always win
-// over cancellation noise from the fail-fast cancel, and a cancelled parent
-// context surfaces as the parent's own error.
+// over cancellation noise from the fail-fast cancel, a cancelled parent
+// context surfaces as the parent's own error, and a real error past the
+// point where the settled prefix stopped the run is never reported.
 func TestRunShardsErrorPropagation(t *testing.T) {
 	boom := errors.New("window exploded")
 
 	t.Run("single failing shard", func(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
-			err := runWindows(context.Background(), 8, 4, func(ctx context.Context, i int) error {
+			err := scheduleAll(context.Background(), 8, 4, func(ctx context.Context, i int) error {
 				if i == 5 {
 					return boom
 				}
@@ -154,7 +167,7 @@ func TestRunShardsErrorPropagation(t *testing.T) {
 
 	t.Run("identical failure on every shard", func(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
-			err := runWindows(context.Background(), 8, 4, func(ctx context.Context, i int) error {
+			err := scheduleAll(context.Background(), 8, 4, func(ctx context.Context, i int) error {
 				return boom
 			})
 			if !errors.Is(err, boom) {
@@ -167,7 +180,7 @@ func TestRunShardsErrorPropagation(t *testing.T) {
 		// Windows that observe the fail-fast cancel return ctx.Err(); the one
 		// real error must still be the reported one.
 		for trial := 0; trial < 25; trial++ {
-			err := runWindows(context.Background(), 8, 4, func(ctx context.Context, i int) error {
+			err := scheduleAll(context.Background(), 8, 4, func(ctx context.Context, i int) error {
 				if i == 2 {
 					return boom
 				}
@@ -183,7 +196,7 @@ func TestRunShardsErrorPropagation(t *testing.T) {
 	t.Run("parent cancellation surfaces as parent error", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		err := runWindows(ctx, 8, 4, func(ctx context.Context, i int) error {
+		err := scheduleAll(ctx, 8, 4, func(ctx context.Context, i int) error {
 			return ctx.Err() // windows that started before the flag observed it
 		})
 		if !errors.Is(err, context.Canceled) {
@@ -192,8 +205,32 @@ func TestRunShardsErrorPropagation(t *testing.T) {
 	})
 
 	t.Run("no failure returns nil", func(t *testing.T) {
-		if err := runWindows(context.Background(), 8, 4, func(ctx context.Context, i int) error { return nil }); err != nil {
+		if err := scheduleAll(context.Background(), 8, 4, func(ctx context.Context, i int) error { return nil }); err != nil {
 			t.Fatalf("got %v, want nil", err)
+		}
+	})
+
+	t.Run("real error past the limit point is not reported", func(t *testing.T) {
+		// Windows 0-2 hold the limit; they finish only after window 5 has
+		// failed, so its error is in hand before the prefix settles. Windows
+		// 0-2 honor a cancel: a rule that let window 5 cancel them would
+		// report its error.
+		for trial := 0; trial < 25; trial++ {
+			failed := make(chan struct{})
+			err := schedule(context.Background(), 8, 4, true, func(ctx context.Context, _, i int) error {
+				switch {
+				case i <= 2:
+					<-failed
+					return ctx.Err()
+				case i == 5:
+					close(failed)
+					return boom
+				}
+				return nil
+			}, func(i int) bool { return i < 2 })
+			if err != nil {
+				t.Fatalf("trial %d: got %v, want nil", trial, err)
+			}
 		}
 	})
 }

@@ -80,10 +80,10 @@ func TestStreamOrderAndAbort(t *testing.T) {
 	}
 
 	var got []Match
-	err = e.StreamPlan(context.Background(), p, e.Plan(p), func(m Match) bool {
+	_, err = e.Run(context.Background(), p, e.Plan(p), Spec{Yield: func(m Match) bool {
 		got = append(got, m)
 		return len(got) < 6
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +111,7 @@ func TestStreamOrderAndAbort(t *testing.T) {
 // now walk: the horizontal axes (-->) and the vertical ones (//); the
 // scoped case walks a scoped frontier one scope at a time.
 func TestEvalLimitCancel(t *testing.T) {
+	defer goroutineBalance(t)()
 	tc := cancelCorpus(t)
 	for _, tt := range []struct {
 		name  string
@@ -151,8 +152,10 @@ func TestEvalLimitCancel(t *testing.T) {
 }
 
 // TestEvalParallelLimitParity holds the windowed limit path to the serial
-// contract over several worker (so window) counts.
+// contract over several worker (so window) counts; the limits that stop early
+// must leave no worker running.
 func TestEvalParallelLimitParity(t *testing.T) {
+	defer goroutineBalance(t)()
 	e := streamCorpus(t)
 	for _, workers := range []int{1, 3, 8} {
 		for _, text := range streamQueries {
@@ -162,7 +165,8 @@ func TestEvalParallelLimitParity(t *testing.T) {
 				t.Fatalf("%s: %v", text, err)
 			}
 			for _, k := range []int{0, 1, 3, len(full), len(full) + 1} {
-				got, err := e.EvalParallel(context.Background(), p, e.Plan(p), k, workers)
+				res, err := e.Run(context.Background(), p, e.Plan(p), Spec{Limit: k, Workers: workers})
+				got := res.Matches
 				if err != nil {
 					t.Fatalf("%s workers=%d limit=%d: %v", text, workers, k, err)
 				}
@@ -171,7 +175,7 @@ func TestEvalParallelLimitParity(t *testing.T) {
 					want = full[:k]
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s workers=%d: EvalParallel(limit %d) = %d matches, want %d",
+					t.Errorf("%s workers=%d: Run(Limit %d) = %d matches, want %d",
 						text, workers, k, len(got), len(want))
 				}
 			}
@@ -190,11 +194,11 @@ func TestLimitEntryPointsPreCancelled(t *testing.T) {
 	if _, err := e.EvalPlanLimitContext(ctx, p, e.Plan(p), 10); !errors.Is(err, context.Canceled) {
 		t.Errorf("EvalPlanLimitContext: got %v", err)
 	}
-	if err := e.StreamPlan(ctx, p, e.Plan(p), func(Match) bool { return true }); !errors.Is(err, context.Canceled) {
-		t.Errorf("StreamPlan: got %v", err)
+	if _, err := e.Run(ctx, p, e.Plan(p), Spec{Yield: func(Match) bool { return true }}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run(Yield): got %v", err)
 	}
-	if _, err := e.EvalParallel(ctx, p, e.Plan(p), 10, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvalParallel(limit): got %v", err)
+	if _, err := e.Run(ctx, p, e.Plan(p), Spec{Limit: 10, Workers: 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run(Limit 10, Workers 2): got %v", err)
 	}
 	// limit <= 0 means no limit: the full evaluation.
 	full, err := e.Eval(p)

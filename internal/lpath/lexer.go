@@ -2,6 +2,7 @@ package lpath
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -78,8 +79,28 @@ type SyntaxError struct {
 	Msg   string
 }
 
+// errContext is how many bytes of the query on each side of the offset a
+// syntax error's message quotes: a message, and a server's 400 body that
+// echoes it, stays short however long the query is.
+const errContext = 24
+
 func (e *SyntaxError) Error() string {
-	return fmt.Sprintf("lpath: %s at offset %d in %q", e.Msg, e.Pos, e.Query)
+	q := e.Query
+	lo, hi := max(e.Pos-errContext, 0), min(e.Pos+errContext, len(q))
+	for lo > 0 && !utf8.RuneStart(q[lo]) {
+		lo--
+	}
+	for hi < len(q) && !utf8.RuneStart(q[hi]) {
+		hi++
+	}
+	text := strconv.Quote(q[lo:hi])
+	if lo > 0 {
+		text = "..." + text
+	}
+	if hi < len(q) {
+		text += "..."
+	}
+	return fmt.Sprintf("lpath: %s at offset %d in %s", e.Msg, e.Pos, text)
 }
 
 type lexer struct {

@@ -1,6 +1,8 @@
 package lpath
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -309,6 +311,21 @@ func TestSyntaxErrorMessage(t *testing.T) {
 	}
 	if !strings.Contains(se.Error(), "offset") {
 		t.Errorf("error text = %q", se.Error())
+	}
+
+	// A 10 000-deep query is refused at the first opener past the nesting
+	// bound; the message quotes a window around it, not the whole query.
+	deep := strings.Repeat(`//A[`, 10000) + `//B` + strings.Repeat(`]`, 10000)
+	_, err = Parse(deep)
+	if !errors.As(err, &se) {
+		t.Fatalf("deep query: got %T: %v", err, err)
+	}
+	if se.Query != deep {
+		t.Errorf("deep query: Query field is %d bytes, want the whole %d", len(se.Query), len(deep))
+	}
+	msg := se.Error()
+	if len(msg) > 200 || !strings.Contains(msg, fmt.Sprintf("offset %d ", se.Pos)) {
+		t.Errorf("deep query: %d-byte message %q, want at most 200 naming offset %d", len(msg), msg, se.Pos)
 	}
 }
 

@@ -50,7 +50,7 @@ func SplitByTID(c *tree.Corpus, k int) []*tree.Corpus {
 // BuildShards splits the corpus with SplitByTID and builds an independent
 // Store per shard under the scheme, each with its own statistics. The query
 // engine does not use shards — it evaluates tid windows of one store
-// (engine.EvalParallel) — so the one caller is the relstore.shard_build
+// (engine.Run) — so the one caller is the relstore.shard_build
 // probe of benchmark/trace.go, which times this construction.
 func BuildShards(c *tree.Corpus, scheme Scheme, k int) []*Store {
 	parts := SplitByTID(c, k)

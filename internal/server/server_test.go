@@ -158,6 +158,11 @@ func TestTooDeepQueryIs400(t *testing.T) {
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("deep query: status %d, want 400: %s", w.Code, w.Body.String())
 	}
+	// The body names the offset and quotes a window of the query, not all
+	// 80 KB of it.
+	if body := w.Body.String(); len(body) > 200 || !strings.Contains(body, "offset") {
+		t.Errorf("deep query: %d-byte 400 body %q, want at most 200 naming the offset", len(body), body)
+	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("deep query refused after %v", elapsed)
 	}

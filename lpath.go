@@ -25,11 +25,13 @@
 package lpath
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"iter"
 	"os"
+	"runtime"
 
 	"lpath/internal/corpus"
 	"lpath/internal/engine"
@@ -396,24 +398,24 @@ func (c *Corpus) Build() error {
 	return nil
 }
 
-// Mode selects what a Request computes.
-type Mode int
+// Mode selects what a Request computes (see engine.Mode).
+type Mode = engine.Mode
 
 const (
 	// ModeSelect returns the distinct matches of the query's final step in
 	// (tree, document) order.
-	ModeSelect Mode = iota
+	ModeSelect = engine.ModeSelect
 	// ModeCount returns only the number of matches, using the engine's
 	// count-only pipeline: the same joins as ModeSelect, but without the final
 	// sort and node materialization. It always equals len of ModeSelect's
 	// matches.
-	ModeCount
+	ModeCount = engine.ModeCount
 	// ModeExplain plans the query against the corpus statistics, executes the
 	// plan with cardinality counters, and returns the EXPLAIN report: per
 	// step, the chosen access path and the estimated vs actual rows (see
 	// docs/PLANNER.md for the format). The counters are fresh on every run — a
 	// cached plan never reports a prior execution's actuals.
-	ModeExplain
+	ModeExplain = engine.ModeExplain
 )
 
 // Request is one query evaluation. Every way of running a query — full or
@@ -438,24 +440,19 @@ type Request struct {
 	// ignore the field.
 	Limit int
 	// Parallel evaluates ModeSelect and ModeCount over tree-ID windows of the
-	// one index, one window per worker of a bounded pool (see WithWorkers).
-	// The result is exactly the serial one, in the same order —
-	// deterministic and independent of the worker count; under a Limit,
-	// windows past the settled prefix are cancelled. Run alone honors the
-	// field: ModeExplain ignores it (the report describes one serial run),
-	// and so does Stream.
+	// one index on a bounded pool of workers (see WithWorkers), in Run and in
+	// Stream alike. The result is exactly the serial one, in the same order —
+	// deterministic and independent of the worker count; under a Limit, or
+	// once a Stream's consumer stops, windows past the settled prefix are
+	// cancelled. ModeExplain ignores the field: the report describes one
+	// serial run.
 	Parallel bool
 }
 
-// Result is the outcome of one Request.
-type Result struct {
-	// Matches is ModeSelect's result: non-nil, possibly empty.
-	Matches []Match
-	// Count is ModeCount's result; ModeSelect sets it to len(Matches).
-	Count int
-	// Explain is ModeExplain's report.
-	Explain string
-}
+// Result is the outcome of one Request: Matches for ModeSelect (non-nil,
+// possibly empty), Count for ModeCount and for ModeSelect (len(Matches)),
+// Explain for ModeExplain.
+type Result = engine.Result
 
 // resolve is the front half of every evaluation: build the index, resolve
 // the query — a compiled Query as is, Text through the plan cache — and plan
@@ -494,34 +491,27 @@ func (c *Corpus) Run(ctx context.Context, req Request) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var res Result
-	switch {
-	case req.Mode == ModeExplain:
-		res.Explain, err = c.eng.ExplainPlanContext(ctx, path, plan)
-	case req.Mode == ModeCount && req.Parallel:
-		res.Count, err = c.eng.CountParallel(ctx, path, plan, c.workers)
-	case req.Mode == ModeCount:
-		res.Count, err = c.eng.CountPlanContext(ctx, path, plan)
-	case req.Parallel:
-		res.Matches, err = c.eng.EvalParallel(ctx, path, plan, req.Limit, c.workers)
-		res.Count = len(res.Matches)
-	default:
-		res.Matches, err = c.eng.EvalPlanLimitContext(ctx, path, plan, req.Limit)
-		res.Count = len(res.Matches)
+	return c.eng.Run(ctx, path, plan, c.spec(req))
+}
+
+// spec is the engine's spelling of a request: a Parallel one runs on the
+// corpus's worker bound.
+func (c *Corpus) spec(req Request) engine.Spec {
+	s := engine.Spec{Mode: req.Mode, Limit: req.Limit}
+	if req.Parallel {
+		s.Workers = cmp.Or(max(c.workers, 0), runtime.GOMAXPROCS(0))
 	}
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	return s
 }
 
 // Stream is the iterator form of Run for ModeSelect requests: a
 // range-over-func iterator over the matches in Run's (tree, document) order,
 // evaluating incrementally — breaking out of the range loop terminates the
-// evaluation, so consuming k matches costs what Limit: k costs. It streams
-// from the serial engine (Parallel is ignored) and stops by itself after a
-// positive Limit. On an evaluation error — the context's, when cancelled —
-// the iterator yields one (zero Match, error) pair and stops.
+// evaluation, so consuming k matches costs what Limit: k costs. A Parallel
+// stream evaluates windows ahead on the worker pool and yields the identical
+// sequence. It stops by itself after a positive Limit. On an evaluation
+// error — the context's, when cancelled — the iterator yields one (zero
+// Match, error) pair and stops.
 func (c *Corpus) Stream(ctx context.Context, req Request) iter.Seq2[Match, error] {
 	return func(yield func(Match, error) bool) {
 		path, plan, err := c.resolve(req)
@@ -529,11 +519,9 @@ func (c *Corpus) Stream(ctx context.Context, req Request) iter.Seq2[Match, error
 			err = fmt.Errorf("lpath: Stream needs a ModeSelect request")
 		}
 		if err == nil {
-			n := 0
-			err = c.eng.StreamPlan(ctx, path, plan, func(m Match) bool {
-				n++
-				return yield(m, nil) && n != req.Limit
-			})
+			spec := c.spec(req)
+			spec.Yield = func(m Match) bool { return yield(m, nil) }
+			_, err = c.eng.Run(ctx, path, plan, spec)
 		}
 		if err != nil {
 			yield(Match{}, err)

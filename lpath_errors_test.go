@@ -38,7 +38,7 @@ func shapeName(r Request) string {
 // TestErrorParityAcrossRequests pins the error contract of the one request
 // path: for one identical failure, every Request shape — serial or parallel,
 // selecting, counting or explaining, limited or not — returns the identical
-// error, independent of worker scheduling (runWindows propagates
+// error, independent of worker scheduling (the window scheduler propagates
 // deterministically by window index), and so does a compiled query's slot in
 // a SelectBatchStats batch.
 func TestErrorParityAcrossRequests(t *testing.T) {

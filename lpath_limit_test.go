@@ -3,6 +3,7 @@ package lpath
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -32,7 +33,8 @@ func limitStrategies() []struct {
 
 // checkLimit holds Limit k to its one meaning — the first k entries of the
 // full result, the whole result when k is 0 — everywhere a limit can be
-// applied through Run: the serial stream and the windowed settled prefix.
+// applied through Run: the serial stream and the windowed settled prefix;
+// and through a Parallel Stream, which stops by itself at the limit.
 func checkLimit(t *testing.T, c *Corpus, q *Query, k int, full []Match) {
 	t.Helper()
 	want := full
@@ -49,6 +51,16 @@ func checkLimit(t *testing.T, c *Corpus, q *Query, k int, full []Match) {
 			t.Errorf("%s %s: Limit %d = %d matches (Count %d), want prefix of %d",
 				q, name, k, len(res.Matches), res.Count, len(want))
 		}
+	}
+	var streamed []Match
+	for m, err := range c.Stream(ctx, Request{Query: q, Limit: k, Parallel: true}) {
+		if err != nil {
+			t.Fatalf("%s parallel stream limit %d: %v", q, k, err)
+		}
+		streamed = append(streamed, m)
+	}
+	if !slices.Equal(streamed, want) {
+		t.Errorf("%s parallel stream: Limit %d = %d matches, want prefix of %d", q, k, len(streamed), len(want))
 	}
 }
 
@@ -80,9 +92,10 @@ func TestLimitParity(t *testing.T) {
 
 // TestMatchesIterator exercises the range-over-func surface: full
 // consumption equals Select, breaking early equals the prefix, and
-// cancellation surfaces as the iterator's final error pair.
+// cancellation surfaces as the iterator's final error pair — serially and on
+// a worker pool.
 func TestMatchesIterator(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.002, 5)
+	c, err := GenerateCorpus("wsj", 0.002, 5, WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +164,48 @@ func TestMatchesIterator(t *testing.T) {
 		if err == nil {
 			t.Error("Stream accepted a ModeCount request")
 		}
+	}
+
+	// A Parallel stream yields the serial sequence; a break stops it and
+	// leaves the corpus answering correctly; a dead context is one error pair.
+	par := Request{Query: q, Parallel: true}
+	var seq []Match
+	for m, err := range c.Stream(context.Background(), par) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq = append(seq, m)
+	}
+	if !reflect.DeepEqual(seq, full) {
+		t.Errorf("parallel stream: %d matches, Select: %d", len(seq), len(full))
+	}
+	for _, k := range []int{1, 5, len(full) - 1} {
+		var prefix []Match
+		for m, err := range c.Stream(context.Background(), par) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix = append(prefix, m)
+			if len(prefix) == k {
+				break
+			}
+		}
+		if !reflect.DeepEqual(prefix, full[:k]) {
+			t.Errorf("parallel stream, break at %d: %d matches, want the first %d", k, len(prefix), k)
+		}
+		if again, err := c.Select(q); err != nil || !reflect.DeepEqual(again, full) {
+			t.Errorf("Select after a parallel stream broke at %d: %d matches, %v; want %d", k, len(again), err, len(full))
+		}
+	}
+	var pairs []error
+	for m, err := range c.Stream(ctx, par) {
+		if m != (Match{}) {
+			t.Errorf("cancelled parallel stream yielded a match in tree %d", m.TreeID)
+		}
+		pairs = append(pairs, err)
+	}
+	if len(pairs) != 1 || pairs[0] != context.Canceled {
+		t.Errorf("cancelled parallel stream yielded %v, want exactly one context.Canceled", pairs)
 	}
 }
 
