@@ -300,8 +300,7 @@ func BenchmarkAblationClustering(b *testing.B) {
 	store := wsj.Store
 	b.Run("ClusteredNameScan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rows := store.Name("NP")
-			if len(rows) == 0 {
+			if lo, hi, _ := store.NameRange("NP"); hi == lo {
 				b.Fatal("no NP rows")
 			}
 		}

@@ -542,8 +542,9 @@ func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []l
 func (e *Engine) groupByTID(cands []int32) [][]int32 {
 	byTID := make(map[int32][]int32)
 	tids := make([]int32, 0, 4)
+	rowTIDs := e.s.Cols().TID
 	for _, ci := range cands {
-		tid := e.s.Row(ci).TID
+		tid := rowTIDs[ci]
 		if _, ok := byTID[tid]; !ok {
 			tids = append(tids, tid)
 		}
@@ -627,8 +628,8 @@ func (e *Engine) valueWorthwhile(step *lpath.Step, b bind, postings int, sp *pla
 	}
 	switch step.Axis {
 	case lpath.AxisDescendant, lpath.AxisDescendantOrSelf:
-		ctx := e.s.Row(b.row)
-		span := ctx.Right - ctx.Left
+		cols := e.s.Cols()
+		span := cols.Right[b.row] - cols.Left[b.row]
 		if sp != nil && sp.Bias > 0 {
 			return float64(postings) < sp.Bias*float64(span)
 		}
@@ -642,20 +643,19 @@ func (e *Engine) valueWorthwhile(step *lpath.Step, b bind, postings int, sp *pla
 // staticAccept applies the scope constraint and edge alignment to a
 // candidate row; predicates run afterwards in the positional pipeline.
 func (e *Engine) staticAccept(step *lpath.Step, b bind, ci int32) bool {
-	cand := e.s.Row(ci)
-	cl := rowLabel(cand)
+	cols := e.s.Cols()
+	tid, cl := cols.TID[ci], edges(cols, ci)
 	if b.scope != noRow {
-		sc := e.s.Row(b.scope)
-		if sc.TID != cand.TID || !label.InScope(cl, rowLabel(sc)) {
+		if cols.TID[b.scope] != tid || !label.InScope(cl, edges(cols, b.scope)) {
 			return false
 		}
 	}
 	if step.LeftAlign || step.RightAlign {
-		ref := e.alignRef(b, cand.TID)
+		ref := e.alignRef(b, tid)
 		if ref == noRow {
 			return false
 		}
-		rl := rowLabel(e.s.Row(ref))
+		rl := edges(cols, ref)
 		if step.LeftAlign && !label.IsLeftAligned(cl, rl) {
 			return false
 		}
@@ -682,8 +682,9 @@ func (e *Engine) alignRef(b bind, candTID int32) int32 {
 	return noRow
 }
 
-func rowLabel(r *relstore.Row) label.Label {
-	return label.Label{Left: r.Left, Right: r.Right, Depth: r.Depth, ID: r.ID, PID: r.PID}
+// edges is the part of row i's label that scoping and alignment compare.
+func edges(cols *relstore.Cols, i int32) label.Label {
+	return label.Label{Left: cols.Left[i], Right: cols.Right[i], Depth: cols.Depth[i]}
 }
 
 // narrowToWindow returns the subslice of idx covering the evaluation's
@@ -778,21 +779,17 @@ func (vd *valueDriver) candidates(e *Engine, ctx *evalCtx) []int32 {
 	vd.rowsSet = true
 	postings := e.s.ByValue(vd.value)
 	cands := ctx.ar.getInts()
+	cols := e.s.Cols()
+	alo, ahi := e.s.AttrRange(vd.attr)
+	nlo, nhi, _ := e.s.NameRange(vd.step.Test)
 	for _, pi := range postings {
-		ar := e.s.Row(pi)
-		if n := ar.Name; len(n) < 2 || n[0] != '@' || n[1:] != vd.attr {
-			continue
-		}
 		// Posting lists are grouped by attribute name, not tid-sorted, so the
 		// streaming window filters linearly (they are small by the cost gate).
-		if !ctx.inWindow(ar.TID) {
+		if pi < alo || pi >= ahi || !ctx.inWindow(cols.TID[pi]) {
 			continue
 		}
-		ei, ok := e.s.ElementByID(ar.TID, ar.ID)
-		if !ok {
-			continue
-		}
-		if !vd.step.Wildcard() && e.s.Row(ei).Name != vd.step.Test {
+		ei, ok := e.s.ElementByID(cols.TID[pi], cols.ID[pi])
+		if !ok || (!vd.step.Wildcard() && (ei < nlo || ei >= nhi)) {
 			continue
 		}
 		cands = append(cands, ei)
@@ -820,14 +817,13 @@ func (e *Engine) filterByAxis(cands []int32, step *lpath.Step, b bind, dst []int
 			return dst
 		}
 	}
-	ctx := e.s.Row(b.row)
-	cl := rowLabel(ctx)
-	tids := e.s.Cols().TID
+	cols := e.s.Cols()
+	tid, cl := cols.TID[b.row], cols.Label(b.row)
 	for _, ci := range cands {
-		if tids[ci] != ctx.TID {
+		if cols.TID[ci] != tid {
 			continue
 		}
-		if axisHolds(step.Axis, rowLabel(e.s.Row(ci)), cl) {
+		if axisHolds(step.Axis, cols.Label(ci), cl) {
 			dst = append(dst, ci)
 		}
 	}

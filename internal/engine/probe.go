@@ -422,8 +422,7 @@ func (e *Engine) strFnHit(elems []bind, x *lpath.StrFnExpr, attr string) bool {
 		if eb.row == noRow {
 			continue
 		}
-		r := e.s.Row(eb.row)
-		if v, ok := e.s.AttrValueBare(r.TID, r.ID, attr); ok && lpath.StrFn(x.Fn, v, x.Arg) {
+		if v, ok := e.s.AttrValue(eb.row, attr); ok && lpath.StrFn(x.Fn, v, x.Arg) {
 			return true
 		}
 	}
@@ -463,8 +462,7 @@ func (e *Engine) existHit(elems []bind, attr, op, value string) bool {
 		if eb.row == noRow {
 			continue
 		}
-		r := e.s.Row(eb.row)
-		v, ok := e.s.AttrValueBare(r.TID, r.ID, attr)
+		v, ok := e.s.AttrValue(eb.row, attr)
 		if !ok {
 			continue
 		}

@@ -240,15 +240,17 @@ func (e *Engine) semiSeeds(sj *planner.Semijoin, ctx *evalCtx) ([]int32, error) 
 	if sj.Seed == planner.SeedValue {
 		// The posting list already enforces one @attr=value equality, which
 		// SeedPreds leaves out, like the forward value driver does.
+		cols := e.s.Cols()
+		alo, ahi, _ := e.s.NameRange(sj.SeedAttr)
+		nlo, nhi, _ := e.s.NameRange(last.Test)
 		for _, pi := range e.s.ByValue(sj.SeedValue) {
-			ar := e.s.Row(pi)
 			// Posting lists are grouped by attribute name, not tid-sorted,
 			// so the streaming tid window filters linearly.
-			if ar.Name != sj.SeedAttr || !ctx.inWindow(ar.TID) {
+			if pi < alo || pi >= ahi || !ctx.inWindow(cols.TID[pi]) {
 				continue
 			}
-			ei, ok := e.s.ElementByID(ar.TID, ar.ID)
-			if !ok || (!last.Wildcard() && e.s.Row(ei).Name != last.Test) || !e.semiAttrOK(sj, ei) {
+			ei, ok := e.s.ElementByID(cols.TID[pi], cols.ID[pi])
+			if !ok || (!last.Wildcard() && (ei < nlo || ei >= nhi)) || !e.semiAttrOK(sj, ei) {
 				continue
 			}
 			out = append(out, ei)
@@ -283,8 +285,7 @@ func (e *Engine) semiAttrOK(sj *planner.Semijoin, ri int32) bool {
 	if sj.Attr == "" {
 		return true
 	}
-	r := e.s.Row(ri)
-	v, ok := e.s.AttrValueBare(r.TID, r.ID, sj.Attr)
+	v, ok := e.s.AttrValue(ri, sj.Attr)
 	if !ok {
 		return false
 	}

@@ -62,9 +62,9 @@ func (e *Engine) Run(cctx context.Context, p *lpath.Path, plan *planner.Plan, s 
 		if s.Yield == nil {
 			res.Matches = slices.Grow(res.Matches, n)
 		}
+		tids := e.s.Cols().TID
 		for _, ri := range rows[:n] {
-			r := e.s.Row(ri)
-			m := Match{TreeID: int(r.TID), Node: e.s.NodeFor(r)}
+			m := Match{TreeID: int(tids[ri]), Node: e.s.NodeFor(ri)}
 			if s.Yield == nil {
 				res.Matches = append(res.Matches, m)
 			} else if !s.Yield(m) {

@@ -7,8 +7,9 @@ import (
 )
 
 // checkColumnar asserts the columnar invariants the set-at-a-time executor
-// depends on: the Cols arrays are index-aligned mirrors of the Row fields,
-// and RowSeq is the identity permutation over the clustered relation.
+// depends on: the Cols arrays are as long as the relation and agree with the
+// rows Row builds from them, and RowSeq is the identity permutation over the
+// clustered relation.
 func checkColumnar(t *testing.T, s *Store) {
 	t.Helper()
 	cols := s.Cols()
@@ -28,7 +29,7 @@ func checkColumnar(t *testing.T, s *Store) {
 		if cols.TID[i] != r.TID || cols.Left[i] != r.Left || cols.Right[i] != r.Right ||
 			cols.Depth[i] != r.Depth || cols.ID[i] != r.ID || cols.PID[i] != r.PID {
 			t.Fatalf("row %d: columns {tid:%d l:%d r:%d d:%d id:%d pid:%d} != row %+v",
-				i, cols.TID[i], cols.Left[i], cols.Right[i], cols.Depth[i], cols.ID[i], cols.PID[i], *r)
+				i, cols.TID[i], cols.Left[i], cols.Right[i], cols.Depth[i], cols.ID[i], cols.PID[i], r)
 		}
 		if seq[i] != ri {
 			t.Fatalf("RowSeq[%d] = %d, want identity", i, seq[i])

@@ -11,7 +11,7 @@ import (
 // extends further right (a trailing leaf widens it). The clustered order
 // breaks the left tie by right ascending — innermost first — while document
 // order is outermost first, so this is exactly the shape that forces a
-// per-name document-order permutation (NameByDoc).
+// per-name document-order permutation (Parts.DocPost).
 func leftAlignedCorpus() *tree.Corpus {
 	root := &tree.Node{Tag: "NP"}
 	cur := root
@@ -30,19 +30,20 @@ func leftAlignedCorpus() *tree.Corpus {
 	return c
 }
 
-// TestNameByDocOrder checks the document-order permutation invariants: it
-// exists exactly for names whose clustered order is not document order, it is
-// sorted by (tid, left, depth), and it enumerates the same rows as the
-// clustered range.
-func TestNameByDocOrder(t *testing.T) {
+// TestDocPostOrder checks the invariants of the format's document-order
+// permutations (Parts.DocNames / DocPost): one exists exactly for the names
+// whose clustered order is not document order, it is sorted by (tid, left,
+// depth), and it enumerates the same rows as the clustered range.
+func TestDocPostOrder(t *testing.T) {
 	s := Build(leftAlignedCorpus(), SchemeInterval)
-	np := s.NameByDoc("NP")
-	if np == nil {
-		t.Fatal("NameByDoc(NP) is nil for left-aligned same-name nesting")
+	p := s.Parts()
+	if len(p.DocNames) != 1 || p.Names[p.DocNames[0]] != "NP" {
+		t.Fatalf("doc permutations for %v, want NP only (N's clustered order is document order)", p.DocNames)
 	}
+	np := p.DocPost[p.DocStarts[0]:p.DocStarts[1]]
 	lo, hi, ok := s.NameRange("NP")
 	if !ok || int(hi-lo) != len(np) {
-		t.Fatalf("NameByDoc(NP) has %d rows, clustered range has %d", len(np), hi-lo)
+		t.Fatalf("NP permutation has %d rows, clustered range has %d", len(np), hi-lo)
 	}
 	seen := map[int32]bool{}
 	for i, ri := range np {
@@ -53,17 +54,12 @@ func TestNameByDocOrder(t *testing.T) {
 		a, b := s.Row(np[i-1]), s.Row(ri)
 		if a.TID > b.TID || (a.TID == b.TID && (a.Left > b.Left ||
 			(a.Left == b.Left && a.Depth >= b.Depth))) {
-			t.Fatalf("NameByDoc(NP) not in (tid, left, depth) order at %d", i)
+			t.Fatalf("NP permutation not in (tid, left, depth) order at %d", i)
 		}
 	}
 	for i := lo; i < hi; i++ {
-		if !seen[s.RowSeq()[i]] {
-			t.Fatalf("clustered NP row %d missing from NameByDoc", i)
+		if !seen[i] {
+			t.Fatalf("clustered NP row %d missing from its permutation", i)
 		}
-	}
-	// A name whose clustered order is already document order keeps no
-	// permutation: its clustered range is its document order.
-	if s.NameByDoc("N") != nil {
-		t.Error("NameByDoc(N) built despite clustered order being document order")
 	}
 }

@@ -1,18 +1,18 @@
 package relstore
 
-// Store deconstruction and reassembly for persistent snapshots.
+// The one way to make a Store: Assemble of its Parts.
 //
-// A built Store is a clustered row array plus sorted secondary postings plus
-// hash indexes plus a statistics snapshot. Parts flattens exactly the
-// non-derivable portion of that state — the clustered order, the name/value
-// dictionaries, every sorted posting permutation, and the Statistics block —
-// into dictionary-coded flat arrays that a binary format can write and read
-// verbatim (see internal/relstore/snapshot). Assemble is the inverse: it
-// revalidates the arrays and rebuilds the Store's rows, name dictionaries,
-// position arrays and packed sort keys with linear passes only. Nothing is
-// re-sorted on load — every sorted order ships in the snapshot and is
-// verified, not recomputed — and no tree is built: trees are materialized
-// one at a time, when a caller asks for a node (positions.go).
+// Parts is the relation as dictionary-coded flat arrays — the label columns
+// in clustered order, the name/value dictionaries, every sorted posting
+// permutation, and the Statistics block — that a binary format can write and
+// read verbatim (see internal/relstore/snapshot). Build labels a corpus and
+// fills them (buildParts); a snapshot load reads them. Assemble validates the
+// arrays and derives the name and value maps, the attribute value ids and the
+// position arrays with linear passes only, keeping the columns as they are:
+// they and the dictionaries are the store's only copy of the relation.
+// Nothing is re-sorted — every sorted order is verified, not recomputed — and
+// no tree is built: trees are materialized one at a time, when a caller asks
+// for a node (positions.go).
 //
 // Assemble treats its input as untrusted: any structural inconsistency —
 // out-of-range posting, misordered permutation, orphaned attribute row,
@@ -20,7 +20,9 @@ package relstore
 // snapshot loader can feed it bytes that passed only checksum validation.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -42,7 +44,7 @@ type StatsParts struct {
 	NameSpan   []float64
 }
 
-// Parts is the complete physical state of a built Store as flat arrays:
+// Parts is everything a Store is assembled from, as flat arrays:
 //
 //   - Names / NameStarts: the name dictionary in clustered (ascending) order
 //     and the partition of the row array into per-name ranges
@@ -50,12 +52,13 @@ type StatsParts struct {
 //   - Values / ValueStarts / ValuePost: the attribute-value dictionary
 //     (ascending) with its {value → attr rows} postings, (tid, id,
 //     row)-ordered.
-//   - Cols: the six hot label columns in clustered row order; together with
-//     the dictionaries they reconstruct every Row.
+//   - Cols: the six label columns in clustered row order; together with the
+//     dictionaries they are the relation.
 //   - RightStarts / RightPost: per-name (tid, right, left, depth)-ordered
 //     element postings (the reverse-axis index).
 //   - DocNames / DocStarts / DocPost: the doc-order permutations kept for
-//     names whose clustered order differs from document order (NameByDoc).
+//     names whose clustered order differs from document order. Nothing
+//     reads them; they are part of the format, emitted and validated.
 //   - ElemsByLeft / ElemsByRight: whole-relation document-order element
 //     permutations for wildcard node tests.
 //   - Stats: the non-derivable remainder of the Statistics snapshot.
@@ -85,79 +88,163 @@ type Parts struct {
 	Stats StatsParts
 }
 
-// Parts flattens the store into its serializable parts. The returned slices
-// alias the store's internal state where possible and must not be mutated.
-// Extraction is deterministic: dictionaries are emitted in sorted order and
-// every posting order is total, so the same store always yields byte-equal
+// Parts returns the parts the store was assembled from. The slices are the
+// store's own state and must not be mutated. Every dictionary is sorted and
+// every posting order total, so the same corpus always yields byte-equal
 // parts.
-func (s *Store) Parts() *Parts {
-	p := &Parts{
-		Scheme:       s.scheme,
-		TreeCount:    s.treeCount,
-		Cols:         s.cols,
-		ElemsByLeft:  s.elemsByLeft,
-		ElemsByRight: s.elemsByRight,
-	}
-	// Name dictionary straight off the clustered row array: ascending, with
-	// the range partition for free.
-	p.NameStarts = append(p.NameStarts, 0)
-	for i := 0; i < len(s.rows); {
-		name := s.rows[i].Name
-		j := i + 1
-		for j < len(s.rows) && s.rows[j].Name == name {
-			j++
+func (s *Store) Parts() *Parts { return s.parts }
+
+// buildParts sorts the labeled rows into clustered order and fills the parts
+// of their store: every array Assemble validates, computed here once.
+func buildParts(rows []labeled, names, values dict, scheme Scheme, treeCount int) *Parts {
+	p := &Parts{Scheme: scheme, TreeCount: treeCount}
+	var nameRank, valueRank []int32
+	p.Names, nameRank = names.sorted()
+	p.Values, valueRank = values.sorted()
+	for i := range rows {
+		r := &rows[i]
+		if r.name = nameRank[r.name]; r.value >= 0 {
+			r.value = valueRank[r.value]
 		}
-		p.Names = append(p.Names, name)
-		p.NameStarts = append(p.NameStarts, int32(j))
-		i = j
 	}
-	// Per-name reverse and doc-order postings, concatenated in dictionary
-	// order.
-	p.RightStarts = append(p.RightStarts, 0)
-	p.DocStarts = append(p.DocStarts, 0)
-	for i, name := range p.Names {
-		p.RightPost = append(p.RightPost, s.rightIdx[name]...)
+	slices.SortFunc(rows, func(a, b labeled) int {
+		switch {
+		case a.name != b.name:
+			return cmp.Compare(a.name, b.name)
+		case a.tid != b.tid:
+			return cmp.Compare(a.tid, b.tid)
+		case a.left != b.left:
+			return cmp.Compare(a.left, b.left)
+		case a.right != b.right:
+			return cmp.Compare(a.right, b.right)
+		case a.depth != b.depth:
+			return cmp.Compare(a.depth, b.depth)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+
+	// Columns, the name partition and the value postings bucketed by value.
+	n := len(rows)
+	c := &p.Cols
+	c.TID, c.Left, c.Right = make([]int32, n), make([]int32, n), make([]int32, n)
+	c.Depth, c.ID, c.PID = make([]int32, n), make([]int32, n), make([]int32, n)
+	p.NameStarts = make([]int32, len(p.Names)+1)
+	p.ValueStarts = make([]int32, len(p.Values)+1)
+	for i := range rows {
+		r := &rows[i]
+		c.TID[i], c.Left[i], c.Right[i] = r.tid, r.left, r.right
+		c.Depth[i], c.ID[i], c.PID[i] = r.depth, r.id, r.pid
+		p.NameStarts[r.name+1]++
+		if r.value >= 0 {
+			p.ValueStarts[r.value]++
+		} else {
+			p.ElemsByLeft = append(p.ElemsByLeft, int32(i))
+		}
+	}
+	inclusiveSum(p.NameStarts)
+	p.ValuePost = make([]int32, inclusiveSum(p.ValueStarts))
+	for i := len(rows) - 1; i >= 0; i-- {
+		if v := rows[i].value; v >= 0 {
+			p.ValueStarts[v]--
+			p.ValuePost[p.ValueStarts[v]] = int32(i)
+		}
+	}
+	// Within a value, postings go by (tid, id, row): two attributes of one
+	// element can share a value, and the row breaks that tie.
+	for vi := range p.Values {
+		post := p.ValuePost[p.ValueStarts[vi]:p.ValueStarts[vi+1]]
+		if len(post) > 1 {
+			slices.SortFunc(post, func(a, b int32) int {
+				if c.TID[a] != c.TID[b] {
+					return cmp.Compare(c.TID[a], c.TID[b])
+				}
+				return cmp.Or(cmp.Compare(c.ID[a], c.ID[b]), cmp.Compare(a, b))
+			})
+		}
+	}
+
+	byLeft := func(a, b int32) int { return leftCmp(c, a, b) }
+	byRight := func(a, b int32) int { return rightCmp(c, a, b) }
+	// Per-name reverse-axis postings, and the document-order permutation of
+	// every name whose clustered order is not document order: the clustered
+	// order breaks same-(tid, left) ties by right ascending, innermost
+	// first, so a left-aligned same-name nesting like (NP (NP ...) ...) is
+	// stored deepest-first.
+	p.RightStarts, p.DocStarts = []int32{0}, []int32{0}
+	for ni, name := range p.Names {
+		lo, hi := p.NameStarts[ni], p.NameStarts[ni+1]
+		if name[0] != '@' {
+			start := len(p.RightPost)
+			for i := lo; i < hi; i++ {
+				p.RightPost = append(p.RightPost, i)
+			}
+			idxs := p.RightPost[start:]
+			if !slices.IsSortedFunc(idxs, byLeft) {
+				p.DocNames = append(p.DocNames, int32(ni))
+				p.DocPost = append(p.DocPost, idxs...)
+				slices.SortFunc(p.DocPost[len(p.DocPost)-len(idxs):], byLeft)
+				p.DocStarts = append(p.DocStarts, int32(len(p.DocPost)))
+			}
+			slices.SortFunc(idxs, byRight)
+		}
 		p.RightStarts = append(p.RightStarts, int32(len(p.RightPost)))
-		if perm := s.docIdx[name]; perm != nil {
-			p.DocNames = append(p.DocNames, int32(i))
-			p.DocPost = append(p.DocPost, perm...)
-			p.DocStarts = append(p.DocStarts, int32(len(p.DocPost)))
+	}
+	slices.SortFunc(p.ElemsByLeft, byLeft)
+	p.ElemsByRight = slices.SortedFunc(slices.Values(p.ElemsByLeft), byRight)
+	p.Stats = buildStats(p)
+	return p
+}
+
+// buildStats computes the statistics image from the clustered columns: the
+// per-name fanout counts every element's children by parent id.
+func buildStats(p *Parts) StatsParts {
+	c := &p.Cols
+	kids := make([]int32, len(c.TID)) // per element row: its children
+	start := int32(0)                 // the current tree's first position in ElemsByLeft
+	for k, ri := range p.ElemsByLeft {
+		if k == 0 || c.TID[ri] != c.TID[p.ElemsByLeft[k-1]] {
+			start = int32(k)
+		}
+		if pid := c.PID[ri]; pid > 0 {
+			kids[p.ElemsByLeft[start+pid-1]]++
 		}
 	}
-	// Value dictionary sorted ascending with its postings.
-	p.Values = make([]string, 0, len(s.valueIdx))
-	for v := range s.valueIdx {
-		p.Values = append(p.Values, v)
-	}
-	sort.Strings(p.Values)
-	p.ValueStarts = append(p.ValueStarts, 0)
-	for _, v := range p.Values {
-		p.ValuePost = append(p.ValuePost, s.valueIdx[v]...)
-		p.ValueStarts = append(p.ValueStarts, int32(len(p.ValuePost)))
-	}
-	// Statistics remainder.
-	st := s.stats
-	p.Stats = StatsParts{
-		Elements:   st.Elements,
-		AttrRows:   st.AttrRows,
-		Leaves:     st.Leaves,
-		TotalSpan:  st.TotalSpan,
-		MaxDepth:   st.MaxDepth,
-		AvgDepth:   st.AvgDepth,
-		DepthHist:  make([]int64, len(st.DepthHist)),
+	sp := StatsParts{
 		NameFanout: make([]float64, len(p.Names)),
 		NameSpan:   make([]float64, len(p.Names)),
 	}
-	for i, n := range st.DepthHist {
-		p.Stats.DepthHist[i] = int64(n)
-	}
-	for i, name := range p.Names {
-		if ns, ok := st.Names[name]; ok {
-			p.Stats.NameFanout[i] = ns.Fanout
-			p.Stats.NameSpan[i] = ns.Span
+	var depthSum int64
+	for ni, name := range p.Names {
+		lo, hi := p.NameStarts[ni], p.NameStarts[ni+1]
+		if name[0] == '@' {
+			sp.AttrRows += int(hi - lo)
+			continue
 		}
+		var children, span int64
+		for i := lo; i < hi; i++ {
+			children += int64(kids[i])
+			span += int64(c.Right[i] - c.Left[i])
+			if kids[i] == 0 {
+				sp.Leaves++
+			}
+			if c.PID[i] == 0 {
+				sp.TotalSpan += int(c.Right[i] - c.Left[i])
+			}
+			sp.MaxDepth = max(sp.MaxDepth, int(c.Depth[i]))
+			depthSum += int64(c.Depth[i])
+		}
+		sp.Elements += int(hi - lo)
+		sp.NameFanout[ni] = float64(children) / float64(hi-lo)
+		sp.NameSpan[ni] = float64(span) / float64(hi-lo)
 	}
-	return p
+	sp.DepthHist = make([]int64, sp.MaxDepth+1)
+	for _, ri := range p.ElemsByLeft {
+		sp.DepthHist[c.Depth[ri]]++
+	}
+	if sp.Elements > 0 {
+		sp.AvgDepth = float64(depthSum) / float64(sp.Elements)
+	}
+	return sp
 }
 
 // corruptf builds the error every Assemble validation failure reports.
@@ -165,22 +252,46 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("relstore: corrupt parts: "+format, args...)
 }
 
-// clusteredLess reports whether row a precedes row b in the clustered
-// (tid, left, right, depth, id) order used within a name range.
-func clusteredLess(a, b *Row) bool {
-	if a.TID != b.TID {
-		return a.TID < b.TID
+// The three orders the relation ships, compared on the columns: -1, 0 or +1
+// as row a sorts before, with or after row b. Each reads a column only when
+// the ones before it tie.
+
+// clusteredCmp is the (tid, left, right, depth, id) order within a name.
+func clusteredCmp(c *Cols, a, b int32) int {
+	switch {
+	case c.TID[a] != c.TID[b]:
+		return cmp.Compare(c.TID[a], c.TID[b])
+	case c.Left[a] != c.Left[b]:
+		return cmp.Compare(c.Left[a], c.Left[b])
+	case c.Right[a] != c.Right[b]:
+		return cmp.Compare(c.Right[a], c.Right[b])
+	case c.Depth[a] != c.Depth[b]:
+		return cmp.Compare(c.Depth[a], c.Depth[b])
 	}
-	if a.Left != b.Left {
-		return a.Left < b.Left
+	return cmp.Compare(c.ID[a], c.ID[b])
+}
+
+// leftCmp is document order, (tid, left, depth).
+func leftCmp(c *Cols, a, b int32) int {
+	if c.TID[a] != c.TID[b] {
+		return cmp.Compare(c.TID[a], c.TID[b])
 	}
-	if a.Right != b.Right {
-		return a.Right < b.Right
+	if c.Left[a] != c.Left[b] {
+		return cmp.Compare(c.Left[a], c.Left[b])
 	}
-	if a.Depth != b.Depth {
-		return a.Depth < b.Depth
+	return cmp.Compare(c.Depth[a], c.Depth[b])
+}
+
+// rightCmp is the reverse-axis order, (tid, right, left, depth): same-name
+// unary chains share (left, right), and the depth tiebreak makes it total.
+func rightCmp(c *Cols, a, b int32) int {
+	if c.TID[a] != c.TID[b] {
+		return cmp.Compare(c.TID[a], c.TID[b])
 	}
-	return a.ID < b.ID
+	if c.Right[a] != c.Right[b] {
+		return cmp.Compare(c.Right[a], c.Right[b])
+	}
+	return leftCmp(c, a, b)
 }
 
 // checkPrefix validates that starts is a monotone prefix array over total
@@ -248,46 +359,31 @@ func Assemble(p *Parts) (*Store, error) {
 		}
 	}
 
-	// Row counts per kind fall out of the name dictionary ranges.
-	var elemCount, attrCount int
-	for i, name := range p.Names {
-		span := int(p.NameStarts[i+1] - p.NameStarts[i])
-		if name[0] == '@' {
-			attrCount += span
-		} else {
-			elemCount += span
-		}
-	}
-
-	// --- Rows from columns + dictionaries -------------------------------
+	// --- The clustered relation: columns + dictionaries -----------------
+	// Attribute names all start with '@', so they are one block of the
+	// dictionary and their rows one block of the relation.
+	an, bn := sort.SearchStrings(p.Names, "@"), sort.SearchStrings(p.Names, "A")
+	attrCount := int(p.NameStarts[bn] - p.NameStarts[an])
+	elemCount := n - attrCount
 	s := &Store{
-		scheme:    p.Scheme,
-		treeCount: p.TreeCount,
-		rows:      make([]Row, n),
-		cols: Cols{
-			TID:   p.Cols.TID,
-			Left:  p.Cols.Left,
-			Right: p.Cols.Right,
-			Depth: p.Cols.Depth,
-			ID:    p.Cols.ID,
-			PID:   p.Cols.PID,
-		},
-		nameIdx:  make(map[string][2]int32, len(p.Names)),
-		rightIdx: make(map[string][]int32, len(p.Names)),
-		docIdx:   make(map[string][]int32, len(p.DocNames)),
-		valueIdx: make(map[string][]int32, len(p.Values)),
+		scheme:     p.Scheme,
+		parts:      p,
+		cols:       p.Cols,
+		treeCount:  p.TreeCount,
+		nameIdx:    make(map[string][2]int32, len(p.Names)),
+		rightIdx:   make(map[string][]int32, len(p.Names)),
+		valueIdx:   make(map[string][]int32, len(p.Values)),
+		attrNames:  p.Names[an:bn],
+		attrStarts: p.NameStarts[an : bn+1],
+		attrLo:     p.NameStarts[an],
+		attrHi:     p.NameStarts[bn],
 	}
-	rows := s.rows
+	c := &s.cols
 	for ni, name := range p.Names {
 		lo, hi := p.NameStarts[ni], p.NameStarts[ni+1]
 		s.nameIdx[name] = [2]int32{lo, hi}
-		for i := lo; i < hi; i++ {
-			rows[i] = Row{
-				TID: p.Cols.TID[i], Left: p.Cols.Left[i], Right: p.Cols.Right[i],
-				Depth: p.Cols.Depth[i], ID: p.Cols.ID[i], PID: p.Cols.PID[i],
-				Name: name,
-			}
-			if i > lo && !clusteredLess(&rows[i-1], &rows[i]) {
+		for i := lo + 1; i < hi; i++ {
+			if clusteredCmp(c, i-1, i) >= 0 {
 				return nil, corruptf("rows for %q not in clustered order at %d", name, i)
 			}
 		}
@@ -300,27 +396,29 @@ func Assemble(p *Parts) (*Store, error) {
 	if len(p.ValuePost) != attrCount {
 		return nil, corruptf("value postings cover %d rows, have %d attribute rows", len(p.ValuePost), attrCount)
 	}
-	valued := make([]bool, n)
+	// As many postings as attribute rows, none twice: every attribute row
+	// gets exactly one value id.
+	s.attrVal = make([]int32, attrCount)
+	for i := range s.attrVal {
+		s.attrVal[i] = -1
+	}
 	for vi, v := range p.Values {
 		post := p.ValuePost[p.ValueStarts[vi]:p.ValueStarts[vi+1]]
 		for k, ri := range post {
 			if ri < 0 || int(ri) >= n {
 				return nil, corruptf("value %q posting out of range: %d", v, ri)
 			}
-			r := &rows[ri]
-			if !r.IsAttr() {
+			if ri < s.attrLo || ri >= s.attrHi {
 				return nil, corruptf("value %q posting %d targets an element row", v, ri)
 			}
-			if valued[ri] {
+			if s.attrVal[ri-s.attrLo] >= 0 {
 				return nil, corruptf("row %d carries two values", ri)
 			}
-			valued[ri] = true
-			r.Value = v
+			s.attrVal[ri-s.attrLo] = int32(vi)
 			if k > 0 {
 				prev := post[k-1]
-				pr := &rows[prev]
-				if pr.TID > r.TID || (pr.TID == r.TID && pr.ID > r.ID) ||
-					(pr.TID == r.TID && pr.ID == r.ID && prev >= ri) {
+				if c.TID[prev] > c.TID[ri] || (c.TID[prev] == c.TID[ri] && c.ID[prev] > c.ID[ri]) ||
+					(c.TID[prev] == c.TID[ri] && c.ID[prev] == c.ID[ri] && prev >= ri) {
 					return nil, corruptf("value %q postings not in (tid, id, row) order", v)
 				}
 			}
@@ -348,19 +446,15 @@ func Assemble(p *Parts) (*Store, error) {
 			if ri < lo || ri >= hi {
 				return nil, corruptf("right posting for %q out of its range: %d", name, ri)
 			}
-			if k > 0 {
-				a, b := &rows[post[k-1]], &rows[ri]
-				if a.TID > b.TID || (a.TID == b.TID && (a.Right > b.Right ||
-					(a.Right == b.Right && (a.Left > b.Left ||
-						(a.Left == b.Left && a.Depth >= b.Depth))))) {
-					return nil, corruptf("right postings for %q not in (tid, right, left, depth) order", name)
-				}
+			if k > 0 && rightCmp(c, post[k-1], ri) >= 0 {
+				return nil, corruptf("right postings for %q not in (tid, right, left, depth) order", name)
 			}
 		}
 		s.rightIdx[name] = post
 	}
 
 	// --- Doc-order permutations ------------------------------------------
+	// No reader left; they stay part of the format and are validated.
 	if err := checkPrefix("doc postings", p.DocStarts, len(p.DocNames)+1, len(p.DocPost)); err != nil {
 		return nil, err
 	}
@@ -384,15 +478,10 @@ func Assemble(p *Parts) (*Store, error) {
 			if ri < lo || ri >= hi {
 				return nil, corruptf("doc posting for %q out of its range: %d", name, ri)
 			}
-			if k > 0 {
-				a, b := &rows[post[k-1]], &rows[ri]
-				if a.TID > b.TID || (a.TID == b.TID && (a.Left > b.Left ||
-					(a.Left == b.Left && a.Depth >= b.Depth))) {
-					return nil, corruptf("doc permutation for %q not in (tid, left, depth) order", name)
-				}
+			if k > 0 && leftCmp(c, post[k-1], ri) >= 0 {
+				return nil, corruptf("doc permutation for %q not in (tid, left, depth) order", name)
 			}
 		}
-		s.docIdx[name] = post
 	}
 
 	// --- Whole-relation document-order permutations ----------------------
@@ -400,40 +489,34 @@ func Assemble(p *Parts) (*Store, error) {
 		return nil, corruptf("element permutations cover %d/%d rows, have %d elements",
 			len(p.ElemsByLeft), len(p.ElemsByRight), elemCount)
 	}
+	isElem := func(ri int32) bool { return ri >= 0 && int(ri) < n && (ri < s.attrLo || ri >= s.attrHi) }
 	for k, ri := range p.ElemsByLeft {
-		if ri < 0 || int(ri) >= n || rows[ri].IsAttr() {
+		if !isElem(ri) {
 			return nil, corruptf("elems-by-left entry %d invalid", ri)
 		}
-		if k > 0 {
-			a, b := &rows[p.ElemsByLeft[k-1]], &rows[ri]
-			if a.TID > b.TID || (a.TID == b.TID && (a.Left > b.Left ||
-				(a.Left == b.Left && a.Depth >= b.Depth))) {
-				return nil, corruptf("elems-by-left not in (tid, left, depth) order at %d", k)
-			}
+		if k > 0 && leftCmp(c, p.ElemsByLeft[k-1], ri) >= 0 {
+			return nil, corruptf("elems-by-left not in (tid, left, depth) order at %d", k)
 		}
 	}
 	for k, ri := range p.ElemsByRight {
-		if ri < 0 || int(ri) >= n || rows[ri].IsAttr() {
+		if !isElem(ri) {
 			return nil, corruptf("elems-by-right entry %d invalid", ri)
 		}
-		if k > 0 {
-			a, b := &rows[p.ElemsByRight[k-1]], &rows[ri]
-			if a.TID > b.TID || (a.TID == b.TID && (a.Right > b.Right ||
-				(a.Right == b.Right && (a.Left > b.Left ||
-					(a.Left == b.Left && a.Depth >= b.Depth))))) {
-				return nil, corruptf("elems-by-right not in (tid, right, left, depth) order at %d", k)
-			}
+		if k > 0 && rightCmp(c, p.ElemsByRight[k-1], ri) >= 0 {
+			return nil, corruptf("elems-by-right not in (tid, right, left, depth) order at %d", k)
 		}
 	}
 	s.elemsByLeft = p.ElemsByLeft
 	s.elemsByRight = p.ElemsByRight
 
 	// --- Position arrays: identity, children, attributes, parents ----------
-	if err := s.indexPositions(p.TreeCount); err != nil {
+	if err := s.indexPositions(); err != nil {
 		return nil, err
 	}
-
-	s.deriveRowSeq()
+	s.rowSeq = make([]int32, n)
+	for i := range s.rowSeq {
+		s.rowSeq[i] = int32(i)
+	}
 
 	// --- Statistics -------------------------------------------------------
 	if err := s.assembleStats(p, elemCount, attrCount); err != nil {

@@ -43,7 +43,7 @@ func checkAccessorsEqual(t *testing.T, orig, loaded *Store) {
 		if got, want := loaded.Attrs(r.TID, r.ID), orig.Attrs(r.TID, r.ID); !slices.Equal(got, want) {
 			t.Errorf("Attrs(%d, %d) = %v, want %v", r.TID, r.ID, got, want)
 		}
-		if got, want := loaded.NodeFor(loaded.Row(ri)), orig.NodeFor(r); got == nil || got.String() != want.String() {
+		if got, want := loaded.NodeFor(ri), orig.NodeFor(ri); got == nil || got.String() != want.String() {
 			t.Errorf("NodeFor(%d, %d) = %v, want %v", r.TID, r.ID, got, want)
 		}
 	}
@@ -57,8 +57,11 @@ func checkStoreEqual(t *testing.T, orig, loaded *Store) {
 		t.Fatalf("scheme/treeCount = %v/%d, want %v/%d",
 			loaded.scheme, loaded.treeCount, orig.scheme, orig.treeCount)
 	}
-	if !reflect.DeepEqual(loaded.rows, orig.rows) {
-		t.Error("rows differ")
+	if !reflect.DeepEqual(loaded.parts, orig.parts) {
+		t.Error("parts differ")
+	}
+	if !reflect.DeepEqual(loaded.attrVal, orig.attrVal) {
+		t.Error("attribute value ids differ")
 	}
 	if !reflect.DeepEqual(loaded.cols, orig.cols) {
 		t.Error("cols differ")
@@ -71,9 +74,6 @@ func checkStoreEqual(t *testing.T, orig, loaded *Store) {
 	}
 	if !reflect.DeepEqual(loaded.rightIdx, orig.rightIdx) {
 		t.Error("rightIdx differs")
-	}
-	if !reflect.DeepEqual(loaded.docIdx, orig.docIdx) {
-		t.Errorf("docIdx differs: %v vs %v", loaded.docIdx, orig.docIdx)
 	}
 	if !reflect.DeepEqual(loaded.valueIdx, orig.valueIdx) {
 		t.Error("valueIdx differs")
@@ -125,7 +125,7 @@ func TestPartsRoundTrip(t *testing.T) {
 		t.Fatalf("ByValue(saw) = %d", len(saw))
 	}
 	for _, ri := range saw {
-		if n := loaded.NodeFor(loaded.Row(ri)); n == nil || n.Word != "saw" {
+		if n := loaded.NodeFor(ri); n == nil || n.Word != "saw" {
 			t.Errorf("NodeFor = %v", n)
 		}
 	}
@@ -135,6 +135,19 @@ func TestPartsStartEndScheme(t *testing.T) {
 	c := tree.NewCorpus()
 	c.Add(tree.Figure1())
 	orig, loaded := assembleRoundTrip(t, c, SchemeStartEnd)
+	checkStoreEqual(t, orig, loaded)
+}
+
+// TestPartsTIDGaps: a corpus whose tree ids leave gaps — a filtered corpus
+// keeps its ids, and no tree has id 1 — builds, and its own parts assemble
+// into the same store.
+func TestPartsTIDGaps(t *testing.T) {
+	c := tree.NewCorpus()
+	for range 6 {
+		c.Add(tree.Figure1())
+	}
+	gappy := &tree.Corpus{Trees: []*tree.Tree{c.Trees[1], c.Trees[2], c.Trees[4]}} // ids 2, 3, 5
+	orig, loaded := assembleRoundTrip(t, gappy, SchemeInterval)
 	checkStoreEqual(t, orig, loaded)
 }
 
@@ -274,5 +287,23 @@ func TestAssembleRejectsCorruptParts(t *testing.T) {
 				t.Fatalf("err = %v, want a corrupt-parts error", err)
 			}
 		})
+	}
+}
+
+// TestAssembleBoundsTIDSpan: tree ids may leave gaps, but a snapshot whose
+// ids spread wider than its elements is refused, so the per-tree arrays stay
+// proportional to the relation however the ids are forged.
+func TestAssembleBoundsTIDSpan(t *testing.T) {
+	c := tree.NewCorpus()
+	c.Add(tree.Figure1())
+	c.Add(tree.MustParseTree(`(S (NP (Det the) (N cat)) (VP (V sat)))`))
+	p := cloneParts(Build(c, SchemeInterval).Parts())
+	for i, tid := range p.Cols.TID {
+		if tid == 2 {
+			p.Cols.TID[i] = 1 << 30 // every order still holds
+		}
+	}
+	if _, err := Assemble(p); err == nil || !strings.Contains(err.Error(), "tree ids span") {
+		t.Fatalf("err = %v, want the span refused", err)
 	}
 }

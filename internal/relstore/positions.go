@@ -16,7 +16,7 @@ import (
 // by an element is an array indexed by that position: the row itself
 // (elemsByLeft), its children and its attribute rows (CSR offset + posting
 // pairs), and its tree node. All of it is derived from the clustered
-// relation by indexPositions, for built and assembled stores alike.
+// relation by indexPositions, which Assemble runs.
 type positions struct {
 	firstTID  int32   // smallest tree id (a store of a tree slice keeps their ids)
 	treeStart []int32 // tree t = tid-firstTID owns positions [treeStart[t], treeStart[t+1])
@@ -27,7 +27,7 @@ type positions struct {
 	parentRows []int32 // row → parent element row (see ParentRows)
 
 	// trees[t] holds tree t's nodes once somebody asked for one: Build
-	// publishes the caller's trees up front, an assembled store materializes
+	// publishes the caller's trees up front, a loaded store materializes
 	// a tree from the columns on its first NodeFor.
 	trees      []atomic.Pointer[treeNodes]
 	forestOnce sync.Once
@@ -43,29 +43,27 @@ type treeNodes struct {
 // indexPositions derives the position arrays from the clustered relation and
 // elemsByLeft. It is also the validation of everything they rest on — an id
 // outside 1..size(tid) or out of preorder, a duplicate identity, a parent id
-// naming no earlier element, an attribute row without its element — so that
-// no accessor below can index out of range on an untrusted snapshot. Tree ids
-// may span at most maxSpan values.
-func (s *Store) indexPositions(maxSpan int) error {
-	n, cols, elems := len(s.rows), &s.cols, s.elemsByLeft
-	// Attribute names all start with '@', so their rows are one block of the
-	// name-clustered relation.
-	attrLo := sort.Search(n, func(i int) bool { return s.rows[i].Name >= "@" })
-	attrHi := sort.Search(n, func(i int) bool { return s.rows[i].Name >= "A" })
+// naming no earlier element, an attribute row without its element, more trees
+// than the tree count — so that no accessor below can index out of range on
+// an untrusted snapshot. Tree ids may leave gaps, but span at most as many
+// values as there are elements, so the per-tree arrays stay proportional to
+// the relation.
+func (s *Store) indexPositions() error {
+	n, cols, elems := len(s.cols.TID), &s.cols, s.elemsByLeft
 	s.parentRows = make([]int32, n)
 	s.childStart = make([]int32, len(elems)+1)
 	s.attrStart = make([]int32, len(elems)+1)
 	s.treeStart = []int32{0}
 	if len(elems) == 0 {
-		if attrHi > attrLo {
-			return corruptf("%d attribute rows without elements", attrHi-attrLo)
+		if s.attrHi > s.attrLo {
+			return corruptf("%d attribute rows without elements", s.attrHi-s.attrLo)
 		}
 		return nil
 	}
 	s.firstTID = cols.TID[elems[0]]
 	span := int64(cols.TID[elems[len(elems)-1]]) - int64(s.firstTID) + 1
-	if span < 1 || span > int64(maxSpan) {
-		return corruptf("tree ids span %d values, tree count says %d", span, maxSpan)
+	if span < 1 || span > int64(len(elems)) {
+		return corruptf("tree ids span %d values for %d elements", span, len(elems))
 	}
 	s.treeStart = make([]int32, span+1)
 	s.rootRows = make([]int32, 0, span)
@@ -102,6 +100,9 @@ func (s *Store) indexPositions(maxSpan int) error {
 		s.childStart[start+pid-1]++
 	}
 	s.treeStart[span] = int32(len(elems))
+	if len(s.rootRows) > s.treeCount {
+		return corruptf("%d trees, tree count says %d", len(s.rootRows), s.treeCount)
+	}
 	s.childRows = make([]int32, inclusiveSum(s.childStart))
 	for k := len(elems) - 1; k >= 0; k-- {
 		ri := elems[k]
@@ -115,19 +116,19 @@ func (s *Store) indexPositions(maxSpan int) error {
 	// Attribute rows share (tid, id) with their element and inherit its
 	// parent; the same count-then-reverse-fill keeps each element's rows in
 	// clustered order.
-	for i := attrLo; i < attrHi; i++ {
+	for i := s.attrLo; i < s.attrHi; i++ {
 		p, ok := s.position(cols.TID[i], cols.ID[i])
 		if !ok {
-			return corruptf("attribute row %s for unknown element (%d, %d)", s.rows[i].Name, cols.TID[i], cols.ID[i])
+			return corruptf("attribute row %s for unknown element (%d, %d)", s.nameOf(i), cols.TID[i], cols.ID[i])
 		}
 		s.parentRows[i] = s.parentRows[elems[p]]
 		s.attrStart[p]++
 	}
 	s.attrRows = make([]int32, inclusiveSum(s.attrStart))
-	for i := attrHi - 1; i >= attrLo; i-- {
+	for i := s.attrHi - 1; i >= s.attrLo; i-- {
 		p, _ := s.position(cols.TID[i], cols.ID[i])
 		s.attrStart[p]--
-		s.attrRows[s.attrStart[p]] = int32(i)
+		s.attrRows[s.attrStart[p]] = i
 	}
 	s.trees = make([]atomic.Pointer[treeNodes], span)
 	return nil
@@ -195,27 +196,28 @@ func (s *Store) Attrs(tid, id int32) []int32 {
 	return s.attrRows[s.attrStart[p]:s.attrStart[p+1]]
 }
 
-// AttrValue returns the value of the named attribute ('@' prefix included)
-// on element (tid, id).
-func (s *Store) AttrValue(tid, id int32, name string) (string, bool) {
-	for _, i := range s.Attrs(tid, id) {
-		if s.rows[i].Name == name {
-			return s.rows[i].Value, true
+// AttrValue returns the value of the attribute named attr (given without its
+// '@' prefix) on the element of row ri. It allocates nothing.
+func (s *Store) AttrValue(ri int32, attr string) (string, bool) {
+	lo, hi := s.AttrRange(attr)
+	for _, i := range s.Attrs(s.cols.TID[ri], s.cols.ID[ri]) {
+		if i >= lo && i < hi {
+			return s.valueOf(i), true
 		}
 	}
 	return "", false
 }
 
-// AttrValueBare is AttrValue for an attribute name given without the '@'
-// prefix; it avoids the per-call string concatenation a "@"+attr lookup
-// would cost in the evaluator's hot predicate loops.
-func (s *Store) AttrValueBare(tid, id int32, attr string) (string, bool) {
-	for _, i := range s.Attrs(tid, id) {
-		if n := s.rows[i].Name; len(n) > 1 && n[0] == '@' && n[1:] == attr {
-			return s.rows[i].Value, true
-		}
+// AttrRange returns the clustered [lo, hi) row range of the attribute named
+// attr (given without its '@' prefix), empty when no row carries it. Unlike
+// NameRange("@"+attr) it allocates nothing.
+func (s *Store) AttrRange(attr string) (lo, hi int32) {
+	names := s.attrNames
+	k := sort.Search(len(names), func(k int) bool { return names[k][1:] >= attr })
+	if k == len(names) || names[k][1:] != attr {
+		return 0, 0
 	}
-	return "", false
+	return s.attrStarts[k], s.attrStarts[k+1]
 }
 
 // Children returns the element row indexes of the children of (tid, pid) in
@@ -234,16 +236,17 @@ func (s *Store) Children(tid, pid int32) []int32 {
 	return s.childRows[s.childStart[p]:s.childStart[p+1]]
 }
 
-// NodeFor maps a row back to its tree node (element rows and attribute rows
+// NodeFor maps row ri back to its tree node (element rows and attribute rows
 // both map to the element's node). The node is the caller's own on a store
-// built from trees; on an assembled store the row's tree — that one tree —
-// is materialized from the columns on first request. Either way the same
-// (tid, id) yields the same *Node on every call and goroutine.
-func (s *Store) NodeFor(r *Row) *tree.Node {
-	if _, ok := s.position(r.TID, r.ID); !ok {
+// built from trees; on a store loaded from a snapshot the row's tree — that
+// one tree — is materialized from the columns on first request. Either way
+// the same (tid, id) yields the same *Node on every call and goroutine.
+func (s *Store) NodeFor(ri int32) *tree.Node {
+	tid, id := s.cols.TID[ri], s.cols.ID[ri]
+	if _, ok := s.position(tid, id); !ok {
 		return nil
 	}
-	return s.treeAt(int(r.TID - s.firstTID)).nodes[r.ID-1]
+	return s.treeAt(int(tid - s.firstTID)).nodes[id-1]
 }
 
 // treeAt returns tree t's nodes, materializing and publishing them if nobody
@@ -276,7 +279,7 @@ func (s *Store) materialize(t int) *treeNodes {
 	for k := range arena {
 		p, node := lo+int32(k), &arena[k]
 		nodes[k] = node
-		node.Tag = s.rows[s.elemsByLeft[p]].Name
+		node.Tag = s.nameOf(s.elemsByLeft[p])
 		if a, b := s.childStart[p]-kidBase, s.childStart[p+1]-kidBase; b > a {
 			node.Children = kids[a:b:b]
 			for j, cr := range s.childRows[s.childStart[p]:s.childStart[p+1]] {
@@ -286,7 +289,7 @@ func (s *Store) materialize(t int) *treeNodes {
 			}
 		}
 		for _, ar := range s.attrRows[s.attrStart[p]:s.attrStart[p+1]] {
-			node.SetAttr(s.rows[ar].Name, s.rows[ar].Value)
+			node.SetAttr(s.nameOf(ar), s.valueOf(ar))
 		}
 	}
 	return &treeNodes{tree: &tree.Tree{ID: int(s.firstTID) + t, Root: &arena[0]}, nodes: nodes}

@@ -67,11 +67,8 @@ func checkAgainstMaps(t *testing.T, s *Store) {
 			t.Fatalf("ParentRows[%d] = %d, want %d", i, parents[i], wantParent)
 		}
 		if r.IsAttr() {
-			if v, ok := s.AttrValue(r.TID, r.ID, r.Name); !ok || v != r.Value {
-				t.Fatalf("AttrValue(%d, %d, %s) = %q, %v, want %q", r.TID, r.ID, r.Name, v, ok, r.Value)
-			}
-			if v, ok := s.AttrValueBare(r.TID, r.ID, r.Name[1:]); !ok || v != r.Value {
-				t.Fatalf("AttrValueBare(%d, %d, %s) = %q, %v, want %q", r.TID, r.ID, r.Name[1:], v, ok, r.Value)
+			if v, ok := s.AttrValue(i, r.Name[1:]); !ok || v != r.Value {
+				t.Fatalf("AttrValue(%d, %s) = %q, %v, want %q", i, r.Name[1:], v, ok, r.Value)
 			}
 			continue
 		}
@@ -84,8 +81,8 @@ func checkAgainstMaps(t *testing.T, s *Store) {
 		if got, want := s.Attrs(r.TID, r.ID), m.attrs[pairKey(r.TID, r.ID)]; !slices.Equal(got, want) {
 			t.Fatalf("Attrs(%d, %d) = %v, want %v", r.TID, r.ID, got, want)
 		}
-		if _, ok := s.AttrValue(r.TID, r.ID, "@nosuch"); ok {
-			t.Fatalf("AttrValue(%d, %d, @nosuch) found", r.TID, r.ID)
+		if _, ok := s.AttrValue(i, "nosuch"); ok {
+			t.Fatalf("AttrValue(%d, nosuch) found", i)
 		}
 	}
 	if s.Len() == 0 {
@@ -152,11 +149,11 @@ func TestPositionArraysAgreeWithMaps(t *testing.T) {
 						for _, ri := range sh.ElementsByLeft() {
 							r := sh.Row(ri)
 							want := c.Trees[int(r.TID)-c.Trees[0].ID].Nodes()[r.ID-1]
-							if got := sh.NodeFor(r); got != want {
+							if got := sh.NodeFor(ri); got != want {
 								t.Fatalf("NodeFor(%d, %d) = %p, want the caller's node %p", r.TID, r.ID, got, want)
 							}
-							got := loaded.NodeFor(loaded.Row(ri))
-							if got == nil || got == want || got.String() != want.String() || got != loaded.NodeFor(loaded.Row(ri)) {
+							got := loaded.NodeFor(ri)
+							if got == nil || got == want || got.String() != want.String() || got != loaded.NodeFor(ri) {
 								t.Fatalf("assembled NodeFor(%d, %d) = %v, want a stable copy of %v", r.TID, r.ID, got, want)
 							}
 							if (got.Parent == nil) != (want.Parent == nil) || got.ChildIndex() != want.ChildIndex() {
@@ -183,7 +180,7 @@ func TestStoreTreesStreamsWithoutKeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned := loaded.NodeFor(loaded.Row(loaded.Roots()[4]))
+	pinned := loaded.NodeFor(loaded.Roots()[4])
 	i := 0
 	for tr := range loaded.Trees() {
 		if tr.ID != c.Trees[i].ID || tr.Root.String() != c.Trees[i].Root.String() {

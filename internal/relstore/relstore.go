@@ -10,6 +10,13 @@
 // (left, right, depth, id, pid) as their element and a name starting with
 // '@', exactly as in Figure 5.
 //
+// The relation is held once, column-wise: six label columns in clustered
+// order (Cols), the name dictionary whose ranges partition them (a row's
+// name is the range that holds it) and one value id per attribute row. Every
+// store is made by Assemble from its Parts — Build labels a corpus and fills
+// them, a snapshot load reads them (parts.go) — and Row builds a by-value
+// tuple from the columns for tests and cold paths.
+//
 // The store supports two labeling schemes so the Figure 10 comparison can be
 // run on identical machinery: SchemeInterval is the paper's scheme (package
 // label); SchemeStartEnd is the conventional XPath labeling of DeHaan et
@@ -18,7 +25,8 @@ package relstore
 
 import (
 	"fmt"
-	"math"
+	"maps"
+	"slices"
 	"sort"
 
 	"lpath/internal/label"
@@ -50,7 +58,9 @@ func (s Scheme) String() string {
 	}
 }
 
-// Row is one tuple of the node relation.
+// Row is one tuple of the node relation. The store keeps no rows: Row(i)
+// builds one by value from the columns and the dictionaries, for tests and
+// cold paths.
 type Row struct {
 	TID   int32
 	Left  int32
@@ -63,34 +73,47 @@ type Row struct {
 }
 
 // IsAttr reports whether the row is an attribute row.
-func (r *Row) IsAttr() bool { return len(r.Name) > 0 && r.Name[0] == '@' }
+func (r Row) IsAttr() bool { return len(r.Name) > 0 && r.Name[0] == '@' }
 
-// Cols exposes the hot label fields of the clustered relation as parallel
-// column arrays, index-aligned with Row(i): Cols().Left[i] == Row(i).Left and
-// so on. The set-at-a-time executor's inner comparison loops (the Table 2
-// label predicates) run over these flat arrays instead of chasing Row
-// structs, so a sweep over a name posting touches cache lines carrying
-// nothing but the field it compares. The arrays are rebuilt with the indexes
-// and must never be mutated by callers.
+// Cols is the node relation's label columns in clustered order: Cols().Left[i]
+// is row i's left and so on. Together with the name dictionary (a row's name
+// is the clustered range that holds it) and the value ids of the attribute
+// block they are the store's only copy of the relation. The set-at-a-time
+// executor's inner comparison loops (the Table 2 label predicates) run over
+// these flat arrays, so a sweep over a name posting touches cache lines
+// carrying nothing but the field it compares. Read-only.
 type Cols struct {
 	TID, Left, Right, Depth, ID, PID []int32
+}
+
+// Label returns row i's label.
+func (c *Cols) Label(i int32) label.Label {
+	return label.Label{Left: c.Left[i], Right: c.Right[i], Depth: c.Depth[i], ID: c.ID[i], PID: c.PID[i]}
 }
 
 // Store is the node relation plus its indexes.
 type Store struct {
 	scheme Scheme
-	rows   []Row // clustered by (name, tid, left, right, depth, id)
-	cols   Cols  // hot fields of rows as parallel columns (same order)
+	parts  *Parts // what the store was assembled from; Parts returns it
+	cols   Cols   // clustered by (name, tid, left, right, depth, id)
 
-	// rowSeq is the identity permutation 0..len(rows)-1, so a clustered
-	// range [lo, hi) can be handed out as the row-index slice rowSeq[lo:hi]
+	// rowSeq is the identity permutation 0..Len()-1, so a clustered range
+	// [lo, hi) can be handed out as the row-index slice rowSeq[lo:hi]
 	// without materializing a copy.
 	rowSeq []int32
 
-	nameIdx  map[string][2]int32 // name → [lo, hi) range in rows
+	nameIdx  map[string][2]int32 // name → [lo, hi) range in the relation
 	rightIdx map[string][]int32  // name → element row indexes sorted by (tid, right)
-	docIdx   map[string][]int32  // name → element rows in document order, when ≠ clustered order
 	valueIdx map[string][]int32  // value → attribute row indexes sorted by (tid, id)
+
+	// Attribute names all start with '@', so they are one block of the name
+	// dictionary, attrNames with ranges partitioned by attrStarts, and their
+	// rows the block [attrLo, attrHi) of the relation. attrVal[i-attrLo] is
+	// the value id of attribute row i.
+	attrNames      []string
+	attrStarts     []int32
+	attrLo, attrHi int32
+	attrVal        []int32
 
 	treeCount int
 	rootRows  []int32 // element row index of each tree root, by tid order
@@ -106,22 +129,23 @@ type Store struct {
 	stats *Statistics
 }
 
-// Build labels every tree of the corpus under the scheme and constructs the
-// relation and all indexes.
+// Build labels every tree of the corpus under the scheme and assembles the
+// store from the parts it fills (buildParts): Build is Assemble of its own
+// snapshot image, so a built and a loaded store are one kind of store.
 func Build(c *tree.Corpus, scheme Scheme) *Store {
-	s := &Store{
-		scheme:   scheme,
-		nameIdx:  make(map[string][2]int32),
-		rightIdx: make(map[string][]int32),
-		valueIdx: make(map[string][]int32),
-	}
-	s.treeCount = c.Len()
+	names, values := dict{}, dict{}
 	est := c.NodeCount()
-	s.rows = make([]Row, 0, est+est/3)
+	rows := make([]labeled, 0, est+est/3)
 	for _, t := range c.Trees {
-		s.appendTree(t)
+		rows = appendTree(rows, t, scheme, names, values)
 	}
-	s.buildIndexes()
+	s, err := Assemble(buildParts(rows, names, values, scheme, c.Len()))
+	if err != nil {
+		// Trees come from tree.Corpus labeled in preorder, so only a corpus
+		// Assemble cannot hold — one tree id twice, tree ids spread wider
+		// than its nodes, an empty or '@' tag — is rejected.
+		panic(fmt.Sprintf("relstore: Build: %v", err))
+	}
 	// The caller's own nodes answer NodeFor: every tree is published up
 	// front, its nodes in document order, which is id order.
 	for _, t := range c.Trees {
@@ -132,31 +156,57 @@ func Build(c *tree.Corpus, scheme Scheme) *Store {
 	return s
 }
 
-// appendTree labels one tree and appends its element and attribute rows.
-func (s *Store) appendTree(t *tree.Tree) {
-	tid := int32(t.ID)
-	var labeled []label.Labeled
-	switch s.scheme {
-	case SchemeInterval:
-		labeled = label.Assign(t)
-	case SchemeStartEnd:
-		labeled = assignStartEnd(t)
+// labeled is a row of the relation before clustering: its name and value
+// (-1 for an element row) are ids in dictionaries that are not sorted yet.
+type labeled struct {
+	name, tid, left, right, depth, id, pid, value int32
+}
+
+// dict interns strings, giving ids in first-seen order.
+type dict map[string]int32
+
+func (d dict) id(str string) int32 {
+	id, ok := d[str]
+	if !ok {
+		id = int32(len(d))
+		d[str] = id
 	}
-	for _, ln := range labeled {
-		row := Row{
-			TID: tid, Left: ln.Label.Left, Right: ln.Label.Right,
-			Depth: ln.Label.Depth, ID: ln.Label.ID, PID: ln.Label.PID,
-			Name: ln.Node.Tag,
+	return id
+}
+
+// sorted returns the strings ascending and, for each id, its rank there.
+func (d dict) sorted() (strs []string, rank []int32) {
+	strs = slices.Sorted(maps.Keys(d))
+	rank = make([]int32, len(strs))
+	for r, str := range strs {
+		rank[d[str]] = int32(r)
+	}
+	return strs, rank
+}
+
+// appendTree labels one tree and appends its element and attribute rows.
+func appendTree(rows []labeled, t *tree.Tree, scheme Scheme, names, values dict) []labeled {
+	tid := int32(t.ID)
+	var labels []label.Labeled
+	switch scheme {
+	case SchemeInterval:
+		labels = label.Assign(t)
+	case SchemeStartEnd:
+		labels = assignStartEnd(t)
+	}
+	for _, ln := range labels {
+		row := labeled{
+			name: names.id(ln.Node.Tag), tid: tid, left: ln.Label.Left, right: ln.Label.Right,
+			depth: ln.Label.Depth, id: ln.Label.ID, pid: ln.Label.PID, value: -1,
 		}
-		s.rows = append(s.rows, row)
+		rows = append(rows, row)
 		for _, attr := range ln.Node.AttrNames() {
 			v, _ := ln.Node.Attr(attr)
-			arow := row
-			arow.Name = attr
-			arow.Value = v
-			s.rows = append(s.rows, arow)
+			row.name, row.value = names.id(attr), values.id(v)
+			rows = append(rows, row)
 		}
 	}
+	return rows
 }
 
 // assignStartEnd labels a tree with the start/end scheme: positions are
@@ -186,197 +236,6 @@ func assignStartEnd(t *tree.Tree) []label.Labeled {
 	return out
 }
 
-func (s *Store) buildIndexes() {
-	rows := s.rows
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := &rows[i], &rows[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.TID != b.TID {
-			return a.TID < b.TID
-		}
-		if a.Left != b.Left {
-			return a.Left < b.Left
-		}
-		if a.Right != b.Right {
-			return a.Right < b.Right
-		}
-		if a.Depth != b.Depth {
-			return a.Depth < b.Depth
-		}
-		return a.ID < b.ID
-	})
-	s.cols = Cols{
-		TID:   make([]int32, len(rows)),
-		Left:  make([]int32, len(rows)),
-		Right: make([]int32, len(rows)),
-		Depth: make([]int32, len(rows)),
-		ID:    make([]int32, len(rows)),
-		PID:   make([]int32, len(rows)),
-	}
-	for i := range rows {
-		r := &rows[i]
-		s.cols.TID[i], s.cols.Left[i], s.cols.Right[i] = r.TID, r.Left, r.Right
-		s.cols.Depth[i], s.cols.ID[i], s.cols.PID[i] = r.Depth, r.ID, r.PID
-	}
-	var curName string
-	var lo int32
-	flush := func(hi int32) {
-		if curName != "" || hi > lo {
-			s.nameIdx[curName] = [2]int32{lo, hi}
-		}
-	}
-	for i := range rows {
-		r := &rows[i]
-		if i == 0 || r.Name != curName {
-			if i > 0 {
-				flush(int32(i))
-			}
-			curName = r.Name
-			lo = int32(i)
-		}
-		if r.IsAttr() {
-			s.valueIdx[r.Value] = append(s.valueIdx[r.Value], int32(i))
-		}
-	}
-	if len(rows) > 0 {
-		flush(int32(len(rows)))
-	}
-	// Per-name (tid, right)-ordered element indexes for the reverse
-	// horizontal axes.
-	for name, rng := range s.nameIdx {
-		if name != "" && name[0] == '@' {
-			continue
-		}
-		idxs := make([]int32, 0, rng[1]-rng[0])
-		for i := rng[0]; i < rng[1]; i++ {
-			idxs = append(idxs, i)
-		}
-		sort.Slice(idxs, func(a, b int) bool {
-			ra, rb := &rows[idxs[a]], &rows[idxs[b]]
-			if ra.TID != rb.TID {
-				return ra.TID < rb.TID
-			}
-			if ra.Right != rb.Right {
-				return ra.Right < rb.Right
-			}
-			if ra.Left != rb.Left {
-				return ra.Left < rb.Left
-			}
-			// Same-name unary chains share (left, right); break the tie by
-			// depth so the order is total and snapshot-stable.
-			return ra.Depth < rb.Depth
-		})
-		s.rightIdx[name] = idxs
-	}
-	// Per-name document-order (tid, left, depth) permutations, part of the
-	// snapshot format (NameByDoc). The clustered order breaks
-	// same-(tid, left) ties by right ascending — innermost first — so a
-	// left-aligned same-name nesting like (NP (NP ...) ...) is stored
-	// deepest-first, the opposite of document order. The permutation is
-	// kept only for names where the two orders actually differ; NameByDoc
-	// returns nil otherwise and callers use the clustered range directly.
-	s.docIdx = make(map[string][]int32)
-	for name, rng := range s.nameIdx {
-		if name != "" && name[0] == '@' {
-			continue
-		}
-		need := false
-		for i := rng[0] + 1; i < rng[1]; i++ {
-			a, b := &rows[i-1], &rows[i]
-			if a.TID == b.TID && a.Left == b.Left && a.Depth > b.Depth {
-				need = true
-				break
-			}
-		}
-		if !need {
-			continue
-		}
-		idxs := make([]int32, 0, rng[1]-rng[0])
-		for i := rng[0]; i < rng[1]; i++ {
-			idxs = append(idxs, i)
-		}
-		sort.Slice(idxs, func(a, b int) bool {
-			ra, rb := &rows[idxs[a]], &rows[idxs[b]]
-			if ra.TID != rb.TID {
-				return ra.TID < rb.TID
-			}
-			if ra.Left != rb.Left {
-				return ra.Left < rb.Left
-			}
-			return ra.Depth < rb.Depth
-		})
-		s.docIdx[name] = idxs
-	}
-	// Value postings sorted for deterministic scans.
-	for v, idxs := range s.valueIdx {
-		sort.Slice(idxs, func(a, b int) bool {
-			ra, rb := &rows[idxs[a]], &rows[idxs[b]]
-			if ra.TID != rb.TID {
-				return ra.TID < rb.TID
-			}
-			if ra.ID != rb.ID {
-				return ra.ID < rb.ID
-			}
-			// Two attributes of one element can share a value; order the
-			// tie by row index so the posting order is total and
-			// snapshot-stable.
-			return idxs[a] < idxs[b]
-		})
-		s.valueIdx[v] = idxs
-	}
-	// Whole-relation document-order indexes for wildcard node tests.
-	s.elemsByLeft = make([]int32, 0, len(rows))
-	for i := range rows {
-		if !rows[i].IsAttr() {
-			s.elemsByLeft = append(s.elemsByLeft, int32(i))
-		}
-	}
-	s.elemsByRight = append([]int32(nil), s.elemsByLeft...)
-	sort.Slice(s.elemsByLeft, func(a, b int) bool {
-		ra, rb := &rows[s.elemsByLeft[a]], &rows[s.elemsByLeft[b]]
-		if ra.TID != rb.TID {
-			return ra.TID < rb.TID
-		}
-		if ra.Left != rb.Left {
-			return ra.Left < rb.Left
-		}
-		return ra.Depth < rb.Depth
-	})
-	sort.Slice(s.elemsByRight, func(a, b int) bool {
-		ra, rb := &rows[s.elemsByRight[a]], &rows[s.elemsByRight[b]]
-		if ra.TID != rb.TID {
-			return ra.TID < rb.TID
-		}
-		if ra.Right != rb.Right {
-			return ra.Right < rb.Right
-		}
-		if ra.Left != rb.Left {
-			return ra.Left < rb.Left
-		}
-		// Unary chains share (left, right); depth makes the order total and
-		// snapshot-stable.
-		return ra.Depth < rb.Depth
-	})
-	s.deriveRowSeq()
-	// Trees come from tree.Corpus with distinct ids, labeled in preorder, so
-	// the position index can only fail on a corpus holding one tree twice.
-	if err := s.indexPositions(math.MaxInt32); err != nil {
-		panic(fmt.Sprintf("relstore: Build: %v", err))
-	}
-	s.computeStats()
-}
-
-// deriveRowSeq fills the identity row sequence every store derives from its
-// finished clustered relation.
-func (s *Store) deriveRowSeq() {
-	s.rowSeq = make([]int32, len(s.rows))
-	for i := range s.rows {
-		s.rowSeq[i] = int32(i)
-	}
-}
-
 // ElementsByLeft returns every element row index ordered by (tid, left,
 // depth) — document order. Used for wildcard node tests.
 func (s *Store) ElementsByLeft() []int32 { return s.elemsByLeft }
@@ -388,16 +247,37 @@ func (s *Store) ElementsByRight() []int32 { return s.elemsByRight }
 func (s *Store) Scheme() Scheme { return s.scheme }
 
 // Len returns the total number of rows (element + attribute).
-func (s *Store) Len() int { return len(s.rows) }
+func (s *Store) Len() int { return len(s.cols.TID) }
 
 // TreeCount returns the number of trees stored.
 func (s *Store) TreeCount() int { return s.treeCount }
 
-// Row returns the i-th row of the clustered relation.
-func (s *Store) Row(i int32) *Row { return &s.rows[i] }
+// Row builds the i-th row of the clustered relation from the columns and the
+// dictionaries. It costs a dictionary search per call: engine loops read
+// Cols and test names as row ranges (NameRange) instead.
+func (s *Store) Row(i int32) Row {
+	r := Row{
+		TID: s.cols.TID[i], Left: s.cols.Left[i], Right: s.cols.Right[i],
+		Depth: s.cols.Depth[i], ID: s.cols.ID[i], PID: s.cols.PID[i],
+		Name: s.nameOf(i),
+	}
+	if i >= s.attrLo && i < s.attrHi {
+		r.Value = s.valueOf(i)
+	}
+	return r
+}
 
-// Cols returns the columnar view of the clustered relation's hot label
-// fields. The arrays are index-aligned with Row and read-only.
+// nameOf returns row i's name: the dictionary entry whose clustered range
+// holds it.
+func (s *Store) nameOf(i int32) string {
+	starts := s.parts.NameStarts
+	return s.parts.Names[sort.Search(len(s.parts.Names), func(k int) bool { return starts[k+1] > i })]
+}
+
+// valueOf returns the value of attribute row i.
+func (s *Store) valueOf(i int32) string { return s.parts.Values[s.attrVal[i-s.attrLo]] }
+
+// Cols returns the clustered relation's label columns. Read-only.
 func (s *Store) Cols() *Cols { return &s.cols }
 
 // RowSeq returns the identity permutation over row indexes, so the clustered
@@ -405,41 +285,15 @@ func (s *Store) Cols() *Cols { return &s.cols }
 // without copying. Read-only.
 func (s *Store) RowSeq() []int32 { return s.rowSeq }
 
-// Name returns the clustered range of rows with the given name (a tag, or an
-// attribute name with leading '@') as a subslice view, sorted by
-// (tid, left, right, depth, id).
-func (s *Store) Name(name string) []Row {
-	rng, ok := s.nameIdx[name]
-	if !ok {
-		return nil
-	}
-	return s.rows[rng[0]:rng[1]]
-}
-
-// NameByDoc returns the element row indexes for the name in document order
-// (tid, left, depth), or nil when the clustered range is already
-// document-ordered — callers then use RowSeq()[lo:hi] directly. Built only
-// for names with a left-aligned same-name nesting, so it is nil for most
-// names.
-func (s *Store) NameByDoc(name string) []int32 { return s.docIdx[name] }
-
 // NameRange returns the clustered [lo, hi) row-index range for a name.
 func (s *Store) NameRange(name string) (lo, hi int32, ok bool) {
 	rng, ok := s.nameIdx[name]
 	return rng[0], rng[1], ok
 }
 
-// Names returns every distinct element tag in the store.
+// Names returns every distinct element tag in the store, ascending.
 func (s *Store) Names() []string {
-	out := make([]string, 0, len(s.nameIdx))
-	for n := range s.nameIdx {
-		if len(n) > 0 && n[0] == '@' {
-			continue
-		}
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.DeleteFunc(slices.Clone(s.parts.Names), func(n string) bool { return n[0] == '@' })
 }
 
 // NameCount returns the number of rows clustered under the name — the

@@ -46,7 +46,7 @@ func TestClusteredOrder(t *testing.T) {
 
 func TestNameScan(t *testing.T) {
 	s := figureStore(t, SchemeInterval)
-	nps := s.Name("NP")
+	nps := nameRows(s, "NP")
 	if len(nps) != 4 {
 		t.Fatalf("NP rows = %d, want 4", len(nps))
 	}
@@ -61,10 +61,10 @@ func TestNameScan(t *testing.T) {
 	if got := s.NameCount("ZZZ"); got != 0 {
 		t.Errorf("NameCount(ZZZ) = %d", got)
 	}
-	if got := s.Name("ZZZ"); got != nil {
-		t.Errorf("Name(ZZZ) = %v", got)
+	if _, _, ok := s.NameRange("ZZZ"); ok {
+		t.Error("NameRange(ZZZ) found")
 	}
-	lex := s.Name("@lex")
+	lex := nameRows(s, "@lex")
 	if len(lex) != 9 {
 		t.Fatalf("@lex rows = %d, want 9", len(lex))
 	}
@@ -90,7 +90,7 @@ func TestNameScan(t *testing.T) {
 // label, as in Figure 5 of the paper.
 func TestFigure5AttributeRows(t *testing.T) {
 	s := figureStore(t, SchemeInterval)
-	for _, r := range s.Name("@lex") {
+	for _, r := range nameRows(s, "@lex") {
 		ei, ok := s.ElementByID(r.TID, r.ID)
 		if !ok {
 			t.Fatalf("attribute row %+v has no element", r)
@@ -101,19 +101,30 @@ func TestFigure5AttributeRows(t *testing.T) {
 		}
 	}
 	// Spot-check the V row: (2, 3, 3) with @lex saw.
-	v, ok := s.AttrValue(1, findID(t, s, "V"), "@lex")
+	v, ok := s.AttrValue(findRow(t, s, "V"), "lex")
 	if !ok || v != "saw" {
 		t.Errorf("V @lex = %q, %v", v, ok)
 	}
 }
 
-func findID(t *testing.T, s *Store, name string) int32 {
+// nameRows returns the rows clustered under a name.
+func nameRows(s *Store, name string) []Row {
+	lo, hi, _ := s.NameRange(name)
+	var rows []Row
+	for i := lo; i < hi; i++ {
+		rows = append(rows, s.Row(i))
+	}
+	return rows
+}
+
+// findRow returns the first row clustered under a name.
+func findRow(t *testing.T, s *Store, name string) int32 {
 	t.Helper()
-	rows := s.Name(name)
-	if len(rows) == 0 {
+	lo, hi, _ := s.NameRange(name)
+	if lo == hi {
 		t.Fatalf("no rows named %q", name)
 	}
-	return rows[0].ID
+	return lo
 }
 
 func TestValueIndex(t *testing.T) {
@@ -126,7 +137,7 @@ func TestValueIndex(t *testing.T) {
 	if r.Name != "@lex" || r.Value != "saw" {
 		t.Errorf("row = %+v", r)
 	}
-	n := s.NodeFor(r)
+	n := s.NodeFor(idxs[0])
 	if n == nil || n.Tag != "V" {
 		t.Errorf("NodeFor = %v", n)
 	}
@@ -204,7 +215,7 @@ func TestMultiTreeStore(t *testing.T) {
 		t.Errorf("ByValue(saw) = %d, want 2", got)
 	}
 	// Name scans are (tid, left) ordered across trees.
-	nps := s.Name("NP")
+	nps := nameRows(s, "NP")
 	for i := 1; i < len(nps); i++ {
 		if nps[i-1].TID > nps[i].TID {
 			t.Fatal("name scan out of tid order")
@@ -221,7 +232,7 @@ func TestStartEndScheme(t *testing.T) {
 	// needing depth: parent.start < child.start && child.end < parent.end.
 	root := s.Row(s.Roots()[0])
 	for _, name := range s.Names() {
-		for _, r := range s.Name(name) {
+		for _, r := range nameRows(s, name) {
 			if r.ID == root.ID {
 				continue
 			}
@@ -234,7 +245,7 @@ func TestStartEndScheme(t *testing.T) {
 	// Start/end positions are all distinct: 2 per element node.
 	seen := map[int32]bool{}
 	for _, name := range s.Names() {
-		for _, r := range s.Name(name) {
+		for _, r := range nameRows(s, name) {
 			if seen[r.Left] || seen[r.Right] {
 				t.Fatalf("duplicate position in start/end labels: %+v", r)
 			}
@@ -258,20 +269,19 @@ func TestEmptyCorpus(t *testing.T) {
 
 func TestAttrsLookup(t *testing.T) {
 	s := figureStore(t, SchemeInterval)
-	vID := findID(t, s, "V")
-	attrs := s.Attrs(1, vID)
+	v := findRow(t, s, "V")
+	attrs := s.Attrs(1, s.Row(v).ID)
 	if len(attrs) != 1 {
 		t.Fatalf("Attrs(V) = %d", len(attrs))
 	}
 	if s.Row(attrs[0]).Value != "saw" {
 		t.Errorf("V attr = %+v", s.Row(attrs[0]))
 	}
-	if _, ok := s.AttrValue(1, vID, "@pos"); ok {
+	if _, ok := s.AttrValue(v, "pos"); ok {
 		t.Error("AttrValue(@pos) should be absent")
 	}
 	// Phrasal node has no attributes.
-	sID := findID(t, s, "S")
-	if got := s.Attrs(1, sID); len(got) != 0 {
+	if got := s.Attrs(1, s.Row(findRow(t, s, "S")).ID); len(got) != 0 {
 		t.Errorf("Attrs(S) = %v", got)
 	}
 }

@@ -1,8 +1,9 @@
 package relstore
 
 // Corpus statistics: the relational catalog the cost-based planner reads.
-// Everything here is computed once, at index-build time, from the finished
-// indexes — a Statistics value is an immutable snapshot that can be shared
+// Everything here is computed once, when the store is built (buildStats),
+// travels in its parts and is expanded by Assemble (assembleStats) — a
+// Statistics value is an immutable snapshot that can be shared
 // freely across goroutines, so a plan chosen from the statistics is the same
 // plan whichever tid window of the store executes it.
 
@@ -93,78 +94,6 @@ func (st *Statistics) AvgTreeSpan() float64 {
 
 // Statistics returns the store's statistics snapshot.
 func (s *Store) Statistics() *Statistics { return s.stats }
-
-// computeStats builds the snapshot from the finished indexes; called at the
-// end of buildIndexes so every construction path (Build, ReadSnapshot) gets
-// statistics for free.
-func (s *Store) computeStats() {
-	st := &Statistics{
-		Names:     make(map[string]NameStat),
-		AttrNames: make(map[string]int),
-		valueCard: make(map[string]int, len(s.valueIdx)),
-	}
-	st.Trees = s.treeCount
-
-	type nameAcc struct {
-		count    int
-		children int
-		span     int64
-	}
-	accs := make(map[string]*nameAcc, len(s.nameIdx))
-	var depthSum int64
-	for i := range s.rows {
-		r := &s.rows[i]
-		if r.IsAttr() {
-			st.AttrRows++
-			st.AttrNames[r.Name]++
-			continue
-		}
-		st.Elements++
-		a := accs[r.Name]
-		if a == nil {
-			a = &nameAcc{}
-			accs[r.Name] = a
-		}
-		a.count++
-		a.span += int64(r.Right - r.Left)
-		nkids := len(s.Children(r.TID, r.ID))
-		a.children += nkids
-		if nkids == 0 {
-			st.Leaves++
-		}
-		d := int(r.Depth)
-		if d > st.MaxDepth {
-			st.MaxDepth = d
-		}
-		depthSum += int64(d)
-	}
-	st.DepthHist = make([]int, st.MaxDepth+1)
-	for i := range s.rows {
-		if r := &s.rows[i]; !r.IsAttr() {
-			st.DepthHist[r.Depth]++
-		}
-	}
-	if st.Elements > 0 {
-		st.AvgDepth = float64(depthSum) / float64(st.Elements)
-	}
-	for _, ri := range s.rootRows {
-		r := &s.rows[ri]
-		st.TotalSpan += int(r.Right - r.Left)
-	}
-	for name, a := range accs {
-		ns := NameStat{Count: a.count}
-		if a.count > 0 {
-			ns.Fanout = float64(a.children) / float64(a.count)
-			ns.Span = float64(a.span) / float64(a.count)
-		}
-		st.Names[name] = ns
-	}
-	for v, postings := range s.valueIdx {
-		st.valueCard[v] = len(postings)
-	}
-	st.Values = summarizeValues(st.valueCard)
-	s.stats = st
-}
 
 // summarizeValues condenses per-value cardinalities into the histogram form.
 func summarizeValues(card map[string]int) ValueStats {

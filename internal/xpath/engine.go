@@ -69,17 +69,17 @@ func (e *Engine) Eval(p *lpath.Path) ([]Match, error) {
 			uniq = append(uniq, r)
 		}
 	}
+	c := e.s.Cols()
 	sort.Slice(uniq, func(i, j int) bool {
-		a, b := e.s.Row(uniq[i]), e.s.Row(uniq[j])
-		if a.TID != b.TID {
-			return a.TID < b.TID
+		a, b := uniq[i], uniq[j]
+		if c.TID[a] != c.TID[b] {
+			return c.TID[a] < c.TID[b]
 		}
-		return a.ID < b.ID
+		return c.ID[a] < c.ID[b]
 	})
 	out := make([]Match, 0, len(uniq))
 	for _, ri := range uniq {
-		r := e.s.Row(ri)
-		out = append(out, Match{TreeID: int(r.TID), Node: e.s.NodeFor(r)})
+		out = append(out, Match{TreeID: int(c.TID[ri]), Node: e.s.NodeFor(ri)})
 	}
 	return out, nil
 }
@@ -225,21 +225,18 @@ func (e *Engine) valueDrivenCandidates(step *lpath.Step) ([]int32, string) {
 		if len(postings) >= nameCost {
 			continue
 		}
-		attrName := "@" + cmp.Path.Steps[0].Test
+		c := e.s.Cols()
+		alo, ahi := e.s.AttrRange(cmp.Path.Steps[0].Test)
+		named := e.named(step)
 		cands := make([]int32, 0, len(postings))
 		for _, pi := range postings {
-			ar := e.s.Row(pi)
-			if ar.Name != attrName {
+			if pi < alo || pi >= ahi {
 				continue
 			}
-			ei, ok := e.s.ElementByID(ar.TID, ar.ID)
-			if !ok {
-				continue
+			ei, ok := e.s.ElementByID(c.TID[pi], c.ID[pi])
+			if ok && named(ei) {
+				cands = append(cands, ei)
 			}
-			if !step.Wildcard() && e.s.Row(ei).Name != step.Test {
-				continue
-			}
-			cands = append(cands, ei)
 		}
 		return cands, cmp.Value
 	}
@@ -255,7 +252,7 @@ func (e *Engine) filterContained(cands []int32, step *lpath.Step, ctx int32) []i
 		case lpath.AxisChild:
 			out := cands[:0:0]
 			for _, ci := range cands {
-				if e.s.Row(ci).PID == 0 {
+				if e.s.Cols().PID[ci] == 0 {
 					out = append(out, ci)
 				}
 			}
@@ -264,13 +261,14 @@ func (e *Engine) filterContained(cands []int32, step *lpath.Step, ctx int32) []i
 			return nil
 		}
 	}
-	c := e.s.Row(ctx)
+	cols := e.s.Cols()
+	c := cols.Label(ctx)
 	out := cands[:0:0]
 	for _, ci := range cands {
-		x := e.s.Row(ci)
-		if x.TID != c.TID {
+		if cols.TID[ci] != cols.TID[ctx] {
 			continue
 		}
+		x := cols.Label(ci)
 		switch step.Axis {
 		case lpath.AxisChild:
 			if x.PID == c.ID {
@@ -328,46 +326,37 @@ func (e *Engine) axisCandidates(step *lpath.Step, ctx int32) []int32 {
 			return nil
 		}
 	}
-	c := e.s.Row(ctx)
+	cols := e.s.Cols()
+	tid, c := cols.TID[ctx], cols.Label(ctx)
 	switch step.Axis {
 	case lpath.AxisSelf:
-		if step.Wildcard() || c.Name == step.Test {
-			return []int32{ctx}
-		}
-		return nil
+		return e.filterName([]int32{ctx}, step)
 	case lpath.AxisChild:
-		return e.filterName(e.s.Children(c.TID, c.ID), step)
+		return e.filterName(e.s.Children(tid, c.ID), step)
 	case lpath.AxisParent:
 		if c.PID == 0 {
 			return nil
 		}
-		if pi, ok := e.s.ElementByID(c.TID, c.PID); ok {
+		if pi, ok := e.s.ElementByID(tid, c.PID); ok {
 			return e.filterName([]int32{pi}, step)
 		}
 		return nil
 	case lpath.AxisAncestor, lpath.AxisAncestorOrSelf:
 		var out []int32
+		named := e.named(step)
 		cur := ctx
 		if step.Axis == lpath.AxisAncestor {
-			r := e.s.Row(cur)
-			if r.PID == 0 {
-				return nil
-			}
-			next, ok := e.s.ElementByID(r.TID, r.PID)
+			next, ok := e.s.ElementByID(tid, cols.PID[cur])
 			if !ok {
 				return nil
 			}
 			cur = next
 		}
 		for {
-			r := e.s.Row(cur)
-			if step.Wildcard() || r.Name == step.Test {
+			if named(cur) {
 				out = append(out, cur)
 			}
-			if r.PID == 0 {
-				break
-			}
-			next, ok := e.s.ElementByID(r.TID, r.PID)
+			next, ok := e.s.ElementByID(tid, cols.PID[cur])
 			if !ok {
 				break
 			}
@@ -380,18 +369,29 @@ func (e *Engine) axisCandidates(step *lpath.Step, ctx int32) []int32 {
 		if step.Axis == lpath.AxisDescendantOrSelf {
 			lo = c.Left
 		}
-		return e.scanLeftRange(step, c.TID, lo, hi)
+		return e.scanLeftRange(step, tid, lo, hi)
 	}
 	return nil
+}
+
+// named returns the step's node test on row indexes: a row's name is the
+// clustered range that holds it.
+func (e *Engine) named(step *lpath.Step) func(int32) bool {
+	if step.Wildcard() {
+		return func(int32) bool { return true }
+	}
+	lo, hi, _ := e.s.NameRange(step.Test)
+	return func(ri int32) bool { return ri >= lo && ri < hi }
 }
 
 func (e *Engine) filterName(rows []int32, step *lpath.Step) []int32 {
 	if step.Wildcard() {
 		return rows
 	}
+	named := e.named(step)
 	out := rows[:0:0]
 	for _, ri := range rows {
-		if e.s.Row(ri).Name == step.Test {
+		if named(ri) {
 			out = append(out, ri)
 		}
 	}
@@ -402,16 +402,16 @@ func (e *Engine) scanLeftRange(step *lpath.Step, tid, lo, hi int32) []int32 {
 	if hi < lo {
 		return nil
 	}
+	c := e.s.Cols()
 	if step.Wildcard() {
 		idxs := e.s.ElementsByLeft()
 		start := sort.Search(len(idxs), func(i int) bool {
-			r := e.s.Row(idxs[i])
-			return r.TID > tid || (r.TID == tid && r.Left >= lo)
+			ri := idxs[i]
+			return c.TID[ri] > tid || (c.TID[ri] == tid && c.Left[ri] >= lo)
 		})
 		var out []int32
 		for i := start; i < len(idxs); i++ {
-			r := e.s.Row(idxs[i])
-			if r.TID != tid || r.Left > hi {
+			if ri := idxs[i]; c.TID[ri] != tid || c.Left[ri] > hi {
 				break
 			}
 			out = append(out, idxs[i])
@@ -424,14 +424,13 @@ func (e *Engine) scanLeftRange(step *lpath.Step, tid, lo, hi int32) []int32 {
 	}
 	n := int(rhi - rlo)
 	start := sort.Search(n, func(i int) bool {
-		r := e.s.Row(rlo + int32(i))
-		return r.TID > tid || (r.TID == tid && r.Left >= lo)
+		ri := rlo + int32(i)
+		return c.TID[ri] > tid || (c.TID[ri] == tid && c.Left[ri] >= lo)
 	})
 	var out []int32
 	for i := start; i < n; i++ {
 		ri := rlo + int32(i)
-		r := e.s.Row(ri)
-		if r.TID != tid || r.Left > hi {
+		if c.TID[ri] != tid || c.Left[ri] > hi {
 			break
 		}
 		out = append(out, ri)
@@ -486,13 +485,11 @@ func (e *Engine) exists(p *lpath.Path, ctx int32, op, value string) (bool, error
 	if attr == "" {
 		return len(elems) > 0, nil
 	}
-	attrName := "@" + attr
 	for _, ei := range elems {
 		if ei == noRow {
 			continue
 		}
-		r := e.s.Row(ei)
-		v, ok := e.s.AttrValue(r.TID, r.ID, attrName)
+		v, ok := e.s.AttrValue(ei, attr)
 		if !ok {
 			continue
 		}
