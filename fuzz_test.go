@@ -39,6 +39,10 @@ func FuzzEvalOracle(f *testing.F) {
 		`//NN/preceding-or-self::NN`, `//NP//^DT`, `//S[count({//NP//NN})>=2]`,
 		// Scoped horizontal steps between nonterminals, walked per scope.
 		`//S{//NP<--VP}`, `//S{//_->NP$}`, `//S{//VP{//VB-->_}}`, `//VP{/VB->NP->PP}`,
+		// Provably empty on the bank (a name pair its trees never form), so
+		// the planned engine answers from the tag-pair summary alone.
+		`//DT==>DT`, `//NN=>DT`, `//VB/NN`, `//PP[//VB]`, `//NN\\PP\\NN`,
+		`//NN<==JJ/_`, `//VP{/NN$}`, `//NP[//VB or //V]`, `//FOO`,
 	} {
 		f.Add(q, bank)
 	}

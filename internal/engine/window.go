@@ -36,6 +36,12 @@ func (e *Engine) Run(cctx context.Context, p *lpath.Path, plan *planner.Plan, s 
 	if err := cctx.Err(); err != nil {
 		return Result{}, err
 	}
+	if plan != nil && plan.Empty != "" { // proved empty: nothing to evaluate
+		if s.Mode == ModeExplain {
+			return Result{Explain: plan.Render(&planner.Actuals{})}, nil
+		}
+		return Result{Matches: []Match{}}, nil
+	}
 	workers := max(s.Workers, 1)
 	if s.Limit = max(s.Limit, 0); s.Mode != ModeSelect {
 		s.Limit, s.Yield = 0, nil

@@ -1,7 +1,8 @@
-// Golden EXPLAIN snapshots for the 23-query evaluation matrix: the chosen
-// access paths, predicate order, semijoins and cardinality estimates over the
-// deterministic wsj corpus (scale 0.01, seed 42) are pinned byte-for-byte, so
-// any cost-model or estimator change shows up as a reviewed diff. Refresh
+// Golden EXPLAIN snapshots for the 23-query evaluation matrix, plus one query
+// the tag-pair summary proves empty (empty.golden): the chosen access paths,
+// predicate order, semijoins, cardinality estimates and the empty proof over
+// the deterministic wsj corpus (scale 0.01, seed 42) are pinned byte-for-byte,
+// so any cost-model or estimator change shows up as a reviewed diff. Refresh
 // with:
 //
 //	go test ./internal/planner -run TestGoldenPlans -update
@@ -23,10 +24,13 @@ var update = flag.Bool("update", false, "rewrite the golden EXPLAIN snapshots")
 
 func goldenPlans(t *testing.T, c *lpath.Corpus, allowUpdate bool) {
 	t.Helper()
+	texts := map[string]string{"empty": `//NP==>NNS`}
 	for _, eq := range lpath.EvalQueries() {
-		name := fmt.Sprintf("q%02d", eq.ID)
+		texts[fmt.Sprintf("q%02d", eq.ID)] = eq.Text
+	}
+	for name, text := range texts {
 		t.Run(name, func(t *testing.T) {
-			got, err := c.ExplainText(eq.Text)
+			got, err := c.ExplainText(text)
 			if err != nil {
 				t.Fatal(err)
 			}

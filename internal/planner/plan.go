@@ -89,6 +89,11 @@ type Plan struct {
 	Root *PathPlan
 	// EstMatches is the estimated final result cardinality.
 	EstMatches float64
+	// Empty, when not "", says why the query has no answer on this corpus:
+	// a step needs a name pair the store's tag-pair summary lacks
+	// (empty.go). The engine returns such a plan's empty result without
+	// evaluating it.
+	Empty string
 
 	steps map[*lpath.Step]*StepPlan
 	semis map[lpath.Expr]*Semijoin
@@ -256,6 +261,9 @@ func (p *Plan) Render(a *Actuals) string {
 	fmt.Fprintf(&b, "query: %s\n", p.Root.Path)
 	fmt.Fprintf(&b, "plan:\n")
 	p.renderPath(&b, p.Root, a, "  ", "")
+	if p.Empty != "" {
+		fmt.Fprintf(&b, "empty: %s\n", p.Empty)
+	}
 	fmt.Fprintf(&b, "estimated matches: %s", card(p.EstMatches))
 	if a != nil {
 		fmt.Fprintf(&b, "   actual: %d", a.Matches)

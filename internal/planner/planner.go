@@ -74,6 +74,9 @@ func (pl *Planner) Plan(p *lpath.Path) *Plan {
 	}
 	plan.Root = pl.planPath(p, ectx{root: true, span: pl.treeSpan()}, 1, plan)
 	plan.EstMatches = plan.Root.EstOut
+	if plan.Empty = pl.proveEmpty(p); plan.Empty != "" {
+		plan.EstMatches = 0
+	}
 	return plan
 }
 

@@ -522,6 +522,7 @@ func Assemble(p *Parts) (*Store, error) {
 	if err := s.assembleStats(p, elemCount, attrCount); err != nil {
 		return nil, err
 	}
+	s.stats.Pairs = s.buildPairs()
 	return s, nil
 }
 

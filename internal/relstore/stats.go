@@ -2,7 +2,8 @@ package relstore
 
 // Corpus statistics: the relational catalog the cost-based planner reads.
 // Everything here is computed once, when the store is built (buildStats),
-// travels in its parts and is expanded by Assemble (assembleStats) — a
+// travels in its parts and is expanded by Assemble (assembleStats), except
+// the tag-pair summary, which Assemble derives (buildPairs) — a
 // Statistics value is an immutable snapshot that can be shared
 // freely across goroutines, so a plan chosen from the statistics is the same
 // plan whichever tid window of the store executes it.
@@ -64,6 +65,9 @@ type Statistics struct {
 	AttrNames map[string]int
 	// Values summarizes the value index.
 	Values ValueStats
+	// Pairs is the tag-pair summary (pairs.go): which names stand in four
+	// of the Table 1 relations. Nil when the store has too many names.
+	Pairs *TagPairs
 	// valueCard is the exact per-value posting-list size. It is kept
 	// unexported so the snapshot stays immutable; read it via PostingCount.
 	valueCard map[string]int

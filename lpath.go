@@ -332,13 +332,14 @@ func LoadStore(r io.Reader, opts ...Option) (*Corpus, error) {
 // posting permutation and the dictionary strings alias the mapping, which the
 // kernel page cache shares across processes; opening validates all of them
 // (one sequential read of the file) and derives the rest in linear passes —
-// the row array, the child/attribute/parent position arrays and the identity
-// row sequence, about 2.2 times the file's size in heap (docs/SNAPSHOT.md,
-// "What open costs"). It builds no tree: a match materializes the one tree it lives
-// in when its Node is asked for, so Count, limit queries and a server's hit
-// path never pay for the forest; Trees, Save, Add and SelectOracle
-// materialize all of it, once. The mapping lives until Close (or
-// process exit).
+// the child/attribute/parent position arrays, the identity row sequence, the
+// attribute value ids and the tag-pair summary the planner proves empty
+// answers with (1 MB at scale 1.0): 0.58 times the file's size in heap at
+// scale 1.0 (docs/SNAPSHOT.md, "What open costs"). It builds no tree: a
+// match materializes the one tree it lives in when its Node is asked for, so
+// Count, limit queries and a server's hit path never pay for the forest;
+// Trees, Save, Add and SelectOracle materialize all of it, once. The mapping
+// lives until Close (or process exit).
 func OpenStore(path string, opts ...Option) (*Corpus, error) {
 	f, err := snapshot.Open(path)
 	if err != nil {
@@ -384,6 +385,9 @@ func (c *Corpus) Build() error {
 	// engine can be stale (Configure with an engine option).
 	store := c.store
 	if c.trees != nil {
+		if err := checkTags(c.trees); err != nil {
+			return err
+		}
 		store = relstore.Build(c.trees, relstore.SchemeInterval)
 	}
 	eng, err := engine.New(store, c.engineOpts...)
@@ -395,6 +399,27 @@ func (c *Corpus) Build() error {
 	c.oracle = nil
 	c.dirty = false
 	c.gen++ // new statistics: cached executable plans are stale
+	return nil
+}
+
+// checkTags refuses a tag the store cannot hold: an empty one, or one that
+// starts with '@', which marks the store's attribute names.
+func checkTags(c *tree.Corpus) error {
+	var err error
+	for _, t := range c.Trees {
+		if t.Root == nil {
+			continue
+		}
+		t.Root.Walk(func(n *tree.Node) bool {
+			if err == nil && (n.Tag == "" || n.Tag[0] == '@') {
+				err = fmt.Errorf("lpath: tree %d: tag %q cannot name an element: it is empty or starts with '@'", t.ID, n.Tag)
+			}
+			return err == nil
+		})
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -287,3 +287,23 @@ func TestParseNestingBound(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildRefusesTagsTheStoreCannotHold pins that a tree with an empty tag
+// or an '@'-prefixed one (the store's attribute names) makes Build, and every
+// query that builds lazily, return an error naming the tag, not panic.
+func TestBuildRefusesTagsTheStoreCannotHold(t *testing.T) {
+	for _, tag := range []string{"@x", ""} {
+		c := NewCorpus()
+		if err := c.AddSentence("(S (NP (N dogs)) (VP (V bark)))"); err != nil {
+			t.Fatal(err)
+		}
+		c.Add(&Tree{Root: &Node{Tag: tag, Word: "w"}})
+		want := fmt.Sprintf("tag %q", tag)
+		if err := c.Build(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Build with tag %q: %v, want an error naming %s", tag, err, want)
+		}
+		if _, err := c.CountText("//S"); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("CountText with tag %q: %v, want an error naming %s", tag, err, want)
+		}
+	}
+}

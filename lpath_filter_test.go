@@ -171,15 +171,17 @@ func TestScopeFilterCountsScopes(t *testing.T) {
 
 // TestFilterPathChoice pins the run-time forward/set decision through EXPLAIN
 // actuals at scale 0.05: Q9 and Q10 filter every NP, and their satisfier sets
-// are built from a few thousand seeds, so the set answers them; //WHPP[//NN]
-// filters a handful of candidates, for which a set seeded from every NN would
-// cost a thousand times the forward probes.
+// are built from a few thousand seeds, so the set answers them;
+// //PP-DIR[//NN] filters a handful of candidates, for which a set seeded from
+// every NN would cost a thousand times the forward probes. (//WHPP[//NN], the
+// first such query here, is proved empty by the tag-pair summary at this
+// scale and so never reaches the filter.)
 func TestFilterPathChoice(t *testing.T) {
 	base, _ := filterCorpus(t)
 	for _, tc := range []struct{ query, filter, path string }{
 		{EvalQueries()[8].Text, "where [not(//JJ)]", "[set "},
 		{EvalQueries()[9].Text, "where [->PP[//IN[@lex=of]]=>VP]", "[set "},
-		{"//WHPP[//NN]", "where [//NN]", "[forward "},
+		{"//PP-DIR[//NN]", "where [//NN]", "[forward "},
 		{"//RRC[//NN]", "where [//NN]", "[forward "},
 	} {
 		out, err := base.ExplainText(tc.query)
