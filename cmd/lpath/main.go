@@ -89,8 +89,11 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote store snapshot to %s\n", *saveIndex)
 	}
-	st := c.Stats()
-	fmt.Printf("corpus: %d trees, %d nodes, %d words\n\n", st.Sentences, st.TreeNodes, st.Words)
+	trees, nodes, words, err := c.Counts()
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("corpus: %d trees, %d nodes, %d words\n\n", trees, nodes, words)
 
 	run := func(req lpath.Request) lpath.Result {
 		res, err := c.Run(context.Background(), req)

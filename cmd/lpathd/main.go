@@ -95,8 +95,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		trees, nodes, _, _ := e.Corpus.Counts() // the registry built it: no error
 		logger.Info("corpus loaded", "name", name, "path", path, "format", format,
-			"sentences", e.Stats.Sentences, "nodes", e.Stats.TreeNodes,
+			"sentences", trees, "nodes", nodes,
 			"load", time.Since(start).Round(time.Millisecond).String())
 	}
 	for _, spec := range corpora {
@@ -111,12 +112,12 @@ func main() {
 			fatal(err)
 		}
 		start := time.Now()
-		e, err := reg.Set(*gen, c)
-		if err != nil {
+		if _, err := reg.Set(*gen, c); err != nil {
 			fatal(err)
 		}
+		trees, nodes, _, _ := c.Counts() // the registry built it: no error
 		logger.Info("corpus loaded", "name", *gen, "format", "generated",
-			"sentences", e.Stats.Sentences, "nodes", e.Stats.TreeNodes,
+			"sentences", trees, "nodes", nodes,
 			"load", time.Since(start).Round(time.Millisecond).String())
 	}
 	if reg.Len() == 0 {

@@ -49,7 +49,7 @@ func TestValueCrossoverFromStatistics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	density := float64(s.Statistics().NameCount("W")) / float64(s.Statistics().TotalSpan)
+	density := float64(s.NameCount("W")) / float64(s.Parts().Stats.TotalSpan)
 	if math.Abs(density-deep) > 1e-9 {
 		t.Fatalf("corpus density = %g, want %d", density, deep)
 	}

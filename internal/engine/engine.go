@@ -156,7 +156,7 @@ func New(s *relstore.Store, opts ...Option) (*Engine, error) {
 	if e.disableValueIndex {
 		popts = append(popts, planner.WithoutValueIndex())
 	}
-	e.pl = planner.New(s.Statistics(), popts...)
+	e.pl = planner.New(s, popts...)
 	return e, nil
 }
 

@@ -16,7 +16,8 @@ import (
 // Every rule over-approximates: scopes and alignment only narrow, and an
 // axis the summary does not hold carries every name.
 
-// nameSet is a bitset over the summary's name ids; nil is every name.
+// nameSet is a bitset over the store's name ids (relstore.Store.NameID);
+// nil is every name.
 type nameSet []uint64
 
 func (s nameSet) has(id int) bool { return s[id>>6]&(1<<(id&63)) != 0 }
@@ -47,7 +48,7 @@ var pairAxes = map[lpath.Axis]struct {
 // query whose predicates may raise a runtime error gets no proof: evaluating
 // it could surface the error first.
 func (pl *Planner) proveEmpty(p *lpath.Path) string {
-	if pl.st.Pairs == nil || pathPredsCanError(p) {
+	if pl.s.Pairs() == nil || pathPredsCanError(p) {
 		return ""
 	}
 	return pl.emptyPath(p, nil, "", true)
@@ -57,11 +58,11 @@ func (pl *Planner) proveEmpty(p *lpath.Path) string {
 // path, a scoped tail continuing from its head, and returns why the path
 // ends on no name, or "".
 func (pl *Planner) emptyPath(p *lpath.Path, s nameSet, ctx string, root bool) string {
-	tp := pl.st.Pairs
+	tp, n := pl.s.Pairs(), len(pl.s.Parts().Names)
 	for q := p; q != nil; q = q.Scoped {
 		for i := range q.Steps {
 			step := &q.Steps[i]
-			id, ok := tp.ID(step.Test)
+			id, ok := pl.s.NameID(step.Test)
 			switch {
 			case step.Axis == lpath.AxisAttribute:
 				continue // an attribute exists only where its element does
@@ -73,7 +74,7 @@ func (pl *Planner) emptyPath(p *lpath.Path, s nameSet, ctx string, root bool) st
 			ax, known := pairAxes[step.Axis]
 			out := nameSet(nil) // from the virtual root or every name, as from an unknown axis
 			if known && !root && s != nil {
-				out = image(tp, ax.rel, ax.conv, s, id)
+				out = image(tp, n, ax.rel, ax.conv, s, id)
 				if ax.self {
 					for w := range out {
 						out[w] |= s[w]
@@ -117,8 +118,8 @@ func (pl *Planner) refutes(x lpath.Expr, s nameSet, ctx string) string {
 
 // image returns the names some name of s stands in relation rel to or, for
 // a converse axis (conv), the names that stand in rel to some name of s: all
-// of them, or only id when it is not -1. rel -1 (self) relates nothing.
-func image(tp *relstore.TagPairs, rel relstore.Pair, conv bool, s nameSet, id int) nameSet {
+// n of them, or only id when it is not -1. rel -1 (self) relates nothing.
+func image(tp *relstore.TagPairs, n int, rel relstore.Pair, conv bool, s nameSet, id int) nameSet {
 	out := make(nameSet, tp.Words)
 	meets := func(b int) bool {
 		for w, r := range tp.Row(rel, b) {
@@ -135,7 +136,7 @@ func image(tp *relstore.TagPairs, rel relstore.Pair, conv bool, s nameSet, id in
 			out[id>>6] |= 1 << (id & 63)
 		}
 	case conv:
-		for b := range tp.Len() {
+		for b := range n {
 			if meets(b) {
 				out[b>>6] |= 1 << (b & 63)
 			}

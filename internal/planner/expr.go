@@ -88,7 +88,8 @@ func (pl *Planner) attrShare(attr string) float64 {
 	if pl.elements == 0 {
 		return 0
 	}
-	return math.Min(1, float64(pl.st.AttrNames["@"+attr])/pl.elements)
+	lo, hi := pl.s.AttrRange(attr)
+	return math.Min(1, float64(hi-lo)/pl.elements)
 }
 
 // planExistential estimates an existence filter [path] or comparison
@@ -108,7 +109,7 @@ func (pl *Planner) planExistential(x lpath.Expr, path *lpath.Path, op, value str
 		switch op {
 		case "=":
 			pp.Sel = clampSel(math.Min(pl.attrShare(attr),
-				float64(pl.st.PostingCount(value))/math.Max(pl.nameCount(c.test), 1)))
+				float64(pl.postings(value))/math.Max(pl.nameCount(c.test), 1)))
 			pp.Note = "attr probe"
 		case "!=":
 			pp.Sel = clampSel(pl.attrShare(attr) * 0.9)
@@ -129,7 +130,7 @@ func (pl *Planner) planExistential(x lpath.Expr, path *lpath.Path, op, value str
 	case attr == "":
 		pp.Sel = clampSel(math.Min(1, m))
 	case op == "=":
-		pv := float64(pl.st.PostingCount(value)) / math.Max(pl.nameCount(lastTest), 1)
+		pv := float64(pl.postings(value)) / math.Max(pl.nameCount(lastTest), 1)
 		pp.Sel = clampSel(m * math.Min(pv, 1))
 	case op == "!=":
 		pp.Sel = clampSel(m * pl.attrShare(attr) * 0.9)
@@ -228,15 +229,15 @@ func (pl *Planner) planSemijoin(x lpath.Expr, head *lpath.Path, hp *PathPlan, at
 	case op == "=" && attr != "" && !pl.noValue:
 		sj.Seed = SeedValue
 		sj.SeedValue, sj.SeedAttr = value, "@"+attr
-		sj.EstSeed = float64(pl.st.PostingCount(value))
+		sj.EstSeed = float64(pl.postings(value))
 		seedCost = math.Max(sj.EstSeed, 1)
 		sj.EstSeed *= predSel(hp.Steps[k-1])
 	default:
 		if v, a, ok := directEq(last); ok && !pl.noValue &&
-			float64(pl.st.PostingCount(v)) < pl.nameCount(last.Test) {
+			float64(pl.postings(v)) < pl.nameCount(last.Test) {
 			sj.Seed = SeedValue
 			sj.SeedValue, sj.SeedAttr = v, "@"+a
-			sj.EstSeed = float64(pl.st.PostingCount(v))
+			sj.EstSeed = float64(pl.postings(v))
 			seedCost = math.Max(sj.EstSeed, 1)
 			// The posting list already enforces the driving equality; only
 			// the remaining predicates thin the seed further.

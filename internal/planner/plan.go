@@ -1,13 +1,13 @@
 // Package planner is the cost-based query planner between LPath compilation
-// and evaluation. It reads the corpus statistics snapshot the relational
-// store computes at build time (relstore.Statistics) and turns a compiled
-// query into an explicit Plan: for every location step an access-path
-// choice (clustered name scan, {value,tid,id} value index, {tid,pid} child
-// index, or pid-chain walk), an execution order for the step's commutative
-// predicate conjuncts (cheapest first), and — for selective existential
-// filters — a reverse "semijoin" strategy that computes the filter's
-// satisfier set once from its most selective end instead of re-probing it
-// from every candidate.
+// and evaluation. It reads the relational store's own catalog — the name
+// dictionary's ranges, the value postings and the statistics block computed
+// at build time (relstore.StatsParts) — and turns a compiled query into an
+// explicit Plan: for every location step an access-path choice (clustered
+// name scan, {value,tid,id} value index, {tid,pid} child index, or pid-chain
+// walk), an execution order for the step's commutative predicate conjuncts
+// (cheapest first), and — for selective existential filters — a reverse
+// "semijoin" strategy that computes the filter's satisfier set once from its
+// most selective end instead of re-probing it from every candidate.
 //
 // The plan is pure annotation: it never changes what a query means, only
 // how the engine evaluates it, and the engine's unplanned path remains

@@ -8,13 +8,16 @@ import (
 	"lpath/internal/relstore"
 )
 
-// Planner builds cost-based plans from a statistics snapshot. A Planner is
-// immutable and safe for concurrent use; the tid windows of a parallel
-// evaluation all execute its one plan.
+// Planner builds cost-based plans from the store's own catalog: its name
+// dictionary, value postings and statistics block (relstore/stats.go). A
+// Planner is immutable and safe for concurrent use; the tid windows of a
+// parallel evaluation all execute its one plan.
 type Planner struct {
-	st      *relstore.Statistics
+	s       *relstore.Store
+	st      *relstore.StatsParts
 	noValue bool
 
+	trees      float64
 	elements   float64 // element rows
 	totalSpan  float64 // summed root spans
 	avgSpanAll float64 // mean element span across all names
@@ -30,23 +33,21 @@ func WithoutValueIndex() Option {
 	return func(pl *Planner) { pl.noValue = true }
 }
 
-// New creates a planner over the snapshot (nil is treated as an empty
-// corpus).
-func New(st *relstore.Statistics, opts ...Option) *Planner {
-	if st == nil {
-		st = &relstore.Statistics{}
-	}
-	pl := &Planner{st: st}
+// New creates a planner over the store.
+func New(s *relstore.Store, opts ...Option) *Planner {
+	pl := &Planner{s: s, st: &s.Parts().Stats}
 	for _, o := range opts {
 		o(pl)
 	}
-	pl.elements = float64(st.Elements)
-	pl.totalSpan = float64(st.TotalSpan)
+	pl.trees = float64(s.TreeCount())
+	pl.elements = float64(s.ElementCount())
+	pl.totalSpan = float64(pl.st.TotalSpan)
 	var acc float64
-	for _, ns := range st.Names {
-		acc += float64(ns.Count) * ns.Span
+	starts := s.Parts().NameStarts
+	for id, span := range pl.st.NameSpan { // dictionary order; attribute names add 0
+		acc += float64(starts[id+1]-starts[id]) * span
 	}
-	if st.Elements > 0 {
+	if pl.elements > 0 {
 		pl.avgSpanAll = acc / pl.elements
 	}
 	if pl.avgSpanAll < 1 {
@@ -81,8 +82,8 @@ func (pl *Planner) Plan(p *lpath.Path) *Plan {
 }
 
 func (pl *Planner) treeSpan() float64 {
-	if s := pl.st.AvgTreeSpan(); s >= 1 {
-		return s
+	if pl.trees > 0 && pl.totalSpan >= pl.trees {
+		return pl.totalSpan / pl.trees
 	}
 	return 1
 }
@@ -96,8 +97,11 @@ func (pl *Planner) nameCount(test string) float64 {
 	if isWild(test) {
 		return pl.elements
 	}
-	return float64(pl.st.NameCount(test))
+	return float64(pl.s.NameCount(test))
 }
+
+// postings is the exact {value, tid, id} posting-list size of a value.
+func (pl *Planner) postings(v string) int { return len(pl.s.ByValue(v)) }
 
 // share is the probability that an arbitrary element satisfies the test.
 func (pl *Planner) share(test string) float64 {
@@ -120,8 +124,8 @@ func (pl *Planner) density(test string) float64 {
 // spanOf is the expected subtree span of an element satisfying the test.
 func (pl *Planner) spanOf(test string) float64 {
 	if !isWild(test) {
-		if ns, ok := pl.st.Names[test]; ok && ns.Span >= 1 {
-			return ns.Span
+		if id, ok := pl.s.NameID(test); ok && pl.st.NameSpan[id] >= 1 {
+			return pl.st.NameSpan[id]
 		}
 		return 1
 	}
@@ -131,15 +135,13 @@ func (pl *Planner) spanOf(test string) float64 {
 // fanout is the expected child count of a context element.
 func (pl *Planner) fanout(test string) float64 {
 	if !isWild(test) {
-		if ns, ok := pl.st.Names[test]; ok {
-			if ns.Fanout < 1 {
-				return 1
-			}
-			return ns.Fanout
+		if id, ok := pl.s.NameID(test); ok {
+			return max(pl.st.NameFanout[id], 1)
 		}
 	}
-	if f := pl.st.AvgFanout(); f >= 1 {
-		return f
+	// The average over internal elements: every element but a root is a child.
+	if internal := pl.elements - float64(pl.st.Leaves); internal > 0 {
+		return max((pl.elements-pl.trees)/internal, 1)
 	}
 	return 1
 }
@@ -176,7 +178,7 @@ func (pl *Planner) probe(c ectx, axis lpath.Axis, test string) (cands, cost floa
 		scanAcc = AccessDocScan
 	}
 	if c.root {
-		trees := float64(pl.st.Trees)
+		trees := pl.trees
 		switch axis {
 		case lpath.AxisChild:
 			return math.Min(trees, pl.nameCount(test)), math.Max(trees, 1), AccessChildIndex
@@ -279,9 +281,9 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 	// statistics-derived crossover density the engine compares per binding.
 	if !pl.noValue && !positional {
 		if val, attr, ok := directEq(step); ok {
-			postings := float64(pl.st.PostingCount(val))
+			postings := float64(pl.postings(val))
 			if postings < pl.nameCount(step.Test) {
-				sp.Value, sp.Attr, sp.Postings = val, "@"+attr, pl.st.PostingCount(val)
+				sp.Value, sp.Attr, sp.Postings = val, "@"+attr, pl.postings(val)
 				sp.Bias = pl.density(step.Test)
 				switch {
 				case c.root:

@@ -1,9 +1,6 @@
 package relstore
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Pair is one relation of the tag-pair summary (docs/PLANNER.md, "Empty
 // answers"): (A, B) is in it when some A is the parent, a proper ancestor,
@@ -18,26 +15,21 @@ const (
 )
 
 // maxPairNames bounds the quadratic summary at 8 MB; a store with more
-// element names has none.
+// names in its dictionary has none.
 const maxPairNames = 4096
 
-// TagPairs holds one bit matrix per Pair over the element names: bit B of
-// row A is set when (A, B) is in the relation. Assemble derives it, so built
+// TagPairs holds one bit matrix per Pair over the name dictionary, indexed
+// by Store.NameID: bit B of row A is set when (A, B) is in the relation. An
+// attribute name's row and column are empty. Assemble derives it, so built
 // and opened stores both have it; the snapshot format does not. Immutable.
 type TagPairs struct {
-	names []string // the element names, ascending: a name's id is its index
-	Words int      // 64-bit words per row
+	Words int // 64-bit words per row
 	rows  [4][]uint64
 }
 
-// ID returns the id of an element name.
-func (tp *TagPairs) ID(name string) (int, bool) {
-	k := sort.SearchStrings(tp.names, name)
-	return k, k < len(tp.names) && tp.names[k] == name
-}
-
-// Len returns the number of element names.
-func (tp *TagPairs) Len() int { return len(tp.names) }
+// Pairs returns the store's tag-pair summary, or nil when its dictionary
+// holds more than maxPairNames names.
+func (s *Store) Pairs() *TagPairs { return s.pairs }
 
 // Row returns row a of relation r. Read-only.
 func (tp *TagPairs) Row(r Pair, a int) []uint64 { return tp.rows[r][a*tp.Words : (a+1)*tp.Words] }
@@ -51,18 +43,20 @@ func (tp *TagPairs) set(r Pair, a, b uint16) { tp.rows[r][int(a)*tp.Words+int(b>
 // id, is dropped on return. Nil for more than maxPairNames names, or ids
 // that are not a preorder.
 func (s *Store) buildPairs() *TagPairs {
-	names, c := s.Names(), &s.cols
+	names, starts, c := s.parts.Names, s.parts.NameStarts, &s.cols
 	if len(names) > maxPairNames {
 		return nil
 	}
-	tp := &TagPairs{names: names, Words: (len(names) + 63) / 64}
+	tp := &TagPairs{Words: (len(names) + 63) / 64}
 	for r := range tp.rows {
 		tp.rows[r] = make([]uint64, len(names)*tp.Words)
 	}
 	nameAt := make([]uint16, len(s.elemsByLeft))
 	for id, name := range names {
-		lo, hi, _ := s.NameRange(name)
-		for ri := lo; ri < hi; ri++ {
+		if name[0] == '@' {
+			continue
+		}
+		for ri := starts[id]; ri < starts[id+1]; ri++ {
 			nameAt[s.Pos(ri)] = uint16(id)
 		}
 	}

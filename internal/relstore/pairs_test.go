@@ -41,15 +41,17 @@ func TestTagPairsMatchTrees(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range []*Store{built, loaded} {
-			tp, names := s.Statistics().Pairs, s.Names()
-			if tp == nil || tp.Len() != len(names) {
+			// Every dictionary name, attributes too: an attribute name has
+			// an id but stands in no pair.
+			tp, names := s.Pairs(), s.Parts().Names
+			if tp == nil || tp.Words != (len(names)+63)/64 {
 				t.Fatalf("%s: summary %v over %d names", name, tp, len(names))
 			}
 			for r := range Pair(4) {
 				for _, a := range names {
-					ia, _ := tp.ID(a)
+					ia, _ := s.NameID(a)
 					for _, b := range names {
-						ib, _ := tp.ID(b)
+						ib, _ := s.NameID(b)
 						got := tp.Row(r, ia)[ib>>6]&(1<<(ib&63)) != 0
 						if got != want[r][[2]string{a, b}] {
 							t.Errorf("%s: relation %d pair (%s, %s) = %v", name, r, a, b, got)
@@ -57,8 +59,8 @@ func TestTagPairsMatchTrees(t *testing.T) {
 					}
 				}
 			}
-			if _, ok := tp.ID("@lex"); ok {
-				t.Errorf("%s: attribute name has an id", name)
+			if _, ok := s.NameID("@lex"); !ok {
+				t.Errorf("%s: no attribute name in the dictionary to check", name)
 			}
 		}
 	}
@@ -73,7 +75,7 @@ func TestTagPairsNameBound(t *testing.T) {
 	}
 	c := &tree.Corpus{}
 	c.AddRoot(root)
-	if tp := Build(c, SchemeInterval).Statistics().Pairs; tp != nil {
-		t.Fatalf("summary over %d names built", tp.Len())
+	if tp := Build(c, SchemeInterval).Pairs(); tp != nil {
+		t.Fatalf("summary of %d words per row built", tp.Words)
 	}
 }

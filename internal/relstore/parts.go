@@ -4,15 +4,15 @@ package relstore
 //
 // Parts is the relation as dictionary-coded flat arrays — the label columns
 // in clustered order, the name/value dictionaries, every sorted posting
-// permutation, and the Statistics block — that a binary format can write and
+// permutation, and the statistics block — that a binary format can write and
 // read verbatim (see internal/relstore/snapshot). Build labels a corpus and
 // fills them (buildParts); a snapshot load reads them. Assemble validates the
-// arrays and derives the name and value maps, the attribute value ids and the
-// position arrays with linear passes only, keeping the columns as they are:
-// they and the dictionaries are the store's only copy of the relation.
-// Nothing is re-sorted — every sorted order is verified, not recomputed — and
-// no tree is built: trees are materialized one at a time, when a caller asks
-// for a node (positions.go).
+// arrays and derives the name and value lookups, the attribute value ids, the
+// position arrays and the tag-pair summary with linear passes only, keeping
+// the columns as they are: they and the dictionaries are the store's only
+// copy of the relation. Nothing is re-sorted — every sorted order is
+// verified, not recomputed — and no tree is built: trees are materialized
+// one at a time, when a caller asks for a node (positions.go).
 //
 // Assemble treats its input as untrusted: any structural inconsistency —
 // out-of-range posting, misordered permutation, orphaned attribute row,
@@ -25,24 +25,6 @@ import (
 	"slices"
 	"sort"
 )
-
-// StatsParts is the serializable image of the Statistics block. Counts that
-// are derivable from the dictionary ranges (per-name cardinalities, attribute
-// name counts, value posting sizes) are reconstructed from those ranges;
-// everything else travels here.
-type StatsParts struct {
-	Elements  int
-	AttrRows  int
-	Leaves    int
-	TotalSpan int
-	MaxDepth  int
-	AvgDepth  float64
-	DepthHist []int64
-	// NameFanout and NameSpan are parallel to Parts.Names; entries for
-	// attribute names are zero.
-	NameFanout []float64
-	NameSpan   []float64
-}
 
 // Parts is everything a Store is assembled from, as flat arrays:
 //
@@ -61,7 +43,7 @@ type StatsParts struct {
 //     reads them; they are part of the format, emitted and validated.
 //   - ElemsByLeft / ElemsByRight: whole-relation document-order element
 //     permutations for wildcard node tests.
-//   - Stats: the non-derivable remainder of the Statistics snapshot.
+//   - Stats: the planner's statistics that the ranges do not give (stats.go).
 type Parts struct {
 	Scheme    Scheme
 	TreeCount int
@@ -195,58 +177,6 @@ func buildParts(rows []labeled, names, values dict, scheme Scheme, treeCount int
 	return p
 }
 
-// buildStats computes the statistics image from the clustered columns: the
-// per-name fanout counts every element's children by parent id.
-func buildStats(p *Parts) StatsParts {
-	c := &p.Cols
-	kids := make([]int32, len(c.TID)) // per element row: its children
-	start := int32(0)                 // the current tree's first position in ElemsByLeft
-	for k, ri := range p.ElemsByLeft {
-		if k == 0 || c.TID[ri] != c.TID[p.ElemsByLeft[k-1]] {
-			start = int32(k)
-		}
-		if pid := c.PID[ri]; pid > 0 {
-			kids[p.ElemsByLeft[start+pid-1]]++
-		}
-	}
-	sp := StatsParts{
-		NameFanout: make([]float64, len(p.Names)),
-		NameSpan:   make([]float64, len(p.Names)),
-	}
-	var depthSum int64
-	for ni, name := range p.Names {
-		lo, hi := p.NameStarts[ni], p.NameStarts[ni+1]
-		if name[0] == '@' {
-			sp.AttrRows += int(hi - lo)
-			continue
-		}
-		var children, span int64
-		for i := lo; i < hi; i++ {
-			children += int64(kids[i])
-			span += int64(c.Right[i] - c.Left[i])
-			if kids[i] == 0 {
-				sp.Leaves++
-			}
-			if c.PID[i] == 0 {
-				sp.TotalSpan += int(c.Right[i] - c.Left[i])
-			}
-			sp.MaxDepth = max(sp.MaxDepth, int(c.Depth[i]))
-			depthSum += int64(c.Depth[i])
-		}
-		sp.Elements += int(hi - lo)
-		sp.NameFanout[ni] = float64(children) / float64(hi-lo)
-		sp.NameSpan[ni] = float64(span) / float64(hi-lo)
-	}
-	sp.DepthHist = make([]int64, sp.MaxDepth+1)
-	for _, ri := range p.ElemsByLeft {
-		sp.DepthHist[c.Depth[ri]]++
-	}
-	if sp.Elements > 0 {
-		sp.AvgDepth = float64(depthSum) / float64(sp.Elements)
-	}
-	return sp
-}
-
 // corruptf builds the error every Assemble validation failure reports.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("relstore: corrupt parts: "+format, args...)
@@ -370,8 +300,7 @@ func Assemble(p *Parts) (*Store, error) {
 		parts:      p,
 		cols:       p.Cols,
 		treeCount:  p.TreeCount,
-		nameIdx:    make(map[string][2]int32, len(p.Names)),
-		rightIdx:   make(map[string][]int32, len(p.Names)),
+		nameIdx:    make(map[string]int32, len(p.Names)),
 		valueIdx:   make(map[string][]int32, len(p.Values)),
 		attrNames:  p.Names[an:bn],
 		attrStarts: p.NameStarts[an : bn+1],
@@ -381,7 +310,7 @@ func Assemble(p *Parts) (*Store, error) {
 	c := &s.cols
 	for ni, name := range p.Names {
 		lo, hi := p.NameStarts[ni], p.NameStarts[ni+1]
-		s.nameIdx[name] = [2]int32{lo, hi}
+		s.nameIdx[name] = int32(ni)
 		for i := lo + 1; i < hi; i++ {
 			if clusteredCmp(c, i-1, i) >= 0 {
 				return nil, corruptf("rows for %q not in clustered order at %d", name, i)
@@ -450,7 +379,6 @@ func Assemble(p *Parts) (*Store, error) {
 				return nil, corruptf("right postings for %q not in (tid, right, left, depth) order", name)
 			}
 		}
-		s.rightIdx[name] = post
 	}
 
 	// --- Doc-order permutations ------------------------------------------
@@ -519,69 +447,9 @@ func Assemble(p *Parts) (*Store, error) {
 	}
 
 	// --- Statistics -------------------------------------------------------
-	if err := s.assembleStats(p, elemCount, attrCount); err != nil {
+	if err := checkStats(p, elemCount, attrCount); err != nil {
 		return nil, err
 	}
-	s.stats.Pairs = s.buildPairs()
+	s.pairs = s.buildPairs()
 	return s, nil
-}
-
-// assembleStats reconstructs the Statistics snapshot from the stats parts
-// plus the dictionary ranges, cross-checking the redundant counts.
-func (s *Store) assembleStats(p *Parts, elemCount, attrCount int) error {
-	sp := &p.Stats
-	if sp.Elements != elemCount {
-		return corruptf("statistics claim %d elements, relation has %d", sp.Elements, elemCount)
-	}
-	if sp.AttrRows != attrCount {
-		return corruptf("statistics claim %d attribute rows, relation has %d", sp.AttrRows, attrCount)
-	}
-	if sp.Leaves < 0 || sp.Leaves > elemCount {
-		return corruptf("statistics leaf count %d out of range", sp.Leaves)
-	}
-	if sp.MaxDepth < 0 || len(sp.DepthHist) != sp.MaxDepth+1 {
-		return corruptf("depth histogram length %d for max depth %d", len(sp.DepthHist), sp.MaxDepth)
-	}
-	if len(sp.NameFanout) != len(p.Names) || len(sp.NameSpan) != len(p.Names) {
-		return corruptf("per-name statistics length %d/%d for %d names",
-			len(sp.NameFanout), len(sp.NameSpan), len(p.Names))
-	}
-	st := &Statistics{
-		Trees:     p.TreeCount,
-		Elements:  sp.Elements,
-		AttrRows:  sp.AttrRows,
-		Leaves:    sp.Leaves,
-		TotalSpan: sp.TotalSpan,
-		MaxDepth:  sp.MaxDepth,
-		AvgDepth:  sp.AvgDepth,
-		DepthHist: make([]int, len(sp.DepthHist)),
-		Names:     make(map[string]NameStat, len(p.Names)),
-		AttrNames: make(map[string]int),
-		valueCard: make(map[string]int, len(p.Values)),
-	}
-	var histSum int64
-	for i, c := range sp.DepthHist {
-		if c < 0 {
-			return corruptf("negative depth histogram bucket %d", i)
-		}
-		st.DepthHist[i] = int(c)
-		histSum += c
-	}
-	if histSum != int64(elemCount) {
-		return corruptf("depth histogram sums to %d, have %d elements", histSum, elemCount)
-	}
-	for i, name := range p.Names {
-		count := int(p.NameStarts[i+1] - p.NameStarts[i])
-		if name[0] == '@' {
-			st.AttrNames[name] = count
-			continue
-		}
-		st.Names[name] = NameStat{Count: count, Fanout: sp.NameFanout[i], Span: sp.NameSpan[i]}
-	}
-	for i, v := range p.Values {
-		st.valueCard[v] = int(p.ValueStarts[i+1] - p.ValueStarts[i])
-	}
-	st.Values = summarizeValues(st.valueCard)
-	s.stats = st
-	return nil
 }

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -72,9 +73,6 @@ func checkStoreEqual(t *testing.T, orig, loaded *Store) {
 	if !reflect.DeepEqual(loaded.nameIdx, orig.nameIdx) {
 		t.Error("nameIdx differs")
 	}
-	if !reflect.DeepEqual(loaded.rightIdx, orig.rightIdx) {
-		t.Error("rightIdx differs")
-	}
 	if !reflect.DeepEqual(loaded.valueIdx, orig.valueIdx) {
 		t.Error("valueIdx differs")
 	}
@@ -88,8 +86,8 @@ func checkStoreEqual(t *testing.T, orig, loaded *Store) {
 	if !reflect.DeepEqual(loaded.elemsByRight, orig.elemsByRight) {
 		t.Error("elemsByRight differs")
 	}
-	if !reflect.DeepEqual(loaded.stats, orig.stats) {
-		t.Errorf("stats differ:\n got %+v\nwant %+v", loaded.stats, orig.stats)
+	if !reflect.DeepEqual(loaded.pairs, orig.pairs) {
+		t.Error("tag-pair summaries differ")
 	}
 }
 
@@ -270,6 +268,15 @@ func TestAssembleRejectsCorruptParts(t *testing.T) {
 		{"histogram mismatch", func(p *Parts) { p.Stats.DepthHist[0]++ }},
 		{"histogram length", func(p *Parts) { p.Stats.MaxDepth++ }},
 		{"fanout length", func(p *Parts) { p.Stats.NameFanout = p.Stats.NameFanout[:1] }},
+		// The planner computes with the block as is: no average may be
+		// NaN, infinite or negative, and no span negative.
+		{"fanout NaN", func(p *Parts) { p.Stats.NameFanout[1] = math.NaN() }},
+		{"fanout negative", func(p *Parts) { p.Stats.NameFanout[1] = -1 }},
+		{"span infinite", func(p *Parts) { p.Stats.NameSpan[1] = math.Inf(1) }},
+		{"span NaN", func(p *Parts) { p.Stats.NameSpan[0] = math.NaN() }},
+		{"average depth infinite", func(p *Parts) { p.Stats.AvgDepth = math.Inf(1) }},
+		{"average depth negative", func(p *Parts) { p.Stats.AvgDepth = -2 }},
+		{"total span negative", func(p *Parts) { p.Stats.TotalSpan = -9 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

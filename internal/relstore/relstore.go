@@ -102,9 +102,8 @@ type Store struct {
 	// without materializing a copy.
 	rowSeq []int32
 
-	nameIdx  map[string][2]int32 // name → [lo, hi) range in the relation
-	rightIdx map[string][]int32  // name → element row indexes sorted by (tid, right)
-	valueIdx map[string][]int32  // value → attribute row indexes sorted by (tid, id)
+	nameIdx  map[string]int32   // name → its index in the name dictionary
+	valueIdx map[string][]int32 // value → attribute row indexes sorted by (tid, id)
 
 	// Attribute names all start with '@', so they are one block of the name
 	// dictionary, attrNames with ranges partitioned by attrStarts, and their
@@ -125,8 +124,7 @@ type Store struct {
 	elemsByRight []int32 // all element rows sorted by (tid, right, left)
 	positions
 
-	// stats is the build-time statistics snapshot (see stats.go).
-	stats *Statistics
+	pairs *TagPairs // the tag-pair summary (pairs.go); nil past maxPairNames
 }
 
 // Build labels every tree of the corpus under the scheme and assembles the
@@ -285,33 +283,44 @@ func (s *Store) Cols() *Cols { return &s.cols }
 // without copying. Read-only.
 func (s *Store) RowSeq() []int32 { return s.rowSeq }
 
-// NameRange returns the clustered [lo, hi) row-index range for a name.
-func (s *Store) NameRange(name string) (lo, hi int32, ok bool) {
-	rng, ok := s.nameIdx[name]
-	return rng[0], rng[1], ok
+// NameID returns a name's index in the name dictionary (Parts().Names):
+// its clustered range is [NameStarts[id], NameStarts[id+1]), and the
+// per-name arrays of Parts (RightStarts, Stats.NameFanout, Stats.NameSpan)
+// and the tag-pair summary's rows are indexed by it.
+func (s *Store) NameID(name string) (int, bool) {
+	id, ok := s.nameIdx[name]
+	return int(id), ok
 }
 
-// Names returns every distinct element tag in the store, ascending.
-func (s *Store) Names() []string {
-	return slices.DeleteFunc(slices.Clone(s.parts.Names), func(n string) bool { return n[0] == '@' })
+// NameRange returns the clustered [lo, hi) row-index range for a name.
+func (s *Store) NameRange(name string) (lo, hi int32, ok bool) {
+	id, ok := s.nameIdx[name]
+	if !ok {
+		return 0, 0, false
+	}
+	return s.parts.NameStarts[id], s.parts.NameStarts[id+1], true
 }
 
 // NameCount returns the number of rows clustered under the name — the
 // selectivity statistic the planner orders joins by.
 func (s *Store) NameCount(name string) int {
-	rng, ok := s.nameIdx[name]
-	if !ok {
-		return 0
-	}
-	return int(rng[1] - rng[0])
+	lo, hi, _ := s.NameRange(name)
+	return int(hi - lo)
 }
 
 // ElementCount returns the total number of element rows.
 func (s *Store) ElementCount() int { return len(s.elemsByLeft) }
 
 // NameByRight returns the element row indexes for the name ordered by
-// (tid, right); used by the preceding/immediate-preceding probes.
-func (s *Store) NameByRight(name string) []int32 { return s.rightIdx[name] }
+// (tid, right); used by the preceding/immediate-preceding probes. Nil for an
+// attribute name.
+func (s *Store) NameByRight(name string) []int32 {
+	id, ok := s.nameIdx[name]
+	if !ok || name[0] == '@' {
+		return nil
+	}
+	return s.parts.RightPost[s.parts.RightStarts[id]:s.parts.RightStarts[id+1]]
+}
 
 // ByValue returns the attribute row indexes whose value equals v, ordered by
 // (tid, id).

@@ -1,7 +1,7 @@
 package relstore
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"lpath/internal/tree"
@@ -73,8 +73,7 @@ func TestNameScan(t *testing.T) {
 			t.Errorf("attribute row without value: %+v", r)
 		}
 	}
-	names := s.Names()
-	sort.Strings(names)
+	names := slices.DeleteFunc(slices.Clone(s.Parts().Names), func(n string) bool { return n[0] == '@' })
 	want := []string{"Adj", "Det", "N", "NP", "PP", "Prep", "S", "V", "VP"}
 	if len(names) != len(want) {
 		t.Fatalf("Names = %v", names)
@@ -231,26 +230,20 @@ func TestStartEndScheme(t *testing.T) {
 	// Under start/end labels, containment characterizes descendants without
 	// needing depth: parent.start < child.start && child.end < parent.end.
 	root := s.Row(s.Roots()[0])
-	for _, name := range s.Names() {
-		for _, r := range nameRows(s, name) {
-			if r.ID == root.ID {
-				continue
-			}
-			if !(root.Left < r.Left && r.Right < root.Right) {
-				t.Errorf("node %s (%d,%d) not contained in root (%d,%d)",
-					r.Name, r.Left, r.Right, root.Left, root.Right)
-			}
+	for _, ri := range s.ElementsByLeft() {
+		if r := s.Row(ri); r.ID != root.ID && !(root.Left < r.Left && r.Right < root.Right) {
+			t.Errorf("node %s (%d,%d) not contained in root (%d,%d)",
+				r.Name, r.Left, r.Right, root.Left, root.Right)
 		}
 	}
 	// Start/end positions are all distinct: 2 per element node.
 	seen := map[int32]bool{}
-	for _, name := range s.Names() {
-		for _, r := range nameRows(s, name) {
-			if seen[r.Left] || seen[r.Right] {
-				t.Fatalf("duplicate position in start/end labels: %+v", r)
-			}
-			seen[r.Left], seen[r.Right] = true, true
+	for _, ri := range s.ElementsByLeft() {
+		r := s.Row(ri)
+		if seen[r.Left] || seen[r.Right] {
+			t.Fatalf("duplicate position in start/end labels: %+v", r)
 		}
+		seen[r.Left], seen[r.Right] = true, true
 	}
 	if len(seen) != 2*s.ElementCount() {
 		t.Errorf("positions = %d, want %d", len(seen), 2*s.ElementCount())
@@ -262,8 +255,8 @@ func TestEmptyCorpus(t *testing.T) {
 	if s.Len() != 0 || s.TreeCount() != 0 {
 		t.Errorf("empty corpus store: len=%d trees=%d", s.Len(), s.TreeCount())
 	}
-	if s.Names() != nil && len(s.Names()) != 0 {
-		t.Errorf("Names = %v", s.Names())
+	if names := s.Parts().Names; len(names) != 0 {
+		t.Errorf("Names = %v", names)
 	}
 }
 

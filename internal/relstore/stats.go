@@ -1,140 +1,125 @@
 package relstore
 
-// Corpus statistics: the relational catalog the cost-based planner reads.
-// Everything here is computed once, when the store is built (buildStats),
-// travels in its parts and is expanded by Assemble (assembleStats), except
-// the tag-pair summary, which Assemble derives (buildPairs) — a
-// Statistics value is an immutable snapshot that can be shared
-// freely across goroutines, so a plan chosen from the statistics is the same
-// plan whichever tid window of the store executes it.
+// Corpus statistics: the relational catalog the cost-based planner reads is
+// the store itself. Counts the store already holds — rows per name
+// (NameRange), per attribute (AttrRange) and per value (ByValue), trees and
+// elements — are read from it directly; the rest is computed once, when the
+// store is built (buildStats), travels in its parts as StatsParts, and is
+// checked by Assemble (checkStats) and read by the planner as is. Like every
+// part it is immutable, so a plan chosen from it is the same plan whichever
+// tid window of the store executes it.
 
-import "sort"
+import (
+	"math"
+	"slices"
+)
 
-// NameStat summarizes the element rows clustered under one tag name.
-type NameStat struct {
-	// Count is the number of element rows with this name — the primary
-	// join-ordering statistic (the clustered name scan touches exactly
-	// Count rows).
-	Count int
-	// Fanout is the average number of children of elements with this name;
-	// 0 for names that only label terminals.
-	Fanout float64
-	// Span is the average interval width (right - left): the expected
-	// number of leaf positions under an element with this name.
-	Span float64
-}
-
-// ValueStats summarizes the {value, tid, id} index as a posting-list-size
-// histogram: how skewed the attribute vocabulary is.
-type ValueStats struct {
-	// Distinct is the number of distinct attribute values.
-	Distinct int
-	// Rows is the total number of attribute rows (the sum of all posting
-	// lists).
-	Rows int
-	// Max is the longest posting list.
-	Max int
-	// Mean is Rows / Distinct.
-	Mean float64
-	// Hist is the log2 histogram: Hist[b] counts the distinct values whose
-	// posting list size lies in [2^b, 2^(b+1)).
-	Hist []int
-}
-
-// Statistics is the build-time statistics snapshot of a store. It is
-// immutable after construction.
-type Statistics struct {
-	// Trees, Elements, AttrRows and Leaves count trees, element rows,
-	// attribute rows and terminal elements.
-	Trees    int
-	Elements int
-	AttrRows int
-	Leaves   int
-	// TotalSpan is the summed root span (right - left) over all trees;
-	// under the interval scheme it equals the total number of terminals.
-	TotalSpan int
-	// MaxDepth and AvgDepth describe the depth distribution, with
-	// DepthHist[d] counting the elements at depth d (the root has depth 1).
+// StatsParts is the statistics block of a store's parts: what the
+// dictionary ranges do not give.
+type StatsParts struct {
+	Elements  int
+	AttrRows  int
+	Leaves    int
+	TotalSpan int // summed root span: the number of terminals
 	MaxDepth  int
 	AvgDepth  float64
-	DepthHist []int
-	// Names holds the per-name cardinality statistics.
-	Names map[string]NameStat
-	// AttrNames maps an attribute name (with its '@' prefix) to the number
-	// of rows carrying it.
-	AttrNames map[string]int
-	// Values summarizes the value index.
-	Values ValueStats
-	// Pairs is the tag-pair summary (pairs.go): which names stand in four
-	// of the Table 1 relations. Nil when the store has too many names.
-	Pairs *TagPairs
-	// valueCard is the exact per-value posting-list size. It is kept
-	// unexported so the snapshot stays immutable; read it via PostingCount.
-	valueCard map[string]int
+	DepthHist []int64 // DepthHist[d] counts the elements at depth d (the root has depth 1)
+	// NameFanout and NameSpan are parallel to Parts.Names: the average
+	// number of children and the average interval width (right - left) of
+	// the elements with that name. Entries for attribute names are zero.
+	NameFanout []float64
+	NameSpan   []float64
 }
 
-// NameCount returns the element cardinality of a tag name (0 when absent).
-func (st *Statistics) NameCount(name string) int { return st.Names[name].Count }
-
-// PostingCount returns the exact posting-list size of an attribute value.
-func (st *Statistics) PostingCount(v string) int { return st.valueCard[v] }
-
-// AvgFanout is the average number of children of an internal element.
-func (st *Statistics) AvgFanout() float64 {
-	internal := st.Elements - st.Leaves
-	if internal <= 0 {
-		return 0
+// buildStats computes the statistics image from the clustered columns: the
+// per-name fanout counts every element's children by parent id.
+func buildStats(p *Parts) StatsParts {
+	c := &p.Cols
+	kids := make([]int32, len(c.TID)) // per element row: its children
+	start := int32(0)                 // the current tree's first position in ElemsByLeft
+	for k, ri := range p.ElemsByLeft {
+		if k == 0 || c.TID[ri] != c.TID[p.ElemsByLeft[k-1]] {
+			start = int32(k)
+		}
+		if pid := c.PID[ri]; pid > 0 {
+			kids[p.ElemsByLeft[start+pid-1]]++
+		}
 	}
-	return float64(st.Elements-st.Trees) / float64(internal)
+	sp := StatsParts{
+		NameFanout: make([]float64, len(p.Names)),
+		NameSpan:   make([]float64, len(p.Names)),
+	}
+	var depthSum int64
+	for ni, name := range p.Names {
+		lo, hi := p.NameStarts[ni], p.NameStarts[ni+1]
+		if name[0] == '@' {
+			sp.AttrRows += int(hi - lo)
+			continue
+		}
+		var children, span int64
+		for i := lo; i < hi; i++ {
+			children += int64(kids[i])
+			span += int64(c.Right[i] - c.Left[i])
+			if kids[i] == 0 {
+				sp.Leaves++
+			}
+			if c.PID[i] == 0 {
+				sp.TotalSpan += int(c.Right[i] - c.Left[i])
+			}
+			sp.MaxDepth = max(sp.MaxDepth, int(c.Depth[i]))
+			depthSum += int64(c.Depth[i])
+		}
+		sp.Elements += int(hi - lo)
+		sp.NameFanout[ni] = float64(children) / float64(hi-lo)
+		sp.NameSpan[ni] = float64(span) / float64(hi-lo)
+	}
+	sp.DepthHist = make([]int64, sp.MaxDepth+1)
+	for _, ri := range p.ElemsByLeft {
+		sp.DepthHist[c.Depth[ri]]++
+	}
+	if sp.Elements > 0 {
+		sp.AvgDepth = float64(depthSum) / float64(sp.Elements)
+	}
+	return sp
 }
 
-// AvgTreeSpan is the average root span of a tree.
-func (st *Statistics) AvgTreeSpan() float64 {
-	if st.Trees == 0 {
-		return 0
+// checkStats cross-checks the statistics block against the relation and
+// refuses a value the planner could not compute with: a non-finite or
+// negative average, a negative span.
+func checkStats(p *Parts, elemCount, attrCount int) error {
+	sp := &p.Stats
+	if sp.Elements != elemCount {
+		return corruptf("statistics claim %d elements, relation has %d", sp.Elements, elemCount)
 	}
-	return float64(st.TotalSpan) / float64(st.Trees)
-}
-
-// Statistics returns the store's statistics snapshot.
-func (s *Store) Statistics() *Statistics { return s.stats }
-
-// summarizeValues condenses per-value cardinalities into the histogram form.
-func summarizeValues(card map[string]int) ValueStats {
-	vs := ValueStats{Distinct: len(card)}
-	for _, n := range card {
-		vs.Rows += n
-		if n > vs.Max {
-			vs.Max = n
-		}
-		b := 0
-		for 1<<(b+1) <= n {
-			b++
-		}
-		for len(vs.Hist) <= b {
-			vs.Hist = append(vs.Hist, 0)
-		}
-		vs.Hist[b]++
+	if sp.AttrRows != attrCount {
+		return corruptf("statistics claim %d attribute rows, relation has %d", sp.AttrRows, attrCount)
 	}
-	if vs.Distinct > 0 {
-		vs.Mean = float64(vs.Rows) / float64(vs.Distinct)
+	if sp.Leaves < 0 || sp.Leaves > elemCount {
+		return corruptf("statistics leaf count %d out of range", sp.Leaves)
 	}
-	return vs
-}
-
-// NamesBySize returns the element tag names in decreasing cardinality order
-// (ties alphabetical) — a convenience for reports and tests.
-func (st *Statistics) NamesBySize() []string {
-	names := make([]string, 0, len(st.Names))
-	for n := range st.Names {
-		names = append(names, n)
+	if sp.TotalSpan < 0 {
+		return corruptf("negative total span %d", sp.TotalSpan)
 	}
-	sort.Slice(names, func(i, j int) bool {
-		a, b := st.Names[names[i]].Count, st.Names[names[j]].Count
-		if a != b {
-			return a > b
+	if sp.MaxDepth < 0 || len(sp.DepthHist) != sp.MaxDepth+1 {
+		return corruptf("depth histogram length %d for max depth %d", len(sp.DepthHist), sp.MaxDepth)
+	}
+	if len(sp.NameFanout) != len(p.Names) || len(sp.NameSpan) != len(p.Names) {
+		return corruptf("per-name statistics length %d/%d for %d names",
+			len(sp.NameFanout), len(sp.NameSpan), len(p.Names))
+	}
+	bad := func(f float64) bool { return !(f >= 0 && f <= math.MaxFloat64) } // NaN fails both
+	if bad(sp.AvgDepth) || slices.ContainsFunc(sp.NameFanout, bad) || slices.ContainsFunc(sp.NameSpan, bad) {
+		return corruptf("non-finite or negative average in the statistics")
+	}
+	var histSum int64
+	for i, c := range sp.DepthHist {
+		if c < 0 {
+			return corruptf("negative depth histogram bucket %d", i)
 		}
-		return names[i] < names[j]
-	})
-	return names
+		histSum += c
+	}
+	if histSum != int64(elemCount) {
+		return corruptf("depth histogram sums to %d, have %d elements", histSum, elemCount)
+	}
+	return nil
 }

@@ -346,7 +346,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]corpusJSON, len(entries))
 	for i, e := range entries {
-		out[i] = corpusJSON{Name: e.Name, Gen: e.Gen, Sentences: e.Stats.Sentences, Nodes: e.Stats.TreeNodes}
+		// Set built the store, so Counts only reads it and cannot fail.
+		trees, nodes, _, _ := e.Corpus.Counts()
+		out[i] = corpusJSON{Name: e.Name, Gen: e.Gen, Sentences: trees, Nodes: nodes}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "corpora": out})
 }

@@ -32,10 +32,8 @@ type Entry struct {
 	Gen uint64
 	// Corpus is the live corpus. It must not be mutated after registration:
 	// the registry builds the index eagerly in Set, and every later access
-	// is read-only and safe for concurrent queries.
+	// is read-only and safe for concurrent queries (Counts among them).
 	Corpus *lpath.Corpus
-	// Stats is the corpus measurement snapshot taken at registration.
-	Stats lpath.Stats
 }
 
 // Registry maps corpus names to live corpora. Lookups are cheap RLock reads
@@ -63,11 +61,10 @@ func (r *Registry) Set(name string, c *lpath.Corpus) (*Entry, error) {
 	if err := c.Build(); err != nil {
 		return nil, fmt.Errorf("server: building corpus %q: %w", name, err)
 	}
-	st := c.Stats()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gen++
-	e := &Entry{Name: name, Gen: r.gen, Corpus: c, Stats: st}
+	e := &Entry{Name: name, Gen: r.gen, Corpus: c}
 	r.entries[name] = e
 	return e, nil
 }

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"lpath"
@@ -49,9 +50,12 @@ func TestRegistryLoadFileSnapshot(t *testing.T) {
 	if format != "text" {
 		t.Fatalf("text file detected as %q", format)
 	}
-	if snapEntry.Stats.Sentences != textEntry.Stats.Sentences ||
-		snapEntry.Stats.TreeNodes != textEntry.Stats.TreeNodes {
-		t.Fatalf("stats differ: snapshot %+v, text %+v", snapEntry.Stats, textEntry.Stats)
+	st := built.Stats()
+	for _, e := range []*Entry{snapEntry, textEntry} {
+		trees, nodes, words, err := e.Corpus.Counts()
+		if err != nil || trees != st.Sentences || nodes != st.TreeNodes || words != st.Words {
+			t.Fatalf("%s: counts %d trees, %d nodes, %d words (%v), want %+v", e.Name, trees, nodes, words, err, st)
+		}
 	}
 
 	h := New(reg, Config{}).Handler()
@@ -77,6 +81,42 @@ func TestRegistryLoadFileSnapshot(t *testing.T) {
 	resp := decodeResponse(t, w)
 	if resp.Count == 0 || len(resp.Matches) == 0 {
 		t.Fatalf("snapshot query returned %d matches of %d", len(resp.Matches), resp.Count)
+	}
+}
+
+// TestRegistrySetRendersNothing pins that registering a snapshot-backed
+// corpus reads its counts from the store: Set allocates under a tenth of
+// what Corpus.Stats, which builds and renders every tree, allocates on the
+// same corpus.
+func TestRegistrySetRendersNothing(t *testing.T) {
+	built, err := lpath.GenerateCorpus("wsj", 0.01, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wsj.lpx")
+	if err := built.SaveStoreFile(path); err != nil {
+		t.Fatal(err)
+	}
+	c, err := lpath.OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	set := allocated(func() {
+		if _, err := NewRegistry().Set("wsj", c); err != nil {
+			t.Error(err)
+		}
+	})
+	stats := allocated(func() { c.Stats() })
+	if set*10 >= stats {
+		t.Fatalf("Set allocated %d bytes, Stats %d: want under a tenth", set, stats)
 	}
 }
 

@@ -279,14 +279,27 @@ func (c *Corpus) Len() int {
 // Trees returns the underlying trees (shared, not copied).
 func (c *Corpus) Trees() []*Tree { return c.forest().Trees }
 
-// Stats measures the corpus (Figure 6(a)-style statistics). On a
-// snapshot-backed corpus the trees stream through one at a time and none is
-// kept, so measuring does not cost the memory of the forest.
+// Stats measures the corpus (Figure 6(a)-style statistics). It renders
+// every tree, for FileSize: on a snapshot-backed corpus the trees stream
+// through one at a time and none is kept, but each is built and written.
+// Counts reads the tree, node and word counts without either.
 func (c *Corpus) Stats() Stats {
 	if c.trees == nil {
 		return corpus.MeasureTrees(c.store.Trees())
 	}
 	return corpus.Measure(c.trees)
+}
+
+// Counts returns the numbers of trees, element nodes and words (@lex rows)
+// as the corpus's built store holds them, building the index first if
+// needed; they equal Stats' Sentences, TreeNodes and Words. No tree is built
+// or rendered.
+func (c *Corpus) Counts() (trees, nodes, words int, err error) {
+	if err := c.Build(); err != nil {
+		return 0, 0, 0, err
+	}
+	lo, hi := c.store.AttrRange("lex")
+	return c.store.TreeCount(), c.store.ElementCount(), int(hi - lo), nil
 }
 
 // Save writes the corpus in bracketed format.

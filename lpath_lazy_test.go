@@ -183,11 +183,21 @@ func TestOpenStoreTreesRoundTrip(t *testing.T) {
 }
 
 // TestOpenStoreStatsStreams: Stats on a snapshot-backed corpus equals the
-// source's field for field and leaves no tree behind, so a server measuring
-// its corpora at start-up does not pin the forest.
+// source's field for field and leaves no tree behind, and Counts, which a
+// server reads at start-up, equals Stats' counts before any tree is built.
 func TestOpenStoreStatsStreams(t *testing.T) {
 	src, c, _ := openedPair(t, 0.01)
-	if got, want := c.Stats(), src.Stats(); got != want {
+	want := src.Stats()
+	for _, corpus := range []*Corpus{src, c} {
+		trees, nodes, words, err := corpus.Counts()
+		if err != nil || trees != want.Sentences || nodes != want.TreeNodes || words != want.Words {
+			t.Errorf("Counts = %d trees, %d nodes, %d words (%v), want %+v", trees, nodes, words, err, want)
+		}
+	}
+	if n := c.store.TreesBuilt(); n != 0 {
+		t.Errorf("Counts built %d trees", n)
+	}
+	if got := c.Stats(); got != want {
 		t.Errorf("Stats = %+v, want %+v", got, want)
 	}
 	if n := c.store.TreesBuilt(); n != 0 {

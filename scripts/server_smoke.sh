@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # server_smoke.sh — end-to-end smoke test for lpathd against the testdata
-# corpus. Builds the CLI and the server, starts lpathd, waits for /healthz,
-# runs known queries through /v1/query and /v1/count, asserts the counts
-# match the lpath CLI's answers on the same corpus, sends a concurrent burst
-# of distinct limited /v1/query requests and checks their totals the same
-# way, requires a 400 for a query nested past the parser's bound and a
-# correct answer right after it, provokes 429 shedding, and checks /metrics
-# reports the traffic.
+# corpus. Builds the CLI and the server, starts lpathd, waits for /healthz
+# and checks its tree and node counts against the lpath CLI's banner, runs
+# known queries through /v1/query and /v1/count, asserts the counts match the
+# lpath CLI's answers on the same corpus, sends a concurrent burst of
+# distinct limited /v1/query requests and checks their totals the same way,
+# requires a 400 for a query nested past the parser's bound and a correct
+# answer right after it, serves a freshly saved snapshot and the committed
+# testdata/smoke.lpx through -index with the same checks, provokes 429
+# shedding, and checks /metrics reports the traffic.
 # Exits non-zero on any mismatch.
 #
 # Usage: scripts/server_smoke.sh [port]
@@ -37,20 +39,39 @@ for i in "${!QUERIES[@]}"; do
     echo "   $q -> ${WANT[$i]}"
 done
 
-echo "== starting lpathd on :$PORT"
-"$BIN/lpathd" -corpus "smoke=$CORPUS" -addr "127.0.0.1:$PORT" -quiet &
-SERVER_PID=$!
-
-for _ in $(seq 1 50); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-    kill -0 "$SERVER_PID" 2>/dev/null || { echo "FAIL: lpathd exited early"; exit 1; }
-    sleep 0.1
-done
-curl -fsS "$BASE/healthz" | grep -q '"status":"ok"' || { echo "FAIL: /healthz not ok"; exit 1; }
-echo "   healthz ok"
-
 # jq-free JSON field extraction: the response is single-line JSON.
 json_int() { sed -n "s/.*\"$1\":\([0-9][0-9]*\).*/\1/p"; }
+
+# serve ARGS... restarts lpathd on $PORT with ARGS and waits for /healthz.
+serve() {
+    if [ -n "${SERVER_PID:-}" ]; then kill "$SERVER_PID" 2>/dev/null || true; wait "$SERVER_PID" 2>/dev/null || true; fi
+    "$BIN/lpathd" "$@" -addr "127.0.0.1:$PORT" -quiet &
+    SERVER_PID=$!
+    for _ in $(seq 1 100); do
+        curl -fsS "$BASE/healthz" >/dev/null 2>&1 && return 0
+        kill -0 "$SERVER_PID" 2>/dev/null || { echo "FAIL: lpathd $* exited early"; exit 1; }
+        sleep 0.1
+    done
+    echo "FAIL: lpathd $* never answered /healthz"; exit 1
+}
+
+# check_healthz ARGS... requires /healthz to report the trees and nodes the
+# lpath CLI's banner ("corpus: N trees, M nodes, W words") prints for the
+# corpus that ARGS load.
+check_healthz() {
+    local health banner got
+    health=$(curl -fsS "$BASE/healthz")
+    echo "$health" | grep -q '"status":"ok"' || { echo "FAIL: /healthz not ok: $health"; exit 1; }
+    banner=$("$BIN/lpath" "$@" -count '//NP' | sed -n 's/^corpus: \([0-9]*\) trees, \([0-9]*\) nodes, .*/\1 \2/p')
+    got="$(echo "$health" | json_int sentences) $(echo "$health" | json_int nodes)"
+    [ -n "$banner" ] && [ "$got" = "$banner" ] \
+        || { echo "FAIL: /healthz trees/nodes '$got', lpath $* banner '$banner'"; exit 1; }
+    echo "   healthz ok: ${got% *} trees, ${got#* } nodes, as lpath $* prints"
+}
+
+echo "== starting lpathd on :$PORT"
+serve -corpus "smoke=$CORPUS"
+check_healthz -corpus "$CORPUS"
 
 echo "== /v1/query and /v1/count vs CLI"
 # "count":true: with limit pushdown the server no longer evaluates the full
@@ -112,19 +133,16 @@ if [ -z "$SNAPSHOT" ] || [ ! -f "$SNAPSHOT" ]; then
 else
     echo "   using prebuilt snapshot $SNAPSHOT"
 fi
-kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
-"$BIN/lpathd" -index "smoke=$SNAPSHOT" -addr "127.0.0.1:$PORT" -quiet &
-SERVER_PID=$!
-for _ in $(seq 1 50); do
-    curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
-    kill -0 "$SERVER_PID" 2>/dev/null || { echo "FAIL: lpathd -index exited early"; exit 1; }
-    sleep 0.1
-done
-for i in "${!QUERIES[@]}"; do
-    q="${QUERIES[$i]}"
-    got=$(curl -fsS -X POST -d "$(printf '{"query":"%s"}' "$q")" "$BASE/v1/count" | json_int count)
-    [ "$got" = "${WANT[$i]}" ] || { echo "FAIL: snapshot-served $q: got $got, want ${WANT[$i]}"; exit 1; }
-    echo "   $q -> $got (snapshot agrees with text)"
+# The committed snapshot too: lpathd must serve the bytes the golden test pins.
+for snap in "$SNAPSHOT" testdata/smoke.lpx; do
+    serve -index "smoke=$snap"
+    check_healthz -index "$snap"
+    for i in "${!QUERIES[@]}"; do
+        q="${QUERIES[$i]}"
+        got=$(curl -fsS -X POST -d "$(printf '{"query":"%s"}' "$q")" "$BASE/v1/count" | json_int count)
+        [ "$got" = "${WANT[$i]}" ] || { echo "FAIL: $snap served $q: got $got, want ${WANT[$i]}"; exit 1; }
+        echo "   $q -> $got ($snap agrees with text)"
+    done
 done
 
 echo "== /v1/explain returns a plan"
@@ -135,14 +153,7 @@ echo "   explain ok"
 echo "== overload shedding (max-inflight=1, no queue, expensive queries)"
 # Restart against a larger synthetic corpus so each query runs long enough
 # (~100ms+) for the burst to genuinely overlap the single evaluation slot.
-kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
-"$BIN/lpathd" -gen wsj -scale 0.05 -addr "127.0.0.1:$PORT" -quiet \
-    -max-inflight 1 -max-queue -1 -result-cache -1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do
-    curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
-    sleep 0.1
-done
+serve -gen wsj -scale 0.05 -max-inflight 1 -max-queue -1 -result-cache -1
 
 codes=$(for _ in $(seq 1 20); do
     curl -s -o /dev/null -w '%{http_code}\n' -X POST \
