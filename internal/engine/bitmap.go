@@ -196,15 +196,14 @@ func (e *Engine) stepPosting(step *lpath.Step, ctx *evalCtx) []int32 {
 // stepJoin is the posting walk the entry kernel and the / and => steps
 // share: it appends to dst every candidate whose one possible context is in
 // set — its parent for the child axis, its immediately preceding sibling
-// for => — and is edge-aligned with that context, the node ^ and $ refer to for a scope entry and an unscoped
-// step alike. Siblings are consecutive children (every leaf spans one
-// position), so the preceding sibling is the previous entry of the parent's
-// child list, found by binary search on id. On cancellation dst is returned
-// with the context error; the caller releases it either way.
+// for => (precedingSibling) — and is edge-aligned with that context, the
+// node ^ and $ refer to for a scope entry and an unscoped step alike. On
+// cancellation dst is returned with the context error; the caller releases
+// it either way.
 func (e *Engine) stepJoin(step *lpath.Step, cands []int32, set *spanSet, dst []int32, ctx *evalCtx) ([]int32, error) {
 	parents := e.s.ParentRows()
 	cols := e.s.Cols()
-	tids, lefts, rights, ids, pids := cols.TID, cols.Left, cols.Right, cols.ID, cols.PID
+	lefts, rights := cols.Left, cols.Right
 	sibling := step.Axis == lpath.AxisImmediateFollowingSibling
 	for _, x := range cands {
 		if ctx.interrupted() {
@@ -215,22 +214,9 @@ func (e *Engine) stepJoin(step *lpath.Step, cands []int32, set *spanSet, dst []i
 			continue
 		}
 		if sibling {
-			if ids[x] == pids[x]+1 {
-				continue // a first child: preorder numbers it right after its parent
-			}
-			sibs := e.s.Children(tids[x], pids[x])
-			lo, hi, id := 0, len(sibs), ids[x]
-			for lo < hi {
-				if m := int(uint(lo+hi) >> 1); ids[sibs[m]] < id {
-					lo = m + 1
-				} else {
-					hi = m
-				}
-			}
-			if lo == 0 {
+			if c = e.precedingSibling(x); c == noRow {
 				continue
 			}
-			c = sibs[lo-1]
 		}
 		if !set.has(c) || step.LeftAlign && lefts[x] != lefts[c] || step.RightAlign && rights[x] != rights[c] {
 			continue

@@ -49,12 +49,20 @@ var kernelQueries = []string{
 	`//S{//NP->_<-_}`, `//NP{//Det/following-or-self::_$}`,
 	`//S{//N/preceding-or-self::^_}`, `//S{//NP/descendant-or-self::NP$}`,
 	`//NP{//NP->N}`, `//S{//VP{//V-->N}}`, `//NP{//NP{//N<--_}}`,
+	// Immediately preceding, answered from the child lists: from a first
+	// child whose preceding sibling hangs off an ancestor (the branchy
+	// tree's inner NPs and Dets; on the spine the climb reaches the root),
+	// from a tree's first leaf (no answer), named and wildcard, inside a
+	// scope, and as filters, which build their satisfiers along <- and <--.
+	`//NP/NP<-_`, `//Det<-_`, `//Det<-N`, `//N<-NP`,
+	`/NP/NP/NP/NP/NP/NP/N<-_`, `//_[@lex=I]<-_`,
+	`//S{//N<-_}`, `//N[<-Det]`, `//NP[->_]`, `//N[<--_]`,
 }
 
 // nestedCorpus builds trees that stress laminar same-name nesting: an NP
 // spine alternating identical-span unary links (same left and right, depth
 // tiebreak) with left-aligned widened links (same left, distinct rights —
-// the shape that forces the per-name document-order permutation), a
+// the shape whose clustered order is not document order), a
 // branching same-name tree with adjacent same-name siblings, and a copy of
 // the spine in a second tree to cross tree boundaries mid-walk.
 func nestedCorpus() *tree.Corpus {

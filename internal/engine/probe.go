@@ -4,11 +4,15 @@ import (
 	"sort"
 
 	"lpath/internal/lpath"
+	"lpath/internal/relstore"
 )
 
 // This file implements the index probes: for each axis, how candidate rows
 // are retrieved from the clustered relation using sargable ranges, per the
 // Table 2 label comparisons.
+//
+// The store keeps no order by right: preceding is the converse of following,
+// so <- and <-- read the left order and the child lists as the forward axes do.
 //
 // The probes are columnar and allocation-free: comparisons read the store's
 // parallel label arrays (relstore.Cols) instead of materializing Row values,
@@ -133,15 +137,30 @@ func (e *Engine) axisCandidates(step *lpath.Step, nlo, nhi int32, b bind, ctx *e
 
 	case lpath.AxisImmediatePreceding:
 		// right = c.left.
-		return e.scanRightRange(step, ctxTID, ctxLeft, ctxLeft, ctx.ar.getInts()), false
+		return e.immediatePreceding(row, wild, nlo, nhi, ctx.ar.getInts()), false
 
-	case lpath.AxisPreceding:
-		// right ≤ c.left; a scoped node's right is at least scope.left+1.
-		return e.scanRightRange(step, ctxTID, clampL+1, ctxLeft, ctx.ar.getInts()), false
-
-	case lpath.AxisPrecedingOrSelf:
-		out := e.scanRightRange(step, ctxTID, clampL+1, ctxLeft, ctx.ar.getInts())
-		if wild || (row >= nlo && row < nhi) {
+	case lpath.AxisPreceding, lpath.AxisPrecedingOrSelf:
+		// right ≤ c.left. In preorder everything before c in its tree is an
+		// ancestor of c or precedes it, and an ancestor ends after c.left: a
+		// wildcard keeps the rows of that prefix with right ≤ c.left, from
+		// the scope's own position when scoped. A name scans its rows that
+		// start in [scope.left, c.left) and end by c.left.
+		out := ctx.ar.getInts()
+		if wild {
+			pos := e.s.Pos(row)
+			from := pos - ctxID + 1
+			if b.scope != noRow {
+				from = e.s.Pos(b.scope)
+			}
+			for _, ri := range e.s.ElementsByLeft()[from:pos] {
+				if cols.Right[ri] <= ctxLeft {
+					out = append(out, ri)
+				}
+			}
+		} else {
+			out = e.scanLeftRange(false, nlo, nhi, ctxTID, clampL, ctxLeft-1, ctxLeft, 0, out)
+		}
+		if step.Axis == lpath.AxisPrecedingOrSelf && (wild || (row >= nlo && row < nhi)) {
 			out = append(out, row) // self follows every preceding node
 		}
 		return out, false
@@ -245,32 +264,57 @@ func (e *Engine) scanLeftRange(wild bool, rlo, rhi, tid, lo, hi, maxRight, minDe
 	return dst
 }
 
-// scanRightRange appends to dst the rows with the step's name whose right ∈
-// [lo, hi] within tid, using the (tid, right)-ordered secondary ordering.
-func (e *Engine) scanRightRange(step *lpath.Step, tid, lo, hi int32, dst []int32) []int32 {
-	if hi < lo {
-		return dst
-	}
-	var idxs []int32
-	if step.Wildcard() {
-		idxs = e.s.ElementsByRight()
-	} else {
-		idxs = e.s.NameByRight(step.Test)
+// immediatePreceding appends to dst, top down, the rows whose right is
+// row's left. A first child starts where its parent does, so climbing from
+// row while it is one reaches the node a that has a preceding sibling (none
+// at a root: nothing ends where row starts). That sibling ends where a
+// starts, and so does each node of its last-child chain, and nothing else.
+func (e *Engine) immediatePreceding(row int32, wild bool, nlo, nhi int32, dst []int32) []int32 {
+	parents := e.s.ParentRows()
+	x := e.precedingSibling(row)
+	for a := row; x == noRow; x = e.precedingSibling(a) {
+		if a = parents[a]; a == relstore.NoParent {
+			return dst
+		}
 	}
 	cols := e.s.Cols()
-	tids, rights := cols.TID, cols.Right
-	start := sort.Search(len(idxs), func(i int) bool {
-		ri := idxs[i]
-		return tids[ri] > tid || (tids[ri] == tid && rights[ri] >= lo)
-	})
-	for i := start; i < len(idxs); i++ {
-		ri := idxs[i]
-		if tids[ri] != tid || rights[ri] > hi {
-			break
+	for {
+		if wild || (x >= nlo && x < nhi) {
+			dst = append(dst, x)
 		}
-		dst = append(dst, ri)
+		kids := e.s.Children(cols.TID[x], cols.ID[x])
+		if len(kids) == 0 {
+			return dst
+		}
+		x = kids[len(kids)-1]
 	}
-	return dst
+}
+
+// precedingSibling returns the sibling just before element row x, or noRow
+// for a first child (a root is the first child of the virtual root):
+// preorder numbers a first child right after its parent. Siblings are
+// consecutive children (every leaf spans one position), so the preceding one
+// is the previous entry of the parent's child list, found by binary search
+// on id.
+func (e *Engine) precedingSibling(x int32) int32 {
+	cols := e.s.Cols()
+	ids, id, pid := cols.ID, cols.ID[x], cols.PID[x]
+	if id == pid+1 {
+		return noRow
+	}
+	sibs := e.s.Children(cols.TID[x], pid)
+	lo, hi := 0, len(sibs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ids[sibs[m]] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == 0 {
+		return noRow
+	}
+	return sibs[lo-1]
 }
 
 // siblingCandidates probes the {tid, pid} child list. Siblings' spans are

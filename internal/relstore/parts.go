@@ -3,16 +3,17 @@ package relstore
 // The one way to make a Store: Assemble of its Parts.
 //
 // Parts is the relation as dictionary-coded flat arrays — the label columns
-// in clustered order, the name/value dictionaries, every sorted posting
-// permutation, and the statistics block — that a binary format can write and
-// read verbatim (see internal/relstore/snapshot). Build labels a corpus and
-// fills them (buildParts); a snapshot load reads them. Assemble validates the
-// arrays and derives the name and value lookups, the attribute value ids, the
-// position arrays and the tag-pair summary with linear passes only, keeping
-// the columns as they are: they and the dictionaries are the store's only
-// copy of the relation. Nothing is re-sorted — every sorted order is
-// verified, not recomputed — and no tree is built: trees are materialized
-// one at a time, when a caller asks for a node (positions.go).
+// in clustered order, the name/value dictionaries, the value postings, the
+// document-order element permutation and the statistics block — that a
+// binary format can write and read verbatim (see internal/relstore/snapshot).
+// Build labels a corpus and fills them (buildParts); a snapshot load reads
+// them. Assemble validates the arrays and derives the name and value lookups,
+// the attribute value ids, the position arrays and the tag-pair summary with
+// linear passes only, keeping the columns as they are: they and the
+// dictionaries are the store's only copy of the relation. Nothing is
+// re-sorted — every sorted order is verified, not recomputed — and no tree is
+// built: trees are materialized one at a time, when a caller asks for a node
+// (positions.go).
 //
 // Assemble treats its input as untrusted: any structural inconsistency —
 // out-of-range posting, misordered permutation, orphaned attribute row,
@@ -36,13 +37,9 @@ import (
 //     row)-ordered.
 //   - Cols: the six label columns in clustered row order; together with the
 //     dictionaries they are the relation.
-//   - RightStarts / RightPost: per-name (tid, right, left, depth)-ordered
-//     element postings (the reverse-axis index).
-//   - DocNames / DocStarts / DocPost: the doc-order permutations kept for
-//     names whose clustered order differs from document order. Nothing
-//     reads them; they are part of the format, emitted and validated.
-//   - ElemsByLeft / ElemsByRight: whole-relation document-order element
-//     permutations for wildcard node tests.
+//   - ElemsByLeft: every element row in document order, (tid, left,
+//     depth), for wildcard node tests; it is also the {tid, id} identity
+//     index (positions.go).
 //   - Stats: the planner's statistics that the ranges do not give (stats.go).
 type Parts struct {
 	Scheme    Scheme
@@ -57,15 +54,7 @@ type Parts struct {
 
 	Cols Cols
 
-	RightStarts []int32
-	RightPost   []int32
-
-	DocNames  []int32
-	DocStarts []int32
-	DocPost   []int32
-
-	ElemsByLeft  []int32
-	ElemsByRight []int32
+	ElemsByLeft []int32
 
 	Stats StatsParts
 }
@@ -145,34 +134,7 @@ func buildParts(rows []labeled, names, values dict, scheme Scheme, treeCount int
 		}
 	}
 
-	byLeft := func(a, b int32) int { return leftCmp(c, a, b) }
-	byRight := func(a, b int32) int { return rightCmp(c, a, b) }
-	// Per-name reverse-axis postings, and the document-order permutation of
-	// every name whose clustered order is not document order: the clustered
-	// order breaks same-(tid, left) ties by right ascending, innermost
-	// first, so a left-aligned same-name nesting like (NP (NP ...) ...) is
-	// stored deepest-first.
-	p.RightStarts, p.DocStarts = []int32{0}, []int32{0}
-	for ni, name := range p.Names {
-		lo, hi := p.NameStarts[ni], p.NameStarts[ni+1]
-		if name[0] != '@' {
-			start := len(p.RightPost)
-			for i := lo; i < hi; i++ {
-				p.RightPost = append(p.RightPost, i)
-			}
-			idxs := p.RightPost[start:]
-			if !slices.IsSortedFunc(idxs, byLeft) {
-				p.DocNames = append(p.DocNames, int32(ni))
-				p.DocPost = append(p.DocPost, idxs...)
-				slices.SortFunc(p.DocPost[len(p.DocPost)-len(idxs):], byLeft)
-				p.DocStarts = append(p.DocStarts, int32(len(p.DocPost)))
-			}
-			slices.SortFunc(idxs, byRight)
-		}
-		p.RightStarts = append(p.RightStarts, int32(len(p.RightPost)))
-	}
-	slices.SortFunc(p.ElemsByLeft, byLeft)
-	p.ElemsByRight = slices.SortedFunc(slices.Values(p.ElemsByLeft), byRight)
+	slices.SortFunc(p.ElemsByLeft, func(a, b int32) int { return leftCmp(c, a, b) })
 	p.Stats = buildStats(p)
 	return p
 }
@@ -182,7 +144,7 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("relstore: corrupt parts: "+format, args...)
 }
 
-// The three orders the relation ships, compared on the columns: -1, 0 or +1
+// The two orders the relation ships, compared on the columns: -1, 0 or +1
 // as row a sorts before, with or after row b. Each reads a column only when
 // the ones before it tie.
 
@@ -210,18 +172,6 @@ func leftCmp(c *Cols, a, b int32) int {
 		return cmp.Compare(c.Left[a], c.Left[b])
 	}
 	return cmp.Compare(c.Depth[a], c.Depth[b])
-}
-
-// rightCmp is the reverse-axis order, (tid, right, left, depth): same-name
-// unary chains share (left, right), and the depth tiebreak makes it total.
-func rightCmp(c *Cols, a, b int32) int {
-	if c.TID[a] != c.TID[b] {
-		return cmp.Compare(c.TID[a], c.TID[b])
-	}
-	if c.Right[a] != c.Right[b] {
-		return cmp.Compare(c.Right[a], c.Right[b])
-	}
-	return leftCmp(c, a, b)
 }
 
 // checkPrefix validates that starts is a monotone prefix array over total
@@ -355,87 +305,19 @@ func Assemble(p *Parts) (*Store, error) {
 		s.valueIdx[v] = post
 	}
 
-	// --- Per-name reverse-order postings ---------------------------------
-	if err := checkPrefix("right postings", p.RightStarts, len(p.Names)+1, len(p.RightPost)); err != nil {
-		return nil, err
+	// --- The document-order element permutation -------------------------
+	if len(p.ElemsByLeft) != elemCount {
+		return nil, corruptf("elems-by-left covers %d rows, have %d elements", len(p.ElemsByLeft), elemCount)
 	}
-	for ni, name := range p.Names {
-		post := p.RightPost[p.RightStarts[ni]:p.RightStarts[ni+1]]
-		lo, hi := p.NameStarts[ni], p.NameStarts[ni+1]
-		if name[0] == '@' {
-			if len(post) != 0 {
-				return nil, corruptf("attribute name %q has right postings", name)
-			}
-			continue
-		}
-		if int32(len(post)) != hi-lo {
-			return nil, corruptf("right postings for %q cover %d of %d rows", name, len(post), hi-lo)
-		}
-		for k, ri := range post {
-			if ri < lo || ri >= hi {
-				return nil, corruptf("right posting for %q out of its range: %d", name, ri)
-			}
-			if k > 0 && rightCmp(c, post[k-1], ri) >= 0 {
-				return nil, corruptf("right postings for %q not in (tid, right, left, depth) order", name)
-			}
-		}
-	}
-
-	// --- Doc-order permutations ------------------------------------------
-	// No reader left; they stay part of the format and are validated.
-	if err := checkPrefix("doc postings", p.DocStarts, len(p.DocNames)+1, len(p.DocPost)); err != nil {
-		return nil, err
-	}
-	for di, ni := range p.DocNames {
-		if ni < 0 || int(ni) >= len(p.Names) {
-			return nil, corruptf("doc permutation names out of range: %d", ni)
-		}
-		if di > 0 && p.DocNames[di-1] >= ni {
-			return nil, corruptf("doc permutation names not ascending")
-		}
-		name := p.Names[ni]
-		if name[0] == '@' {
-			return nil, corruptf("doc permutation on attribute name %q", name)
-		}
-		post := p.DocPost[p.DocStarts[di]:p.DocStarts[di+1]]
-		lo, hi := p.NameStarts[ni], p.NameStarts[ni+1]
-		if int32(len(post)) != hi-lo {
-			return nil, corruptf("doc permutation for %q covers %d of %d rows", name, len(post), hi-lo)
-		}
-		for k, ri := range post {
-			if ri < lo || ri >= hi {
-				return nil, corruptf("doc posting for %q out of its range: %d", name, ri)
-			}
-			if k > 0 && leftCmp(c, post[k-1], ri) >= 0 {
-				return nil, corruptf("doc permutation for %q not in (tid, left, depth) order", name)
-			}
-		}
-	}
-
-	// --- Whole-relation document-order permutations ----------------------
-	if len(p.ElemsByLeft) != elemCount || len(p.ElemsByRight) != elemCount {
-		return nil, corruptf("element permutations cover %d/%d rows, have %d elements",
-			len(p.ElemsByLeft), len(p.ElemsByRight), elemCount)
-	}
-	isElem := func(ri int32) bool { return ri >= 0 && int(ri) < n && (ri < s.attrLo || ri >= s.attrHi) }
 	for k, ri := range p.ElemsByLeft {
-		if !isElem(ri) {
+		if ri < 0 || int(ri) >= n || (ri >= s.attrLo && ri < s.attrHi) {
 			return nil, corruptf("elems-by-left entry %d invalid", ri)
 		}
 		if k > 0 && leftCmp(c, p.ElemsByLeft[k-1], ri) >= 0 {
 			return nil, corruptf("elems-by-left not in (tid, left, depth) order at %d", k)
 		}
 	}
-	for k, ri := range p.ElemsByRight {
-		if !isElem(ri) {
-			return nil, corruptf("elems-by-right entry %d invalid", ri)
-		}
-		if k > 0 && rightCmp(c, p.ElemsByRight[k-1], ri) >= 0 {
-			return nil, corruptf("elems-by-right not in (tid, right, left, depth) order at %d", k)
-		}
-	}
 	s.elemsByLeft = p.ElemsByLeft
-	s.elemsByRight = p.ElemsByRight
 
 	// --- Position arrays: identity, children, attributes, parents ----------
 	if err := s.indexPositions(); err != nil {

@@ -83,9 +83,6 @@ func checkStoreEqual(t *testing.T, orig, loaded *Store) {
 	if !reflect.DeepEqual(loaded.elemsByLeft, orig.elemsByLeft) {
 		t.Error("elemsByLeft differs")
 	}
-	if !reflect.DeepEqual(loaded.elemsByRight, orig.elemsByRight) {
-		t.Error("elemsByRight differs")
-	}
 	if !reflect.DeepEqual(loaded.pairs, orig.pairs) {
 		t.Error("tag-pair summaries differ")
 	}
@@ -95,7 +92,7 @@ func TestPartsRoundTrip(t *testing.T) {
 	c := tree.NewCorpus()
 	c.Add(tree.Figure1())
 	c.Add(tree.MustParseTree(`(S (NP-SBJ (-NONE- *T*-1)) (VP (VBD saw)))`))
-	// A unary same-name chain: rightIdx order is only total with the depth
+	// A unary same-name chain: document order is only total with the depth
 	// tiebreak, which the snapshot layer depends on.
 	c.Add(tree.MustParseTree(`(NP (NP (NP x)))`))
 	orig, loaded := assembleRoundTrip(t, c, SchemeInterval)
@@ -173,13 +170,7 @@ func cloneParts(p *Parts) *Parts {
 		ID:    append([]int32(nil), p.Cols.ID...),
 		PID:   append([]int32(nil), p.Cols.PID...),
 	}
-	q.RightStarts = append([]int32(nil), p.RightStarts...)
-	q.RightPost = append([]int32(nil), p.RightPost...)
-	q.DocNames = append([]int32(nil), p.DocNames...)
-	q.DocStarts = append([]int32(nil), p.DocStarts...)
-	q.DocPost = append([]int32(nil), p.DocPost...)
 	q.ElemsByLeft = append([]int32(nil), p.ElemsByLeft...)
-	q.ElemsByRight = append([]int32(nil), p.ElemsByRight...)
 	q.Stats.DepthHist = append([]int64(nil), p.Stats.DepthHist...)
 	q.Stats.NameFanout = append([]float64(nil), p.Stats.NameFanout...)
 	q.Stats.NameSpan = append([]float64(nil), p.Stats.NameSpan...)
@@ -228,20 +219,6 @@ func TestAssembleRejectsCorruptParts(t *testing.T) {
 		}},
 		{"value posting out of range", func(p *Parts) { p.ValuePost[0] = int32(len(p.Cols.TID)) }},
 		{"value posting on element", func(p *Parts) { p.ValuePost[0] = p.ElemsByLeft[0] }},
-		{"right posting out of name range", func(p *Parts) { p.RightPost[0] = p.NameStarts[len(p.NameStarts)-1] - 1 }},
-		{"right postings misordered", func(p *Parts) {
-			// Reverse the largest per-name posting list.
-			var lo, hi int32
-			for i := range p.Names {
-				if p.RightStarts[i+1]-p.RightStarts[i] > hi-lo {
-					lo, hi = p.RightStarts[i], p.RightStarts[i+1]
-				}
-			}
-			post := p.RightPost[lo:hi]
-			for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-				post[i], post[j] = post[j], post[i]
-			}
-		}},
 		{"elems-by-left repeats", func(p *Parts) { p.ElemsByLeft[1] = p.ElemsByLeft[0] }},
 		// The position arrays index by (tid, id): every way an identity can
 		// fail to be a dense preorder number, or name something that is not
@@ -260,10 +237,6 @@ func TestAssembleRejectsCorruptParts(t *testing.T) {
 		{"orphan attribute: no such tree", func(p *Parts) { p.Cols.TID[lastAttrRow(p)] = 3 }},
 		{"orphan attribute: no such id", func(p *Parts) { p.Cols.ID[lastAttrRow(p)] = 1000 }},
 		{"more trees than the tree count", func(p *Parts) { p.TreeCount = 1 }},
-		{"elems-by-right misordered", func(p *Parts) {
-			p.ElemsByRight[0], p.ElemsByRight[len(p.ElemsByRight)-1] =
-				p.ElemsByRight[len(p.ElemsByRight)-1], p.ElemsByRight[0]
-		}},
 		{"element count mismatch", func(p *Parts) { p.Stats.Elements++ }},
 		{"histogram mismatch", func(p *Parts) { p.Stats.DepthHist[0]++ }},
 		{"histogram length", func(p *Parts) { p.Stats.MaxDepth++ }},

@@ -8,7 +8,8 @@
 // indexes {value, tid, id} (attribute values), {tid, id} (node identity) and
 // a {tid, pid} index for sibling navigation. Attribute rows carry the same
 // (left, right, depth, id, pid) as their element and a name starting with
-// '@', exactly as in Figure 5.
+// '@', exactly as in Figure 5. No index is ordered by right: the reverse
+// axes read the left order and the child lists.
 //
 // The relation is held once, column-wise: six label columns in clustered
 // order (Cols), the name dictionary whose ranges partition them (a row's
@@ -120,8 +121,7 @@ type Store struct {
 	// elemsByLeft doubles as the {tid, id} identity index: ids are dense
 	// preorder per tree, so element (tid, id) sits at position
 	// treeStart[tid-firstTID]+id-1 (see positions.go).
-	elemsByLeft  []int32 // all element rows sorted by (tid, left, depth)
-	elemsByRight []int32 // all element rows sorted by (tid, right, left)
+	elemsByLeft []int32 // all element rows sorted by (tid, left, depth)
 	positions
 
 	pairs *TagPairs // the tag-pair summary (pairs.go); nil past maxPairNames
@@ -238,9 +238,6 @@ func assignStartEnd(t *tree.Tree) []label.Labeled {
 // depth) — document order. Used for wildcard node tests.
 func (s *Store) ElementsByLeft() []int32 { return s.elemsByLeft }
 
-// ElementsByRight returns every element row index ordered by (tid, right).
-func (s *Store) ElementsByRight() []int32 { return s.elemsByRight }
-
 // Scheme returns the labeling scheme the store was built with.
 func (s *Store) Scheme() Scheme { return s.scheme }
 
@@ -285,8 +282,8 @@ func (s *Store) RowSeq() []int32 { return s.rowSeq }
 
 // NameID returns a name's index in the name dictionary (Parts().Names):
 // its clustered range is [NameStarts[id], NameStarts[id+1]), and the
-// per-name arrays of Parts (RightStarts, Stats.NameFanout, Stats.NameSpan)
-// and the tag-pair summary's rows are indexed by it.
+// per-name statistics of Parts (Stats.NameFanout, Stats.NameSpan) and the
+// tag-pair summary's rows are indexed by it.
 func (s *Store) NameID(name string) (int, bool) {
 	id, ok := s.nameIdx[name]
 	return int(id), ok
@@ -310,17 +307,6 @@ func (s *Store) NameCount(name string) int {
 
 // ElementCount returns the total number of element rows.
 func (s *Store) ElementCount() int { return len(s.elemsByLeft) }
-
-// NameByRight returns the element row indexes for the name ordered by
-// (tid, right); used by the preceding/immediate-preceding probes. Nil for an
-// attribute name.
-func (s *Store) NameByRight(name string) []int32 {
-	id, ok := s.nameIdx[name]
-	if !ok || name[0] == '@' {
-		return nil
-	}
-	return s.parts.RightPost[s.parts.RightStarts[id]:s.parts.RightStarts[id+1]]
-}
 
 // ByValue returns the attribute row indexes whose value equals v, ordered by
 // (tid, id).

@@ -178,23 +178,6 @@ func TestChildAndRootIndexes(t *testing.T) {
 	}
 }
 
-func TestRightOrderedIndex(t *testing.T) {
-	s := figureStore(t, SchemeInterval)
-	byRight := s.NameByRight("NP")
-	if len(byRight) != 4 {
-		t.Fatalf("NameByRight(NP) = %d", len(byRight))
-	}
-	for i := 1; i < len(byRight); i++ {
-		a, b := s.Row(byRight[i-1]), s.Row(byRight[i])
-		if a.TID == b.TID && a.Right > b.Right {
-			t.Fatal("right index out of order")
-		}
-	}
-	if s.NameByRight("@lex") != nil {
-		t.Error("attribute names must not have a right index")
-	}
-}
-
 func TestMultiTreeStore(t *testing.T) {
 	c := tree.NewCorpus()
 	c.Add(tree.Figure1())

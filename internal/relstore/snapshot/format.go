@@ -7,7 +7,7 @@
 // Layout (all integers little-endian, sections 8-byte aligned):
 //
 //	magic "LPXSNAP\x00" (8 bytes)
-//	u32 version (currently 1)
+//	u32 version (currently 2)
 //	u32 section count
 //	u64 file size
 //	directory: per section {u32 id, u32 crc32c, u64 offset, u64 length}
@@ -41,28 +41,27 @@ const Magic = "LPXSNAP\x00"
 // Version is the current format version. Bump it on any layout change and
 // regenerate testdata/smoke.lpx (the golden compatibility test fails
 // deliberately otherwise).
-const Version = 1
+const Version = 2
 
-// Section identifiers. Every section must appear exactly once.
+// Section identifiers. Every section must appear exactly once. Ids 6, 7 and
+// 10 held version 1's reverse-axis postings, doc-order permutations and
+// elements by right; they are retired and never reused.
 const (
-	secMeta         = 1  // scheme, tree/row/name/value counts
-	secNames        = 2  // name dictionary string table
-	secNameStarts   = 3  // clustered partition prefix, i32[names+1]
-	secValues       = 4  // value dictionary string table
-	secCols         = 5  // six i32 label columns, concatenated
-	secRight        = 6  // per-name reverse-order postings
-	secDoc          = 7  // per-name doc-order permutations
-	secValueIdx     = 8  // per-value attribute-row postings
-	secElemsByLeft  = 9  // all elements by (tid, left, depth)
-	secElemsByRight = 10 // all elements by (tid, right, left, depth)
-	secStats        = 11 // statistics block remainder
+	secMeta        = 1  // scheme, tree/row/name/value counts
+	secNames       = 2  // name dictionary string table
+	secNameStarts  = 3  // clustered partition prefix, i32[names+1]
+	secValues      = 4  // value dictionary string table
+	secCols        = 5  // six i32 label columns, concatenated
+	secValueIdx    = 8  // per-value attribute-row postings
+	secElemsByLeft = 9  // all elements by (tid, left, depth)
+	secStats       = 11 // statistics block remainder
 )
 
 // sectionOrder is the canonical write order; the reader requires exactly
 // this set (any order), each section once.
 var sectionOrder = []uint32{
-	secMeta, secNames, secNameStarts, secValues, secCols, secRight,
-	secDoc, secValueIdx, secElemsByLeft, secElemsByRight, secStats,
+	secMeta, secNames, secNameStarts, secValues, secCols,
+	secValueIdx, secElemsByLeft, secStats,
 }
 
 // Typed load failures. Every error returned by Decode/Read/Open wraps

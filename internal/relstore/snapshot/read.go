@@ -208,39 +208,6 @@ func decodeParts(secs map[uint32][]byte) (*relstore.Parts, error) {
 		Depth: cols[3], ID: cols[4], PID: cols[5],
 	}
 
-	rc := &cursor{b: secs[secRight], sec: "right-postings"}
-	if p.RightStarts, err = rc.i32s(nameCount + 1); err != nil {
-		return nil, err
-	}
-	if p.RightPost, err = rc.i32s((len(rc.b) - rc.off) / 4); err != nil {
-		return nil, err
-	}
-	if err := rc.done(); err != nil {
-		return nil, err
-	}
-
-	dc := &cursor{b: secs[secDoc], sec: "doc-permutations"}
-	docCount64, err := dc.u64()
-	if err != nil {
-		return nil, err
-	}
-	docCount, err := dc.intCount(docCount64, 4)
-	if err != nil {
-		return nil, err
-	}
-	if p.DocNames, err = dc.i32s(docCount); err != nil {
-		return nil, err
-	}
-	if p.DocStarts, err = dc.i32s(docCount + 1); err != nil {
-		return nil, err
-	}
-	if p.DocPost, err = dc.i32s((len(dc.b) - dc.off) / 4); err != nil {
-		return nil, err
-	}
-	if err := dc.done(); err != nil {
-		return nil, err
-	}
-
 	vic := &cursor{b: secs[secValueIdx], sec: "value-postings"}
 	if p.ValueStarts, err = vic.i32s(valueCount + 1); err != nil {
 		return nil, err
@@ -257,13 +224,6 @@ func decodeParts(secs map[uint32][]byte) (*relstore.Parts, error) {
 		return nil, err
 	}
 	if err := blc.done(); err != nil {
-		return nil, err
-	}
-	brc := &cursor{b: secs[secElemsByRight], sec: "elems-by-right"}
-	if p.ElemsByRight, err = brc.i32s(len(brc.b) / 4); err != nil {
-		return nil, err
-	}
-	if err := brc.done(); err != nil {
 		return nil, err
 	}
 

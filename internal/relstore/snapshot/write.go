@@ -94,18 +94,6 @@ func encodeParts(p *relstore.Parts) ([]byte, error) {
 	}
 	add(cols)
 
-	right := &enc{}
-	right.i32s(p.RightStarts)
-	right.i32s(p.RightPost)
-	add(right)
-
-	doc := &enc{}
-	doc.u64(uint64(len(p.DocNames)))
-	doc.i32s(p.DocNames)
-	doc.i32s(p.DocStarts)
-	doc.i32s(p.DocPost)
-	add(doc)
-
 	valueIdx := &enc{}
 	valueIdx.i32s(p.ValueStarts)
 	valueIdx.i32s(p.ValuePost)
@@ -114,10 +102,6 @@ func encodeParts(p *relstore.Parts) ([]byte, error) {
 	byLeft := &enc{}
 	byLeft.i32s(p.ElemsByLeft)
 	add(byLeft)
-
-	byRight := &enc{}
-	byRight.i32s(p.ElemsByRight)
-	add(byRight)
 
 	stats := &enc{}
 	stats.u64(uint64(p.Stats.Elements))

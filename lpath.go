@@ -307,11 +307,11 @@ func (c *Corpus) Save(w io.Writer) error { return tree.WriteAll(w, c.forest()) }
 
 // SaveStore writes the corpus's interval-label store as a binary snapshot
 // (the .lpx format of internal/relstore/snapshot), building it first if
-// needed. A snapshot contains the complete built index — clustered rows,
-// columnar label arrays, every posting permutation, and the planner's
-// statistics block — so LoadStore answers queries without re-parsing,
-// re-labeling, or re-sorting anything: the paper's "label once, query many
-// times" workflow.
+// needed. A snapshot contains the complete built index — the clustered
+// label columns, the dictionaries, the value postings, the document-order
+// element permutation and the planner's statistics block — so LoadStore
+// answers queries without re-parsing, re-labeling, or re-sorting anything:
+// the paper's "label once, query many times" workflow.
 func (c *Corpus) SaveStore(w io.Writer) error {
 	if err := c.Build(); err != nil {
 		return err
@@ -341,13 +341,14 @@ func LoadStore(r io.Reader, opts ...Option) (*Corpus, error) {
 	return corpusFromStore(store, nil, opts...)
 }
 
-// OpenStore memory-maps a store snapshot file. The label columns, every
-// posting permutation and the dictionary strings alias the mapping, which the
-// kernel page cache shares across processes; opening validates all of them
-// (one sequential read of the file) and derives the rest in linear passes —
+// OpenStore memory-maps a store snapshot file. The label columns, the value
+// postings, the document-order element permutation and the dictionary
+// strings alias the mapping, which the kernel page cache shares across
+// processes; opening validates all of them (one sequential read of the
+// file) and derives the rest in linear passes —
 // the child/attribute/parent position arrays, the identity row sequence, the
 // attribute value ids and the tag-pair summary the planner proves empty
-// answers with (1 MB at scale 1.0): 0.58 times the file's size in heap at
+// answers with (1 MB at scale 1.0): 0.70 times the file's size in heap at
 // scale 1.0 (docs/SNAPSHOT.md, "What open costs"). It builds no tree: a
 // match materializes the one tree it lives in when its Node is asked for, so
 // Count, limit queries and a server's hit path never pay for the forest;

@@ -97,6 +97,11 @@ func TestFilterComplementPartitions(t *testing.T) {
 		{"//VP", "{//^VB->NP->PP$}"},                  // Q7
 		{"//WHPP", "//NN"},
 		{"//RRC", "//NN"},
+		// The wildcard <- and <-- final hops of buildSatisfiers, which only
+		// Q10 reaches among the paper's queries.
+		{"//NP", "<-VB"},
+		{"//NP", "->_"},
+		{"//NN", "<--DT"},
 	}
 	tags := topTags(base, 6)
 	for _, a := range tags {
