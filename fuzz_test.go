@@ -43,6 +43,13 @@ func FuzzEvalOracle(f *testing.F) {
 		// the planned engine answers from the tag-pair summary alone.
 		`//DT==>DT`, `//NN=>DT`, `//VB/NN`, `//PP[//VB]`, `//NN\\PP\\NN`,
 		`//NN<==JJ/_`, `//VP{/NN$}`, `//NP[//VB or //V]`, `//FOO`,
+		// Filters the summary proves vacuous on the bank (no NN has an NP
+		// below it), whose counts are then read off the posting.
+		`//NN[not(//NP)]`, `//NN[//DT or not(//NP)]`, `//NN[not(//NP) and not(//VP)]`,
+		`//_[not(//NP)]`, `//PP[not(//VB)]/NP`,
+		// The sibling kernels and the merged one-step filters.
+		`//NP==>PP`, `//NN<==DT`, `//VB==>_`, `//NP<==_`, `//VP{//NP==>PP}`,
+		`//NP[//JJ]`, `//NP[not(//JJ)]`, `//NP[//NP]`, `//NP[//_]`, `//S[//NP[//DT]/NN]`,
 	} {
 		f.Add(q, bank)
 	}

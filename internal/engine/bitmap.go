@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"slices"
 	"sort"
 
@@ -100,8 +101,8 @@ func (e *Engine) evalBitmapScoped(tail *lpath.Path, cur []bind, ctx *evalCtx) ([
 func (e *Engine) bitmapEntry(step *lpath.Step, cur []bind, ctx *evalCtx) ([]bind, error) {
 	sp := ctx.stepPlan(step)
 	preds := step.Preds
-	if sp != nil && sp.Reordered {
-		preds = sp.PredExprs()
+	if sp != nil {
+		preds = sp.Exec
 	}
 
 	// The scope frontier as a set of rows, tested against the parent column
@@ -232,8 +233,8 @@ func (e *Engine) stepJoin(step *lpath.Step, cands []int32, set *spanSet, dst []i
 // insert per result, ≈ 80–150 ns; the kernel pays a few sequential column
 // loads and a bit test per posting row (≈ 6 ns), plus a sibling-list search
 // for => (≈ 18 ns), measured on the scale-1.0 WSJ corpus (Q18, //NP=>NP; a
-// 2-vCPU VM). The other axes' 24 was the best of 8, 24 and 64 on the //, ->
-// and --> texts of serve_distinct at scale 1.0.
+// 2-vCPU VM). The other axes' 24 was the best of 8, 24 and 64 on the //, ->,
+// --> and ==> texts of serve_distinct at scale 1.0.
 func kernelRows(axis lpath.Axis) int {
 	switch axis {
 	case lpath.AxisChild:
@@ -270,6 +271,10 @@ func (e *Engine) framePosting(step *lpath.Step, binds []bind, ctx *evalCtx) []in
 	return e.narrowToTIDs(e.stepPosting(step, ctx), lo, hi+1)
 }
 
+// errWideEdge is axisJoin's report that an edge is too wide for the arena's
+// reach stamp: the step runs as per-binding probes instead.
+var errWideEdge = errors.New("engine: edge too wide for the reach stamp")
+
 // evalBitmapStep runs a step through the kernel for bindings that share one
 // scope (noRow: unscoped): cands is walked once against their summary
 // (axisJoin), and the kept rows pass the step's predicates through
@@ -284,6 +289,10 @@ func (e *Engine) evalBitmapStep(step *lpath.Step, sp *planner.StepPlan, preds []
 		walk.LeftAlign, walk.RightAlign = false, false
 	}
 	rows, err := e.axisJoin(&walk, binds, cands, ctx.ar.getInts(), ctx)
+	if err == errWideEdge {
+		ctx.ar.putInts(rows)
+		return e.evalStepProbe(step, sp, preds, false, binds, out, ctx)
+	}
 	if err != nil {
 		ctx.ar.putInts(rows)
 		return nil, err
@@ -439,6 +448,11 @@ func (e *Engine) axisJoin(step *lpath.Step, binds []bind, cands, dst []int32, ct
 		}
 		fillRows(set, binds)
 		return e.climbJoin(step, cands, set, dst, ctx)
+	case lpath.AxisFollowingSibling, lpath.AxisPrecedingSibling:
+		if aligned {
+			return dst, nil
+		}
+		return e.siblingJoin(step, binds, cands, dst, ctx)
 	case lpath.AxisImmediateFollowing, lpath.AxisImmediatePreceding:
 		if aligned {
 			return dst, nil
@@ -515,6 +529,52 @@ func (e *Engine) axisJoin(step *lpath.Step, binds []bind, cands, dst []int32, ct
 		}
 	}
 	ctx.ar.putInts(ext)
+	return dst, nil
+}
+
+// siblingJoin appends to dst the candidates with a sibling in the frontier
+// before them (==>) or after them (<==). The summary is, per parent, the
+// least right edge of its frontier children — for <==, the greatest left
+// edge — in the arena's epoch-stamped reach array at the parent's position,
+// and x is kept when x.left ≥ its parent's entry (x.right ≤ it): Table 2's
+// x.pid = c.pid ∧ x.left ≥ c.right for the frontier's best c. A root has no
+// siblings. errWideEdge, and nothing appended, when an edge is too wide for
+// the stamp.
+func (e *Engine) siblingJoin(step *lpath.Step, binds []bind, cands, dst []int32, ctx *evalCtx) ([]int32, error) {
+	cols := e.s.Cols()
+	lefts, rights, ids, pids := cols.Left, cols.Right, cols.ID, cols.PID
+	following := step.Axis == lpath.AxisFollowingSibling
+	ctxEdge := rights
+	if !following {
+		ctxEdge = lefts
+	}
+	reach, epoch := ctx.ar.getReach(e.s.ElementCount())
+	for _, b := range binds {
+		c := b.row
+		if pids[c] == 0 {
+			continue
+		}
+		edge := ctxEdge[c]
+		if edge > reachMask {
+			return dst, errWideEdge
+		}
+		k := e.s.Pos(c) - ids[c] + pids[c]
+		if v, w := reach[k], uint32(edge); v>>reachBits != epoch || following && w < v&reachMask || !following && w > v&reachMask {
+			reach[k] = epoch<<reachBits | uint32(edge)
+		}
+	}
+	for _, x := range cands {
+		if ctx.interrupted() {
+			return dst, ctx.cerr
+		}
+		if pids[x] == 0 {
+			continue
+		}
+		v := reach[e.s.Pos(x)-ids[x]+pids[x]]
+		if edge := int32(v & reachMask); v>>reachBits == epoch && (following && lefts[x] >= edge || !following && rights[x] <= edge) {
+			dst = append(dst, x)
+		}
+	}
 	return dst, nil
 }
 

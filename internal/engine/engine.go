@@ -390,14 +390,15 @@ func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind,
 		return nil, lpath.ErrAttrInMainPath
 	}
 	positional := step.HasPositional()
-	// Plan-directed choices: the statistics-derived value-probe threshold
-	// and the cheapest-first predicate order. Neither changes the result —
-	// reordering is restricted to commutative conjuncts, and the value probe
-	// is an access path, not a filter.
+	// Plan-directed choices: the statistics-derived value-probe threshold,
+	// the cheapest-first predicate order and the vacuous predicates left
+	// out. None changes the result — reordering is restricted to commutative
+	// conjuncts, a vacuous predicate holds on every row the step can bind,
+	// and the value probe is an access path, not a filter.
 	sp := ctx.stepPlan(step)
 	preds := step.Preds
-	if sp != nil && sp.Reordered {
-		preds = sp.PredExprs()
+	if sp != nil {
+		preds = sp.Exec
 	}
 	if e.scopedKernel(step, sp, binds, ctx) {
 		return e.evalScopedStep(step, sp, preds, binds, ctx)
@@ -504,7 +505,7 @@ func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []l
 					}
 				}
 				var err error
-				g, err = e.filterPred(pred, b.scope, g, ctx)
+				g, err = e.filterPred(pred, b.scope, b.row == noRow && !positional, g, ctx)
 				if err != nil {
 					return nil, err
 				}
@@ -562,11 +563,13 @@ func (e *Engine) groupByTID(cands []int32) [][]int32 {
 // positional context. The filter compacts in place: the caller must own the
 // slice (both executors materialize borrowed slices before the pipeline).
 // Planned filters resolve for the whole frontier where they can: a
-// scope-only filter runs its tail once for every candidate, and unscoped
+// scope-only filter runs its tail once for every candidate, a one-step //
+// filter on a whole unscoped frontier (whole: every candidate of the
+// window, not one binding's) merges it against its posting, and unscoped
 // set-capable filters answer from satisfier sets when those are cheaper on
 // the frontier at hand (semijoin.go). WithoutBitmap and WithFilterPath(false)
-// evaluate every candidate forward.
-func (e *Engine) filterPred(pred lpath.Expr, scope int32, cands []int32, ctx *evalCtx) ([]int32, error) {
+// evaluate every candidate forward; WithFilterPath(true) takes the sets.
+func (e *Engine) filterPred(pred lpath.Expr, scope int32, whole bool, cands []int32, ctx *evalCtx) ([]int32, error) {
 	if len(cands) == 0 {
 		return cands, nil
 	}
@@ -579,6 +582,11 @@ func (e *Engine) filterPred(pred lpath.Expr, scope int32, cands []int32, ctx *ev
 			return e.filterScopeOnly(x, tail, neg, cands, ctx)
 		}
 		if scope == noRow {
+			if sj := ctx.semijoin(x); whole && e.filters == filterAuto && mergeable(sj) && ctx.setFor(x) == nil {
+				if out, ok, err := e.mergeFilter(sj, neg, cands, ctx); ok {
+					return out, err
+				}
+			}
 			if err := e.chooseSets(pred, len(cands), ctx); err != nil {
 				return nil, err
 			}

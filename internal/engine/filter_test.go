@@ -1,6 +1,14 @@
 package engine
 
-import "testing"
+import (
+	"context"
+	"slices"
+	"testing"
+
+	"lpath/internal/lpath"
+	"lpath/internal/planner"
+	"lpath/internal/relstore"
+)
 
 // TestSpanSetClearTouchesOnlyItsSpan pins the reset contract of the engine's
 // dense sets: clearing costs the span of indexes added since the last clear —
@@ -30,5 +38,41 @@ func TestSpanSetClearTouchesOnlyItsSpan(t *testing.T) {
 	}
 	if s.lo <= s.hi {
 		t.Errorf("cleared set keeps span [%d, %d)", s.lo, s.hi)
+	}
+}
+
+// TestMergeFilterOutOfOrder pins the merge's fallback: a whole frontier out
+// of (tid, left) order — the unary chains' NP rows, reversed — is answered
+// by the satisfier set, in frontier order, as forward evaluation answers it.
+func TestMergeFilterOutOfOrder(t *testing.T) {
+	s := relstore.Build(unaryCorpus(), relstore.SchemeInterval)
+	lo, hi, _ := s.NameRange("NP")
+	var cands []int32
+	for ri := hi - 1; ri >= lo; ri-- {
+		cands = append(cands, ri)
+	}
+	p := lpath.MustParse(`//NP[not(//NP)]`)
+	pred := p.Steps[0].Preds[0]
+	filter := func(opts ...Option) ([]int32, *planner.Actuals) {
+		e, err := New(s, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := e.acquire(context.Background(), e.Plan(p))
+		defer e.releaseCtx(ctx)
+		ctx.act = &planner.Actuals{Sides: map[*planner.StepPlan]string{}}
+		out, err := e.filterPred(pred, noRow, true, slices.Clone(cands), ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, ctx.act
+	}
+	got, act := filter()
+	want, _ := filter(WithFilterPath(false))
+	if !slices.Equal(got, want) || len(want) == 0 || len(want) == len(cands) {
+		t.Errorf("filtered %v, forward %v", got, want)
+	}
+	if run := act.Filters[pred.(*lpath.NotExpr).X]; run == nil || run.Path != "set" {
+		t.Errorf("filter ran %+v, want the set path", run)
 	}
 }

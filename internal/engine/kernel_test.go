@@ -57,6 +57,17 @@ var kernelQueries = []string{
 	`//NP/NP<-_`, `//Det<-_`, `//Det<-N`, `//N<-NP`,
 	`/NP/NP/NP/NP/NP/NP/N<-_`, `//_[@lex=I]<-_`,
 	`//S{//N<-_}`, `//N[<-Det]`, `//NP[->_]`, `//N[<--_]`,
+	// The sibling kernels: named and wildcard, over a scoped frontier, and
+	// from only children (the unary chains' N and inner NP), whose parent
+	// has no other child.
+	`//NP==>PP`, `//N<==Det`, `//_==>_`, `//_<==N`, `//VP{//NP==>PP}`,
+	`//S{//Det<==_}`, `//N==>_`, `//NP/NP<==_`,
+	// Filters merged against their posting: unary chains whose rows share
+	// a left edge, or-self, a wildcard, negated, after a kernel step, and
+	// a nested filter whose climb level is not in document order.
+	`//NP[//NP]`, `//NP[not(//NP)]`, `//NP[//N]`, `//S[//NP]`, `//NP[//_]`,
+	`//N[not(//_)]`, `//NP[/descendant-or-self::NP]`, `//NP/NP[not(//Det)]`,
+	`//S[//NP[//Det]/N]`, `//_[//NP[not(//N)]/_]`,
 }
 
 // nestedCorpus builds trees that stress laminar same-name nesting: an NP
@@ -142,7 +153,7 @@ func unaryCorpus() *tree.Corpus {
 var kernelAxes = []string{
 	"/", "=>", "//", "/descendant-or-self::",
 	"-->", "/following-or-self::", "<--", "/preceding-or-self::",
-	"->", "<-",
+	"->", "<-", "==>", "<==",
 }
 
 // kernelAxisQueries crosses every kernel axis with the step shapes the
@@ -288,17 +299,42 @@ func kernelEqualsProbeOrdered(t *testing.T, corpora []*tree.Corpus) {
 	}
 }
 
+// wideCorpus holds one tree too wide for the reach stamp's 16-bit edges:
+// an M after 70 000 leaves, then an N, and a second M in a narrow tree.
+func wideCorpus() *tree.Corpus {
+	wide := &tree.Node{Tag: "S"}
+	for range 70_000 {
+		wide.AddChild(&tree.Node{Tag: "N", Word: "x"})
+	}
+	wide.AddChild(&tree.Node{Tag: "M", Word: "m"})
+	wide.AddChild(&tree.Node{Tag: "N", Word: "y"})
+	narrow := &tree.Node{Tag: "S"}
+	narrow.AddChild(&tree.Node{Tag: "N", Word: "x"})
+	narrow.AddChild(&tree.Node{Tag: "M", Word: "m"})
+	c := tree.NewCorpus()
+	c.AddRoot(wide)
+	c.AddRoot(narrow)
+	return c
+}
+
 // TestKernelAxesMatchProbe holds every kernel axis, in every step shape the
 // kernel distinguishes, to the probe-only engine: the kernel-forced result
 // equals the probe result in order, in full and through stream windows with
-// limits 1 and 7, and Count equals the length of Select. The count() forms
-// pin the (row, scope) multiplicity a scoped subpath reports.
+// limits 1 and 7 and one short of the whole answer (a prefix crossing the
+// first window), and Count equals the length of Select. The count() forms
+// pin the (row, scope) multiplicity a scoped subpath reports. The wide
+// corpus sends the sibling kernels' too-wide edges back to the probes.
 func TestKernelAxesMatchProbe(t *testing.T) {
 	corpora := []*tree.Corpus{unaryCorpus(), nestedCorpus()}
 	for seed := int64(91); seed <= 94; seed++ {
 		corpora = append(corpora, randomCorpus(seed, 40))
 	}
-	queries := append(kernelAxisQueries(), kernelQueries...)
+	testKernelMatchesProbe(t, corpora, append(kernelAxisQueries(), kernelQueries...))
+	testKernelMatchesProbe(t, []*tree.Corpus{wideCorpus()}, []string{`//M==>N`, `//M<==N`, `//S{//M<==_}`, `//S/M==>_`})
+}
+
+func testKernelMatchesProbe(t *testing.T, corpora []*tree.Corpus, queries []string) {
+	t.Helper()
 	ctx := context.Background()
 	for ci, c := range corpora {
 		s := relstore.Build(c, relstore.SchemeInterval)
@@ -328,7 +364,7 @@ func TestKernelAxesMatchProbe(t *testing.T) {
 			if err != nil || n != len(got) {
 				t.Errorf("corpus %d %q: Count = %d, %v; Select has %d", ci, q, n, err, len(got))
 			}
-			for _, k := range []int{1, 7} {
+			for _, k := range []int{1, 7, max(len(want)-1, 1)} {
 				lim, err := kernel.EvalPlanLimitContext(ctx, p, kernel.Plan(p), k)
 				if err != nil {
 					t.Fatalf("corpus %d kernel %q limit %d: %v", ci, q, k, err)

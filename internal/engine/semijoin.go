@@ -265,12 +265,74 @@ func (e *Engine) semiSeeds(sj *planner.Semijoin, ctx *evalCtx) ([]int32, error) 
 	return e.filterAll(sj.SeedPreds, noRow, out, ctx)
 }
 
+// mergeable reports whether a filter is one // (or descendant-or-self) step
+// seeded from its name range with nothing else to test, which mergeFilter
+// answers.
+func mergeable(sj *planner.Semijoin) bool {
+	if sj == nil || sj.Seed != planner.SeedName || sj.Attr != "" || len(sj.SeedPreds) > 0 || len(sj.Head.Steps) != 1 {
+		return false
+	}
+	axis := sj.Head.Steps[0].Axis
+	return axis == lpath.AxisDescendant || axis == lpath.AxisDescendantOrSelf
+}
+
+// mergeFilter answers the mergeable filter [//B] — [not(//B)] when neg —
+// for a frontier in (tid, left) order by one merge against B's windowed
+// posting, which is (tid, left)-ordered too: no satisfier set, no positions.
+// Rows starting inside a's span after a.left are its proper descendants, and
+// the others starting there are its ancestors, itself or its descendants
+// (unary chains): a has a B below it iff the first B at or after
+// (a.tid, a.left), one sharing that B's left edge or the first starting
+// later is one. ok is false, and cands untouched, when the frontier is out
+// of order.
+func (e *Engine) mergeFilter(sj *planner.Semijoin, neg bool, cands []int32, ctx *evalCtx) (out []int32, ok bool, err error) {
+	cols := e.s.Cols()
+	tids, lefts, rights, depths := cols.TID, cols.Left, cols.Right, cols.Depth
+	for i := 1; i < len(cands); i++ {
+		if a, b := cands[i-1], cands[i]; tids[b] < tids[a] || tids[b] == tids[a] && lefts[b] < lefts[a] {
+			return nil, false, nil
+		}
+	}
+	posting := e.seedRange(sj, ctx)
+	if run := ctx.filterRun(sj.Expr); run != nil {
+		run.Path, run.Frontier, run.Seeds = "merge", run.Frontier+len(cands), len(posting)
+	}
+	self := int32(0) // the depth a descendant must exceed a's by
+	if sj.Head.Steps[0].Axis == lpath.AxisDescendantOrSelf {
+		self = -1
+	}
+	out, at := cands[:0], 0
+	for _, a := range cands {
+		if ctx.interrupted() {
+			return out, true, ctx.cerr
+		}
+		ta, la, ra := tids[a], lefts[a], rights[a]
+		if at < len(posting) && (tids[posting[at]] < ta || tids[posting[at]] == ta && lefts[posting[at]] < la) {
+			at = e.seekSpan(posting, at, ta, la)
+		}
+		hit := false
+		for k := at; k < len(posting); k++ {
+			b := posting[k]
+			if tids[b] != ta || lefts[b] >= ra {
+				break
+			}
+			if hit = rights[b] <= ra && depths[b]-depths[a] > self; hit || lefts[b] > lefts[posting[at]] {
+				break
+			}
+		}
+		if hit != neg {
+			out = append(out, a)
+		}
+	}
+	return out, true, nil
+}
+
 // filterAll runs a candidate list through a predicate pipeline under one
 // scope (noRow: unscoped). It owns cands: on error the buffer goes back to
 // the arena.
 func (e *Engine) filterAll(preds []lpath.Expr, scope int32, cands []int32, ctx *evalCtx) ([]int32, error) {
 	for _, pred := range preds {
-		out, err := e.filterPred(pred, scope, cands, ctx)
+		out, err := e.filterPred(pred, scope, true, cands, ctx)
 		if err != nil {
 			ctx.ar.putInts(cands)
 			return nil, err

@@ -42,6 +42,9 @@ func (e *Engine) Run(cctx context.Context, p *lpath.Path, plan *planner.Plan, s 
 		}
 		return Result{Matches: []Match{}}, nil
 	}
+	if n, ok := e.postingCount(p, plan); ok && s.Mode == ModeCount {
+		return Result{Count: n}, nil
+	}
 	workers := max(s.Workers, 1)
 	if s.Limit = max(s.Limit, 0); s.Mode != ModeSelect {
 		s.Limit, s.Yield = 0, nil
@@ -166,6 +169,25 @@ func (e *Engine) Run(cctx context.Context, p *lpath.Path, plan *planner.Plan, s 
 		return Result{Explain: plan.Render(ctx.act)}, nil
 	}
 	return res, nil
+}
+
+// postingCount answers a count of one unaligned //A or //_ step from the
+// root whose predicates are all vacuous: the length of its posting, the
+// whole store's for a run over every window. ok is false for any other
+// query.
+func (e *Engine) postingCount(p *lpath.Path, plan *planner.Plan) (n int, ok bool) {
+	if plan == nil || p.Scoped != nil || len(p.Steps) != 1 {
+		return 0, false
+	}
+	step := &p.Steps[0]
+	if sp := plan.Step(step); sp == nil || len(sp.Exec) > 0 || step.LeftAlign || step.RightAlign ||
+		step.Axis != lpath.AxisDescendant && step.Axis != lpath.AxisDescendantOrSelf {
+		return 0, false
+	}
+	if step.Wildcard() {
+		return e.s.ElementCount(), true
+	}
+	return e.s.NameCount(step.Test), true
 }
 
 // schedule is the window pool and its settled-prefix rule: workers

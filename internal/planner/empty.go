@@ -12,9 +12,10 @@ import (
 
 // Empty answers (docs/PLANNER.md): the set of names a step can match
 // propagates along the query through the store's tag-pair summary and the
-// node tests, and a set that becomes empty proves the query has no answer.
-// Every rule over-approximates: scopes and alignment only narrow, and an
-// axis the summary does not hold carries every name.
+// node tests, and a set that becomes empty proves the query has no answer,
+// or a predicate not(p) vacuous: true on every row of the step. Every rule
+// over-approximates: scopes and alignment only narrow, and an axis the
+// summary does not hold carries every name.
 
 // nameSet is a bitset over the store's name ids (relstore.Store.NameID);
 // nil is every name.
@@ -44,20 +45,20 @@ var pairAxes = map[lpath.Axis]struct {
 	lpath.AxisPrecedingSiblingOrSelf:    {relstore.PairFollowingSibling, true, true},
 }
 
-// proveEmpty returns why the query has no answer on the corpus, or "". A
-// query whose predicates may raise a runtime error gets no proof: evaluating
-// it could surface the error first.
-func (pl *Planner) proveEmpty(p *lpath.Path) string {
+// proveEmpty returns why the query has no answer on the corpus, or "", and
+// marks the plan's vacuous predicates. A query whose predicates may raise a
+// runtime error gets no proof: evaluating it could surface the error first.
+func (pl *Planner) proveEmpty(p *lpath.Path, plan *Plan) string {
 	if pl.s.Pairs() == nil || pathPredsCanError(p) {
 		return ""
 	}
-	return pl.emptyPath(p, nil, "", true)
+	return pl.emptyPath(p, nil, "", true, plan)
 }
 
 // emptyPath propagates the context's names s (ctx its node test) through the
-// path, a scoped tail continuing from its head, and returns why the path
-// ends on no name, or "".
-func (pl *Planner) emptyPath(p *lpath.Path, s nameSet, ctx string, root bool) string {
+// path, a scoped tail continuing from its head, marks the vacuous predicates
+// on the way and returns why the path ends on no name, or "".
+func (pl *Planner) emptyPath(p *lpath.Path, s nameSet, ctx string, root bool, plan *Plan) string {
 	tp, n := pl.s.Pairs(), len(pl.s.Parts().Names)
 	for q := p; q != nil; q = q.Scoped {
 		for i := range q.Steps {
@@ -89,8 +90,15 @@ func (pl *Planner) emptyPath(p *lpath.Path, s nameSet, ctx string, root bool) st
 				return fmt.Sprintf("no %s %s %s pair", ctx, axis, step.Test)
 			}
 			for _, pred := range step.Preds {
-				if why := pl.refutes(pred, out, step.Test); why != "" {
+				if why := pl.refutes(pred, out, step.Test, plan); why != "" {
 					return why
+				}
+				if why := pl.vacuous(pred, out, step.Test, plan); why != "" {
+					for _, ppd := range plan.steps[step].Preds {
+						if ppd.Expr == pred {
+							ppd.Vacuous = why
+						}
+					}
 				}
 			}
 			s, ctx, root = out, step.Test, false
@@ -102,14 +110,31 @@ func (pl *Planner) emptyPath(p *lpath.Path, s nameSet, ctx string, root bool) st
 // refutes returns why the predicate holds on none of the names s, or "": a
 // path predicate fails when its path is empty from all of s, and and/or
 // combine their sides; not, count, position and comparisons prove nothing.
-func (pl *Planner) refutes(x lpath.Expr, s nameSet, ctx string) string {
+func (pl *Planner) refutes(x lpath.Expr, s nameSet, ctx string, plan *Plan) string {
 	switch e := x.(type) {
 	case *lpath.PathExpr:
-		return pl.emptyPath(e.Path, s, ctx, false)
+		return pl.emptyPath(e.Path, s, ctx, false, plan)
 	case *lpath.AndExpr:
-		return cmp.Or(pl.refutes(e.L, s, ctx), pl.refutes(e.R, s, ctx))
+		return cmp.Or(pl.refutes(e.L, s, ctx, plan), pl.refutes(e.R, s, ctx, plan))
 	case *lpath.OrExpr:
-		if l, r := pl.refutes(e.L, s, ctx), pl.refutes(e.R, s, ctx); l != "" && r != "" {
+		if l, r := pl.refutes(e.L, s, ctx, plan), pl.refutes(e.R, s, ctx, plan); l != "" && r != "" {
+			return l + "; " + r
+		}
+	}
+	return ""
+}
+
+// vacuous returns why the predicate holds on every one of the names s, or
+// "": not(p) when p is refuted, p or q when either side is vacuous, p and q
+// when both are.
+func (pl *Planner) vacuous(x lpath.Expr, s nameSet, ctx string, plan *Plan) string {
+	switch e := x.(type) {
+	case *lpath.NotExpr:
+		return pl.refutes(e.X, s, ctx, plan)
+	case *lpath.OrExpr:
+		return cmp.Or(pl.vacuous(e.L, s, ctx, plan), pl.vacuous(e.R, s, ctx, plan))
+	case *lpath.AndExpr:
+		if l, r := pl.vacuous(e.L, s, ctx, plan), pl.vacuous(e.R, s, ctx, plan); l != "" && r != "" {
 			return l + "; " + r
 		}
 	}

@@ -158,24 +158,15 @@ type StepPlan struct {
 	// name rows a clustered scan of that subtree would touch). It replaces
 	// the engine's former hardcoded nodes-per-span constant of 2.
 	Bias float64
-	// Preds is the predicate pipeline in execution order; Reordered says
-	// the order differs from the written one.
-	Preds     []*PredPlan
-	Reordered bool
+	// Preds is the predicate pipeline in execution order, and Exec its
+	// expressions less the vacuous ones: what the engine evaluates.
+	Preds []*PredPlan
+	Exec  []lpath.Expr
 	// EstCand and EstOut estimate the candidates after the node test and
 	// the bindings surviving the predicates.
 	EstCand, EstOut float64
 	// cost is the modeled per-context row touches of executing the step.
 	cost float64
-}
-
-// PredExprs returns the predicate expressions in planned execution order.
-func (sp *StepPlan) PredExprs() []lpath.Expr {
-	out := make([]lpath.Expr, len(sp.Preds))
-	for i, pp := range sp.Preds {
-		out[i] = pp.Expr
-	}
-	return out
 }
 
 // PredPlan is one predicate conjunct with its cost-model annotations.
@@ -187,6 +178,9 @@ type PredPlan struct {
 	Cost float64
 	// Note is a short human-readable strategy annotation for EXPLAIN.
 	Note string
+	// Vacuous, when not "", says why the predicate holds on every row its
+	// step can bind (empty.go): the engine skips it.
+	Vacuous string
 	// Paths are the plans of the relative paths inside the expression, in
 	// visit order (used by EXPLAIN to render nested steps).
 	Paths []*PathPlan
@@ -245,7 +239,8 @@ type Actuals struct {
 // FilterRun is how an instrumented execution answered one filter: which
 // path ran and the sizes behind the choice. Path is "forward", "set",
 // "forward+set" (forward on early frontiers, then the set once the forward
-// work outgrew it) or "scope" (a scope-only filter run for whole frontiers);
+// work outgrew it), "merge" (a one-step // filter merged against its
+// posting) or "scope" (a scope-only filter run for whole frontiers);
 // Frontier counts the candidates filtered, Seeds the seed rows the choice
 // was made against, and Set the satisfier-set size once materialized.
 type FilterRun struct {
@@ -304,6 +299,9 @@ func (p *Plan) renderPred(b *strings.Builder, pred *PredPlan, a *Actuals, indent
 	}
 	if sj := p.semis[pred.Expr]; sj != nil {
 		fmt.Fprintf(b, "  semijoin (seed=%s ~%s rows, set ~%s)", sj.Seed, card(sj.EstSeed), card(sj.EstSet))
+	}
+	if pred.Vacuous != "" {
+		fmt.Fprintf(b, "  vacuous: %s", pred.Vacuous)
 	}
 	if a != nil {
 		renderRuns(b, pred.Expr, a)

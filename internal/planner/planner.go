@@ -75,8 +75,15 @@ func (pl *Planner) Plan(p *lpath.Path) *Plan {
 	}
 	plan.Root = pl.planPath(p, ectx{root: true, span: pl.treeSpan()}, 1, plan)
 	plan.EstMatches = plan.Root.EstOut
-	if plan.Empty = pl.proveEmpty(p); plan.Empty != "" {
+	if plan.Empty = pl.proveEmpty(p, plan); plan.Empty != "" {
 		plan.EstMatches = 0
+	}
+	for _, sp := range plan.steps {
+		for _, ppd := range sp.Preds {
+			if ppd.Vacuous == "" {
+				sp.Exec = append(sp.Exec, ppd.Expr)
+			}
+		}
 	}
 	return plan
 }
@@ -311,17 +318,9 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 		sel *= ppd.Sel
 	}
 	if !positional && len(sp.Preds) > 1 && !predsCanError(step.Preds) {
-		ordered := make([]*PredPlan, len(sp.Preds))
-		copy(ordered, sp.Preds)
-		sort.SliceStable(ordered, func(i, j int) bool {
-			return predRank(ordered[i]) < predRank(ordered[j])
+		sort.SliceStable(sp.Preds, func(i, j int) bool {
+			return predRank(sp.Preds[i]) < predRank(sp.Preds[j])
 		})
-		for i := range ordered {
-			if ordered[i] != sp.Preds[i] {
-				sp.Reordered = true
-			}
-		}
-		sp.Preds = ordered
 	}
 
 	sp.EstOut = sp.EstCand * sel
@@ -343,8 +342,8 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 // choice. A subtree-scope entry (entry set) takes a downward axis, whose
 // scopes lie on the candidate's parent chain. Any other step, unscoped or
 // over a scoped frontier, takes every axis whose Table 2 conjunction one
-// posting walk can test against a summary of the frontier: /, =>, //, -->,
-// <--, -> and <-, and the or-self forms. Neither takes positional
+// posting walk can test against a summary of the frontier: /, =>, ==>, <==,
+// //, -->, <--, -> and <-, and the or-self forms. Neither takes positional
 // predicates: the kernels emit bindings in posting order, not per-context
 // document order.
 func BitmapStep(step *lpath.Step, entry bool) bool {
@@ -354,7 +353,7 @@ func BitmapStep(step *lpath.Step, entry bool) bool {
 	switch step.Axis {
 	case lpath.AxisChild, lpath.AxisDescendant, lpath.AxisDescendantOrSelf:
 		return true
-	case lpath.AxisImmediateFollowingSibling,
+	case lpath.AxisImmediateFollowingSibling, lpath.AxisFollowingSibling, lpath.AxisPrecedingSibling,
 		lpath.AxisFollowing, lpath.AxisFollowingOrSelf,
 		lpath.AxisPreceding, lpath.AxisPrecedingOrSelf,
 		lpath.AxisImmediateFollowing, lpath.AxisImmediatePreceding:

@@ -174,20 +174,21 @@ func TestScopeFilterCountsScopes(t *testing.T) {
 	}
 }
 
-// TestFilterPathChoice pins the run-time forward/set decision through EXPLAIN
-// actuals at scale 0.05: Q9 and Q10 filter every NP, and their satisfier sets
-// are built from a few thousand seeds, so the set answers them;
-// //PP-DIR[//NN] filters a handful of candidates, for which a set seeded from
-// every NN would cost a thousand times the forward probes. (//WHPP[//NN], the
-// first such query here, is proved empty by the tag-pair summary at this
-// scale and so never reaches the filter.)
+// TestFilterPathChoice pins the run-time filter path through EXPLAIN
+// actuals at scale 0.05. Q9's one-step [not(//JJ)] filters the whole NP name
+// range, so it merges against the JJ posting, as does //PP-DIR[//NN]'s
+// handful of candidates. The multi-step filters keep the forward/set
+// decision: Q10 filters every NP, and its satisfier set is built from a few
+// thousand seeds, so the set answers it; //PP-DIR[//NP/NN] filters a
+// handful of candidates, for which a set seeded from every NN would cost a
+// thousand times the forward probes.
 func TestFilterPathChoice(t *testing.T) {
 	base, _ := filterCorpus(t)
 	for _, tc := range []struct{ query, filter, path string }{
-		{EvalQueries()[8].Text, "where [not(//JJ)]", "[set "},
+		{EvalQueries()[8].Text, "where [not(//JJ)]", "[merge "},
+		{"//PP-DIR[//NN]", "where [//NN]", "[merge "},
 		{EvalQueries()[9].Text, "where [->PP[//IN[@lex=of]]=>VP]", "[set "},
-		{"//PP-DIR[//NN]", "where [//NN]", "[forward "},
-		{"//RRC[//NN]", "where [//NN]", "[forward "},
+		{"//PP-DIR[//NP/NN]", "where [//NP/NN]", "[forward "},
 	} {
 		out, err := base.ExplainText(tc.query)
 		if err != nil {
