@@ -1,6 +1,7 @@
 package lpath
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -37,11 +38,12 @@ var bitmapAllocBudgets = map[int]int{
 var semijoinAttr = strings.Repeat("lex", 12)
 
 // TestStepEvaluationAllocBudget pins the steady-state allocation behavior of
-// the executors across the full 23-query evaluation matrix: with a warm plan
-// cache and grown scratch arenas, evaluation must not allocate per binding or
-// per row. Before the columnar merge executor and the arena-pooled evaluation
-// context, one warm CountText of Q10 allocated ~58k objects; today the probe
-// and kernel pipelines hold nearly every query to double-digit allocations.
+// the executors across the full 23-query evaluation matrix: with each query
+// compiled and planned once, outside the measurement, and grown scratch
+// arenas, evaluation must not allocate per binding or per row. Before the
+// columnar merge executor and the arena-pooled evaluation context, one warm
+// CountText of Q10 allocated ~58k objects; today the probe and kernel
+// pipelines hold nearly every query to double-digit allocations.
 func TestStepEvaluationAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget needs a non-trivial corpus")
@@ -56,14 +58,13 @@ func TestStepEvaluationAllocBudget(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
-			opts := append([]Option{WithPlanCache(0)}, cfg.opts...)
-			c, err := GenerateCorpus("wsj", 0.01, 42, opts...)
+			c, err := GenerateCorpus("wsj", 0.01, 42, cfg.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check := func(name string, budget int, run func() error) {
 				t.Run(name, func(t *testing.T) {
-					if err := run(); err != nil { // warm: compile, cache, size arenas, build trees
+					if err := run(); err != nil { // warm: size arenas, build trees
 						t.Fatal(err)
 					}
 					allocs := testing.AllocsPerRun(20, func() {
@@ -77,29 +78,35 @@ func TestStepEvaluationAllocBudget(t *testing.T) {
 					}
 				})
 			}
-			countText := func(c *Corpus, text string) func() error {
-				return func() error { _, err := c.CountText(text); return err }
+			// evaluate compiles and plans req once and returns one evaluation
+			// of that plan: c.eng.Run alone is what the budgets measure.
+			evaluate := func(c *Corpus, req Request) func() error {
+				path, plan, err := c.resolve(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return func() error {
+					_, err := c.eng.Run(context.Background(), path, plan, c.spec(req))
+					return err
+				}
 			}
 			for _, eq := range EvalQueries() {
 				budget, ok := cfg.budgets[eq.ID]
 				if !ok {
 					t.Fatalf("Q%d: no allocation budget defined", eq.ID)
 				}
-				check(fmt.Sprintf("Q%d", eq.ID), budget, countText(c, eq.Text))
+				check(fmt.Sprintf("Q%d", eq.ID), budget, evaluate(c, Request{Text: eq.Text, Mode: ModeCount}))
 			}
 			// The main-path kernel steps under the limit stream, which runs
 			// them window by window on small frontiers: the run-time choice
 			// and the windowed posting walk must not allocate per window.
 			for _, id := range []int{18, 22} {
-				q := MustCompile(EvalQueries()[id-1].Text)
-				check(fmt.Sprintf("Q%d-limit10", id), cfg.budgets[id], func() error {
-					_, err := c.SelectLimit(q, 10)
-					return err
-				})
+				req := Request{Text: EvalQueries()[id-1].Text, Limit: 10}
+				check(fmt.Sprintf("Q%d-limit10", id), cfg.budgets[id], evaluate(c, req))
 			}
 			// A corpus of its own: the extra attribute rows must not shift the
 			// statistics the 23 budgets above were measured under.
-			sc, err := GenerateCorpus("wsj", 0.01, 42, opts...)
+			sc, err := GenerateCorpus("wsj", 0.01, 42, cfg.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +117,7 @@ func TestStepEvaluationAllocBudget(t *testing.T) {
 					}
 				}
 			}
-			check("semijoin-attr", 64, countText(sc, "//NP[/DT@"+semijoinAttr+"!=the]"))
+			check("semijoin-attr", 64, evaluate(sc, Request{Text: "//NP[/DT@" + semijoinAttr + "!=the]", Mode: ModeCount}))
 		})
 	}
 }
@@ -135,7 +142,7 @@ func TestFilterPathAllocBudget(t *testing.T) {
 		{"sets", []Option{withFilterSets()}},
 		{"forward", []Option{withFiltersForward()}},
 	} {
-		c, err := GenerateCorpus("wsj", 0.01, 42, append([]Option{WithPlanCache(0)}, cfg.opts...)...)
+		c, err := GenerateCorpus("wsj", 0.01, 42, cfg.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -383,31 +383,6 @@ func BenchmarkParallelSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanCache measures the compiled-plan cache against cold
-// compilation for a hot query text.
-func BenchmarkPlanCache(b *testing.B) {
-	const text = `//VP[{//^VB->NP->PP$}]`
-	b.Run("ColdCompile", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Compile(text); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("CachedResolve", func(b *testing.B) {
-		c := NewCorpus(WithPlanCache(64))
-		if _, _, err := c.resolve(Request{Text: text}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := c.resolve(Request{Text: text}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // axisTemplates are the ten serve_distinct query templates of benchmark/, one
 // per axis shape, each filled with two node tests.
 var axisTemplates = []struct{ name, text string }{

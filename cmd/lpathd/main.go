@@ -69,7 +69,6 @@ func main() {
 		cacheBytes  = flag.Int64("result-cache-bytes", 64<<20, "result cache byte bound (negative: unbounded)")
 		defLimit    = flag.Int("default-limit", 100, "default /v1/query match-list cap")
 		maxLimit    = flag.Int("max-limit", 10000, "upper clamp on request-supplied limits")
-		planCache   = flag.Int("plan-cache", 128, "per-corpus compiled-plan cache capacity")
 		quiet       = flag.Bool("quiet", false, "disable per-request logging")
 	)
 	flag.Parse()
@@ -77,7 +76,6 @@ func main() {
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 
 	reg := server.NewRegistry()
-	opts := func() []lpath.Option { return []lpath.Option{lpath.WithPlanCache(*planCache)} }
 	// Both -corpus and -index route through the registry's sniffing loader:
 	// snapshot files (by magic, any extension) are memory-mapped, everything
 	// else parses as Penn text, so either flag accepts either format.
@@ -91,7 +89,7 @@ func main() {
 			}
 		}
 		start := time.Now()
-		e, format, err := reg.LoadFile(name, path, opts()...)
+		e, format, err := reg.LoadFile(name, path)
 		if err != nil {
 			fatal(err)
 		}
@@ -107,7 +105,7 @@ func main() {
 		loadFile(spec)
 	}
 	if *gen != "" {
-		c, err := lpath.GenerateCorpus(*gen, *scale, *seed, opts()...)
+		c, err := lpath.GenerateCorpus(*gen, *scale, *seed)
 		if err != nil {
 			fatal(err)
 		}

@@ -68,8 +68,8 @@ const (
 // Engine evaluates LPath queries against an interval-labeled store.
 type Engine struct {
 	s *relstore.Store
-	// pl is the cost-based planner over the store's statistics snapshot;
-	// Eval plans each query through it unless noPlanner is set.
+	// pl is the cost-based planner over the store's own catalog; Plan plans
+	// each query through it unless noPlanner is set.
 	pl *planner.Planner
 	// disableValueIndex turns off the value-index access path; used by the
 	// ablation benchmarks.
@@ -781,29 +781,33 @@ func (e *Engine) initValueDriver(vd *valueDriver, step *lpath.Step, sp *planner.
 // candidates materializes (once) the element rows carrying the driving
 // attribute value and satisfying the node test.
 func (vd *valueDriver) candidates(e *Engine, ctx *evalCtx) []int32 {
-	if vd.rowsSet {
-		return vd.rows
+	if !vd.rowsSet {
+		vd.rowsSet = true
+		vd.rows = e.valueRows(ctx.ar.getInts(), vd.value, vd.attr, vd.step, ctx)
 	}
-	vd.rowsSet = true
-	postings := e.s.ByValue(vd.value)
-	cands := ctx.ar.getInts()
+	return vd.rows
+}
+
+// valueRows appends to dst the window's element rows that carry value in
+// attribute attr (named without its '@') and satisfy step's node test, in
+// posting order, and returns dst.
+func (e *Engine) valueRows(dst []int32, value, attr string, step *lpath.Step, ctx *evalCtx) []int32 {
 	cols := e.s.Cols()
-	alo, ahi := e.s.AttrRange(vd.attr)
-	nlo, nhi, _ := e.s.NameRange(vd.step.Test)
-	for _, pi := range postings {
+	alo, ahi := e.s.AttrRange(attr)
+	nlo, nhi, _ := e.s.NameRange(step.Test)
+	for _, pi := range e.s.ByValue(value) {
 		// Posting lists are grouped by attribute name, not tid-sorted, so the
 		// streaming window filters linearly (they are small by the cost gate).
 		if pi < alo || pi >= ahi || !ctx.inWindow(cols.TID[pi]) {
 			continue
 		}
 		ei, ok := e.s.ElementByID(cols.TID[pi], cols.ID[pi])
-		if !ok || (!vd.step.Wildcard() && (ei < nlo || ei >= nhi)) {
+		if !ok || (!step.Wildcard() && (ei < nlo || ei >= nhi)) {
 			continue
 		}
-		cands = append(cands, ei)
+		dst = append(dst, ei)
 	}
-	vd.rows = cands
-	return cands
+	return dst
 }
 
 // filterByAxis appends to dst the candidates satisfying the axis relation to

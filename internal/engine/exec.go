@@ -8,11 +8,12 @@ import (
 )
 
 // Plan-directed execution state. An evalCtx travels through one evaluation
-// (one Eval/Count/Explain call): it carries the cost-based plan the steps
-// consult, the per-filter state (satisfier sets), and — for EXPLAIN — the
-// actual-cardinality counters. A nil plan (or a nil field lookup) means the
-// engine's default strategy, which is exactly the pre-planner behavior; the
-// differential tests and fuzzers hold the two result-identical.
+// (a serial Run, or one worker of a parallel one): it carries the cost-based
+// plan the steps consult, the per-filter state (satisfier sets), and — for
+// EXPLAIN — the actual-cardinality counters. A nil plan (or a nil field
+// lookup) means the engine's default strategy, which is exactly the
+// pre-planner behavior; the differential tests and fuzzers hold the two
+// result-identical.
 
 type evalCtx struct {
 	plan *planner.Plan

@@ -123,21 +123,7 @@ func (e *Engine) seedCount(sj *planner.Semijoin, ctx *evalCtx) int {
 	if sj.Seed == planner.SeedValue {
 		return len(e.s.ByValue(sj.SeedValue))
 	}
-	return len(e.seedRange(sj, ctx))
-}
-
-// seedRange is the final step's clustered name range (the document-order
-// element index for a wildcard) narrowed to the window; borrowed from the
-// store.
-func (e *Engine) seedRange(sj *planner.Semijoin, ctx *evalCtx) []int32 {
-	last := &sj.Head.Steps[len(sj.Head.Steps)-1]
-	if last.Wildcard() {
-		return e.narrowToWindow(e.s.ElementsByLeft(), ctx)
-	}
-	if lo, hi, ok := e.s.NameRange(last.Test); ok {
-		return e.narrowToWindow(e.s.RowSeq()[lo:hi], ctx)
-	}
-	return nil
+	return len(e.stepPosting(&sj.Head.Steps[len(sj.Head.Steps)-1], ctx))
 }
 
 // buildSatisfiers computes the rows from which the filter path has at least
@@ -237,32 +223,23 @@ func (e *Engine) buildSatisfiers(sj *planner.Semijoin, ctx *evalCtx) (*spanSet, 
 func (e *Engine) semiSeeds(sj *planner.Semijoin, ctx *evalCtx) ([]int32, error) {
 	last := &sj.Head.Steps[len(sj.Head.Steps)-1]
 	out := ctx.ar.getInts()
+	var rows []int32
 	if sj.Seed == planner.SeedValue {
 		// The posting list already enforces one @attr=value equality, which
-		// SeedPreds leaves out, like the forward value driver does.
-		cols := e.s.Cols()
-		alo, ahi, _ := e.s.NameRange(sj.SeedAttr)
-		nlo, nhi, _ := e.s.NameRange(last.Test)
-		for _, pi := range e.s.ByValue(sj.SeedValue) {
-			// Posting lists are grouped by attribute name, not tid-sorted,
-			// so the streaming tid window filters linearly.
-			if pi < alo || pi >= ahi || !ctx.inWindow(cols.TID[pi]) {
-				continue
-			}
-			ei, ok := e.s.ElementByID(cols.TID[pi], cols.ID[pi])
-			if !ok || (!last.Wildcard() && (ei < nlo || ei >= nhi)) || !e.semiAttrOK(sj, ei) {
-				continue
-			}
-			out = append(out, ei)
-		}
+		// SeedPreds leaves out, like the forward value driver does. The
+		// attribute test below then filters out in place.
+		out = e.valueRows(out, sj.SeedValue, sj.SeedAttr[1:], last, ctx)
+		rows = out
 	} else {
-		for _, ci := range e.seedRange(sj, ctx) {
-			if e.semiAttrOK(sj, ci) {
-				out = append(out, ci)
-			}
+		rows = e.stepPosting(last, ctx)
+	}
+	kept := out[:0]
+	for _, ci := range rows {
+		if e.semiAttrOK(sj, ci) {
+			kept = append(kept, ci)
 		}
 	}
-	return e.filterAll(sj.SeedPreds, noRow, out, ctx)
+	return e.filterAll(sj.SeedPreds, noRow, kept, ctx)
 }
 
 // mergeable reports whether a filter is one // (or descendant-or-self) step
@@ -293,7 +270,7 @@ func (e *Engine) mergeFilter(sj *planner.Semijoin, neg bool, cands []int32, ctx 
 			return nil, false, nil
 		}
 	}
-	posting := e.seedRange(sj, ctx)
+	posting := e.stepPosting(&sj.Head.Steps[0], ctx)
 	if run := ctx.filterRun(sj.Expr); run != nil {
 		run.Path, run.Frontier, run.Seeds = "merge", run.Frontier+len(cands), len(posting)
 	}

@@ -46,8 +46,9 @@ var pairAxes = map[lpath.Axis]struct {
 }
 
 // proveEmpty returns why the query has no answer on the corpus, or "", and
-// marks the plan's vacuous predicates. A query whose predicates may raise a
-// runtime error gets no proof: evaluating it could surface the error first.
+// records the vacuous predicates in plan.vacuous for the planning that
+// follows. A query whose predicates may raise a runtime error gets no proof:
+// evaluating it could surface the error first.
 func (pl *Planner) proveEmpty(p *lpath.Path, plan *Plan) string {
 	if pl.s.Pairs() == nil || pathPredsCanError(p) {
 		return ""
@@ -56,8 +57,8 @@ func (pl *Planner) proveEmpty(p *lpath.Path, plan *Plan) string {
 }
 
 // emptyPath propagates the context's names s (ctx its node test) through the
-// path, a scoped tail continuing from its head, marks the vacuous predicates
-// on the way and returns why the path ends on no name, or "".
+// path, a scoped tail continuing from its head, records the vacuous
+// predicates on the way and returns why the path ends on no name, or "".
 func (pl *Planner) emptyPath(p *lpath.Path, s nameSet, ctx string, root bool, plan *Plan) string {
 	tp, n := pl.s.Pairs(), len(pl.s.Parts().Names)
 	for q := p; q != nil; q = q.Scoped {
@@ -94,11 +95,7 @@ func (pl *Planner) emptyPath(p *lpath.Path, s nameSet, ctx string, root bool, pl
 					return why
 				}
 				if why := pl.vacuous(pred, out, step.Test, plan); why != "" {
-					for _, ppd := range plan.steps[step].Preds {
-						if ppd.Expr == pred {
-							ppd.Vacuous = why
-						}
-					}
+					plan.vacuous[pred] = why
 				}
 			}
 			s, ctx, root = out, step.Test, false

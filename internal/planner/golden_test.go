@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lpath"
@@ -79,4 +80,28 @@ func TestGoldenPlansFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenPlans(t, c, false)
+}
+
+// TestVacuousPredicateEstimates: a predicate the tag-pair summary proves
+// vacuous keeps every row at no cost, so its step, and the query, estimate
+// exactly the head's name count — 777 IN rows on this corpus, none of which
+// has an NP below it.
+func TestVacuousPredicateEstimates(t *testing.T) {
+	c, err := lpath.GenerateCorpus("wsj", 0.01, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.ExplainText(`//IN[not(//NP)]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"1. //IN  [name-scan]  est=777 actual=777\n",
+		"where [not(//NP)]  sel=1 cost=0  vacuous: no IN // NP pair",
+		"estimated matches: 777   actual: 777\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("EXPLAIN lacks %q:\n%s", want, got)
+		}
+	}
 }

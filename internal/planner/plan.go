@@ -97,6 +97,10 @@ type Plan struct {
 
 	steps map[*lpath.Step]*StepPlan
 	semis map[lpath.Expr]*Semijoin
+	// vacuous holds why each predicate proveEmpty proved vacuous, before the
+	// steps are planned: planStep estimates such a predicate as keeping every
+	// row at no cost.
+	vacuous map[lpath.Expr]string
 }
 
 // Step returns the plan of an AST step, or nil when the step was not

@@ -70,20 +70,15 @@ type ectx struct {
 // strategy and are annotated as such.
 func (pl *Planner) Plan(p *lpath.Path) *Plan {
 	plan := &Plan{
-		steps: make(map[*lpath.Step]*StepPlan),
-		semis: make(map[lpath.Expr]*Semijoin),
+		steps:   make(map[*lpath.Step]*StepPlan),
+		semis:   make(map[lpath.Expr]*Semijoin),
+		vacuous: make(map[lpath.Expr]string),
 	}
+	plan.Empty = pl.proveEmpty(p, plan)
 	plan.Root = pl.planPath(p, ectx{root: true, span: pl.treeSpan()}, 1, plan)
 	plan.EstMatches = plan.Root.EstOut
-	if plan.Empty = pl.proveEmpty(p, plan); plan.Empty != "" {
+	if plan.Empty != "" {
 		plan.EstMatches = 0
-	}
-	for _, sp := range plan.steps {
-		for _, ppd := range sp.Preds {
-			if ppd.Vacuous == "" {
-				sp.Exec = append(sp.Exec, ppd.Expr)
-			}
-		}
 	}
 	return plan
 }
@@ -305,7 +300,8 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 	}
 
 	// Predicates: estimate each conjunct, then order the commutative ones
-	// cheapest-effective-first (rank = cost / (1 - selectivity)).
+	// cheapest-effective-first (rank = cost / (1 - selectivity)). A vacuous
+	// one keeps every row and is never evaluated.
 	pctx := ectx{test: step.Test, span: pl.spanOf(step.Test)}
 	sel := 1.0
 	for _, pred := range step.Preds {
@@ -314,6 +310,9 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 			ppd.Cost = 0
 			ppd.Note = "satisfied by value probe"
 		}
+		if why := plan.vacuous[pred]; why != "" {
+			ppd.Sel, ppd.Cost, ppd.Vacuous = 1, 0, why
+		}
 		sp.Preds = append(sp.Preds, ppd)
 		sel *= ppd.Sel
 	}
@@ -321,6 +320,11 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 		sort.SliceStable(sp.Preds, func(i, j int) bool {
 			return predRank(sp.Preds[i]) < predRank(sp.Preds[j])
 		})
+	}
+	for _, ppd := range sp.Preds {
+		if ppd.Vacuous == "" {
+			sp.Exec = append(sp.Exec, ppd.Expr)
+		}
 	}
 
 	sp.EstOut = sp.EstCand * sel

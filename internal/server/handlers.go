@@ -354,7 +354,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the Prometheus text exposition: request metrics plus
-// admission, result-cache and per-corpus plan-cache gauges.
+// admission and result-cache gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WritePrometheus(w,
@@ -386,16 +386,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "# HELP lpathd_result_cache_bytes Estimated resident bytes of cached results.\n")
 			fmt.Fprintf(w, "# TYPE lpathd_result_cache_bytes gauge\n")
 			fmt.Fprintf(w, "lpathd_result_cache_bytes %d\n", st.Bytes)
-		},
-		func(w io.Writer) {
-			fmt.Fprintf(w, "# HELP lpathd_plan_cache Plan cache counters, by corpus.\n")
-			fmt.Fprintf(w, "# TYPE lpathd_plan_cache counter\n")
-			for _, e := range s.registry.Entries() {
-				st := e.Corpus.PlanCacheStats()
-				fmt.Fprintf(w, "lpathd_plan_cache{corpus=%q,event=\"hit\"} %d\n", e.Name, st.Hits)
-				fmt.Fprintf(w, "lpathd_plan_cache{corpus=%q,event=\"miss\"} %d\n", e.Name, st.Misses)
-				fmt.Fprintf(w, "lpathd_plan_cache{corpus=%q,event=\"eviction\"} %d\n", e.Name, st.Evictions)
-			}
 		},
 	)
 }

@@ -75,7 +75,7 @@ func (r *Registry) Set(name string, c *lpath.Corpus) (*Entry, error) {
 // arrays instead of re-parsing and re-indexing — and anything else is parsed
 // as Penn-bracketed text. It returns the entry and the detected format
 // ("snapshot" or "text").
-func (r *Registry) LoadFile(name, path string, opts ...lpath.Option) (*Entry, string, error) {
+func (r *Registry) LoadFile(name, path string) (*Entry, string, error) {
 	snap, err := snapshot.SniffFile(path)
 	if err != nil {
 		return nil, "", fmt.Errorf("server: loading corpus %q: %w", name, err)
@@ -84,9 +84,9 @@ func (r *Registry) LoadFile(name, path string, opts ...lpath.Option) (*Entry, st
 	format := "text"
 	if snap {
 		format = "snapshot"
-		c, err = lpath.OpenStore(path, opts...)
+		c, err = lpath.OpenStore(path)
 	} else {
-		c, err = lpath.OpenCorpus(path, opts...)
+		c, err = lpath.OpenCorpus(path)
 	}
 	if err != nil {
 		return nil, "", fmt.Errorf("server: loading corpus %q: %w", name, err)

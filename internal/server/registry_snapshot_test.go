@@ -36,14 +36,14 @@ func TestRegistryLoadFileSnapshot(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	snapEntry, format, err := reg.LoadFile("snap", snapPath, lpath.WithPlanCache(32))
+	snapEntry, format, err := reg.LoadFile("snap", snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if format != "snapshot" {
 		t.Fatalf("snapshot file detected as %q", format)
 	}
-	textEntry, format, err := reg.LoadFile("text", textPath, lpath.WithPlanCache(32))
+	textEntry, format, err := reg.LoadFile("text", textPath)
 	if err != nil {
 		t.Fatal(err)
 	}

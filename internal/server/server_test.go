@@ -20,7 +20,7 @@ import (
 // lpathd registers them.
 func testCorpus(t testing.TB) *lpath.Corpus {
 	t.Helper()
-	c, err := lpath.GenerateCorpus("wsj", 0.005, 11, lpath.WithPlanCache(32))
+	c, err := lpath.GenerateCorpus("wsj", 0.005, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestDeadlineYields504(t *testing.T) {
 	// Force the per-binding probe executor: its nested existential probes
 	// make this query run far past the deadline, with a cancellation
 	// checkpoint on every binding.
-	c, err := lpath.GenerateCorpus("wsj", 0.02, 7, lpath.WithPlanCache(32), lpath.WithoutPlanner())
+	c, err := lpath.GenerateCorpus("wsj", 0.02, 7, lpath.WithoutPlanner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lpathd_request_duration_seconds_count{endpoint="query"} 2`,
 		`lpathd_result_cache{event="hit"} 1`,
 		`lpathd_admission_total{outcome="admitted"}`,
-		`lpathd_plan_cache{corpus="wsj",event="miss"}`,
 		`lpathd_query_results_total{limit_hit=`,
 		`lpathd_in_flight{endpoint="query"} 0`,
 	} {
@@ -297,8 +296,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics output lacks %q", want)
 		}
 	}
-	if strings.Contains(body, "lpathd_batch") {
-		t.Errorf("metrics output still exports a retired request-batching series")
+	for _, retired := range []string{"lpathd_batch", "lpathd_plan_cache"} {
+		if strings.Contains(body, retired) {
+			t.Errorf("metrics output still exports the retired %s series", retired)
+		}
 	}
 }
 

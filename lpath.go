@@ -11,9 +11,9 @@
 //	n, _ := c.Count(q)
 //
 // Select and Count are shorthands for the one request path, Corpus.Run: a
-// Request names the query (compiled, or raw text resolved through the plan
-// cache), the mode (matches, count, EXPLAIN), an optional limit, and whether
-// to run tid windows of the corpus in parallel.
+// Request names the query (compiled, or raw text compiled on the call), the
+// mode (matches, count, EXPLAIN), an optional limit, and whether to run tid
+// windows of the corpus in parallel.
 //
 // Queries support the full LPath language: the XPath vertical axes, the
 // horizontal axes -> --> <- <-- => ==> <= <==, subtree scoping with braces,
@@ -122,12 +122,6 @@ type Corpus struct {
 	// workers bounds the worker pool of Parallel requests.
 	workers int
 
-	// planCache memoizes query text → compiled plan for Request.Text.
-	planCache *engine.PlanCache
-
-	// gen counts store rebuilds; cached executable plans are keyed to it so
-	// a rebuilt corpus (new statistics) invalidates plans but not ASTs.
-	gen uint64
 	// closer releases the backing resources of a snapshot-loaded corpus
 	// (the mmap of OpenStore); see Close.
 	closer func() error
@@ -180,12 +174,10 @@ func withBitmapAlways() Option { return engineOption(engine.WithBitmapAlways()) 
 func withFilterSets() Option     { return engineOption(engine.WithFilterPath(true)) }
 func withFiltersForward() Option { return engineOption(engine.WithFilterPath(false)) }
 
-// WithPlanCache enables the compiled-plan cache that Request.Text resolves
-// through, holding at most capacity plans under LRU eviction (capacity < 1
-// selects the default, engine.DefaultPlanCacheSize = 128).
-func WithPlanCache(capacity int) Option {
-	return func(c *Corpus) { c.planCache = engine.NewPlanCache(capacity) }
-}
+// WithPlanCache is a no-op: there is no plan cache, and Request.Text compiles
+// and plans on every call. The option remains only because the benchmark
+// harness (benchmark/serve.go) still calls it.
+func WithPlanCache(int) Option { return func(*Corpus) {} }
 
 // Configure applies options to an existing corpus. It is not safe to call
 // concurrently with queries.
@@ -412,7 +404,6 @@ func (c *Corpus) Build() error {
 	c.eng = eng
 	c.oracle = nil
 	c.dirty = false
-	c.gen++ // new statistics: cached executable plans are stale
 	return nil
 }
 
@@ -452,8 +443,7 @@ const (
 	// ModeExplain plans the query against the corpus statistics, executes the
 	// plan with cardinality counters, and returns the EXPLAIN report: per
 	// step, the chosen access path and the estimated vs actual rows (see
-	// docs/PLANNER.md for the format). The counters are fresh on every run — a
-	// cached plan never reports a prior execution's actuals.
+	// docs/PLANNER.md for the format). The counters are fresh on every run.
 	ModeExplain = engine.ModeExplain
 )
 
@@ -463,11 +453,7 @@ const (
 type Request struct {
 	// Query is the compiled query. When nil, Text is compiled instead.
 	Query *Query
-	// Text is raw query text, resolved through the corpus's plan cache (see
-	// WithPlanCache) — the repeated-traffic spelling: a hot text pays parse +
-	// validate + cost-based planning once per store build, and each repeat
-	// executes the cached plan directly, serial or Parallel. Without a
-	// configured cache the text is compiled on every call.
+	// Text is raw query text, compiled and planned on every call.
 	Text string
 	// Mode selects matches, a count, or an EXPLAIN report.
 	Mode Mode
@@ -494,8 +480,8 @@ type Request struct {
 type Result = engine.Result
 
 // resolve is the front half of every evaluation: build the index, resolve
-// the query — a compiled Query as is, Text through the plan cache — and plan
-// it, once.
+// the query — a compiled Query as is, Text by compiling it — and plan it,
+// once.
 func (c *Corpus) resolve(req Request) (*ast.Path, *planner.Plan, error) {
 	if req.Mode < ModeSelect || req.Mode > ModeExplain {
 		return nil, nil, fmt.Errorf("lpath: unknown request mode %d", req.Mode)
@@ -504,12 +490,9 @@ func (c *Corpus) resolve(req Request) (*ast.Path, *planner.Plan, error) {
 		return nil, nil, err
 	}
 	var path *ast.Path
-	switch {
-	case req.Query != nil:
+	if req.Query != nil {
 		path = req.Query.path
-	case c.planCache != nil:
-		return c.planCache.GetOrPlan(req.Text, c.gen, compilePath, c.eng.Plan)
-	default:
+	} else {
 		var err error
 		if path, err = compilePath(req.Text); err != nil {
 			return nil, nil, err
@@ -640,8 +623,7 @@ func (c *Corpus) Explain(q *Query) (string, error) {
 	return res.Explain, err
 }
 
-// ExplainText is Explain on raw query text (Request.Text): the report
-// renders the cached executable plan a repeated text will actually run.
+// ExplainText is Explain on raw query text (Request.Text).
 func (c *Corpus) ExplainText(text string) (string, error) {
 	res, err := c.Run(context.Background(), Request{Text: text, Mode: ModeExplain})
 	return res.Explain, err
@@ -661,17 +643,17 @@ func (c *Corpus) SelectBatchStats(ctx context.Context, qs []*Query) ([][]Match, 
 	return out, errs, engine.BatchStats{}
 }
 
-// CacheStats reports plan-cache effectiveness; see Corpus.PlanCacheStats.
-type CacheStats = engine.CacheStats
-
-// PlanCacheStats returns the plan cache's hit/miss/eviction counters, or a
-// zero snapshot when no cache is configured.
-func (c *Corpus) PlanCacheStats() CacheStats {
-	if c.planCache == nil {
-		return CacheStats{}
-	}
-	return c.planCache.Stats()
+// CacheStats is the counter triple PlanCacheStats returns.
+type CacheStats struct {
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
 }
+
+// PlanCacheStats returns zero counters: there is no plan cache (see
+// WithPlanCache). The method remains only because the benchmark harness
+// (benchmark/serve.go) still calls it.
+func (c *Corpus) PlanCacheStats() CacheStats { return CacheStats{} }
 
 // SelectOracle evaluates the query with the reference tree-walking
 // evaluator. It is slow and exists to cross-check Select.

@@ -74,13 +74,12 @@ func TestSelectBatchStatsCancelled(t *testing.T) {
 	}
 }
 
-// TestExplainTextCachedPlanFreshActuals pins the EXPLAIN-through-cache
-// contract: repeated ExplainText renders the cached executable plan with
-// fresh actual-cardinality counters — byte-identical reports, no stale or
-// doubled actuals — and the repeats hit the plan cache rather than
-// replanning.
+// TestExplainTextCachedPlanFreshActuals pins the repeated-EXPLAIN contract:
+// repeated ExplainText renders the same executable plan with fresh
+// actual-cardinality counters — byte-identical reports, no stale or doubled
+// actuals.
 func TestExplainTextCachedPlanFreshActuals(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.002, 5, WithPlanCache(16))
+	c, err := GenerateCorpus("wsj", 0.002, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,6 @@ func TestExplainTextCachedPlanFreshActuals(t *testing.T) {
 	if !strings.Contains(first, "actual") {
 		t.Fatalf("EXPLAIN report carries no actuals:\n%s", first)
 	}
-	before := c.PlanCacheStats()
 	for i := 0; i < 3; i++ {
 		again, err := c.ExplainText(text)
 		if err != nil {
@@ -102,21 +100,14 @@ func TestExplainTextCachedPlanFreshActuals(t *testing.T) {
 			t.Fatalf("ExplainText drifted on repeat %d:\n--- first ---\n%s\n--- again ---\n%s", i+1, first, again)
 		}
 	}
-	after := c.PlanCacheStats()
-	if after.Hits <= before.Hits {
-		t.Errorf("repeated ExplainText did not hit the plan cache (hits %d -> %d)", before.Hits, after.Hits)
-	}
-	if after.Misses != before.Misses {
-		t.Errorf("repeated ExplainText re-missed the plan cache (misses %d -> %d)", before.Misses, after.Misses)
-	}
 
-	// The cached-plan report must agree with a from-scratch Explain of the
-	// same text (same plan, same fresh actuals).
-	fresh, err := c.Explain(MustCompile(text))
+	// The text report must agree with Explain of the compiled query (same
+	// plan, same fresh actuals).
+	compiled, err := c.Explain(MustCompile(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh != first {
-		t.Fatalf("cached-plan EXPLAIN differs from from-scratch EXPLAIN:\n--- cached ---\n%s\n--- fresh ---\n%s", first, fresh)
+	if compiled != first {
+		t.Fatalf("ExplainText differs from Explain:\n--- text ---\n%s\n--- compiled ---\n%s", first, compiled)
 	}
 }

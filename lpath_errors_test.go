@@ -42,7 +42,7 @@ func shapeName(r Request) string {
 // deterministically by window index), and so does a compiled query's slot in
 // a SelectBatchStats batch.
 func TestErrorParityAcrossRequests(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4), WithPlanCache(8))
+	c, err := GenerateCorpus("wsj", 0.005, 11, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestErrorParityAcrossRequests(t *testing.T) {
 // Stream) call its documentation names, and SelectBatchStats to Run, on all
 // 23 paper queries.
 func TestSugarEqualsRun(t *testing.T) {
-	c, err := GenerateCorpus("wsj", 0.004, 3, WithPlanCache(32), WithWorkers(3))
+	c, err := GenerateCorpus("wsj", 0.004, 3, WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,35 +209,28 @@ func TestMatchesIterator(t *testing.T) {
 	}
 }
 
-// TestLimitText covers the plan-cache serving path: with and without a
-// configured cache, a limited Text request equals the prefix of the full one.
+// TestLimitText covers the text serving path: a limited Text request equals
+// the prefix of the full one, and a compile error is reported.
 func TestLimitText(t *testing.T) {
 	ctx := context.Background()
-	for _, cached := range []bool{false, true} {
-		opts := []Option{}
-		if cached {
-			opts = append(opts, WithPlanCache(16))
-		}
-		c, err := GenerateCorpus("wsj", 0.002, 5, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const text = `//VB->NP`
-		full, err := c.Run(ctx, Request{Text: text})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Run(ctx, Request{Text: text, Limit: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(full.Matches) < 3 || !reflect.DeepEqual(got.Matches, full.Matches[:3]) {
-			t.Errorf("cached=%v: Limit 3 = %d matches, want the first 3 of %d",
-				cached, len(got.Matches), len(full.Matches))
-		}
-		if _, err := c.Run(ctx, Request{Text: `//VB[`, Limit: 3}); err == nil {
-			t.Errorf("cached=%v: compile error not reported", cached)
-		}
+	c, err := GenerateCorpus("wsj", 0.002, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const text = `//VB->NP`
+	full, err := c.Run(ctx, Request{Text: text})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Run(ctx, Request{Text: text, Limit: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Matches) < 3 || !reflect.DeepEqual(got.Matches, full.Matches[:3]) {
+		t.Errorf("Limit 3 = %d matches, want the first 3 of %d", len(got.Matches), len(full.Matches))
+	}
+	if _, err := c.Run(ctx, Request{Text: `//VB[`, Limit: 3}); err == nil {
+		t.Error("compile error not reported")
 	}
 }
 
