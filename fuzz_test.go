@@ -50,6 +50,10 @@ func FuzzEvalOracle(f *testing.F) {
 		// The sibling kernels and the merged one-step filters.
 		`//NP==>PP`, `//NN<==DT`, `//VB==>_`, `//NP<==_`, `//VP{//NP==>PP}`,
 		`//NP[//JJ]`, `//NP[not(//JJ)]`, `//NP[//NP]`, `//NP[//_]`, `//S[//NP[//DT]/NN]`,
+		// Value-driven steps after the first: unscoped kernel axes, a
+		// scope's entry and a later scoped step, and one-binding filters.
+		`//NP//_[@lex=dog]`, `//VP/_[@lex=saw]`, `//DT->_[@lex=cat]`, `//NP-->_[@lex=dog]`,
+		`//VP{//_[@lex=the]}`, `//S{//NP/NN[@lex=man]}`, `//NP[//NN[@lex=dog]]`,
 	} {
 		f.Add(q, bank)
 	}

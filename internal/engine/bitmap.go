@@ -31,16 +31,14 @@ import (
 // kernelGate is the side rule's gate for a kernel-capable step over a
 // frontier of n bindings. bitmapAlways passes every step and bitmapOff none.
 // Otherwise the probes keep a step without a plan (a WithoutPlanner engine
-// shares no side choice with the planned path), one the value index can
-// drive (StepPlan.Value: a posting list shorter than the step's name range)
-// and one over a lone binding (one walk of the whole posting for one
-// context). Only the last is a run-time outcome, so only it is recorded for
-// EXPLAIN.
+// shares no side choice with the planned path) and one over a lone binding
+// (one walk of the whole posting for one context). Only the latter is a
+// run-time outcome, so only it is recorded for EXPLAIN.
 func (e *Engine) kernelGate(sp *planner.StepPlan, n int, ctx *evalCtx) bool {
 	switch {
 	case e.bitmap != bitmapAuto:
 		return e.bitmap == bitmapAlways
-	case sp == nil || sp.Value != "":
+	case sp == nil:
 		return false
 	case n <= 1:
 		ctx.stepSide(sp, "probe")
@@ -181,10 +179,23 @@ func (e *Engine) bitmapEntry(step *lpath.Step, cur []bind, ctx *evalCtx) ([]bind
 	return out, nil
 }
 
-// stepPosting returns the step's candidates for a kernel walk: one clustered
-// posting range (the document-order element index for a wildcard), narrowed
-// to the streaming window. Borrowed from the store — never mutated.
+// stepPosting returns the step's candidates in the streaming window, in
+// document order, for a kernel walk or a root // probe: a value-driven
+// step's value rows (valueRows, built at most once per window and released
+// by clearSat), else one clustered posting range (the document-order element
+// index for a wildcard). Borrowed — never mutated.
 func (e *Engine) stepPosting(step *lpath.Step, ctx *evalCtx) []int32 {
+	if sp := ctx.stepPlan(step); sp != nil && sp.Value != "" {
+		for _, v := range ctx.values {
+			if v.sp == sp {
+				return v.rows
+			}
+		}
+		lo, hi := ctx.window()
+		rows := e.valueRows(ctx.ar.getInts(), sp.Value, sp.Attr[1:], step, lo, hi)
+		ctx.values = append(ctx.values, valuePosting{sp: sp, rows: rows})
+		return rows
+	}
 	if step.Wildcard() {
 		return e.narrowToWindow(e.s.ElementsByLeft(), ctx)
 	}

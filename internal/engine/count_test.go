@@ -88,3 +88,36 @@ func TestCountParallelValidationAndEmpty(t *testing.T) {
 		t.Error("expected error from cancelled context")
 	}
 }
+
+// TestOneStepValueCount: a value-driven step's Exec leaves its equality out,
+// so a one-step //_[@lex=w] or //NN[@lex=w] looks like a step with nothing
+// to test. Its count must still be the value posting's, serial and windowed:
+// len(Select) and the unplanned count, never the step's name posting.
+func TestOneStepValueCount(t *testing.T) {
+	tc := cancelCorpus(t)
+	e := cancelEngine(t, tc)
+	noplan := cancelEngine(t, tc, WithoutPlanner())
+	for _, q := range []string{`//_[@lex=the]`, `//NN[@lex=building]`, `//NN[@lex=the]`, `/_[@lex=the]`} {
+		p := lpath.MustParse(q)
+		if sp := e.Plan(p).Step(&p.Steps[0]); sp == nil || sp.Value == "" || len(sp.Exec) != 0 {
+			t.Fatalf("%s: not value-driven: %+v", q, sp)
+		}
+		ms, err := e.Eval(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := noplan.Count(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != want {
+			t.Errorf("%s: len(Select) = %d, unplanned Count = %d", q, len(ms), want)
+		}
+		for _, workers := range []int{1, 3} {
+			res, err := e.Run(context.Background(), p, e.Plan(p), Spec{Mode: ModeCount, Workers: workers})
+			if err != nil || res.Count != want {
+				t.Errorf("%s workers=%d: Count = %d, %v; want %d", q, workers, res.Count, err, want)
+			}
+		}
+	}
+}

@@ -6,9 +6,10 @@
 // Every axis becomes a sargable range over a clustered name scan (Table 2):
 // descendant probes left ∈ [c.left, c.right), immediate-following probes
 // left = c.right, the sibling axes probe the {tid, pid} index, and the
-// vertical reverse axes walk the pid chain. Value predicates ([@lex=w]) can
-// drive a step from the {value, tid, id} secondary index instead of the name
-// scan, which is what makes high-selectivity word lookups fast (Section 5.2).
+// vertical reverse axes walk the pid chain. A value predicate ([@lex=w]) with
+// a short posting list supplies its step's candidates from the {value, tid,
+// id} secondary index instead of the name scan, which is what makes
+// high-selectivity word lookups fast (Section 5.2).
 //
 // The engine must agree exactly with the reference tree-walking evaluator
 // (package treeval); the cross-validation tests enforce this.
@@ -75,8 +76,8 @@ type Engine struct {
 	// ablation benchmarks.
 	disableValueIndex bool
 	// noPlanner restores the pre-planner evaluation strategy (no predicate
-	// reordering, no semijoins, no kernel steps, the hardcoded value-index
-	// threshold); the differential tests hold the two paths result-identical.
+	// reordering, no semijoins, no kernel steps, no value drive); the
+	// differential tests hold the two paths result-identical.
 	noPlanner bool
 	// bitmap selects whether the dense-bitset kernels are available.
 	bitmap bitmapMode
@@ -390,11 +391,11 @@ func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind,
 		return nil, lpath.ErrAttrInMainPath
 	}
 	positional := step.HasPositional()
-	// Plan-directed choices: the statistics-derived value-probe threshold,
-	// the cheapest-first predicate order and the vacuous predicates left
-	// out. None changes the result — reordering is restricted to commutative
-	// conjuncts, a vacuous predicate holds on every row the step can bind,
-	// and the value probe is an access path, not a filter.
+	// Plan-directed choices: the value drive, the cheapest-first predicate
+	// order and the vacuous predicates left out. None changes the result —
+	// reordering is restricted to commutative conjuncts, a vacuous predicate
+	// holds on every row the step can bind, and the value posting holds
+	// exactly the rows the equality it replaces keeps.
 	sp := ctx.stepPlan(step)
 	preds := step.Preds
 	if sp != nil {
@@ -414,12 +415,7 @@ func (e *Engine) evalStep(step *lpath.Step, binds []bind, ctx *evalCtx) ([]bind,
 // alignment and predicates. It appends the results to out.
 func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []lpath.Expr, positional bool, binds, out []bind, ctx *evalCtx) ([]bind, error) {
 	n0 := len(out)
-	var vd valueDriver
-	if !positional {
-		// The value-index shortcut would reorder the predicate pipeline
-		// and corrupt position(); positional steps keep axis probes.
-		e.initValueDriver(&vd, step, sp)
-	}
+	value := sp != nil && sp.Value != "" // never positional (planStep)
 	nlo, nhi, _ := e.s.NameRange(step.Test)
 	// A single binding's probe already yields distinct rows, so the
 	// cross-binding dedup map is only needed for fan-in — predicates
@@ -434,16 +430,14 @@ func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []l
 		}
 		var cands []int32
 		var borrowed bool
-		var scratch []int32 // arena buffer to release, if one was drawn
-		useValue := vd.ok && e.valueWorthwhile(step, b, vd.postings, sp)
-		if useValue {
-			scratch = e.filterByAxis(vd.candidates(e, ctx), step, b, ctx.ar.getInts())
-			cands = scratch
+		if value {
+			cands, borrowed = e.valueCandidates(step, sp, b, ctx)
 		} else {
 			cands, borrowed = e.axisCandidates(step, nlo, nhi, b, ctx)
-			if !borrowed {
-				scratch = cands
-			}
+		}
+		var scratch []int32 // arena buffer to release, if one was drawn
+		if !borrowed {
+			scratch = cands
 		}
 		// Static filters: subtree scope and edge alignment. Skipped entirely
 		// when no constraint applies; an owned buffer compacts in place, a
@@ -498,12 +492,6 @@ func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []l
 			}
 			// Predicate pipeline with positional context.
 			for _, pred := range preds {
-				if useValue {
-					if cmp, ok := pred.(*lpath.CmpExpr); ok && isDirectEq(cmp) &&
-						cmp.Value == vd.value && cmp.Path.Steps[0].Test == vd.attr {
-						continue // already satisfied by the value-index probe
-					}
-				}
 				var err error
 				g, err = e.filterPred(pred, b.scope, b.row == noRow && !positional, g, ctx)
 				if err != nil {
@@ -530,9 +518,6 @@ func (e *Engine) evalStepProbe(step *lpath.Step, sp *planner.StepPlan, preds []l
 	}
 	if seen != nil {
 		ctx.ar.putBindSet(seen)
-	}
-	if vd.rowsSet {
-		ctx.ar.putInts(vd.rows)
 	}
 	ctx.countStep(sp, len(out)-n0)
 	return out, nil
@@ -621,33 +606,6 @@ func (e *Engine) filterPred(pred lpath.Expr, scope int32, whole bool, cands []in
 	return out, nil
 }
 
-// valueWorthwhile decides, per binding, whether driving the step from the
-// value index beats an axis probe: always from the virtual root (the probe
-// would scan the whole name range), and otherwise only when the posting
-// list is smaller than the expected cost of scanning the context's subtree
-// — the cost trade-off the paper's optimizer resolves with relational
-// statistics. A planned step carries the statistics-derived crossover
-// density (planner.StepPlan.Bias: expected rows of the step's name per unit
-// of span); without a plan the engine falls back to the treebank-typical
-// nodes-per-span constant 2.
-func (e *Engine) valueWorthwhile(step *lpath.Step, b bind, postings int, sp *planner.StepPlan) bool {
-	if b.row == noRow {
-		return true
-	}
-	switch step.Axis {
-	case lpath.AxisDescendant, lpath.AxisDescendantOrSelf:
-		cols := e.s.Cols()
-		span := cols.Right[b.row] - cols.Left[b.row]
-		if sp != nil && sp.Bias > 0 {
-			return float64(postings) < sp.Bias*float64(span)
-		}
-		return postings < 2*int(span)
-	default:
-		// Other axes have cheap dedicated probes.
-		return false
-	}
-}
-
 // staticAccept applies the scope constraint and edge alignment to a
 // candidate row; predicates run afterwards in the positional pipeline.
 func (e *Engine) staticAccept(step *lpath.Step, b bind, ci int32) bool {
@@ -716,89 +674,32 @@ func (e *Engine) narrowToTIDs(idx []int32, lo, hi int32) []int32 {
 	return idx[i:j]
 }
 
-// isDirectEq reports whether the expression is a direct equality comparison
-// on an attribute of the context node, e.g. @lex=saw.
-func isDirectEq(c *lpath.CmpExpr) bool {
-	if c.Op != "=" || c.Path.Scoped != nil || len(c.Path.Steps) != 1 {
-		return false
+// valueCandidates is a value-driven step's probe: its tree's run of the
+// value posting tested against the axis from a context row, the window's
+// value rows (stepPosting) from the virtual root.
+func (e *Engine) valueCandidates(step *lpath.Step, sp *planner.StepPlan, b bind, ctx *evalCtx) (cands []int32, borrowed bool) {
+	if b.row != noRow {
+		tid := e.s.Cols().TID[b.row]
+		rows := e.valueRows(ctx.ar.getInts(), sp.Value, sp.Attr[1:], step, tid, tid+1)
+		return e.filterByAxis(rows, step, b, rows[:0]), false
 	}
-	return c.Path.Steps[0].Axis == lpath.AxisAttribute
+	rows := e.stepPosting(step, ctx)
+	if step.Axis == lpath.AxisDescendant || step.Axis == lpath.AxisDescendantOrSelf {
+		return rows, true
+	}
+	return e.filterByAxis(rows, step, b, ctx.ar.getInts()), false
 }
 
-// valueDriver describes the value-index access path for a step: whether a
-// direct @attr=value predicate makes it available, the posting-list size
-// (for the cost decision), and a memoized candidate materialization so the
-// posting→element mapping is computed at most once per step evaluation.
-type valueDriver struct {
-	ok       bool
-	value    string
-	attr     string // attribute name without the '@' prefix
-	postings int
-	step     *lpath.Step
-	rows     []int32
-	rowsSet  bool
-}
-
-// initValueDriver sets up the value-index access path for a step. A planned
-// step carries the planner's choice (StepPlan.Value, made against the same
-// statistics), so nested per-candidate evaluations pay no index lookups;
-// unplanned, the first direct @attr=value predicate whose posting list is
-// shorter than the step's name range drives. The driver lives on the
-// caller's stack; its memoized row buffer is arena-owned and released by the
-// caller after the step.
-func (e *Engine) initValueDriver(vd *valueDriver, step *lpath.Step, sp *planner.StepPlan) {
-	vd.step = step
-	if e.disableValueIndex {
-		return
-	}
-	if sp != nil {
-		if sp.Value != "" {
-			vd.ok, vd.value, vd.attr, vd.postings = true, sp.Value, sp.Attr[1:], sp.Postings
-		}
-		return
-	}
-	for _, pred := range step.Preds {
-		cmp, ok := pred.(*lpath.CmpExpr)
-		if !ok || !isDirectEq(cmp) {
-			continue
-		}
-		postings := e.s.ByValue(cmp.Value)
-		nameCost := e.s.NameCount(step.Test)
-		if step.Wildcard() {
-			nameCost = e.s.ElementCount()
-		}
-		if len(postings) >= nameCost {
-			continue
-		}
-		vd.ok = true
-		vd.value = cmp.Value
-		vd.attr = cmp.Path.Steps[0].Test
-		vd.postings = len(postings)
-		return
-	}
-}
-
-// candidates materializes (once) the element rows carrying the driving
-// attribute value and satisfying the node test.
-func (vd *valueDriver) candidates(e *Engine, ctx *evalCtx) []int32 {
-	if !vd.rowsSet {
-		vd.rowsSet = true
-		vd.rows = e.valueRows(ctx.ar.getInts(), vd.value, vd.attr, vd.step, ctx)
-	}
-	return vd.rows
-}
-
-// valueRows appends to dst the window's element rows that carry value in
-// attribute attr (named without its '@') and satisfy step's node test, in
-// posting order, and returns dst.
-func (e *Engine) valueRows(dst []int32, value, attr string, step *lpath.Step, ctx *evalCtx) []int32 {
+// valueRows appends to dst, in document order, the element rows of the trees
+// with tid ∈ [lo, hi) that carry value in attribute attr (named without its
+// '@') and satisfy step's node test, and returns dst. ByValue is (tid, id)
+// ordered, so those trees' postings are one run of it.
+func (e *Engine) valueRows(dst []int32, value, attr string, step *lpath.Step, lo, hi int32) []int32 {
 	cols := e.s.Cols()
 	alo, ahi := e.s.AttrRange(attr)
 	nlo, nhi, _ := e.s.NameRange(step.Test)
-	for _, pi := range e.s.ByValue(value) {
-		// Posting lists are grouped by attribute name, not tid-sorted, so the
-		// streaming window filters linearly (they are small by the cost gate).
-		if pi < alo || pi >= ahi || !ctx.inWindow(cols.TID[pi]) {
+	for _, pi := range e.narrowToTIDs(e.s.ByValue(value), lo, hi) {
+		if pi < alo || pi >= ahi {
 			continue
 		}
 		ei, ok := e.s.ElementByID(cols.TID[pi], cols.ID[pi])
@@ -811,23 +712,20 @@ func (e *Engine) valueRows(dst []int32, value, attr string, step *lpath.Step, ct
 }
 
 // filterByAxis appends to dst the candidates satisfying the axis relation to
-// the context binding, and returns dst. cands is read-only.
+// the context binding, and returns dst; dst may be cands[:0]. From the
+// virtual root only the child axis reaches a row (valueCandidates takes a
+// descendant step's posting whole): the trees' roots.
 func (e *Engine) filterByAxis(cands []int32, step *lpath.Step, b bind, dst []int32) []int32 {
 	if b.row == noRow {
-		switch step.Axis {
-		case lpath.AxisDescendant, lpath.AxisDescendantOrSelf:
-			return append(dst, cands...)
-		case lpath.AxisChild:
+		if step.Axis == lpath.AxisChild {
 			pids := e.s.Cols().PID
 			for _, ci := range cands {
 				if pids[ci] == 0 {
 					dst = append(dst, ci)
 				}
 			}
-			return dst
-		default:
-			return dst
 		}
+		return dst
 	}
 	cols := e.s.Cols()
 	tid, cl := cols.TID[b.row], cols.Label(b.row)

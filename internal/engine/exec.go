@@ -22,6 +22,9 @@ type evalCtx struct {
 	// one window the same unscoped filter always has the same satisfiers,
 	// however many frontiers probe it.
 	filters []filterState
+	// values holds the window's rows of each value-driven step that asked
+	// for them (stepPosting), built once per window like the satisfier sets.
+	values []valuePosting
 	// act collects actual cardinalities when EXPLAIN runs the query.
 	act *planner.Actuals
 	// ar is the evaluation's scratch arena (see arena.go); it survives
@@ -39,8 +42,8 @@ type evalCtx struct {
 
 	// The tid window (window.go). When windowed is set, every
 	// virtual-root entry point — the probe's first-step candidate lists, the
-	// kernels' postings, the scoped-roots expansion, semijoin seeds and the
-	// value-driver postings — restricts itself to trees with
+	// kernels' postings (value rows included), the scoped-roots expansion
+	// and the semijoin seeds — restricts itself to trees with
 	// tid ∈ [winLo, winHi). Axes never cross trees, so a windowed evaluation
 	// is exactly the full evaluation restricted to that tree range, which is
 	// what lets Run evaluate windows of trees apart and stop early.
@@ -48,10 +51,19 @@ type evalCtx struct {
 	windowed     bool
 }
 
-// inWindow reports whether a tree falls inside the streaming tid window
-// (always true for unwindowed evaluations).
-func (c *evalCtx) inWindow(tid int32) bool {
-	return !c.windowed || (tid >= c.winLo && tid < c.winHi)
+// valuePosting is one value-driven step's rows in the window.
+type valuePosting struct {
+	sp   *planner.StepPlan
+	rows []int32
+}
+
+// window returns the tid window's bounds, every tid for an unwindowed
+// evaluation.
+func (c *evalCtx) window() (lo, hi int32) {
+	if !c.windowed {
+		return 0, maxInt32
+	}
+	return c.winLo, c.winHi
 }
 
 // cancelStride bounds how many interrupted() calls pass between two
@@ -111,11 +123,11 @@ func (e *Engine) releaseCtx(ctx *evalCtx) {
 	e.ctxPool.Put(ctx)
 }
 
-// clearSat drops the per-filter state: satisfier sets go back to the arena
-// and the forward counters restart. Run also calls it between the tid
-// windows one evaluation context evaluates: a satisfier set built under one
-// window is seeded from that window's trees only and must not answer probes
-// from the next.
+// clearSat drops the per-window state: satisfier sets and value rows go back
+// to the arena and the forward counters restart. Run also calls it between
+// the tid windows one evaluation context evaluates: a satisfier set or a
+// value posting built under one window holds that window's trees only and
+// must not answer probes from the next.
 func (c *evalCtx) clearSat() {
 	for i := range c.filters {
 		if s := c.filters[i].set; s != nil {
@@ -124,6 +136,11 @@ func (c *evalCtx) clearSat() {
 	}
 	clear(c.filters)
 	c.filters = c.filters[:0]
+	for _, v := range c.values {
+		c.ar.putInts(v.rows)
+	}
+	clear(c.values)
+	c.values = c.values[:0]
 }
 
 func (c *evalCtx) stepPlan(s *lpath.Step) *planner.StepPlan {

@@ -68,6 +68,15 @@ var kernelQueries = []string{
 	`//NP[//NP]`, `//NP[not(//NP)]`, `//NP[//N]`, `//S[//NP]`, `//NP[//_]`,
 	`//N[not(//_)]`, `//NP[/descendant-or-self::NP]`, `//NP/NP[not(//Det)]`,
 	`//S[//NP[//Det]/N]`, `//_[//NP[not(//N)]/_]`,
+	// Value-driven steps, whose candidates are the value posting on every
+	// side: under the kernel axes, as a scope's entry and a later scoped
+	// step, aligned, or-self, counted through a scope, and from one-binding
+	// frontiers (a filter evaluated forward from each candidate).
+	`//NP//_[@lex=dog]`, `//VP/_[@lex=saw]`, `//NP->_[@lex=dog]`, `//NP-->_[@lex=dog]`,
+	`//VP{//_[@lex=dog]}`, `//S{//NP/_[@lex=dog]}`, `//S{//_[@lex=the]->_[@lex=man]}`,
+	`//S{//^_[@lex=the]}`, `//NP//_$[@lex=dog]`, `//NP/descendant-or-self::_[@lex=dog]`,
+	`//S[count({//_[@lex=man]})=1]`, `//NP[//_[@lex=dog]]`, `//NP[->_[@lex=saw]]`,
+	`/S//N[@lex=dog]`, `//N[@lex=dog]`, `//_[@lex=man]`,
 }
 
 // nestedCorpus builds trees that stress laminar same-name nesting: an NP
@@ -160,8 +169,8 @@ var kernelAxes = []string{
 // kernel distinguishes: unscoped, inside a subtree scope (the entry step,
 // a later one, two chained, one under nested same-name scopes), left- and
 // right-aligned, with a predicate, under count() through a scope, whose
-// result counts (row, scope) pairs, and after a step whose output is not in
-// document order.
+// result counts (row, scope) pairs, after a step whose output is not in
+// document order, and value-driven (its candidates the value posting).
 func kernelAxisQueries() []string {
 	forms := []string{
 		`//NP%sN`, `//_%sNP`, `//NP%sNP`,
@@ -174,6 +183,11 @@ func kernelAxisQueries() []string {
 		// An ancestor probe hands the kernel a frontier out of document
 		// order.
 		`//N\\_%s_`,
+		// Value-driven steps: unscoped, a scope's entry and a later scoped
+		// step, aligned, counted through a scope, and from one binding.
+		`//NP%s_[@lex=dog]`, `//VP%s_[@lex=saw]`, `//S{%s_[@lex=the]}`, `//S{//NP%s_[@lex=dog]}`,
+		`//NP%s^_[@lex=man]`, `//S{//_%s_$[@lex=dog]}`, `//S[count({//NP%s_[@lex=dog]})>=1]`,
+		`//NP[%s_[@lex=dog]]`,
 	}
 	var qs []string
 	for _, ax := range kernelAxes {

@@ -226,9 +226,10 @@ func (e *Engine) semiSeeds(sj *planner.Semijoin, ctx *evalCtx) ([]int32, error) 
 	var rows []int32
 	if sj.Seed == planner.SeedValue {
 		// The posting list already enforces one @attr=value equality, which
-		// SeedPreds leaves out, like the forward value driver does. The
+		// SeedPreds leaves out, as a value-driven step's Exec does. The
 		// attribute test below then filters out in place.
-		out = e.valueRows(out, sj.SeedValue, sj.SeedAttr[1:], last, ctx)
+		lo, hi := ctx.window()
+		out = e.valueRows(out, sj.SeedValue, sj.SeedAttr[1:], last, lo, hi)
 		rows = out
 	} else {
 		rows = e.stepPosting(last, ctx)

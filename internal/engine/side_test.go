@@ -26,10 +26,10 @@ func TestKernelSideRule(t *testing.T) {
 	}{
 		{"off", off, planned, 8, false, ""},
 		{"always, no plan, lone", always, nil, 1, true, ""},
-		{"always, value-drivable", always, valued, 8, true, ""},
+		{"always, value-driven", always, valued, 8, true, ""},
 		{"no plan", auto, nil, 8, false, ""},
 		{"lone binding", auto, planned, 1, false, "probe"},
-		{"value-drivable", auto, valued, 8, false, ""},
+		{"value-driven", auto, valued, 8, true, ""},
 		{"planned frontier", auto, planned, 8, true, ""},
 	}
 	for _, g := range gates {

@@ -172,15 +172,15 @@ func (e *Engine) Run(cctx context.Context, p *lpath.Path, plan *planner.Plan, s 
 }
 
 // postingCount answers a count of one unaligned //A or //_ step from the
-// root whose predicates are all vacuous: the length of its posting, the
+// root whose predicates are all vacuous: the length of its name posting, the
 // whole store's for a run over every window. ok is false for any other
-// query.
+// query, a value-driven step's included: its Exec is empty too.
 func (e *Engine) postingCount(p *lpath.Path, plan *planner.Plan) (n int, ok bool) {
 	if plan == nil || p.Scoped != nil || len(p.Steps) != 1 {
 		return 0, false
 	}
 	step := &p.Steps[0]
-	if sp := plan.Step(step); sp == nil || len(sp.Exec) > 0 || step.LeftAlign || step.RightAlign ||
+	if sp := plan.Step(step); sp == nil || sp.Value != "" || len(sp.Exec) > 0 || step.LeftAlign || step.RightAlign ||
 		step.Axis != lpath.AxisDescendant && step.Axis != lpath.AxisDescendantOrSelf {
 		return 0, false
 	}

@@ -146,24 +146,17 @@ type PathPlan struct {
 type StepPlan struct {
 	Step   *lpath.Step
 	Access Access
-	// Value/Attr/Postings describe the value-index drive — the literal, the
-	// attribute name (with '@'), and the statistics-time posting count — of
-	// a step whose direct @attr=value predicate has a posting list shorter
-	// than the step's name range. Such a step is value-drivable: the engine
-	// may drive it from the index per binding (Bias), and its side rule
-	// keeps it on the probes. Access is AccessValueIndex when the planner expects the drive
-	// to win for every binding.
+	// Value/Attr/Postings describe the value drive — the literal, the
+	// attribute name (with '@'), and the posting count — of a step whose
+	// direct @attr=value predicate has a posting list shorter than the step's
+	// name range. Such a step's Access is AccessValueIndex: the posting
+	// supplies its candidates on every side, and Exec leaves the equality out.
 	Value    string
 	Attr     string
 	Postings int
-	// Bias is the statistics-derived crossover density for the value probe:
-	// the engine drives a descendant step from the value index when the
-	// posting list is smaller than Bias × the context's span (the expected
-	// name rows a clustered scan of that subtree would touch). It replaces
-	// the engine's former hardcoded nodes-per-span constant of 2.
-	Bias float64
 	// Preds is the predicate pipeline in execution order, and Exec its
-	// expressions less the vacuous ones: what the engine evaluates.
+	// expressions less the vacuous ones and the equality a value drive
+	// consumed: what the engine evaluates.
 	Preds []*PredPlan
 	Exec  []lpath.Expr
 	// EstCand and EstOut estimate the candidates after the node test and

@@ -115,7 +115,7 @@ func (pl *Planner) share(test string) float64 {
 
 // density is the expected number of test-satisfying rows per unit of leaf
 // span — the quantity that converts a context's span into a descendant-scan
-// cardinality, and the statistics-derived value-index crossover bias.
+// cardinality.
 func (pl *Planner) density(test string) float64 {
 	if pl.totalSpan <= 0 {
 		return 0
@@ -278,24 +278,14 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 	sp.EstCand = nIn * cands
 	positional := step.HasPositional()
 
-	// Value-index access: available when a direct @attr=value predicate has
-	// a posting list smaller than the step's name range. Bias is the
-	// statistics-derived crossover density the engine compares per binding.
+	// Value-index access: a direct @attr=value predicate whose posting list
+	// is shorter than the step's name range supplies the step's candidates
+	// on every side — the root, the kernels and the per-binding probes — and
+	// no side re-tests the equality.
 	if !pl.noValue && !positional {
-		if val, attr, ok := directEq(step); ok {
-			postings := float64(pl.postings(val))
-			if postings < pl.nameCount(step.Test) {
-				sp.Value, sp.Attr, sp.Postings = val, "@"+attr, pl.postings(val)
-				sp.Bias = pl.density(step.Test)
-				switch {
-				case c.root:
-					sp.Access = AccessValueIndex
-				case step.Axis == lpath.AxisDescendant || step.Axis == lpath.AxisDescendantOrSelf:
-					if postings < sp.Bias*math.Max(c.span, 1) {
-						sp.Access = AccessValueIndex
-					}
-				}
-			}
+		if val, attr, ok := directEq(step); ok && float64(pl.postings(val)) < pl.nameCount(step.Test) {
+			sp.Access = AccessValueIndex
+			sp.Value, sp.Attr, sp.Postings = val, "@"+attr, pl.postings(val)
 		}
 	}
 
@@ -306,7 +296,7 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 	sel := 1.0
 	for _, pred := range step.Preds {
 		ppd := pl.planExpr(pred, pctx, math.Max(sp.EstCand, 1), plan)
-		if sp.Access == AccessValueIndex && consumedByValue(pred, sp.Value, sp.Attr) {
+		if sp.Value != "" && consumedByValue(pred, sp.Value, sp.Attr) {
 			ppd.Cost = 0
 			ppd.Note = "satisfied by value probe"
 		}
@@ -322,14 +312,19 @@ func (pl *Planner) planStep(step *lpath.Step, c ectx, nIn float64, plan *Plan) *
 		})
 	}
 	for _, ppd := range sp.Preds {
-		if ppd.Vacuous == "" {
+		if ppd.Vacuous == "" && (sp.Value == "" || !consumedByValue(ppd.Expr, sp.Value, sp.Attr)) {
 			sp.Exec = append(sp.Exec, ppd.Expr)
 		}
 	}
 
 	sp.EstOut = sp.EstCand * sel
 	if sp.Access == AccessValueIndex {
-		probeCost = math.Max(float64(sp.Postings), 1)
+		// The root reads the whole posting, a context row its tree's share.
+		probeCost = float64(sp.Postings)
+		if !c.root {
+			probeCost /= math.Max(pl.trees, 1)
+		}
+		probeCost = math.Max(probeCost, 1)
 	}
 	predCost := 0.0
 	pass := 1.0
@@ -374,9 +369,7 @@ func predRank(p *PredPlan) float64 {
 }
 
 // directEq finds the first direct @attr=value equality among the step's
-// predicates with a posting list usable as an access path — the same
-// first-match rule the engine's valueDriver applies, so plan and execution
-// agree on which predicate drives.
+// predicates: the one whose posting list may supply the step's candidates.
 func directEq(step *lpath.Step) (value, attr string, ok bool) {
 	for _, pred := range step.Preds {
 		cmp, isCmp := pred.(*lpath.CmpExpr)
@@ -388,8 +381,8 @@ func directEq(step *lpath.Step) (value, attr string, ok bool) {
 	return "", "", false
 }
 
-// isDirectEq mirrors the engine's test for a value-index-drivable predicate:
-// an equality on an attribute of the context node itself.
+// isDirectEq reports whether a comparison is a value-index-drivable
+// predicate: an equality on an attribute of the context node itself.
 func isDirectEq(c *lpath.CmpExpr) bool {
 	if c.Op != "=" || c.Path.Scoped != nil || len(c.Path.Steps) != 1 {
 		return false

@@ -435,10 +435,10 @@ const (
 	// ModeSelect returns the distinct matches of the query's final step in
 	// (tree, document) order.
 	ModeSelect = engine.ModeSelect
-	// ModeCount returns only the number of matches, using the engine's
-	// count-only pipeline: the same joins as ModeSelect, but without the final
-	// sort and node materialization. It always equals len of ModeSelect's
-	// matches.
+	// ModeCount returns only the number of matches: the same joins and the
+	// same distinct-row pass as ModeSelect, without node materialization (a
+	// one-step //A count reads its name posting's length). It always equals
+	// len of ModeSelect's matches.
 	ModeCount = engine.ModeCount
 	// ModeExplain plans the query against the corpus statistics, executes the
 	// plan with cardinality counters, and returns the EXPLAIN report: per
